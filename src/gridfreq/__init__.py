@@ -16,7 +16,6 @@ from .controllers import (
     sequential_active_link,
 )
 from .dispatch import DispatchResult, cost_of, optimal_dispatch
-from .kernels import BACKEND as KERNEL_BACKEND
 from .model import (
     CONTINUOUS,
     CommGraph,
@@ -49,6 +48,7 @@ from .simulator import (
 )
 from .stability import (
     IdentityReport,
+    IntervalMapReport,
     SpectrumReport,
     StateMatrix,
     assemble_state_matrix,
@@ -56,6 +56,7 @@ from .stability import (
     characteristic_identity_check,
     check_sufficient_multi_node,
     check_sufficient_two_node,
+    interval_map_spectrum,
     spectrum,
 )
 

@@ -17,12 +17,12 @@ import numpy as np
 from . import experiments
 from .controllers import ControlContext
 from .dispatch import optimal_dispatch
-from .model import (CONTINUOUS, load_scenario, save_scenario, toy_grid,
+from .model import (CONTINUOUS, SCHEMES, load_scenario, save_scenario, toy_grid,
                     validate, with_overrides)
-from .simulator import run_scenario, write_trajectory_csv
+from .simulator import run_scenario, state_labels, write_trajectory_csv
 from .stability import (assemble_state_matrix, characteristic_identity_check,
                         check_sufficient_multi_node, check_sufficient_two_node,
-                        build_Lc_star, spectrum)
+                        build_Lc_star, interval_map_spectrum, spectrum)
 
 
 def _load(args) -> Optional[object]:
@@ -118,14 +118,28 @@ def _stability_context(scn) -> ControlContext:
     return ControlContext(scheme="CONSENSUS")
 
 
-def cmd_stability(args) -> int:
-    scn = _load(args)
-    if scn is None:
-        return 1
+def _interval_map_report(scn, comm) -> dict:
+    """Report of a hold scheme: its closed loop is the exact map of one
+    message interval (one rotation cycle under SEQUENTIAL), not x' = A x."""
+    rep = interval_map_spectrum(scn.grid, comm, scn.scheme, scn.dt,
+                                scn.comm.message_interval)
+    return {
+        "scheme": scn.scheme,
+        "message_interval": scn.comm.message_interval,
+        "map_period": rep.period,
+        "state_dim": int(rep.eigenvalues.shape[0]),
+        "labels": list(state_labels(scn.grid)),
+        "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
+        "unit_eigenvalue_count": rep.unit_eigenvalue_count,
+        "spectral_radius_excl_unit": rep.spectral_radius_excl_unit,
+        "rate_per_s": rep.rate,
+        "sufficient": None,
+        "identity": None,
+    }
+
+
+def _state_matrix_report(scn, comm, args) -> dict:
     ctx = _stability_context(scn)
-    failed = {link for link, _ in scn.comm.failed}
-    comm = type(scn.comm)(links=tuple(l for l in scn.comm.links if l not in failed),
-                          failed=(), message_interval=scn.comm.message_interval)
     sm = assemble_state_matrix(scn.grid, comm, ctx)
     rep = spectrum(sm)
 
@@ -170,7 +184,24 @@ def cmd_stability(args) -> int:
             "consistent": idr.consistent,
             "n_samples": args.samples,
         }
+    return doc
 
+
+def cmd_stability(args) -> int:
+    scn = _load(args)
+    if scn is None:
+        return 1
+    failed = {link for link, _ in scn.comm.failed}
+    comm = type(scn.comm)(links=tuple(l for l in scn.comm.links if l not in failed),
+                          failed=(), message_interval=scn.comm.message_interval)
+    if scn.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
+        try:
+            doc = _interval_map_report(scn, comm)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    else:
+        doc = _state_matrix_report(scn, comm, args)
     out = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -203,9 +234,7 @@ def main(argv=None) -> int:
     def add_common(p, needs_out=False):
         p.add_argument("scenario",
                        help="scenario JSON file, or 'toy' for the bundled grid")
-        p.add_argument("--scheme", choices=["CONSENSUS", "CONSENSUS_SAMPLED",
-                                            "PAIR_FLOW", "HYBRID_SINGLE",
-                                            "MULTI_FAILURE", "SEQUENTIAL"])
+        p.add_argument("--scheme", choices=SCHEMES)
         p.add_argument("--horizon", type=float)
         p.add_argument("--dt", type=float)
         p.add_argument("--T", help="message interval in seconds, or 'continuous'")

@@ -116,7 +116,7 @@ class CommGraph:
     def laplacian(self, links: Optional[Iterable[Tuple[int, int]]] = None,
                   n_nodes: Optional[int] = None) -> np.ndarray:
         links = self.links if links is None else tuple(links)
-        n = (max((max(l) for l in self.links), default=-1) + 1) if n_nodes is None else n_nodes
+        n = (max((max(l) for l in links), default=-1) + 1) if n_nodes is None else n_nodes
         L = np.zeros((n, n))
         for a, b in links:
             L[a, a] += 1.0

@@ -3,8 +3,12 @@
 Between events (disturbances, link failures, message sampling instants,
 sequential link rotation) the closed loop is an affine system
 dx/dt = A x + b over the state layout [omega (N), flow (E), u (N), q (N)].
-The integrator therefore assembles (A, b) whenever an event changes the
-structure and hands the segment to the RK4 kernel; the trajectory is
+The integrator assembles (A, b) from derivative() by basis evaluation and
+hands each stretch between events to the RK4 kernel. With a finite message
+interval each sampling instant is a linear reset (the held messages refresh
+to C u, and SEQUENTIAL re-initializes q), so a whole message interval is one
+exact affine map (interval_map): the integrator advances runs of intervals
+with it and stops only at records and events. The trajectory is
 bit-reproducible for identical inputs.
 """
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import controllers
 from .controllers import ControlContext
 from .dispatch import cost_of, optimal_dispatch
-from .kernels import rk4_segment
+from .kernels import jump, k_step_map, rk4_segment
 from .model import CONTINUOUS, CommGraph, PowerGrid, Scenario, SystemState, validate
 
 
@@ -183,6 +187,99 @@ def assemble_affine(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
     return A, b
 
 
+def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
+    """The refresh rule of a sampling instant: each link carries the weighted
+    control y = C u of either endpoint to the other one."""
+    rx = {}
+    for a, b in links:
+        rx[(a, b)] = y[a]
+        rx[(b, a)] = y[b]
+    return rx
+
+
+def assemble_inputs(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
+    """Exact B with derivative(0) == B @ [y; p] for held messages
+    held_messages(y, comm.links) and fixed powers p, by basis evaluation.
+
+    The y columns are zero for laws that read no held message. Every law is
+    linear, so derivative(0) vanishes at y = 0 and p = 0.
+    """
+    n = grid.n_nodes
+    zero = np.zeros(3 * n + grid.n_lines)
+    w = np.zeros(2 * n)
+    B = np.empty((zero.size, 2 * n))
+    for k in range(2 * n):
+        w[k] = 1.0
+        rx = held_messages(w[:n], comm.links)
+        B[:, k] = derivative(vector_to_state(0.0, zero, grid, rx), grid, comm, ctx, w[n:])
+        w[k] = 0.0
+    return B
+
+
+def sequential_context(link: Tuple[int, int]) -> ControlContext:
+    """SEQUENTIAL's context while `link` is the active pair."""
+    return ControlContext(scheme="SEQUENTIAL", F=frozenset(link),
+                          pair_edges=frozenset([link]), active_link=link)
+
+
+def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Tuple[int, int]]:
+    """Links of comm that are also power lines, in SEQUENTIAL's rotation order."""
+    return sorted(grid.edge_set() & set(comm.links))
+
+
+def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
+    """Exact R with R x the state after a SEQUENTIAL rotation to
+    ctx.active_link at a sampling instant: messages refreshed from x, then q
+    re-initialized by init_artificial for the new pair. By basis evaluation."""
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    cost = grid.cost()
+    pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F, pair_edges=ctx.pair_edges)
+    R = np.eye(dim)
+    basis = np.zeros(dim)
+    for k in range(dim):
+        basis[k] = 1.0
+        rx = held_messages(cost * basis[n + e:2 * n + e], comm.links)
+        q0, _ = controllers.init_artificial(vector_to_state(0.0, basis, grid, rx),
+                                            grid, pair_ctx, comm)
+        R[2 * n + e:, k] = q0
+        basis[k] = 0.0
+    return R
+
+
+def interval_map(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
+                 K: int, A: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact map of one message interval, K RK4 steps of size h from one
+    sampling instant to the next, as (D, G) with
+
+        x(next instant) = x + D x + G p
+
+    for fixed powers p. At the instant the messages are refreshed from x by
+    held_messages and, under SEQUENTIAL (ctx.active_link set), q is reset
+    by rotation_reset; then the held values y = C u stay constant for K
+    steps of x' = A x + B [y; p] (assemble_inputs). Refresh and reset are
+    linear and RK4's K-step map with constant inputs is affine
+    (kernels.k_step_map), so the map is exact. Both leave a state whose
+    sampling events have already been applied unchanged, so the map also
+    advances such a state.
+
+    comm holds the live links only. A, when given, is assemble_affine's
+    matrix for (comm, ctx). D is dim x dim and G dim x N.
+    """
+    n, e = grid.n_nodes, grid.n_lines
+    if A is None:
+        A, _ = assemble_affine(grid, comm, ctx, np.zeros(n),
+                               held_messages(np.zeros(n), comm.links), 0.0)
+    D, G = k_step_map(A, assemble_inputs(grid, comm, ctx), h, K)
+    D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
+    if ctx.active_link is not None:
+        R = rotation_reset(grid, comm, ctx)
+        D = D @ R
+        D += R
+        D[np.diag_indices_from(D)] -= 1.0
+    return D, np.ascontiguousarray(G[:, n:])
+
+
 def initial_flows(grid: PowerGrid, p: np.ndarray) -> np.ndarray:
     """Minimum-norm DC flow solution balancing the injections at ω = 0
     (zero cycle-space component)."""
@@ -207,6 +304,16 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     with an event reflects the post-event state. The event log keeps
     discrete occurrences (disturbances, failures, initializations,
     warnings); routine sampling refreshes and rotations are not logged.
+
+    Under continuous messaging each stretch between two events is one
+    rk4_segment call, which also writes the records inside it. With a
+    finite message interval the run stops only at records and events.
+    Between stops it advances whole message intervals with interval_map,
+    and a part of an interval that a stop splits with rk4_segment under
+    the held messages. The state matrices and interval maps are cached for
+    the run, keyed by structure (failures so far and the control context).
+    An interval map holds dim * (dim + N) floats, so a SEQUENTIAL rotation
+    over L links keeps L of them: 8 L dim (dim + N) bytes.
     """
     violations = validate(scenario)
     if violations:
@@ -219,9 +326,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     stride = scenario.record_stride
     n_total = int(round(scenario.horizon / dt))
     T = comm.message_interval
-    steps_per_T = None if T is CONTINUOUS else int(round(T / dt))
-    sampled_scheme = scenario.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL")
-    track_rx = steps_per_T is not None
+    K = None if T is CONTINUOUS else int(round(T / dt))
     cost_vec = grid.cost()
 
     p = grid.fixed_power().copy()
@@ -245,100 +350,60 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         key=lambda sf: sf[0],
     )
     failed_set: set = set()
+    live = _live_comm(comm, failed_set)
+    shared = shared_links(grid, live)
 
-    # Controller mode, updated by events. For PAIR_FLOW the pair edge is the
-    # first power line; it activates at t=0 unless the matching comm link has
-    # a scheduled failure (then averaging runs until the failure instant).
+    # Controller context, updated by events. For PAIR_FLOW the pair edge is
+    # the first power line; it activates at t=0 unless the matching comm link
+    # has a scheduled failure (then averaging runs until the failure instant).
     scheme = scenario.scheme
-    mode = scheme
     ctx = ControlContext(scheme="CONSENSUS")
-    sorted_lines = sorted((ln.i, ln.j) for ln in grid.lines)
-    pair_edge = sorted_lines[0] if scheme == "PAIR_FLOW" else None
+    pair_edge = min((ln.i, ln.j) for ln in grid.lines) if scheme == "PAIR_FLOW" else None
     pair_pending = (scheme == "PAIR_FLOW"
                     and pair_edge in {link for _, link in failures})
     if scheme == "PAIR_FLOW" and not pair_pending:
         ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(pair_edge),
                              pair_edges=frozenset([pair_edge]))
-        mode = "PAIR_FLOW"
-    elif scheme in ("PAIR_FLOW", "HYBRID_SINGLE", "MULTI_FAILURE"):
-        mode = "CONSENSUS"   # flow-based laws engage at the failure instant
-        ctx = ControlContext(scheme="CONSENSUS")
-    elif scheme == "CONSENSUS_SAMPLED":
-        ctx = ControlContext(scheme="CONSENSUS_SAMPLED")
-    elif scheme == "SEQUENTIAL":
-        ctx = ControlContext(scheme="SEQUENTIAL")  # active link set at step 0
+    elif scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
+        ctx = ControlContext(scheme=scheme)  # SEQUENTIAL's active link is set at step 0
+    # else averaging; the flow-based laws engage at the failure instant
 
-    seq_K = -1
-    structure_dirty = True
-    b_dirty = True
-    A = np.empty((dim, dim))
-    b = np.empty(dim)
     a_cache: Dict[tuple, np.ndarray] = {}
-    cache_epoch = 0
+    map_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+    cache_epoch = 0     # counts failures, which change the live links
 
-    def comm_eff() -> CommGraph:
-        return _live_comm(comm, failed_set)
+    def state_matrix(c: ControlContext) -> np.ndarray:
+        key = (cache_epoch, c)
+        A = a_cache.get(key)
+        if A is None:
+            A, _ = assemble_affine(grid, live, c, p,
+                                   held_messages(np.zeros(n), live.links), 0.0)
+            a_cache[key] = A
+        return A
 
-    def refresh_rx(t: float) -> None:
-        y = cost_vec * x[n + e:2 * n + e]
-        for a_, b_ in comm_eff().links:
-            last_rx[(a_, b_)] = y[a_]
-            last_rx[(b_, a_)] = y[b_]
+    def step_map(c: ControlContext) -> Tuple[np.ndarray, np.ndarray]:
+        key = (cache_epoch, c)
+        m = map_cache.get(key)
+        if m is None:
+            m = map_cache[key] = interval_map(grid, live, c, dt, K, state_matrix(c))
+        return m
 
-    def hold_pickup() -> np.ndarray:
-        """Held-message contribution to du, refreshed cheaply at sampling
-        instants (identical to what derivative() sees; covered by tests)."""
-        pick = np.zeros(n)
-        skip = ctx.active_link if mode == "SEQUENTIAL" else None
-        for (src, dst), val in last_rx.items():
-            if (min(src, dst), max(src, dst)) in failed_set:
-                continue
-            if skip is not None and dst in skip:
-                continue
-            pick[dst] += val
-        return pick
-
-    def rebuild(t: float) -> None:
-        nonlocal structure_dirty, b_dirty, A, b
-        key = (cache_epoch, mode, ctx.F, ctx.pair_edges, ctx.active_link)
-        if structure_dirty:
-            cached = a_cache.get(key)
-            if cached is None:
-                A, b = assemble_affine(grid, comm_eff(), ctx, p, last_rx, t)
-                a_cache[key] = A
-            else:
-                A = cached
-                b = derivative(vector_to_state(t, np.zeros(dim), grid, last_rx),
-                               grid, comm_eff(), ctx, p)
-            structure_dirty = False
-            b_dirty = False
-        elif b_dirty:
-            b = derivative(vector_to_state(t, np.zeros(dim), grid, last_rx),
-                           grid, comm_eff(), ctx, p)
-            b_dirty = False
-
-    def fast_b_hold() -> None:
-        """Update only the held-message part of b after a sampling refresh.
-
-        At the zero state the control rate reduces to the received-value
-        pickup, so this mirrors what a full derivative(0) rebuild would
-        produce (asserted by the test suite)."""
-        if structure_dirty or b_dirty:
-            return  # full rebuild pending anyway
-        b[n + e:2 * n + e] = hold_pickup()
+    def interval_ctx(k: int) -> ControlContext:
+        """Context in force during message interval k."""
+        if scheme != "SEQUENTIAL":
+            return ctx
+        return sequential_context(controllers.sequential_active_link(k, shared))
 
     def apply_events(step: int) -> None:
         """All events scheduled at this step, in the fixed order:
         disturbance -> comm failure (+ artificial-variable init) ->
         sampling refresh -> sequential rotation."""
-        nonlocal p, mode, ctx, seq_K, structure_dirty, b_dirty, cache_epoch
+        nonlocal ctx, live, shared, cache_epoch
         t = step * dt
 
         while disturbances and disturbances[0][0] == step:
             _, d = disturbances.pop(0)
-            p = p.copy()
             p[d.node] += d.delta_p
-            b_dirty = True
             events_log.append((t, "disturbance",
                                f"node {d.node + 1} delta_p {d.delta_p:+g}"))
 
@@ -351,16 +416,15 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             newly_failed.append(link)
             events_log.append((t, "comm_failure", f"link ({link[0] + 1},{link[1] + 1})"))
         if newly_failed:
-            structure_dirty = True
             cache_epoch += 1
+            live = _live_comm(comm, failed_set)
+            shared = shared_links(grid, live)
             power_edges = grid.edge_set()
             if scheme in ("HYBRID_SINGLE", "PAIR_FLOW"):
                 link = newly_failed[0]
                 if link in power_edges and (scheme == "HYBRID_SINGLE" or link == pair_edge):
-                    new_mode = "HYBRID_SINGLE" if scheme == "HYBRID_SINGLE" else "PAIR_FLOW"
-                    ctx = ControlContext(scheme=new_mode, F=frozenset(link),
+                    ctx = ControlContext(scheme=scheme, F=frozenset(link),
                                          pair_edges=frozenset([link]))
-                    mode = new_mode
                     state_now = vector_to_state(t, x, grid, last_rx)
                     q0, warns = controllers.init_artificial(state_now, grid, ctx, comm)
                     x[2 * n + e:] = q0
@@ -376,7 +440,6 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 pairs = frozenset(l for l in failed_set if l in power_edges)
                 F = frozenset(i for l in pairs for i in l)
                 ctx = ControlContext(scheme="MULTI_FAILURE", F=F, pair_edges=pairs)
-                mode = "MULTI_FAILURE"
                 state_now = vector_to_state(t, x, grid, last_rx)
                 q0, warns = controllers.init_artificial(state_now, grid, ctx, comm)
                 x[2 * n + e:] = q0
@@ -386,29 +449,21 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 for w in warns:
                     events_log.append((t, "warning", w))
 
-        if track_rx and step % steps_per_T == 0:
-            refresh_rx(t)
-            if sampled_scheme:
-                fast_b_hold()
-
-        if scheme == "SEQUENTIAL" and step % steps_per_T == 0:
-            seq_K = step // steps_per_T
-            shared = sorted(set(sorted_lines) & set(comm_eff().links))
-            link = controllers.sequential_active_link(seq_K, shared)
-            ctx = ControlContext(scheme="SEQUENTIAL", F=frozenset(link),
-                                 pair_edges=frozenset([link]), active_link=link)
-            mode = "SEQUENTIAL"
-            pair_ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(link),
-                                      pair_edges=frozenset([link]))
-            state_now = vector_to_state(t, x, grid, last_rx)
-            q0, _ = controllers.init_artificial(state_now, grid, pair_ctx, comm)
-            x[2 * n + e:] = q0
-            structure_dirty = True
+        if K is not None and step % K == 0:
+            last_rx.update(held_messages(cost_vec * x[n + e:2 * n + e], live.links))
+            if scheme == "SEQUENTIAL":
+                ctx = interval_ctx(step // K)
+                pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F,
+                                          pair_edges=ctx.pair_edges)
+                state_now = vector_to_state(t, x, grid, last_rx)
+                q0, _ = controllers.init_artificial(state_now, grid, pair_ctx, comm)
+                x[2 * n + e:] = q0
 
     # --- record buffers -----------------------------------------------------
     n_rec_max = n_total // stride + 2
     rec_states = np.empty((n_rec_max, dim))
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
+    track_rx = K is not None
     rec_rx = np.full((n_rec_max, 2 * len(comm.links)), np.nan) if track_rx else None
     rx_links: Tuple[Tuple[int, int], ...] = ()
     if track_rx:
@@ -424,49 +479,79 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 rec_rx[n_rec, c] = last_rx.get(dlink, np.nan)
         n_rec += 1
 
+    def check_finite(step: int) -> None:
+        if np.isfinite(x).all():
+            return
+        last = None
+        if n_rec:
+            traj = _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec],
+                             dt, events_log, rx_links,
+                             rec_rx[:n_rec] if track_rx else None)
+            last = traj.state_at(n_rec - 1)
+        raise IntegrationError(step, last)
+
+    def segment(step: int, n_steps: int, first_record: int = 0,
+                out: np.ndarray = rec_states[:0]) -> int:
+        """n_steps of RK4 under the current context and held messages."""
+        b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
+                       grid, live, ctx, p)
+        return rk4_segment(state_matrix(ctx), b, x, dt, n_steps, first_record, stride, out)
+
+    def intervals(k0: int, k1: int) -> None:
+        """Whole message intervals k0 .. k1 - 1, each run of equal maps in one jump."""
+        k = k0
+        while k < k1:
+            run = 1 if scheme == "SEQUENTIAL" and len(shared) > 1 else k1 - k
+            D, G = step_map(interval_ctx(k))
+            jump(D, G @ p, x, run)
+            k += run
+
+    def advance_sampled(step: int, stop: int) -> None:
+        """From step to stop, with no record or event in between. The
+        sampling events of the last instant before stop run in apply_events,
+        so that records and failures at stop see the messages held then."""
+        s_last = (stop - 1) // K * K
+        if step < s_last:
+            if step % K:
+                s = step - step % K + K
+                segment(step, s - step)
+                check_finite(s)
+                apply_events(s)
+                step = s
+            if step < s_last:
+                intervals(step // K, s_last // K)
+                check_finite(s_last)
+                apply_events(s_last)
+                step = s_last
+        if step % K == 0 and stop - step == K:
+            intervals(step // K, stop // K)
+        else:
+            segment(step, stop - step)
+
     apply_events(0)
     record(0)
 
     step = 0
     while step < n_total:
-        next_event = n_total
+        stop = n_total
         if disturbances:
-            next_event = min(next_event, disturbances[0][0])
+            stop = min(stop, disturbances[0][0])
         if failures:
-            next_event = min(next_event, failures[0][0])
-        if track_rx:
-            next_sample = (step // steps_per_T + 1) * steps_per_T
-            next_event = min(next_event, next_sample)
-        rebuild(step * dt)
-
-        seg = next_event - step
-        # interior records only; the segment end is recorded after its events
-        rem = step % stride
-        first = stride - rem if rem else stride
-        if first >= seg:
-            first_arg, max_rec = 0, 0
+            stop = min(stop, failures[0][0])
+        if K is None:
+            # interior records only; the stop is recorded after its events
+            rem = step % stride
+            first = stride - rem if rem else stride
+            max_rec = 0 if first >= stop - step else (stop - step - 1 - first) // stride + 1
+            got = segment(step, stop - step, first if max_rec else 0,
+                          rec_states[n_rec:n_rec + max_rec])
+            rec_steps[n_rec:n_rec + got] = step + first + stride * np.arange(got)
+            n_rec += got
         else:
-            first_arg = first
-            max_rec = (seg - 1 - first) // stride + 1
-        out = rec_states[n_rec:n_rec + max_rec]
-        got = rk4_segment(A, b, x, dt, seg, first_arg, stride, out)
-        for r in range(got):
-            rec_steps[n_rec + r] = step + first + r * stride
-            if track_rx:
-                for c, dlink in enumerate(rx_links):
-                    rec_rx[n_rec + r, c] = last_rx.get(dlink, np.nan)
-        n_rec += got
-
-        step = next_event
-        if not np.all(np.isfinite(x)):
-            last = None
-            if n_rec:
-                k = n_rec - 1
-                traj = _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec],
-                                 dt, events_log, rx_links,
-                                 rec_rx[:n_rec] if track_rx else None)
-                last = traj.state_at(k)
-            raise IntegrationError(step, last)
+            stop = min(stop, (step // stride + 1) * stride)
+            advance_sampled(step, stop)
+        step = stop
+        check_finite(step)
         apply_events(step)
         if step % stride == 0 or step == n_total:
             record(step)

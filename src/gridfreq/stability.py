@@ -16,9 +16,14 @@ The multi-node factorization silently commutes the cost matrix with a
 Laplacian; it holds exactly when all cost coefficients are equal and fails
 otherwise. check results therefore carry an explicit `consistent` flag
 instead of asserting the identity.
+
+Under the hold schemes (CONSENSUS_SAMPLED, SEQUENTIAL) the closed loop is a
+sampled-data system, not x' = A x: interval_map_spectrum reports the
+spectral radius of its exact interval map and the decay rate it implies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -26,7 +31,8 @@ import numpy as np
 
 from .controllers import ControlContext
 from .model import CommGraph, PowerGrid
-from .simulator import assemble_affine, state_labels
+from .simulator import (assemble_affine, interval_map, sequential_context,
+                        shared_links, state_labels)
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -44,6 +50,15 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     structural_zero_count: int
     spectral_abscissa_excl_zeros: float
+
+
+@dataclass(frozen=True)
+class IntervalMapReport:
+    eigenvalues: np.ndarray          # of the state map over one period
+    unit_eigenvalue_count: int
+    spectral_radius_excl_unit: float
+    period: float                    # s: T, or L T for a SEQUENTIAL rotation cycle
+    rate: float                      # 1/s: -ln(spectral radius) / period
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,41 @@ def spectrum(A) -> SpectrumReport:
     abscissa = float(np.max(rest.real)) if rest.size else float("-inf")
     return SpectrumReport(eigenvalues=lam, structural_zero_count=int(zero.sum()),
                           spectral_abscissa_excl_zeros=abscissa)
+
+
+def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
+                          dt: float, T: float) -> IntervalMapReport:
+    """Spectrum of a hold scheme's exact sampled-data map (Chen & Francis,
+    Optimal Sampled-Data Control Systems, 1995).
+
+    CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
+    SEQUENTIAL: the map of one rotation cycle over its L shared links, the
+    product of L interval maps, with period L T. Eigenvalues within
+    STRUCTURAL_ZERO_TOL * period of 1 are the images of structural zeros
+    and of states no law moves; they are counted apart, and the rest decay
+    at -ln(rho) / period per second. comm holds the live links only.
+    """
+    if scheme == "CONSENSUS_SAMPLED":
+        ctxs = [ControlContext(scheme=scheme)]
+    elif scheme == "SEQUENTIAL":
+        ctxs = [sequential_context(link) for link in shared_links(grid, comm)]
+        if not ctxs:
+            raise ValueError("SEQUENTIAL has no shared power/communication link "
+                             "to rotate over")
+    else:
+        raise ValueError(f"{scheme} holds no messages; its closed loop is x' = A x")
+    K = int(round(T / dt))
+    M = np.eye(3 * grid.n_nodes + grid.n_lines)
+    for ctx in ctxs:
+        D, _ = interval_map(grid, comm, ctx, dt, K)
+        M += D @ M
+    lam = np.linalg.eigvals(M)
+    period = len(ctxs) * T
+    unit = np.abs(lam - 1.0) <= STRUCTURAL_ZERO_TOL * period
+    rho = float(np.max(np.abs(lam[~unit]))) if (~unit).any() else 0.0
+    return IntervalMapReport(eigenvalues=lam, unit_eigenvalue_count=int(unit.sum()),
+                             spectral_radius_excl_unit=rho, period=period,
+                             rate=-math.log(rho) / period if rho > 0 else math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +104,46 @@ def test_stability_command_consensus(tmp_path):
     assert doc["spectral_abscissa_excl_zeros"] < 0
     assert len(doc["eigenvalues"]) == doc["state_dim"]
     assert all(len(z) == 2 for z in doc["eigenvalues"])
+
+
+def test_stability_command_hold_scheme_reports_interval_map(tmp_path):
+    """A hold scheme is reported as itself, by its interval map, never as
+    the continuous averaging law."""
+    out = tmp_path / "stab.json"
+    assert cli.main(["stability", "toy", "--scheme", "CONSENSUS_SAMPLED", "--T", "1",
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["scheme"] == "CONSENSUS_SAMPLED"
+    assert rep["map_period"] == 1.0
+    assert rep["rate_per_s"] == pytest.approx(0.0034, abs=5e-5)
+    assert rep["spectral_radius_excl_unit"] == pytest.approx(
+        math.exp(-rep["rate_per_s"]), rel=1e-12)
+    assert "spectral_abscissa_excl_zeros" not in rep
+    assert len(rep["eigenvalues"]) == rep["state_dim"] == len(rep["labels"])
+
+    assert cli.main(["stability", "toy", "--scheme", "SEQUENTIAL", "--T", "1",
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["scheme"] == "SEQUENTIAL"
+    assert rep["map_period"] == pytest.approx(10.0)
+
+
+def test_stability_command_sequential_without_live_shared_link_exits_1(tmp_path, capsys):
+    doc = {
+        "nodes": [
+            {"id": 1, "inertia": 0.05, "droop": 0.8, "cost": 0.1, "p": 1.0},
+            {"id": 2, "inertia": 0.1, "droop": 1.2, "cost": 0.2, "p": -1.0},
+        ],
+        "lines": [{"i": 1, "j": 2, "b": 1.0}],
+        "comm_links": [[1, 2]],
+        "comm_failures": [{"link": [1, 2], "time": 1.0}],
+        "message_interval": 0.01,
+        "scheme": "SEQUENTIAL",
+    }
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["stability", str(path)]) == 1
+    assert "SEQUENTIAL" in capsys.readouterr().err
 
 
 def test_stability_command_two_node(tmp_path):

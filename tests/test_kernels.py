@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfreq.kernels import BACKEND, available_backends
+from gridfreq.kernels import jump, k_step_map, rk4_segment
 
 
 def _workload(rng, dim=30):
@@ -11,50 +11,25 @@ def _workload(rng, dim=30):
     return np.ascontiguousarray(A), b, x0
 
 
-def test_backends_agree_after_many_steps():
-    impls = available_backends()
-    if len(impls) < 2:
-        pytest.skip("compiled kernel not built; nothing to compare")
-    rng = np.random.default_rng(0)
-    A, b, x0 = _workload(rng)
-    results = {}
-    for name, fn in impls.items():
-        x = x0.copy()
-        out = np.empty((100, len(x0)))
-        got = fn(A, b, x, 1e-3, 10000, 100, 100, out)
-        results[name] = (x.copy(), got, out.copy())
-    x_py, n_py, out_py = results["python"]
-    x_cy, n_cy, out_cy = results["cython"]
-    assert n_py == n_cy == 100
-    assert np.abs(x_py - x_cy).max() <= 1e-12
-    assert np.abs(out_py - out_cy).max() <= 1e-12
-
-
 def test_recording_offsets():
-    fn = available_backends()["python"]
     rng = np.random.default_rng(1)
     A, b, x0 = _workload(rng, dim=4)
     x = x0.copy()
     out = np.empty((3, 4))
-    got = fn(A, b, x, 1e-3, 25, 7, 9, out)   # records after steps 7, 16, 25
+    got = rk4_segment(A, b, x, 1e-3, 25, 7, 9, out)   # records after steps 7, 16, 25
     assert got == 3
     x2 = x0.copy()
     for steps, row in [(7, 0), (9, 1), (9, 2)]:
-        fn(A, b, x2, 1e-3, steps, 0, 1, np.empty((0, 4)))
+        rk4_segment(A, b, x2, 1e-3, steps, 0, 1, np.empty((0, 4)))
         assert np.abs(x2 - out[row]).max() <= 1e-15
 
 
 def test_no_recording_sentinel():
-    fn = available_backends()["python"]
     rng = np.random.default_rng(2)
     A, b, x0 = _workload(rng, dim=4)
     x = x0.copy()
-    assert fn(A, b, x, 1e-3, 50, 0, 1, np.empty((0, 4))) == 0
+    assert rk4_segment(A, b, x, 1e-3, 50, 0, 1, np.empty((0, 4))) == 0
     assert not np.array_equal(x, x0)
-
-
-def test_selected_backend_is_exported():
-    assert BACKEND in available_backends()
 
 
 def _rk4_steps(A, b, x, h, n_steps):
@@ -69,12 +44,11 @@ def _rk4_steps(A, b, x, h, n_steps):
 
 
 def test_numpy_kernel_matches_stepwise_rk4():
-    fn = available_backends()["python"]
     rng = np.random.default_rng(0)
     A, b, x0 = _workload(rng)
     x = x0.copy()
     out = np.empty((100, len(x0)))
-    assert fn(A, b, x, 1e-3, 10000, 100, 100, out) == 100
+    assert rk4_segment(A, b, x, 1e-3, 10000, 100, 100, out) == 100
     ref = x0.copy()
     for row in range(100):
         ref = _rk4_steps(A, b, ref, 1e-3, 100)
@@ -85,11 +59,27 @@ def test_numpy_kernel_matches_stepwise_rk4():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_overflowing_jump_leaves_nonfinite_state():
-    fn = available_backends()["python"]
     A = 50.0 * np.eye(3)       # grows by about 5e21 per 1000 steps at h = 1e-3
     x = np.ones(3)
     out = np.empty((40, 3))
-    got = fn(A, np.zeros(3), x, 1e-3, 40000, 1000, 1000, out)
+    got = rk4_segment(A, np.zeros(3), x, 1e-3, 40000, 1000, 1000, out)
     assert not np.isfinite(x).all()
     assert 0 < got < 40
     assert np.isfinite(out[:got]).all()
+
+
+def test_k_step_map_and_jump_match_stepwise_rk4():
+    """The k-step map with held inputs (several input columns), and jumps
+    over repeated maps, against plain RK4 with b = B w."""
+    rng = np.random.default_rng(3)
+    A, _, x0 = _workload(rng, dim=12)
+    B = rng.normal(size=(12, 3))
+    w = rng.normal(size=3)
+    h, k = 1e-3, 37
+    D, G = k_step_map(A, B, h, k)
+    ref = _rk4_steps(A, B @ w, x0, h, k)
+    assert np.abs(x0 + D @ x0 + G @ w - ref).max() <= 1e-12
+    x = x0.copy()
+    jump(D, G @ w, x, 50)
+    ref = _rk4_steps(A, B @ w, x0, h, 50 * k)
+    assert np.abs(x - ref).max() <= 1e-12

@@ -114,3 +114,11 @@ def test_live_links_respects_failure_times(toy):
     assert (1, 6) in comm.live_links(1.99)
     assert (1, 6) not in comm.live_links(2.0)
     assert len(comm.live_links(5.0)) == 9
+
+
+def test_laplacian_sizes_from_the_links_it_is_given():
+    comm = CommGraph(links=((0, 1),))
+    L = comm.laplacian([(0, 1), (1, 2)])
+    assert L.shape == (3, 3)
+    assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    assert comm.laplacian().shape == (2, 2)

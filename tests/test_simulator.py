@@ -334,11 +334,100 @@ class TestReferenceIntegratorParity:
             DisturbanceEvent(time=0.05, node=2, delta_p=-5.0),))
         self._compare(scn, 300)
 
+    def test_consensus_sampled_1ms(self, toy):
+        scn = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=1e-3)
+        scn = dataclasses.replace(scn, disturbances=(
+            DisturbanceEvent(time=0.05, node=2, delta_p=-5.0),))
+        self._compare(scn, 300)
+
+    @pytest.mark.parametrize("scheme", ["CONSENSUS_SAMPLED", "SEQUENTIAL"])
+    def test_record_stride_not_multiple_of_interval(self, toy, scheme):
+        """Records every 7 steps split the 10-step message intervals; every
+        recorded state matches the oracle."""
+        scn = with_overrides(toy, scheme=scheme, message_interval=0.01,
+                             horizon=0.1, record_stride=7)
+        scn = dataclasses.replace(scn, disturbances=(
+            DisturbanceEvent(time=0.02, node=2, delta_p=-5.0),))
+        traj = integrate(scn)
+        assert list(np.round(traj.times / scn.dt)) == list(range(0, 100, 7)) + [100]
+        for k, t in enumerate(traj.times):
+            x_ref = reference_integrate(scn, int(round(t / scn.dt)))
+            x_fast = np.concatenate([traj.omega[k], traj.flow[k], traj.u[k], traj.q[k]])
+            assert np.abs(x_fast - x_ref).max() <= 1e-12
+
+    def test_disturbance_between_sampling_instants(self, toy):
+        scn = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.05)
+        scn = dataclasses.replace(scn, disturbances=(
+            DisturbanceEvent(time=0.073, node=2, delta_p=-5.0),))
+        self._compare(scn, 300)
+
+    @pytest.mark.parametrize("scheme", ["CONSENSUS_SAMPLED", "SEQUENTIAL"])
+    def test_failure_on_sampling_instant(self, toy, scheme):
+        scn = with_overrides(toy, scheme=scheme, message_interval=0.05,
+                             failures=(((1, 6), 0.2),))
+        scn = dataclasses.replace(scn, disturbances=(
+            DisturbanceEvent(time=0.05, node=2, delta_p=-5.0),))
+        self._compare(scn, 300)
+
+    @pytest.mark.parametrize("t_fail", [0.2, 0.223])
+    def test_hybrid_at_finite_interval(self, toy, t_fail):
+        """Held values feed only the artificial-variable initialization,
+        at a failure on a sampling instant and between two."""
+        scn = with_overrides(toy, scheme="HYBRID_SINGLE", message_interval=0.05,
+                             failures=(((1, 6), t_fail),))
+        scn = dataclasses.replace(scn, disturbances=(
+            DisturbanceEvent(time=0.05, node=2, delta_p=-5.0),))
+        self._compare(scn, 250)
+
+
+def test_rx_series_holds_failed_and_marks_never_received(toy):
+    """A link that fails on a sampling instant keeps the value received at
+    the instant before; a link that failed before the first refresh never
+    received anything and reads NaN; a live link read between two instants
+    carries the earlier one's value. Records every 60 steps fall between
+    the 50-step sampling instants."""
+    scn = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.05,
+                         horizon=0.5, record_stride=60,
+                         failures=(((1, 6), 0.2), ((0, 1), 0.0)))
+    traj = integrate(scn)
+    col = {link: c for c, link in enumerate(traj.rx_links)}
+    steps = np.round(traj.times / scn.dt)
+    cost = toy.grid.cost()
+    n, e = toy.grid.n_nodes, toy.grid.n_lines
+
+    def sent(step):
+        return cost * reference_integrate(scn, step)[n + e:2 * n + e]
+
+    held = sent(150)
+    after = steps >= 200
+    assert after.sum() == 6
+    assert np.abs(traj.rx_series[after, col[(1, 6)]] - held[1]).max() <= 1e-12
+    assert np.abs(traj.rx_series[after, col[(6, 1)]] - held[6]).max() <= 1e-12
+    assert np.isnan(traj.rx_series[:, col[(0, 1)]]).all()
+    assert np.isnan(traj.rx_series[:, col[(1, 0)]]).all()
+    k120 = int(np.searchsorted(steps, 120))
+    assert steps[k120] == 120
+    assert abs(traj.rx_series[k120, col[(1, 4)]] - sent(100)[1]) <= 1e-12
+    assert (0, 1) not in traj.state_at(k120).last_rx
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sampled_nonfinite_state_keeps_last_finite_record(toy):
+    wild = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.1,
+                          dt=0.05, horizon=20.0, record_stride=4)
+    with pytest.raises(IntegrationError) as err:
+        integrate(wild)
+    assert err.value.step > 0
+    last = err.value.last_state
+    assert last is not None
+    assert all(np.isfinite(v).all() for v in (last.omega, last.flow, last.u, last.q))
+
 
 def test_sampled_hold_matches_derivative_rebuild(toy):
-    """The cheap held-value refresh must agree with a from-scratch rebuild:
-    two identical runs, one with the structure cache disabled via horizon
-    split, give identical states."""
+    """Sampled runs are deterministic, and the interval maps that carry the
+    held messages across sampling instants agree with the oracle, which
+    rebuilds the derivative from the held values at every step."""
     scn = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.01,
                          horizon=1.2)
     a = integrate(scn)

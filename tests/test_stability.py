@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import derivative, vector_to_state
+from gridfreq.simulator import derivative, shared_links, vector_to_state
 from gridfreq.stability import (IdentityReport, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node,
-                                check_sufficient_two_node, spectrum)
+                                check_sufficient_two_node,
+                                interval_map_spectrum, spectrum)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -95,6 +98,39 @@ class TestAssemble:
                 dx = derivative(vector_to_state(0.0, x_full, grid, rx), grid,
                                 comm, ctx, p=np.zeros(n))
                 assert np.abs(sm.A @ x_red - (dx - b0)[keep]).max() <= 1e-12
+
+
+class TestIntervalMapSpectrum:
+    def test_sampled_rates_on_toy_grid(self, toy):
+        """Decay rates of the 1 ms to 1 s interval maps. They fall as T
+        grows, the order of criterion 6's measured t* (112, 141, 318 and
+        2466 s)."""
+        rates = [interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS_SAMPLED",
+                                       toy.dt, T).rate
+                 for T in (1e-3, 1e-2, 0.1, 1.0)]
+        assert rates == pytest.approx([0.0501, 0.0474, 0.0258, 0.0034], abs=5e-5)
+        assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    def test_unit_eigenvalues_counted_apart(self, toy):
+        rep = interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS_SAMPLED",
+                                    toy.dt, 0.01)
+        # one flow cycle (E - N + 1) and the ten q states no law moves
+        assert rep.unit_eigenvalue_count == 1 + 10
+        assert rep.period == 0.01
+        assert rep.spectral_radius_excl_unit == pytest.approx(
+            math.exp(-rep.rate * rep.period), rel=1e-12)
+
+    def test_sequential_uses_one_rotation_cycle(self, toy):
+        """The map of a full cycle over the ten shared links at T = 1 s
+        decays at 0.0207 per second."""
+        rep = interval_map_spectrum(toy.grid, toy.comm, "SEQUENTIAL", toy.dt, 1.0)
+        assert len(shared_links(toy.grid, toy.comm)) == 10
+        assert rep.period == pytest.approx(10.0)
+        assert rep.rate == pytest.approx(0.0207, abs=5e-5)
+
+    def test_rejects_laws_without_held_messages(self, toy):
+        with pytest.raises(ValueError):
+            interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS", toy.dt, 0.01)
 
 
 class TestSpectrum:
