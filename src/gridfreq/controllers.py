@@ -4,6 +4,12 @@ Every law drives the weighted controls C_j u_j toward a common value while
 restoring frequency. The flow-based laws replace a lost communication link
 with the locally observable line-flow dynamics: d(f_ij)/dt / B_ij equals
 the frequency difference across the line, so no message exchange is needed.
+
+Every function here also takes a stacked state: each SystemState field may
+carry leading batch axes, one state per row (omega, u, q of shape (k, N)),
+and each held value in last_rx is then a scalar or a (k,) array. Nodes are
+indexed on the last axis, so one call evaluates a law on k states at once;
+the simulator assembles its matrices from one call on the identity stack.
 """
 from __future__ import annotations
 
@@ -47,8 +53,8 @@ def consensus_rate(state: SystemState, grid: PowerGrid, comm: CommGraph) -> np.n
     y = C * state.u
     du = -state.omega / C
     for a, b in comm.links:
-        du[a] -= y[a] - y[b]
-        du[b] -= y[b] - y[a]
+        du[..., a] -= y[..., a] - y[..., b]
+        du[..., b] -= y[..., b] - y[..., a]
     return du
 
 
@@ -68,7 +74,7 @@ def consensus_sampled_rate(state: SystemState, grid: PowerGrid, comm: CommGraph)
             except KeyError:
                 raise KeyError(f"no held value for live link {src + 1}->{dst + 1} "
                                f"at t={state.t}") from None
-            du[dst] -= y[dst] - held
+            du[..., dst] -= y[..., dst] - held
     return du
 
 
@@ -91,8 +97,9 @@ def pair_flow_rate(state: SystemState, grid: PowerGrid,
             raise PowerAdjacencyError(
                 f"nodes {i + 1} and {j + 1} share no power line")
         for a, b in ((i, j), (j, i)):
-            du[a] = (-state.omega[a] - state.q[a]) / C[a]
-            dq[a] = dq.get(a, -2.0 * state.q[a]) - (state.omega[a] - state.omega[b])
+            du[a] = (-state.omega[..., a] - state.q[..., a]) / C[a]
+            dq[a] = (dq.get(a, -2.0 * state.q[..., a])
+                     - (state.omega[..., a] - state.omega[..., b]))
     return du, dq
 
 
@@ -110,11 +117,11 @@ def hybrid_single_failure_rate(state: SystemState, grid: PowerGrid, comm: CommGr
     du = -state.omega / C
     for a, b in comm.live_links(state.t):
         if a not in ctx.F:
-            du[a] -= y[a] - y[b]
+            du[..., a] -= y[..., a] - y[..., b]
         if b not in ctx.F:
-            du[b] -= y[b] - y[a]
+            du[..., b] -= y[..., b] - y[..., a]
     for i, val in du_pair.items():
-        du[i] = val
+        du[..., i] = val
     return du, dq
 
 
@@ -132,18 +139,18 @@ def multi_failure_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
     du = -state.omega / C
     for a, b in comm.live_links(state.t):
         if a not in ctx.F:
-            du[a] -= y[a] - y[b]
+            du[..., a] -= y[..., a] - y[..., b]
         if b not in ctx.F:
-            du[b] -= y[b] - y[a]
+            du[..., b] -= y[..., b] - y[..., a]
     dq: Dict[int, float] = {}
     power_edges = grid.edge_set()
     F = sorted(ctx.F)
     for i in F:
-        du[i] = (-state.omega[i] - state.q[i]) / C[i]
-        acc = -2.0 * state.q[i]
+        du[..., i] = (-state.omega[..., i] - state.q[..., i]) / C[i]
+        acc = -2.0 * state.q[..., i]
         for j in F:
             if j != i and (min(i, j), max(i, j)) in power_edges:
-                acc -= state.omega[i] - state.omega[j]
+                acc -= state.omega[..., i] - state.omega[..., j]
         dq[i] = acc
     return du, dq
 
@@ -159,15 +166,14 @@ def init_artificial(state: SystemState, grid: PowerGrid, ctx: ControlContext,
     contributes zero and produces a warning (the run still balances power,
     but the optimality guarantee is void).
     """
-    n = grid.n_nodes
-    q = np.zeros(n)
+    q = np.zeros(np.shape(state.u))
     warnings: List[str] = []
     C = grid.cost()
     sampled = comm is not None and comm.message_interval is not CONTINUOUS
     power_edges = grid.edge_set()
     F = sorted(ctx.F)
     for i in F:
-        own = C[i] * state.u[i]
+        own = C[i] * state.u[..., i]
         for j in F:
             if j == i or (min(i, j), max(i, j)) not in power_edges:
                 continue
@@ -180,8 +186,8 @@ def init_artificial(state: SystemState, grid: PowerGrid, ctx: ControlContext,
                         f"artificial variable term initialized to 0")
                     continue
             else:
-                other = C[j] * state.u[j]
-            q[i] += own - other
+                other = C[j] * state.u[..., j]
+            q[..., i] += own - other
     return q, warnings
 
 

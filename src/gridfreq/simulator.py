@@ -3,13 +3,15 @@
 Between events (disturbances, link failures, message sampling instants,
 sequential link rotation) the closed loop is an affine system
 dx/dt = A x + b over the state layout [omega (N), flow (E), u (N), q (N)].
-The integrator assembles (A, b) from derivative() by basis evaluation and
-hands each stretch between events to the RK4 kernel. With a finite message
-interval each sampling instant is a linear reset (the held messages refresh
-to C u, and SEQUENTIAL re-initializes q), so a whole message interval is one
-exact affine map (interval_map): the integrator advances runs of intervals
-with it and stops only at records and events. The trajectory is
-bit-reproducible for identical inputs.
+derivative() is the single definition of those dynamics and takes stacked
+states, one state per row, so the integrator assembles (A, b), like the
+input and reset matrices of a message interval, from one evaluation on the
+identity stack, and hands each stretch between events to the RK4 kernel.
+With a finite message interval each sampling instant is a linear reset
+(the held messages refresh to C u, and SEQUENTIAL re-initializes q), so a
+whole message interval is one exact affine map (interval_map): the
+integrator advances runs of intervals with it and stops only at records and
+events. The trajectory is bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
@@ -90,17 +92,19 @@ class RunSummary:
 
 # ---------------------------------------------------------------------------
 # Continuous-time derivative (the reference dynamics; the integrator's
-# affine matrices are assembled from it by basis evaluation)
+# affine matrices are assembled from one evaluation on the identity stack)
 
 def state_to_vector(state: SystemState) -> np.ndarray:
-    return np.concatenate([state.omega, state.flow, state.u, state.q])
+    return np.concatenate([state.omega, state.flow, state.u, state.q], axis=-1)
 
 
 def vector_to_state(t: float, x: np.ndarray, grid: PowerGrid,
                     last_rx: Optional[dict] = None) -> SystemState:
+    """The state of vector x; a stack x of shape (k, dim) gives a stacked state."""
     n, e = grid.n_nodes, grid.n_lines
-    return SystemState(t=t, omega=x[:n], flow=x[n:n + e], u=x[n + e:2 * n + e],
-                       q=x[2 * n + e:], last_rx=last_rx or {})
+    return SystemState(t=t, omega=x[..., :n], flow=x[..., n:n + e],
+                       u=x[..., n + e:2 * n + e], q=x[..., 2 * n + e:],
+                       last_rx=last_rx or {})
 
 
 def state_labels(grid: PowerGrid, q_nodes: Optional[Sequence[int]] = None) -> Tuple[str, ...]:
@@ -122,15 +126,20 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
     df = B (ω_i - ω_j). du and dq are delegated to the control law selected
     by ctx.scheme. p defaults to the grid's fixed powers; pass the
     disturbed vector when evaluating mid-run.
+
+    Stacked states: every array field of state (and p) may carry leading
+    batch axes, one state per row, as vector_to_state makes from a (k, dim)
+    stack; each held value in state.last_rx is then a scalar or a (k,)
+    array. The result has the same leading axes, row r the derivative of
+    state r. One code path serves single and stacked states.
     """
     if p is None:
         p = grid.fixed_power()
     inc = grid.incidence()
-    domega = (-grid.droop() * state.omega + p + state.u - inc @ state.flow) / grid.inertia()
-    dflow = grid.susceptance() * (inc.T @ state.omega)
+    domega = (-grid.droop() * state.omega + p + state.u - state.flow @ inc.T) / grid.inertia()
+    dflow = grid.susceptance() * (state.omega @ inc)
 
-    n = grid.n_nodes
-    dq = np.zeros(n)
+    dq = np.zeros(np.shape(state.u))
     scheme = ctx.scheme
     if scheme == "CONSENSUS":
         du = controllers.consensus_rate(state, grid, comm)
@@ -138,19 +147,19 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
         du = controllers.consensus_sampled_rate(state, grid, comm)
     elif scheme == "PAIR_FLOW":
         du_pair, dq_pair = controllers.pair_flow_rate(state, grid, ctx)
-        du = np.zeros(n)
+        du = np.zeros(np.shape(state.u))
         for i, v in du_pair.items():
-            du[i] = v
+            du[..., i] = v
         for i, v in dq_pair.items():
-            dq[i] = v
+            dq[..., i] = v
     elif scheme == "HYBRID_SINGLE":
         du, dq_pair = controllers.hybrid_single_failure_rate(state, grid, comm, ctx)
         for i, v in dq_pair.items():
-            dq[i] = v
+            dq[..., i] = v
     elif scheme == "MULTI_FAILURE":
         du, dq_pair = controllers.multi_failure_rate(state, grid, comm, ctx)
         for i, v in dq_pair.items():
-            dq[i] = v
+            dq[..., i] = v
     elif scheme == "SEQUENTIAL":
         du = controllers.consensus_sampled_rate(state, grid, comm)
         pair_ctx = ControlContext(scheme="PAIR_FLOW",
@@ -158,62 +167,54 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
                                   pair_edges=frozenset([ctx.active_link]))
         du_pair, dq_pair = controllers.pair_flow_rate(state, grid, pair_ctx)
         for i, v in du_pair.items():
-            du[i] = v
+            du[..., i] = v
         for i, v in dq_pair.items():
-            dq[i] = v
+            dq[..., i] = v
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return np.concatenate([domega, dflow, du, dq])
+    return np.concatenate([domega, dflow, du, dq], axis=-1)
 
 
 def assemble_affine(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
                     p: np.ndarray, last_rx: dict, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact (A, b) with derivative(x) == A x + b, by basis evaluation.
+    """Exact (A, b) with derivative(x) == A x + b, from one evaluation on
+    the identity stack: row k of derivative(I) - b is column k of A.
 
     Exact because every control law is linear in the state once event data
     (p, held messages, the active structure) is frozen.
     """
-    n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
-    zero = vector_to_state(t, np.zeros(dim), grid, last_rx)
-    b = derivative(zero, grid, comm, ctx, p)
-    A = np.empty((dim, dim))
-    basis = np.zeros(dim)
-    for k in range(dim):
-        basis[k] = 1.0
-        A[:, k] = derivative(vector_to_state(t, basis, grid, last_rx),
-                             grid, comm, ctx, p) - b
-        basis[k] = 0.0
-    return A, b
+    dim = 3 * grid.n_nodes + grid.n_lines
+    b = derivative(vector_to_state(t, np.zeros(dim), grid, last_rx), grid, comm, ctx, p)
+    dx = derivative(vector_to_state(t, np.eye(dim), grid, last_rx), grid, comm, ctx, p)
+    dx -= b
+    return np.ascontiguousarray(dx.T), b
 
 
 def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
     """The refresh rule of a sampling instant: each link carries the weighted
-    control y = C u of either endpoint to the other one."""
+    control y = C u of either endpoint to the other one. For a stack y of
+    shape (k, N) each held value is the (k,) column of its sender."""
     rx = {}
     for a, b in links:
-        rx[(a, b)] = y[a]
-        rx[(b, a)] = y[b]
+        rx[(a, b)] = y[..., a]
+        rx[(b, a)] = y[..., b]
     return rx
 
 
 def assemble_inputs(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
     """Exact B with derivative(0) == B @ [y; p] for held messages
-    held_messages(y, comm.links) and fixed powers p, by basis evaluation.
+    held_messages(y, comm.links) and fixed powers p, from one evaluation on
+    the identity stack W = I_2N, whose row k is one unit [y; p].
 
     The y columns are zero for laws that read no held message. Every law is
     linear, so derivative(0) vanishes at y = 0 and p = 0.
     """
     n = grid.n_nodes
-    zero = np.zeros(3 * n + grid.n_lines)
-    w = np.zeros(2 * n)
-    B = np.empty((zero.size, 2 * n))
-    for k in range(2 * n):
-        w[k] = 1.0
-        rx = held_messages(w[:n], comm.links)
-        B[:, k] = derivative(vector_to_state(0.0, zero, grid, rx), grid, comm, ctx, w[n:])
-        w[k] = 0.0
-    return B
+    W = np.eye(2 * n)
+    zero = np.zeros((2 * n, 3 * n + grid.n_lines))
+    rx = held_messages(W[:, :n], comm.links)
+    dx = derivative(vector_to_state(0.0, zero, grid, rx), grid, comm, ctx, W[:, n:])
+    return np.ascontiguousarray(dx.T)
 
 
 def sequential_context(link: Tuple[int, int]) -> ControlContext:
@@ -230,20 +231,15 @@ def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Tuple[int, int]]:
 def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
     """Exact R with R x the state after a SEQUENTIAL rotation to
     ctx.active_link at a sampling instant: messages refreshed from x, then q
-    re-initialized by init_artificial for the new pair. By basis evaluation."""
+    re-initialized by init_artificial for the new pair. From one evaluation
+    of init_artificial on the identity stack."""
     n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
-    cost = grid.cost()
+    R = np.eye(3 * n + e)
     pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F, pair_edges=ctx.pair_edges)
-    R = np.eye(dim)
-    basis = np.zeros(dim)
-    for k in range(dim):
-        basis[k] = 1.0
-        rx = held_messages(cost * basis[n + e:2 * n + e], comm.links)
-        q0, _ = controllers.init_artificial(vector_to_state(0.0, basis, grid, rx),
-                                            grid, pair_ctx, comm)
-        R[2 * n + e:, k] = q0
-        basis[k] = 0.0
+    rx = held_messages(grid.cost() * R[:, n + e:2 * n + e], comm.links)
+    q0, _ = controllers.init_artificial(vector_to_state(0.0, R, grid, rx),
+                                        grid, pair_ctx, comm)
+    R[2 * n + e:] = q0.T
     return R
 
 

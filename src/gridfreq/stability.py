@@ -11,6 +11,8 @@ numerically verifies the characteristic-polynomial factorizations
 where H is the cubic matrix pencil built from M, D, C and the two graph
 Laplacians, and sigma is a single global sign calibrated at the first
 sample point (row-reduction sign bookkeeping is not re-derived here).
+Both sides are compared as log-determinants, since on large grids the
+determinants themselves leave the floating-point range.
 
 The multi-node factorization silently commutes the cost matrix with a
 Laplacian; it holds exactly when all cost coefficients are equal and fails
@@ -81,8 +83,8 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
-    Built by evaluating the reference derivative at unit basis states
-    (exact: the dynamics are linear); rows and columns of artificial
+    Built from one evaluation of the reference derivative on the identity
+    stack (exact: the dynamics are linear); rows and columns of artificial
     variables that the selected law never touches are dropped.
     """
     n, e = grid.n_nodes, grid.n_lines
@@ -266,6 +268,12 @@ def _pencil_multi(lam: complex, M, D, Cinv, LstarC, LpB) -> np.ndarray:
             + (LstarC + lam * np.eye(N)) @ LpB)
 
 
+def _logdet(X: np.ndarray) -> complex:
+    """Complex log of det(X): log|det X| plus i times its phase."""
+    sign, logabs = np.linalg.slogdet(X)
+    return np.log(complex(sign)) + logabs
+
+
 def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                                   ctx: ControlContext,
                                   sample_points: Sequence[complex],
@@ -276,6 +284,11 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     (HYBRID_SINGLE, nodes relabeled so the pair comes last). Points within
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
     rejected. The returned `consistent` flag is max_residual <= tol.
+
+    Both sides are taken as complex logs (slogdet), so determinants beyond
+    the floating-point range still compare. The residual at each point is
+    |r - 1| / max(|r|, 1) with r = lhs / (sigma rhs), which equals
+    |lhs - sigma rhs| / max(|lhs|, |sigma rhs|).
     """
     if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE"):
         raise ValueError("identity check applies to the flow-based laws only")
@@ -293,16 +306,16 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     C = np.diag(grid.cost())
     Cinv = np.linalg.inv(C)
     LpB = grid.weighted_laplacian()
-    det_Minv = 1.0 / np.linalg.det(M)
+    log_det_Minv = -_logdet(M)
 
     if ctx.scheme == "PAIR_FLOW":
         if n != 2:
             raise ValueError("two-node form requires a two-node grid")
         L_c = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-        def factored(lam: complex) -> complex:
-            return ((lam + 2.0) * det_Minv
-                    * np.linalg.det(_pencil_two_node(lam, M, D, Cinv, L_c, LpB)))
+        def log_factored(lam: complex) -> complex:
+            return (np.log(lam + 2.0) + log_det_Minv
+                    + _logdet(_pencil_two_node(lam, M, D, Cinv, L_c, LpB)))
 
         singular_eigs = np.array([0.0, -2.0])
     else:
@@ -317,13 +330,14 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
         Lstar = build_Lc_star(L_c_surv, Cp, (n - 2, n - 1))
         LstarC = Lstar @ Cp
         Cinv_p = np.linalg.inv(Cp)
-        det_Minv = 1.0 / np.linalg.det(Mp)
-        sign_n = (-1.0) ** n
+        log_det_Minv = -_logdet(Mp)
+        log_sign_n = 1j * math.pi * (n % 2)
         exp_lam = 1 + e - n
 
-        def factored(lam: complex) -> complex:
-            return (sign_n * lam ** exp_lam * (lam + 2.0) * det_Minv
-                    * np.linalg.det(_pencil_multi(lam, Mp, Dp, Cinv_p, LstarC, LpBp)))
+        def log_factored(lam: complex) -> complex:
+            return (log_sign_n + exp_lam * np.log(lam) + np.log(lam + 2.0)
+                    + log_det_Minv
+                    + _logdet(_pencil_multi(lam, Mp, Dp, Cinv_p, LstarC, LpBp)))
 
         singular_eigs = np.concatenate([[0.0, -2.0],
                                         np.linalg.eigvals(-LstarC)])
@@ -335,11 +349,10 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                              "singularity")
 
     eye = np.eye(dim)
-    lhs = np.array([np.linalg.det(A - z * eye) for z in pts])
-    rhs = np.array([factored(z) for z in pts])
-    sigma = lhs[0] / rhs[0]
-    residuals = np.abs(lhs - sigma * rhs) / np.maximum(np.abs(lhs),
-                                                       np.abs(sigma * rhs))
+    log_ratio = np.array([_logdet(A - z * eye) - log_factored(z) for z in pts])
+    sigma = np.exp(log_ratio[0])
+    r = np.exp(log_ratio - log_ratio[0])
+    residuals = np.abs(r - 1.0) / np.maximum(np.abs(r), 1.0)
     worst = float(np.max(residuals))
     return IdentityReport(max_residual=worst, sign=complex(sigma),
                           consistent=worst <= tol,

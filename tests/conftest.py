@@ -3,7 +3,7 @@
 reference_integrate is a deliberately naive RK4 loop driven by the public
 derivative() function with inline event handling; the production
 integrator's segment/kernel machinery is checked against it on short
-horizons.
+horizons. random_grid builds seeded connected grids larger than the toy one.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 
 from gridfreq import toy_grid
 from gridfreq.controllers import ControlContext, init_artificial, sequential_active_link
-from gridfreq.model import CONTINUOUS, CommGraph, Scenario
+from gridfreq.model import CONTINUOUS, CommGraph, Line, NodeParams, PowerGrid, Scenario
 from gridfreq.simulator import derivative, initial_flows, state_to_vector, vector_to_state
 
 
@@ -34,6 +34,29 @@ def experiment_results():
         out[name] = fn()
         out[name + "_wall"] = time.perf_counter() - t0
     return out
+
+
+def random_grid(seed: int, n: int) -> PowerGrid:
+    """Connected grid with n nodes and n - 1 + round(0.3 n) lines: a random
+    spanning tree plus random chords, unequal costs, balanced fixed powers."""
+    rng = np.random.default_rng(seed)
+    costs = (5.0, 7.0, 9.0, 10.0, 100.0)
+    p = rng.uniform(-5.0, 5.0, n)
+    p -= p.mean()
+    nodes = tuple(NodeParams(k + 1, float(rng.uniform(0.01, 1.0)),
+                             float(rng.uniform(0.3, 3.4)),
+                             costs[rng.integers(len(costs))], float(p[k]))
+                  for k in range(n))
+    edges = set()
+    order = rng.permutation(n)
+    for k in range(1, n):
+        a, b = int(order[k]), int(order[rng.integers(0, k)])
+        edges.add((min(a, b), max(a, b)))
+    while len(edges) < n - 1 + round(0.3 * n):
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        edges.add((min(a, b), max(a, b)))
+    lines = tuple(Line(a, b, float(rng.uniform(0.1, 1.0))) for a, b in sorted(edges))
+    return PowerGrid(nodes, lines)
 
 
 def reference_integrate(scenario: Scenario, n_steps: int):

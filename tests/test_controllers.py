@@ -9,7 +9,8 @@ from gridfreq.controllers import (ControlContext, PowerAdjacencyError,
                                   multi_failure_rate, pair_flow_rate,
                                   sequential_active_link)
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid, SystemState
-from gridfreq.simulator import integrate, run_scenario
+from gridfreq.simulator import (derivative, held_messages, integrate, run_scenario,
+                                sequential_context, vector_to_state)
 from gridfreq.model import Scenario, with_overrides
 
 
@@ -255,3 +256,78 @@ def test_converged_states_have_zero_frequency(toy):
         # du_i = (-omega_i - ...) / C_i, so the frequency bound implied by a
         # rate bound carries a factor max(C)
         assert np.abs(st.omega).max() < toy.grid.cost().max() * 1e-9
+
+
+class TestStackedStates:
+    """Every law evaluates a stack of states, one per row, as it evaluates
+    each row alone."""
+
+    CASES = [
+        ("CONSENSUS", ()),
+        ("CONSENSUS_SAMPLED", ()),
+        ("PAIR_FLOW", ((1, 6),)),
+        ("HYBRID_SINGLE", ((1, 6),)),
+        ("MULTI_FAILURE", ((0, 1), (1, 4))),
+        ("SEQUENTIAL", ((1, 6),)),
+    ]
+
+    @staticmethod
+    def _setup(toy, scheme, pairs):
+        grid = toy.grid
+        failed = set(pairs) if scheme in ("HYBRID_SINGLE", "MULTI_FAILURE") else set()
+        comm = CommGraph(links=tuple(l for l in toy.comm.links if l not in failed),
+                         message_interval=0.01)
+        if scheme == "SEQUENTIAL":
+            ctx = sequential_context(pairs[0])
+        else:
+            ctx = ControlContext(scheme=scheme, F=frozenset(i for l in pairs for i in l),
+                                 pair_edges=frozenset(pairs))
+        return grid, comm, ctx
+
+    @pytest.mark.parametrize("scheme,pairs", CASES)
+    def test_derivative_of_stack_equals_row_by_row(self, toy, scheme, pairs):
+        grid, comm, ctx = self._setup(toy, scheme, pairs)
+        rng = np.random.default_rng(11)
+        dim = 3 * grid.n_nodes + grid.n_lines
+        X = rng.normal(size=(16, dim))
+        Y = rng.normal(size=(16, grid.n_nodes))
+        p = rng.normal(size=grid.n_nodes)
+        stacked = derivative(vector_to_state(0.2, X, grid, held_messages(Y, comm.links)),
+                             grid, comm, ctx, p)
+        rows = np.array([derivative(vector_to_state(0.2, X[r], grid,
+                                                    held_messages(Y[r], comm.links)),
+                                    grid, comm, ctx, p) for r in range(16)])
+        assert stacked.shape == (16, dim)
+        assert np.abs(stacked - rows).max() <= 1e-14 * np.abs(rows).max()
+
+    def test_stack_missing_held_value_names_link(self, toy):
+        grid, comm, ctx = self._setup(toy, "CONSENSUS_SAMPLED", ())
+        X = np.ones((4, 3 * grid.n_nodes + grid.n_lines))
+        rx = held_messages(np.ones((4, grid.n_nodes)), comm.links)
+        del rx[(6, 1)]
+        with pytest.raises(KeyError, match="7->2"):
+            derivative(vector_to_state(0.0, X, grid, rx), grid, comm, ctx)
+
+    def test_stack_non_adjacent_pair_rejected(self):
+        grid = make_grid([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 2, 1.0)])
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 2}),
+                             pair_edges=frozenset({(0, 2)}))
+        X = np.ones((4, 3 * 3 + 2))
+        with pytest.raises(PowerAdjacencyError):
+            derivative(vector_to_state(0.0, X, grid), grid, CommGraph(links=()), ctx)
+
+    def test_init_artificial_of_stack_equals_row_by_row(self, toy):
+        grid, comm, ctx = self._setup(toy, "MULTI_FAILURE", ((0, 1), (1, 4)))
+        sampled = CommGraph(links=toy.comm.links, message_interval=0.01)
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(16, 3 * grid.n_nodes + grid.n_lines))
+        Y = rng.normal(size=(16, grid.n_nodes))
+        for c in (None, sampled):
+            q, warns = init_artificial(vector_to_state(0.0, X, grid,
+                                                       held_messages(Y, c.links) if c else {}),
+                                       grid, ctx, c)
+            rows = [init_artificial(vector_to_state(0.0, X[r], grid,
+                                                    held_messages(Y[r], c.links) if c else {}),
+                                    grid, ctx, c)[0] for r in range(16)]
+            assert warns == []
+            assert np.array_equal(q, np.array(rows))

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import reference_integrate
-from gridfreq.controllers import ControlContext
+from conftest import random_grid, reference_integrate
+from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
                             PowerGrid, Scenario, SystemState, with_overrides)
-from gridfreq.simulator import (IntegrationError, Trajectory, convergence_time,
-                                derivative, first_crossing_time, initial_flows,
-                                integrate, run_scenario, state_to_vector,
+from gridfreq.simulator import (IntegrationError, Trajectory, assemble_affine,
+                                assemble_inputs, convergence_time, derivative,
+                                first_crossing_time, held_messages, initial_flows,
+                                integrate, rotation_reset, run_scenario,
+                                sequential_context, shared_links, state_to_vector,
                                 vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
@@ -436,3 +438,92 @@ def test_sampled_hold_matches_derivative_rebuild(toy):
     x_ref = reference_integrate(scn, int(round(1.2 / scn.dt)))
     x_fast = np.concatenate([a.omega[-1], a.flow[-1], a.u[-1], a.q[-1]])
     assert np.abs(x_fast - x_ref).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Matrices from one evaluation on the identity stack, against the per-column
+# loops they replace (kept here as the reference)
+
+def loop_affine(grid, comm, ctx, p, last_rx, t):
+    dim = 3 * grid.n_nodes + grid.n_lines
+    b = derivative(vector_to_state(t, np.zeros(dim), grid, last_rx), grid, comm, ctx, p)
+    A = np.empty((dim, dim))
+    for k in range(dim):
+        x = np.zeros(dim)
+        x[k] = 1.0
+        A[:, k] = derivative(vector_to_state(t, x, grid, last_rx), grid, comm, ctx, p) - b
+    return A, b
+
+
+def loop_inputs(grid, comm, ctx):
+    n = grid.n_nodes
+    zero = np.zeros(3 * n + grid.n_lines)
+    B = np.empty((zero.size, 2 * n))
+    for k in range(2 * n):
+        w = np.zeros(2 * n)
+        w[k] = 1.0
+        rx = held_messages(w[:n], comm.links)
+        B[:, k] = derivative(vector_to_state(0.0, zero, grid, rx), grid, comm, ctx, w[n:])
+    return B
+
+
+def loop_reset(grid, comm, ctx):
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F, pair_edges=ctx.pair_edges)
+    R = np.eye(dim)
+    for k in range(dim):
+        x = np.zeros(dim)
+        x[k] = 1.0
+        rx = held_messages(grid.cost() * x[n + e:2 * n + e], comm.links)
+        q0, _ = init_artificial(vector_to_state(0.0, x, grid, rx), grid, pair_ctx, comm)
+        R[2 * n + e:, k] = q0
+    return R
+
+
+def scheme_cases(grid, comm):
+    """(scheme, context, live comm graph) for all six schemes; the flow-based
+    laws take over the first one or two shared links, which have failed."""
+    shared = shared_links(grid, comm)
+    one, two = shared[0], shared[-1]
+
+    def without(*links):
+        return CommGraph(links=tuple(l for l in comm.links if l not in links),
+                         message_interval=comm.message_interval)
+
+    def flow_ctx(scheme, *links):
+        return ControlContext(scheme=scheme, F=frozenset(i for l in links for i in l),
+                              pair_edges=frozenset(links))
+
+    return [
+        ("CONSENSUS", ControlContext(scheme="CONSENSUS"), without(one)),
+        ("CONSENSUS_SAMPLED", ControlContext(scheme="CONSENSUS_SAMPLED"), without(one)),
+        ("PAIR_FLOW", flow_ctx("PAIR_FLOW", one), comm),
+        ("HYBRID_SINGLE", flow_ctx("HYBRID_SINGLE", one), without(one)),
+        ("MULTI_FAILURE", flow_ctx("MULTI_FAILURE", one, two), without(one, two)),
+        ("SEQUENTIAL", sequential_context(shared[1]), comm),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("grid_name", ["toy", "n30"])
+def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
+    if grid_name == "toy":
+        grid, comm = toy.grid, dataclasses.replace(toy.comm, failed=())
+    else:
+        grid = random_grid(4, 30)
+        comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
+    scheme, ctx, live = scheme_cases(grid, comm)[case]
+    rng = np.random.default_rng(case)
+    last_rx = {}
+    if scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
+        last_rx = held_messages(rng.normal(size=grid.n_nodes), live.links)
+    p = rng.normal(size=grid.n_nodes)
+    A, b = assemble_affine(grid, live, ctx, p, last_rx, 0.3)
+    A_ref, b_ref = loop_affine(grid, live, ctx, p, last_rx, 0.3)
+    assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+    assert np.array_equal(assemble_inputs(grid, live, ctx), loop_inputs(grid, live, ctx))
+    if ctx.pair_edges:
+        R = rotation_reset(grid, live, ctx)
+        assert np.array_equal(R, loop_reset(grid, live, ctx))
+        assert np.abs(R[2 * grid.n_nodes + grid.n_lines:]).max() > 0.0

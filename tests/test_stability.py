@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import random_grid
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
 from gridfreq.simulator import derivative, shared_links, vector_to_state
@@ -346,6 +349,33 @@ class TestCharacteristicIdentity:
         rep = characteristic_identity_check(grid, comm, ctx, rand_points(rng, 8))
         assert not rep.consistent
         assert rep.max_residual > 1e-3
+
+    @pytest.mark.parametrize("cost", [None, 100.0])
+    def test_large_grid_stays_finite(self, cost):
+        """At N = 100 (331 states) det(A - lam I) leaves the float range; the
+        check compares log-determinants, so the residuals and the sign stay
+        finite and nothing overflows. With equal costs the identity holds,
+        here with the factor lam^(1+E-N) = lam^30 of a meshed grid."""
+        grid = random_grid(0, 100)
+        if cost is not None:
+            grid = PowerGrid(tuple(dataclasses.replace(nd, cost=cost) for nd in grid.nodes),
+                             grid.lines)
+        assert grid.n_lines == 129
+        pair = (grid.lines[0].i, grid.lines[0].j)
+        comm = CommGraph(links=tuple((l.i, l.j) for l in grid.lines[1:]))
+        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair),
+                             pair_edges=frozenset([pair]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = characteristic_identity_check(grid, comm, ctx,
+                                                rand_points(np.random.default_rng(0), 6))
+        assert len(rep.residuals) == 6
+        assert all(math.isfinite(r) for r in rep.residuals)
+        assert math.isfinite(rep.sign.real) and math.isfinite(rep.sign.imag)
+        if cost is not None:
+            assert rep.consistent
+            assert rep.max_residual <= 1e-8
+            assert rep.sign == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_routh_hurwitz_cubic_consistency():
