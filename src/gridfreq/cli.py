@@ -60,11 +60,15 @@ def cmd_simulate(args) -> int:
         if args.emit_scenario:
             save_scenario(scn, args.emit_scenario)
         traj, summary = run_scenario(scn)
+        warnings = [{"t": t, "kind": kind, "detail": detail} for t, kind, detail in traj.events
+                    if kind in ("warning", "fallback_consensus")]
+        for w in warnings:
+            print(f"{w['kind']} at t={w['t']:g}: {w['detail']}", file=sys.stderr)
         csv_path = args.out + ".csv"
         json_path = args.out + ".summary.json"
         write_trajectory_csv(traj, csv_path)
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
+            json.dump({**summary.to_dict(), "warnings": warnings}, fh, indent=2)
             fh.write("\n")
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """RK4 kernel: RK4's exact one-step map on an affine system, applied in jumps.
 
-`rk4_segment` advances the affine system dx/dt = A x + b by n_steps
-classical Runge-Kutta steps of size h, recording the state after local step
-s (1-based) whenever s == first_record + k * stride. first_record <= 0
-disables recording. It returns the number of rows written to out and
-updates x in place. If the state leaves the finite range, the rows recorded
-after that are not counted.
+`jump` applies a map in increment form, x -> x + D x + g, k times to x in
+place, recording the state after application s (1-based) whenever
+s == first_record + i * stride; first_record <= 0 disables recording. It
+returns the number of rows written to out. If the state leaves the finite
+range, the rows recorded after that are not counted. `rk4_segment`
+advances the affine system dx/dt = A x + b by n_steps classical
+Runge-Kutta steps of size h with the same recording contract: it builds
+RK4's one-step map (D, g) from (A, b) and calls jump.
 
 On x' = A x + b one RK4 step is exactly the affine map
 
@@ -31,8 +33,9 @@ states as unrecorded calls over the same jumps whenever the choices agree.
 
 The same squaring runs on any map in increment form: `k_step_map` gives
 the k-step map of a system with constant inputs, x' = A x + B w, and
-`jump` applies k repetitions of a map the caller built, such as the map of
-one message interval.
+`jump` records and jumps the same way over repetitions of a map the caller
+built, such as the map of one message interval, where one application is
+one interval and a stride counts intervals.
 
 D is cached per A by identity while A is alive, for at most _MAX_CACHED
 matrices, so A must not be changed in place between calls. D depends on
@@ -41,7 +44,7 @@ matrices, so A must not be changed in place between calls. D depends on
 from __future__ import annotations
 
 import weakref
-from collections import Counter
+from typing import Optional
 
 import numpy as np
 
@@ -146,41 +149,33 @@ def k_step_map(A: np.ndarray, B: np.ndarray, h: float, k: int):
     return _squared_map(D, G, k, [])
 
 
-def jump(D: np.ndarray, g: np.ndarray, x: np.ndarray, k: int) -> None:
-    """Apply the map x -> x + D x + g k times to x, in place."""
-    Dk, gk, times = _k_step_map(D, g, k, 1, [])
-    inc = np.empty_like(x)
-    for _ in range(times):
-        np.matmul(Dk, x, out=inc)
-        inc += gk
-        x += inc
-
-
-def rk4_segment(A: np.ndarray, b: np.ndarray, x: np.ndarray, h: float,
-                n_steps: int, first_record: int, stride: int,
-                out: np.ndarray) -> int:
+def jump(D: np.ndarray, g: np.ndarray, x: np.ndarray, k: int,
+         first_record: int = 0, stride: int = 1,
+         out: Optional[np.ndarray] = None) -> int:
+    """Apply the map x -> x + D x + g k times to x, in place, recording x
+    after application s (1-based) into out whenever s == first_record + i *
+    stride, for at most out.shape[0] rows; first_record <= 0 disables
+    recording. Returns the number of rows written, without the rows after
+    the state left the finite range."""
     n_rec = 0
-    if 0 < first_record <= n_steps:
-        n_rec = min(1 + (n_steps - first_record) // stride, out.shape[0])
+    if 0 < first_record <= k:
+        n_rec = min(1 + (k - first_record) // stride, out.shape[0])
     # jump lengths: one per recorded row, then the unrecorded tail
     jumps = [first_record] + [stride] * (n_rec - 1) if n_rec else []
-    tail = n_steps - sum(jumps)
+    tail = k - sum(jumps)
     if tail:
         jumps.append(tail)
-    reps = Counter(jumps)
 
-    D = _cached_increment(A, h)
-    g = _offset(A, b, h)
     inc = np.empty_like(x)
     work: list = []
     k_map = 0
-    for row, k in enumerate(jumps):
-        if k != k_map:
-            k_map = k
-            Dk, gk, times = _k_step_map(D, g, k, reps[k], work)
+    for row, m in enumerate(jumps):
+        if m != k_map:
+            k_map = m
+            Dm, gm, times = _k_step_map(D, g, m, jumps.count(m), work)
         for _ in range(times):
-            np.matmul(Dk, x, out=inc)
-            inc += gk
+            np.matmul(Dm, x, out=inc)
+            inc += gm
             x += inc
         if row < n_rec:
             out[row] = x
@@ -189,3 +184,11 @@ def rk4_segment(A: np.ndarray, b: np.ndarray, x: np.ndarray, h: float,
         while n_rec and not np.isfinite(out[n_rec - 1]).all():
             n_rec -= 1
     return n_rec
+
+
+def rk4_segment(A: np.ndarray, b: np.ndarray, x: np.ndarray, h: float,
+                n_steps: int, first_record: int, stride: int,
+                out: np.ndarray) -> int:
+    """n_steps RK4 steps of x' = A x + b: jump() with RK4's one-step map."""
+    return jump(_cached_increment(A, h), _offset(A, b, h), x, n_steps,
+                first_record, stride, out)

@@ -10,8 +10,9 @@ identity stack, and hands each stretch between events to the RK4 kernel.
 With a finite message interval each sampling instant is a linear reset
 (the held messages refresh to C u, and SEQUENTIAL re-initializes q), so a
 whole message interval is one exact affine map (interval_map): the
-integrator advances runs of intervals with it and stops only at records and
-events. The trajectory is bit-reproducible for identical inputs.
+integrator advances runs of intervals with it and stops at events, and at
+records too unless they all fall on sampling instants of intervals that
+share one map. The trajectory is bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ class ScenarioError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The state left the finite range; carries the failing step index and
-    the last finite recorded state."""
+    """The state left the finite range; carries the first step whose RK4
+    state is not finite and the last finite recorded state."""
 
     def __init__(self, step: int, last_state: Optional[SystemState]):
         self.step = step
@@ -299,17 +300,29 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     message sampling, sequential link rotation; a snapshot that coincides
     with an event reflects the post-event state. The event log keeps
     discrete occurrences (disturbances, failures, initializations,
-    warnings); routine sampling refreshes and rotations are not logged.
+    warnings); routine sampling refreshes and rotations are not logged. A
+    disturbance time, failure time or horizon off the dt grid is rounded to
+    the nearest step, and a warning names both.
 
     Under continuous messaging each stretch between two events is one
     rk4_segment call, which also writes the records inside it. With a
-    finite message interval the run stops only at records and events.
-    Between stops it advances whole message intervals with interval_map,
-    and a part of an interval that a stop splits with rk4_segment under
-    the held messages. The state matrices and interval maps are cached for
-    the run, keyed by structure (failures so far and the control context).
-    An interval map holds dim * (dim + N) floats, so a SEQUENTIAL rotation
-    over L links keeps L of them: 8 L dim (dim + N) bytes.
+    finite message interval whole message intervals advance by
+    interval_map, and a part of an interval that a stop splits by
+    rk4_segment under the held messages. When every record falls on a
+    sampling instant (record_stride a multiple of K = T / dt) and the
+    intervals share one map (every scheme but SEQUENTIAL over more than one
+    shared link), the run stops only at events: one kernels.jump call
+    crosses the intervals between two events and writes the records inside
+    them. Otherwise it also stops at every record. The state matrices and
+    interval maps are cached for the run, keyed by structure (failures so
+    far and the control context). An interval map holds dim * (dim + N)
+    floats, so a SEQUENTIAL rotation over L links keeps L of them:
+    8 L dim (dim + N) bytes.
+
+    A kernel call that leaves the finite range raises IntegrationError with
+    the first non-finite step, found by replaying that call one RK4 step at
+    a time from a copy of its start state; no event lies inside a call, so
+    the replay is exact and finite runs pay one state copy per call.
     """
     violations = validate(scenario)
     if violations:
@@ -320,11 +333,21 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     dim = 3 * n + e
     dt = scenario.dt
     stride = scenario.record_stride
-    n_total = int(round(scenario.horizon / dt))
     T = comm.message_interval
     K = None if T is CONTINUOUS else int(round(T / dt))
     cost_vec = grid.cost()
+    events_log: List[Tuple[float, str, str]] = []
 
+    def grid_step(t: float, what: str) -> int:
+        """Step of time t; logs a warning when t lies off the dt grid."""
+        k = int(round(t / dt))
+        if abs(t / dt - k) > 1e-9 * max(1.0, t / dt):
+            events_log.append((0.0, "warning",
+                               f"{what} t={t:g} is off the dt grid; "
+                               f"rounded to step {k} (t={k * dt:g})"))
+        return k
+
+    n_total = grid_step(scenario.horizon, "horizon")
     p = grid.fixed_power().copy()
     if initial_state is None:
         x = np.zeros(dim)
@@ -332,17 +355,16 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     else:
         x = state_to_vector(initial_state).astype(float).copy()
 
-    events_log: List[Tuple[float, str, str]] = []
     last_rx: Dict[Tuple[int, int], float] = {}
 
     disturbances = sorted(
-        ((min(max(int(round(d.time / dt)), 0), n_total), d) for d in scenario.disturbances
-         if round(d.time / dt) <= n_total),
+        ((grid_step(d.time, f"disturbance at node {d.node + 1}"), d)
+         for d in scenario.disturbances if round(d.time / dt) <= n_total),
         key=lambda sd: sd[0],
     )
     failures = sorted(
-        ((min(max(int(round(t0 / dt)), 0), n_total), link) for link, t0 in comm.failed
-         if round(t0 / dt) <= n_total),
+        ((grid_step(t0, f"failure of link ({link[0] + 1},{link[1] + 1})"), link)
+         for link, t0 in comm.failed if round(t0 / dt) <= n_total),
         key=lambda sf: sf[0],
     )
     failed_set: set = set()
@@ -383,6 +405,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         if m is None:
             m = map_cache[key] = interval_map(grid, live, c, dt, K, state_matrix(c))
         return m
+
+    def one_map() -> bool:
+        """Whether every message interval has the same map."""
+        return scheme != "SEQUENTIAL" or len(shared) == 1
 
     def interval_ctx(k: int) -> ControlContext:
         """Context in force during message interval k."""
@@ -471,11 +497,43 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         rec_states[n_rec] = x
         rec_steps[n_rec] = step
         if track_rx:
-            for c, dlink in enumerate(rx_links):
-                rec_rx[n_rec, c] = last_rx.get(dlink, np.nan)
+            rec_rx[n_rec] = [last_rx.get(dlink, np.nan) for dlink in rx_links]
         n_rec += 1
 
-    def check_finite(step: int) -> None:
+    def records_between(step: int, stop: int) -> Tuple[int, int]:
+        """Offset from step of the first record step after it, and the
+        number of record steps strictly between step and stop."""
+        first = stride - step % stride
+        return first, max(0, (stop - step - 1 - first) // stride + 1)
+
+    def book(first_step: int, got: int) -> None:
+        """Count the got rows a kernel call recorded from first_step on."""
+        nonlocal n_rec
+        rec_steps[n_rec:n_rec + got] = first_step + stride * np.arange(got)
+        n_rec += got
+
+    def first_nonfinite(step: int, stop: int, x0: np.ndarray) -> int:
+        """Replay the kernel call from x0 at step to stop one RK4 step at a
+        time, refreshing the held messages at each sampling instant inside
+        it as apply_events does; the first step whose state is not finite."""
+        x[:] = x0
+        while True:
+            run = stop - step if K is None else min(K - step % K, stop - step)
+            A = state_matrix(ctx)
+            b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
+                           grid, live, ctx, p)
+            for _ in range(run):
+                rk4_segment(A, b, x, dt, 1, 0, 1, rec_states[:0])
+                step += 1
+                if not np.isfinite(x).all():
+                    return step
+            if step == stop:
+                return stop
+            apply_events(step)
+
+    def check_finite(step: int, stop: int, x0: np.ndarray) -> None:
+        """Raise IntegrationError if the kernel call from x0 at step to stop
+        left the finite range."""
         if np.isfinite(x).all():
             return
         last = None
@@ -484,45 +542,81 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                              dt, events_log, rx_links,
                              rec_rx[:n_rec] if track_rx else None)
             last = traj.state_at(n_rec - 1)
-        raise IntegrationError(step, last)
+        raise IntegrationError(first_nonfinite(step, stop, x0), last)
 
-    def segment(step: int, n_steps: int, first_record: int = 0,
-                out: np.ndarray = rec_states[:0]) -> int:
-        """n_steps of RK4 under the current context and held messages."""
+    def segment(step: int, stop: int) -> None:
+        """RK4 from step to stop under the current context and held
+        messages, recording the record steps between them."""
+        first, rows = records_between(step, stop)
+        x0 = x.copy()
         b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
                        grid, live, ctx, p)
-        return rk4_segment(state_matrix(ctx), b, x, dt, n_steps, first_record, stride, out)
+        got = rk4_segment(state_matrix(ctx), b, x, dt, stop - step, first if rows else 0,
+                          stride, rec_states[n_rec:n_rec + rows])
+        book(step + first, got)
+        check_finite(step, stop, x0)
 
-    def intervals(k0: int, k1: int) -> None:
-        """Whole message intervals k0 .. k1 - 1, each run of equal maps in one jump."""
-        k = k0
-        while k < k1:
-            run = 1 if scheme == "SEQUENTIAL" and len(shared) > 1 else k1 - k
-            D, G = step_map(interval_ctx(k))
-            jump(D, G @ p, x, run)
-            k += run
+    def held_rows(rows: np.ndarray) -> np.ndarray:
+        """Held values of rows recorded at sampling instants, as apply_events
+        refreshes them there: a live link holds C u of its sender in that
+        row, a failed link its frozen value, a link that never received one
+        NaN. The rows need no other sampling event: SEQUENTIAL over one
+        shared link re-pairs the same link at every instant, and from its
+        first reset on the pair law keeps q_i = -q_j = C_i u_i - C_j u_j,
+        so the reset changes q by rounding only."""
+        y = cost_vec * rows[:, n + e:2 * n + e]
+        held = held_messages(np.arange(n), live.links)   # link -> sender
+        cols = [c for c, dlink in enumerate(rx_links) if dlink in held]
+        rx = np.tile([last_rx.get(dlink, np.nan) for dlink in rx_links], (len(rows), 1))
+        rx[:, cols] = y[:, [held[rx_links[c]] for c in cols]]
+        return rx
+
+    def intervals(step: int, end: int) -> None:
+        """Whole message intervals from instant step to instant end. When
+        they share one map, one jump crosses them all and records the record
+        instants between them; otherwise each interval is one jump, and the
+        run stops at every record, so none lies between."""
+        x0 = x.copy()
+        if one_map():
+            first, rows = records_between(step, end)
+            D, G = step_map(interval_ctx(step // K))
+            got = jump(D, G @ p, x, (end - step) // K, first // K if rows else 0,
+                       stride // K, rec_states[n_rec:n_rec + rows])
+            if got:
+                rec_rx[n_rec:n_rec + got] = held_rows(rec_states[n_rec:n_rec + got])
+                book(step + first, got)
+        else:
+            for k in range(step // K, end // K):
+                D, G = step_map(interval_ctx(k))
+                jump(D, G @ p, x, 1)
+        check_finite(step, end, x0)
+
+    def pause(step: int) -> None:
+        """A sampling instant inside an advance: its events and its record."""
+        apply_events(step)
+        if step % stride == 0:
+            record(step)
 
     def advance_sampled(step: int, stop: int) -> None:
-        """From step to stop, with no record or event in between. The
-        sampling events of the last instant before stop run in apply_events,
-        so that records and failures at stop see the messages held then."""
+        """From step to stop, with no event in between: a part of an interval
+        that step or stop splits by segment, whole intervals by intervals().
+        The sampling events of the last instant before stop run in
+        apply_events, so that records and failures at stop see the messages
+        held then."""
         s_last = (stop - 1) // K * K
-        if step < s_last:
-            if step % K:
-                s = step - step % K + K
-                segment(step, s - step)
-                check_finite(s)
-                apply_events(s)
-                step = s
-            if step < s_last:
-                intervals(step // K, s_last // K)
-                check_finite(s_last)
-                apply_events(s_last)
-                step = s_last
+        if step % K and step < s_last:
+            s = step - step % K + K
+            segment(step, s)
+            pause(s)
+            step = s
+        if step % K == 0 and step < s_last:
+            intervals(step, s_last)
+            pause(s_last)
+            step = s_last
         if step % K == 0 and stop - step == K:
-            intervals(step // K, stop // K)
+            intervals(step, stop)
         else:
-            segment(step, stop - step)
+            segment(step, stop)
 
     apply_events(0)
     record(0)
@@ -535,19 +629,12 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         if failures:
             stop = min(stop, failures[0][0])
         if K is None:
-            # interior records only; the stop is recorded after its events
-            rem = step % stride
-            first = stride - rem if rem else stride
-            max_rec = 0 if first >= stop - step else (stop - step - 1 - first) // stride + 1
-            got = segment(step, stop - step, first if max_rec else 0,
-                          rec_states[n_rec:n_rec + max_rec])
-            rec_steps[n_rec:n_rec + got] = step + first + stride * np.arange(got)
-            n_rec += got
+            segment(step, stop)
         else:
-            stop = min(stop, (step // stride + 1) * stride)
+            if stride % K or not one_map():
+                stop = min(stop, (step // stride + 1) * stride)
             advance_sampled(step, stop)
         step = stop
-        check_finite(step)
         apply_events(step)
         if step % stride == 0 or step == n_total:
             record(step)
@@ -637,7 +724,15 @@ def run_scenario(scenario: Scenario) -> Tuple[Trajectory, RunSummary]:
 # ---------------------------------------------------------------------------
 # Trajectory CSV (header: t,omega_1..N,u_1..N,q_1..N,f_1..E,cost_paper)
 
+_CSV_BLOCK = 512    # rows formatted per write
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """One row per recorded sample, each value as "%.9g" (nine significant
+    digits, the same text as f"{v:.9g}"), LF line endings. Rows are
+    formatted a block at a time, with one % over a row template repeated
+    for the block, so neither the whole file nor one tuple of all its
+    values is held at once."""
     n = traj.omega.shape[1]
     e = traj.flow.shape[1]
     cols = (["t"]
@@ -646,9 +741,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             + [f"q_{k + 1}" for k in range(n)]
             + [f"f_{k + 1}" for k in range(e)]
             + ["cost_paper"])
+    row = ",".join(["%.9g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(traj)):
-            row = np.concatenate([[traj.times[k]], traj.omega[k], traj.u[k],
-                                  traj.q[k], traj.flow[k], [traj.cost_series[k]]])
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        for k in range(0, len(traj), _CSV_BLOCK):
+            rows = slice(k, k + _CSV_BLOCK)
+            block = np.column_stack([traj.times[rows], traj.omega[rows], traj.u[rows],
+                                     traj.q[rows], traj.flow[rows], traj.cost_series[rows]])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

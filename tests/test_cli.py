@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gridfreq import cli
-from gridfreq.model import load_scenario, save_scenario, scenario_to_dict, toy_grid
+from gridfreq.model import (CommGraph, Line, NodeParams, PowerGrid, Scenario, load_scenario,
+                            save_scenario, scenario_to_dict, toy_grid, with_overrides)
 
 
 def test_simulate_toy_converges(tmp_path, capsys):
@@ -65,6 +66,48 @@ def test_simulate_diverging_run_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
     assert code == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure_t, horizon, details", [
+    (0.0, "1", [f"no value ever received on link {a}->{b}; artificial variable term "
+                "initialized to 0" for a, b in ((7, 2), (2, 7))]),
+    (0.5, "1.0004", ["horizon t=1.0004 is off the dt grid; rounded to step 1000 (t=1)"]),
+])
+def test_simulate_reports_warnings(tmp_path, capsys, failure_t, horizon, details):
+    """A HYBRID_SINGLE run whose failed pair never exchanged a message, and
+    a horizon off the dt grid: the warning reaches summary.json and stderr,
+    beside the unchanged summary keys."""
+    scn = with_overrides(toy_grid(), scheme="HYBRID_SINGLE", message_interval=0.01,
+                         failures=(((1, 6), failure_t),))
+    path = tmp_path / "hybrid.json"
+    save_scenario(scn, path)
+    out = tmp_path / "run"
+    code = cli.main(["simulate", str(path), "--horizon", horizon, "--out", str(out)])
+    assert code == 2
+    summary = json.loads((tmp_path / "run.summary.json").read_text())
+    assert list(summary) == ["steady_u", "steady_cost_paper", "converged", "t_star",
+                             "t_star_first_crossing", "max_freq_excursion", "warnings"]
+    assert summary["warnings"] == [{"t": 0.0, "kind": "warning", "detail": d}
+                                   for d in details]
+    err = capsys.readouterr().err
+    assert all(f"warning at t=0: {d}\n" in err for d in details)
+
+
+def test_simulate_reports_fallback(tmp_path, capsys):
+    """A HYBRID_SINGLE failure on a link with no power line falls back to
+    averaging; the summary and stderr say so."""
+    nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])
+                  for k in range(3))
+    scn = Scenario(grid=PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0))),
+                   comm=CommGraph(links=((0, 1), (0, 2), (1, 2)), failed=(((0, 2), 0.5),)),
+                   scheme="HYBRID_SINGLE", horizon=1.0, dt=1e-3, record_stride=100)
+    path = tmp_path / "fallback.json"
+    save_scenario(scn, path)
+    cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
+    summary = json.loads((tmp_path / "run.summary.json").read_text())
+    assert [(w["t"], w["kind"]) for w in summary["warnings"]] == [(0.5, "fallback_consensus")]
+    assert "fallback_consensus at t=0.5: failed link (1,3) has no power line" \
+        in capsys.readouterr().err
 
 
 def test_scenario_roundtrip_through_files(tmp_path):

@@ -83,3 +83,25 @@ def test_k_step_map_and_jump_match_stepwise_rk4():
     jump(D, G @ w, x, 50)
     ref = _rk4_steps(A, B @ w, x0, h, 50 * k)
     assert np.abs(x - ref).max() <= 1e-12
+
+
+def test_recorded_jump_matches_stepwise_map():
+    """jump records x after application first_record + i * stride, at most
+    out.shape[0] rows, and ends where k stepwise applications of (D, g) end."""
+    rng = np.random.default_rng(4)
+    D = rng.normal(size=(9, 9)) * 0.01 - 0.02 * np.eye(9)
+    g = rng.normal(size=9) * 0.01
+    x0 = rng.normal(size=9)
+    steps = [x0]
+    for _ in range(200):
+        steps.append(steps[-1] + D @ steps[-1] + g)
+    for first, stride, room in [(3, 7, 100), (1, 1, 200), (200, 5, 3), (10, 40, 2)]:
+        x = x0.copy()
+        out = np.full((room, 9), np.nan)
+        got = jump(D, g, x, 200, first, stride, out)
+        want = list(range(first, 201, stride))[:room]
+        assert got == len(want)
+        for row, s in enumerate(want):
+            assert np.abs(out[row] - steps[s]).max() <= 1e-12
+        assert np.isnan(out[got:]).all()
+        assert np.abs(x - steps[200]).max() <= 1e-12

@@ -527,3 +527,164 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
         R = rotation_reset(grid, live, ctx)
         assert np.array_equal(R, loop_reset(grid, live, ctx))
         assert np.abs(R[2 * grid.n_nodes + grid.n_lines:]).max() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Records on sampling instants without stopping
+
+@pytest.mark.parametrize("T, stride", [(1e-3, 1), (1e-2, 10)])
+def test_sampled_records_on_instants_without_stopping(toy, T, stride):
+    """With record_stride a multiple of K = T / dt one recorded jump crosses
+    the intervals between two events. Records match the oracle; a live link
+    holds C u of its sender in the same row, a link that failed on an
+    instant keeps the value sent at the instant before, a link that failed
+    at t = 0 stays NaN, and at K = 10 the records and held values equal the
+    path that stops at every record (stride 5)."""
+    scn = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=T,
+                         horizon=0.3, record_stride=stride,
+                         failures=(((1, 6), 0.12), ((0, 1), 0.0)))
+    scn = dataclasses.replace(scn, disturbances=(
+        DisturbanceEvent(time=0.05, node=2, delta_p=-5.0),))
+    traj = integrate(scn)
+    steps = np.round(traj.times / scn.dt).astype(int)
+    assert list(steps) == list(range(0, 301, stride))
+    for k in list(range(0, len(traj), len(traj) // 6)) + [len(traj) - 1]:
+        x_ref = reference_integrate(scn, steps[k])
+        assert np.abs(state_to_vector(traj.state_at(k)) - x_ref).max() <= 1e-12
+
+    col = {link: c for c, link in enumerate(traj.rx_links)}
+    sent = toy.grid.cost() * traj.u
+    for a, b in toy.comm.links:
+        if (a, b) not in ((1, 6), (0, 1)):
+            assert np.array_equal(traj.rx_series[:, col[(a, b)]], sent[:, a])
+            assert np.array_equal(traj.rx_series[:, col[(b, a)]], sent[:, b])
+    K = int(round(T / scn.dt))
+    before = steps < 120
+    held = sent[steps == 120 - K][0]
+    assert np.array_equal(traj.rx_series[before, col[(1, 6)]], sent[before, 1])
+    assert (traj.rx_series[~before, col[(1, 6)]] == held[1]).all()
+    assert (traj.rx_series[~before, col[(6, 1)]] == held[6]).all()
+    assert np.isnan(traj.rx_series[:, [col[(0, 1)], col[(1, 0)]]]).all()
+
+    if K > 1:
+        per_stop = integrate(with_overrides(scn, record_stride=stride // 2))
+        assert np.array_equal(per_stop.times[::2], traj.times)
+        for field in ("omega", "flow", "u", "q"):
+            assert np.abs(getattr(per_stop, field)[::2] - getattr(traj, field)).max() <= 1e-12
+        rx = per_stop.rx_series[::2]
+        assert np.array_equal(np.isnan(rx), np.isnan(traj.rx_series))
+        assert np.nanmax(np.abs(rx - traj.rx_series)) <= 1e-12
+
+
+@pytest.mark.parametrize("links", [((0, 1), (0, 2)), ((0, 1), (1, 2))])
+def test_sequential_records_match_oracle(links):
+    """SEQUENTIAL over one shared link has one interval map and records
+    without stopping; over two it stops at every record. Either way every
+    record on a sampling instant matches the oracle, and the path that
+    stops at records between instants (stride 5)."""
+    nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])
+                  for k in range(3))
+    grid = PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0)))
+    scn = Scenario(grid=grid, comm=CommGraph(links=links, message_interval=0.01),
+                   disturbances=(DisturbanceEvent(time=0.05, node=0, delta_p=0.5),),
+                   scheme="SEQUENTIAL", horizon=0.3, dt=1e-3, record_stride=10)
+    traj = integrate(scn)
+    assert len(traj) == 31 and np.abs(traj.q).max() > 0.0
+    for k in range(0, 31, 3):
+        x_ref = reference_integrate(scn, 10 * k)
+        assert np.abs(state_to_vector(traj.state_at(k)) - x_ref).max() <= 1e-12
+    per_stop = integrate(dataclasses.replace(scn, record_stride=5))
+    for field in ("omega", "flow", "u", "q", "rx_series"):
+        assert np.abs(getattr(per_stop, field)[::2] - getattr(traj, field)).max() <= 1e-12
+
+
+def held_coupling_blowup():
+    """Sampled averaging whose own-value term is RK4-unstable at dt = 0.01
+    (h C degree = 3.2 at the middle node), so the held messages, refreshed
+    at every instant, drive the growth."""
+    nodes = tuple(NodeParams(k + 1, 0.1, 1.0, 160.0, (1.0, 0.0, -1.0)[k]) for k in range(3))
+    grid = PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0)))
+    return Scenario(grid=grid, comm=CommGraph(links=((0, 1), (1, 2)), message_interval=0.02),
+                    disturbances=(DisturbanceEvent(time=0.1, node=0, delta_p=0.5),),
+                    scheme="CONSENSUS_SAMPLED", horizon=60.0, dt=0.01, record_stride=1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["continuous", "sampled", "held_coupling"])
+def test_nonfinite_step_is_first_stepwise_one(toy, case):
+    """IntegrationError names the first step whose RK4 state is not finite,
+    whatever the record stride: a kernel call that ends non-finite is
+    replayed one step at a time, refreshing the held messages at each
+    sampling instant. At stride 1 the last finite record is the step
+    before it."""
+    wild = with_overrides(toy, dt=0.05, horizon=20.0)
+    if case == "sampled":
+        wild = with_overrides(wild, scheme="CONSENSUS_SAMPLED", message_interval=0.1)
+    elif case == "held_coupling":
+        wild = held_coupling_blowup()
+    err = {}
+    for stride in (1, 100):
+        with pytest.raises(IntegrationError) as info:
+            integrate(with_overrides(wild, record_stride=stride))
+        err[stride] = info.value
+    assert err[1].step == err[100].step < round(wild.horizon / wild.dt)
+    assert round(err[1].last_state.t / wild.dt) == err[1].step - 1
+
+
+# ---------------------------------------------------------------------------
+# Rounding onto the dt grid
+
+def test_off_grid_times_are_rounded_with_a_warning(toy):
+    scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0004,
+                         failures=(((1, 6), 0.5003),))
+    scn = dataclasses.replace(scn, disturbances=(
+        DisturbanceEvent(time=1.0004, node=2, delta_p=-5.0),))
+    traj = integrate(scn)
+    warns = [d for t, kind, d in traj.events if kind == "warning" and "dt grid" in d]
+    assert warns == [
+        "horizon t=2.0004 is off the dt grid; rounded to step 2000 (t=2)",
+        "disturbance at node 3 t=1.0004 is off the dt grid; rounded to step 1000 (t=1)",
+        "failure of link (2,7) t=0.5003 is off the dt grid; rounded to step 500 (t=0.5)",
+    ]
+    assert traj.times[-1] == pytest.approx(2.0)
+    # 0.7 / 1e-3 is 699.9999999999999 in floating point: on the grid; the
+    # disturbance past the horizon is not applied, so not rounded either
+    on_grid = integrate(with_overrides(scn, horizon=0.8, failures=(((1, 6), 0.7),)))
+    assert not [kind for _, kind, _ in on_grid.events if kind == "warning"]
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV: block formatting against a per-value reference writer
+
+def reference_csv(traj):
+    n, e = traj.omega.shape[1], traj.flow.shape[1]
+    cols = (["t"] + [f"omega_{k + 1}" for k in range(n)] + [f"u_{k + 1}" for k in range(n)]
+            + [f"q_{k + 1}" for k in range(n)] + [f"f_{k + 1}" for k in range(e)]
+            + ["cost_paper"])
+    lines = [",".join(cols)]
+    for k in range(len(traj)):
+        row = np.concatenate([[traj.times[k]], traj.omega[k], traj.u[k], traj.q[k],
+                              traj.flow[k], [traj.cost_series[k]]])
+        lines.append(",".join(f"{v:.9g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_trajectory_csv_equals_per_value_writer(tmp_path, toy):
+    z = np.array([[-0.0, 1e-300], [5e-324, 1e300], [np.inf, -np.nan]])
+    odd = Trajectory(times=np.array([0.0, 0.1, 1e-7]), omega=z, flow=z[:, :1],
+                     u=-z, q=z[:, ::-1], cost_series=np.array([5e-324, -1e300, 0.5]),
+                     events=())
+    trajs = {
+        "continuous": integrate(with_overrides(toy, horizon=2.0)),
+        "sampled": integrate(with_overrides(toy, scheme="CONSENSUS_SAMPLED",
+                                            message_interval=0.01, horizon=0.5,
+                                            record_stride=10)),
+        "blocks": integrate(with_overrides(toy, horizon=1.2, record_stride=1)),
+        "odd": odd,
+    }
+    assert len(trajs["blocks"]) > 2 * 512
+    for name, traj in trajs.items():
+        path = tmp_path / f"{name}.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == reference_csv(traj), name
