@@ -44,6 +44,7 @@ from .simulator import (
     first_crossing_time,
     integrate,
     run_scenario,
+    schedule,
     write_trajectory_csv,
 )
 from .stability import (

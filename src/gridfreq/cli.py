@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from . import experiments
-from .controllers import ControlContext
 from .dispatch import optimal_dispatch
 from .model import (CONTINUOUS, SCHEMES, load_scenario, save_scenario, toy_grid,
                     validate, with_overrides)
-from .simulator import run_scenario, state_labels, write_trajectory_csv
+from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
+                        write_trajectory_csv)
 from .stability import (assemble_state_matrix, characteristic_identity_check,
                         check_sufficient_multi_node, check_sufficient_two_node,
                         build_Lc_star, interval_map_spectrum, spectrum)
@@ -70,7 +70,7 @@ def cmd_simulate(args) -> int:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump({**summary.to_dict(), "warnings": warnings}, fh, indent=2)
             fh.write("\n")
-    except (RuntimeError, OSError) as exc:
+    except (ScenarioError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"trajectory: {csv_path}")
@@ -104,28 +104,10 @@ def cmd_optimal(args) -> int:
     return 0
 
 
-def _stability_context(scn) -> ControlContext:
-    power_edges = scn.grid.edge_set()
-    failed = tuple(link for link, _ in scn.comm.failed)
-    if scn.scheme == "PAIR_FLOW":
-        pair = sorted((ln.i, ln.j) for ln in scn.grid.lines)[0]
-        return ControlContext(scheme="PAIR_FLOW", F=frozenset(pair),
-                              pair_edges=frozenset([pair]))
-    if scn.scheme == "HYBRID_SINGLE" and failed and failed[0] in power_edges:
-        return ControlContext(scheme="HYBRID_SINGLE", F=frozenset(failed[0]),
-                              pair_edges=frozenset([failed[0]]))
-    if scn.scheme == "MULTI_FAILURE":
-        pairs = frozenset(l for l in failed if l in power_edges)
-        return ControlContext(scheme="MULTI_FAILURE",
-                              F=frozenset(i for l in pairs for i in l),
-                              pair_edges=pairs)
-    return ControlContext(scheme="CONSENSUS")
-
-
-def _interval_map_report(scn, comm) -> dict:
+def _interval_map_report(scn, piece) -> dict:
     """Report of a hold scheme: its closed loop is the exact map of one
     message interval (one rotation cycle under SEQUENTIAL), not x' = A x."""
-    rep = interval_map_spectrum(scn.grid, comm, scn.scheme, scn.dt,
+    rep = interval_map_spectrum(scn.grid, piece.comm, scn.scheme, scn.dt,
                                 scn.comm.message_interval)
     return {
         "scheme": scn.scheme,
@@ -142,8 +124,8 @@ def _interval_map_report(scn, comm) -> dict:
     }
 
 
-def _state_matrix_report(scn, comm, args) -> dict:
-    ctx = _stability_context(scn)
+def _state_matrix_report(scn, piece, args) -> dict:
+    ctx, comm = piece.contexts[0], piece.comm
     sm = assemble_state_matrix(scn.grid, comm, ctx)
     rep = spectrum(sm)
 
@@ -192,20 +174,23 @@ def _state_matrix_report(scn, comm, args) -> dict:
 
 
 def cmd_stability(args) -> int:
+    """Report on the law in force at the horizon: the last piece of the
+    scenario's schedule, with the links live there."""
     scn = _load(args)
     if scn is None:
         return 1
-    failed = {link for link, _ in scn.comm.failed}
-    comm = type(scn.comm)(links=tuple(l for l in scn.comm.links if l not in failed),
-                          failed=(), message_interval=scn.comm.message_interval)
+    try:
+        plan = schedule(scn)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for w in plan.warnings:
+        print(f"warning at t=0: {w}", file=sys.stderr)
+    piece = plan.pieces[-1]
     if scn.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
-        try:
-            doc = _interval_map_report(scn, comm)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        doc = _interval_map_report(scn, piece)
     else:
-        doc = _state_matrix_report(scn, comm, args)
+        doc = _state_matrix_report(scn, piece, args)
     out = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,6 +10,9 @@ carry leading batch axes, one state per row (omega, u, q of shape (k, N)),
 and each held value in last_rx is then a scalar or a (k,) array. Nodes are
 indexed on the last axis, so one call evaluates a law on k states at once;
 the simulator assembles its matrices from one call on the identity stack.
+
+Every law reads comm.links as the live links: pass a comm graph without the
+failed ones, as each piece of simulator.schedule() carries.
 """
 from __future__ import annotations
 
@@ -46,8 +49,6 @@ def consensus_rate(state: SystemState, grid: PowerGrid, comm: CommGraph) -> np.n
     """du/dt of the message-based averaging law with instantaneous values.
 
     C_i du_i = -omega_i - C_i * sum over comm neighbors of (C_i u_i - C_j u_j).
-    The caller must pass a comm graph with no failed links at state.t
-    (drop failed links from `links` first when simulating degraded comm).
     """
     C = grid.cost()
     y = C * state.u
@@ -67,7 +68,7 @@ def consensus_sampled_rate(state: SystemState, grid: PowerGrid, comm: CommGraph)
     C = grid.cost()
     y = C * state.u
     du = -state.omega / C
-    for a, b in comm.live_links(state.t):
+    for a, b in comm.links:
         for src, dst in ((a, b), (b, a)):
             try:
                 held = state.last_rx[(src, dst)]
@@ -115,7 +116,7 @@ def hybrid_single_failure_rate(state: SystemState, grid: PowerGrid, comm: CommGr
     C = grid.cost()
     y = C * state.u
     du = -state.omega / C
-    for a, b in comm.live_links(state.t):
+    for a, b in comm.links:
         if a not in ctx.F:
             du[..., a] -= y[..., a] - y[..., b]
         if b not in ctx.F:
@@ -137,7 +138,7 @@ def multi_failure_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
     C = grid.cost()
     y = C * state.u
     du = -state.omega / C
-    for a, b in comm.live_links(state.t):
+    for a, b in comm.links:
         if a not in ctx.F:
             du[..., a] -= y[..., a] - y[..., b]
         if b not in ctx.F:

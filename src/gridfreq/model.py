@@ -108,11 +108,6 @@ class CommGraph:
     failed: Tuple[Tuple[Tuple[int, int], float], ...] = ()
     message_interval: Optional[float] = CONTINUOUS
 
-    def live_links(self, t: float) -> Tuple[Tuple[int, int], ...]:
-        """Links still operating at time t (failures apply at t >= t0)."""
-        down = {link for link, t0 in self.failed if t >= t0}
-        return tuple(l for l in self.links if l not in down)
-
     def laplacian(self, links: Optional[Iterable[Tuple[int, int]]] = None,
                   n_nodes: Optional[int] = None) -> np.ndarray:
         links = self.links if links is None else tuple(links)

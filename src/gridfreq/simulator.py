@@ -1,36 +1,43 @@
 """Fixed-step closed-loop integration with discrete events.
 
-Between events (disturbances, link failures, message sampling instants,
-sequential link rotation) the closed loop is an affine system
-dx/dt = A x + b over the state layout [omega (N), flow (E), u (N), q (N)].
-derivative() is the single definition of those dynamics and takes stacked
-states, one state per row, so the integrator assembles (A, b), like the
-input and reset matrices of a message interval, from one evaluation on the
-identity stack, and hands each stretch between events to the RK4 kernel.
-With a finite message interval each sampling instant is a linear reset
-(the held messages refresh to C u, and SEQUENTIAL re-initializes q), so a
-whole message interval is one exact affine map (interval_map): the
-integrator advances runs of intervals with it and stops at events, and at
-records too unless they all fall on sampling instants of intervals that
-share one map. The trajectory is bit-reproducible for identical inputs.
+schedule() compiles a scenario into pieces: stretches of steps with no
+disturbance or link failure inside. Each piece carries its live links (a
+CommGraph of them), its fixed powers, the events at its start and its
+control contexts, one context or SEQUENTIAL's rotation over the live
+shared links, all from one rule (modes) that `gridfreq stability` and
+interval_map_spectrum use too, so the report analyses the law the run ran.
+
+Within a piece the closed loop is an affine system dx/dt = A x + b over the
+state layout [omega (N), flow (E), u (N), q (N)]. derivative() is the
+single definition of those dynamics and takes stacked states, one state per
+row, so the integrator assembles (A, b), like the input and reset matrices
+of a message interval, from one evaluation on the identity stack, and hands
+each stretch between events to the RK4 kernel. With a finite message
+interval each sampling instant is a linear reset (the held messages refresh
+to C u, and SEQUENTIAL re-initializes q), so a whole message interval is one
+exact affine map (interval_map): the integrator advances runs of intervals
+with it and stops at piece boundaries, and at records too unless they all
+fall on sampling instants of intervals that share one map. The trajectory
+is bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import controllers
-from .controllers import ControlContext
+from .controllers import ControlContext, Link
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import jump, k_step_map, rk4_segment
 from .model import CONTINUOUS, CommGraph, PowerGrid, Scenario, SystemState, validate
 
 
 class ScenarioError(ValueError):
-    """integrate() was handed a scenario that fails validation."""
+    """A scenario that fails validation, or whose law cannot run: SEQUENTIAL
+    left with no live shared link to rotate over."""
 
 
 class IntegrationError(RuntimeError):
@@ -163,10 +170,7 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
             dq[..., i] = v
     elif scheme == "SEQUENTIAL":
         du = controllers.consensus_sampled_rate(state, grid, comm)
-        pair_ctx = ControlContext(scheme="PAIR_FLOW",
-                                  F=frozenset(ctx.active_link),
-                                  pair_edges=frozenset([ctx.active_link]))
-        du_pair, dq_pair = controllers.pair_flow_rate(state, grid, pair_ctx)
+        du_pair, dq_pair = controllers.pair_flow_rate(state, grid, ctx)
         for i, v in du_pair.items():
             du[..., i] = v
         for i, v in dq_pair.items():
@@ -218,15 +222,47 @@ def assemble_inputs(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np
     return np.ascontiguousarray(dx.T)
 
 
-def sequential_context(link: Tuple[int, int]) -> ControlContext:
+def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
+          failed: Sequence[Link] = (), pending: Collection[Link] = ()
+          ) -> Tuple[ControlContext, ...]:
+    """The one rule from a scheme to its control contexts, given the power
+    lines, the live links, the links failed so far (in failure order) and
+    the links still to fail within the horizon:
+
+    - SEQUENTIAL rotates the pair law over the live links that are power
+      lines, in sorted order (message interval k runs context k mod L);
+      with none of them live there is nothing to rotate over: ().
+    - PAIR_FLOW runs the pair law on the first power line from t = 0,
+      unless that link is still to fail: averaging runs until it does.
+    - HYBRID_SINGLE averages until its link fails, then runs the pair law
+      on it if it is a power line, and keeps averaging if not.
+    - MULTI_FAILURE averages until the first failure, then runs the flow
+      law on every failed link that is a power line.
+    - CONSENSUS and CONSENSUS_SAMPLED are their own law.
+    """
+    if scheme == "SEQUENTIAL":
+        return tuple(ControlContext(scheme, F=frozenset(link), pair_edges=frozenset([link]),
+                                    active_link=link)
+                     for link in sorted(set(power) & set(live)))
+    hit = [link for link in failed if link in power]
+    if scheme == "PAIR_FLOW":
+        hit = [] if min(power) in pending else [min(power)]
+    if scheme in ("PAIR_FLOW", "HYBRID_SINGLE") and hit:
+        return (ControlContext(scheme, F=frozenset(hit[0]), pair_edges=frozenset(hit[:1])),)
+    if scheme == "MULTI_FAILURE" and failed:
+        return (ControlContext(scheme, F=frozenset(i for link in hit for i in link),
+                               pair_edges=frozenset(hit)),)
+    return (ControlContext(scheme if scheme == "CONSENSUS_SAMPLED" else "CONSENSUS"),)
+
+
+def sequential_context(link: Link) -> ControlContext:
     """SEQUENTIAL's context while `link` is the active pair."""
-    return ControlContext(scheme="SEQUENTIAL", F=frozenset(link),
-                          pair_edges=frozenset([link]), active_link=link)
+    return modes("SEQUENTIAL", [link], [link])[0]
 
 
-def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Tuple[int, int]]:
+def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Link]:
     """Links of comm that are also power lines, in SEQUENTIAL's rotation order."""
-    return sorted(grid.edge_set() & set(comm.links))
+    return [c.active_link for c in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
 
 
 def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
@@ -236,10 +272,8 @@ def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.
     of init_artificial on the identity stack."""
     n, e = grid.n_nodes, grid.n_lines
     R = np.eye(3 * n + e)
-    pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F, pair_edges=ctx.pair_edges)
     rx = held_messages(grid.cost() * R[:, n + e:2 * n + e], comm.links)
-    q0, _ = controllers.init_artificial(vector_to_state(0.0, R, grid, rx),
-                                        grid, pair_ctx, comm)
+    q0, _ = controllers.init_artificial(vector_to_state(0.0, R, grid, rx), grid, ctx, comm)
     R[2 * n + e:] = q0.T
     return R
 
@@ -285,211 +319,207 @@ def initial_flows(grid: PowerGrid, p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Schedule: a scenario compiled into pieces
+
+@dataclass(frozen=True)
+class Piece:
+    """Steps [start, stop) of a run, with no disturbance or link failure
+    inside. comm holds the links live in the piece. At start the fixed
+    powers become p, the events are logged and, when init is set, the
+    artificial variables are re-initialized under it; then the sampling
+    events of the instant, if start is one, take place."""
+
+    start: int
+    stop: int
+    comm: CommGraph
+    contexts: Tuple[ControlContext, ...]   # from modes(); interval k runs k mod len
+    lead: ControlContext                   # in force until the piece's first instant
+    p: Tuple[float, ...]
+    init: Optional[ControlContext] = None
+    events: Tuple[Tuple[str, str], ...] = ()   # (kind, detail)
+
+    def context(self, step: int, K: Optional[int]) -> ControlContext:
+        """The context in force at step: lead until the first sampling
+        instant of the piece, then the one of the current message interval."""
+        if K is None or step // K * K < self.start:
+            return self.lead
+        return self.contexts[step // K % len(self.contexts)]
+
+
+@dataclass(frozen=True)
+class Schedule:
+    n_steps: int
+    interval_steps: Optional[int]          # K = T / dt; None under continuous messaging
+    warnings: Tuple[str, ...]
+    pieces: Tuple[Piece, ...]              # the last one starts and stops at n_steps
+
+
+def schedule(scenario: Scenario) -> Schedule:
+    """Compile a scenario into its pieces, one per stretch between event
+    steps, the last one at the horizon (the piece in force there). A time
+    off the dt grid is rounded to the nearest step, and an event past the
+    horizon is dropped, each with a warning. Events at one step apply in a
+    fixed order: disturbances, then link failures, each group in scenario
+    order; a link that has already failed does not fail again.
+
+    A failure that engages a flow-based law (PAIR_FLOW, HYBRID_SINGLE,
+    MULTI_FAILURE: at each failure) re-initializes the artificial variables
+    under it; a HYBRID_SINGLE failure on a link without a power line is
+    logged as a fallback to averaging. Under SEQUENTIAL a failure mid-
+    interval changes the rotation from the next sampling instant on.
+
+    Raises ScenarioError when the scenario fails validation, or when a
+    failure leaves SEQUENTIAL without a live shared link.
+    """
+    violations = validate(scenario)
+    if violations:
+        raise ScenarioError("; ".join(violations))
+    grid, comm, dt, scheme = scenario.grid, scenario.comm, scenario.dt, scenario.scheme
+    T = comm.message_interval
+    K = None if T is CONTINUOUS else int(round(T / dt))
+    warnings: List[str] = []
+
+    def grid_step(t: float, what: str) -> int:
+        """Step of time t; warns when t lies off the dt grid."""
+        k = int(round(t / dt))
+        if abs(t / dt - k) > 1e-9 * max(1.0, t / dt):
+            warnings.append(f"{what} t={t:g} is off the dt grid; "
+                            f"rounded to step {k} (t={k * dt:g})")
+        return k
+
+    n_total = grid_step(scenario.horizon, "horizon")
+    at: Dict[int, Tuple[list, list]] = {}    # step -> (disturbances, failed links)
+
+    def add(t: float, what: str, group: int, item) -> None:
+        if round(t / dt) > n_total:
+            warnings.append(f"{what} t={t:g} ignored: past the horizon (t={n_total * dt:g})")
+        else:
+            at.setdefault(grid_step(t, what), ([], []))[group].append(item)
+
+    for d in scenario.disturbances:
+        add(d.time, f"disturbance at node {d.node + 1}", 0, d)
+    for (a, b), t0 in comm.failed:
+        add(t0, f"failure of link ({a + 1},{b + 1})", 1, (a, b))
+
+    last_failure = {link: k for k in sorted(at) for link in at[k][1]}
+    power = grid.edge_set()
+    p = grid.fixed_power()
+    failed: List[Link] = []
+    pieces: List[Piece] = []
+    steps = sorted(set(at) | {0, n_total})
+    for start, stop in zip(steps, steps[1:] + [n_total]):
+        dists, links = at.get(start, ((), ()))
+        events = []
+        for d in dists:
+            p[d.node] += d.delta_p
+            events.append(("disturbance", f"node {d.node + 1} delta_p {d.delta_p:+g}"))
+        newly = [link for link in dict.fromkeys(links) if link not in failed]
+        failed += newly
+        events += [("comm_failure", f"link ({a + 1},{b + 1})") for a, b in newly]
+        if newly or not pieces:     # the live links and the law change only here
+            gone = set(failed)
+            live = CommGraph(links=tuple(l for l in comm.links if l not in gone),
+                             message_interval=T)
+            pending = {link for link, k in last_failure.items() if k > start} - gone
+            contexts = modes(scheme, power, live.links, failed, pending)
+        if not contexts:
+            raise ScenarioError(f"SEQUENTIAL has no live shared power/communication link "
+                                f"to rotate over after the failure at t={start * dt:g}")
+        init = None
+        if newly and contexts[0].scheme in ("PAIR_FLOW", "HYBRID_SINGLE", "MULTI_FAILURE"):
+            init = contexts[0]
+            if init.F:
+                events.append(("init_artificial",
+                               f"nodes {','.join(str(i + 1) for i in sorted(init.F))}"))
+        elif newly and scheme == "HYBRID_SINGLE":
+            events.append(("fallback_consensus",
+                           f"failed link ({newly[0][0] + 1},{newly[0][1] + 1}) has no "
+                           "power line; averaging continues on surviving links"))
+        lead = contexts[0]
+        if scheme == "SEQUENTIAL" and start % K:
+            lead = pieces[-1].context(start, K)
+        pieces.append(Piece(start, stop, live, contexts, lead, tuple(p), init, tuple(events)))
+    return Schedule(n_total, K, tuple(warnings), tuple(pieces))
+
+
+# ---------------------------------------------------------------------------
 # Event-driven integration
 
-def _live_comm(comm: CommGraph, failed_so_far: set) -> CommGraph:
-    """Comm graph restricted to links that have not failed yet."""
-    links = tuple(l for l in comm.links if l not in failed_so_far)
-    return CommGraph(links=links, failed=(), message_interval=comm.message_interval)
-
-
 def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -> Trajectory:
-    """Run the scenario and record every record_stride-th step (plus the
-    final one). Events at the same instant apply in a fixed order:
-    disturbance, link failure (with artificial-variable initialization),
-    message sampling, sequential link rotation; a snapshot that coincides
-    with an event reflects the post-event state. The event log keeps
-    discrete occurrences (disturbances, failures, initializations,
-    warnings); routine sampling refreshes and rotations are not logged. A
-    disturbance time, failure time or horizon off the dt grid is rounded to
-    the nearest step, and a warning names both.
+    """Run the scenario's schedule and record every record_stride-th step
+    (plus the final one). At the start of each piece its events apply, then
+    the sampling events of the instant: the held messages refresh, and
+    under SEQUENTIAL q resets for the interval's pair. A snapshot reflects
+    the state after the events at its step. The event log keeps the
+    schedule's warnings and discrete occurrences; routine sampling
+    refreshes and rotations are not logged.
 
-    Under continuous messaging each stretch between two events is one
-    rk4_segment call, which also writes the records inside it. With a
-    finite message interval whole message intervals advance by
-    interval_map, and a part of an interval that a stop splits by
-    rk4_segment under the held messages. When every record falls on a
-    sampling instant (record_stride a multiple of K = T / dt) and the
-    intervals share one map (every scheme but SEQUENTIAL over more than one
-    shared link), the run stops only at events: one kernels.jump call
-    crosses the intervals between two events and writes the records inside
-    them. Otherwise it also stops at every record. The state matrices and
-    interval maps are cached for the run, keyed by structure (failures so
-    far and the control context). An interval map holds dim * (dim + N)
-    floats, so a SEQUENTIAL rotation over L links keeps L of them:
-    8 L dim (dim + N) bytes.
+    Under continuous messaging each piece is one rk4_segment call, which
+    also writes the records inside it. With a finite message interval whole
+    message intervals advance by interval_map, and a part of an interval by
+    rk4_segment under the held messages. When record_stride is a multiple
+    of K = T / dt and the piece has one context, one kernels.jump call
+    crosses the piece's intervals and writes the records inside them;
+    otherwise the run also stops at every record. State matrices and
+    interval maps are cached for the run, keyed by the live links and the
+    context; a SEQUENTIAL rotation over L links keeps L maps of
+    dim * (dim + N) floats.
 
     A kernel call that leaves the finite range raises IntegrationError with
     the first non-finite step, found by replaying that call one RK4 step at
     a time from a copy of its start state; no event lies inside a call, so
     the replay is exact and finite runs pay one state copy per call.
     """
-    violations = validate(scenario)
-    if violations:
-        raise ScenarioError("; ".join(violations))
-
-    grid, comm = scenario.grid, scenario.comm
+    plan = schedule(scenario)
+    grid = scenario.grid
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    dt = scenario.dt
-    stride = scenario.record_stride
-    T = comm.message_interval
-    K = None if T is CONTINUOUS else int(round(T / dt))
+    dt, stride, K, n_total = scenario.dt, scenario.record_stride, plan.interval_steps, plan.n_steps
     cost_vec = grid.cost()
-    events_log: List[Tuple[float, str, str]] = []
-
-    def grid_step(t: float, what: str) -> int:
-        """Step of time t; logs a warning when t lies off the dt grid."""
-        k = int(round(t / dt))
-        if abs(t / dt - k) > 1e-9 * max(1.0, t / dt):
-            events_log.append((0.0, "warning",
-                               f"{what} t={t:g} is off the dt grid; "
-                               f"rounded to step {k} (t={k * dt:g})"))
-        return k
-
-    n_total = grid_step(scenario.horizon, "horizon")
-    p = grid.fixed_power().copy()
+    events_log: List[Tuple[float, str, str]] = [(0.0, "warning", w) for w in plan.warnings]
     if initial_state is None:
         x = np.zeros(dim)
-        x[n:n + e] = initial_flows(grid, p)
+        x[n:n + e] = initial_flows(grid, grid.fixed_power())
     else:
         x = state_to_vector(initial_state).astype(float).copy()
 
     last_rx: Dict[Tuple[int, int], float] = {}
-
-    disturbances = sorted(
-        ((grid_step(d.time, f"disturbance at node {d.node + 1}"), d)
-         for d in scenario.disturbances if round(d.time / dt) <= n_total),
-        key=lambda sd: sd[0],
-    )
-    failures = sorted(
-        ((grid_step(t0, f"failure of link ({link[0] + 1},{link[1] + 1})"), link)
-         for link, t0 in comm.failed if round(t0 / dt) <= n_total),
-        key=lambda sf: sf[0],
-    )
-    failed_set: set = set()
-    live = _live_comm(comm, failed_set)
-    shared = shared_links(grid, live)
-
-    # Controller context, updated by events. For PAIR_FLOW the pair edge is
-    # the first power line; it activates at t=0 unless the matching comm link
-    # has a scheduled failure (then averaging runs until the failure instant).
-    scheme = scenario.scheme
-    ctx = ControlContext(scheme="CONSENSUS")
-    pair_edge = min((ln.i, ln.j) for ln in grid.lines) if scheme == "PAIR_FLOW" else None
-    pair_pending = (scheme == "PAIR_FLOW"
-                    and pair_edge in {link for _, link in failures})
-    if scheme == "PAIR_FLOW" and not pair_pending:
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(pair_edge),
-                             pair_edges=frozenset([pair_edge]))
-    elif scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
-        ctx = ControlContext(scheme=scheme)  # SEQUENTIAL's active link is set at step 0
-    # else averaging; the flow-based laws engage at the failure instant
-
-    a_cache: Dict[tuple, np.ndarray] = {}
-    map_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-    cache_epoch = 0     # counts failures, which change the live links
+    cache: dict = {}    # (kind, live links, context) -> state matrix or interval map
 
     def state_matrix(c: ControlContext) -> np.ndarray:
-        key = (cache_epoch, c)
-        A = a_cache.get(key)
-        if A is None:
-            A, _ = assemble_affine(grid, live, c, p,
-                                   held_messages(np.zeros(n), live.links), 0.0)
-            a_cache[key] = A
-        return A
+        key = ("A", piece.comm.links, c)
+        if key not in cache:
+            cache[key], _ = assemble_affine(grid, piece.comm, c, p,
+                                            held_messages(np.zeros(n), piece.comm.links), 0.0)
+        return cache[key]
 
     def step_map(c: ControlContext) -> Tuple[np.ndarray, np.ndarray]:
-        key = (cache_epoch, c)
-        m = map_cache.get(key)
-        if m is None:
-            m = map_cache[key] = interval_map(grid, live, c, dt, K, state_matrix(c))
-        return m
+        key = ("map", piece.comm.links, c)
+        if key not in cache:
+            cache[key] = interval_map(grid, piece.comm, c, dt, K, state_matrix(c))
+        return cache[key]
 
-    def one_map() -> bool:
-        """Whether every message interval has the same map."""
-        return scheme != "SEQUENTIAL" or len(shared) == 1
-
-    def interval_ctx(k: int) -> ControlContext:
-        """Context in force during message interval k."""
-        if scheme != "SEQUENTIAL":
-            return ctx
-        return sequential_context(controllers.sequential_active_link(k, shared))
-
-    def apply_events(step: int) -> None:
-        """All events scheduled at this step, in the fixed order:
-        disturbance -> comm failure (+ artificial-variable init) ->
-        sampling refresh -> sequential rotation."""
-        nonlocal ctx, live, shared, cache_epoch
-        t = step * dt
-
-        while disturbances and disturbances[0][0] == step:
-            _, d = disturbances.pop(0)
-            p[d.node] += d.delta_p
-            events_log.append((t, "disturbance",
-                               f"node {d.node + 1} delta_p {d.delta_p:+g}"))
-
-        newly_failed = []
-        while failures and failures[0][0] == step:
-            _, link = failures.pop(0)
-            if link in failed_set:
-                continue
-            failed_set.add(link)
-            newly_failed.append(link)
-            events_log.append((t, "comm_failure", f"link ({link[0] + 1},{link[1] + 1})"))
-        if newly_failed:
-            cache_epoch += 1
-            live = _live_comm(comm, failed_set)
-            shared = shared_links(grid, live)
-            power_edges = grid.edge_set()
-            if scheme in ("HYBRID_SINGLE", "PAIR_FLOW"):
-                link = newly_failed[0]
-                if link in power_edges and (scheme == "HYBRID_SINGLE" or link == pair_edge):
-                    ctx = ControlContext(scheme=scheme, F=frozenset(link),
-                                         pair_edges=frozenset([link]))
-                    state_now = vector_to_state(t, x, grid, last_rx)
-                    q0, warns = controllers.init_artificial(state_now, grid, ctx, comm)
-                    x[2 * n + e:] = q0
-                    events_log.append((t, "init_artificial",
-                                       f"nodes {link[0] + 1},{link[1] + 1}"))
-                    for w in warns:
-                        events_log.append((t, "warning", w))
-                else:
-                    events_log.append((t, "fallback_consensus",
-                                       f"failed link ({link[0] + 1},{link[1] + 1}) has no "
-                                       "power line; averaging continues on surviving links"))
-            elif scheme == "MULTI_FAILURE":
-                pairs = frozenset(l for l in failed_set if l in power_edges)
-                F = frozenset(i for l in pairs for i in l)
-                ctx = ControlContext(scheme="MULTI_FAILURE", F=F, pair_edges=pairs)
-                state_now = vector_to_state(t, x, grid, last_rx)
-                q0, warns = controllers.init_artificial(state_now, grid, ctx, comm)
-                x[2 * n + e:] = q0
-                if F:
-                    events_log.append((t, "init_artificial",
-                                       f"nodes {','.join(str(i + 1) for i in sorted(F))}"))
-                for w in warns:
-                    events_log.append((t, "warning", w))
-
-        if K is not None and step % K == 0:
-            last_rx.update(held_messages(cost_vec * x[n + e:2 * n + e], live.links))
-            if scheme == "SEQUENTIAL":
-                ctx = interval_ctx(step // K)
-                pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F,
-                                          pair_edges=ctx.pair_edges)
-                state_now = vector_to_state(t, x, grid, last_rx)
-                q0, _ = controllers.init_artificial(state_now, grid, pair_ctx, comm)
-                x[2 * n + e:] = q0
+    def sample(step: int) -> None:
+        """The sampling events at step, if it is a sampling instant: the held
+        messages refresh, and under SEQUENTIAL q resets for the pair of the
+        interval it starts."""
+        if K is None or step % K:
+            return
+        last_rx.update(held_messages(cost_vec * x[n + e:2 * n + e], piece.comm.links))
+        ctx = piece.context(step, K)
+        if ctx.active_link is not None:
+            q0, _ = controllers.init_artificial(vector_to_state(step * dt, x, grid, last_rx),
+                                                grid, ctx, piece.comm)
+            x[2 * n + e:] = q0
 
     # --- record buffers -----------------------------------------------------
     n_rec_max = n_total // stride + 2
     rec_states = np.empty((n_rec_max, dim))
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
     track_rx = K is not None
-    rec_rx = np.full((n_rec_max, 2 * len(comm.links)), np.nan) if track_rx else None
-    rx_links: Tuple[Tuple[int, int], ...] = ()
-    if track_rx:
-        rx_links = tuple(d for a_, b_ in comm.links for d in ((a_, b_), (b_, a_)))
+    rx_links = (tuple(d for a_, b_ in scenario.comm.links for d in ((a_, b_), (b_, a_)))
+                if track_rx else ())
+    rec_rx = np.full((n_rec_max, len(rx_links)), np.nan) if track_rx else None
     n_rec = 0
 
     def record(step: int) -> None:
@@ -514,14 +544,15 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     def first_nonfinite(step: int, stop: int, x0: np.ndarray) -> int:
         """Replay the kernel call from x0 at step to stop one RK4 step at a
-        time, refreshing the held messages at each sampling instant inside
-        it as apply_events does; the first step whose state is not finite."""
+        time, running the sampling events of each instant inside it; the
+        first step whose state is not finite."""
         x[:] = x0
         while True:
             run = stop - step if K is None else min(K - step % K, stop - step)
+            ctx = piece.context(step, K)
             A = state_matrix(ctx)
             b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
-                           grid, live, ctx, p)
+                           grid, piece.comm, ctx, p)
             for _ in range(run):
                 rk4_segment(A, b, x, dt, 1, 0, 1, rec_states[:0])
                 step += 1
@@ -529,7 +560,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                     return step
             if step == stop:
                 return stop
-            apply_events(step)
+            sample(step)
 
     def check_finite(step: int, stop: int, x0: np.ndarray) -> None:
         """Raise IntegrationError if the kernel call from x0 at step to stop
@@ -545,19 +576,20 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         raise IntegrationError(first_nonfinite(step, stop, x0), last)
 
     def segment(step: int, stop: int) -> None:
-        """RK4 from step to stop under the current context and held
-        messages, recording the record steps between them."""
+        """RK4 from step to stop under the context and held messages in
+        force, recording the record steps between them."""
         first, rows = records_between(step, stop)
         x0 = x.copy()
+        ctx = piece.context(step, K)
         b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
-                       grid, live, ctx, p)
+                       grid, piece.comm, ctx, p)
         got = rk4_segment(state_matrix(ctx), b, x, dt, stop - step, first if rows else 0,
                           stride, rec_states[n_rec:n_rec + rows])
         book(step + first, got)
         check_finite(step, stop, x0)
 
     def held_rows(rows: np.ndarray) -> np.ndarray:
-        """Held values of rows recorded at sampling instants, as apply_events
+        """Held values of rows recorded at sampling instants, as sample()
         refreshes them there: a live link holds C u of its sender in that
         row, a failed link its frozen value, a link that never received one
         NaN. The rows need no other sampling event: SEQUENTIAL over one
@@ -565,7 +597,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         first reset on the pair law keeps q_i = -q_j = C_i u_i - C_j u_j,
         so the reset changes q by rounding only."""
         y = cost_vec * rows[:, n + e:2 * n + e]
-        held = held_messages(np.arange(n), live.links)   # link -> sender
+        held = held_messages(np.arange(n), piece.comm.links)   # link -> sender
         cols = [c for c, dlink in enumerate(rx_links) if dlink in held]
         rx = np.tile([last_rx.get(dlink, np.nan) for dlink in rx_links], (len(rows), 1))
         rx[:, cols] = y[:, [held[rx_links[c]] for c in cols]]
@@ -573,71 +605,63 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     def intervals(step: int, end: int) -> None:
         """Whole message intervals from instant step to instant end. When
-        they share one map, one jump crosses them all and records the record
-        instants between them; otherwise each interval is one jump, and the
-        run stops at every record, so none lies between."""
+        the piece has one context, one jump crosses them all and records the
+        record instants between them; otherwise each interval is one jump,
+        and the run stops at every record, so none lies between."""
         x0 = x.copy()
-        if one_map():
+        if len(piece.contexts) == 1:
             first, rows = records_between(step, end)
-            D, G = step_map(interval_ctx(step // K))
+            D, G = step_map(piece.contexts[0])
             got = jump(D, G @ p, x, (end - step) // K, first // K if rows else 0,
                        stride // K, rec_states[n_rec:n_rec + rows])
             if got:
                 rec_rx[n_rec:n_rec + got] = held_rows(rec_states[n_rec:n_rec + got])
                 book(step + first, got)
         else:
-            for k in range(step // K, end // K):
-                D, G = step_map(interval_ctx(k))
+            for s in range(step, end, K):
+                D, G = step_map(piece.context(s, K))
                 jump(D, G @ p, x, 1)
         check_finite(step, end, x0)
 
     def pause(step: int) -> None:
-        """A sampling instant inside an advance: its events and its record."""
-        apply_events(step)
-        if step % stride == 0:
-            record(step)
-
-    def advance_sampled(step: int, stop: int) -> None:
-        """From step to stop, with no event in between: a part of an interval
-        that step or stop splits by segment, whole intervals by intervals().
-        The sampling events of the last instant before stop run in
-        apply_events, so that records and failures at stop see the messages
-        held then."""
-        s_last = (stop - 1) // K * K
-        if step % K and step < s_last:
-            s = step - step % K + K
-            segment(step, s)
-            pause(s)
-            step = s
-        if step % K == 0 and step < s_last:
-            intervals(step, s_last)
-            pause(s_last)
-            step = s_last
-        if step % K == 0 and stop - step == K:
-            intervals(step, stop)
-        else:
-            segment(step, stop)
-
-    apply_events(0)
-    record(0)
-
-    step = 0
-    while step < n_total:
-        stop = n_total
-        if disturbances:
-            stop = min(stop, disturbances[0][0])
-        if failures:
-            stop = min(stop, failures[0][0])
-        if K is None:
-            segment(step, stop)
-        else:
-            if stride % K or not one_map():
-                stop = min(stop, (step // stride + 1) * stride)
-            advance_sampled(step, stop)
-        step = stop
-        apply_events(step)
+        """A stop: the sampling events of step, if an instant, and its record."""
+        sample(step)
         if step % stride == 0 or step == n_total:
             record(step)
+
+    for piece in plan.pieces:
+        t = piece.start * dt
+        p = np.array(piece.p)
+        events_log += [(t, kind, detail) for kind, detail in piece.events]
+        if piece.init is not None:
+            q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, last_rx),
+                                                    grid, piece.init, piece.comm)
+            x[2 * n + e:] = q0
+            events_log += [(t, "warning", w) for w in warns]
+        pause(piece.start)
+        # One kernel call per pass. With held messages the run also pauses
+        # at the first instant and at the last one before the end, so that
+        # what happens at the end sees the messages held then.
+        step = piece.start
+        while step < piece.stop:
+            stop = piece.stop
+            if K is None:
+                segment(step, stop)
+            else:
+                if stride % K or len(piece.contexts) > 1:
+                    stop = min(stop, (step // stride + 1) * stride)
+                s_last = (stop - 1) // K * K
+                if step % K:
+                    stop = min(stop, step - step % K + K)
+                    segment(step, stop)
+                elif step < s_last or stop - step == K:
+                    stop = max(s_last, step + K)
+                    intervals(step, stop)
+                else:
+                    segment(step, stop)
+            step = stop
+            if step < piece.stop:
+                pause(step)
 
     return _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec], dt,
                      events_log, rx_links, rec_rx[:n_rec] if track_rx else None)

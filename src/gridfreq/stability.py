@@ -33,8 +33,7 @@ import numpy as np
 
 from .controllers import ControlContext
 from .model import CommGraph, PowerGrid
-from .simulator import (assemble_affine, interval_map, sequential_context,
-                        shared_links, state_labels)
+from .simulator import assemble_affine, interval_map, modes, state_labels
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -71,32 +70,25 @@ class IdentityReport:
     residuals: Tuple[float, ...]
 
 
-def _active_q_nodes(grid: PowerGrid, ctx: ControlContext) -> Tuple[int, ...]:
-    if ctx.scheme in ("PAIR_FLOW", "HYBRID_SINGLE", "MULTI_FAILURE"):
-        return tuple(sorted(ctx.F))
-    if ctx.scheme == "SEQUENTIAL" and ctx.active_link is not None:
-        return tuple(sorted(ctx.active_link))
-    return ()
-
-
 def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
     Built from one evaluation of the reference derivative on the identity
     stack (exact: the dynamics are linear); rows and columns of artificial
-    variables that the selected law never touches are dropped.
+    variables outside the flow-controlled nodes ctx.F are dropped, since
+    the law never touches them. comm holds the live links only.
     """
     n, e = grid.n_nodes, grid.n_lines
     last_rx = {}
     if ctx.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
         # held messages are event data, not state; zero-fill them for the
         # homogeneous matrix (they only shift the affine term)
-        for a, b in comm.live_links(0.0):
+        for a, b in comm.links:
             last_rx[(a, b)] = 0.0
             last_rx[(b, a)] = 0.0
     A_full, _ = assemble_affine(grid, comm, ctx, np.zeros(n), last_rx, 0.0)
-    q_nodes = _active_q_nodes(grid, ctx)
+    q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
     A = A_full[np.ix_(keep, keep)]
     return StateMatrix(A=A, labels=state_labels(grid, q_nodes), q_nodes=q_nodes)
@@ -125,17 +117,15 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     product of L interval maps, with period L T. Eigenvalues within
     STRUCTURAL_ZERO_TOL * period of 1 are the images of structural zeros
     and of states no law moves; they are counted apart, and the rest decay
-    at -ln(rho) / period per second. comm holds the live links only.
+    at -ln(rho) / period per second. comm holds the live links only; the
+    contexts come from simulator.modes, as a run's do.
     """
-    if scheme == "CONSENSUS_SAMPLED":
-        ctxs = [ControlContext(scheme=scheme)]
-    elif scheme == "SEQUENTIAL":
-        ctxs = [sequential_context(link) for link in shared_links(grid, comm)]
-        if not ctxs:
-            raise ValueError("SEQUENTIAL has no shared power/communication link "
-                             "to rotate over")
-    else:
+    if scheme not in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
         raise ValueError(f"{scheme} holds no messages; its closed loop is x' = A x")
+    ctxs = modes(scheme, grid.edge_set(), comm.links)
+    if not ctxs:
+        raise ValueError("SEQUENTIAL has no shared power/communication link "
+                         "to rotate over")
     K = int(round(T / dt))
     M = np.eye(3 * grid.n_nodes + grid.n_lines)
     for ctx in ctxs:

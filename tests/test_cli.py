@@ -72,11 +72,13 @@ def test_simulate_diverging_run_exits_1(tmp_path, capsys):
     (0.0, "1", [f"no value ever received on link {a}->{b}; artificial variable term "
                 "initialized to 0" for a, b in ((7, 2), (2, 7))]),
     (0.5, "1.0004", ["horizon t=1.0004 is off the dt grid; rounded to step 1000 (t=1)"]),
+    (2.0, "0.5", [f"{what} ignored: past the horizon (t=0.5)"
+                  for what in ("disturbance at node 3 t=1", "failure of link (2,7) t=2")]),
 ])
 def test_simulate_reports_warnings(tmp_path, capsys, failure_t, horizon, details):
-    """A HYBRID_SINGLE run whose failed pair never exchanged a message, and
-    a horizon off the dt grid: the warning reaches summary.json and stderr,
-    beside the unchanged summary keys."""
+    """A HYBRID_SINGLE run whose failed pair never exchanged a message, a
+    horizon off the dt grid, and events past the horizon: the warning
+    reaches summary.json and stderr, beside the unchanged summary keys."""
     scn = with_overrides(toy_grid(), scheme="HYBRID_SINGLE", message_interval=0.01,
                          failures=(((1, 6), failure_t),))
     path = tmp_path / "hybrid.json"
@@ -171,22 +173,60 @@ def test_stability_command_hold_scheme_reports_interval_map(tmp_path):
     assert rep["map_period"] == pytest.approx(10.0)
 
 
+# SEQUENTIAL on two nodes whose only shared link fails at t = 1 s
+SEQUENTIAL_LINK_LOST = {
+    "nodes": [
+        {"id": 1, "inertia": 0.05, "droop": 0.8, "cost": 0.1, "p": 1.0},
+        {"id": 2, "inertia": 0.1, "droop": 1.2, "cost": 0.2, "p": -1.0},
+    ],
+    "lines": [{"i": 1, "j": 2, "b": 1.0}],
+    "comm_links": [[1, 2]],
+    "comm_failures": [{"link": [1, 2], "time": 1.0}],
+    "message_interval": 0.01,
+    "scheme": "SEQUENTIAL",
+}
+
+
 def test_stability_command_sequential_without_live_shared_link_exits_1(tmp_path, capsys):
-    doc = {
-        "nodes": [
-            {"id": 1, "inertia": 0.05, "droop": 0.8, "cost": 0.1, "p": 1.0},
-            {"id": 2, "inertia": 0.1, "droop": 1.2, "cost": 0.2, "p": -1.0},
-        ],
-        "lines": [{"i": 1, "j": 2, "b": 1.0}],
-        "comm_links": [[1, 2]],
-        "comm_failures": [{"link": [1, 2], "time": 1.0}],
-        "message_interval": 0.01,
-        "scheme": "SEQUENTIAL",
-    }
     path = tmp_path / "seq.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SEQUENTIAL_LINK_LOST))
     assert cli.main(["stability", str(path)]) == 1
     assert "SEQUENTIAL" in capsys.readouterr().err
+
+
+def test_simulate_sequential_without_live_shared_link_exits_1(tmp_path, capsys):
+    """The failure leaves the rotation nothing to rotate over: an error
+    naming the scheme and the failure time, and no output files."""
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(SEQUENTIAL_LINK_LOST))
+    assert cli.main(["simulate", str(path), "--horizon", "5",
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SEQUENTIAL") and "t=1" in err
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("scheme, T, failures, horizon, key, ran", [
+    ("HYBRID_SINGLE", "continuous", [((2, 7), 1000.0)], "200", "scheme", "CONSENSUS"),
+    ("MULTI_FAILURE", "continuous", [((1, 2), 0.5), ((2, 5), 1000.0)], "20", "state_dim", 32),
+    ("SEQUENTIAL", 1.0, [((2, 7), 1000.0)], "20", "map_period", 10.0),
+])
+def test_stability_reports_the_law_simulate_ran(tmp_path, capsys, scheme, T, failures,
+                                                horizon, key, ran):
+    """A failure past the horizon never happens in the run, so the report,
+    which describes the law in force at the horizon, leaves it out too:
+    HYBRID_SINGLE still averages, MULTI_FAILURE has F = {1, 2} (omega,
+    flows, u and two artificial variables) and SEQUENTIAL rotates over all
+    ten shared links."""
+    doc = scenario_to_dict(toy_grid())
+    doc.update(scheme=scheme, message_interval=T,
+               comm_failures=[{"link": list(link), "time": t} for link, t in failures])
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "stab.json"
+    assert cli.main(["stability", str(path), "--horizon", horizon, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())[key] == ran
+    assert "t=1000 ignored: past the horizon" in capsys.readouterr().err
 
 
 def test_stability_command_two_node(tmp_path):

@@ -54,6 +54,10 @@ def test_numpy_kernel_matches_stepwise_rk4():
         ref = _rk4_steps(A, b, ref, 1e-3, 100)
         assert np.abs(out[row] - ref).max() <= 1e-12
     assert np.abs(x - ref).max() <= 1e-12
+    # unrecorded, the same 10 000 steps are one squared jump
+    x = x0.copy()
+    assert rk4_segment(A, b, x, 1e-3, 10000, 0, 1, out[:0]) == 0
+    assert np.abs(x - ref).max() <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

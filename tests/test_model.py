@@ -109,13 +109,6 @@ def test_line_requires_exactly_one_of_b_and_reactance(toy):
         scenario_from_dict(doc)
 
 
-def test_live_links_respects_failure_times(toy):
-    comm = CommGraph(links=toy.comm.links, failed=(((1, 6), 2.0),))
-    assert (1, 6) in comm.live_links(1.99)
-    assert (1, 6) not in comm.live_links(2.0)
-    assert len(comm.live_links(5.0)) == 9
-
-
 def test_laplacian_sizes_from_the_links_it_is_given():
     comm = CommGraph(links=((0, 1),))
     L = comm.laplacian([(0, 1), (1, 2)])

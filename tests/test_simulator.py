@@ -12,7 +12,7 @@ from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
 from gridfreq.simulator import (IntegrationError, Trajectory, assemble_affine,
                                 assemble_inputs, convergence_time, derivative,
                                 first_crossing_time, held_messages, initial_flows,
-                                integrate, rotation_reset, run_scenario,
+                                integrate, rotation_reset, run_scenario, schedule,
                                 sequential_context, shared_links, state_to_vector,
                                 vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
@@ -314,6 +314,26 @@ class TestReferenceIntegratorParity:
                              failures=(((0, 1), 0.1), ((1, 4), 0.15)))
         scn = dataclasses.replace(scn, disturbances=(
             DisturbanceEvent(time=0.05, node=2, delta_p=-5.0),))
+        self._compare(scn, 250)
+
+    def test_pair_flow_averages_until_its_link_fails(self):
+        scn = pair_scenario(disturbances=(DisturbanceEvent(time=0.05, node=0,
+                                                           delta_p=-0.4),))
+        scn = dataclasses.replace(scn, comm=CommGraph(links=((0, 1),),
+                                                      failed=(((0, 1), 0.1),)))
+        self._compare(scn, 250)
+
+    def test_multi_failure_reinitializes_at_every_failure(self):
+        """The second failure, on a link with no power line, leaves F as it
+        is but re-initializes the artificial variables from the messages
+        held then."""
+        nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])
+                      for k in range(3))
+        comm = CommGraph(links=((0, 1), (0, 2), (1, 2)), message_interval=0.05,
+                         failed=(((0, 1), 0.11), ((0, 2), 0.17)))
+        scn = Scenario(grid=PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0))), comm=comm,
+                       disturbances=(DisturbanceEvent(time=0.05, node=0, delta_p=0.5),),
+                       scheme="MULTI_FAILURE", dt=1e-3)
         self._compare(scn, 250)
 
     def test_sequential(self, toy):
@@ -649,9 +669,27 @@ def test_off_grid_times_are_rounded_with_a_warning(toy):
     ]
     assert traj.times[-1] == pytest.approx(2.0)
     # 0.7 / 1e-3 is 699.9999999999999 in floating point: on the grid; the
-    # disturbance past the horizon is not applied, so not rounded either
+    # disturbance past the horizon is not applied, so not rounded either,
+    # but dropped with a warning
     on_grid = integrate(with_overrides(scn, horizon=0.8, failures=(((1, 6), 0.7),)))
-    assert not [kind for _, kind, _ in on_grid.events if kind == "warning"]
+    assert [d for _, kind, d in on_grid.events if kind == "warning"] == [
+        "disturbance at node 3 t=1.0004 ignored: past the horizon (t=0.8)"]
+    assert "disturbance" not in [kind for _, kind, _ in on_grid.events]
+
+
+def test_schedule_drops_failed_link_at_its_failure_step(toy):
+    """Link (2,7) failing at 2.0 s is live in the pieces before step 2000
+    and not from step 2000 on, which leave 9 live links; the last piece is
+    the one in force at the horizon."""
+    scn = dataclasses.replace(toy, horizon=5.0, comm=CommGraph(
+        links=toy.comm.links, failed=(((1, 6), 2.0),)))
+    plan = schedule(scn)
+    assert [(pc.start, pc.stop) for pc in plan.pieces] == [
+        (0, 1000), (1000, 2000), (2000, 5000), (5000, 5000)]
+    for pc in plan.pieces:
+        assert ((1, 6) in pc.comm.links) == (pc.start < 2000)
+        assert len(pc.comm.links) == (10 if pc.start < 2000 else 9)
+    assert plan.pieces[2].events == (("comm_failure", "link (2,7)"),)
 
 
 # ---------------------------------------------------------------------------
