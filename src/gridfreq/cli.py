@@ -175,7 +175,8 @@ def _state_matrix_report(scn, piece, args) -> dict:
 
 def cmd_stability(args) -> int:
     """Report on the law in force at the horizon: the last piece of the
-    scenario's schedule, with the links live there."""
+    scenario's schedule, with the links live there. The schedule's warnings
+    and fallbacks to averaging go to stderr, as simulate prints them."""
     scn = _load(args)
     if scn is None:
         return 1
@@ -186,6 +187,10 @@ def cmd_stability(args) -> int:
         return 1
     for w in plan.warnings:
         print(f"warning at t=0: {w}", file=sys.stderr)
+    for piece in plan.pieces:
+        for kind, detail in piece.events:
+            if kind == "fallback_consensus":
+                print(f"{kind} at t={piece.start * scn.dt:g}: {detail}", file=sys.stderr)
     piece = plan.pieces[-1]
     if scn.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
         doc = _interval_map_report(scn, piece)

@@ -36,7 +36,8 @@ The same squaring runs on any map in increment form: `k_step_map` gives
 the k-step map of a system with constant inputs, x' = A x + B w, and
 `jump` records and jumps the same way over repetitions of a map the caller
 built, such as the map of one message interval, where one application is
-one interval and a stride counts intervals.
+one interval and a stride counts intervals, or the map of a rotation cycle
+that `compose_maps` makes from its interval maps.
 
 D is cached per A by identity while A is alive, for at most _MAX_CACHED
 matrices, so A must not be changed in place between calls. D depends on
@@ -148,6 +149,21 @@ def k_step_map(A: np.ndarray, B: np.ndarray, h: float, k: int):
     if k == 1:
         return D, G
     return _squared_map(D, G, k, [])
+
+
+def compose_maps(maps):
+    """The map of applying the maps x -> x + D_i x + G_i w in the given
+    order, with the same input w, as (D, G) in increment form:
+
+        D <- D + D_i + D_i D,      G <- G + G_i + D_i G.
+
+    I + D is the product of the I + D_i without forming it, so the small
+    increments are not rounded away. One map is returned as it is."""
+    D, G = maps[0]
+    for Di, Gi in maps[1:]:
+        D = D + Di + Di @ D
+        G = G + Gi + Di @ G
+    return D, G
 
 
 def jump(D: np.ndarray, g: np.ndarray, x: np.ndarray, k: int,

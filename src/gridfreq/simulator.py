@@ -15,10 +15,12 @@ of a message interval, from one evaluation on the identity stack, and hands
 each stretch between events to the RK4 kernel. With a finite message
 interval each sampling instant is a linear reset (the held messages refresh
 to C u, and SEQUENTIAL re-initializes q), so a whole message interval is one
-exact affine map (interval_map): the integrator advances runs of intervals
-with it and stops at piece boundaries, and at records too unless they all
-fall on sampling instants of intervals that share one map. The trajectory
-is bit-reproducible for identical inputs.
+exact affine map (interval_map), and a whole SEQUENTIAL rotation cycle the
+composition of its interval maps (kernels.compose_maps). The integrator
+advances runs of intervals and cycles with them and stops at piece
+boundaries; when the records all fall on sampling instants it writes them
+without stopping, and at records too otherwise. The trajectory is
+bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 from . import controllers
 from .controllers import ControlContext, Link
 from .dispatch import cost_of, optimal_dispatch
-from .kernels import jump, k_step_map, rk4_segment
+from .kernels import compose_maps, jump, k_step_map, rk4_segment
 from .model import CONTINUOUS, CommGraph, PowerGrid, Scenario, SystemState, validate
 
 
@@ -279,7 +281,8 @@ def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.
 
 
 def interval_map(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
-                 K: int, A: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+                 K: int, A: Optional[np.ndarray] = None,
+                 R: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Exact map of one message interval, K RK4 steps of size h from one
     sampling instant to the next, as (D, G) with
 
@@ -295,7 +298,8 @@ def interval_map(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float
     advances such a state.
 
     comm holds the live links only. A, when given, is assemble_affine's
-    matrix for (comm, ctx). D is dim x dim and G dim x N.
+    matrix for (comm, ctx), and R rotation_reset's. D is dim x dim and G
+    dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
     if A is None:
@@ -304,7 +308,8 @@ def interval_map(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float
     D, G = k_step_map(A, assemble_inputs(grid, comm, ctx), h, K)
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
     if ctx.active_link is not None:
-        R = rotation_reset(grid, comm, ctx)
+        if R is None:
+            R = rotation_reset(grid, comm, ctx)
         D = D @ R
         D += R
         D[np.diag_indices_from(D)] -= 1.0
@@ -458,12 +463,17 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     also writes the records inside it. With a finite message interval whole
     message intervals advance by interval_map, and a part of an interval by
     rk4_segment under the held messages. When record_stride is a multiple
-    of K = T / dt and the piece has one context, one kernels.jump call
-    crosses the piece's intervals and writes the records inside them;
-    otherwise the run also stops at every record. State matrices and
-    interval maps are cached for the run, keyed by the live links and the
-    context; a SEQUENTIAL rotation over L links keeps L maps of
-    dim * (dim + N) floats.
+    of K = T / dt every record falls on a sampling instant, and the run
+    stops only at piece boundaries: intervals() writes the records between
+    them and sample_rows() runs their instants' sampling events on them. A
+    SEQUENTIAL rotation over L links crosses whole cycles of L intervals by
+    one kernels.jump call of its cycle map (compose_maps of the L interval
+    maps) when the stride is a multiple of L K or no record lies between,
+    and one interval at a time otherwise. With a stride that is not a
+    multiple of K the run also stops at every record.
+    State matrices, interval maps, cycle maps and resets are cached for the
+    run, keyed by the live links and the context (the contexts for a cycle);
+    a rotation over L links keeps L + 1 maps of dim * (dim + N) floats.
 
     A kernel call that leaves the finite range raises IntegrationError with
     the first non-finite step, found by replaying that call one RK4 step at
@@ -493,10 +503,26 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                                             held_messages(np.zeros(n), piece.comm.links), 0.0)
         return cache[key]
 
+    def reset(c: ControlContext) -> Optional[np.ndarray]:
+        """rotation_reset for c, None when c rotates no pair."""
+        key = ("reset", piece.comm.links, c)
+        if key not in cache:
+            cache[key] = (None if c.active_link is None
+                          else rotation_reset(grid, piece.comm, c))
+        return cache[key]
+
     def step_map(c: ControlContext) -> Tuple[np.ndarray, np.ndarray]:
         key = ("map", piece.comm.links, c)
         if key not in cache:
-            cache[key] = interval_map(grid, piece.comm, c, dt, K, state_matrix(c))
+            cache[key] = interval_map(grid, piece.comm, c, dt, K, state_matrix(c), reset(c))
+        return cache[key]
+
+    def cycle_map() -> Tuple[np.ndarray, np.ndarray]:
+        """The map of one rotation cycle, L interval maps from a phase-0
+        instant (one whose interval runs contexts[0]) on."""
+        key = ("cycle", piece.comm.links, piece.contexts)
+        if key not in cache:
+            cache[key] = compose_maps([step_map(c) for c in piece.contexts])
         return cache[key]
 
     def sample(step: int) -> None:
@@ -588,39 +614,62 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         book(step + first, got)
         check_finite(step, stop, x0)
 
-    def held_rows(rows: np.ndarray) -> np.ndarray:
-        """Held values of rows recorded at sampling instants, as sample()
-        refreshes them there: a live link holds C u of its sender in that
-        row, a failed link its frozen value, a link that never received one
-        NaN. The rows need no other sampling event: SEQUENTIAL over one
-        shared link re-pairs the same link at every instant, and from its
-        first reset on the pair law keeps q_i = -q_j = C_i u_i - C_j u_j,
-        so the reset changes q by rounding only."""
+    def sample_rows(first_step: int, got: int) -> None:
+        """Run the sampling events of their instants on the got rows a
+        kernel call recorded from first_step on, as sample() runs them on
+        the state, and count them. The held values refresh: a live link
+        holds C u of its sender in that row, a failed link its frozen value,
+        a link that never received one NaN. Under a rotation over several
+        links q resets for each instant's pair, one matrix product per
+        phase. SEQUENTIAL over one shared link needs no reset: it re-pairs
+        the same link at every instant, and from its first reset on the pair
+        law keeps q_i = -q_j = C_i u_i - C_j u_j, so the reset changes q by
+        rounding only."""
+        rows = rec_states[n_rec:n_rec + got]
+        L = len(piece.contexts)
+        if L > 1:
+            phase = (first_step + stride * np.arange(got)) // K % L
+            for c in np.unique(phase):
+                at = phase == c
+                rows[at, 2 * n + e:] = rows[at] @ reset(piece.contexts[c])[2 * n + e:].T
         y = cost_vec * rows[:, n + e:2 * n + e]
         held = held_messages(np.arange(n), piece.comm.links)   # link -> sender
         cols = [c for c, dlink in enumerate(rx_links) if dlink in held]
-        rx = np.tile([last_rx.get(dlink, np.nan) for dlink in rx_links], (len(rows), 1))
+        rx = rec_rx[n_rec:n_rec + got]
+        rx[:] = [last_rx.get(dlink, np.nan) for dlink in rx_links]
         rx[:, cols] = y[:, [held[rx_links[c]] for c in cols]]
-        return rx
+        book(first_step, got)
 
     def intervals(step: int, end: int) -> None:
-        """Whole message intervals from instant step to instant end. When
-        the piece has one context, one jump crosses them all and records the
-        record instants between them; otherwise each interval is one jump,
-        and the run stops at every record, so none lies between."""
+        """Whole message intervals from instant step to instant end,
+        recording the record instants between them without stopping.
+        When no record lies between them, or every record falls on a
+        phase-0 instant (record_stride a multiple of the cycle L K), one
+        recorded jump of the cycle map crosses the whole rotation cycles,
+        and single interval maps the intervals before the first phase-0
+        instant and after the last one; otherwise each interval is one
+        jump of its map. With one context the cycle is one interval, so
+        one jump crosses them all."""
         x0 = x.copy()
-        if len(piece.contexts) == 1:
-            first, rows = records_between(step, end)
-            D, G = step_map(piece.contexts[0])
-            got = jump(D, G @ p, x, (end - step) // K, first // K if rows else 0,
-                       stride // K, rec_states[n_rec:n_rec + rows])
-            if got:
-                rec_rx[n_rec:n_rec + got] = held_rows(rec_states[n_rec:n_rec + got])
-                book(step + first, got)
-        else:
-            for s in range(step, end, K):
-                D, G = step_map(piece.context(s, K))
-                jump(D, G @ p, x, 1)
+        first, rows = records_between(step, end)
+        out = rec_states[n_rec:n_rec + rows]
+        cycle = len(piece.contexts) * K
+        head = tail = end                # one jump crosses the cycles from head to tail
+        if not rows or stride % cycle == 0:
+            head = min(end, -(-step // cycle) * cycle)
+            tail = head + (end - head) // cycle * cycle
+        got, s = 0, step
+        while s < end:
+            if s == head < tail:
+                (D, G), m, k = cycle_map(), cycle, (tail - s) // cycle
+            else:
+                (D, G), m, k = step_map(piece.context(s, K)), K, 1
+            ahead = stride - s % stride      # steps to the next record instant
+            at = ahead // m if got < rows and ahead % m == 0 else 0
+            got += jump(D, G @ p, x, k, at, stride // m, out[got:])
+            s += k * m
+        if got:
+            sample_rows(step + first, got)
         check_finite(step, end, x0)
 
     def pause(step: int) -> None:
@@ -648,7 +697,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             if K is None:
                 segment(step, stop)
             else:
-                if stride % K or len(piece.contexts) > 1:
+                if stride % K:
                     stop = min(stop, (step // stride + 1) * stride)
                 s_last = (stop - 1) // K * K
                 if step % K:

@@ -32,6 +32,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .controllers import ControlContext
+from .kernels import compose_maps
 from .model import CommGraph, PowerGrid
 from .simulator import assemble_affine, interval_map, modes, state_labels
 
@@ -114,7 +115,9 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
 
     CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
     SEQUENTIAL: the map of one rotation cycle over its L shared links, the
-    product of L interval maps, with period L T. Eigenvalues within
+    product of L interval maps (kernels.compose_maps, as integrate() crosses
+    whole cycles), with period L T. The eigenvalues are 1 plus those of the
+    map's increment D, so those near 1 keep their digits. Eigenvalues within
     STRUCTURAL_ZERO_TOL * period of 1 are the images of structural zeros
     and of states no law moves; they are counted apart, and the rest decay
     at -ln(rho) / period per second. comm holds the live links only; the
@@ -127,13 +130,11 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
     K = int(round(T / dt))
-    M = np.eye(3 * grid.n_nodes + grid.n_lines)
-    for ctx in ctxs:
-        D, _ = interval_map(grid, comm, ctx, dt, K)
-        M += D @ M
-    lam = np.linalg.eigvals(M)
+    D, _ = compose_maps([interval_map(grid, comm, ctx, dt, K) for ctx in ctxs])
+    mu = np.linalg.eigvals(D)
+    lam = 1.0 + mu
     period = len(ctxs) * T
-    unit = np.abs(lam - 1.0) <= STRUCTURAL_ZERO_TOL * period
+    unit = np.abs(mu) <= STRUCTURAL_ZERO_TOL * period
     rho = float(np.max(np.abs(lam[~unit]))) if (~unit).any() else 0.0
     return IntervalMapReport(eigenvalues=lam, unit_eigenvalue_count=int(unit.sum()),
                              spectral_radius_excl_unit=rho, period=period,

@@ -59,10 +59,12 @@ def random_grid(seed: int, n: int) -> PowerGrid:
     return PowerGrid(nodes, lines)
 
 
-def reference_integrate(scenario: Scenario, n_steps: int):
+def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0):
     """Step-by-step RK4 using derivative() directly; returns the state vector
-    after n_steps (no recording). Handles disturbances, failures, sampling
-    and sequential rotation inline, in the same event order as integrate().
+    after n_steps, or with every > 0 a dict from each step that is a
+    multiple of every to the state then. A state is taken after the events
+    of its step. Handles disturbances, failures, sampling and sequential
+    rotation inline, in the same event order as integrate().
     """
     grid, comm = scenario.grid, scenario.comm
     n, e = grid.n_nodes, grid.n_lines
@@ -74,6 +76,7 @@ def reference_integrate(scenario: Scenario, n_steps: int):
     steps_per_T = None if T is CONTINUOUS else int(round(T / dt))
     last_rx = {}
     failed = set()
+    states = {}
     scheme = scenario.scheme
     mode_ctx = ControlContext(scheme="CONSENSUS")
     if scheme in ("CONSENSUS", "CONSENSUS_SAMPLED"):
@@ -129,6 +132,8 @@ def reference_integrate(scenario: Scenario, n_steps: int):
             st = vector_to_state(t, x, grid, last_rx)
             q0, _ = init_artificial(st, grid, pair_ctx, comm)
             x[2 * n + e:] = q0
+        if every and step % every == 0:
+            states[step] = x.copy()
         if step == n_steps:
             break
 
@@ -143,4 +148,4 @@ def reference_integrate(scenario: Scenario, n_steps: int):
         k3 = f(x + 0.5 * dt * k2)
         k4 = f(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return x
+    return states if every else x

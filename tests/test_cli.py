@@ -95,9 +95,8 @@ def test_simulate_reports_warnings(tmp_path, capsys, failure_t, horizon, details
     assert all(f"warning at t=0: {d}\n" in err for d in details)
 
 
-def test_simulate_reports_fallback(tmp_path, capsys):
-    """A HYBRID_SINGLE failure on a link with no power line falls back to
-    averaging; the summary and stderr say so."""
+def fallback_scenario(tmp_path):
+    """HYBRID_SINGLE whose failed link (1,3) has no power line."""
     nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])
                   for k in range(3))
     scn = Scenario(grid=PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0))),
@@ -105,11 +104,29 @@ def test_simulate_reports_fallback(tmp_path, capsys):
                    scheme="HYBRID_SINGLE", horizon=1.0, dt=1e-3, record_stride=100)
     path = tmp_path / "fallback.json"
     save_scenario(scn, path)
+    return path
+
+
+def test_simulate_reports_fallback(tmp_path, capsys):
+    """A HYBRID_SINGLE failure on a link with no power line falls back to
+    averaging; the summary and stderr say so."""
+    path = fallback_scenario(tmp_path)
     cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
     summary = json.loads((tmp_path / "run.summary.json").read_text())
     assert [(w["t"], w["kind"]) for w in summary["warnings"]] == [(0.5, "fallback_consensus")]
     assert "fallback_consensus at t=0.5: failed link (1,3) has no power line" \
         in capsys.readouterr().err
+
+
+def test_stability_reports_fallback(tmp_path, capsys):
+    """The report of the averaging law that a HYBRID_SINGLE failure falls
+    back to says on stderr why it is not HYBRID_SINGLE, as simulate does."""
+    path = fallback_scenario(tmp_path)
+    out = tmp_path / "stab.json"
+    assert cli.main(["stability", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scheme"] == "CONSENSUS"
+    assert capsys.readouterr().err == ("fallback_consensus at t=0.5: failed link (1,3) has "
+                                       "no power line; averaging continues on surviving links\n")
 
 
 def test_scenario_roundtrip_through_files(tmp_path):

@@ -598,10 +598,11 @@ def test_sampled_records_on_instants_without_stopping(toy, T, stride):
 
 @pytest.mark.parametrize("links", [((0, 1), (0, 2)), ((0, 1), (1, 2))])
 def test_sequential_records_match_oracle(links):
-    """SEQUENTIAL over one shared link has one interval map and records
-    without stopping; over two it stops at every record. Either way every
-    record on a sampling instant matches the oracle, and the path that
-    stops at records between instants (stride 5)."""
+    """SEQUENTIAL over one shared link has one interval map; over two the
+    records (stride K = 10) fall on instants of both phases and are written
+    inside the interval loop. Either way every record on a sampling instant
+    matches the oracle, and the path that stops at records between instants
+    (stride 5)."""
     nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])
                   for k in range(3))
     grid = PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0)))
@@ -616,6 +617,118 @@ def test_sequential_records_match_oracle(links):
     per_stop = integrate(dataclasses.replace(scn, record_stride=5))
     for field in ("omega", "flow", "u", "q", "rx_series"):
         assert np.abs(getattr(per_stop, field)[::2] - getattr(traj, field)).max() <= 1e-12
+
+
+def rotation_scenario(stride, horizon=0.6):
+    """SEQUENTIAL on a four-node ring whose four lines are shared links
+    (L = 4, K = 10, a cycle of 40 steps). A disturbance at step 57 lies off
+    a sampling instant, in an interval of phase 1; link (2,3) fails at step
+    263, mid-interval, and leaves L = 3 (a cycle of 30 steps); link (1,3),
+    without a power line, is lost at t = 0 and never carries a value."""
+    nodes = tuple(NodeParams(k + 1, (0.1, 0.2, 0.15, 0.3)[k], 1.0, (1.0, 2.0, 4.0, 3.0)[k],
+                             (1.0, 0.0, -1.0, 0.0)[k]) for k in range(4))
+    lines = (Line(0, 1, 1.0), Line(1, 2, 1.0), Line(2, 3, 0.5), Line(0, 3, 0.7))
+    comm = CommGraph(links=((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)), message_interval=0.01,
+                     failed=(((0, 2), 0.0), ((1, 2), 0.263)))
+    return Scenario(grid=PowerGrid(nodes, lines), comm=comm,
+                    disturbances=(DisturbanceEvent(time=0.057, node=1, delta_p=0.5),),
+                    scheme="SEQUENTIAL", horizon=horizon, dt=1e-3, record_stride=stride)
+
+
+@pytest.fixture(scope="module")
+def rotation_oracle():
+    """The oracle's state at every sampling instant of rotation_scenario."""
+    return reference_integrate(rotation_scenario(10), 600, every=10)
+
+
+@pytest.mark.parametrize("stride", [40, 10, 20, 120])
+def test_rotation_records_match_oracle(rotation_oracle, stride):
+    """Records of a rotation over several links, at L K (whole cycles
+    before the failure, single intervals after it), K and 2 K (every
+    phase) and 120 (whole cycles on both sides of it): every row matches
+    the oracle, q reset for its instant's pair included; a live link holds
+    C u of its sender in the same row, the failed link the value sent at
+    the last instant before its failure, and the lost link NaN."""
+    scn = rotation_scenario(stride)
+    traj = integrate(scn)
+    steps = np.round(traj.times / scn.dt).astype(int)
+    assert list(steps) == list(range(0, 601, stride)) + ([600] if 600 % stride else [])
+    for k, step in enumerate(steps):
+        assert np.abs(state_to_vector(traj.state_at(k)) - rotation_oracle[step]).max() <= 1e-12
+
+    grid = scn.grid
+    n, e = grid.n_nodes, grid.n_lines
+    col = {link: c for c, link in enumerate(traj.rx_links)}
+    sent = grid.cost() * traj.u
+    for a, b in ((0, 1), (0, 3), (2, 3)):
+        assert np.array_equal(traj.rx_series[:, col[(a, b)]], sent[:, a])
+        assert np.array_equal(traj.rx_series[:, col[(b, a)]], sent[:, b])
+    held = grid.cost() * rotation_oracle[260][n + e:2 * n + e]
+    before = steps < 263
+    assert np.array_equal(traj.rx_series[before, col[(1, 2)]], sent[before, 1])
+    assert np.abs(traj.rx_series[~before, col[(1, 2)]] - held[1]).max() <= 1e-12
+    assert np.abs(traj.rx_series[~before, col[(2, 1)]] - held[2]).max() <= 1e-12
+    assert np.array_equal(np.isnan(traj.rx_series),
+                          np.isin(np.arange(len(traj.rx_links)),
+                                  [col[(0, 2)], col[(2, 0)]])[None, :].repeat(len(traj), 0))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls of controllers.init_artificial and kernels.jump
+    made from here on."""
+    from gridfreq import controllers, kernels, simulator
+    counts = dict.fromkeys(["init_artificial", "jump"], 0)
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kw):
+            counts[name] += 1
+            return inner(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((controllers, "init_artificial"), (kernels, "jump"),
+                         (simulator, "jump")):
+        count(module, name)
+    return counts
+
+
+def test_rotation_records_without_stopping(calls):
+    """With record_stride a multiple of the cycle before and after the
+    failure, the run stops only at its pieces: it runs no sampling event on
+    the state at a record and crosses whole cycles with one recorded jump,
+    so init_artificial and jump are called a number of times bounded by the
+    pieces and the maps, not by the 101 records."""
+    scn = rotation_scenario(120, horizon=12.0)
+    traj = integrate(scn)
+    pieces, maps = len(schedule(scn).pieces), 4 + 3
+    assert len(traj) == 101
+    # per map one reset, shared by its rows; per piece one sampling stop
+    assert calls["init_artificial"] <= maps + 2 * pieces
+    # per piece two partial intervals, L - 1 head and tail intervals each,
+    # and one cycle jump
+    assert calls["jump"] <= pieces * (2 + 2 * 3 + 1)
+
+
+def test_sampled_records_off_instants_cross_intervals_at_once(toy, calls):
+    """Averaging on held messages with record_stride 105, not a multiple of
+    K = 10: the run stops at every record, and between two records one jump
+    crosses the whole message intervals, so jump is called a number of
+    times bounded by the records, not by the ten intervals between two of
+    them. Every record matches the oracle."""
+    scn = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.01,
+                         horizon=2.1, record_stride=105)
+    traj = integrate(scn)
+    steps = np.round(traj.times / scn.dt).astype(int)
+    assert list(steps) == list(range(0, 2101, 105))
+    # per record an RK4 segment (itself a jump) up to an instant, one jump up
+    # to the last instant before the next record and one for the interval
+    # from there, when that ends on an instant
+    assert calls["jump"] <= 3 * (len(traj) + len(schedule(scn).pieces))
+    oracle = reference_integrate(scn, 2100, every=105)
+    for k, step in enumerate(steps):
+        assert np.abs(state_to_vector(traj.state_at(k)) - oracle[step]).max() <= 1e-12
 
 
 def held_coupling_blowup():
