@@ -39,7 +39,12 @@ def _load(args) -> Optional[object]:
             return None
     T = "unset"
     if getattr(args, "T", None) is not None:
-        T = CONTINUOUS if args.T == "continuous" else float(args.T)
+        try:
+            T = CONTINUOUS if args.T == "continuous" else float(args.T)
+        except ValueError:
+            print(f"error: --T must be a number of seconds or 'continuous', got {args.T!r}",
+                  file=sys.stderr)
+            return None
     scn = with_overrides(scn, scheme=getattr(args, "scheme", None),
                          horizon=getattr(args, "horizon", None),
                          dt=getattr(args, "dt", None), message_interval=T,

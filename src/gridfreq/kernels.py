@@ -16,9 +16,10 @@ On x' = A x + b one RK4 step is exactly the affine map
 with RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and
 S(z) = 1 + z/2 + z^2/6 + z^3/24. k steps are x -> x + D_k x + g_k, where
 I + D_k = (I + D)^k and g_k = (I + (I + D) + ... + (I + D)^(k-1)) g. The
-kernel builds D once per A and jumps over an unrecorded run, or a whole
-record stride, with one (D_k, g_k), computed by repeated squaring in the
-increment form
+kernel builds D and S(hA) once per A, so that an offset g, or the input
+matrix G = h S(hA) B of constant inputs, is one product. It jumps over an
+unrecorded run, or a whole record stride, with one (D_k, g_k), computed by
+repeated squaring in the increment form
 
     D_2m = 2 D_m + D_m D_m,      g_2m = 2 g_m + D_m g_m,
     D_m+1 = D_m + D + D D_m,     g_m+1 = g_m + g + D g_m.
@@ -39,9 +40,10 @@ built, such as the map of one message interval, where one application is
 one interval and a stride counts intervals, or the map of a rotation cycle
 that `compose_maps` makes from its interval maps.
 
-D is cached per A by identity while A is alive, for at most _MAX_CACHED
-matrices, so A must not be changed in place between calls. D depends on
-(A, h) alone, so the cache changes how long a call takes, never its result.
+(D, S) is cached per A by identity while A is alive, for at most
+_MAX_CACHED matrices, so A must not be changed in place between calls. It
+depends on (A, h) alone, so the cache changes how long a call takes, never
+its result.
 """
 from __future__ import annotations
 
@@ -51,54 +53,39 @@ from typing import Optional
 import numpy as np
 
 _MAX_CACHED = 16
-# id(A) -> (weak reference to A, h, D); an entry leaves when its A dies
+# id(A) -> (weak reference to A, h, (D, S)); an entry leaves when its A dies
 _cache: dict = {}
 
 
-def _increment_matrix(A: np.ndarray, h: float) -> np.ndarray:
-    """D = hA S(hA) by Horner's rule: three matrix products."""
+def _increment_matrix(A: np.ndarray, h: float):
+    """(D, S) with S = S(hA) by Horner's rule and D = hA S: three matrix
+    products."""
     dim = A.shape[0]
     diag = np.arange(dim), np.arange(dim)
-    w = A * (h / 4.0)
-    w[diag] += 1.0
-    v = A @ w
+    S = A * (h / 4.0)
+    S[diag] += 1.0
+    v = A @ S
     v *= h / 3.0
     v[diag] += 1.0
-    np.matmul(A, v, out=w)
-    w *= h / 2.0
-    w[diag] += 1.0
-    np.matmul(A, w, out=v)
-    v *= h
-    return v
+    np.matmul(A, v, out=S)
+    S *= h / 2.0
+    S[diag] += 1.0
+    D = A @ S
+    D *= h
+    return D, S
 
 
-def _cached_increment(A: np.ndarray, h: float) -> np.ndarray:
+def _cached_increment(A: np.ndarray, h: float):
     key = id(A)
     hit = _cache.get(key)
     if hit is not None and hit[0]() is A and hit[1] == h:
         return hit[2]
-    D = _increment_matrix(A, h)
+    DS = _increment_matrix(A, h)
     if len(_cache) >= _MAX_CACHED:
         del _cache[next(iter(_cache))]
     forget = lambda _, key=key, cache=_cache: cache.pop(key, None)  # noqa: E731
-    _cache[key] = (weakref.ref(A, forget), h, D)
-    return D
-
-
-def _offset(A: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
-    """g = h S(hA) b by Horner's rule: three matrix products with b, which
-    may be a vector or a matrix of input columns."""
-    g = A @ b
-    g *= h / 4.0
-    g += b
-    g = A @ g
-    g *= h / 3.0
-    g += b
-    g = A @ g
-    g *= h / 2.0
-    g += b
-    g *= h
-    return g
+    _cache[key] = (weakref.ref(A, forget), h, DS)
+    return DS
 
 
 def _squared_map(D: np.ndarray, g: np.ndarray, k: int, work: list):
@@ -144,8 +131,9 @@ def _k_step_map(D: np.ndarray, g: np.ndarray, k: int, reps: int, work: list):
 def k_step_map(A: np.ndarray, B: np.ndarray, h: float, k: int):
     """RK4's exact k-step map on x' = A x + B w with the input w held
     constant: x -> x + D_k x + G_k w. Returns new arrays (D_k, G_k)."""
-    D = _increment_matrix(A, h)
-    G = _offset(A, B, h)
+    D, S = _increment_matrix(A, h)
+    G = S @ B
+    G *= h
     if k == 1:
         return D, G
     return _squared_map(D, G, k, [])
@@ -207,5 +195,5 @@ def rk4_segment(A: np.ndarray, b: np.ndarray, x: np.ndarray, h: float,
                 n_steps: int, first_record: int, stride: int,
                 out: np.ndarray) -> int:
     """n_steps RK4 steps of x' = A x + b: jump() with RK4's one-step map."""
-    return jump(_cached_increment(A, h), _offset(A, b, h), x, n_steps,
-                first_record, stride, out)
+    D, S = _cached_increment(A, h)
+    return jump(D, h * (S @ b), x, n_steps, first_record, stride, out)

@@ -7,6 +7,7 @@ construction and safe to share between concurrent simulation runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -237,29 +238,39 @@ def validate(scenario: Scenario) -> list:
         if link not in link_set:
             out.append(f"comm failure on ({link[0] + 1},{link[1] + 1}) references a link "
                        "absent from comm_links")
-        if t0 < 0:
+        if not math.isfinite(t0):
+            out.append(f"comm failure on ({link[0] + 1},{link[1] + 1}) has non-finite time {t0}")
+        elif t0 < 0:
             out.append(f"comm failure on ({link[0] + 1},{link[1] + 1}) has negative time {t0}")
     T = comm.message_interval
-    if T is not CONTINUOUS and not T > 0:
-        out.append(f"message_interval must be > 0 or continuous, got {T}")
+    T_ok = T is CONTINUOUS or (T > 0 and math.isfinite(T))
+    if not T_ok:
+        out.append(f"message_interval must be finite and > 0, or continuous, got {T}")
 
     for d in scenario.disturbances:
         if not (0 <= d.node < n):
             out.append(f"disturbance at t={d.time} references unknown node {d.node + 1}")
-        if d.time < 0:
+        if not math.isfinite(d.time):
+            out.append(f"disturbance at node {d.node + 1} has non-finite time {d.time}")
+        elif d.time < 0:
             out.append(f"disturbance at node {d.node + 1} has negative time {d.time}")
 
-    if not scenario.dt > 0:
-        out.append(f"dt must be > 0, got {scenario.dt}")
+    dt_ok = scenario.dt > 0 and math.isfinite(scenario.dt)
+    if not math.isfinite(scenario.horizon):
+        out.append(f"horizon must be finite, got {scenario.horizon}")
+    if not dt_ok:
+        out.append(f"dt must be finite and > 0, got {scenario.dt}")
     elif scenario.horizon < scenario.dt:
         out.append(f"horizon {scenario.horizon} is shorter than dt {scenario.dt}")
     if scenario.record_stride < 1:
         out.append(f"record_stride must be >= 1, got {scenario.record_stride}")
     if scenario.scheme not in SCHEMES:
         out.append(f"unknown scheme {scenario.scheme!r}")
-    if T is not CONTINUOUS and scenario.dt > 0 and T > 0:
+    if T is not CONTINUOUS and T_ok and dt_ok:
         ratio = T / scenario.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if T < scenario.dt:
+            out.append(f"message_interval {T} is shorter than dt {scenario.dt}")
+        elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             out.append(f"dt {scenario.dt} does not divide message_interval {T}")
 
     if scenario.scheme == "PAIR_FLOW" and n != 2:

@@ -7,23 +7,28 @@ control contexts, one context or SEQUENTIAL's rotation over the live
 shared links, all from one rule (modes) that `gridfreq stability` and
 interval_map_spectrum use too, so the report analyses the law the run ran.
 
-Within a piece the closed loop is an affine system dx/dt = A x + b over the
-state layout [omega (N), flow (E), u (N), q (N)]. derivative() is the
-single definition of those dynamics and takes stacked states, one state per
-row, so the integrator assembles (A, b), like the input and reset matrices
-of a message interval, from one evaluation on the identity stack, and hands
-each stretch between events to the RK4 kernel. With a finite message
-interval each sampling instant is a linear reset (the held messages refresh
-to C u, and SEQUENTIAL re-initializes q), so a whole message interval is one
-exact affine map (interval_map), and a whole SEQUENTIAL rotation cycle the
-composition of its interval maps (kernels.compose_maps). The integrator
-advances runs of intervals and cycles with them and stops at piece
-boundaries; when the records all fall on sampling instants it writes them
-without stopping, and at records too otherwise. The trajectory is
-bit-reproducible for identical inputs.
+Within a piece the closed loop is an affine system over the state layout
+[omega (N), flow (E), u (N), q (N)]. derivative() is the single definition
+of those dynamics and takes stacked states, one state per row, so
+context_matrices assembles each context's matrices from one evaluation on
+the identity stack. Between sampling instants a piece is
+
+    x' = A x + B [y; p],
+
+with p its fixed powers and y the held messages, C u of the last sampling
+instant (under continuous messaging B reads no y). A sampling instant is a
+linear reset: y refreshes to C u, and SEQUENTIAL resets q by the rotation's
+reset matrix R. So a whole message interval is one exact affine map
+(interval_map), and a whole SEQUENTIAL rotation cycle the composition of
+its interval maps (kernels.compose_maps). The integrator advances runs of
+intervals and cycles with them and stops at piece boundaries; when the
+records all fall on sampling instants it writes them without stopping, and
+at records too otherwise. The trajectory is bit-reproducible for
+identical inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -280,36 +285,43 @@ def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.
     return R
 
 
-def interval_map(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
-                 K: int, A: Optional[np.ndarray] = None,
-                 R: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
+                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(A, B, R) of a control context on the live links of comm: the piece
+
+        x' = A x + B [y; p]
+
+    between sampling instants, with y the held values (C u at the last
+    instant; assemble_affine at y = 0 and p = 0, assemble_inputs), and the
+    reset R of a rotation to ctx.active_link at an instant (rotation_reset),
+    None for a context that rotates no pair."""
+    n = grid.n_nodes
+    A, _ = assemble_affine(grid, comm, ctx, np.zeros(n),
+                           held_messages(np.zeros(n), comm.links), 0.0)
+    R = None if ctx.active_link is None else rotation_reset(grid, comm, ctx)
+    return A, assemble_inputs(grid, comm, ctx), R
+
+
+def interval_map(grid: PowerGrid, A: np.ndarray, B: np.ndarray, R: Optional[np.ndarray],
+                 h: float, K: int) -> Tuple[np.ndarray, np.ndarray]:
     """Exact map of one message interval, K RK4 steps of size h from one
     sampling instant to the next, as (D, G) with
 
         x(next instant) = x + D x + G p
 
-    for fixed powers p. At the instant the messages are refreshed from x by
-    held_messages and, under SEQUENTIAL (ctx.active_link set), q is reset
-    by rotation_reset; then the held values y = C u stay constant for K
-    steps of x' = A x + B [y; p] (assemble_inputs). Refresh and reset are
-    linear and RK4's K-step map with constant inputs is affine
-    (kernels.k_step_map), so the map is exact. Both leave a state whose
-    sampling events have already been applied unchanged, so the map also
-    advances such a state.
-
-    comm holds the live links only. A, when given, is assemble_affine's
-    matrix for (comm, ctx), and R rotation_reset's. D is dim x dim and G
+    for fixed powers p, given a context's context_matrices (A, B, R). At the
+    instant the held values refresh to y = C u and, when R is not None, q
+    resets to R x; then K steps of x' = A x + B [y; p] follow with y
+    constant. Refresh and reset are linear and RK4's K-step map with
+    constant inputs is affine (kernels.k_step_map), so the map is exact.
+    Both leave a state whose sampling events have already been applied
+    unchanged, so the map also advances such a state. D is dim x dim and G
     dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
-    if A is None:
-        A, _ = assemble_affine(grid, comm, ctx, np.zeros(n),
-                               held_messages(np.zeros(n), comm.links), 0.0)
-    D, G = k_step_map(A, assemble_inputs(grid, comm, ctx), h, K)
+    D, G = k_step_map(A, B, h, K)
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
-    if ctx.active_link is not None:
-        if R is None:
-            R = rotation_reset(grid, comm, ctx)
+    if R is not None:
         D = D @ R
         D += R
         D[np.diag_indices_from(D)] -= 1.0
@@ -453,27 +465,33 @@ def schedule(scenario: Scenario) -> Schedule:
 def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -> Trajectory:
     """Run the scenario's schedule and record every record_stride-th step
     (plus the final one). At the start of each piece its events apply, then
-    the sampling events of the instant: the held messages refresh, and
-    under SEQUENTIAL q resets for the interval's pair. A snapshot reflects
-    the state after the events at its step. The event log keeps the
-    schedule's warnings and discrete occurrences; routine sampling
-    refreshes and rotations are not logged.
+    the sampling events of the instant. A snapshot reflects the state after
+    the events at its step. The event log keeps the schedule's warnings and
+    discrete occurrences; routine sampling refreshes and rotations are not
+    logged.
+
+    Between events a piece is x' = A x + B [y; p] (context_matrices, cached
+    for the run per live links and context), with p its fixed powers and y
+    the held messages: C u of the last sampling instant, which every live
+    link holds. A failed link keeps the value it held when it failed; that
+    value is read by rx_series and by init_artificial at a piece's init.
+    Every sampling instant runs one rule, sample(), on a stack of states:
+    q resets by its context's R, and the held values become C u. The state
+    is a one-row stack, and so are the rows recorded inside a jump.
 
     Under continuous messaging each piece is one rk4_segment call, which
     also writes the records inside it. With a finite message interval whole
     message intervals advance by interval_map, and a part of an interval by
-    rk4_segment under the held messages. When record_stride is a multiple
-    of K = T / dt every record falls on a sampling instant, and the run
-    stops only at piece boundaries: intervals() writes the records between
-    them and sample_rows() runs their instants' sampling events on them. A
-    SEQUENTIAL rotation over L links crosses whole cycles of L intervals by
-    one kernels.jump call of its cycle map (compose_maps of the L interval
-    maps) when the stride is a multiple of L K or no record lies between,
-    and one interval at a time otherwise. With a stride that is not a
-    multiple of K the run also stops at every record.
-    State matrices, interval maps, cycle maps and resets are cached for the
-    run, keyed by the live links and the context (the contexts for a cycle);
-    a rotation over L links keeps L + 1 maps of dim * (dim + N) floats.
+    rk4_segment with offset B [y; p]. When record_stride is a multiple of
+    K = T / dt every record falls on a sampling instant, and the run stops
+    only at piece boundaries: intervals() writes the records between them
+    and samples them. A SEQUENTIAL rotation over L links crosses whole
+    cycles of L intervals by one kernels.jump call of its cycle map
+    (compose_maps of the L interval maps) when the stride is a multiple of
+    L K or no record lies between, and one interval at a time otherwise.
+    With a stride that is not a multiple of K the run also stops at every
+    record. Interval and cycle maps are cached like the matrices; a
+    rotation over L links keeps L + 1 maps of dim * (dim + N) floats.
 
     A kernel call that leaves the finite range raises IntegrationError with
     the first non-finite step, found by replaying that call one RK4 step at
@@ -484,6 +502,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     grid = scenario.grid
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
+    U, Q = slice(n + e, 2 * n + e), slice(2 * n + e, dim)
     dt, stride, K, n_total = scenario.dt, scenario.record_stride, plan.interval_steps, plan.n_steps
     cost_vec = grid.cost()
     events_log: List[Tuple[float, str, str]] = [(0.0, "warning", w) for w in plan.warnings]
@@ -493,68 +512,48 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     else:
         x = state_to_vector(initial_state).astype(float).copy()
 
-    last_rx: Dict[Tuple[int, int], float] = {}
-    cache: dict = {}    # (kind, live links, context) -> state matrix or interval map
+    # Held messages, per directed link rx_links[c] from senders[c]: a live
+    # link holds y[sender], a failed one frozen[c]; NaN before any instant.
+    y = np.zeros(n) if K is None else np.full(n, np.nan)
+    rx_links = (tuple(d for a_, b_ in scenario.comm.links for d in ((a_, b_), (b_, a_)))
+                if K is not None else ())
+    senders = np.array([a_ for a_, _ in rx_links], dtype=int)
+    frozen = np.full(len(rx_links), np.nan)
+    live = np.ones(len(rx_links), dtype=bool)
 
-    def state_matrix(c: ControlContext) -> np.ndarray:
-        key = ("A", piece.comm.links, c)
-        if key not in cache:
-            cache[key], _ = assemble_affine(grid, piece.comm, c, p,
-                                            held_messages(np.zeros(n), piece.comm.links), 0.0)
-        return cache[key]
+    @functools.cache
+    def matrices(comm: CommGraph, c: ControlContext):
+        return context_matrices(grid, comm, c)
 
-    def reset(c: ControlContext) -> Optional[np.ndarray]:
-        """rotation_reset for c, None when c rotates no pair."""
-        key = ("reset", piece.comm.links, c)
-        if key not in cache:
-            cache[key] = (None if c.active_link is None
-                          else rotation_reset(grid, piece.comm, c))
-        return cache[key]
+    @functools.cache
+    def step_map(comm: CommGraph, c: ControlContext):
+        return interval_map(grid, *matrices(comm, c), dt, K)
 
-    def step_map(c: ControlContext) -> Tuple[np.ndarray, np.ndarray]:
-        key = ("map", piece.comm.links, c)
-        if key not in cache:
-            cache[key] = interval_map(grid, piece.comm, c, dt, K, state_matrix(c), reset(c))
-        return cache[key]
-
-    def cycle_map() -> Tuple[np.ndarray, np.ndarray]:
+    @functools.cache
+    def cycle_map(comm: CommGraph, cs: Tuple[ControlContext, ...]):
         """The map of one rotation cycle, L interval maps from a phase-0
-        instant (one whose interval runs contexts[0]) on."""
-        key = ("cycle", piece.comm.links, piece.contexts)
-        if key not in cache:
-            cache[key] = compose_maps([step_map(c) for c in piece.contexts])
-        return cache[key]
+        instant (one whose interval runs cs[0]) on."""
+        return compose_maps([step_map(comm, c) for c in cs])
 
-    def sample(step: int) -> None:
-        """The sampling events at step, if it is a sampling instant: the held
-        messages refresh, and under SEQUENTIAL q resets for the pair of the
-        interval it starts."""
-        if K is None or step % K:
-            return
-        last_rx.update(held_messages(cost_vec * x[n + e:2 * n + e], piece.comm.links))
-        ctx = piece.context(step, K)
-        if ctx.active_link is not None:
-            q0, _ = controllers.init_artificial(vector_to_state(step * dt, x, grid, last_rx),
-                                                grid, ctx, piece.comm)
-            x[2 * n + e:] = q0
+    def sample(rows: np.ndarray, step: int) -> np.ndarray:
+        """Run the sampling events of the instants step, step + stride, ...
+        on the stack of their states, in place: under a rotation q resets
+        by R of the context of each row's interval. Returns the held values
+        each row leaves, its C u."""
+        phase = (step + stride * np.arange(len(rows))) // K % len(piece.contexts)
+        for c in set(phase.tolist()):
+            R = matrices(piece.comm, piece.contexts[c])[2]
+            if R is not None:
+                at = phase == c
+                rows[at, Q] = rows[at] @ R[Q].T
+        return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------
     n_rec_max = n_total // stride + 2
     rec_states = np.empty((n_rec_max, dim))
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
-    track_rx = K is not None
-    rx_links = (tuple(d for a_, b_ in scenario.comm.links for d in ((a_, b_), (b_, a_)))
-                if track_rx else ())
-    rec_rx = np.full((n_rec_max, len(rx_links)), np.nan) if track_rx else None
+    rec_rx = None if K is None else np.empty((n_rec_max, len(rx_links)))
     n_rec = 0
-
-    def record(step: int) -> None:
-        nonlocal n_rec
-        rec_states[n_rec] = x
-        rec_steps[n_rec] = step
-        if track_rx:
-            rec_rx[n_rec] = [last_rx.get(dlink, np.nan) for dlink in rx_links]
-        n_rec += 1
 
     def records_between(step: int, stop: int) -> Tuple[int, int]:
         """Offset from step of the first record step after it, and the
@@ -562,11 +561,22 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         first = stride - step % stride
         return first, max(0, (stop - step - 1 - first) // stride + 1)
 
-    def book(first_step: int, got: int) -> None:
-        """Count the got rows a kernel call recorded from first_step on."""
+    def book(first_step: int, got: int, Y: np.ndarray) -> None:
+        """Count the got rows recorded from first_step on, holding the
+        messages of the rows of Y (one row: held by all of them)."""
         nonlocal n_rec
         rec_steps[n_rec:n_rec + got] = first_step + stride * np.arange(got)
+        if K is not None:
+            rx = rec_rx[n_rec:n_rec + got]
+            rx[:] = frozen
+            rx[:, live] = Y[:, senders[live]]
         n_rec += got
+
+    def stretch(step: int, n_steps: int, first: int, out: np.ndarray) -> int:
+        """rk4_segment over n_steps from step, under the context and held
+        messages in force there."""
+        A, B, _ = matrices(piece.comm, piece.context(step, K))
+        return rk4_segment(A, B @ np.concatenate([y, p]), x, dt, n_steps, first, stride, out)
 
     def first_nonfinite(step: int, stop: int, x0: np.ndarray) -> int:
         """Replay the kernel call from x0 at step to stop one RK4 step at a
@@ -575,18 +585,14 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         x[:] = x0
         while True:
             run = stop - step if K is None else min(K - step % K, stop - step)
-            ctx = piece.context(step, K)
-            A = state_matrix(ctx)
-            b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
-                           grid, piece.comm, ctx, p)
             for _ in range(run):
-                rk4_segment(A, b, x, dt, 1, 0, 1, rec_states[:0])
+                stretch(step, 1, 0, rec_states[:0])
                 step += 1
                 if not np.isfinite(x).all():
                     return step
             if step == stop:
                 return stop
-            sample(step)
+            y[:] = sample(x[None], step)[0]
 
     def check_finite(step: int, stop: int, x0: np.ndarray) -> None:
         """Raise IntegrationError if the kernel call from x0 at step to stop
@@ -596,8 +602,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         last = None
         if n_rec:
             traj = _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec],
-                             dt, events_log, rx_links,
-                             rec_rx[:n_rec] if track_rx else None)
+                             dt, events_log, rx_links, None if K is None else rec_rx[:n_rec])
             last = traj.state_at(n_rec - 1)
         raise IntegrationError(first_nonfinite(step, stop, x0), last)
 
@@ -606,49 +611,19 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         force, recording the record steps between them."""
         first, rows = records_between(step, stop)
         x0 = x.copy()
-        ctx = piece.context(step, K)
-        b = derivative(vector_to_state(step * dt, np.zeros(dim), grid, last_rx),
-                       grid, piece.comm, ctx, p)
-        got = rk4_segment(state_matrix(ctx), b, x, dt, stop - step, first if rows else 0,
-                          stride, rec_states[n_rec:n_rec + rows])
-        book(step + first, got)
+        got = stretch(step, stop - step, first if rows else 0, rec_states[n_rec:n_rec + rows])
+        book(step + first, got, y[None])
         check_finite(step, stop, x0)
-
-    def sample_rows(first_step: int, got: int) -> None:
-        """Run the sampling events of their instants on the got rows a
-        kernel call recorded from first_step on, as sample() runs them on
-        the state, and count them. The held values refresh: a live link
-        holds C u of its sender in that row, a failed link its frozen value,
-        a link that never received one NaN. Under a rotation over several
-        links q resets for each instant's pair, one matrix product per
-        phase. SEQUENTIAL over one shared link needs no reset: it re-pairs
-        the same link at every instant, and from its first reset on the pair
-        law keeps q_i = -q_j = C_i u_i - C_j u_j, so the reset changes q by
-        rounding only."""
-        rows = rec_states[n_rec:n_rec + got]
-        L = len(piece.contexts)
-        if L > 1:
-            phase = (first_step + stride * np.arange(got)) // K % L
-            for c in np.unique(phase):
-                at = phase == c
-                rows[at, 2 * n + e:] = rows[at] @ reset(piece.contexts[c])[2 * n + e:].T
-        y = cost_vec * rows[:, n + e:2 * n + e]
-        held = held_messages(np.arange(n), piece.comm.links)   # link -> sender
-        cols = [c for c, dlink in enumerate(rx_links) if dlink in held]
-        rx = rec_rx[n_rec:n_rec + got]
-        rx[:] = [last_rx.get(dlink, np.nan) for dlink in rx_links]
-        rx[:, cols] = y[:, [held[rx_links[c]] for c in cols]]
-        book(first_step, got)
 
     def intervals(step: int, end: int) -> None:
         """Whole message intervals from instant step to instant end,
-        recording the record instants between them without stopping.
-        When no record lies between them, or every record falls on a
-        phase-0 instant (record_stride a multiple of the cycle L K), one
-        recorded jump of the cycle map crosses the whole rotation cycles,
-        and single interval maps the intervals before the first phase-0
-        instant and after the last one; otherwise each interval is one
-        jump of its map. With one context the cycle is one interval, so
+        recording and sampling the record instants between them without
+        stopping. When no record lies between them, or every record falls
+        on a phase-0 instant (record_stride a multiple of the cycle L K),
+        one recorded jump of the cycle map crosses the whole rotation
+        cycles, and single interval maps the intervals before the first
+        phase-0 instant and after the last one; otherwise each interval is
+        one jump of its map. With one context the cycle is one interval, so
         one jump crosses them all."""
         x0 = x.copy()
         first, rows = records_between(step, end)
@@ -661,31 +636,39 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         got, s = 0, step
         while s < end:
             if s == head < tail:
-                (D, G), m, k = cycle_map(), cycle, (tail - s) // cycle
+                (D, G), m, k = cycle_map(piece.comm, piece.contexts), cycle, (tail - s) // cycle
             else:
-                (D, G), m, k = step_map(piece.context(s, K)), K, 1
+                (D, G), m, k = step_map(piece.comm, piece.context(s, K)), K, 1
             ahead = stride - s % stride      # steps to the next record instant
             at = ahead // m if got < rows and ahead % m == 0 else 0
             got += jump(D, G @ p, x, k, at, stride // m, out[got:])
             s += k * m
         if got:
-            sample_rows(step + first, got)
+            book(step + first, got, sample(out[:got], step + first))
         check_finite(step, end, x0)
 
     def pause(step: int) -> None:
         """A stop: the sampling events of step, if an instant, and its record."""
-        sample(step)
+        if K is not None and step % K == 0:
+            y[:] = sample(x[None], step)[0]
         if step % stride == 0 or step == n_total:
-            record(step)
+            rec_states[n_rec] = x
+            book(step, 1, y[None])
 
     for piece in plan.pieces:
         t = piece.start * dt
         p = np.array(piece.p)
         events_log += [(t, kind, detail) for kind, detail in piece.events]
+        now = np.array([(min(d), max(d)) in piece.comm.links for d in rx_links], dtype=bool)
+        gone = live & ~now
+        frozen[gone] = y[senders[gone]]
+        live = now
         if piece.init is not None:
-            q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, last_rx),
+            rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
+                  if not np.isnan(v)}
+            q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
                                                     grid, piece.init, piece.comm)
-            x[2 * n + e:] = q0
+            x[Q] = q0
             events_log += [(t, "warning", w) for w in warns]
         pause(piece.start)
         # One kernel call per pass. With held messages the run also pauses
@@ -713,7 +696,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 pause(step)
 
     return _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec], dt,
-                     events_log, rx_links, rec_rx[:n_rec] if track_rx else None)
+                     events_log, rx_links, None if K is None else rec_rx[:n_rec])
 
 
 def _finalize(grid: PowerGrid, cost_vec: np.ndarray, states: np.ndarray,

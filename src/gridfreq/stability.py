@@ -34,7 +34,8 @@ import numpy as np
 from .controllers import ControlContext
 from .kernels import compose_maps
 from .model import CommGraph, PowerGrid
-from .simulator import assemble_affine, interval_map, modes, state_labels
+from .simulator import (assemble_affine, context_matrices, held_messages, interval_map,
+                        modes, state_labels)
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -81,14 +82,9 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
     the law never touches them. comm holds the live links only.
     """
     n, e = grid.n_nodes, grid.n_lines
-    last_rx = {}
-    if ctx.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
-        # held messages are event data, not state; zero-fill them for the
-        # homogeneous matrix (they only shift the affine term)
-        for a, b in comm.links:
-            last_rx[(a, b)] = 0.0
-            last_rx[(b, a)] = 0.0
-    A_full, _ = assemble_affine(grid, comm, ctx, np.zeros(n), last_rx, 0.0)
+    # held messages are inputs, not state: at y = 0 they leave A as it is
+    A_full, _ = assemble_affine(grid, comm, ctx, np.zeros(n),
+                                held_messages(np.zeros(n), comm.links), 0.0)
     q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
     A = A_full[np.ix_(keep, keep)]
@@ -130,7 +126,8 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
     K = int(round(T / dt))
-    D, _ = compose_maps([interval_map(grid, comm, ctx, dt, K) for ctx in ctxs])
+    D, _ = compose_maps([interval_map(grid, *context_matrices(grid, comm, ctx), dt, K)
+                         for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
     period = len(ctxs) * T

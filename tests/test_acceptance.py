@@ -184,6 +184,17 @@ def test_criterion_07a_sequential_beats_sampled_at_same_interval(experiment_resu
     _ok("7a sequential-speedup", f"{t_seq:.0f}s vs {t_samp_1s:.0f}s")
 
 
+def test_repro_t_star_values_are_pinned(experiment_results):
+    """The convergence times of the two t* sweeps, on their 1 s record grid:
+    criteria 6 and 7 check only their order, so a change that moves one of
+    them shows here."""
+    assert [r["t_star"] for r in experiment_results["convergence_vs_T"]] == \
+        [112.0, 141.0, 318.0, 2466.0]
+    rows = {(r["scheme"], r["T"]): r["t_star"] for r in experiment_results["sequential"]}
+    assert rows == {("SEQUENTIAL", 1.0): 410.0, ("CONSENSUS_SAMPLED", 1.0): 2466.0,
+                    ("CONSENSUS_SAMPLED", 1e-3): 112.0}
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the rotating-pair scheme's aggregate convergence rate is bounded "

@@ -51,6 +51,40 @@ def test_invalid_scenario_reports_violations(tmp_path, capsys):
     assert "node 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["--T", "inf"], "invalid scenario: message_interval must be finite"),
+    (["--horizon", "inf"], "invalid scenario: horizon must be finite"),
+    (["--horizon", "nan"], "invalid scenario: horizon must be finite"),
+    (["--T", "1e-300"], "invalid scenario: message_interval 1e-300 is shorter than dt"),
+    (["--T", "abc"], "error: --T must be a number"),
+])
+def test_simulate_rejects_non_finite_and_bad_options(tmp_path, capsys, argv, needle):
+    code = cli.main(["simulate", "toy", "--out", str(tmp_path / "run")] + argv)
+    assert code == 1
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: doc.update(horizon=math.inf), "horizon must be finite"),
+    (lambda doc: doc.update(message_interval=math.nan), "message_interval must be finite"),
+    (lambda doc: doc["disturbances"][0].update(time=math.inf), "non-finite time"),
+    (lambda doc: doc.update(comm_failures=[{"link": [2, 7], "time": math.nan}]),
+     "non-finite time"),
+], ids=["horizon", "message_interval", "disturbance_time", "failure_time"])
+def test_scenario_file_with_non_finite_values_reports_violations(tmp_path, capsys, edit,
+                                                                  needle):
+    """json writes these as Infinity and NaN and reads them back as floats."""
+    doc = scenario_to_dict(toy_grid())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text() or "NaN" in path.read_text()
+    code = cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert needle in capsys.readouterr().err
+
+
 def test_simulate_unwritable_output_exits_1(tmp_path, capsys):
     code = cli.main(["simulate", "toy", "--horizon", "0.5",
                      "--out", str(tmp_path / "missing_dir" / "run")])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -115,3 +116,31 @@ def test_laplacian_sizes_from_the_links_it_is_given():
     assert L.shape == (3, 3)
     assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert comm.laplacian().shape == (2, 2)
+
+
+@pytest.mark.parametrize("tweak, needle", [
+    ({"horizon": math.inf}, "horizon must be finite"),
+    ({"horizon": math.nan}, "horizon must be finite"),
+    ({"dt": math.inf}, "dt must be finite"),
+    ({"dt": math.nan}, "dt must be finite"),
+    ({"message_interval": math.inf}, "message_interval must be finite"),
+    ({"message_interval": math.nan}, "message_interval must be finite"),
+    ({"message_interval": 1e-300}, "shorter than dt"),
+    ({"message_interval": 5e-4}, "shorter than dt"),
+    ({"failures": (((1, 6), math.inf),)}, "non-finite time"),
+    ({"failures": (((1, 6), math.nan),)}, "non-finite time"),
+    ({"disturbance_time": math.inf}, "non-finite time"),
+    ({"disturbance_time": math.nan}, "non-finite time"),
+])
+def test_validate_rejects_non_finite_values_and_short_intervals(toy, tweak, needle):
+    """Each non-finite time, and a message interval shorter than dt (which
+    rounds to zero steps), is one violation, not an error later in the run."""
+    overrides = {k: v for k, v in tweak.items() if k != "disturbance_time"}
+    scn = toy
+    if "disturbance_time" in tweak:
+        dist = dataclasses.replace(toy.disturbances[0], time=tweak["disturbance_time"])
+        scn = dataclasses.replace(toy, disturbances=(dist,))
+    scn = with_overrides(scn, scheme="HYBRID_SINGLE" if "failures" in tweak else None,
+                         **overrides)
+    problems = validate(scn)
+    assert len(problems) == 1 and needle in problems[0]

@@ -675,10 +675,10 @@ def test_rotation_records_match_oracle(rotation_oracle, stride):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the calls of controllers.init_artificial and kernels.jump
-    made from here on."""
+    """Counts of the calls of controllers.init_artificial, kernels.jump and
+    simulator.derivative made from here on."""
     from gridfreq import controllers, kernels, simulator
-    counts = dict.fromkeys(["init_artificial", "jump"], 0)
+    counts = dict.fromkeys(["init_artificial", "jump", "derivative"], 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -689,7 +689,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((controllers, "init_artificial"), (kernels, "jump"),
-                         (simulator, "jump")):
+                         (simulator, "jump"), (simulator, "derivative")):
         count(module, name)
     return counts
 
@@ -709,6 +709,26 @@ def test_rotation_records_without_stopping(calls):
     # per piece two partial intervals, L - 1 head and tail intervals each,
     # and one cycle jump
     assert calls["jump"] <= pieces * (2 + 2 * 3 + 1)
+
+
+def test_sampling_stops_call_no_control_law(calls):
+    """With record_stride 7 the rotation stops at every record, mostly
+    between instants, and at an instant before each record. No stop calls
+    a control law: the offset of a partial interval is B [y; p] and an
+    instant resets q by the cached R, so derivative and init_artificial run
+    only to build each context's matrices. Every row matches the oracle."""
+    scn = rotation_scenario(7)
+    traj = integrate(scn)
+    pieces = schedule(scn).pieces
+    contexts = {(pc.comm, c) for pc in pieces for c in pc.contexts + (pc.lead,)}
+    inits = sum(pc.init is not None for pc in pieces)
+    assert calls["init_artificial"] <= len(contexts) + inits
+    assert calls["derivative"] <= 3 * len(contexts)
+    steps = np.round(traj.times / scn.dt).astype(int)
+    assert list(steps) == list(range(0, 601, 7)) + [600]
+    oracle = reference_integrate(scn, 600, every=1)
+    for k, step in enumerate(steps):
+        assert np.abs(state_to_vector(traj.state_at(k)) - oracle[step]).max() <= 1e-12
 
 
 def test_sampled_records_off_instants_cross_intervals_at_once(toy, calls):
