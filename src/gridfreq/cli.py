@@ -22,7 +22,7 @@ from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
                         write_trajectory_csv)
 from .stability import (assemble_state_matrix, characteristic_identity_check,
                         check_sufficient_multi_node, check_sufficient_two_node,
-                        build_Lc_star, interval_map_spectrum, spectrum)
+                        failed_pair_last, interval_map_spectrum, spectrum)
 
 
 def _load(args) -> Optional[object]:
@@ -154,12 +154,7 @@ def _state_matrix_report(scn, piece, args) -> dict:
         doc["sufficient"] = check_sufficient_two_node(
             M, D, C, grid.lines[0].b, L_c)
     elif ctx.scheme == "HYBRID_SINGLE":
-        pair = next(iter(ctx.pair_edges))
-        n = grid.n_nodes
-        order = [k for k in range(n) if k not in pair] + sorted(pair)
-        P = np.eye(n)[order]
-        Lstar = build_Lc_star(P @ comm.laplacian(comm.links, n) @ P.T,
-                              P @ C @ P.T, (n - 2, n - 1))
+        P, Lstar = failed_pair_last(grid, comm, next(iter(ctx.pair_edges)))
         doc["sufficient"] = check_sufficient_multi_node(
             P @ M @ P.T, P @ D @ P.T, P @ C @ P.T, Lstar,
             P @ grid.weighted_laplacian() @ P.T)

@@ -1,65 +1,49 @@
 """RK4 kernel: RK4's exact one-step map on an affine system, applied in jumps.
 
-`jump` applies a map in increment form, x -> x + D x + g, k times to x in
-place, recording the state after application s (1-based) whenever
-s == first_record + i * stride; first_record <= 0 disables recording. It
-returns the number of rows written to out. If the state leaves the finite
-range, the rows recorded after that are not counted. `rk4_segment`
-advances the affine system dx/dt = A x + b by n_steps classical
-Runge-Kutta steps of size h with the same recording contract: it builds
-RK4's one-step map (D, g) from (A, b) and calls jump.
+On x' = A x + B w with the input w held constant one RK4 step of size h is
+exactly the affine map
 
-On x' = A x + b one RK4 step is exactly the affine map
-
-    x -> x + D x + g,   D = R(hA) - I = hA S(hA),   g = h S(hA) b,
+    x -> x + D x + G w,   D = R(hA) - I = hA S(hA),   G = h S(hA) B,
 
 with RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and
-S(z) = 1 + z/2 + z^2/6 + z^3/24. k steps are x -> x + D_k x + g_k, where
-I + D_k = (I + D)^k and g_k = (I + (I + D) + ... + (I + D)^(k-1)) g. The
-kernel builds D and S(hA) once per A, so that an offset g, or the input
-matrix G = h S(hA) B of constant inputs, is one product. It jumps over an
-unrecorded run, or a whole record stride, with one (D_k, g_k), computed by
-repeated squaring in the increment form
+S(z) = 1 + z/2 + z^2/6 + z^3/24 (Van Loan, 1978, for such block maps with
+inputs). `one_step_map` builds (D, G) from (A, B, h); a caller keeps it per
+system, so that the offset g = G w of an input is one product. k steps are
+x -> x + D_k x + G_k w, where I + D_k = (I + D)^k and
+G_k = (I + (I + D) + ... + (I + D)^(k-1)) G. `k_step_map` builds (D_k, G_k)
+by repeated squaring in the increment form
 
-    D_2m = 2 D_m + D_m D_m,      g_2m = 2 g_m + D_m g_m,
-    D_m+1 = D_m + D + D D_m,     g_m+1 = g_m + g + D g_m.
+    D_2m = 2 D_m + D_m D_m,      G_2m = 2 G_m + D_m G_m,
+    D_m+1 = D_m + D + D D_m,     G_m+1 = G_m + G + D G_m.
 
 Powers of I + D itself would round away the O(h) increment; these do not.
-One unrecorded jump over 1e4 steps of a 30-state system stays within 1e-14
-of stepping RK4 one step at a time, at a state scale of 4
-(tests/test_kernels.py checks 1e-12). Where building D_k costs more
-than it saves, the jump applies (D, g) k times instead (see _k_step_map).
-Either way a jump's arithmetic is fixed by its length, the number of such
-jumps in the call and the dimension, so a recorded call gives the same
-states as unrecorded calls over the same jumps whenever the choices agree.
+The same squaring runs on any map in increment form, such as the map of one
+message interval, and `compose_maps` chains maps in the same form, such as
+the interval maps of a rotation cycle.
 
-The same squaring runs on any map in increment form: `k_step_map` gives
-the k-step map of a system with constant inputs, x' = A x + B w, and
-`jump` records and jumps the same way over repetitions of a map the caller
-built, such as the map of one message interval, where one application is
-one interval and a stride counts intervals, or the map of a rotation cycle
-that `compose_maps` makes from its interval maps.
-
-(D, S) is cached per A by identity while A is alive, for at most
-_MAX_CACHED matrices, so A must not be changed in place between calls. It
-depends on (A, h) alone, so the cache changes how long a call takes, never
-its result.
+`jump` applies a map x -> x + D x + g k times to x in place, recording the
+state after application s (1-based) whenever s == first_record + i * stride;
+first_record <= 0 disables recording. It returns the number of rows written
+to out; if the state leaves the finite range, the rows recorded after that
+are not counted. It jumps over an unrecorded run, or a whole record stride,
+with one (D_k, g_k), or applies (D, g) k times where building D_k costs
+more than it saves (see _jump_map). One unrecorded jump over 1e4 RK4 steps
+of a 30-state system stays within 1e-14 of stepping RK4 one step at a time,
+at a state scale of 4 (tests/test_kernels.py checks 1e-12). Either way a
+jump's arithmetic is fixed by its length, the number of such jumps in the
+call and the dimension, so a recorded call gives the same states as
+unrecorded calls over the same jumps whenever the choices agree.
 """
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 import numpy as np
 
-_MAX_CACHED = 16
-# id(A) -> (weak reference to A, h, (D, S)); an entry leaves when its A dies
-_cache: dict = {}
 
-
-def _increment_matrix(A: np.ndarray, h: float):
-    """(D, S) with S = S(hA) by Horner's rule and D = hA S: three matrix
-    products."""
+def one_step_map(A: np.ndarray, B: np.ndarray, h: float):
+    """RK4's one-step map (D, G) on x' = A x + B w: S = S(hA) by Horner's
+    rule, D = hA S and G = h S B, four matrix products. New arrays."""
     dim = A.shape[0]
     diag = np.arange(dim), np.arange(dim)
     S = A * (h / 4.0)
@@ -72,32 +56,23 @@ def _increment_matrix(A: np.ndarray, h: float):
     S[diag] += 1.0
     D = A @ S
     D *= h
-    return D, S
+    G = S @ B
+    G *= h
+    return D, G
 
 
-def _cached_increment(A: np.ndarray, h: float):
-    key = id(A)
-    hit = _cache.get(key)
-    if hit is not None and hit[0]() is A and hit[1] == h:
-        return hit[2]
-    DS = _increment_matrix(A, h)
-    if len(_cache) >= _MAX_CACHED:
-        del _cache[next(iter(_cache))]
-    forget = lambda _, key=key, cache=_cache: cache.pop(key, None)  # noqa: E731
-    _cache[key] = (weakref.ref(A, forget), h, DS)
-    return DS
-
-
-def _squared_map(D: np.ndarray, g: np.ndarray, k: int, work: list):
-    """(D_k, g_k) for k >= 2 by repeated squaring in increment form:
-    bit_length(k) + popcount(k) - 2 matrix products. g may have several
-    columns. D_k and g_k go into the buffers in `work`, allocated on first
-    use."""
+def k_step_map(D: np.ndarray, G: np.ndarray, k: int, work: Optional[list] = None):
+    """(D_k, G_k) of k >= 1 applications of x -> x + D x + G w, by repeated
+    squaring in increment form: bit_length(k) + popcount(k) - 2 matrix
+    products. G may have several columns. Returns new arrays, or, given
+    `work`, writes D_k into its buffers, allocated on first use."""
+    if work is None:
+        work = []
     if not work:
-        work += [np.empty_like(D), np.empty_like(D), np.empty_like(g)]
+        work += [np.empty_like(D), np.empty_like(D), np.empty_like(G)]
     Dk, prod, gprod = work
     Dk[...] = D
-    gk = g.copy()
+    gk = G.copy()
     for bit in bin(k)[3:]:
         np.matmul(Dk, gk, out=gprod)
         gk *= 2.0
@@ -108,14 +83,14 @@ def _squared_map(D: np.ndarray, g: np.ndarray, k: int, work: list):
         if bit == "1":
             np.matmul(D, gk, out=gprod)
             gk += gprod
-            gk += g
+            gk += G
             np.matmul(D, Dk, out=prod)
             Dk += prod
             Dk += D
     return Dk, gk
 
 
-def _k_step_map(D: np.ndarray, g: np.ndarray, k: int, reps: int, work: list):
+def _jump_map(D: np.ndarray, g: np.ndarray, k: int, reps: int, work: list):
     """Map of a k-step jump that the call makes `reps` times, as
     (Dk, gk, times): one application of (D_k, g_k), or k applications of
     (D, g) where that costs less. Building D_k takes bit_length(k) +
@@ -124,19 +99,8 @@ def _k_step_map(D: np.ndarray, g: np.ndarray, k: int, reps: int, work: list):
     products = k.bit_length() + bin(k).count("1") - 2
     if products * max(1.0, D.shape[0] / 6.0) >= reps * (k - 1):
         return D, g, k
-    Dk, gk = _squared_map(D, g, k, work)
+    Dk, gk = k_step_map(D, g, k, work)
     return Dk, gk, 1
-
-
-def k_step_map(A: np.ndarray, B: np.ndarray, h: float, k: int):
-    """RK4's exact k-step map on x' = A x + B w with the input w held
-    constant: x -> x + D_k x + G_k w. Returns new arrays (D_k, G_k)."""
-    D, S = _increment_matrix(A, h)
-    G = S @ B
-    G *= h
-    if k == 1:
-        return D, G
-    return _squared_map(D, G, k, [])
 
 
 def compose_maps(maps):
@@ -177,7 +141,7 @@ def jump(D: np.ndarray, g: np.ndarray, x: np.ndarray, k: int,
     for row, m in enumerate(jumps):
         if m != k_map:
             k_map = m
-            Dm, gm, times = _k_step_map(D, g, m, jumps.count(m), work)
+            Dm, gm, times = _jump_map(D, g, m, jumps.count(m), work)
         for _ in range(times):
             np.matmul(Dm, x, out=inc)
             inc += gm
@@ -190,10 +154,3 @@ def jump(D: np.ndarray, g: np.ndarray, x: np.ndarray, k: int,
             n_rec -= 1
     return n_rec
 
-
-def rk4_segment(A: np.ndarray, b: np.ndarray, x: np.ndarray, h: float,
-                n_steps: int, first_record: int, stride: int,
-                out: np.ndarray) -> int:
-    """n_steps RK4 steps of x' = A x + b: jump() with RK4's one-step map."""
-    D, S = _cached_increment(A, h)
-    return jump(D, h * (S @ b), x, n_steps, first_record, stride, out)

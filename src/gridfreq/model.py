@@ -196,12 +196,14 @@ def validate(scenario: Scenario) -> list:
     for k, node in enumerate(grid.nodes):
         if node.id != k + 1:
             out.append(f"node at position {k} has id {node.id}, expected {k + 1}")
-        if not node.inertia > 0:
-            out.append(f"node {node.id}: inertia must be > 0, got {node.inertia}")
-        if node.droop < 0:
-            out.append(f"node {node.id}: droop must be >= 0, got {node.droop}")
-        if not node.cost > 0:
-            out.append(f"node {node.id}: cost must be > 0, got {node.cost}")
+        if not 0 < node.inertia < math.inf:
+            out.append(f"node {node.id}: inertia must be finite and > 0, got {node.inertia}")
+        if not 0 <= node.droop < math.inf:
+            out.append(f"node {node.id}: droop must be finite and >= 0, got {node.droop}")
+        if not 0 < node.cost < math.inf:
+            out.append(f"node {node.id}: cost must be finite and > 0, got {node.cost}")
+        if not math.isfinite(node.fixed_power):
+            out.append(f"node {node.id}: fixed power p must be finite, got {node.fixed_power}")
 
     seen = set()
     for ln in grid.lines:
@@ -216,8 +218,8 @@ def validate(scenario: Scenario) -> list:
         if (ln.i, ln.j) in seen:
             out.append(f"{label}: duplicate line")
         seen.add((ln.i, ln.j))
-        if not ln.b > 0:
-            out.append(f"{label}: susceptance must be > 0, got {ln.b}")
+        if not 0 < ln.b < math.inf:
+            out.append(f"{label}: susceptance must be finite and > 0, got {ln.b}")
     if not out and not _connected(n, [(ln.i, ln.j) for ln in grid.lines]):
         out.append("power graph is not connected")
 
@@ -254,6 +256,8 @@ def validate(scenario: Scenario) -> list:
             out.append(f"disturbance at node {d.node + 1} has non-finite time {d.time}")
         elif d.time < 0:
             out.append(f"disturbance at node {d.node + 1} has negative time {d.time}")
+        if not math.isfinite(d.delta_p):
+            out.append(f"disturbance at node {d.node + 1} has non-finite delta_p {d.delta_p}")
 
     dt_ok = scenario.dt > 0 and math.isfinite(scenario.dt)
     if not math.isfinite(scenario.horizon):
@@ -321,7 +325,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         has_b, has_x = "b" in ld, "reactance" in ld
         if has_b == has_x:
             raise ScenarioFormatError(f"{where}: exactly one of 'b' or 'reactance' required")
-        b = float(ld["b"]) if has_b else 1.0 / float(ld["reactance"])
+        if has_b:
+            b = float(ld["b"])
+        elif float(ld["reactance"]) == 0:
+            raise ScenarioFormatError(f"{where}: reactance must be nonzero")
+        else:
+            b = 1.0 / float(ld["reactance"])
         lines.append(Line(min(i, j), max(i, j), b))
 
     links = tuple(

@@ -9,22 +9,24 @@ interval_map_spectrum use too, so the report analyses the law the run ran.
 
 Within a piece the closed loop is an affine system over the state layout
 [omega (N), flow (E), u (N), q (N)]. derivative() is the single definition
-of those dynamics and takes stacked states, one state per row, so
-context_matrices assembles each context's matrices from one evaluation on
-the identity stack. Between sampling instants a piece is
+of those dynamics and takes stacked states, one state per row. Between
+sampling instants a piece is
 
     x' = A x + B [y; p],
 
 with p its fixed powers and y the held messages, C u of the last sampling
-instant (under continuous messaging B reads no y). A sampling instant is a
-linear reset: y refreshes to C u, and SEQUENTIAL resets q by the rotation's
-reset matrix R. So a whole message interval is one exact affine map
-(interval_map), and a whole SEQUENTIAL rotation cycle the composition of
-its interval maps (kernels.compose_maps). The integrator advances runs of
-intervals and cycles with them and stops at piece boundaries; when the
-records all fall on sampling instants it writes them without stopping, and
-at records too otherwise. The trajectory is bit-reproducible for
-identical inputs.
+instant (under continuous messaging B reads no y). context_matrices builds
+a context's A and B from one derivative() call on the identity stack of
+[x; y; p], and context_step RK4's one-step map (D, G) from them, the one
+linear system a run keeps per live links and context. A sampling instant
+is a linear reset: y refreshes to C u, and SEQUENTIAL resets q by the
+rotation's reset matrix R. So a whole message interval is one exact affine
+map (interval_map, the one-step map squared), and a whole SEQUENTIAL
+rotation cycle the composition of its interval maps (kernels.compose_maps).
+The integrator advances runs of intervals and cycles with them and stops at
+piece boundaries; when the records all fall on sampling instants it writes
+them without stopping, and at records too otherwise. The trajectory is
+bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import numpy as np
 from . import controllers
 from .controllers import ControlContext, Link
 from .dispatch import cost_of, optimal_dispatch
-from .kernels import compose_maps, jump, k_step_map, rk4_segment
+from .kernels import compose_maps, jump, k_step_map, one_step_map
 from .model import CONTINUOUS, CommGraph, PowerGrid, Scenario, SystemState, validate
 
 
@@ -187,21 +189,6 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
     return np.concatenate([domega, dflow, du, dq], axis=-1)
 
 
-def assemble_affine(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-                    p: np.ndarray, last_rx: dict, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact (A, b) with derivative(x) == A x + b, from one evaluation on
-    the identity stack: row k of derivative(I) - b is column k of A.
-
-    Exact because every control law is linear in the state once event data
-    (p, held messages, the active structure) is frozen.
-    """
-    dim = 3 * grid.n_nodes + grid.n_lines
-    b = derivative(vector_to_state(t, np.zeros(dim), grid, last_rx), grid, comm, ctx, p)
-    dx = derivative(vector_to_state(t, np.eye(dim), grid, last_rx), grid, comm, ctx, p)
-    dx -= b
-    return np.ascontiguousarray(dx.T), b
-
-
 def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
     """The refresh rule of a sampling instant: each link carries the weighted
     control y = C u of either endpoint to the other one. For a stack y of
@@ -211,22 +198,6 @@ def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
         rx[(a, b)] = y[..., a]
         rx[(b, a)] = y[..., b]
     return rx
-
-
-def assemble_inputs(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
-    """Exact B with derivative(0) == B @ [y; p] for held messages
-    held_messages(y, comm.links) and fixed powers p, from one evaluation on
-    the identity stack W = I_2N, whose row k is one unit [y; p].
-
-    The y columns are zero for laws that read no held message. Every law is
-    linear, so derivative(0) vanishes at y = 0 and p = 0.
-    """
-    n = grid.n_nodes
-    W = np.eye(2 * n)
-    zero = np.zeros((2 * n, 3 * n + grid.n_lines))
-    rx = held_messages(W[:, :n], comm.links)
-    dx = derivative(vector_to_state(0.0, zero, grid, rx), grid, comm, ctx, W[:, n:])
-    return np.ascontiguousarray(dx.T)
 
 
 def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
@@ -292,34 +263,57 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
         x' = A x + B [y; p]
 
     between sampling instants, with y the held values (C u at the last
-    instant; assemble_affine at y = 0 and p = 0, assemble_inputs), and the
-    reset R of a rotation to ctx.active_link at an instant (rotation_reset),
-    None for a context that rotates no pair."""
+    instant) and p the fixed powers, and the reset R of a rotation to
+    ctx.active_link at an instant (rotation_reset), None for a context that
+    rotates no pair.
+
+    A and B come from one derivative() call on the identity stack of
+    [x; y; p]: its first dim rows are the unit states with y = 0 and p = 0,
+    whose derivatives are the columns of A, and its last 2N rows the unit
+    inputs at x = 0, whose derivatives are the columns of B (held values
+    held_messages(y, comm.links)). Exact because every control law is
+    linear in the state once the event data (held messages, powers, the
+    active structure) is frozen; the y columns of B are zero for laws that
+    read no held message.
+    """
     n = grid.n_nodes
-    A, _ = assemble_affine(grid, comm, ctx, np.zeros(n),
-                           held_messages(np.zeros(n), comm.links), 0.0)
+    dim = 3 * n + grid.n_lines
+    W = np.eye(dim + 2 * n)
+    X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
+    dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
+                    grid, comm, ctx, P)
     R = None if ctx.active_link is None else rotation_reset(grid, comm, ctx)
-    return A, assemble_inputs(grid, comm, ctx), R
+    return np.ascontiguousarray(dx[:dim].T), np.ascontiguousarray(dx[dim:].T), R
 
 
-def interval_map(grid: PowerGrid, A: np.ndarray, B: np.ndarray, R: Optional[np.ndarray],
-                 h: float, K: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact map of one message interval, K RK4 steps of size h from one
-    sampling instant to the next, as (D, G) with
+def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float
+                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(D, G, R): RK4's one-step map x -> x + D x + G [y; p] of the context's
+    piece (kernels.one_step_map of its context_matrices) and its reset R.
+    A and B are dropped once the map is built."""
+    A, B, R = context_matrices(grid, comm, ctx)
+    D, G = one_step_map(A, B, h)
+    return D, G, R
 
-        x(next instant) = x + D x + G p
 
-    for fixed powers p, given a context's context_matrices (A, B, R). At the
+def interval_map(grid: PowerGrid, D: np.ndarray, G: np.ndarray, R: Optional[np.ndarray],
+                 K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact map of one message interval, K RK4 steps from one sampling
+    instant to the next, as (D_K, G_K) with
+
+        x(next instant) = x + D_K x + G_K p
+
+    for fixed powers p, given a context's context_step (D, G, R). At the
     instant the held values refresh to y = C u and, when R is not None, q
-    resets to R x; then K steps of x' = A x + B [y; p] follow with y
-    constant. Refresh and reset are linear and RK4's K-step map with
+    resets to R x; then K steps x -> x + D x + G [y; p] follow with y
+    constant. Refresh and reset are linear and the K-fold step map with
     constant inputs is affine (kernels.k_step_map), so the map is exact.
     Both leave a state whose sampling events have already been applied
-    unchanged, so the map also advances such a state. D is dim x dim and G
-    dim x N.
+    unchanged, so the map also advances such a state. D_K is dim x dim and
+    G_K dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
-    D, G = k_step_map(A, B, h, K)
+    D, G = k_step_map(D, G, K)
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
     if R is not None:
         D = D @ R
@@ -470,28 +464,31 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     discrete occurrences; routine sampling refreshes and rotations are not
     logged.
 
-    Between events a piece is x' = A x + B [y; p] (context_matrices, cached
-    for the run per live links and context), with p its fixed powers and y
-    the held messages: C u of the last sampling instant, which every live
-    link holds. A failed link keeps the value it held when it failed; that
-    value is read by rx_series and by init_artificial at a piece's init.
-    Every sampling instant runs one rule, sample(), on a stack of states:
-    q resets by its context's R, and the held values become C u. The state
-    is a one-row stack, and so are the rows recorded inside a jump.
+    Between events a piece is x' = A x + B [y; p], with p its fixed powers
+    and y the held messages: C u of the last sampling instant, which every
+    live link holds. A failed link keeps the value it held when it failed;
+    that value is read by rx_series and by init_artificial at a piece's
+    init. The run caches one entry per live links and context: RK4's
+    one-step map (D, G) and the reset R (context_step), built once, with A
+    and B dropped. Every sampling instant runs one rule, sample(), on a
+    stack of states: q resets by its context's R, and the held values
+    become C u. The state is a one-row stack, and so are the rows recorded
+    inside a jump.
 
-    Under continuous messaging each piece is one rk4_segment call, which
-    also writes the records inside it. With a finite message interval whole
-    message intervals advance by interval_map, and a part of an interval by
-    rk4_segment with offset B [y; p]. When record_stride is a multiple of
+    Under continuous messaging each piece is one kernels.jump of the
+    one-step map with offset G [y; p], which also writes the records inside
+    it. With a finite message interval whole message intervals advance by
+    interval_map, squared from the same (D, G), and a part of an interval
+    by a jump of the one-step map. When record_stride is a multiple of
     K = T / dt every record falls on a sampling instant, and the run stops
     only at piece boundaries: intervals() writes the records between them
     and samples them. A SEQUENTIAL rotation over L links crosses whole
-    cycles of L intervals by one kernels.jump call of its cycle map
-    (compose_maps of the L interval maps) when the stride is a multiple of
-    L K or no record lies between, and one interval at a time otherwise.
-    With a stride that is not a multiple of K the run also stops at every
-    record. Interval and cycle maps are cached like the matrices; a
-    rotation over L links keeps L + 1 maps of dim * (dim + N) floats.
+    cycles of L intervals by one jump of its cycle map (compose_maps of the
+    L interval maps) when the stride is a multiple of L K or no record lies
+    between, and one interval at a time otherwise. With a stride that is
+    not a multiple of K the run also stops at every record. Interval and
+    cycle maps are cached like the step maps; a rotation over L links keeps
+    L + 1 maps of dim * (dim + N) floats.
 
     A kernel call that leaves the finite range raises IntegrationError with
     the first non-finite step, found by replaying that call one RK4 step at
@@ -522,12 +519,12 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     live = np.ones(len(rx_links), dtype=bool)
 
     @functools.cache
-    def matrices(comm: CommGraph, c: ControlContext):
-        return context_matrices(grid, comm, c)
+    def maps(comm: CommGraph, c: ControlContext):
+        return context_step(grid, comm, c, dt)
 
     @functools.cache
     def step_map(comm: CommGraph, c: ControlContext):
-        return interval_map(grid, *matrices(comm, c), dt, K)
+        return interval_map(grid, *maps(comm, c), K)
 
     @functools.cache
     def cycle_map(comm: CommGraph, cs: Tuple[ControlContext, ...]):
@@ -542,7 +539,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         each row leaves, its C u."""
         phase = (step + stride * np.arange(len(rows))) // K % len(piece.contexts)
         for c in set(phase.tolist()):
-            R = matrices(piece.comm, piece.contexts[c])[2]
+            R = maps(piece.comm, piece.contexts[c])[2]
             if R is not None:
                 at = phase == c
                 rows[at, Q] = rows[at] @ R[Q].T
@@ -573,10 +570,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         n_rec += got
 
     def stretch(step: int, n_steps: int, first: int, out: np.ndarray) -> int:
-        """rk4_segment over n_steps from step, under the context and held
-        messages in force there."""
-        A, B, _ = matrices(piece.comm, piece.context(step, K))
-        return rk4_segment(A, B @ np.concatenate([y, p]), x, dt, n_steps, first, stride, out)
+        """n_steps RK4 steps from step, one jump of the one-step map under
+        the context and held messages in force there."""
+        D, G, _ = maps(piece.comm, piece.context(step, K))
+        return jump(D, G @ np.concatenate([y, p]), x, n_steps, first, stride, out)
 
     def first_nonfinite(step: int, stop: int, x0: np.ndarray) -> int:
         """Replay the kernel call from x0 at step to stop one RK4 step at a

@@ -31,11 +31,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .controllers import ControlContext
+from .controllers import ControlContext, Link
 from .kernels import compose_maps
 from .model import CommGraph, PowerGrid
-from .simulator import (assemble_affine, context_matrices, held_messages, interval_map,
-                        modes, state_labels)
+from .simulator import context_matrices, context_step, interval_map, modes, state_labels
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -76,15 +75,14 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
-    Built from one evaluation of the reference derivative on the identity
-    stack (exact: the dynamics are linear); rows and columns of artificial
-    variables outside the flow-controlled nodes ctx.F are dropped, since
-    the law never touches them. comm holds the live links only.
+    The A of simulator.context_matrices, one evaluation of the reference
+    derivative on the identity stack (exact: the dynamics are linear); rows
+    and columns of artificial variables outside the flow-controlled nodes
+    ctx.F are dropped, since the law never touches them. comm holds the
+    live links only.
     """
     n, e = grid.n_nodes, grid.n_lines
-    # held messages are inputs, not state: at y = 0 they leave A as it is
-    A_full, _ = assemble_affine(grid, comm, ctx, np.zeros(n),
-                                held_messages(np.zeros(n), comm.links), 0.0)
+    A_full = context_matrices(grid, comm, ctx)[0]   # held messages are inputs, not state
     q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
     A = A_full[np.ix_(keep, keep)]
@@ -126,7 +124,7 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
     K = int(round(T / dt))
-    D, _ = compose_maps([interval_map(grid, *context_matrices(grid, comm, ctx), dt, K)
+    D, _ = compose_maps([interval_map(grid, *context_step(grid, comm, ctx, dt), K)
                          for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
@@ -244,6 +242,19 @@ def build_Lc_star(L_c: np.ndarray, C: np.ndarray,
     return out
 
 
+def failed_pair_last(grid: PowerGrid, comm: CommGraph, pair: Link
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """(P, L_c*) of the single-failure analysis: the permutation matrix P
+    that relabels the nodes so the failed pair comes last, as build_Lc_star
+    requires, and L_c* from the Laplacian of comm's links in that labelling
+    (a link between the pair touches only the rows L_c* replaces). A matrix
+    X over the nodes relabels as P X P^T."""
+    n = grid.n_nodes
+    P = np.eye(n)[[k for k in range(n) if k not in pair] + sorted(pair)]
+    L_c = P @ comm.laplacian(comm.links, n) @ P.T
+    return P, build_Lc_star(L_c, P @ np.diag(grid.cost()) @ P.T, (n - 2, n - 1))
+
+
 def _pencil_two_node(lam: complex, M, D, Cinv, L_c, LpB) -> np.ndarray:
     return ((lam ** 2) * D + (lam ** 3) * M + lam * Cinv
             + lam * (L_c @ D) + (lam ** 2) * (L_c @ M) + (2.0 + lam) * LpB)
@@ -307,15 +318,9 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
 
         singular_eigs = np.array([0.0, -2.0])
     else:
-        # permute so the failed pair occupies the last two slots
-        i, j = pair
-        order = [k for k in range(n) if k not in (i, j)] + [i, j]
-        P = np.eye(n)[order]
+        P, Lstar = failed_pair_last(grid, comm, pair)
         Mp, Dp, Cp = P @ M @ P.T, P @ D @ P.T, P @ C @ P.T
         LpBp = P @ LpB @ P.T
-        surviving = [l for l in comm.links if l != pair]
-        L_c_surv = P @ comm.laplacian(surviving, n) @ P.T
-        Lstar = build_Lc_star(L_c_surv, Cp, (n - 2, n - 1))
         LstarC = Lstar @ Cp
         Cinv_p = np.linalg.inv(Cp)
         log_det_Minv = -_logdet(Mp)

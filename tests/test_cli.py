@@ -71,7 +71,20 @@ def test_simulate_rejects_non_finite_and_bad_options(tmp_path, capsys, argv, nee
     (lambda doc: doc["disturbances"][0].update(time=math.inf), "non-finite time"),
     (lambda doc: doc.update(comm_failures=[{"link": [2, 7], "time": math.nan}]),
      "non-finite time"),
-], ids=["horizon", "message_interval", "disturbance_time", "failure_time"])
+    (lambda doc: doc["nodes"][2].update(inertia=math.inf),
+     "invalid scenario: node 3: inertia must be finite"),
+    (lambda doc: doc["nodes"][2].update(droop=math.nan),
+     "invalid scenario: node 3: droop must be finite"),
+    (lambda doc: doc["nodes"][2].update(cost=math.inf),
+     "invalid scenario: node 3: cost must be finite"),
+    (lambda doc: doc["nodes"][2].update(p=math.nan),
+     "invalid scenario: node 3: fixed power p must be finite"),
+    (lambda doc: doc["lines"][0].update(b=math.inf),
+     "invalid scenario: line (2,7): susceptance must be finite"),
+    (lambda doc: doc["disturbances"][0].update(delta_p=math.nan),
+     "invalid scenario: disturbance at node 3 has non-finite delta_p"),
+], ids=["horizon", "message_interval", "disturbance_time", "failure_time", "inertia",
+        "droop", "cost", "p", "b", "delta_p"])
 def test_scenario_file_with_non_finite_values_reports_violations(tmp_path, capsys, edit,
                                                                   needle):
     """json writes these as Infinity and NaN and reads them back as floats."""
@@ -83,6 +96,17 @@ def test_scenario_file_with_non_finite_values_reports_violations(tmp_path, capsy
     code = cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
     assert code == 1
     assert needle in capsys.readouterr().err
+
+
+def test_scenario_file_with_zero_reactance_exits_1(tmp_path, capsys):
+    doc = scenario_to_dict(toy_grid())
+    doc["lines"][0] = {"i": 1, "j": 2, "reactance": 0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "error: lines[0]: reactance must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_simulate_unwritable_output_exits_1(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfreq.kernels import jump, k_step_map, rk4_segment
+from gridfreq.kernels import jump, k_step_map, one_step_map
 
 
 def _workload(rng, dim=30):
@@ -11,16 +11,23 @@ def _workload(rng, dim=30):
     return np.ascontiguousarray(A), b, x0
 
 
+def _segment(A, b, x, h, n_steps, first_record, stride, out):
+    """n_steps RK4 steps of x' = A x + b: one jump of RK4's one-step map,
+    with b as the single column of the input matrix and w = 1."""
+    D, G = one_step_map(A, b[:, None], h)
+    return jump(D, G[:, 0], x, n_steps, first_record, stride, out)
+
+
 def test_recording_offsets():
     rng = np.random.default_rng(1)
     A, b, x0 = _workload(rng, dim=4)
     x = x0.copy()
     out = np.empty((3, 4))
-    got = rk4_segment(A, b, x, 1e-3, 25, 7, 9, out)   # records after steps 7, 16, 25
+    got = _segment(A, b, x, 1e-3, 25, 7, 9, out)   # records after steps 7, 16, 25
     assert got == 3
     x2 = x0.copy()
     for steps, row in [(7, 0), (9, 1), (9, 2)]:
-        rk4_segment(A, b, x2, 1e-3, steps, 0, 1, np.empty((0, 4)))
+        _segment(A, b, x2, 1e-3, steps, 0, 1, np.empty((0, 4)))
         assert np.abs(x2 - out[row]).max() <= 1e-15
 
 
@@ -28,7 +35,7 @@ def test_no_recording_sentinel():
     rng = np.random.default_rng(2)
     A, b, x0 = _workload(rng, dim=4)
     x = x0.copy()
-    assert rk4_segment(A, b, x, 1e-3, 50, 0, 1, np.empty((0, 4))) == 0
+    assert _segment(A, b, x, 1e-3, 50, 0, 1, np.empty((0, 4))) == 0
     assert not np.array_equal(x, x0)
 
 
@@ -48,7 +55,7 @@ def test_numpy_kernel_matches_stepwise_rk4():
     A, b, x0 = _workload(rng)
     x = x0.copy()
     out = np.empty((100, len(x0)))
-    assert rk4_segment(A, b, x, 1e-3, 10000, 100, 100, out) == 100
+    assert _segment(A, b, x, 1e-3, 10000, 100, 100, out) == 100
     ref = x0.copy()
     for row in range(100):
         ref = _rk4_steps(A, b, ref, 1e-3, 100)
@@ -56,7 +63,7 @@ def test_numpy_kernel_matches_stepwise_rk4():
     assert np.abs(x - ref).max() <= 1e-12
     # unrecorded, the same 10 000 steps are one squared jump
     x = x0.copy()
-    assert rk4_segment(A, b, x, 1e-3, 10000, 0, 1, out[:0]) == 0
+    assert _segment(A, b, x, 1e-3, 10000, 0, 1, out[:0]) == 0
     assert np.abs(x - ref).max() <= 1e-12
 
 
@@ -66,7 +73,7 @@ def test_overflowing_jump_leaves_nonfinite_state():
     A = 50.0 * np.eye(3)       # grows by about 5e21 per 1000 steps at h = 1e-3
     x = np.ones(3)
     out = np.empty((40, 3))
-    got = rk4_segment(A, np.zeros(3), x, 1e-3, 40000, 1000, 1000, out)
+    got = _segment(A, np.zeros(3), x, 1e-3, 40000, 1000, 1000, out)
     assert not np.isfinite(x).all()
     assert 0 < got < 40
     assert np.isfinite(out[:got]).all()
@@ -80,7 +87,7 @@ def test_k_step_map_and_jump_match_stepwise_rk4():
     B = rng.normal(size=(12, 3))
     w = rng.normal(size=3)
     h, k = 1e-3, 37
-    D, G = k_step_map(A, B, h, k)
+    D, G = k_step_map(*one_step_map(A, B, h), k)
     ref = _rk4_steps(A, B @ w, x0, h, k)
     assert np.abs(x0 + D @ x0 + G @ w - ref).max() <= 1e-12
     x = x0.copy()

@@ -144,3 +144,37 @@ def test_validate_rejects_non_finite_values_and_short_intervals(toy, tweak, need
                          **overrides)
     problems = validate(scn)
     assert len(problems) == 1 and needle in problems[0]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where, needle", [
+    ("inertia", "node 3: inertia must be finite"),
+    ("droop", "node 3: droop must be finite"),
+    ("cost", "node 3: cost must be finite"),
+    ("fixed_power", "node 3: fixed power p must be finite"),
+    ("b", "line (2,7): susceptance must be finite"),
+    ("delta_p", "disturbance at node 3 has non-finite delta_p"),
+])
+def test_validate_rejects_non_finite_parameters(toy, where, needle, value):
+    """A non-finite node, line or disturbance value is one violation, not a
+    non-finite state in the run or a run that silently ignores it."""
+    grid = toy.grid
+    if where == "b":
+        lines = (dataclasses.replace(grid.lines[0], b=value),) + grid.lines[1:]
+        scn = dataclasses.replace(toy, grid=PowerGrid(grid.nodes, lines))
+    elif where == "delta_p":
+        dist = dataclasses.replace(toy.disturbances[0], delta_p=value)
+        scn = dataclasses.replace(toy, disturbances=(dist,))
+    else:
+        nodes = list(grid.nodes)
+        nodes[2] = dataclasses.replace(nodes[2], **{where: value})
+        scn = dataclasses.replace(toy, grid=PowerGrid(tuple(nodes), grid.lines))
+    problems = validate(scn)
+    assert len(problems) == 1 and needle in problems[0]
+
+
+def test_zero_reactance_is_a_format_error(toy):
+    doc = scenario_to_dict(toy)
+    doc["lines"][0] = {"i": 1, "j": 2, "reactance": 0.0}
+    with pytest.raises(ScenarioFormatError, match=r"lines\[0\]: reactance must be nonzero"):
+        scenario_from_dict(doc)

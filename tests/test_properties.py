@@ -1,9 +1,8 @@
 """Property tests on small random grids (hypothesis).
 
 Every law is linear once the event data is fixed, so the assembled
-(A, b) must reproduce derivative() at any state: A x + b == derivative(x),
-and the input matrix B the offset: B [y; p] == b for held values y and
-powers p.
+(A, B) must reproduce derivative() at any state: with b = B [y; p] for held
+values y and powers p, A x + b == derivative(x), and b == derivative(0).
 Grids are connected, with 2 to 6 nodes; the scheme's flow-based pair is a
 power-adjacent communication link that has failed (or, under SEQUENTIAL,
 the active shared link).
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 
 from gridfreq.controllers import ControlContext
 from gridfreq.model import SCHEMES, CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import (assemble_affine, assemble_inputs, derivative, held_messages,
-                                sequential_context, vector_to_state)
+from gridfreq.simulator import (context_matrices, derivative, held_messages, sequential_context,
+                                vector_to_state)
 
 positive = st.floats(0.05, 5.0)
 
@@ -60,8 +59,11 @@ def test_assembled_affine_map_reproduces_derivative(case, seed):
     y = rng.normal(size=n)
     last_rx = held_messages(y, comm.links)
     p = rng.normal(size=n)
-    A, b = assemble_affine(grid, comm, ctx, p, last_rx, 0.0)
-    assert np.abs(assemble_inputs(grid, comm, ctx) @ np.concatenate([y, p]) - b).max() <= 1e-12
+    A, B, _ = context_matrices(grid, comm, ctx)
+    b = B @ np.concatenate([y, p])
+    zero = np.zeros(3 * n + grid.n_lines)
+    dx = derivative(vector_to_state(0.0, zero, grid, last_rx), grid, comm, ctx, p)
+    assert np.abs(b - dx).max() <= 1e-12
     for x in rng.normal(size=(3, 3 * n + grid.n_lines)):
         dx = derivative(vector_to_state(0.0, x, grid, last_rx), grid, comm, ctx, p)
         assert np.abs(A @ x + b - dx).max() <= 1e-12

@@ -9,8 +9,8 @@ from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
                             PowerGrid, Scenario, SystemState, with_overrides)
-from gridfreq.simulator import (IntegrationError, Trajectory, assemble_affine,
-                                assemble_inputs, convergence_time, derivative,
+from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices,
+                                convergence_time, derivative,
                                 first_crossing_time, held_messages, initial_flows,
                                 integrate, rotation_reset, run_scenario, schedule,
                                 sequential_context, shared_links, state_to_vector,
@@ -534,15 +534,22 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
         grid = random_grid(4, 30)
         comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
     scheme, ctx, live = scheme_cases(grid, comm)[case]
+    n = grid.n_nodes
     rng = np.random.default_rng(case)
+    y = rng.normal(size=n)
     last_rx = {}
     if scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
-        last_rx = held_messages(rng.normal(size=grid.n_nodes), live.links)
-    p = rng.normal(size=grid.n_nodes)
-    A, b = assemble_affine(grid, live, ctx, p, last_rx, 0.3)
+        last_rx = held_messages(y, live.links)
+    p = rng.normal(size=n)
+    A, B, _ = context_matrices(grid, live, ctx)
+    A_ref, _ = loop_affine(grid, live, ctx, np.zeros(n), held_messages(np.zeros(n), live.links),
+                           0.3)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(B, loop_inputs(grid, live, ctx))
+    # at nonzero inputs (y unread by the laws without held messages)
     A_ref, b_ref = loop_affine(grid, live, ctx, p, last_rx, 0.3)
-    assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
-    assert np.array_equal(assemble_inputs(grid, live, ctx), loop_inputs(grid, live, ctx))
+    assert np.abs(A - A_ref).max() <= 1e-12
+    assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
     if ctx.pair_edges:
         R = rotation_reset(grid, live, ctx)
         assert np.array_equal(R, loop_reset(grid, live, ctx))
@@ -675,10 +682,10 @@ def test_rotation_records_match_oracle(rotation_oracle, stride):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the calls of controllers.init_artificial, kernels.jump and
-    simulator.derivative made from here on."""
+    """Counts of the calls of controllers.init_artificial, kernels.jump,
+    kernels.one_step_map and simulator.derivative made from here on."""
     from gridfreq import controllers, kernels, simulator
-    counts = dict.fromkeys(["init_artificial", "jump", "derivative"], 0)
+    counts = dict.fromkeys(["init_artificial", "jump", "one_step_map", "derivative"], 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -689,9 +696,44 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((controllers, "init_artificial"), (kernels, "jump"),
-                         (simulator, "jump"), (simulator, "derivative")):
+                         (simulator, "jump"), (kernels, "one_step_map"),
+                         (simulator, "one_step_map"), (simulator, "derivative")):
         count(module, name)
     return counts
+
+
+def ring_scenario(n, stride):
+    """SEQUENTIAL on an n-node ring whose n lines are all shared links
+    (K = 10), over two and a half rotation cycles."""
+    nodes = tuple(NodeParams(k + 1, 0.1 + 0.01 * k, 1.0, 1.0 + k % 3, (1.0, -1.0)[k % 2])
+                  for k in range(n))
+    lines = tuple(Line(min(k, (k + 1) % n), max(k, (k + 1) % n), 1.0) for k in range(n))
+    comm = CommGraph(links=tuple((ln.i, ln.j) for ln in lines), message_interval=0.01)
+    return Scenario(grid=PowerGrid(nodes, lines), comm=comm, scheme="SEQUENTIAL",
+                    horizon=n * 0.025, dt=1e-3, record_stride=stride)
+
+
+@pytest.mark.parametrize("case", ["toy", "ring"])
+def test_one_step_map_built_once_per_context(toy, calls, case):
+    """A run builds RK4's one-step map once per live links and context, and
+    calls derivative once for it: interval maps square the cached map and
+    partial intervals jump with it. Toy SEQUENTIAL at record_stride 105
+    stops inside intervals of its ten contexts; the ring rotates over 20
+    shared links and stops inside intervals of each at record_stride 7."""
+    if case == "toy":
+        scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=10.0,
+                             record_stride=105)
+    else:
+        scn = ring_scenario(20, 7)
+    traj = integrate(scn)
+    pieces = schedule(scn).pieces
+    contexts = {(pc.comm, c) for pc in pieces for c in pc.contexts + (pc.lead,)}
+    assert len(contexts) == (10 if case == "toy" else 20)
+    assert calls["one_step_map"] == len(contexts)
+    assert calls["derivative"] == len(contexts)
+    if case == "ring":
+        x_ref = reference_integrate(scn, 500)
+        assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
 
 
 def test_rotation_records_without_stopping(calls):
@@ -714,16 +756,17 @@ def test_rotation_records_without_stopping(calls):
 def test_sampling_stops_call_no_control_law(calls):
     """With record_stride 7 the rotation stops at every record, mostly
     between instants, and at an instant before each record. No stop calls
-    a control law: the offset of a partial interval is B [y; p] and an
-    instant resets q by the cached R, so derivative and init_artificial run
-    only to build each context's matrices. Every row matches the oracle."""
+    a control law: the offset of a partial interval is G [y; p] and an
+    instant resets q by the cached R, so derivative runs once per context,
+    to build its matrices, and init_artificial only to build R and at the
+    pieces' inits. Every row matches the oracle."""
     scn = rotation_scenario(7)
     traj = integrate(scn)
     pieces = schedule(scn).pieces
     contexts = {(pc.comm, c) for pc in pieces for c in pc.contexts + (pc.lead,)}
     inits = sum(pc.init is not None for pc in pieces)
     assert calls["init_artificial"] <= len(contexts) + inits
-    assert calls["derivative"] <= 3 * len(contexts)
+    assert calls["derivative"] <= len(contexts)
     steps = np.round(traj.times / scn.dt).astype(int)
     assert list(steps) == list(range(0, 601, 7)) + [600]
     oracle = reference_integrate(scn, 600, every=1)
