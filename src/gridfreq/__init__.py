@@ -7,17 +7,14 @@ stability certification of the closed loop.
 from .controllers import (
     ControlContext,
     PowerAdjacencyError,
-    consensus_rate,
-    consensus_sampled_rate,
-    hybrid_single_failure_rate,
+    control_rate,
     init_artificial,
-    multi_failure_rate,
-    pair_flow_rate,
     sequential_active_link,
 )
 from .dispatch import DispatchResult, cost_of, optimal_dispatch
 from .model import (
     CONTINUOUS,
+    HOLD_SCHEMES,
     CommGraph,
     DisturbanceEvent,
     Line,

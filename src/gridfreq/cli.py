@@ -16,8 +16,8 @@ import numpy as np
 
 from . import experiments
 from .dispatch import optimal_dispatch
-from .model import (CONTINUOUS, SCHEMES, load_scenario, save_scenario, toy_grid,
-                    validate, with_overrides)
+from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, load_scenario, save_scenario,
+                    toy_grid, validate, with_overrides)
 from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
                         write_trajectory_csv)
 from .stability import (assemble_state_matrix, characteristic_identity_check,
@@ -153,8 +153,8 @@ def _state_matrix_report(scn, piece, args) -> dict:
         L_c = np.array([[1.0, -1.0], [-1.0, 1.0]])
         doc["sufficient"] = check_sufficient_two_node(
             M, D, C, grid.lines[0].b, L_c)
-    elif ctx.scheme == "HYBRID_SINGLE":
-        P, Lstar = failed_pair_last(grid, comm, next(iter(ctx.pair_edges)))
+    elif ctx.scheme == "HYBRID_SINGLE" and len(ctx.F) == 2:
+        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
         doc["sufficient"] = check_sufficient_multi_node(
             P @ M @ P.T, P @ D @ P.T, P @ C @ P.T, Lstar,
             P @ grid.weighted_laplacian() @ P.T)
@@ -192,7 +192,7 @@ def cmd_stability(args) -> int:
             if kind == "fallback_consensus":
                 print(f"{kind} at t={piece.start * scn.dt:g}: {detail}", file=sys.stderr)
     piece = plan.pieces[-1]
-    if scn.scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
+    if scn.scheme in HOLD_SCHEMES:
         doc = _interval_map_report(scn, piece)
     else:
         doc = _state_matrix_report(scn, piece, args)

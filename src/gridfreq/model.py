@@ -26,6 +26,10 @@ SCHEMES = (
     "SEQUENTIAL",
 )
 
+# Schemes whose averaging reads the messages held since the last sampling
+# instant; the others read the neighbours' current values.
+HOLD_SCHEMES = ("CONSENSUS_SAMPLED", "SEQUENTIAL")
+
 
 @dataclass(frozen=True)
 class NodeParams:
@@ -281,11 +285,9 @@ def validate(scenario: Scenario) -> list:
         out.append(f"PAIR_FLOW requires a two-node grid, got {n} nodes")
     if scenario.scheme == "HYBRID_SINGLE" and len(comm.failed) != 1:
         out.append(f"HYBRID_SINGLE expects exactly one comm failure, got {len(comm.failed)}")
-    if scenario.scheme == "CONSENSUS_SAMPLED" and T is CONTINUOUS:
-        out.append("CONSENSUS_SAMPLED requires a finite message_interval")
+    if scenario.scheme in HOLD_SCHEMES and T is CONTINUOUS:
+        out.append(f"{scenario.scheme} requires a finite message_interval")
     if scenario.scheme == "SEQUENTIAL":
-        if T is CONTINUOUS:
-            out.append("SEQUENTIAL requires a finite message_interval")
         shared = grid.edge_set() & set(comm.links)
         if not shared:
             out.append("SEQUENTIAL requires at least one edge shared by the power "

@@ -41,7 +41,8 @@ from . import controllers
 from .controllers import ControlContext, Link
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import compose_maps, jump, k_step_map, one_step_map
-from .model import CONTINUOUS, CommGraph, PowerGrid, Scenario, SystemState, validate
+from .model import (CONTINUOUS, SCHEMES, CommGraph, PowerGrid, Scenario, SystemState,
+                    validate)
 
 
 class ScenarioError(ValueError):
@@ -140,9 +141,9 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
     """Time derivative of the full state vector [omega, flow, u, q].
 
     Swing dynamics: M dω = -D ω + p + u - (incidence) f; line dynamics:
-    df = B (ω_i - ω_j). du and dq are delegated to the control law selected
-    by ctx.scheme. p defaults to the grid's fixed powers; pass the
-    disturbed vector when evaluating mid-run.
+    df = B (ω_i - ω_j). du and dq are the control law of ctx
+    (controllers.control_rate). p defaults to the grid's fixed powers; pass
+    the disturbed vector when evaluating mid-run.
 
     Stacked states: every array field of state (and p) may carry leading
     batch axes, one state per row, as vector_to_state makes from a (k, dim)
@@ -150,42 +151,14 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
     array. The result has the same leading axes, row r the derivative of
     state r. One code path serves single and stacked states.
     """
+    if ctx.scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {ctx.scheme!r}")
     if p is None:
         p = grid.fixed_power()
     inc = grid.incidence()
     domega = (-grid.droop() * state.omega + p + state.u - state.flow @ inc.T) / grid.inertia()
     dflow = grid.susceptance() * (state.omega @ inc)
-
-    dq = np.zeros(np.shape(state.u))
-    scheme = ctx.scheme
-    if scheme == "CONSENSUS":
-        du = controllers.consensus_rate(state, grid, comm)
-    elif scheme == "CONSENSUS_SAMPLED":
-        du = controllers.consensus_sampled_rate(state, grid, comm)
-    elif scheme == "PAIR_FLOW":
-        du_pair, dq_pair = controllers.pair_flow_rate(state, grid, ctx)
-        du = np.zeros(np.shape(state.u))
-        for i, v in du_pair.items():
-            du[..., i] = v
-        for i, v in dq_pair.items():
-            dq[..., i] = v
-    elif scheme == "HYBRID_SINGLE":
-        du, dq_pair = controllers.hybrid_single_failure_rate(state, grid, comm, ctx)
-        for i, v in dq_pair.items():
-            dq[..., i] = v
-    elif scheme == "MULTI_FAILURE":
-        du, dq_pair = controllers.multi_failure_rate(state, grid, comm, ctx)
-        for i, v in dq_pair.items():
-            dq[..., i] = v
-    elif scheme == "SEQUENTIAL":
-        du = controllers.consensus_sampled_rate(state, grid, comm)
-        du_pair, dq_pair = controllers.pair_flow_rate(state, grid, ctx)
-        for i, v in du_pair.items():
-            du[..., i] = v
-        for i, v in dq_pair.items():
-            dq[..., i] = v
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    du, dq = controllers.control_rate(state, grid, comm, ctx)
     return np.concatenate([domega, dflow, du, dq], axis=-1)
 
 
@@ -203,33 +176,35 @@ def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
 def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
           failed: Sequence[Link] = (), pending: Collection[Link] = ()
           ) -> Tuple[ControlContext, ...]:
-    """The one rule from a scheme to its control contexts, given the power
-    lines, the live links, the links failed so far (in failure order) and
-    the links still to fail within the horizon:
+    """The one rule from a scheme to its control contexts (scheme, F), given
+    the power lines, the live links, the links failed so far (in failure
+    order) and the links still to fail within the horizon. F is the set of
+    flow-controlled nodes of controllers.control_rate:
 
-    - SEQUENTIAL rotates the pair law over the live links that are power
-      lines, in sorted order (message interval k runs context k mod L);
-      with none of them live there is nothing to rotate over: ().
-    - PAIR_FLOW runs the pair law on the first power line from t = 0,
-      unless that link is still to fail: averaging runs until it does.
-    - HYBRID_SINGLE averages until its link fails, then runs the pair law
-      on it if it is a power line, and keeps averaging if not.
-    - MULTI_FAILURE averages until the first failure, then runs the flow
-      law on every failed link that is a power line.
-    - CONSENSUS and CONSENSUS_SAMPLED are their own law.
+    - SEQUENTIAL rotates F over the live links that are power lines, in
+      sorted order (message interval k runs context k mod L); with none of
+      them live there is nothing to rotate over: ().
+    - PAIR_FLOW takes F = the first power line from t = 0, unless that link
+      is still to fail: F is empty until it does.
+    - HYBRID_SINGLE has F empty until its link fails, then F = that link if
+      it is a power line; if not, F stays empty (averaging continues).
+    - MULTI_FAILURE has F empty until the first failure, then F = the
+      endpoints of every failed link that is a power line.
+    - CONSENSUS and CONSENSUS_SAMPLED keep F empty.
+
+    Before their flow law engages, PAIR_FLOW, HYBRID_SINGLE and
+    MULTI_FAILURE run the context CONSENSUS.
     """
     if scheme == "SEQUENTIAL":
-        return tuple(ControlContext(scheme, F=frozenset(link), pair_edges=frozenset([link]),
-                                    active_link=link)
+        return tuple(ControlContext(scheme, F=frozenset(link))
                      for link in sorted(set(power) & set(live)))
     hit = [link for link in failed if link in power]
     if scheme == "PAIR_FLOW":
         hit = [] if min(power) in pending else [min(power)]
     if scheme in ("PAIR_FLOW", "HYBRID_SINGLE") and hit:
-        return (ControlContext(scheme, F=frozenset(hit[0]), pair_edges=frozenset(hit[:1])),)
+        return (ControlContext(scheme, F=frozenset(hit[0])),)
     if scheme == "MULTI_FAILURE" and failed:
-        return (ControlContext(scheme, F=frozenset(i for link in hit for i in link),
-                               pair_edges=frozenset(hit)),)
+        return (ControlContext(scheme, F=frozenset(i for link in hit for i in link)),)
     return (ControlContext(scheme if scheme == "CONSENSUS_SAMPLED" else "CONSENSUS"),)
 
 
@@ -240,12 +215,12 @@ def sequential_context(link: Link) -> ControlContext:
 
 def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Link]:
     """Links of comm that are also power lines, in SEQUENTIAL's rotation order."""
-    return [c.active_link for c in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
+    return [tuple(sorted(c.F)) for c in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
 
 
 def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
-    """Exact R with R x the state after a SEQUENTIAL rotation to
-    ctx.active_link at a sampling instant: messages refreshed from x, then q
+    """Exact R with R x the state after a SEQUENTIAL rotation to the pair
+    ctx.F at a sampling instant: messages refreshed from x, then q
     re-initialized by init_artificial for the new pair. From one evaluation
     of init_artificial on the identity stack."""
     n, e = grid.n_nodes, grid.n_lines
@@ -263,18 +238,18 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
         x' = A x + B [y; p]
 
     between sampling instants, with y the held values (C u at the last
-    instant) and p the fixed powers, and the reset R of a rotation to
-    ctx.active_link at an instant (rotation_reset), None for a context that
-    rotates no pair.
+    instant) and p the fixed powers, and the reset R of a SEQUENTIAL
+    rotation to the pair ctx.F at an instant (rotation_reset), None for the
+    other schemes, which rotate no pair.
 
     A and B come from one derivative() call on the identity stack of
     [x; y; p]: its first dim rows are the unit states with y = 0 and p = 0,
     whose derivatives are the columns of A, and its last 2N rows the unit
     inputs at x = 0, whose derivatives are the columns of B (held values
-    held_messages(y, comm.links)). Exact because every control law is
-    linear in the state once the event data (held messages, powers, the
-    active structure) is frozen; the y columns of B are zero for laws that
-    read no held message.
+    held_messages(y, comm.links)). Exact because the control law is linear
+    in the state once the event data (held messages, powers, the set F) is
+    frozen; the y columns of B are zero outside HOLD_SCHEMES, which read no
+    held message.
     """
     n = grid.n_nodes
     dim = 3 * n + grid.n_lines
@@ -282,7 +257,7 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
     dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
                     grid, comm, ctx, P)
-    R = None if ctx.active_link is None else rotation_reset(grid, comm, ctx)
+    R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
     return np.ascontiguousarray(dx[:dim].T), np.ascontiguousarray(dx[dim:].T), R
 
 
@@ -369,7 +344,8 @@ def schedule(scenario: Scenario) -> Schedule:
     """Compile a scenario into its pieces, one per stretch between event
     steps, the last one at the horizon (the piece in force there). A time
     off the dt grid is rounded to the nearest step, and an event past the
-    horizon is dropped, each with a warning. Events at one step apply in a
+    horizon is dropped, each with a warning, and so is the message interval
+    of CONSENSUS, which reads current values. Events at one step apply in a
     fixed order: disturbances, then link failures, each group in scenario
     order; a link that has already failed does not fail again.
 
@@ -389,6 +365,9 @@ def schedule(scenario: Scenario) -> Schedule:
     T = comm.message_interval
     K = None if T is CONTINUOUS else int(round(T / dt))
     warnings: List[str] = []
+    if scheme == "CONSENSUS" and K is not None:
+        warnings.append(f"message_interval T={T:g} ignored: CONSENSUS reads current values; "
+                        "CONSENSUS_SAMPLED holds messages between sampling instants")
 
     def grid_step(t: float, what: str) -> int:
         """Step of time t; warns when t lies off the dt grid."""

@@ -33,8 +33,9 @@ import numpy as np
 
 from .controllers import ControlContext, Link
 from .kernels import compose_maps
-from .model import CommGraph, PowerGrid
-from .simulator import context_matrices, context_step, interval_map, modes, state_labels
+from .model import HOLD_SCHEMES, CommGraph, PowerGrid
+from .simulator import (context_step, derivative, held_messages, interval_map, modes,
+                        state_labels, vector_to_state)
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -75,18 +76,21 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
-    The A of simulator.context_matrices, one evaluation of the reference
-    derivative on the identity stack (exact: the dynamics are linear); rows
-    and columns of artificial variables outside the flow-controlled nodes
-    ctx.F are dropped, since the law never touches them. comm holds the
-    live links only.
+    One evaluation of the reference derivative on the unit vectors of that
+    reduced state, with zero held values and powers (exact: the dynamics
+    are linear); artificial variables outside the flow-controlled nodes
+    ctx.F are left out, since the law never touches them. Held messages are
+    inputs, not state. comm holds the live links only.
     """
     n, e = grid.n_nodes, grid.n_lines
-    A_full = context_matrices(grid, comm, ctx)[0]   # held messages are inputs, not state
     q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
-    A = A_full[np.ix_(keep, keep)]
-    return StateMatrix(A=A, labels=state_labels(grid, q_nodes), q_nodes=q_nodes)
+    X = np.zeros((len(keep), 3 * n + e))
+    X[np.arange(len(keep)), keep] = 1.0
+    dx = derivative(vector_to_state(0.0, X, grid, held_messages(np.zeros(n), comm.links)),
+                    grid, comm, ctx, np.zeros(n))
+    return StateMatrix(A=np.ascontiguousarray(dx[:, keep].T),
+                       labels=state_labels(grid, q_nodes), q_nodes=q_nodes)
 
 
 def spectrum(A) -> SpectrumReport:
@@ -117,7 +121,7 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     at -ln(rho) / period per second. comm holds the live links only; the
     contexts come from simulator.modes, as a run's do.
     """
-    if scheme not in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
+    if scheme not in HOLD_SCHEMES:
         raise ValueError(f"{scheme} holds no messages; its closed loop is x' = A x")
     ctxs = modes(scheme, grid.edge_set(), comm.links)
     if not ctxs:
@@ -291,9 +295,9 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     """
     if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE"):
         raise ValueError("identity check applies to the flow-based laws only")
-    if len(ctx.pair_edges) != 1:
-        raise ValueError("exactly one pair edge expected")
-    pair = next(iter(ctx.pair_edges))
+    if len(ctx.F) != 2:
+        raise ValueError(f"exactly two flow-controlled nodes expected, got {len(ctx.F)}")
+    pair = tuple(sorted(ctx.F))
 
     n, e = grid.n_nodes, grid.n_lines
     sm = assemble_state_matrix(grid, comm, ctx)

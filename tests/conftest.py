@@ -83,8 +83,7 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0):
         mode_ctx = ControlContext(scheme=scheme)
     pair_edge = sorted((ln.i, ln.j) for ln in grid.lines)[0] if scheme == "PAIR_FLOW" else None
     if scheme == "PAIR_FLOW" and pair_edge not in {l for l, _ in comm.failed}:
-        mode_ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(pair_edge),
-                                  pair_edges=frozenset([pair_edge]))
+        mode_ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(pair_edge))
 
     def live_comm():
         return CommGraph(links=tuple(l for l in comm.links if l not in failed),
@@ -102,16 +101,14 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0):
                 power = grid.edge_set()
                 if scheme in ("HYBRID_SINGLE", "PAIR_FLOW") and link in power:
                     new_mode = scheme
-                    mode_ctx = ControlContext(scheme=new_mode, F=frozenset(link),
-                                              pair_edges=frozenset([link]))
+                    mode_ctx = ControlContext(scheme=new_mode, F=frozenset(link))
                     st = vector_to_state(t, x, grid, last_rx)
                     q0, _ = init_artificial(st, grid, mode_ctx, comm)
                     x[2 * n + e:] = q0
                 elif scheme == "MULTI_FAILURE":
                     pairs = frozenset(l for l in failed if l in power)
                     F = frozenset(i for l in pairs for i in l)
-                    mode_ctx = ControlContext(scheme="MULTI_FAILURE", F=F,
-                                              pair_edges=pairs)
+                    mode_ctx = ControlContext(scheme="MULTI_FAILURE", F=F)
                     st = vector_to_state(t, x, grid, last_rx)
                     q0, _ = init_artificial(st, grid, mode_ctx, comm)
                     x[2 * n + e:] = q0
@@ -125,10 +122,8 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0):
             shared = sorted(set((ln.i, ln.j) for ln in grid.lines)
                             & set(live_comm().links))
             link = sequential_active_link(K, shared)
-            mode_ctx = ControlContext(scheme="SEQUENTIAL", F=frozenset(link),
-                                      pair_edges=frozenset([link]), active_link=link)
-            pair_ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(link),
-                                      pair_edges=frozenset([link]))
+            mode_ctx = ControlContext(scheme="SEQUENTIAL", F=frozenset(link))
+            pair_ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(link))
             st = vector_to_state(t, x, grid, last_rx)
             q0, _ = init_artificial(st, grid, pair_ctx, comm)
             x[2 * n + e:] = q0

@@ -153,6 +153,29 @@ def test_simulate_reports_warnings(tmp_path, capsys, failure_t, horizon, details
     assert all(f"warning at t=0: {d}\n" in err for d in details)
 
 
+CONSENSUS_T_WARNING = ("message_interval T=0.5 ignored: CONSENSUS reads current values; "
+                       "CONSENSUS_SAMPLED holds messages between sampling instants")
+
+
+@pytest.mark.parametrize("scheme, T, warned", [("CONSENSUS", "0.5", True),
+                                               ("CONSENSUS_SAMPLED", "0.5", False),
+                                               ("CONSENSUS", "continuous", False)])
+def test_consensus_message_interval_is_warned(tmp_path, capsys, scheme, T, warned):
+    """CONSENSUS reads current values, so a finite --T changes nothing; the
+    warning reaches summary.json and stderr, and stability's stderr. The
+    hold scheme and continuous CONSENSUS get none."""
+    cli.main(["simulate", "toy", "--scheme", scheme, "--T", T, "--horizon", "2",
+              "--out", str(tmp_path / "run")])
+    summary = json.loads((tmp_path / "run.summary.json").read_text())
+    assert summary["warnings"] == ([{"t": 0.0, "kind": "warning",
+                                     "detail": CONSENSUS_T_WARNING}] if warned else [])
+    line = f"warning at t=0: {CONSENSUS_T_WARNING}\n"
+    assert (line in capsys.readouterr().err) == warned
+    assert cli.main(["stability", "toy", "--scheme", scheme, "--T", T,
+                     "--out", str(tmp_path / "stab.json")]) == 0
+    assert capsys.readouterr().err == (line if warned else "")
+
+
 def fallback_scenario(tmp_path):
     """HYBRID_SINGLE whose failed link (1,3) has no power line."""
     nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])

@@ -3,11 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridfreq.controllers import (ControlContext, PowerAdjacencyError,
-                                  consensus_rate, consensus_sampled_rate,
-                                  hybrid_single_failure_rate, init_artificial,
-                                  multi_failure_rate, pair_flow_rate,
-                                  sequential_active_link)
+from gridfreq.controllers import (ControlContext, PowerAdjacencyError, control_rate,
+                                  init_artificial, sequential_active_link)
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid, SystemState
 from gridfreq.simulator import (derivative, held_messages, integrate, run_scenario,
                                 sequential_context, vector_to_state)
@@ -26,24 +23,30 @@ def make_state(grid, t=0.0, omega=None, u=None, q=None, last_rx=None):
                        q=z(q, n), last_rx=last_rx or {})
 
 
+def averaging_rate(st, grid, comm, scheme="CONSENSUS"):
+    """du/dt of the law with no flow-controlled node: instantaneous values
+    under CONSENSUS, held ones under CONSENSUS_SAMPLED."""
+    return control_rate(st, grid, comm, ControlContext(scheme))[0]
+
+
 class TestConsensus:
     def test_two_node_example(self):
         grid = make_grid([1.0, 2.0], [(0, 1, 1.0)])
         comm = CommGraph(links=((0, 1),))
         st = make_state(grid, omega=[0.1, -0.1])
-        assert consensus_rate(st, grid, comm) == pytest.approx([-0.1, 0.05])
+        assert averaging_rate(st, grid, comm) == pytest.approx([-0.1, 0.05])
 
     def test_consensus_manifold_is_equilibrium(self):
         grid = make_grid([2.0, 4.0, 8.0], [(0, 1, 1.0), (1, 2, 1.0)])
         comm = CommGraph(links=((0, 1), (1, 2)))
         st = make_state(grid, u=[4.0, 2.0, 1.0])  # C_i u_i = 8 for all i
-        assert consensus_rate(st, grid, comm) == pytest.approx([0, 0, 0], abs=1e-15)
+        assert averaging_rate(st, grid, comm) == pytest.approx([0, 0, 0], abs=1e-15)
 
     def test_path_laplacian_action(self):
         grid = make_grid([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 2, 1.0)])
         comm = CommGraph(links=((0, 1), (1, 2)))
         st = make_state(grid, u=[1.0, 0.0, 0.0])
-        assert consensus_rate(st, grid, comm) == pytest.approx([-1.0, 1.0, 0.0])
+        assert averaging_rate(st, grid, comm) == pytest.approx([-1.0, 1.0, 0.0])
 
 
 class TestConsensusSampled:
@@ -54,15 +57,15 @@ class TestConsensusSampled:
         y = grid.cost() * u
         st = make_state(grid, omega=[0.05, -0.3], u=u,
                         last_rx={(0, 1): y[0], (1, 0): y[1]})
-        np.testing.assert_allclose(consensus_sampled_rate(st, grid, comm),
-                                   consensus_rate(st, grid, comm), atol=1e-15)
+        np.testing.assert_allclose(averaging_rate(st, grid, comm, "CONSENSUS_SAMPLED"),
+                                   averaging_rate(st, grid, comm), atol=1e-15)
 
     def test_hold_value_used(self):
         grid = make_grid([1.0, 1.0], [(0, 1, 1.0)])
         comm = CommGraph(links=((0, 1),), message_interval=0.5)
         st = make_state(grid, omega=[0.02, 0.0], u=[0.5, 0.0],
                         last_rx={(1, 0): 0.2, (0, 1): 0.5})
-        du = consensus_sampled_rate(st, grid, comm)
+        du = averaging_rate(st, grid, comm, "CONSENSUS_SAMPLED")
         assert du[0] == pytest.approx(-0.02 - (0.5 - 0.2))
 
     def test_missing_hold_raises(self):
@@ -70,7 +73,7 @@ class TestConsensusSampled:
         comm = CommGraph(links=((0, 1),), message_interval=0.5)
         st = make_state(grid, u=[0.5, 0.0], last_rx={(0, 1): 0.5})
         with pytest.raises(KeyError):
-            consensus_sampled_rate(st, grid, comm)
+            averaging_rate(st, grid, comm, "CONSENSUS_SAMPLED")
 
     def test_hold_trajectories_approach_continuous(self, toy):
         """Tightening the message interval shrinks the gap to the
@@ -87,27 +90,26 @@ class TestConsensusSampled:
 class TestPairFlow:
     def test_direct_substitution(self):
         grid = make_grid([1.0, 2.0], [(0, 1, 1.0)])
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}),
-                             pair_edges=frozenset({(0, 1)}))
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
         st = make_state(grid, q=[0.5, -0.5])
-        du, dq = pair_flow_rate(st, grid, ctx)
+        du, dq = control_rate(st, grid, CommGraph(links=((0, 1),)), ctx)
         assert du[0] == pytest.approx(-0.5)
         assert dq[0] == pytest.approx(-1.0)
 
     def test_equal_frequencies_zero_q_is_equilibrium(self):
         grid = make_grid([1.0, 2.0], [(0, 1, 1.0)])
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}),
-                             pair_edges=frozenset({(0, 1)}))
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
         st = make_state(grid, omega=[0.3, 0.3])
-        _, dq = pair_flow_rate(st, grid, ctx)
+        _, dq = control_rate(st, grid, CommGraph(links=((0, 1),)), ctx)
         assert dq[0] == 0.0 and dq[1] == 0.0
 
     def test_rejects_non_adjacent_pair(self):
         grid = make_grid([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 2, 1.0)])
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 2}),
-                             pair_edges=frozenset({(0, 2)}))
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 2}))
         with pytest.raises(PowerAdjacencyError):
-            pair_flow_rate(make_state(grid), grid, ctx)
+            control_rate(make_state(grid), grid, CommGraph(links=((0, 1), (1, 2))), ctx)
+        with pytest.raises(PowerAdjacencyError):     # the same partner rule
+            init_artificial(make_state(grid), grid, ctx)
 
     def test_antisymmetry_along_trajectory(self):
         """q_1(t) = -q_2(t) holds to machine precision when initialized so."""
@@ -123,8 +125,7 @@ class TestPairFlow:
 
 class TestHybridAndMulti:
     def _toy_ctx(self, toy):
-        return ControlContext(scheme="HYBRID_SINGLE", F=frozenset({1, 6}),
-                              pair_edges=frozenset({(1, 6)}))
+        return ControlContext(scheme="HYBRID_SINGLE", F=frozenset({1, 6}))
 
     def test_pair_ignores_messages_others_use_them(self, toy):
         grid = toy.grid
@@ -133,9 +134,9 @@ class TestHybridAndMulti:
         rng = np.random.default_rng(0)
         base = make_state(grid, omega=rng.normal(size=10) * 0.1,
                           u=rng.normal(size=10) * 0.1, q=rng.normal(size=10) * 0.1)
-        du0, dq0 = hybrid_single_failure_rate(base, grid, comm, ctx)
+        du0, dq0 = control_rate(base, grid, comm, ctx)
         bumped = dataclasses.replace(base, u=base.u + np.eye(10)[4] * 0.7)
-        du1, dq1 = hybrid_single_failure_rate(bumped, grid, comm, ctx)
+        du1, dq1 = control_rate(bumped, grid, comm, ctx)
         # node 2 (index 1) runs on local quantities only
         assert du1[1] == du0[1]
         assert dq1[1] == dq0[1]
@@ -146,34 +147,59 @@ class TestHybridAndMulti:
         grid = toy.grid
         comm = CommGraph(links=tuple(l for l in toy.comm.links if l != (1, 6)))
         st = make_state(grid, u=0.1 / grid.cost())  # on the consensus manifold
-        du, dq = hybrid_single_failure_rate(st, grid, comm, self._toy_ctx(toy))
+        du, dq = control_rate(st, grid, comm, self._toy_ctx(toy))
         assert np.abs(du).max() < 1e-15
-        assert max(abs(v) for v in dq.values()) < 1e-15
+        assert np.abs(dq).max() < 1e-15
 
     def test_multi_failure_rate_example(self):
         grid = make_grid([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 2, 1.0)])
         comm = CommGraph(links=((0, 1), (1, 2)), failed=(((0, 1), 0.0),))
-        ctx = ControlContext(scheme="MULTI_FAILURE", F=frozenset({0, 1}),
-                             pair_edges=frozenset({(0, 1)}))
+        ctx = ControlContext(scheme="MULTI_FAILURE", F=frozenset({0, 1}))
         st = make_state(grid, omega=[0.2, -0.1, 0.0], q=[0.4, -0.4, 0.0], t=1.0)
-        du, dq = multi_failure_rate(st, grid, comm, ctx)
+        du, dq = control_rate(st, grid, comm, ctx)
         assert dq[0] == pytest.approx(-(0.2 - (-0.1)) - 2 * 0.4)
 
     def test_empty_F_reduces_to_consensus(self, toy):
+        """With F empty the law is averaging over the comm Laplacian:
+        du = -omega / C - L_c (C u)."""
         grid, comm = toy.grid, toy.comm
         rng = np.random.default_rng(1)
         st = make_state(grid, omega=rng.normal(size=10), u=rng.normal(size=10))
         ctx = ControlContext(scheme="MULTI_FAILURE")
-        du, dq = multi_failure_rate(st, grid, comm, ctx)
-        assert np.array_equal(du, consensus_rate(st, grid, comm))
-        assert dq == {}
+        du, dq = control_rate(st, grid, comm, ctx)
+        C = grid.cost()
+        L_c = comm.laplacian(comm.links, grid.n_nodes)
+        ref = -st.omega / C - L_c @ (C * st.u)
+        # within 1e-15 of the sum of the terms' magnitudes (rounding only)
+        scale = np.abs(st.omega / C) + np.abs(L_c) @ np.abs(C * st.u)
+        assert np.all(np.abs(du - ref) <= 1e-15 * scale)
+        assert not dq.any()
+
+    def test_empty_F_with_held_values(self, toy):
+        """Under a hold scheme each neighbour term reads the held value:
+        du_i = -omega_i / C_i - deg_i C_i u_i + sum over neighbours of y_j,
+        that is -omega / C - diag(L_c) (C u) + (diag(L_c) - L_c) y."""
+        grid = toy.grid
+        comm = dataclasses.replace(toy.comm, message_interval=0.01)
+        rng = np.random.default_rng(2)
+        y = rng.normal(size=10)
+        st = make_state(grid, omega=rng.normal(size=10), u=rng.normal(size=10),
+                        last_rx=held_messages(y, comm.links))
+        du, dq = control_rate(st, grid, comm, ControlContext("CONSENSUS_SAMPLED"))
+        C = grid.cost()
+        L_c = comm.laplacian(comm.links, grid.n_nodes)
+        deg = np.diag(L_c)
+        ref = -st.omega / C - deg * (C * st.u) + (np.diag(deg) - L_c) @ y
+        scale = (np.abs(st.omega / C) + deg * np.abs(C * st.u)
+                 + (np.diag(deg) - L_c) @ np.abs(y))
+        assert np.all(np.abs(du - ref) <= 1e-15 * scale)
+        assert not dq.any()
 
 
 class TestInitArtificial:
     def test_pair_antisymmetric_value(self):
         grid = make_grid([3.0, 1.0], [(0, 1, 1.0)])
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}),
-                             pair_edges=frozenset({(0, 1)}))
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
         st = make_state(grid, u=[1.0, 1.0])  # C u = [3, 1]
         q, warns = init_artificial(st, grid, ctx)
         assert q == pytest.approx([2.0, -2.0])
@@ -181,8 +207,7 @@ class TestInitArtificial:
 
     def test_consensus_manifold_gives_zero(self):
         grid = make_grid([2.0, 5.0], [(0, 1, 1.0)])
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}),
-                             pair_edges=frozenset({(0, 1)}))
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
         st = make_state(grid, u=[0.5, 0.2])  # both weighted values equal 1
         q, _ = init_artificial(st, grid, ctx)
         assert q == pytest.approx([0.0, 0.0], abs=1e-15)
@@ -190,8 +215,7 @@ class TestInitArtificial:
     def test_multi_failure_sum(self):
         grid = make_grid([1.0] * 5, [(0, 1, 1.0), (1, 4, 1.0), (2, 3, 1.0),
                                      (0, 4, 1.0), (3, 4, 1.0)])
-        ctx = ControlContext(scheme="MULTI_FAILURE", F=frozenset({0, 1, 4}),
-                             pair_edges=frozenset({(0, 1), (1, 4)}))
+        ctx = ControlContext(scheme="MULTI_FAILURE", F=frozenset({0, 1, 4}))
         st = make_state(grid, u=[1.0, 2.0, 9.0, 9.0, 7.0])
         q, _ = init_artificial(st, grid, ctx)
         # node 2 of the pair set: (u2-u1) + (u2-u5), with unit costs
@@ -203,8 +227,7 @@ class TestInitArtificial:
         grid = make_grid([1.0, 1.0], [(0, 1, 1.0)])
         comm = CommGraph(links=((0, 1),), message_interval=0.5,
                          failed=(((0, 1), 0.0),))
-        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset({0, 1}),
-                             pair_edges=frozenset({(0, 1)}))
+        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset({0, 1}))
         st = make_state(grid, u=[0.7, -0.7])
         q, warns = init_artificial(st, grid, ctx, comm)
         assert q == pytest.approx([0.0, 0.0])
@@ -244,11 +267,9 @@ def test_converged_states_have_zero_frequency(toy):
         if scheme == "CONSENSUS":
             ctx = ControlContext(scheme="CONSENSUS")
         elif scheme == "HYBRID_SINGLE":
-            ctx = ControlContext(scheme=scheme, F=frozenset({1, 6}),
-                                 pair_edges=frozenset({(1, 6)}))
+            ctx = ControlContext(scheme=scheme, F=frozenset({1, 6}))
         else:
-            ctx = ControlContext(scheme=scheme, F=frozenset({0, 1, 4}),
-                                 pair_edges=frozenset({(0, 1), (1, 4)}))
+            ctx = ControlContext(scheme=scheme, F=frozenset({0, 1, 4}))
         p = toy.grid.fixed_power()
         p[2] -= 5.0
         rate = derivative(st, toy.grid, comm, ctx, p)
@@ -280,8 +301,7 @@ class TestStackedStates:
         if scheme == "SEQUENTIAL":
             ctx = sequential_context(pairs[0])
         else:
-            ctx = ControlContext(scheme=scheme, F=frozenset(i for l in pairs for i in l),
-                                 pair_edges=frozenset(pairs))
+            ctx = ControlContext(scheme=scheme, F=frozenset(i for l in pairs for i in l))
         return grid, comm, ctx
 
     @pytest.mark.parametrize("scheme,pairs", CASES)
@@ -310,8 +330,7 @@ class TestStackedStates:
 
     def test_stack_non_adjacent_pair_rejected(self):
         grid = make_grid([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 2, 1.0)])
-        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 2}),
-                             pair_edges=frozenset({(0, 2)}))
+        ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 2}))
         X = np.ones((4, 3 * 3 + 2))
         with pytest.raises(PowerAdjacencyError):
             derivative(vector_to_state(0.0, X, grid), grid, CommGraph(links=()), ctx)

@@ -46,8 +46,7 @@ def cases(draw):
         return grid, live, ControlContext(scheme=scheme)
     if scheme == "PAIR_FLOW":
         live = CommGraph(links=links)
-    return grid, live, ControlContext(scheme=scheme, F=frozenset(failed),
-                                      pair_edges=frozenset([failed]))
+    return grid, live, ControlContext(scheme=scheme, F=frozenset(failed))
 
 
 @settings(max_examples=50, deadline=None)

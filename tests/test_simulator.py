@@ -37,8 +37,7 @@ def test_derivative_single_node():
 
 def test_derivative_matches_state_matrix_product():
     scn = pair_scenario()
-    ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}),
-                         pair_edges=frozenset({(0, 1)}))
+    ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
     sm = assemble_state_matrix(scn.grid, scn.comm, ctx)
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -120,8 +119,7 @@ def test_two_node_matches_matrix_exponential():
     scn = pair_scenario(disturbances=(DisturbanceEvent(time=0.0, node=0,
                                                        delta_p=0.5),))
     traj = integrate(scn)
-    ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}),
-                         pair_edges=frozenset({(0, 1)}))
+    ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
     sm = assemble_state_matrix(scn.grid, scn.comm, ctx)
     p = scn.grid.fixed_power()
     p[0] += 0.5
@@ -490,7 +488,7 @@ def loop_inputs(grid, comm, ctx):
 def loop_reset(grid, comm, ctx):
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F, pair_edges=ctx.pair_edges)
+    pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F)
     R = np.eye(dim)
     for k in range(dim):
         x = np.zeros(dim)
@@ -512,8 +510,7 @@ def scheme_cases(grid, comm):
                          message_interval=comm.message_interval)
 
     def flow_ctx(scheme, *links):
-        return ControlContext(scheme=scheme, F=frozenset(i for l in links for i in l),
-                              pair_edges=frozenset(links))
+        return ControlContext(scheme=scheme, F=frozenset(i for l in links for i in l))
 
     return [
         ("CONSENSUS", ControlContext(scheme="CONSENSUS"), without(one)),
@@ -550,7 +547,7 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     A_ref, b_ref = loop_affine(grid, live, ctx, p, last_rx, 0.3)
     assert np.abs(A - A_ref).max() <= 1e-12
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
-    if ctx.pair_edges:
+    if ctx.F:
         R = rotation_reset(grid, live, ctx)
         assert np.array_equal(R, loop_reset(grid, live, ctx))
         assert np.abs(R[2 * grid.n_nodes + grid.n_lines:]).max() > 0.0

@@ -24,8 +24,7 @@ def two_node_grid(M=(1.0, 1.0), D=(1.0, 1.0), C=(1.0, 1.0), B=1.0):
 
 
 def pair_ctx(i=0, j=1):
-    return ControlContext(scheme="PAIR_FLOW", F=frozenset({i, j}),
-                          pair_edges=frozenset({(i, j)}))
+    return ControlContext(scheme="PAIR_FLOW", F=frozenset({i, j}))
 
 
 def rand_points(rng, k=10):
@@ -47,11 +46,9 @@ class TestAssemble:
         cases = [
             ("CONSENSUS", ControlContext(scheme="CONSENSUS"), toy.comm),
             ("HYBRID_SINGLE", ControlContext(scheme="HYBRID_SINGLE",
-                                             F=frozenset(failed),
-                                             pair_edges=frozenset([failed])), comm),
+                                             F=frozenset(failed)), comm),
             ("MULTI_FAILURE", ControlContext(scheme="MULTI_FAILURE",
-                                             F=frozenset({0, 1, 4}),
-                                             pair_edges=frozenset({(0, 1), (1, 4)})),
+                                             F=frozenset({0, 1, 4})),
              CommGraph(links=tuple(l for l in toy.comm.links
                                    if l not in {(0, 1), (1, 4)}))),
         ]
@@ -87,9 +84,7 @@ class TestAssemble:
             rx[(a, b)] = y[a]
             rx[(b, a)] = y[b]
         for ctx in (ControlContext(scheme="CONSENSUS_SAMPLED"),
-                    ControlContext(scheme="SEQUENTIAL", F=frozenset({1, 6}),
-                                   pair_edges=frozenset({(1, 6)}),
-                                   active_link=(1, 6))):
+                    ControlContext(scheme="SEQUENTIAL", F=frozenset({1, 6}))):
             sm = assemble_state_matrix(grid, comm, ctx)
             keep = list(range(2 * n + e)) + [2 * n + e + i for i in sm.q_nodes]
             zero = vector_to_state(0.0, np.zeros(3 * n + e), grid, rx)
@@ -260,8 +255,7 @@ class TestSufficientMultiNode:
         verdict = check_sufficient_multi_node(
             P @ M @ P.T, P @ D @ P.T, P @ C @ P.T, Lstar,
             P @ grid.weighted_laplacian() @ P.T)
-        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair),
-                             pair_edges=frozenset([pair]))
+        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
         rep = spectrum(assemble_state_matrix(grid, comm, ctx))
         # sufficient, not necessary: a positive verdict must mean stable
         if all(verdict[k] for k in ("inertia_positive", "inertia_cross_term",
@@ -329,8 +323,7 @@ class TestCharacteristicIdentity:
                                  costs[k], 0.0) for k in range(3))
         grid = PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 0.5)))
         comm = CommGraph(links=((0, 1), (1, 2)))
-        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset({1, 2}),
-                             pair_edges=frozenset({(1, 2)}))
+        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset({1, 2}))
         return grid, comm, ctx
 
     def test_multi_node_uniform_costs_validate(self):
@@ -363,8 +356,7 @@ class TestCharacteristicIdentity:
         assert grid.n_lines == 129
         pair = (grid.lines[0].i, grid.lines[0].j)
         comm = CommGraph(links=tuple((l.i, l.j) for l in grid.lines[1:]))
-        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair),
-                             pair_edges=frozenset([pair]))
+        ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rep = characteristic_identity_check(grid, comm, ctx,
