@@ -9,7 +9,6 @@ from .controllers import (
     PowerAdjacencyError,
     control_rate,
     init_artificial,
-    sequential_active_link,
 )
 from .dispatch import DispatchResult, cost_of, optimal_dispatch
 from .model import (

@@ -163,7 +163,7 @@ def _state_matrix_report(scn, piece, args) -> dict:
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0.5, 5.0, args.samples) * np.exp(
             1j * rng.uniform(0.0, 2.0 * np.pi, args.samples))
-        idr = characteristic_identity_check(grid, comm, ctx, pts)
+        idr = characteristic_identity_check(grid, comm, ctx, pts, eigenvalues=rep.eigenvalues)
         doc["identity"] = {
             "max_residual": idr.max_residual,
             "sign": [idr.sign.real, idr.sign.imag],

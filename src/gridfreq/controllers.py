@@ -20,7 +20,7 @@ the failed ones, as each piece of simulator.schedule() carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -132,10 +132,3 @@ def init_artificial(state: SystemState, grid: PowerGrid, ctx: ControlContext,
                 other = C[j] * state.u[..., j]
             q[..., i] += own - other
     return q, warnings
-
-
-def sequential_active_link(K: int, shared_links: Sequence[Link]) -> Link:
-    """Round-robin selection over the ordered shared links for interval K."""
-    if not shared_links:
-        raise ValueError("no shared power/communication links to rotate over")
-    return shared_links[K % len(shared_links)]

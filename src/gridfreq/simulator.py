@@ -41,8 +41,8 @@ from . import controllers
 from .controllers import ControlContext, Link
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import compose_maps, jump, k_step_map, one_step_map
-from .model import (CONTINUOUS, SCHEMES, CommGraph, PowerGrid, Scenario, SystemState,
-                    validate)
+from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Scenario,
+                    SystemState, validate)
 
 
 class ScenarioError(ValueError):
@@ -208,16 +208,6 @@ def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
     return (ControlContext(scheme if scheme == "CONSENSUS_SAMPLED" else "CONSENSUS"),)
 
 
-def sequential_context(link: Link) -> ControlContext:
-    """SEQUENTIAL's context while `link` is the active pair."""
-    return modes("SEQUENTIAL", [link], [link])[0]
-
-
-def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Link]:
-    """Links of comm that are also power lines, in SEQUENTIAL's rotation order."""
-    return [tuple(sorted(c.F)) for c in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
-
-
 def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
     """Exact R with R x the state after a SEQUENTIAL rotation to the pair
     ctx.F at a sampling instant: messages refreshed from x, then q
@@ -344,10 +334,13 @@ def schedule(scenario: Scenario) -> Schedule:
     """Compile a scenario into its pieces, one per stretch between event
     steps, the last one at the horizon (the piece in force there). A time
     off the dt grid is rounded to the nearest step, and an event past the
-    horizon is dropped, each with a warning, and so is the message interval
-    of CONSENSUS, which reads current values. Events at one step apply in a
-    fixed order: disturbances, then link failures, each group in scenario
-    order; a link that has already failed does not fail again.
+    horizon is dropped, each with a warning. So is a message interval that
+    nothing reads: outside HOLD_SCHEMES a held value is read only by
+    init_artificial when a failure engages a flow-based law, so T is
+    ignored under CONSENSUS, and under the flow-based laws when no failure
+    falls within the horizon. Events at one step apply in a fixed order:
+    disturbances, then link failures, each group in scenario order; a link
+    that has already failed does not fail again.
 
     A failure that engages a flow-based law (PAIR_FLOW, HYBRID_SINGLE,
     MULTI_FAILURE: at each failure) re-initializes the artificial variables
@@ -365,9 +358,6 @@ def schedule(scenario: Scenario) -> Schedule:
     T = comm.message_interval
     K = None if T is CONTINUOUS else int(round(T / dt))
     warnings: List[str] = []
-    if scheme == "CONSENSUS" and K is not None:
-        warnings.append(f"message_interval T={T:g} ignored: CONSENSUS reads current values; "
-                        "CONSENSUS_SAMPLED holds messages between sampling instants")
 
     def grid_step(t: float, what: str) -> int:
         """Step of time t; warns when t lies off the dt grid."""
@@ -392,6 +382,15 @@ def schedule(scenario: Scenario) -> Schedule:
         add(t0, f"failure of link ({a + 1},{b + 1})", 1, (a, b))
 
     last_failure = {link: k for k in sorted(at) for link in at[k][1]}
+    if K is not None and scheme not in HOLD_SCHEMES:
+        if scheme == "CONSENSUS":
+            warnings.insert(0, f"message_interval T={T:g} ignored: CONSENSUS reads current "
+                               "values; CONSENSUS_SAMPLED holds messages between sampling "
+                               "instants")
+        elif not last_failure:
+            warnings.insert(0, f"message_interval T={T:g} ignored: {scheme} reads a held "
+                               "value only at a link failure, and none falls within the "
+                               "horizon")
     power = grid.edge_set()
     p = grid.fixed_power()
     failed: List[Link] = []

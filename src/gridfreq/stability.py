@@ -12,7 +12,10 @@ where H is the cubic matrix pencil built from M, D, C and the two graph
 Laplacians, and sigma is a single global sign calibrated at the first
 sample point (row-reduction sign bookkeeping is not re-derived here).
 Both sides are compared as log-determinants, since on large grids the
-determinants themselves leave the floating-point range.
+determinants themselves leave the floating-point range. The left side is
+read off the spectrum, log s(lam) = sum_i log(lam_i - lam), so a report
+decomposes A once; the right side is one stacked slogdet of H at all the
+sample points.
 
 The multi-node factorization silently commutes the cost matrix with a
 Laplacian; it holds exactly when all cost coefficients are equal and fails
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,28 +262,24 @@ def failed_pair_last(grid: PowerGrid, comm: CommGraph, pair: Link
     return P, build_Lc_star(L_c, P @ np.diag(grid.cost()) @ P.T, (n - 2, n - 1))
 
 
-def _pencil_two_node(lam: complex, M, D, Cinv, L_c, LpB) -> np.ndarray:
-    return ((lam ** 2) * D + (lam ** 3) * M + lam * Cinv
-            + lam * (L_c @ D) + (lam ** 2) * (L_c @ M) + (2.0 + lam) * LpB)
-
-
-def _pencil_multi(lam: complex, M, D, Cinv, LstarC, LpB) -> np.ndarray:
-    N = M.shape[0]
-    return ((lam ** 2) * D + (lam ** 3) * M + lam * Cinv
-            + lam * (LstarC @ D) + (lam ** 2) * (LstarC @ M)
-            + (LstarC + lam * np.eye(N)) @ LpB)
-
-
-def _logdet(X: np.ndarray) -> complex:
-    """Complex log of det(X): log|det X| plus i times its phase."""
-    sign, logabs = np.linalg.slogdet(X)
-    return np.log(complex(sign)) + logabs
+def _pencil_logdets(pts: np.ndarray, M, D, Cinv, K, LpB, H0) -> np.ndarray:
+    """Complex log det(H(z)) at each point, H(z) = z^3 M + z^2 (D + K M)
+    + z (C^-1 + K D + L_p^B) + H0 for the two-node pencil (K = L_c,
+    H0 = 2 L_p^B) and the multi-node one (K = L_c* C, H0 = K L_p^B): the
+    fixed products are formed once, and the k determinants are taken by one
+    stacked slogdet over a (k, N, N) array."""
+    z = pts[:, None, None]
+    H = ((z * M + (D + K @ M)) * z + (Cinv + K @ D + LpB)) * z + H0
+    sign, logabs = np.linalg.slogdet(H)
+    return np.log(sign) + logabs
 
 
 def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                                   ctx: ControlContext,
                                   sample_points: Sequence[complex],
-                                  tol: float = 1e-8) -> IdentityReport:
+                                  tol: float = 1e-8,
+                                  eigenvalues: Optional[np.ndarray] = None
+                                  ) -> IdentityReport:
     """Compare det(A - lam I) against the factored form at the samples.
 
     Supports the two-node flow law (PAIR_FLOW) and the single-failure law
@@ -288,65 +287,56 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
     rejected. The returned `consistent` flag is max_residual <= tol.
 
-    Both sides are taken as complex logs (slogdet), so determinants beyond
-    the floating-point range still compare. The residual at each point is
-    |r - 1| / max(|r|, 1) with r = lhs / (sigma rhs), which equals
+    Both sides are taken as complex logs, so determinants beyond the
+    floating-point range still compare. The left side is
+    log det(A - z I) = sum_i log(lam_i - z) over the spectrum of A:
+    `eigenvalues` as spectrum() returns them, or, when omitted, those of
+    assemble_state_matrix's A. Computed eigenvalues are the exact ones of a
+    matrix within about eps |A| of A, the backward error an LU factorization
+    carries too. The right side is one stacked slogdet of the pencil at all
+    points. The residual at each point is |r - 1| / max(|r|, 1) with
+    r = lhs / (sigma rhs), which equals
     |lhs - sigma rhs| / max(|lhs|, |sigma rhs|).
     """
     if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE"):
         raise ValueError("identity check applies to the flow-based laws only")
     if len(ctx.F) != 2:
         raise ValueError(f"exactly two flow-controlled nodes expected, got {len(ctx.F)}")
-    pair = tuple(sorted(ctx.F))
-
     n, e = grid.n_nodes, grid.n_lines
-    sm = assemble_state_matrix(grid, comm, ctx)
-    A = sm.A
-    dim = A.shape[0]
+    if eigenvalues is None:
+        eigenvalues = spectrum(assemble_state_matrix(grid, comm, ctx)).eigenvalues
 
     M = np.diag(grid.inertia())
     D = np.diag(grid.droop())
     C = np.diag(grid.cost())
-    Cinv = np.linalg.inv(C)
     LpB = grid.weighted_laplacian()
-    log_det_Minv = -_logdet(M)
 
     if ctx.scheme == "PAIR_FLOW":
         if n != 2:
             raise ValueError("two-node form requires a two-node grid")
-        L_c = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-        def log_factored(lam: complex) -> complex:
-            return (np.log(lam + 2.0) + log_det_Minv
-                    + _logdet(_pencil_two_node(lam, M, D, Cinv, L_c, LpB)))
-
+        K = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        H0 = 2.0 * LpB
+        log_sign_n, exp_lam = 0.0, 0
         singular_eigs = np.array([0.0, -2.0])
     else:
-        P, Lstar = failed_pair_last(grid, comm, pair)
-        Mp, Dp, Cp = P @ M @ P.T, P @ D @ P.T, P @ C @ P.T
-        LpBp = P @ LpB @ P.T
-        LstarC = Lstar @ Cp
-        Cinv_p = np.linalg.inv(Cp)
-        log_det_Minv = -_logdet(Mp)
-        log_sign_n = 1j * math.pi * (n % 2)
-        exp_lam = 1 + e - n
+        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
+        M, D, C, LpB = (P @ X @ P.T for X in (M, D, C, LpB))
+        K = Lstar @ C
+        H0 = K @ LpB
+        log_sign_n, exp_lam = 1j * math.pi * (n % 2), 1 + e - n
+        singular_eigs = np.concatenate([[0.0, -2.0], np.linalg.eigvals(-K)])
 
-        def log_factored(lam: complex) -> complex:
-            return (log_sign_n + exp_lam * np.log(lam) + np.log(lam + 2.0)
-                    + log_det_Minv
-                    + _logdet(_pencil_multi(lam, Mp, Dp, Cinv_p, LstarC, LpBp)))
-
-        singular_eigs = np.concatenate([[0.0, -2.0],
-                                        np.linalg.eigvals(-LstarC)])
-
-    pts = [complex(z) for z in sample_points]
+    pts = np.array([complex(z) for z in sample_points])
     for z in pts:
         if np.min(np.abs(z - singular_eigs)) < 1e-6:
             raise ValueError(f"sample point {z} is within 1e-6 of a factorization "
                              "singularity")
 
-    eye = np.eye(dim)
-    log_ratio = np.array([_logdet(A - z * eye) - log_factored(z) for z in pts])
+    lhs = np.log(np.asarray(eigenvalues)[None, :] - pts[:, None]).sum(axis=1)
+    log_factored = (log_sign_n + exp_lam * np.log(pts) + np.log(pts + 2.0)
+                    - np.log(grid.inertia()).sum()
+                    + _pencil_logdets(pts, M, D, np.linalg.inv(C), K, LpB, H0))
+    log_ratio = lhs - log_factored
     sigma = np.exp(log_ratio[0])
     r = np.exp(log_ratio - log_ratio[0])
     residuals = np.abs(r - 1.0) / np.maximum(np.abs(r), 1.0)

@@ -4,18 +4,21 @@ reference_integrate is a deliberately naive RK4 loop driven by the public
 derivative() function with inline event handling; the production
 integrator's segment/kernel machinery is checked against it on short
 horizons. random_grid builds seeded connected grids larger than the toy one.
+sequential_active_link, sequential_context and shared_links spell out
+SEQUENTIAL's rotation for the oracle and the tests.
 """
 from __future__ import annotations
 
 import time
+from typing import List, Sequence
 
 import numpy as np
 import pytest
 
 from gridfreq import toy_grid
-from gridfreq.controllers import ControlContext, init_artificial, sequential_active_link
+from gridfreq.controllers import ControlContext, Link, init_artificial
 from gridfreq.model import CONTINUOUS, CommGraph, Line, NodeParams, PowerGrid, Scenario
-from gridfreq.simulator import derivative, initial_flows, state_to_vector, vector_to_state
+from gridfreq.simulator import derivative, initial_flows, modes, state_to_vector, vector_to_state
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +60,23 @@ def random_grid(seed: int, n: int) -> PowerGrid:
         edges.add((min(a, b), max(a, b)))
     lines = tuple(Line(a, b, float(rng.uniform(0.1, 1.0))) for a, b in sorted(edges))
     return PowerGrid(nodes, lines)
+
+
+def sequential_active_link(K: int, shared_links: Sequence[Link]) -> Link:
+    """Round-robin selection over the ordered shared links for interval K."""
+    if not shared_links:
+        raise ValueError("no shared power/communication links to rotate over")
+    return shared_links[K % len(shared_links)]
+
+
+def sequential_context(link: Link) -> ControlContext:
+    """SEQUENTIAL's context while `link` is the active pair."""
+    return modes("SEQUENTIAL", [link], [link])[0]
+
+
+def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Link]:
+    """Links of comm that are also power lines, in SEQUENTIAL's rotation order."""
+    return [tuple(sorted(c.F)) for c in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
 
 
 def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0):

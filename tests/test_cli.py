@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfreq import cli
+from gridfreq import cli, stability
 from gridfreq.model import (CommGraph, Line, NodeParams, PowerGrid, Scenario, load_scenario,
                             save_scenario, scenario_to_dict, toy_grid, with_overrides)
 
@@ -130,13 +130,16 @@ def test_simulate_diverging_run_exits_1(tmp_path, capsys):
     (0.0, "1", [f"no value ever received on link {a}->{b}; artificial variable term "
                 "initialized to 0" for a, b in ((7, 2), (2, 7))]),
     (0.5, "1.0004", ["horizon t=1.0004 is off the dt grid; rounded to step 1000 (t=1)"]),
-    (2.0, "0.5", [f"{what} ignored: past the horizon (t=0.5)"
-                  for what in ("disturbance at node 3 t=1", "failure of link (2,7) t=2")]),
+    (2.0, "0.5", ["message_interval T=0.01 ignored: HYBRID_SINGLE reads a held value only "
+                  "at a link failure, and none falls within the horizon"]
+                 + [f"{what} ignored: past the horizon (t=0.5)"
+                    for what in ("disturbance at node 3 t=1", "failure of link (2,7) t=2")]),
 ])
 def test_simulate_reports_warnings(tmp_path, capsys, failure_t, horizon, details):
     """A HYBRID_SINGLE run whose failed pair never exchanged a message, a
-    horizon off the dt grid, and events past the horizon: the warning
-    reaches summary.json and stderr, beside the unchanged summary keys."""
+    horizon off the dt grid, and events past the horizon (which leave the
+    message interval unread): the warning reaches summary.json and stderr,
+    beside the unchanged summary keys."""
     scn = with_overrides(toy_grid(), scheme="HYBRID_SINGLE", message_interval=0.01,
                          failures=(((1, 6), failure_t),))
     path = tmp_path / "hybrid.json"
@@ -327,19 +330,82 @@ def test_stability_reports_the_law_simulate_ran(tmp_path, capsys, scheme, T, fai
     assert "t=1000 ignored: past the horizon" in capsys.readouterr().err
 
 
+PAIR_DOC = {
+    "nodes": [
+        {"id": 1, "inertia": 0.05, "droop": 0.8, "cost": 0.1, "p": 1.0},
+        {"id": 2, "inertia": 0.1, "droop": 1.2, "cost": 0.2, "p": -1.0},
+    ],
+    "lines": [{"i": 1, "j": 2, "b": 1.0}],
+    "comm_links": [[1, 2]],
+    "scheme": "PAIR_FLOW",
+    "horizon": 10.0, "dt": 0.001, "record_stride": 10,
+}
+
+
+def test_pair_flow_message_interval_is_warned(tmp_path):
+    """On two nodes PAIR_FLOW reads no message, and with no failure within
+    the horizon init_artificial reads no held value either: a finite --T
+    changes nothing, so it is warned about and the CSV equals the
+    continuous run's byte for byte."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(PAIR_DOC))
+    for T in ("0.5", "continuous"):
+        cli.main(["simulate", str(path), "--T", T, "--horizon", "2",
+                  "--out", str(tmp_path / f"run_{T}")])
+    summary = json.loads((tmp_path / "run_0.5.summary.json").read_text())
+    assert summary["warnings"] == [{"t": 0.0, "kind": "warning", "detail":
+                                    "message_interval T=0.5 ignored: PAIR_FLOW reads a held "
+                                    "value only at a link failure, and none falls within "
+                                    "the horizon"}]
+    assert json.loads((tmp_path / "run_continuous.summary.json").read_text())["warnings"] == []
+    assert ((tmp_path / "run_0.5.csv").read_bytes()
+            == (tmp_path / "run_continuous.csv").read_bytes())
+
+
+def test_message_interval_read_at_a_failure_is_not_warned(tmp_path, capsys):
+    """A HYBRID_SINGLE failure within the horizon initializes the artificial
+    variables from the held samples, so a finite T matters: no warning."""
+    scn = with_overrides(toy_grid(), scheme="HYBRID_SINGLE", message_interval=0.01,
+                         failures=(((1, 6), 0.5),))
+    path = tmp_path / "hybrid.json"
+    save_scenario(scn, path)
+    cli.main(["simulate", str(path), "--horizon", "1", "--out", str(tmp_path / "run")])
+    assert json.loads((tmp_path / "run.summary.json").read_text())["warnings"] == []
+    assert capsys.readouterr().err == ""
+
+
+def test_stability_report_decomposes_the_state_matrix_once(tmp_path, monkeypatch):
+    """A HYBRID_SINGLE report assembles A once and takes its eigenvalues
+    once: the identity check reads det(A - z I) off that spectrum."""
+    assembled = []
+    shapes = []
+    assemble, eigvals = stability.assemble_state_matrix, np.linalg.eigvals
+
+    def counted_assemble(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
+
+    def counted_eigvals(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    for module in (stability, cli):
+        monkeypatch.setattr(module, "assemble_state_matrix", counted_assemble)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    scn = with_overrides(toy_grid(), scheme="HYBRID_SINGLE", failures=(((1, 6), 0.5),))
+    path = tmp_path / "hybrid.json"
+    save_scenario(scn, path)
+    out = tmp_path / "stab.json"
+    assert cli.main(["stability", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["identity"] is not None
+    assert len(assembled) == 1
+    assert shapes.count((doc["state_dim"], doc["state_dim"])) == 1
+
+
 def test_stability_command_two_node(tmp_path):
     scn_path = tmp_path / "pair.json"
-    doc = {
-        "nodes": [
-            {"id": 1, "inertia": 0.05, "droop": 0.8, "cost": 0.1, "p": 1.0},
-            {"id": 2, "inertia": 0.1, "droop": 1.2, "cost": 0.2, "p": -1.0},
-        ],
-        "lines": [{"i": 1, "j": 2, "b": 1.0}],
-        "comm_links": [[1, 2]],
-        "scheme": "PAIR_FLOW",
-        "horizon": 10.0, "dt": 0.001, "record_stride": 10,
-    }
-    scn_path.write_text(json.dumps(doc))
+    scn_path.write_text(json.dumps(PAIR_DOC))
     out = tmp_path / "stab.json"
     code = cli.main(["stability", str(scn_path), "--out", str(out), "--samples", "6"])
     assert code == 0

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import sequential_active_link, sequential_context
 from gridfreq.controllers import (ControlContext, PowerAdjacencyError, control_rate,
-                                  init_artificial, sequential_active_link)
+                                  init_artificial)
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid, SystemState
 from gridfreq.simulator import (derivative, held_messages, integrate, run_scenario,
-                                sequential_context, vector_to_state)
+                                vector_to_state)
 from gridfreq.model import Scenario, with_overrides
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_grid, reference_integrate
+from conftest import random_grid, reference_integrate, sequential_context, shared_links
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
@@ -13,8 +13,7 @@ from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices,
                                 convergence_time, derivative,
                                 first_crossing_time, held_messages, initial_flows,
                                 integrate, rotation_reset, run_scenario, schedule,
-                                sequential_context, shared_links, state_to_vector,
-                                vector_to_state, write_trajectory_csv)
+                                state_to_vector, vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
 

@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_grid
+from conftest import random_grid, shared_links
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import derivative, shared_links, vector_to_state
+from gridfreq.simulator import derivative, vector_to_state
 from gridfreq.stability import (IdentityReport, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node,
-                                check_sufficient_two_node,
+                                check_sufficient_two_node, failed_pair_last,
                                 interval_map_spectrum, spectrum)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -368,6 +368,92 @@ class TestCharacteristicIdentity:
             assert rep.consistent
             assert rep.max_residual <= 1e-8
             assert rep.sign == pytest.approx(-1.0, abs=1e-9)
+
+
+def identity_oracle(grid, comm, ctx, pts):
+    """(residuals, sigma) of the identity check with one complex LU per
+    point: log det(A - z I) by slogdet, and the pencil summed term by term
+    at each point."""
+    A = assemble_state_matrix(grid, comm, ctx).A
+    n, e = grid.n_nodes, grid.n_lines
+    M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
+    LpB = grid.weighted_laplacian()
+    if ctx.scheme == "PAIR_FLOW":
+        K, exp_lam, sign_n = L2, 0, 0.0
+
+        def tail(z):
+            return (2.0 + z) * LpB
+    else:
+        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
+        M, D, C, LpB = (P @ X @ P.T for X in (M, D, C, LpB))
+        K, exp_lam, sign_n = Lstar @ C, 1 + e - n, 1j * math.pi * (n % 2)
+
+        def tail(z):
+            return (K + z * np.eye(n)) @ LpB
+
+    def logdet(X):
+        sign, logabs = np.linalg.slogdet(X)
+        return np.log(sign) + logabs
+
+    def log_ratio(z):
+        H = (z ** 2 * D + z ** 3 * M + z * np.linalg.inv(C) + z * (K @ D)
+             + z ** 2 * (K @ M) + tail(z))
+        return (logdet(A - z * np.eye(A.shape[0]))
+                - (sign_n + exp_lam * np.log(z) + np.log(z + 2.0) - logdet(M) + logdet(H)))
+
+    lr = np.array([log_ratio(complex(z)) for z in pts])
+    r = np.exp(lr - lr[0])
+    return np.abs(r - 1.0) / np.maximum(np.abs(r), 1.0), np.exp(lr[0])
+
+
+def oracle_cases():
+    """HYBRID_SINGLE on seeded grids (N = 3 to 60, unequal and equal costs,
+    the first power line failed) and PAIR_FLOW on 20 two-node grids."""
+    for n in (3, 10, 30, 60):
+        for seed in (0, 1):
+            grid = random_grid(seed, n)
+            for equal in (False, True):
+                if equal:
+                    grid = PowerGrid(tuple(dataclasses.replace(nd, cost=7.0)
+                                           for nd in grid.nodes), grid.lines)
+                pair = (grid.lines[0].i, grid.lines[0].j)
+                comm = CommGraph(links=tuple((l.i, l.j) for l in grid.lines[1:]))
+                yield grid, comm, ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        grid = two_node_grid(M=rng.uniform(0.01, 1.0, 2), D=rng.uniform(0.1, 3.0, 2),
+                             C=rng.uniform(0.5, 100.0, 2), B=rng.uniform(0.1, 2.0))
+        yield grid, CommGraph(links=((0, 1),)), pair_ctx()
+
+
+def test_identity_check_matches_lu_oracle():
+    """The spectrum-based left side and the stacked pencil agree with one
+    LU per point: the same consistent flags, residuals within 1e-10 and
+    sigma within 1e-9; both flag values occur."""
+    rng = np.random.default_rng(6)
+    flags = []
+    for grid, comm, ctx in oracle_cases():
+        pts = rand_points(rng)
+        rep = characteristic_identity_check(grid, comm, ctx, pts)
+        residuals, sigma = identity_oracle(grid, comm, ctx, pts)
+        assert rep.consistent == (residuals.max() <= 1e-8)
+        assert np.abs(np.array(rep.residuals) - residuals).max() <= 1e-10
+        assert abs(rep.sign - sigma) <= 1e-9
+        flags.append(rep.consistent)
+    assert len(flags) == 36 and 0 < sum(flags) < 36
+
+
+def test_identity_check_takes_the_spectrum():
+    """Passing the spectrum of A gives the report the check computes
+    without it."""
+    grid = random_grid(2, 30)
+    pair = (grid.lines[0].i, grid.lines[0].j)
+    comm = CommGraph(links=tuple((l.i, l.j) for l in grid.lines[1:]))
+    ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
+    pts = rand_points(np.random.default_rng(7))
+    lam = spectrum(assemble_state_matrix(grid, comm, ctx)).eigenvalues
+    assert (characteristic_identity_check(grid, comm, ctx, pts, eigenvalues=lam)
+            == characteristic_identity_check(grid, comm, ctx, pts))
 
 
 def test_routh_hurwitz_cubic_consistency():
