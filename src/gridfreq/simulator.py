@@ -17,21 +17,26 @@ sampling instants a piece is
 with p its fixed powers and y the held messages, C u of the last sampling
 instant (under continuous messaging B reads no y). context_matrices builds
 a context's A and B from one derivative() call on the identity stack of
-[x; y; p], and context_step RK4's one-step map (D, G) from them, the one
-linear system a run keeps per live links and context. A sampling instant
-is a linear reset: y refreshes to C u, and SEQUENTIAL resets q by the
-rotation's reset matrix R. So a whole message interval is one exact affine
-map (interval_map, the one-step map squared), and a whole SEQUENTIAL
-rotation cycle the composition of its interval maps (kernels.compose_maps).
-The integrator advances runs of intervals and cycles with them and stops at
-piece boundaries; when the records all fall on sampling instants it writes
-them without stopping, and at records too otherwise. The trajectory is
-bit-reproducible for identical inputs.
+[x; y; p], and context_step RK4's one-step map from them, the one linear
+system a run keeps per live links and context. That map acts on the states
+the context moves, those whose row of [A B] is not zero: a state the
+context holds constant, such as q_i outside the flow-controlled set F,
+enters as an input like p, so the products of a map pay only for the
+moving states. A sampling instant is a linear reset: y refreshes to C u,
+and SEQUENTIAL resets q by the rotation's reset matrix R. So a whole
+message interval is one exact affine map (interval_map, the one-step map
+squared on the moving states, then embedded into full coordinates), and a
+whole SEQUENTIAL rotation cycle the composition of its interval maps
+(kernels.compose_maps). The integrator advances runs of intervals and
+cycles with them and stops at piece boundaries; when the records all fall
+on sampling instants it writes them without stopping, and at records too
+otherwise. The trajectory is bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -83,10 +88,6 @@ class Trajectory:
         return SystemState(t=float(self.times[k]), omega=self.omega[k].copy(),
                            flow=self.flow[k].copy(), u=self.u[k].copy(),
                            q=self.q[k].copy(), last_rx=last_rx)
-
-    @property
-    def states(self) -> Tuple[SystemState, ...]:
-        return tuple(self.state_at(k) for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,8 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     held_messages(y, comm.links)). Exact because the control law is linear
     in the state once the event data (held messages, powers, the set F) is
     frozen; the y columns of B are zero outside HOLD_SCHEMES, which read no
-    held message.
+    held message. A and B are views of the transposed stack (Fortran
+    order), not copies: context_step gathers the rows it keeps anyway.
     """
     n = grid.n_nodes
     dim = 3 * n + grid.n_lines
@@ -248,42 +250,85 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
                     grid, comm, ctx, P)
     R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
-    return np.ascontiguousarray(dx[:dim].T), np.ascontiguousarray(dx[dim:].T), R
+    return dx[:dim].T, dx[dim:].T, R
+
+
+@dataclass(frozen=True, eq=False)
+class StepMap:
+    """RK4's one-step map of a context on the states it moves.
+
+    The moving states M (`moving`) are those whose row of [A B] is not
+    identically zero; every other state is constant under the context, such
+    as q_i outside F. On them the step is
+
+        x[M] -> x[M] + D x[M] + G z[inputs],      z = [x; y; p],
+
+    with `inputs` the nonzero columns of [A B][M] outside M: the held
+    messages and powers the context reads, and any frozen state it reads,
+    which enters like p. R is the context's reset (context_matrices)."""
+
+    D: np.ndarray              # (|M|, |M|)
+    G: np.ndarray              # (|M|, len(inputs))
+    moving: np.ndarray         # indices into x
+    inputs: np.ndarray         # indices into z = [x; y; p]
+    R: Optional[np.ndarray]
+    shape: Tuple[int, int]     # of [A B]: (dim, dim + 2N)
+
+    def embed(self, Dm: np.ndarray, Gm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """A map (Dm, Gm) on x[M] with inputs z[inputs], such as (D, G) or
+        a k-step map of it, in full coordinates: (D, G) of x -> x + D x +
+        G [y; p], views of one new array. The rows of the frozen states are
+        zero."""
+        dim = self.shape[0]
+        F = np.zeros(self.shape)
+        F[self.moving[:, None], self.moving] = Dm
+        F[self.moving[:, None], self.inputs] = Gm
+        return F[:, :dim], F[:, dim:]
 
 
 def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float
-                 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(D, G, R): RK4's one-step map x -> x + D x + G [y; p] of the context's
-    piece (kernels.one_step_map of its context_matrices) and its reset R.
-    A and B are dropped once the map is built."""
+                 ) -> StepMap:
+    """RK4's one-step map of the context's piece (kernels.one_step_map of its
+    context_matrices) on the states the context moves, with the frozen
+    states it reads as inputs (StepMap), and its reset R. The moving set is
+    read off the assembled [A B], not off the scheme; A and B are dropped
+    once the map is built."""
     A, B, R = context_matrices(grid, comm, ctx)
-    D, G = one_step_map(A, B, h)
-    return D, G, R
+    AB = np.concatenate([A, B], axis=1)     # columns over [x; y; p]
+    del A, B                                # not held through the products
+    shape = AB.shape
+    moving = np.flatnonzero(AB.any(axis=1))
+    AB = AB[moving]
+    read = AB.any(axis=0)
+    read[moving] = False
+    inputs = np.flatnonzero(read)
+    D, G = one_step_map(AB[:, moving], AB[:, inputs], h)
+    return StepMap(D, G, moving, inputs, R, shape)
 
 
-def interval_map(grid: PowerGrid, D: np.ndarray, G: np.ndarray, R: Optional[np.ndarray],
-                 K: int) -> Tuple[np.ndarray, np.ndarray]:
+def interval_map(grid: PowerGrid, step: StepMap, K: int) -> Tuple[np.ndarray, np.ndarray]:
     """Exact map of one message interval, K RK4 steps from one sampling
     instant to the next, as (D_K, G_K) with
 
         x(next instant) = x + D_K x + G_K p
 
-    for fixed powers p, given a context's context_step (D, G, R). At the
-    instant the held values refresh to y = C u and, when R is not None, q
-    resets to R x; then K steps x -> x + D x + G [y; p] follow with y
-    constant. Refresh and reset are linear and the K-fold step map with
-    constant inputs is affine (kernels.k_step_map), so the map is exact.
-    Both leave a state whose sampling events have already been applied
-    unchanged, so the map also advances such a state. D_K is dim x dim and
-    G_K dim x N.
+    for fixed powers p, given a context's context_step. At the instant the
+    held values refresh to y = C u and, when step.R is not None, q resets
+    to R x; then K steps x -> x + D x + G [y; p] follow with y constant.
+    Refresh and reset are linear and the K-fold step map with constant
+    inputs is affine (kernels.k_step_map), so the map is exact. Both leave a
+    state whose sampling events have already been applied unchanged, so the
+    map also advances such a state. The K steps are squared on the moving
+    states, then embedded into full coordinates (StepMap.embed), where the
+    held coupling and R fold in. D_K is dim x dim and G_K dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
-    D, G = k_step_map(D, G, K)
+    D, G = step.embed(*k_step_map(step.D, step.G, K))
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
-    if R is not None:
-        D = D @ R
-        D += R
-        D[np.diag_indices_from(D)] -= 1.0
+    if step.R is not None:
+        D = D @ step.R
+        D += step.R
+        D.flat[::len(D) + 1] -= 1.0
     return D, np.ascontiguousarray(G[:, n:])
 
 
@@ -434,6 +479,9 @@ def schedule(scenario: Scenario) -> Schedule:
 # ---------------------------------------------------------------------------
 # Event-driven integration
 
+_REC_BLOCK = 512    # records per jump of the moving states
+
+
 def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -> Trajectory:
     """Run the scenario's schedule and record every record_stride-th step
     (plus the final one). At the start of each piece its events apply, then
@@ -447,17 +495,22 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     live link holds. A failed link keeps the value it held when it failed;
     that value is read by rx_series and by init_artificial at a piece's
     init. The run caches one entry per live links and context: RK4's
-    one-step map (D, G) and the reset R (context_step), built once, with A
-    and B dropped. Every sampling instant runs one rule, sample(), on a
-    stack of states: q resets by its context's R, and the held values
-    become C u. The state is a one-row stack, and so are the rows recorded
-    inside a jump.
+    one-step map on the states the context moves and the reset R
+    (context_step, a StepMap), built once, with A and B dropped. Every
+    sampling instant runs one rule, sample(), on a stack of states: q resets
+    by its context's R, and the held values become C u. The state is a
+    one-row stack, and so are the rows recorded inside a jump.
 
-    Under continuous messaging each piece is one kernels.jump of the
-    one-step map with offset G [y; p], which also writes the records inside
-    it. With a finite message interval whole message intervals advance by
-    interval_map, squared from the same (D, G), and a part of an interval
-    by a jump of the one-step map. When record_stride is a multiple of
+    Under continuous messaging each piece is kernels.jump of the one-step
+    map on the moving states x[M], with offset G [x; y; p][inputs]: the
+    frozen states are inputs like p and stay untouched in x. The jump also
+    writes the records inside the piece, a block of at most _REC_BLOCK rows
+    of x[M] at a time into the leading columns of their record rows, which
+    are then spread to full rows with the frozen states filled in; no second
+    record buffer is kept. With a finite message interval whole message
+    intervals advance by interval_map, squared from the same map on the
+    moving states and embedded into full coordinates, and a part of an
+    interval by the same jump on x[M]. When record_stride is a multiple of
     K = T / dt every record falls on a sampling instant, and the run stops
     only at piece boundaries: intervals() writes the records between them
     and samples them. A SEQUENTIAL rotation over L links crosses whole
@@ -466,7 +519,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     between, and one interval at a time otherwise. With a stride that is
     not a multiple of K the run also stops at every record. Interval and
     cycle maps are cached like the step maps; a rotation over L links keeps
-    L + 1 maps of dim * (dim + N) floats.
+    L + 1 maps of dim * (dim + N) floats. So are the k-step maps that
+    kernels.jump squares from any of them, per map and k: pieces that share
+    a context, such as the two sides of a disturbance, square once, and a
+    new p costs one product G_k w.
 
     A kernel call that leaves the finite range raises IntegrationError with
     the first non-finite step, found by replaying that call one RK4 step at
@@ -502,13 +558,17 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     @functools.cache
     def step_map(comm: CommGraph, c: ControlContext):
-        return interval_map(grid, *maps(comm, c), K)
+        return interval_map(grid, maps(comm, c), K)
 
     @functools.cache
     def cycle_map(comm: CommGraph, cs: Tuple[ControlContext, ...]):
         """The map of one rotation cycle, L interval maps from a phase-0
         instant (one whose interval runs cs[0]) on."""
         return compose_maps([step_map(comm, c) for c in cs])
+
+    # the squared maps kernels.jump builds, per (builder, live links, context
+    # or cycle): pieces that share a context square each jump length once
+    squares: Dict[tuple, dict] = defaultdict(dict)
 
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
@@ -517,7 +577,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         each row leaves, its C u."""
         phase = (step + stride * np.arange(len(rows))) // K % len(piece.contexts)
         for c in set(phase.tolist()):
-            R = maps(piece.comm, piece.contexts[c])[2]
+            R = maps(piece.comm, piece.contexts[c]).R
             if R is not None:
                 at = phase == c
                 rows[at, Q] = rows[at] @ R[Q].T
@@ -547,11 +607,35 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             rx[:, live] = Y[:, senders[live]]
         n_rec += got
 
-    def stretch(step: int, n_steps: int, first: int, out: np.ndarray) -> int:
-        """n_steps RK4 steps from step, one jump of the one-step map under
-        the context and held messages in force there."""
-        D, G, _ = maps(piece.comm, piece.context(step, K))
-        return jump(D, G @ np.concatenate([y, p]), x, n_steps, first, stride, out)
+    def stretch(step: int, n_steps: int, first: int, rows: int) -> int:
+        """n_steps RK4 steps from step under the context and held messages
+        in force there: jumps of its one-step map on the moving states
+        x[M], with offset G [x; y; p][inputs], one jump per block of at most
+        _REC_BLOCK of the `rows` record steps from step + first on. A jump
+        writes x[M] into the leading columns of the records' rows in
+        rec_states from n_rec on; then each row is spread to full width,
+        the frozen states copied in. Returns the rows written."""
+        c = piece.context(step, K)
+        sm = maps(piece.comm, c)
+        w = np.concatenate([x, y, p])[sm.inputs]
+        xm = x[sm.moving]
+        got = done = 0                  # rows written, steps taken
+        while done < n_steps:
+            b = min(rows - got, _REC_BLOCK)     # rows of this jump, the last one at end
+            end = n_steps if got + b == rows else first + (got + b - 1) * stride
+            rec = rec_states[n_rec + got:n_rec + got + b]
+            new = jump(sm.D, sm.G, w, xm, end - done, first + got * stride - done if b else 0,
+                       stride, rec[:, :len(xm)], squares[maps, piece.comm, c])
+            if new:
+                moved = rec[:new, :len(xm)].copy()
+                rec[:new] = x
+                rec[:new, sm.moving] = moved
+            got += new
+            done = end
+            if new < b:                 # the state left the finite range
+                break
+        x[sm.moving] = xm
+        return got
 
     def first_nonfinite(step: int, stop: int, x0: np.ndarray) -> int:
         """Replay the kernel call from x0 at step to stop one RK4 step at a
@@ -561,7 +645,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         while True:
             run = stop - step if K is None else min(K - step % K, stop - step)
             for _ in range(run):
-                stretch(step, 1, 0, rec_states[:0])
+                stretch(step, 1, 0, 0)
                 step += 1
                 if not np.isfinite(x).all():
                     return step
@@ -586,7 +670,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         force, recording the record steps between them."""
         first, rows = records_between(step, stop)
         x0 = x.copy()
-        got = stretch(step, stop - step, first if rows else 0, rec_states[n_rec:n_rec + rows])
+        got = stretch(step, stop - step, first, rows)
         book(step + first, got, y[None])
         check_finite(step, stop, x0)
 
@@ -611,12 +695,14 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         got, s = 0, step
         while s < end:
             if s == head < tail:
-                (D, G), m, k = cycle_map(piece.comm, piece.contexts), cycle, (tail - s) // cycle
+                build, key, m, k = cycle_map, piece.contexts, cycle, (tail - s) // cycle
             else:
-                (D, G), m, k = step_map(piece.comm, piece.context(s, K)), K, 1
+                build, key, m, k = step_map, piece.context(s, K), K, 1
+            D, G = build(piece.comm, key)
             ahead = stride - s % stride      # steps to the next record instant
             at = ahead // m if got < rows and ahead % m == 0 else 0
-            got += jump(D, G @ p, x, k, at, stride // m, out[got:])
+            got += jump(D, G, p, x, k, at, stride // m, out[got:],
+                        squares[build, piece.comm, key])
             s += k * m
         if got:
             book(step + first, got, sample(out[:got], step + first))

@@ -131,7 +131,7 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
     K = int(round(T / dt))
-    D, _ = compose_maps([interval_map(grid, *context_step(grid, comm, ctx, dt), K)
+    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt), K)
                          for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu

@@ -5,20 +5,23 @@ derivative() function with inline event handling; the production
 integrator's segment/kernel machinery is checked against it on short
 horizons. random_grid builds seeded connected grids larger than the toy one.
 sequential_active_link, sequential_context and shared_links spell out
-SEQUENTIAL's rotation for the oracle and the tests.
+SEQUENTIAL's rotation for the oracle and the tests; trajectory_states lists
+a trajectory's recorded states.
 """
 from __future__ import annotations
 
 import time
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from gridfreq import toy_grid
 from gridfreq.controllers import ControlContext, Link, init_artificial
-from gridfreq.model import CONTINUOUS, CommGraph, Line, NodeParams, PowerGrid, Scenario
-from gridfreq.simulator import derivative, initial_flows, modes, state_to_vector, vector_to_state
+from gridfreq.model import (CONTINUOUS, CommGraph, Line, NodeParams, PowerGrid, Scenario,
+                            SystemState)
+from gridfreq.simulator import (Trajectory, derivative, initial_flows, modes, state_to_vector,
+                                vector_to_state)
 
 
 @pytest.fixture(scope="session")
@@ -79,19 +82,29 @@ def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Link]:
     return [tuple(sorted(c.F)) for c in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
 
 
-def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0):
+def trajectory_states(traj: Trajectory) -> Tuple[SystemState, ...]:
+    """Every recorded state of traj, in order."""
+    return tuple(traj.state_at(k) for k in range(len(traj)))
+
+
+def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,
+                        initial_state: Optional[SystemState] = None):
     """Step-by-step RK4 using derivative() directly; returns the state vector
     after n_steps, or with every > 0 a dict from each step that is a
     multiple of every to the state then. A state is taken after the events
-    of its step. Handles disturbances, failures, sampling and sequential
-    rotation inline, in the same event order as integrate().
+    of its step. Starts from initial_state, as integrate() does, or else at
+    rest with the initial flows. Handles disturbances, failures, sampling
+    and sequential rotation inline, in the same event order as integrate().
     """
     grid, comm = scenario.grid, scenario.comm
     n, e = grid.n_nodes, grid.n_lines
     dt = scenario.dt
     p = grid.fixed_power().copy()
-    x = np.zeros(3 * n + e)
-    x[n:n + e] = initial_flows(grid, p)
+    if initial_state is None:
+        x = np.zeros(3 * n + e)
+        x[n:n + e] = initial_flows(grid, p)
+    else:
+        x = state_to_vector(initial_state).astype(float)
     T = comm.message_interval
     steps_per_T = None if T is CONTINUOUS else int(round(T / dt))
     last_rx = {}

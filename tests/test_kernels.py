@@ -15,7 +15,7 @@ def _segment(A, b, x, h, n_steps, first_record, stride, out):
     """n_steps RK4 steps of x' = A x + b: one jump of RK4's one-step map,
     with b as the single column of the input matrix and w = 1."""
     D, G = one_step_map(A, b[:, None], h)
-    return jump(D, G[:, 0], x, n_steps, first_record, stride, out)
+    return jump(D, G, np.ones(1), x, n_steps, first_record, stride, out)
 
 
 def test_recording_offsets():
@@ -91,7 +91,7 @@ def test_k_step_map_and_jump_match_stepwise_rk4():
     ref = _rk4_steps(A, B @ w, x0, h, k)
     assert np.abs(x0 + D @ x0 + G @ w - ref).max() <= 1e-12
     x = x0.copy()
-    jump(D, G @ w, x, 50)
+    jump(D, G, w, x, 50)
     ref = _rk4_steps(A, B @ w, x0, h, 50 * k)
     assert np.abs(x - ref).max() <= 1e-12
 
@@ -109,7 +109,7 @@ def test_recorded_jump_matches_stepwise_map():
     for first, stride, room in [(3, 7, 100), (1, 1, 200), (200, 5, 3), (10, 40, 2)]:
         x = x0.copy()
         out = np.full((room, 9), np.nan)
-        got = jump(D, g, x, 200, first, stride, out)
+        got = jump(D, g[:, None], np.ones(1), x, 200, first, stride, out)
         want = list(range(first, 201, stride))[:room]
         assert got == len(want)
         for row, s in enumerate(want):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_grid, reference_integrate, sequential_context, shared_links
+from conftest import (random_grid, reference_integrate, sequential_context, shared_links,
+                      trajectory_states)
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
                             PowerGrid, Scenario, SystemState, with_overrides)
-from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices,
-                                convergence_time, derivative,
+from gridfreq.kernels import k_step_map, one_step_map
+from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
+                                convergence_time, derivative, modes,
                                 first_crossing_time, held_messages, initial_flows,
                                 integrate, rotation_reset, run_scenario, schedule,
                                 state_to_vector, vector_to_state, write_trajectory_csv)
@@ -208,7 +210,7 @@ def test_records_follow_stride(toy):
     expected = [k * 0.1 for k in range(15 + 1)]
     assert traj.times == pytest.approx(expected)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.cost_series) == len(traj.times) == len(traj.states)
+    assert len(traj.cost_series) == len(traj.times) == len(trajectory_states(traj))
 
 
 def test_event_log_contents(toy):
@@ -553,6 +555,88 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
 
 
 # ---------------------------------------------------------------------------
+# Maps on the moving states
+
+@pytest.mark.parametrize("grid_name", ["toy", "n30"])
+def test_reduced_maps_embed_to_full_maps(toy, grid_name):
+    """For every context of every scheme (MULTI_FAILURE over two pairs, and
+    SEQUENTIAL for each of its pairs) context_step's map on the moving
+    states, embedded into full coordinates, equals RK4's one-step map of the
+    full (A, B) within 1e-14 of its largest entry, and so do their k-step
+    maps (k = 10, 100). The frozen states are the q_i outside F, and the
+    full maps' rows of them are exactly zero."""
+    if grid_name == "toy":
+        grid, comm = toy.grid, dataclasses.replace(toy.comm, failed=())
+    else:
+        grid = random_grid(4, 30)
+        comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
+    n, e = grid.n_nodes, grid.n_lines
+    cases = [(ctx, live) for scheme, ctx, live in scheme_cases(grid, comm)
+             if scheme != "SEQUENTIAL"]
+    cases += [(ctx, comm) for ctx in modes("SEQUENTIAL", grid.edge_set(), comm.links)]
+    assert len(cases) == 5 + len(shared_links(grid, comm))
+    h = 1e-3
+    for ctx, live in cases:
+        A, B, _ = context_matrices(grid, live, ctx)
+        step = context_step(grid, live, ctx, h)
+        frozen = np.setdiff1d(np.arange(len(A)), step.moving)
+        assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
+        full = one_step_map(A, B, h)
+        for k in (1, 10, 100):
+            D, G = full if k == 1 else k_step_map(*full, k)
+            reduced = (step.D, step.G) if k == 1 else k_step_map(step.D, step.G, k)
+            assert not D[frozen].any() and not G[frozen].any()
+            for got, want in zip(step.embed(*reduced), (D, G)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme, T", [("CONSENSUS", None), ("HYBRID_SINGLE", None),
+                                       ("CONSENSUS_SAMPLED", 0.01)])
+def test_frozen_states_keep_their_values(toy, scheme, T):
+    """A run started with nonzero q on every node keeps each q_i outside F
+    bit-identical in every record: a frozen state is an input of the jumps
+    and is copied into their records. Under HYBRID_SINGLE init_artificial
+    resets q when link (2,7) fails at 0.5 s; from then on q outside the pair
+    stays exactly 0 while the pair's q moves. Record stride 7 stops the
+    sampled run inside message intervals. The records match the stepwise
+    oracle from the same start within 1e-12."""
+    failures = (((1, 6), 0.5),) if scheme == "HYBRID_SINGLE" else ()
+    scn = with_overrides(toy, scheme=scheme, message_interval=T, horizon=1.2,
+                         record_stride=7, failures=failures)
+    grid = toy.grid
+    n, e = grid.n_nodes, grid.n_lines
+    x0 = np.zeros(3 * n + e)
+    x0[n:n + e] = initial_flows(grid, grid.fixed_power())
+    x0[2 * n + e:] = np.random.default_rng(7).uniform(-1.0, 1.0, n)
+    start = vector_to_state(0.0, x0, grid)
+    traj = integrate(scn, initial_state=start)
+    before = traj.times < 0.5 if failures else np.ones(len(traj), dtype=bool)
+    assert np.array_equal(traj.q[before], np.tile(x0[2 * n + e:], (before.sum(), 1)))
+    if failures:
+        outside = [i for i in range(n) if i not in (1, 6)]
+        assert not traj.q[~before][:, outside].any()
+        assert np.abs(traj.q[~before][:, [1, 6]]).min() > 0.0
+    steps = np.round(traj.times / scn.dt).astype(int)
+    ref = reference_integrate(scn, steps[-1], every=1, initial_state=start)
+    for k, step in enumerate(steps):
+        assert np.abs(state_to_vector(traj.state_at(k)) - ref[step]).max() <= 1e-12
+
+
+def test_records_span_several_blocks(toy):
+    """A continuous piece with more records than one block of moving-state
+    rows (512) is several jumps: at record_stride 1 the 1100 steps after the
+    failure of link (2,7) are three blocks, each spread to full rows with
+    the frozen q copied in. Every row matches the stepwise oracle."""
+    scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=1.2, record_stride=1,
+                         failures=(((1, 6), 0.1),))
+    traj = integrate(scn)
+    assert len(traj) == 1201
+    ref = reference_integrate(scn, 1200, every=1)
+    for k in range(len(traj)):
+        assert np.abs(state_to_vector(traj.state_at(k)) - ref[k]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Records on sampling instants without stopping
 
 @pytest.mark.parametrize("T, stride", [(1e-3, 1), (1e-2, 10)])
@@ -679,9 +763,11 @@ def test_rotation_records_match_oracle(rotation_oracle, stride):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the calls of controllers.init_artificial, kernels.jump,
-    kernels.one_step_map and simulator.derivative made from here on."""
+    kernels.one_step_map, kernels.k_step_map and simulator.derivative made
+    from here on."""
     from gridfreq import controllers, kernels, simulator
-    counts = dict.fromkeys(["init_artificial", "jump", "one_step_map", "derivative"], 0)
+    counts = dict.fromkeys(["init_artificial", "jump", "one_step_map", "k_step_map",
+                            "derivative"], 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -693,9 +779,25 @@ def calls(monkeypatch):
 
     for module, name in ((controllers, "init_artificial"), (kernels, "jump"),
                          (simulator, "jump"), (kernels, "one_step_map"),
-                         (simulator, "one_step_map"), (simulator, "derivative")):
+                         (simulator, "one_step_map"), (kernels, "k_step_map"),
+                         (simulator, "k_step_map"), (simulator, "derivative")):
         count(module, name)
     return counts
+
+
+def test_pieces_that_share_a_context_square_once(toy, calls):
+    """Toy HYBRID_SINGLE at record_stride 100 with link (2,7) failing at
+    0.5 s and the disturbance at 1 s runs two contexts over three pieces:
+    averaging, then the pair law on both sides of the disturbance. Each
+    context squares its one-step map to the 100-step map once; the new
+    powers after the disturbance cost one product with that map."""
+    scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
+                         failures=(((1, 6), 0.5),))
+    traj = integrate(scn)
+    assert [pc.start for pc in schedule(scn).pieces] == [0, 500, 1000, 2000]
+    assert calls["k_step_map"] == 2
+    x_ref = reference_integrate(scn, 2000)
+    assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
 
 
 def ring_scenario(n, stride):
