@@ -21,24 +21,23 @@ a context's A and B from one derivative() call on the identity stack of
 system a run keeps per live links and context. That map acts on the states
 the context moves, those whose row of [A B] is not zero: a state the
 context holds constant, such as q_i outside the flow-controlled set F,
-enters as an input like p, so the products of a map pay only for the
-moving states. A sampling instant is a linear reset: y refreshes to C u,
-and SEQUENTIAL resets q by the rotation's reset matrix R. So a whole
-message interval is one exact affine map (interval_map, the one-step map
-squared on the moving states, then embedded into full coordinates), and a
-whole SEQUENTIAL rotation cycle the composition of its interval maps
-(kernels.compose_maps). The integrator advances runs of intervals and
-cycles with them and stops at piece boundaries; when the records all fall
-on sampling instants it writes them without stopping, and at records too
-otherwise. The trajectory is bit-reproducible for identical inputs.
+enters as an input like p. A sampling instant is a linear reset: y
+refreshes to C u, and SEQUENTIAL resets q by the rotation's reset matrix
+R. So a whole message interval is one exact affine map (interval_map), and
+a whole SEQUENTIAL rotation cycle the composition of its interval maps
+(kernels.compose_maps).
+
+plan() turns a schedule into kernel calls from step counts alone: where
+each jump starts and stops, which of these maps it applies and which
+states it records. integrate() executes them in one loop. The trajectory
+is bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +55,16 @@ class ScenarioError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The state left the finite range; carries the first step whose RK4
-    state is not finite and the last finite recorded state."""
+    """The state left the finite range. step is the first step, replayed
+    one RK4 step at a time from the start of the failing kernel call, after
+    which the state, or at a sampling instant the messages C u it sends, is
+    not finite. Those messages reach the state a step later, and an interval
+    map, which folds C into its matrix, can carry a state past that
+    overflow, so checking the messages makes every record stride report
+    the same step. The naive oracle (tests/conftest.py) can overflow a few
+    steps earlier, inside an RK4 stage: its intermediate stage states may
+    leave the range before the step's combination does. last_state is the
+    last recorded state before step, or None."""
 
     def __init__(self, step: int, last_state: Optional[SystemState]):
         self.step = step
@@ -477,9 +484,109 @@ def schedule(scenario: Scenario) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Event-driven integration
+# Event-driven integration: a plan of kernel calls, then one executor
 
 _REC_BLOCK = 512    # records per jump of the moving states
+
+
+class Call(NamedTuple):
+    """One call of a run's plan, over steps [start, stop) of one piece.
+
+    A pause (start == stop) runs the sampling events of its step, if an
+    instant, and records the state there when rows is 1; a piece's first
+    call is one, after the piece's events. Any other call is one
+    kernels.jump of k applications of the map of its kind, its piece's live
+    links and its key: RK4's one-step map ("stretch") or the interval map
+    ("intervals") of the context key, or the cycle map of the rotation key
+    ("cycles"). It records rows states, after applications first, first +
+    every, and so on (first is 0 when rows is 0)."""
+
+    kind: str
+    piece: Piece
+    start: int
+    stop: int
+    key: object = None          # a ControlContext; the piece's contexts for "cycles"
+    k: int = 0
+    first: int = 0
+    every: int = 1
+    rows: int = 0
+
+
+def plan(sched: Schedule, stride: int) -> Iterator[Call]:
+    """The calls that run sched, recording every stride-th step and the last
+    one, in order. They tile [0, n_steps) and none crosses a piece boundary.
+    Built from step counts and keys alone and yielded lazily, a plan holds
+    no state and no list of its records.
+
+    The run stops (pauses) at each piece's start. Under continuous
+    messaging a piece is then one stretch. With K = T / dt steps per
+    message interval it also stops:
+
+    - at every record, when the stride is not a multiple of K, since an
+      interval map records only on an instant;
+    - at the first instant of a piece, reached by a stretch;
+    - at the last instant before the piece's end (or before the next stop
+      above), reached by whole intervals; a stretch covers the partial
+      interval after it, if any, with the messages held from there, which
+      a failure or an init at the next piece's start reads too.
+
+    Whole intervals record the instants inside them without stopping. They
+    cross whole rotation cycles of L intervals by one jump of the cycle map
+    when no record lies inside them or every record starts a cycle (a
+    stride that is a multiple of L K), and each other interval by one jump
+    of its own map. A stretch jumps once per _REC_BLOCK of its records. A
+    pause books the record at its step, and any other call the record steps
+    after its start up to its stop, except a stop where a pause follows.
+    """
+    K, n = sched.interval_steps, sched.n_steps
+    for piece in sched.pieces:
+        step = piece.start
+        while True:
+            yield Call("pause", piece, step, step, rows=int(step % stride == 0 or step == n))
+            if step == piece.stop:
+                break
+            stop, whole = piece.stop, False
+            if K is not None:
+                if stride % K:
+                    stop = min(stop, (step // stride + 1) * stride)
+                whole = step % K == 0 and stop - step >= K
+                stop = (max((stop - 1) // K * K, step + K) if whole
+                        else min(stop, step - step % K + K))
+            head = tail = stop          # one jump crosses the cycles from head to tail
+            if whole:
+                cycle = len(piece.contexts) * K
+                if stride % cycle == 0 or (step // stride + 1) * stride >= stop:
+                    head = min(stop, -(-step // cycle) * cycle)
+                    tail = head + (stop - head) // cycle * cycle
+            while step < stop:
+                if not whole:
+                    kind, key, m = "stretch", piece.context(step, K), 1
+                    end = (step // stride + _REC_BLOCK) * stride    # its last record
+                    end = end if end + stride < stop else stop
+                elif step == head < tail:
+                    kind, key, m, end = "cycles", piece.contexts, cycle, tail
+                else:
+                    kind, key, m, end = "intervals", piece.context(step, K), K, step + K
+                recs = range((step // stride + 1) * stride, min(end + 1, stop), stride)
+                yield Call(kind, piece, step, end, key, (end - step) // m,
+                           (recs[0] - step) // m if recs else 0, stride // m, len(recs))
+                step = end
+            if step == piece.stop:
+                break
+
+
+def _stepwise(call: Call, K: Optional[int]) -> Iterator[Call]:
+    """call one RK4 step at a time, recording nothing: a pause at each
+    instant inside it, its start included (a state there has had the
+    instant's sampling events, or its interval map applies them), then one
+    step under the context in force."""
+    if call.kind == "pause":
+        yield Call("pause", call.piece, call.start, call.stop)
+        return
+    for s in range(call.start, call.stop):
+        if K is not None and s % K == 0:
+            yield Call("pause", call.piece, s, s)
+        yield Call("stretch", call.piece, s, s + 1, call.piece.context(s, K), 1)
 
 
 def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -> Trajectory:
@@ -494,49 +601,38 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     and y the held messages: C u of the last sampling instant, which every
     live link holds. A failed link keeps the value it held when it failed;
     that value is read by rx_series and by init_artificial at a piece's
-    init. The run caches one entry per live links and context: RK4's
-    one-step map on the states the context moves and the reset R
-    (context_step, a StepMap), built once, with A and B dropped. Every
-    sampling instant runs one rule, sample(), on a stack of states: q resets
-    by its context's R, and the held values become C u. The state is a
-    one-row stack, and so are the rows recorded inside a jump.
+    init.
 
-    Under continuous messaging each piece is kernels.jump of the one-step
-    map on the moving states x[M], with offset G [x; y; p][inputs]: the
-    frozen states are inputs like p and stay untouched in x. The jump also
-    writes the records inside the piece, a block of at most _REC_BLOCK rows
-    of x[M] at a time into the leading columns of their record rows, which
-    are then spread to full rows with the frozen states filled in; no second
-    record buffer is kept. With a finite message interval whole message
-    intervals advance by interval_map, squared from the same map on the
-    moving states and embedded into full coordinates, and a part of an
-    interval by the same jump on x[M]. When record_stride is a multiple of
-    K = T / dt every record falls on a sampling instant, and the run stops
-    only at piece boundaries: intervals() writes the records between them
-    and samples them. A SEQUENTIAL rotation over L links crosses whole
-    cycles of L intervals by one jump of its cycle map (compose_maps of the
-    L interval maps) when the stride is a multiple of L K or no record lies
-    between, and one interval at a time otherwise. With a stride that is
-    not a multiple of K the run also stops at every record. Interval and
-    cycle maps are cached like the step maps; a rotation over L links keeps
-    L + 1 maps of dim * (dim + N) floats. So are the k-step maps that
-    kernels.jump squares from any of them, per map and k: pieces that share
-    a context, such as the two sides of a disturbance, square once, and a
-    new p costs one product G_k w.
+    One loop executes the calls of plan(). The run builds each call's map
+    once per live links, kind and key (a rotation over L links keeps L + 1
+    maps of dim * (dim + N) floats), and each k-step map that kernels.jump
+    squares from it once: pieces that share a context, such as the two
+    sides of a disturbance, square once, and a new p costs one product
+    G_k w. A stretch jumps on the moving states x[M] with offset
+    G [x; y; p][inputs]; its records are written as x[M] into the leading
+    columns of their rows, then spread to full rows with the frozen states
+    filled in, so no second record buffer is kept. Every sampling instant
+    runs one rule, sample(), on a stack of states: q resets by its
+    context's R, and the held values become C u. Interval and cycle jumps
+    record states before their instants' events; the records of a run of
+    them are sampled as one stack at the pause that ends it.
 
-    A kernel call that leaves the finite range raises IntegrationError with
-    the first non-finite step, found by replaying that call one RK4 step at
-    a time from a copy of its start state; no event lies inside a call, so
-    the replay is exact and finite runs pay one state copy per call.
+    After each call x must be finite, and so must the messages C u it
+    sends at an instant. A call that fails this is replayed by the same
+    executor one RK4 step at a time from a copy of its start state (exact,
+    as no event lies inside a call), and IntegrationError names the first
+    step that fails it.
     """
-    plan = schedule(scenario)
+    sched = schedule(scenario)
     grid = scenario.grid
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
     U, Q = slice(n + e, 2 * n + e), slice(2 * n + e, dim)
-    dt, stride, K, n_total = scenario.dt, scenario.record_stride, plan.interval_steps, plan.n_steps
+    dt, stride, K = scenario.dt, scenario.record_stride, sched.interval_steps
     cost_vec = grid.cost()
-    events_log: List[Tuple[float, str, str]] = [(0.0, "warning", w) for w in plan.warnings]
+    sends = np.ones(dim)    # x * sends holds the messages C u in place of u
+    sends[U] = cost_vec
+    events_log: List[Tuple[float, str, str]] = [(0.0, "warning", w) for w in sched.warnings]
     if initial_state is None:
         x = np.zeros(dim)
         x[n:n + e] = initial_flows(grid, grid.fixed_power())
@@ -553,22 +649,14 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     live = np.ones(len(rx_links), dtype=bool)
 
     @functools.cache
-    def maps(comm: CommGraph, c: ControlContext):
-        return context_step(grid, comm, c, dt)
-
-    @functools.cache
-    def step_map(comm: CommGraph, c: ControlContext):
-        return interval_map(grid, maps(comm, c), K)
-
-    @functools.cache
-    def cycle_map(comm: CommGraph, cs: Tuple[ControlContext, ...]):
-        """The map of one rotation cycle, L interval maps from a phase-0
-        instant (one whose interval runs cs[0]) on."""
-        return compose_maps([step_map(comm, c) for c in cs])
-
-    # the squared maps kernels.jump builds, per (builder, live links, context
-    # or cycle): pieces that share a context square each jump length once
-    squares: Dict[tuple, dict] = defaultdict(dict)
+    def cached(kind: str, comm: CommGraph, key):
+        """The map of a call of this kind and key on the live links comm,
+        and the dict of the k-step maps that kernels.jump squares from it."""
+        if kind == "stretch":
+            return context_step(grid, comm, key, dt), {}
+        if kind == "intervals":
+            return interval_map(grid, cached("stretch", comm, key)[0], K), {}
+        return compose_maps([cached("intervals", comm, c)[0] for c in key]), {}
 
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
@@ -577,24 +665,19 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         each row leaves, its C u."""
         phase = (step + stride * np.arange(len(rows))) // K % len(piece.contexts)
         for c in set(phase.tolist()):
-            R = maps(piece.comm, piece.contexts[c]).R
+            R = cached("stretch", piece.comm, piece.contexts[c])[0].R
             if R is not None:
                 at = phase == c
                 rows[at, Q] = rows[at] @ R[Q].T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------
-    n_rec_max = n_total // stride + 2
+    n_rec_max = sched.n_steps // stride + 2
     rec_states = np.empty((n_rec_max, dim))
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
     rec_rx = None if K is None else np.empty((n_rec_max, len(rx_links)))
     n_rec = 0
-
-    def records_between(step: int, stop: int) -> Tuple[int, int]:
-        """Offset from step of the first record step after it, and the
-        number of record steps strictly between step and stop."""
-        first = stride - step % stride
-        return first, max(0, (stop - step - 1 - first) // stride + 1)
+    unsampled = [0, 0]      # first step and count of interval records not yet sampled
 
     def book(first_step: int, got: int, Y: np.ndarray) -> None:
         """Count the got rows recorded from first_step on, holding the
@@ -607,174 +690,82 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             rx[:, live] = Y[:, senders[live]]
         n_rec += got
 
-    def stretch(step: int, n_steps: int, first: int, rows: int) -> int:
-        """n_steps RK4 steps from step under the context and held messages
-        in force there: jumps of its one-step map on the moving states
-        x[M], with offset G [x; y; p][inputs], one jump per block of at most
-        _REC_BLOCK of the `rows` record steps from step + first on. A jump
-        writes x[M] into the leading columns of the records' rows in
-        rec_states from n_rec on; then each row is spread to full width,
-        the frozen states copied in. Returns the rows written."""
-        c = piece.context(step, K)
-        sm = maps(piece.comm, c)
-        w = np.concatenate([x, y, p])[sm.inputs]
-        xm = x[sm.moving]
-        got = done = 0                  # rows written, steps taken
-        while done < n_steps:
-            b = min(rows - got, _REC_BLOCK)     # rows of this jump, the last one at end
-            end = n_steps if got + b == rows else first + (got + b - 1) * stride
-            rec = rec_states[n_rec + got:n_rec + got + b]
-            new = jump(sm.D, sm.G, w, xm, end - done, first + got * stride - done if b else 0,
-                       stride, rec[:, :len(xm)], squares[maps, piece.comm, c])
-            if new:
-                moved = rec[:new, :len(xm)].copy()
-                rec[:new] = x
-                rec[:new, sm.moving] = moved
-            got += new
-            done = end
-            if new < b:                 # the state left the finite range
-                break
-        x[sm.moving] = xm
-        return got
-
-    def first_nonfinite(step: int, stop: int, x0: np.ndarray) -> int:
-        """Replay the kernel call from x0 at step to stop one RK4 step at a
-        time, running the sampling events of each instant inside it; the
-        first step whose state is not finite."""
-        x[:] = x0
-        while True:
-            run = stop - step if K is None else min(K - step % K, stop - step)
-            for _ in range(run):
-                stretch(step, 1, 0, 0)
-                step += 1
-                if not np.isfinite(x).all():
-                    return step
-            if step == stop:
-                return stop
-            y[:] = sample(x[None], step)[0]
-
-    def check_finite(step: int, stop: int, x0: np.ndarray) -> None:
-        """Raise IntegrationError if the kernel call from x0 at step to stop
-        left the finite range."""
-        if np.isfinite(x).all():
-            return
-        last = None
-        if n_rec:
-            traj = _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec],
-                             dt, events_log, rx_links, None if K is None else rec_rx[:n_rec])
-            last = traj.state_at(n_rec - 1)
-        raise IntegrationError(first_nonfinite(step, stop, x0), last)
-
-    def segment(step: int, stop: int) -> None:
-        """RK4 from step to stop under the context and held messages in
-        force, recording the record steps between them."""
-        first, rows = records_between(step, stop)
-        x0 = x.copy()
-        got = stretch(step, stop - step, first, rows)
-        book(step + first, got, y[None])
-        check_finite(step, stop, x0)
-
-    def intervals(step: int, end: int) -> None:
-        """Whole message intervals from instant step to instant end,
-        recording and sampling the record instants between them without
-        stopping. When no record lies between them, or every record falls
-        on a phase-0 instant (record_stride a multiple of the cycle L K),
-        one recorded jump of the cycle map crosses the whole rotation
-        cycles, and single interval maps the intervals before the first
-        phase-0 instant and after the last one; otherwise each interval is
-        one jump of its map. With one context the cycle is one interval, so
-        one jump crosses them all."""
-        x0 = x.copy()
-        first, rows = records_between(step, end)
-        out = rec_states[n_rec:n_rec + rows]
-        cycle = len(piece.contexts) * K
-        head = tail = end                # one jump crosses the cycles from head to tail
-        if not rows or stride % cycle == 0:
-            head = min(end, -(-step // cycle) * cycle)
-            tail = head + (end - head) // cycle * cycle
-        got, s = 0, step
-        while s < end:
-            if s == head < tail:
-                build, key, m, k = cycle_map, piece.contexts, cycle, (tail - s) // cycle
-            else:
-                build, key, m, k = step_map, piece.context(s, K), K, 1
-            D, G = build(piece.comm, key)
-            ahead = stride - s % stride      # steps to the next record instant
-            at = ahead // m if got < rows and ahead % m == 0 else 0
-            got += jump(D, G, p, x, k, at, stride // m, out[got:],
-                        squares[build, piece.comm, key])
-            s += k * m
+    def flush() -> None:
+        """Sample and book the records of the interval and cycle jumps
+        since the last pause."""
+        first, got = unsampled
         if got:
-            book(step + first, got, sample(out[:got], step + first))
-        check_finite(step, end, x0)
+            unsampled[1] = 0
+            book(first, got, sample(rec_states[n_rec:n_rec + got], first))
 
-    def pause(step: int) -> None:
-        """A stop: the sampling events of step, if an instant, and its record."""
-        if K is not None and step % K == 0:
-            y[:] = sample(x[None], step)[0]
-        if step % stride == 0 or step == n_total:
-            rec_states[n_rec] = x
-            book(step, 1, y[None])
+    def execute(call: Call) -> bool:
+        """Run one call on x; whether x is then finite, and at an instant
+        also the messages C u that it sends."""
+        if call.kind == "pause":
+            if K is not None and call.start % K == 0:
+                y[:] = sample(x[None], call.start)[0]
+            if call.rows:
+                rec_states[n_rec] = x
+                book(call.start, 1, y[None])
+        elif call.kind == "stretch":
+            sm, powers = cached(call.kind, call.piece.comm, call.key)
+            w = np.concatenate([x, y, p])[sm.inputs]
+            xm = x[sm.moving]
+            rec = rec_states[n_rec:n_rec + call.rows]
+            got = jump(sm.D, sm.G, w, xm, call.k, call.first, call.every, rec[:, :len(xm)],
+                       powers)
+            if got:
+                moved = rec[:got, :len(xm)].copy()
+                rec[:got] = x
+                rec[:got, sm.moving] = moved
+                book(call.start + call.first, got, y[None])
+            x[sm.moving] = xm
+        else:
+            (D, G), powers = cached(call.kind, call.piece.comm, call.key)
+            if not unsampled[1]:
+                unsampled[0] = call.start + call.first * (call.stop - call.start) // call.k
+            out = rec_states[n_rec + unsampled[1]:n_rec + unsampled[1] + call.rows]
+            unsampled[1] += jump(D, G, p, x, call.k, call.first, call.every, out, powers)
+        instant = K is not None and call.stop % K == 0
+        return bool(np.isfinite(x * sends if instant else x).all())
 
-    for piece in plan.pieces:
-        t = piece.start * dt
-        p = np.array(piece.p)
-        events_log += [(t, kind, detail) for kind, detail in piece.events]
-        now = np.array([(min(d), max(d)) in piece.comm.links for d in rx_links], dtype=bool)
-        gone = live & ~now
-        frozen[gone] = y[senders[gone]]
-        live = now
-        if piece.init is not None:
-            rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
-                  if not np.isnan(v)}
-            q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
-                                                    grid, piece.init, piece.comm)
-            x[Q] = q0
-            events_log += [(t, "warning", w) for w in warns]
-        pause(piece.start)
-        # One kernel call per pass. With held messages the run also pauses
-        # at the first instant and at the last one before the end, so that
-        # what happens at the end sees the messages held then.
-        step = piece.start
-        while step < piece.stop:
-            stop = piece.stop
-            if K is None:
-                segment(step, stop)
-            else:
-                if stride % K:
-                    stop = min(stop, (step // stride + 1) * stride)
-                s_last = (stop - 1) // K * K
-                if step % K:
-                    stop = min(stop, step - step % K + K)
-                    segment(step, stop)
-                elif step < s_last or stop - step == K:
-                    stop = max(s_last, step + K)
-                    intervals(step, stop)
-                else:
-                    segment(step, stop)
-            step = stop
-            if step < piece.stop:
-                pause(step)
-
-    return _finalize(grid, cost_vec, rec_states[:n_rec], rec_steps[:n_rec], dt,
-                     events_log, rx_links, None if K is None else rec_rx[:n_rec])
-
-
-def _finalize(grid: PowerGrid, cost_vec: np.ndarray, states: np.ndarray,
-              steps: np.ndarray, dt: float, events, rx_links, rx) -> Trajectory:
-    n, e = grid.n_nodes, grid.n_lines
-    u = states[:, n + e:2 * n + e]
-    return Trajectory(
-        times=steps * dt,
-        omega=states[:, :n].copy(),
-        flow=states[:, n:n + e].copy(),
-        u=u.copy(),
-        q=states[:, 2 * n + e:].copy(),
-        cost_series=(u * u) @ cost_vec,
-        events=tuple(events),
-        rx_links=rx_links,
-        rx_series=None if rx is None else rx.copy(),
-    )
+    piece = failed = None
+    for call in plan(sched, stride):
+        if call.kind == "pause":
+            flush()
+        if call.piece is not piece:
+            piece = call.piece
+            t = piece.start * dt
+            p = np.array(piece.p)
+            events_log += [(t, kind, detail) for kind, detail in piece.events]
+            now = np.array([(min(d), max(d)) in piece.comm.links for d in rx_links], dtype=bool)
+            gone = live & ~now
+            frozen[gone] = y[senders[gone]]
+            live = now
+            if piece.init is not None:
+                rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
+                      if not np.isnan(v)}
+                q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
+                                                        grid, piece.init, piece.comm)
+                x[Q] = q0
+                events_log += [(t, "warning", w) for w in warns]
+        x0 = x.copy()
+        if not execute(call):
+            flush()
+            x[:] = x0
+            failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
+            n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
+            break
+    cached.cache_clear()    # cached calls itself, a cycle: free its maps now, not at a collection
+    states = rec_states[:n_rec]
+    u = states[:, U]
+    traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),
+                      flow=states[:, n:n + e].copy(), u=u.copy(), q=states[:, Q].copy(),
+                      cost_series=(u * u) @ cost_vec, events=tuple(events_log),
+                      rx_links=rx_links, rx_series=None if K is None else rec_rx[:n_rec].copy())
+    if failed is not None:
+        raise IntegrationError(failed, traj.state_at(n_rec - 1) if n_rec else None)
+    return traj
 
 
 # ---------------------------------------------------------------------------

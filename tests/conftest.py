@@ -2,11 +2,11 @@
 
 reference_integrate is a deliberately naive RK4 loop driven by the public
 derivative() function with inline event handling; the production
-integrator's segment/kernel machinery is checked against it on short
-horizons. random_grid builds seeded connected grids larger than the toy one.
-sequential_active_link, sequential_context and shared_links spell out
-SEQUENTIAL's rotation for the oracle and the tests; trajectory_states lists
-a trajectory's recorded states.
+integrator, a plan of kernel calls and the loop that executes it, is
+checked against it on short horizons. random_grid builds seeded connected
+grids larger than the toy one. sequential_active_link, sequential_context
+and shared_links spell out SEQUENTIAL's rotation for the oracle and the
+tests; trajectory_states lists a trajectory's recorded states.
 """
 from __future__ import annotations
 

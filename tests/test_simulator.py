@@ -892,38 +892,44 @@ def test_sampled_records_off_instants_cross_intervals_at_once(toy, calls):
         assert np.abs(state_to_vector(traj.state_at(k)) - oracle[step]).max() <= 1e-12
 
 
-def held_coupling_blowup():
+def held_coupling_blowup(cost=160.0, T=0.02):
     """Sampled averaging whose own-value term is RK4-unstable at dt = 0.01
-    (h C degree = 3.2 at the middle node), so the held messages, refreshed
-    at every instant, drive the growth."""
-    nodes = tuple(NodeParams(k + 1, 0.1, 1.0, 160.0, (1.0, 0.0, -1.0)[k]) for k in range(3))
+    (h C degree = 3.2 at the middle node at cost 160), so the held
+    messages, refreshed at every instant, drive the growth."""
+    nodes = tuple(NodeParams(k + 1, 0.1, 1.0, cost, (1.0, 0.0, -1.0)[k]) for k in range(3))
     grid = PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0)))
-    return Scenario(grid=grid, comm=CommGraph(links=((0, 1), (1, 2)), message_interval=0.02),
+    return Scenario(grid=grid, comm=CommGraph(links=((0, 1), (1, 2)), message_interval=T),
                     disturbances=(DisturbanceEvent(time=0.1, node=0, delta_p=0.5),),
                     scheme="CONSENSUS_SAMPLED", horizon=60.0, dt=0.01, record_stride=1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("case", ["continuous", "sampled", "held_coupling"])
-def test_nonfinite_step_is_first_stepwise_one(toy, case):
-    """IntegrationError names the first step whose RK4 state is not finite,
-    whatever the record stride: a kernel call that ends non-finite is
+@pytest.mark.parametrize("stride", [1, 5, 7, 10, 11, 100])
+@pytest.mark.parametrize("case", ["continuous", "sampled", "held_coupling", "held_coupling_170"])
+def test_nonfinite_step_is_first_stepwise_one(toy, case, stride):
+    """IntegrationError names the same step at every record stride: the
+    first step whose RK4 state, or at a sampling instant the messages C u
+    it sends, is not finite. A kernel call that fails that check is
     replayed one step at a time, refreshing the held messages at each
-    sampling instant. At stride 1 the last finite record is the step
-    before it."""
+    instant; an interval map folds C into its matrix and can stay finite
+    past the step where the held messages overflow. The last finite record
+    precedes the step, and at stride 1 it is the step before it."""
     wild = with_overrides(toy, dt=0.05, horizon=20.0)
     if case == "sampled":
         wild = with_overrides(wild, scheme="CONSENSUS_SAMPLED", message_interval=0.1)
     elif case == "held_coupling":
         wild = held_coupling_blowup()
+    elif case == "held_coupling_170":
+        wild = held_coupling_blowup(cost=170.0, T=0.03)
     err = {}
-    for stride in (1, 100):
+    for s in (1, stride):
         with pytest.raises(IntegrationError) as info:
-            integrate(with_overrides(wild, record_stride=stride))
-        err[stride] = info.value
-    assert err[1].step == err[100].step < round(wild.horizon / wild.dt)
+            integrate(with_overrides(wild, record_stride=s))
+        err[s] = info.value
+    assert err[stride].step == err[1].step < round(wild.horizon / wild.dt)
     assert round(err[1].last_state.t / wild.dt) == err[1].step - 1
+    assert round(err[stride].last_state.t / wild.dt) < err[stride].step
 
 
 # ---------------------------------------------------------------------------
