@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Optional
@@ -219,7 +220,9 @@ def cmd_repro(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(prog="gridfreq",
                                  description="Distributed grid frequency control "
                                              "simulator and analysis toolkit")
@@ -259,8 +262,11 @@ def main(argv=None) -> int:
     pr.add_argument("experiment", choices=sorted(experiments.EXPERIMENTS))
     pr.add_argument("--out", help="write the comparison table CSV here")
     pr.set_defaults(func=cmd_repro)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from . import controllers
 from .controllers import ControlContext, Link
 from .dispatch import cost_of, optimal_dispatch
-from .kernels import compose_maps, jump, k_step_map, one_step_map
+from .kernels import _REC_BLOCK, compose_maps, jump, k_step_map, one_step_map
 from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Scenario,
                     SystemState, validate)
 
@@ -327,15 +327,18 @@ def interval_map(grid: PowerGrid, step: StepMap, K: int) -> Tuple[np.ndarray, np
     state whose sampling events have already been applied unchanged, so the
     map also advances such a state. The K steps are squared on the moving
     states, then embedded into full coordinates (StepMap.embed), where the
-    held coupling and R fold in. D_K is dim x dim and G_K dim x N.
+    held coupling and R fold in; R differs from the identity only in its N
+    q rows, so D R costs a product with those rows alone. D_K is dim x dim
+    and G_K dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
     D, G = step.embed(*k_step_map(step.D, step.G, K))
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
-    if step.R is not None:
-        D = D @ step.R
-        D += step.R
-        D.flat[::len(D) + 1] -= 1.0
+    if step.R is not None:      # D R + R - I, with R - I zero outside the q rows
+        Q = slice(2 * n + e, None)
+        RQ = step.R[Q] - np.eye(n, len(D), 2 * n + e)
+        D += D[:, Q] @ RQ
+        D[Q] += RQ
     return D, np.ascontiguousarray(G[:, n:])
 
 
@@ -390,7 +393,10 @@ def schedule(scenario: Scenario) -> Schedule:
     nothing reads: outside HOLD_SCHEMES a held value is read only by
     init_artificial when a failure engages a flow-based law, so T is
     ignored under CONSENSUS, and under the flow-based laws when no failure
-    falls within the horizon. Events at one step apply in a fixed order:
+    falls within the horizon; such a schedule is that of continuous
+    messaging (interval_steps None), so the run makes the continuous run's
+    kernel calls, gives its states bit for bit and holds no messages
+    (rx_series None). Events at one step apply in a fixed order:
     disturbances, then link failures, each group in scenario order; a link
     that has already failed does not fail again.
 
@@ -435,14 +441,16 @@ def schedule(scenario: Scenario) -> Schedule:
 
     last_failure = {link: k for k in sorted(at) for link in at[k][1]}
     if K is not None and scheme not in HOLD_SCHEMES:
+        why = None
         if scheme == "CONSENSUS":
-            warnings.insert(0, f"message_interval T={T:g} ignored: CONSENSUS reads current "
-                               "values; CONSENSUS_SAMPLED holds messages between sampling "
-                               "instants")
+            why = ("CONSENSUS reads current values; CONSENSUS_SAMPLED holds messages between "
+                   "sampling instants")
         elif not last_failure:
-            warnings.insert(0, f"message_interval T={T:g} ignored: {scheme} reads a held "
-                               "value only at a link failure, and none falls within the "
-                               "horizon")
+            why = (f"{scheme} reads a held value only at a link failure, and none falls "
+                   "within the horizon")
+        if why:
+            warnings.insert(0, f"message_interval T={T:g} ignored: {why}")
+            K = None        # compiled as continuous messaging
     power = grid.edge_set()
     p = grid.fixed_power()
     failed: List[Link] = []
@@ -485,9 +493,6 @@ def schedule(scenario: Scenario) -> Schedule:
 
 # ---------------------------------------------------------------------------
 # Event-driven integration: a plan of kernel calls, then one executor
-
-_REC_BLOCK = 512    # records per jump of the moving states
-
 
 class Call(NamedTuple):
     """One call of a run's plan, over steps [start, stop) of one piece.
@@ -601,27 +606,31 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     and y the held messages: C u of the last sampling instant, which every
     live link holds. A failed link keeps the value it held when it failed;
     that value is read by rx_series and by init_artificial at a piece's
-    init.
+    init. Under continuous messaging, and where schedule() ignores T, no
+    message is held and rx_series is None.
 
     One loop executes the calls of plan(). The run builds each call's map
     once per live links, kind and key (a rotation over L links keeps L + 1
     maps of dim * (dim + N) floats), and each k-step map that kernels.jump
     squares from it once: pieces that share a context, such as the two
     sides of a disturbance, square once, and a new p costs one product
-    G_k w. A stretch jumps on the moving states x[M] with offset
-    G [x; y; p][inputs]; its records are written as x[M] into the leading
-    columns of their rows, then spread to full rows with the frozen states
-    filled in, so no second record buffer is kept. Every sampling instant
-    runs one rule, sample(), on a stack of states: q resets by its
-    context's R, and the held values become C u. Interval and cycle jumps
-    record states before their instants' events; the records of a run of
-    them are sampled as one stack at the pause that ends it.
+    G_k w. A call with many records writes them in blocks of rows, each
+    one product with a lag map of several record strides (kernels.jump),
+    so a record's last bits depend on its index in its call. A stretch
+    jumps on the moving states x[M] with offset G [x; y; p][inputs]; its
+    records are written as x[M] into the leading columns of their rows,
+    then spread to full rows with the frozen states filled in, so no
+    second record buffer is kept. Every sampling instant runs one rule,
+    sample(), on a stack of states: q resets by its context's R, and the
+    held values become C u. Interval and cycle jumps record states before
+    their instants' events; the records of a run of them are sampled as
+    one stack at the pause that ends it.
 
-    After each call x must be finite, and so must the messages C u it
-    sends at an instant. A call that fails this is replayed by the same
-    executor one RK4 step at a time from a copy of its start state (exact,
-    as no event lies inside a call), and IntegrationError names the first
-    step that fails it.
+    After each call x and every record it wrote must be finite, and so
+    must the messages C u it sends at an instant. A call that fails this
+    is replayed by the same executor one RK4 step at a time from a copy of
+    its start state (exact, as no event lies inside a call), and
+    IntegrationError names the first step that fails it.
     """
     sched = schedule(scenario)
     grid = scenario.grid
@@ -700,7 +709,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     def execute(call: Call) -> bool:
         """Run one call on x; whether x is then finite, and at an instant
-        also the messages C u that it sends."""
+        also the messages C u that it sends, and so is every record."""
+        got = call.rows
         if call.kind == "pause":
             if K is not None and call.start % K == 0:
                 y[:] = sample(x[None], call.start)[0]
@@ -725,9 +735,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             if not unsampled[1]:
                 unsampled[0] = call.start + call.first * (call.stop - call.start) // call.k
             out = rec_states[n_rec + unsampled[1]:n_rec + unsampled[1] + call.rows]
-            unsampled[1] += jump(D, G, p, x, call.k, call.first, call.every, out, powers)
+            got = jump(D, G, p, x, call.k, call.first, call.every, out, powers)
+            unsampled[1] += got
         instant = K is not None and call.stop % K == 0
-        return bool(np.isfinite(x * sends if instant else x).all())
+        return got == call.rows and bool(np.isfinite(x * sends if instant else x).all())
 
     piece = failed = None
     for call in plan(sched, stride):

@@ -442,3 +442,24 @@ def test_repro_writes_csv(tmp_path, monkeypatch):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "experiment,scheme,steady_cost_paper,t_star,reference_cost,status"
     assert lines[1].startswith("fake,CONSENSUS,1.0,2.0,")
+
+
+def test_successive_calls_share_one_parser(tmp_path, capsys):
+    """main() builds its parser once. Successive calls with other
+    subcommands, options and --out paths see only their own arguments: an
+    --out, --scheme or --T given to one call does not reach the next."""
+    assert cli._parser() is cli._parser()
+    assert cli.main(["simulate", "toy", "--horizon", "1", "--record-stride", "100",
+                     "--out", str(tmp_path / "run")]) in (0, 2)
+    assert (tmp_path / "run.csv").exists()
+    capsys.readouterr()
+    assert cli.main(["optimal", "toy"]) == 0
+    assert "cost_paper" in json.loads(capsys.readouterr().out)
+    assert cli.main(["stability", "toy", "--scheme", "CONSENSUS_SAMPLED", "--T", "0.5",
+                     "--out", str(tmp_path / "a.json")]) == 0
+    assert cli.main(["stability", "toy", "--out", str(tmp_path / "b.json")]) == 0
+    a, b = (json.loads((tmp_path / f).read_text()) for f in ("a.json", "b.json"))
+    assert (a["scheme"], a["message_interval"]) == ("CONSENSUS_SAMPLED", 0.5)
+    assert b["scheme"] == "CONSENSUS" and "message_interval" not in b
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.json", "b.json", "run.csv", "run.summary.json"]

@@ -14,7 +14,7 @@ from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
                                 convergence_time, derivative, modes,
                                 first_crossing_time, held_messages, initial_flows,
-                                integrate, rotation_reset, run_scenario, schedule,
+                                integrate, interval_map, rotation_reset, run_scenario, schedule,
                                 state_to_vector, vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
@@ -590,6 +590,28 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("grid_name", ["toy", "n30"])
+def test_rotation_reset_folds_through_q_rows(toy, grid_name):
+    """interval_map folds a SEQUENTIAL rotation's reset R into the interval
+    map through R's q rows alone. For every SEQUENTIAL context the result
+    equals D R + R - I with the full product, within 1e-14 of its largest
+    entry, and G_K is the unreset map's."""
+    if grid_name == "toy":
+        grid, comm = toy.grid, toy.comm
+    else:
+        grid = random_grid(4, 30)
+        comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
+    contexts = modes("SEQUENTIAL", grid.edge_set(), comm.links)
+    assert len(contexts) == len(shared_links(grid, comm))
+    for ctx in contexts:
+        step = context_step(grid, comm, ctx, 1e-3)
+        D, G = interval_map(grid, step, 10)
+        D0, G0 = interval_map(grid, dataclasses.replace(step, R=None), 10)
+        want = D0 @ step.R + step.R - np.eye(len(D0))
+        assert np.abs(D - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(G, G0)
+
+
 @pytest.mark.parametrize("scheme, T", [("CONSENSUS", None), ("HYBRID_SINGLE", None),
                                        ("CONSENSUS_SAMPLED", 0.01)])
 def test_frozen_states_keep_their_values(toy, scheme, T):
@@ -970,6 +992,25 @@ def test_schedule_drops_failed_link_at_its_failure_step(toy):
         assert ((1, 6) in pc.comm.links) == (pc.start < 2000)
         assert len(pc.comm.links) == (10 if pc.start < 2000 else 9)
     assert plan.pieces[2].events == (("comm_failure", "link (2,7)"),)
+
+
+
+@pytest.mark.parametrize("scheme, failures", [
+    ("CONSENSUS", ()), ("CONSENSUS", (((1, 6), 1.0),)), ("HYBRID_SINGLE", (((1, 6), 5.0),))])
+def test_ignored_message_interval_runs_as_continuous(toy, scheme, failures):
+    """A message interval that nothing reads is warned about and compiled
+    as continuous messaging: CONSENSUS, with or without a failure, and
+    HYBRID_SINGLE whose link fails past the horizon run the continuous
+    run's plan at T = 0.5. Their records equal the continuous run's bit for
+    bit at record stride 1, and they hold no messages."""
+    runs = {T: with_overrides(toy, scheme=scheme, message_interval=T, horizon=2.0,
+                              record_stride=1, failures=failures) for T in (0.5, None)}
+    assert schedule(runs[0.5]).interval_steps is None
+    assert schedule(runs[0.5]).warnings[0].startswith("message_interval T=0.5 ignored")
+    sampled, continuous = (integrate(scn) for scn in runs.values())
+    assert sampled.rx_series is None and sampled.rx_links == ()
+    for field in ("times", "omega", "flow", "u", "q", "cost_series"):
+        assert np.array_equal(getattr(sampled, field), getattr(continuous, field))
 
 
 # ---------------------------------------------------------------------------
