@@ -74,7 +74,8 @@ def cmd_simulate(args) -> int:
         json_path = args.out + ".summary.json"
         write_trajectory_csv(traj, csv_path)
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({**summary.to_dict(), "warnings": warnings}, fh, indent=2)
+            json.dump({**summary.to_dict(), "warnings": warnings,
+                       "diagnostics": traj.diagnostics}, fh, indent=2)
             fh.write("\n")
     except (ScenarioError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,13 @@ indexed on the last axis, so one call evaluates the law on k states at
 once; the simulator assembles its matrices from one call on the identity
 stack.
 
+The law is written in two parts. control_rate averages every node over the
+live links, skipping the messages into F, then overwrites the u and q rates
+of the nodes of F with flow_rate, the flow law alone. So the law of a
+context (scheme, F) is the law with F empty except in the u and q rows of
+F, bit for bit: a SEQUENTIAL rotation assembles its F = {} system once per
+set of live links and each pair context from it and flow_rate's rows.
+
 control_rate reads comm.links as the live links: pass a comm graph without
 the failed ones, as each piece of simulator.schedule() carries.
 """
@@ -61,6 +68,25 @@ def flow_partners(grid: PowerGrid, F: FrozenSet[int]) -> Dict[int, List[int]]:
     return partners
 
 
+def flow_rate(state: SystemState, grid: PowerGrid, F: FrozenSet[int],
+              du: np.ndarray, dq: np.ndarray) -> List[int]:
+    """Overwrite the u and q rates of the nodes of F in du and dq (shape of
+    state.u) with the flow law's, and return those nodes, sorted. Node i
+    ignores messages:
+        C_i du_i = -omega_i - q_i,
+        dq_i = -2 q_i - sum over j in F power-adjacent to i of (omega_i - omega_j).
+    Raises PowerAdjacencyError as flow_partners does."""
+    C = grid.cost()
+    partners = flow_partners(grid, F)
+    for i, js in partners.items():
+        du[..., i] = (-state.omega[..., i] - state.q[..., i]) / C[i]
+        acc = -2.0 * state.q[..., i]
+        for j in js:
+            acc -= state.omega[..., i] - state.omega[..., j]
+        dq[..., i] = acc
+    return list(partners)
+
+
 def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
                  ctx: ControlContext) -> Tuple[np.ndarray, np.ndarray]:
     """(du/dt, dq/dt) of the law of ctx on the live links of comm.
@@ -69,11 +95,10 @@ def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
         C_i du_i = -omega_i - C_i * sum over live links (j, i) of (C_i u_i - y_ji),
     where y_ji is the sender's current C_j u_j, or under HOLD_SCHEMES the
     value held in state.last_rx[(j, i)] (a missing one raises KeyError
-    naming the link). A node i in ctx.F ignores messages:
-        C_i du_i = -omega_i - q_i,
-        dq_i = -2 q_i - sum over j in F power-adjacent to i of (omega_i - omega_j).
-    dq is zero outside F. With F empty this is plain averaging; with F a
-    power-line pair it is the two-node flow law on that pair.
+    naming the link). A node i in ctx.F ignores messages and follows
+    flow_rate, whose rates overwrite its u and q rows. dq is zero outside
+    F. With F empty this is plain averaging; with F a power-line pair it is
+    the two-node flow law on that pair.
     """
     C = grid.cost()
     y = C * state.u
@@ -93,12 +118,7 @@ def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
                 sent = y[..., src]
             du[..., dst] -= y[..., dst] - sent
     dq = np.zeros(np.shape(state.u))
-    for i, partners in flow_partners(grid, ctx.F).items():
-        du[..., i] = (-state.omega[..., i] - state.q[..., i]) / C[i]
-        acc = -2.0 * state.q[..., i]
-        for j in partners:
-            acc -= state.omega[..., i] - state.omega[..., j]
-        dq[..., i] = acc
+    flow_rate(state, grid, ctx.F, du, dq)
     return du, dq
 
 

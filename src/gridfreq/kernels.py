@@ -205,18 +205,20 @@ def jump(D: np.ndarray, G: np.ndarray, w: np.ndarray, x: np.ndarray, k: int,
     n_rec = 0
     if 0 < first_record <= k:
         n_rec = min(1 + (k - first_record) // stride, out.shape[0])
-    tail = k - (first_record + (n_rec - 1) * stride if n_rec else 0)
-    uses = {tail: 1}                # jumps by length
-    if n_rec:
-        uses[first_record] = uses.get(first_record, 0) + 1
-        uses[stride] = uses.get(stride, 0) + n_rec - 1
     powers = {} if powers is None else powers
+    if not n_rec:                   # one jump of k applications
+        if k:
+            _steps(*_jump_map(D, G, w, k, 1, powers), x, np.empty_like(x))
+        return 0
+    tail = k - (first_record + (n_rec - 1) * stride)
+    uses = {tail: 1}                # jumps by length
+    uses[first_record] = uses.get(first_record, 0) + 1
+    uses[stride] = uses.get(stride, 0) + n_rec - 1
     maps = {m: _jump_map(D, G, w, m, reps, powers) for m, reps in uses.items() if m and reps}
     inc = np.empty_like(x)
     top = _top_lag(n_rec, len(x)) if n_rec > 2 and maps[stride][2] == 1 else 1
-    if n_rec:
-        _steps(*maps[first_record], x, inc)
-        out[0] = x
+    _steps(*maps[first_record], x, inc)
+    out[0] = x
     if n_rec > 1:
         Ds, gs, times = maps[stride]
         for r in range(1, 2 if top > 1 else n_rec):     # _steps inlined: once per row
@@ -242,7 +244,7 @@ def jump(D: np.ndarray, G: np.ndarray, w: np.ndarray, x: np.ndarray, k: int,
     if tail:
         _steps(*maps[tail], x, inc)
 
-    if n_rec and (top > 1 or not np.isfinite(x).all()):
+    if top > 1 or not np.isfinite(x).all():
         finite = np.isfinite(out[:n_rec]).all(axis=1)
         if not finite.all():
             n_rec = int(finite.argmin())

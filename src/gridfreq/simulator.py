@@ -18,7 +18,10 @@ with p its fixed powers and y the held messages, C u of the last sampling
 instant (under continuous messaging B reads no y). context_matrices builds
 a context's A and B from one derivative() call on the identity stack of
 [x; y; p], and context_step RK4's one-step map from them, the one linear
-system a run keeps per live links and context. That map acts on the states
+system a run keeps per live links and context. A SEQUENTIAL rotation makes
+that call once per set of live links (rotation_base) and gives each pair
+context the base's [A B] with the pair's u and q rows replaced by the flow
+law's (controllers.flow_rate), bit for bit. That map acts on the states
 the context moves, those whose row of [A B] is not zero: a state the
 context holds constant, such as q_i outside the flow-controlled set F,
 enters as an input like p. A sampling instant is a linear reset: y
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,6 +86,8 @@ class Trajectory:
     events: Tuple[Tuple[float, str, str], ...]
     rx_links: Tuple[Tuple[int, int], ...] = ()
     rx_series: Optional[np.ndarray] = None   # (S, len(rx_links)) held values
+    # counts of the run: {"maps": built by kind, "kernel_calls": planned, by kind}
+    diagnostics: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -216,20 +221,86 @@ def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
     return (ControlContext(scheme if scheme == "CONSENSUS_SAMPLED" else "CONSENSUS"),)
 
 
-def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> np.ndarray:
+def _input_stack(grid: PowerGrid, comm: CommGraph) -> Tuple[SystemState, np.ndarray]:
+    """The identity stack of [x; y; p] as a stacked state with held values
+    held_messages(y, comm.links), and its p: row r of [x; y; p] is unit
+    vector r, so the derivative of row r is column r of [A B]."""
+    n = grid.n_nodes
+    dim = 3 * n + grid.n_lines
+    W = np.eye(dim + 2 * n)
+    X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
+    return vector_to_state(0.0, X, grid, held_messages(Y, comm.links)), P
+
+
+def _reset_stack(grid: PowerGrid, comm: CommGraph) -> SystemState:
+    """The identity stack of x as a stacked state whose held values are the
+    messages it sends, held_messages(C u, comm.links)."""
+    n, e = grid.n_nodes, grid.n_lines
+    X = np.eye(3 * n + e)
+    return vector_to_state(0.0, X, grid, held_messages(grid.cost() * X[:, n + e:2 * n + e],
+                                                       comm.links))
+
+
+def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+                   stack: Optional[SystemState] = None) -> np.ndarray:
     """Exact R with R x the state after a SEQUENTIAL rotation to the pair
     ctx.F at a sampling instant: messages refreshed from x, then q
     re-initialized by init_artificial for the new pair. From one evaluation
-    of init_artificial on the identity stack."""
+    of init_artificial on the identity stack of x, stack when given (one
+    _reset_stack shared by a rotation's contexts)."""
     n, e = grid.n_nodes, grid.n_lines
+    stack = _reset_stack(grid, comm) if stack is None else stack
+    q0, _ = controllers.init_artificial(stack, grid, ctx, comm)
     R = np.eye(3 * n + e)
-    rx = held_messages(grid.cost() * R[:, n + e:2 * n + e], comm.links)
-    q0, _ = controllers.init_artificial(vector_to_state(0.0, R, grid, rx), grid, ctx, comm)
     R[2 * n + e:] = q0.T
     return R
 
 
-def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
+@dataclass(frozen=True, eq=False)
+class RotationBase:
+    """What a SEQUENTIAL rotation's contexts share on one set of live links:
+    [A B] of the law with F empty, and the identity stacks it and the
+    resets were evaluated on (rotation_base)."""
+
+    AB: np.ndarray             # (dim, dim + 2N), the transposed stack (Fortran order)
+    inputs: SystemState        # _input_stack
+    resets: SystemState        # _reset_stack
+
+
+def rotation_base(grid: PowerGrid, comm: CommGraph) -> RotationBase:
+    """The base of a rotation on the live links of comm: one derivative()
+    call of the context (SEQUENTIAL, F = {}) on the identity stack of
+    [x; y; p]. controllers.control_rate differs from it under a pair F only
+    in the u and q rows of F, which flow_rate overwrites, so a pair
+    context's [A B] is this one with those rows replaced (_system)."""
+    inputs, P = _input_stack(grid, comm)
+    dx = derivative(inputs, grid, comm, ControlContext("SEQUENTIAL"), P)
+    return RotationBase(dx.T, inputs, _reset_stack(grid, comm))
+
+
+def _system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+            base: Optional[RotationBase] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """([A B], R) of context_matrices, [A B] in Fortran order. Without a
+    base it is the transposed derivative() stack itself, not a copy. With a
+    rotation base it is a copy of the base's with the u and q rows of ctx.F
+    replaced by controllers.flow_rate on the base's identity stack: the
+    entries one derivative() call gives, bit for bit, as control_rate
+    overwrites those rows whole and skips only the messages into F."""
+    if base is None:
+        inputs, P = _input_stack(grid, comm)
+        R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
+        return derivative(inputs, grid, comm, ctx, P).T, R
+    n, e = grid.n_nodes, grid.n_lines
+    du, dq = np.empty((2, base.AB.shape[1], n))      # rows of the stack [x; y; p]
+    nodes = controllers.flow_rate(base.inputs, grid, ctx.F, du, dq)
+    AB = base.AB.copy(order="F")
+    AB[[n + e + i for i in nodes]] = du[:, nodes].T
+    AB[[2 * n + e + i for i in nodes]] = dq[:, nodes].T
+    return AB, rotation_reset(grid, comm, ctx, base.resets)
+
+
+def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+                     base: Optional[RotationBase] = None
                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(A, B, R) of a control context on the live links of comm: the piece
 
@@ -247,17 +318,14 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     held_messages(y, comm.links)). Exact because the control law is linear
     in the state once the event data (held messages, powers, the set F) is
     frozen; the y columns of B are zero outside HOLD_SCHEMES, which read no
-    held message. A and B are views of the transposed stack (Fortran
-    order), not copies: context_step gathers the rows it keeps anyway.
+    held message. Given the rotation_base of comm, a SEQUENTIAL context
+    takes the base's call and its own pair rows instead, with the same
+    bits. A and B are views of one new [A B] in Fortran order, not copies:
+    context_step gathers the rows it keeps anyway.
     """
-    n = grid.n_nodes
-    dim = 3 * n + grid.n_lines
-    W = np.eye(dim + 2 * n)
-    X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
-    dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
-                    grid, comm, ctx, P)
-    R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
-    return dx[:dim].T, dx[dim:].T, R
+    AB, R = _system(grid, comm, ctx, base)
+    dim = len(AB)
+    return AB[:, :dim], AB[:, dim:], R
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +361,14 @@ class StepMap:
         return F[:, :dim], F[:, dim:]
 
 
-def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float
-                 ) -> StepMap:
+def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
+                 base: Optional[RotationBase] = None) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of its
-    context_matrices) on the states the context moves, with the frozen
-    states it reads as inputs (StepMap), and its reset R. The moving set is
-    read off the assembled [A B], not off the scheme; A and B are dropped
-    once the map is built."""
-    A, B, R = context_matrices(grid, comm, ctx)
-    AB = np.concatenate([A, B], axis=1)     # columns over [x; y; p]
-    del A, B                                # not held through the products
+    context_matrices, from base when given) on the states the context
+    moves, with the frozen states it reads as inputs (StepMap), and its
+    reset R. The moving set is read off the assembled [A B], not off the
+    scheme; [A B] is dropped once the map is built."""
+    AB, R = _system(grid, comm, ctx, base)      # columns over [x; y; p]
     shape = AB.shape
     moving = np.flatnonzero(AB.any(axis=1))
     AB = AB[moving]
@@ -611,12 +677,13 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     One loop executes the calls of plan(). The run builds each call's map
     once per live links, kind and key (a rotation over L links keeps L + 1
-    maps of dim * (dim + N) floats), and each k-step map that kernels.jump
-    squares from it once: pieces that share a context, such as the two
-    sides of a disturbance, square once, and a new p costs one product
-    G_k w. A call with many records writes them in blocks of rows, each
-    one product with a lag map of several record strides (kernels.jump),
-    so a record's last bits depend on its index in its call. A stretch
+    maps of dim * (dim + N) floats, and its rotation_base), and each k-step
+    map that kernels.jump squares from it once: pieces that share a
+    context, such as the two sides of a disturbance, square once, and a new
+    p costs one product G_k w. A call with many records writes them in
+    blocks of rows, each one product with a lag map of several record
+    strides (kernels.jump), so a record's last bits depend on its index in
+    its call. A stretch
     jumps on the moving states x[M] with offset G [x; y; p][inputs]; its
     records are written as x[M] into the leading columns of their rows,
     then spread to full rows with the frozen states filled in, so no
@@ -631,6 +698,9 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     is replayed by the same executor one RK4 step at a time from a copy of
     its start state (exact, as no event lies inside a call), and
     IntegrationError names the first step that fails it.
+
+    Trajectory.diagnostics counts the maps the run built and the kernel
+    calls of its plan, each by kind.
     """
     sched = schedule(scenario)
     grid = scenario.grid
@@ -657,12 +727,20 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     frozen = np.full(len(rx_links), np.nan)
     live = np.ones(len(rx_links), dtype=bool)
 
+    built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
+    calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
+
     @functools.cache
     def cached(kind: str, comm: CommGraph, key):
         """The map of a call of this kind and key on the live links comm,
-        and the dict of the k-step maps that kernels.jump squares from it."""
+        and the dict of the k-step maps that kernels.jump squares from it;
+        for kind "base" (key None) the rotation_base of comm alone."""
+        built[kind] += 1
+        if kind == "base":
+            return rotation_base(grid, comm)
         if kind == "stretch":
-            return context_step(grid, comm, key, dt), {}
+            base = cached("base", comm, None) if key.scheme == "SEQUENTIAL" else None
+            return context_step(grid, comm, key, dt, base), {}
         if kind == "intervals":
             return interval_map(grid, cached("stretch", comm, key)[0], K), {}
         return compose_maps([cached("intervals", comm, c)[0] for c in key]), {}
@@ -744,6 +822,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     for call in plan(sched, stride):
         if call.kind == "pause":
             flush()
+        else:
+            calls[call.kind] += 1
         if call.piece is not piece:
             piece = call.piece
             t = piece.start * dt
@@ -773,7 +853,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),
                       flow=states[:, n:n + e].copy(), u=u.copy(), q=states[:, Q].copy(),
                       cost_series=(u * u) @ cost_vec, events=tuple(events_log),
-                      rx_links=rx_links, rx_series=None if K is None else rec_rx[:n_rec].copy())
+                      rx_links=rx_links, rx_series=None if K is None else rec_rx[:n_rec].copy(),
+                      diagnostics={"maps": built, "kernel_calls": calls})
     if failed is not None:
         raise IntegrationError(failed, traj.state_at(n_rec - 1) if n_rec else None)
     return traj

@@ -38,7 +38,7 @@ from .controllers import ControlContext, Link
 from .kernels import compose_maps
 from .model import HOLD_SCHEMES, CommGraph, PowerGrid
 from .simulator import (context_step, derivative, held_messages, interval_map, modes,
-                        state_labels, vector_to_state)
+                        rotation_base, state_labels, vector_to_state)
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -117,8 +117,9 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
     SEQUENTIAL: the map of one rotation cycle over its L shared links, the
     product of L interval maps (kernels.compose_maps, as integrate() crosses
-    whole cycles), with period L T. The eigenvalues are 1 plus those of the
-    map's increment D, so those near 1 keep their digits. Eigenvalues within
+    whole cycles), with period L T; its L contexts share one rotation_base,
+    as a run's do. The eigenvalues are 1 plus those of the map's increment
+    D, so those near 1 keep their digits. Eigenvalues within
     STRUCTURAL_ZERO_TOL * period of 1 are the images of structural zeros
     and of states no law moves; they are counted apart, and the rest decay
     at -ln(rho) / period per second. comm holds the live links only; the
@@ -131,7 +132,8 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
     K = int(round(T / dt))
-    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt), K)
+    base = rotation_base(grid, comm) if scheme == "SEQUENTIAL" else None
+    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt, base), K)
                          for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu

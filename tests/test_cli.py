@@ -20,6 +20,19 @@ def test_simulate_toy_converges(tmp_path, capsys):
     assert summary["t_star"] is not None
 
 
+def test_simulate_summary_carries_run_diagnostics(tmp_path):
+    """summary.json holds the run's map and kernel-call counts under
+    "diagnostics": a toy SEQUENTIAL run at T = 10 ms builds one rotation
+    base and its ten pairs' one-step maps."""
+    out = tmp_path / "run"
+    cli.main(["simulate", "toy", "--out", str(out), "--scheme", "SEQUENTIAL", "--T", "0.01",
+              "--horizon", "1"])
+    summary = json.loads((tmp_path / "run.summary.json").read_text())
+    assert summary["diagnostics"]["maps"] == {"base": 1, "stretch": 10, "intervals": 10,
+                                              "cycles": 1}
+    assert sum(summary["diagnostics"]["kernel_calls"].values()) > 0
+
+
 def test_simulate_too_short_horizon_exits_2(tmp_path):
     out = tmp_path / "run"
     code = cli.main(["simulate", "toy", "--out", str(out), "--horizon", "0.001"])
@@ -149,7 +162,8 @@ def test_simulate_reports_warnings(tmp_path, capsys, failure_t, horizon, details
     assert code == 2
     summary = json.loads((tmp_path / "run.summary.json").read_text())
     assert list(summary) == ["steady_u", "steady_cost_paper", "converged", "t_star",
-                             "t_star_first_crossing", "max_freq_excursion", "warnings"]
+                             "t_star_first_crossing", "max_freq_excursion", "warnings",
+                             "diagnostics"]
     assert summary["warnings"] == [{"t": 0.0, "kind": "warning", "detail": d}
                                    for d in details]
     err = capsys.readouterr().err

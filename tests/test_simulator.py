@@ -14,7 +14,8 @@ from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
                                 convergence_time, derivative, modes,
                                 first_crossing_time, held_messages, initial_flows,
-                                integrate, interval_map, rotation_reset, run_scenario, schedule,
+                                integrate, interval_map, rotation_base, rotation_reset,
+                                run_scenario, schedule,
                                 state_to_vector, vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
@@ -835,11 +836,13 @@ def ring_scenario(n, stride):
 
 @pytest.mark.parametrize("case", ["toy", "ring"])
 def test_one_step_map_built_once_per_context(toy, calls, case):
-    """A run builds RK4's one-step map once per live links and context, and
-    calls derivative once for it: interval maps square the cached map and
-    partial intervals jump with it. Toy SEQUENTIAL at record_stride 105
-    stops inside intervals of its ten contexts; the ring rotates over 20
-    shared links and stops inside intervals of each at record_stride 7."""
+    """A run builds RK4's one-step map once per live links and context:
+    interval maps square the cached map and partial intervals jump with it.
+    A rotation calls derivative once per set of live links, for its base;
+    each pair context is the base with its pair's rows replaced. Toy
+    SEQUENTIAL at record_stride 105 stops inside intervals of its ten
+    contexts; the ring rotates over 20 shared links and stops inside
+    intervals of each at record_stride 7."""
     if case == "toy":
         scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=10.0,
                              record_stride=105)
@@ -850,10 +853,90 @@ def test_one_step_map_built_once_per_context(toy, calls, case):
     contexts = {(pc.comm, c) for pc in pieces for c in pc.contexts + (pc.lead,)}
     assert len(contexts) == (10 if case == "toy" else 20)
     assert calls["one_step_map"] == len(contexts)
-    assert calls["derivative"] == len(contexts)
+    assert calls["derivative"] == len({pc.comm for pc in pieces}) == 1
     if case == "ring":
         x_ref = reference_integrate(scn, 500)
         assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
+
+
+def direct_matrices(grid, comm, ctx):
+    """(A, B, R) of ctx from one derivative() call of ctx itself on the
+    identity stack of [x; y; p], and R from rotation_reset's own stack."""
+    n = grid.n_nodes
+    dim = 3 * n + grid.n_lines
+    W = np.eye(dim + 2 * n)
+    X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
+    dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
+                    grid, comm, ctx, P)
+    return dx[:dim].T, dx[dim:].T, rotation_reset(grid, comm, ctx)
+
+
+def rotation_failing_mid_interval():
+    """SEQUENTIAL on a seeded 30-node grid whose links are all shared
+    (K = 10): the link of the third interval fails at step 25, inside that
+    interval, so the second piece leads with the failed pair on the
+    remaining links."""
+    grid = random_grid(4, 30)
+    links = tuple((ln.i, ln.j) for ln in grid.lines)
+    failing = sorted(links)[2]
+    comm = CommGraph(links=links, message_interval=0.01, failed=((failing, 0.025),))
+    return Scenario(grid=grid, comm=comm, scheme="SEQUENTIAL", horizon=0.06, dt=1e-3,
+                    record_stride=7), failing
+
+
+@pytest.mark.parametrize("case", ["toy", "ring", "n30_failure"])
+def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
+    """Every context a rotation runs (its pairs and each piece's lead), built
+    from the rotation_base of its live links, has (A, B, R) byte-equal, signed
+    zeros included, to one derivative() call of that context on the
+    identity stack. The run calls derivative once per set of live links and
+    its records match the oracle. On the 30-node grid the second piece leads
+    with the failed pair on the links that remain."""
+    if case == "toy":
+        scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=0.2,
+                             record_stride=7)
+    elif case == "ring":
+        scn = ring_scenario(20, 7)
+    else:
+        scn, failing = rotation_failing_mid_interval()
+    grid = scn.grid
+    pieces = schedule(scn).pieces
+    if case == "n30_failure":
+        assert pieces[1].start == 25 and pieces[1].lead.F == set(failing)
+        assert failing not in pieces[1].comm.links
+    for comm in {pc.comm for pc in pieces}:
+        base = rotation_base(grid, comm)
+        contexts = {c for pc in pieces if pc.comm == comm for c in pc.contexts + (pc.lead,)}
+        assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
+        for ctx in contexts:
+            got, want = context_matrices(grid, comm, ctx, base), direct_matrices(grid, comm, ctx)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    calls["derivative"] = 0
+    traj = integrate(scn)
+    assert calls["derivative"] == len({pc.comm for pc in pieces})
+    oracle = reference_integrate(scn, schedule(scn).n_steps, every=1)
+    for k, step in enumerate(np.round(traj.times / scn.dt).astype(int)):
+        assert np.abs(state_to_vector(traj.state_at(k)) - oracle[step]).max() <= 1e-12
+
+
+def test_run_counts_its_maps_and_kernel_calls(toy):
+    """Trajectory.diagnostics counts the maps a run builds and its kernel
+    calls, by kind. Toy SEQUENTIAL at T = 10 ms builds one rotation base
+    and the one-step maps of its ten pairs; toy HYBRID_SINGLE with a
+    failure builds no base."""
+    scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=1.0,
+                         record_stride=100)
+    diag = integrate(scn).diagnostics
+    assert diag["maps"] == {"base": 1, "stretch": 10, "intervals": 10, "cycles": 1}
+    assert set(diag["kernel_calls"]) == {"stretch", "intervals", "cycles"}
+    assert diag["kernel_calls"]["cycles"] >= 1
+    scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
+                         failures=(((1, 6), 0.5),))
+    diag = integrate(scn).diagnostics
+    assert diag["maps"] == {"base": 0, "stretch": 2, "intervals": 0, "cycles": 0}
+    assert diag["kernel_calls"]["intervals"] == diag["kernel_calls"]["cycles"] == 0
+    assert diag["kernel_calls"]["stretch"] == 3       # one per piece
 
 
 def test_rotation_records_without_stopping(calls):
@@ -877,9 +960,9 @@ def test_sampling_stops_call_no_control_law(calls):
     """With record_stride 7 the rotation stops at every record, mostly
     between instants, and at an instant before each record. No stop calls
     a control law: the offset of a partial interval is G [y; p] and an
-    instant resets q by the cached R, so derivative runs once per context,
-    to build its matrices, and init_artificial only to build R and at the
-    pieces' inits. Every row matches the oracle."""
+    instant resets q by the cached R, so derivative runs at most once per
+    context, to build the matrices, and init_artificial only to build R and
+    at the pieces' inits. Every row matches the oracle."""
     scn = rotation_scenario(7)
     traj = integrate(scn)
     pieces = schedule(scn).pieces
