@@ -308,12 +308,33 @@ def _req(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _int(value, where: str, what: str) -> int:
+    """value as an int: an integer, or a float with an integral value. Anything
+    else, booleans included, raises ScenarioFormatError naming what."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ScenarioFormatError(f"{where}: {what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _link(value, where: str, what: str) -> Tuple[int, int]:
+    """A link [a, b] of 1-based integer endpoints as a 0-based pair (min, max)."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioFormatError(f"{where}: {what} must be a pair of node ids, got {value!r}")
+    a, b = (_int(v, where, f"{what} endpoint") - 1 for v in value)
+    return min(a, b), max(a, b)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario of a scenario document. Node ids, line endpoints, link
+    endpoints, disturbance nodes and record_stride must be integers (an
+    integral float such as 2.0 is accepted); anything else raises
+    ScenarioFormatError naming the key."""
     nodes = []
     for k, nd in enumerate(_req(doc, "nodes", "scenario")):
         where = f"nodes[{k}]"
         nodes.append(NodeParams(
-            id=int(nd.get("id", k + 1)),
+            id=_int(nd.get("id", k + 1), where, "'id'"),
             inertia=float(_req(nd, "inertia", where)),
             droop=float(_req(nd, "droop", where)),
             cost=float(_req(nd, "cost", where)),
@@ -323,7 +344,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     lines = []
     for k, ld in enumerate(_req(doc, "lines", "scenario")):
         where = f"lines[{k}]"
-        i, j = int(_req(ld, "i", where)) - 1, int(_req(ld, "j", where)) - 1
+        i, j = (_int(_req(ld, key, where), where, repr(key)) - 1 for key in ("i", "j"))
         has_b, has_x = "b" in ld, "reactance" in ld
         if has_b == has_x:
             raise ScenarioFormatError(f"{where}: exactly one of 'b' or 'reactance' required")
@@ -335,22 +356,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
             b = 1.0 / float(ld["reactance"])
         lines.append(Line(min(i, j), max(i, j), b))
 
-    links = tuple(
-        (min(a - 1, b - 1), max(a - 1, b - 1))
-        for a, b in _req(doc, "comm_links", "scenario")
-    )
+    links = tuple(_link(link, f"comm_links[{k}]", "link")
+                  for k, link in enumerate(_req(doc, "comm_links", "scenario")))
     failures = []
     for k, fd in enumerate(doc.get("comm_failures", [])):
         where = f"comm_failures[{k}]"
-        a, b = (int(x) - 1 for x in _req(fd, "link", where))
-        failures.append(((min(a, b), max(a, b)), float(_req(fd, "time", where))))
+        failures.append((_link(_req(fd, "link", where), where, "'link'"),
+                         float(_req(fd, "time", where))))
 
     raw_T = doc.get("message_interval", "continuous")
     T = CONTINUOUS if (raw_T in (None, "continuous")) else float(raw_T)
 
     disturbances = tuple(
         DisturbanceEvent(time=float(_req(dd, "time", f"disturbances[{k}]")),
-                         node=int(_req(dd, "node", f"disturbances[{k}]")) - 1,
+                         node=_int(_req(dd, "node", f"disturbances[{k}]"), f"disturbances[{k}]",
+                                   "'node'") - 1,
                          delta_p=float(_req(dd, "delta_p", f"disturbances[{k}]")))
         for k, dd in enumerate(doc.get("disturbances", []))
     )
@@ -362,7 +382,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         scheme=str(doc.get("scheme", "CONSENSUS")),
         horizon=float(doc.get("horizon", 200.0)),
         dt=float(doc.get("dt", 1e-3)),
-        record_stride=int(doc.get("record_stride", 100)),
+        record_stride=_int(doc.get("record_stride", 100), "scenario", "'record_stride'"),
     )
 
 

@@ -8,32 +8,41 @@ shared links, all from one rule (modes) that `gridfreq stability` and
 interval_map_spectrum use too, so the report analyses the law the run ran.
 
 Within a piece the closed loop is an affine system over the state layout
-[omega (N), flow (E), u (N), q (N)]. derivative() is the single definition
-of those dynamics and takes stacked states, one state per row. Between
-sampling instants a piece is
+[omega (N), flow (E), u (N), q (N)]. Its dynamics are defined once, in two
+parts that take stacked states, one state per row: swing_rate, the swing
+and line equations, and controllers.control_rate, the control law.
+derivative() joins them. Between sampling instants a piece is
 
     x' = A x + B [y; p],
 
 with p its fixed powers and y the held messages, C u of the last sampling
-instant (under continuous messaging B reads no y). context_matrices builds
-a context's A and B from one derivative() call on the identity stack of
-[x; y; p], and context_step RK4's one-step map from them, the one linear
-system a run keeps per live links and context. A SEQUENTIAL rotation makes
-that call once per set of live links (rotation_base) and gives each pair
-context the base's [A B] with the pair's u and q rows replaced by the flow
-law's (controllers.flow_rate), bit for bit. That map acts on the states
-the context moves, those whose row of [A B] is not zero: a state the
-context holds constant, such as q_i outside the flow-controlled set F,
-enters as an input like p. A sampling instant is a linear reset: y
-refreshes to C u, and SEQUENTIAL resets q by the rotation's reset matrix
-R. So a whole message interval is one exact affine map (interval_map), and
-a whole SEQUENTIAL rotation cycle the composition of its interval maps
-(kernels.compose_maps).
+instant (under continuous messaging B reads no y). context_matrices
+assembles a context's [A B] from those two definitions, each evaluated on
+the unit vectors of the blocks of [x; y; p] it reads and on one zero row
+(_spread): the omega and flow rows from swing_rate once per run
+(swing_rows: they depend on the grid alone), the u and q rows from one
+control_rate call on unit omega, u, q and, under HOLD_SCHEMES, y: 3N + 1
+or 4N + 1 rows (law_rows). Every other entry is the rate at zero, so
+[A B] holds the bits, signed zeros included, of one derivative() call on
+the identity stack of [x; y; p]. A SEQUENTIAL
+rotation makes its control_rate call once per set of live links
+(rotation_base) and gives each pair context the base's [A B] with the
+pair's u and q rows replaced by the flow law's (controllers.flow_rate),
+bit for bit. context_step builds RK4's one-step map from [A B], the one
+linear system a run keeps per live links and context. That map acts on
+the states the context moves, those whose row of [A B] is not zero: a
+state the context holds constant, such as q_i outside the flow-controlled
+set F, enters as an input like p. A sampling instant is a linear reset: y
+refreshes to C u, and SEQUENTIAL resets q to R x, R the N q rows of the
+rotation's reset. So a whole message interval is one exact affine map
+(interval_map), and a whole SEQUENTIAL rotation cycle the composition of
+its interval maps (kernels.compose_maps).
 
 plan() turns a schedule into kernel calls from step counts alone: where
 each jump starts and stops, which of these maps it applies and which
-states it records. integrate() executes them in one loop. The trajectory
-is bit-reproducible for identical inputs.
+states it records. integrate() executes them in one loop, and calls
+derivative() not at all. The trajectory is bit-reproducible for identical
+inputs.
 """
 from __future__ import annotations
 
@@ -123,7 +132,8 @@ class RunSummary:
 
 # ---------------------------------------------------------------------------
 # Continuous-time derivative (the reference dynamics; the integrator's
-# affine matrices are assembled from one evaluation on the identity stack)
+# affine matrices are assembled from its two parts, swing_rate and
+# controllers.control_rate)
 
 def state_to_vector(state: SystemState) -> np.ndarray:
     return np.concatenate([state.omega, state.flow, state.u, state.q], axis=-1)
@@ -149,12 +159,21 @@ def state_labels(grid: PowerGrid, q_nodes: Optional[Sequence[int]] = None) -> Tu
     )
 
 
+def swing_rate(state: SystemState, grid: PowerGrid, p: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """(dω/dt, df/dt) of the swing and line dynamics, the same under every
+    law: M dω = -D ω + p + u - (incidence) f and df = B (ω_i - ω_j). Reads
+    omega, flow, u and p only; stacked states as in derivative()."""
+    inc = grid.incidence()
+    domega = (-grid.droop() * state.omega + p + state.u - state.flow @ inc.T) / grid.inertia()
+    dflow = grid.susceptance() * (state.omega @ inc)
+    return domega, dflow
+
+
 def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
                ctx: ControlContext, p: Optional[np.ndarray] = None) -> np.ndarray:
-    """Time derivative of the full state vector [omega, flow, u, q].
-
-    Swing dynamics: M dω = -D ω + p + u - (incidence) f; line dynamics:
-    df = B (ω_i - ω_j). du and dq are the control law of ctx
+    """Time derivative of the full state vector [omega, flow, u, q]: dω and
+    df from swing_rate, du and dq from the control law of ctx
     (controllers.control_rate). p defaults to the grid's fixed powers; pass
     the disturbed vector when evaluating mid-run.
 
@@ -168,11 +187,8 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
         raise ValueError(f"unknown scheme {ctx.scheme!r}")
     if p is None:
         p = grid.fixed_power()
-    inc = grid.incidence()
-    domega = (-grid.droop() * state.omega + p + state.u - state.flow @ inc.T) / grid.inertia()
-    dflow = grid.susceptance() * (state.omega @ inc)
     du, dq = controllers.control_rate(state, grid, comm, ctx)
-    return np.concatenate([domega, dflow, du, dq], axis=-1)
+    return np.concatenate([*swing_rate(state, grid, p), du, dq], axis=-1)
 
 
 def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
@@ -221,15 +237,55 @@ def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
     return (ControlContext(scheme if scheme == "CONSENSUS_SAMPLED" else "CONSENSUS"),)
 
 
-def _input_stack(grid: PowerGrid, comm: CommGraph) -> Tuple[SystemState, np.ndarray]:
-    """The identity stack of [x; y; p] as a stacked state with held values
-    held_messages(y, comm.links), and its p: row r of [x; y; p] is unit
-    vector r, so the derivative of row r is column r of [A B]."""
-    n = grid.n_nodes
-    dim = 3 * n + grid.n_lines
-    W = np.eye(dim + 2 * n)
-    X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
-    return vector_to_state(0.0, X, grid, held_messages(Y, comm.links)), P
+def _law_probe(grid: PowerGrid, comm: CommGraph, hold: bool
+               ) -> Tuple[SystemState, Tuple[slice, ...]]:
+    """The stacked state the control law is probed on: the unit vectors of
+    the blocks of [x; y; p] it reads, omega, u, q and, when it holds
+    messages (hold), the held y on the links of comm, then one zero row
+    (3N + 1 or 4N + 1 rows, the other blocks zero); and the columns of
+    [x; y; p] its unit rows stand for, in order, one slice per run of
+    blocks (_spread)."""
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    k = (4 if hold else 3) * n
+    unit = np.eye(k + 1, k)
+    held = held_messages(unit[:, 3 * n:], comm.links) if hold else {}
+    state = SystemState(0.0, unit[:, :n], np.zeros((1, e)), unit[:, n:2 * n],
+                        unit[:, 2 * n:3 * n], held)
+    cols = (slice(0, n), slice(n + e, dim)) + ((slice(dim, dim + n),) if hold else ())
+    return state, cols
+
+
+def _spread(rates: np.ndarray, cols: Tuple[slice, ...], out: np.ndarray) -> np.ndarray:
+    """Write into out, rows of [A B], what the rates (one column per row of
+    out) give on a probe whose unit rows stand for the columns cols, then a
+    zero row: the zero row's value in every column, then the k-th column of
+    cols from unit row k. These are the entries, signed zeros included, of
+    one call on the identity stack of [x; y; p]: a row's rate depends on
+    that row alone, and a unit row outside cols is zero in every column the
+    rate reads."""
+    out[:] = rates[-1][:, None]
+    at = 0
+    for c in cols:
+        out[:, c] = rates[at:at + c.stop - c.start].T
+        at += c.stop - c.start
+    return out
+
+
+def swing_rows(grid: PowerGrid) -> np.ndarray:
+    """The omega and flow rows of [A B], (N + E, dim + 2N), the same for
+    every context: one swing_rate call on the unit vectors of the blocks it
+    reads, omega, f, u and p, then a zero row (q zero), spread over the
+    columns of [x; y; p] as _spread does. A run builds them once."""
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    k = 3 * n + e
+    unit = np.eye(k + 1, k)
+    state = SystemState(0.0, unit[:, :n], unit[:, n:n + e], unit[:, n + e:2 * n + e],
+                        np.zeros((1, n)))
+    rates = np.concatenate(swing_rate(state, grid, unit[:, 2 * n + e:]), axis=-1)
+    cols = (slice(0, 2 * n + e), slice(dim + n, dim + 2 * n))
+    return _spread(rates, cols, np.empty((n + e, dim + 2 * n)))
 
 
 def _reset_stack(grid: PowerGrid, comm: CommGraph) -> SystemState:
@@ -243,89 +299,120 @@ def _reset_stack(grid: PowerGrid, comm: CommGraph) -> SystemState:
 
 def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
                    stack: Optional[SystemState] = None) -> np.ndarray:
-    """Exact R with R x the state after a SEQUENTIAL rotation to the pair
-    ctx.F at a sampling instant: messages refreshed from x, then q
-    re-initialized by init_artificial for the new pair. From one evaluation
-    of init_artificial on the identity stack of x, stack when given (one
+    """The N q rows of the exact reset R, R x the state after a SEQUENTIAL
+    rotation to the pair ctx.F at a sampling instant: messages refreshed
+    from x, then q re-initialized by init_artificial for the new pair. R
+    leaves every other state as it is, so its q rows, (N, dim), are all of
+    it that sample() and interval_map read. From one evaluation of
+    init_artificial on the identity stack of x, stack when given (one
     _reset_stack shared by a rotation's contexts)."""
-    n, e = grid.n_nodes, grid.n_lines
     stack = _reset_stack(grid, comm) if stack is None else stack
     q0, _ = controllers.init_artificial(stack, grid, ctx, comm)
-    R = np.eye(3 * n + e)
-    R[2 * n + e:] = q0.T
-    return R
+    return np.ascontiguousarray(q0.T)
 
 
 @dataclass(frozen=True, eq=False)
 class RotationBase:
     """What a SEQUENTIAL rotation's contexts share on one set of live links:
-    [A B] of the law with F empty, and the identity stacks it and the
-    resets were evaluated on (rotation_base)."""
+    the u and q rows of [A B] of the law with F empty, the law probe they
+    were evaluated on and the identity stack of the resets
+    (rotation_base)."""
 
-    AB: np.ndarray             # (dim, dim + 2N), the transposed stack (Fortran order)
-    inputs: SystemState        # _input_stack
+    law: np.ndarray            # (2N, dim + 2N)
+    probe: Tuple[SystemState, Tuple[slice, ...]]    # _law_probe
     resets: SystemState        # _reset_stack
 
 
 def rotation_base(grid: PowerGrid, comm: CommGraph) -> RotationBase:
-    """The base of a rotation on the live links of comm: one derivative()
-    call of the context (SEQUENTIAL, F = {}) on the identity stack of
-    [x; y; p]. controllers.control_rate differs from it under a pair F only
-    in the u and q rows of F, which flow_rate overwrites, so a pair
-    context's [A B] is this one with those rows replaced (_system)."""
-    inputs, P = _input_stack(grid, comm)
-    dx = derivative(inputs, grid, comm, ControlContext("SEQUENTIAL"), P)
-    return RotationBase(dx.T, inputs, _reset_stack(grid, comm))
+    """The base of a rotation on the live links of comm: the u and q rows
+    of the context (SEQUENTIAL, F = {}) from its one control_rate call.
+    control_rate differs from it under a pair F only in the u and q rows of
+    F, which flow_rate overwrites, so a pair context's rows are these with
+    those replaced (law_rows)."""
+    probe = _law_probe(grid, comm, hold=True)
+    law = _law_rows(grid, comm, ControlContext("SEQUENTIAL"), probe)
+    return RotationBase(law, probe, _reset_stack(grid, comm))
 
 
-def _system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-            base: Optional[RotationBase] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """([A B], R) of context_matrices, [A B] in Fortran order. Without a
-    base it is the transposed derivative() stack itself, not a copy. With a
-    rotation base it is a copy of the base's with the u and q rows of ctx.F
-    replaced by controllers.flow_rate on the base's identity stack: the
-    entries one derivative() call gives, bit for bit, as control_rate
-    overwrites those rows whole and skips only the messages into F."""
-    if base is None:
-        inputs, P = _input_stack(grid, comm)
-        R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
-        return derivative(inputs, grid, comm, ctx, P).T, R
+def _law_rows(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+              probe: Tuple[SystemState, Tuple[slice, ...]]) -> np.ndarray:
+    """The u and q rows of [A B] of ctx, (2N, dim + 2N), from one
+    control_rate call on probe, its _law_probe."""
     n, e = grid.n_nodes, grid.n_lines
-    du, dq = np.empty((2, base.AB.shape[1], n))      # rows of the stack [x; y; p]
-    nodes = controllers.flow_rate(base.inputs, grid, ctx.F, du, dq)
-    AB = base.AB.copy(order="F")
-    AB[[n + e + i for i in nodes]] = du[:, nodes].T
-    AB[[2 * n + e + i for i in nodes]] = dq[:, nodes].T
-    return AB, rotation_reset(grid, comm, ctx, base.resets)
+    stack, cols = probe
+    du, dq = controllers.control_rate(stack, grid, comm, ctx)
+    rows = np.empty((2 * n, 5 * n + e))
+    _spread(du, cols, rows[:n])
+    _spread(dq, cols, rows[n:])
+    return rows
+
+
+def law_rows(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+             base: Optional[RotationBase] = None) -> np.ndarray:
+    """The u and q rows of [A B] of ctx on the live links of comm, (2N,
+    dim + 2N): one controllers.control_rate call on the unit vectors of the
+    blocks the law reads (_law_probe). With a rotation base, a copy of the
+    base's rows with the u and q rows of ctx.F replaced by
+    controllers.flow_rate on the base's probe: the entries control_rate
+    gives, bit for bit, as it overwrites those rows whole and skips only
+    the messages into F."""
+    if base is None:
+        return _law_rows(grid, comm, ctx, _law_probe(grid, comm, ctx.scheme in HOLD_SCHEMES))
+    n = grid.n_nodes
+    stack, cols = base.probe
+    du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
+    nodes = controllers.flow_rate(stack, grid, ctx.F, du, dq)
+    rows, pair = base.law.copy(), np.empty((len(nodes), base.law.shape[1]))
+    rows[nodes] = _spread(du[:, nodes], cols, pair)
+    rows[[n + i for i in nodes]] = _spread(dq[:, nodes], cols, pair)
+    return rows
 
 
 def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-                     base: Optional[RotationBase] = None
+                     base: Optional[RotationBase] = None, swing: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(A, B, R) of a control context on the live links of comm: the piece
 
         x' = A x + B [y; p]
 
     between sampling instants, with y the held values (C u at the last
-    instant) and p the fixed powers, and the reset R of a SEQUENTIAL
-    rotation to the pair ctx.F at an instant (rotation_reset), None for the
-    other schemes, which rotate no pair.
+    instant) and p the fixed powers, and the q rows R of the reset of a
+    SEQUENTIAL rotation to the pair ctx.F at an instant (rotation_reset),
+    None for the other schemes, which rotate no pair.
 
-    A and B come from one derivative() call on the identity stack of
-    [x; y; p]: its first dim rows are the unit states with y = 0 and p = 0,
-    whose derivatives are the columns of A, and its last 2N rows the unit
-    inputs at x = 0, whose derivatives are the columns of B (held values
-    held_messages(y, comm.links)). Exact because the control law is linear
-    in the state once the event data (held messages, powers, the set F) is
-    frozen; the y columns of B are zero outside HOLD_SCHEMES, which read no
-    held message. Given the rotation_base of comm, a SEQUENTIAL context
-    takes the base's call and its own pair rows instead, with the same
-    bits. A and B are views of one new [A B] in Fortran order, not copies:
-    context_step gathers the rows it keeps anyway.
+    [A B] is assembled from the dynamics' two definitions: the omega and
+    flow rows are swing_rows(grid) (swing when given), and the u and q rows
+    law_rows, one controllers.control_rate call on the unit vectors of the
+    law's inputs, omega, u, q and, under HOLD_SCHEMES, the held y, and on a
+    zero row, which gives every column the law does not read (_spread).
+    Exact because the dynamics are linear in the state once the event data
+    (held messages, powers, the set F) is frozen, and byte-equal, signed
+    zeros included, to one derivative() call on the identity stack of
+    [x; y; p]; the y columns of B are zero outside HOLD_SCHEMES, which read
+    no held message. Given the rotation_base of comm, a SEQUENTIAL context
+    takes the base's rows and its own pair rows instead, with the same
+    bits. A and B are views of one new [A B].
     """
-    AB, R = _system(grid, comm, ctx, base)
+    AB = _system(grid, comm, ctx, base, swing)
     dim = len(AB)
-    return AB[:, :dim], AB[:, dim:], R
+    return AB[:, :dim], AB[:, dim:], _reset(grid, comm, ctx, base)
+
+
+def _system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+            base: Optional[RotationBase], swing: Optional[np.ndarray]) -> np.ndarray:
+    """[A B] of context_matrices: the swing rows (swing_rows(grid) unless
+    given) over law_rows."""
+    swing = swing_rows(grid) if swing is None else swing
+    return np.concatenate([swing, law_rows(grid, comm, ctx, base)])
+
+
+def _reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+           base: Optional[RotationBase]) -> Optional[np.ndarray]:
+    """rotation_reset of a SEQUENTIAL context, on the base's stack when
+    given; None for the other schemes."""
+    if ctx.scheme != "SEQUENTIAL":
+        return None
+    return rotation_reset(grid, comm, ctx, None if base is None else base.resets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,13 +427,14 @@ class StepMap:
 
     with `inputs` the nonzero columns of [A B][M] outside M: the held
     messages and powers the context reads, and any frozen state it reads,
-    which enters like p. R is the context's reset (context_matrices)."""
+    which enters like p. R holds the q rows of the context's reset
+    (context_matrices)."""
 
     D: np.ndarray              # (|M|, |M|)
     G: np.ndarray              # (|M|, len(inputs))
     moving: np.ndarray         # indices into x
     inputs: np.ndarray         # indices into z = [x; y; p]
-    R: Optional[np.ndarray]
+    R: Optional[np.ndarray]    # (N, dim)
     shape: Tuple[int, int]     # of [A B]: (dim, dim + 2N)
 
     def embed(self, Dm: np.ndarray, Gm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -362,21 +450,24 @@ class StepMap:
 
 
 def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
-                 base: Optional[RotationBase] = None) -> StepMap:
+                 base: Optional[RotationBase] = None,
+                 swing: Optional[np.ndarray] = None) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of its
-    context_matrices, from base when given) on the states the context
-    moves, with the frozen states it reads as inputs (StepMap), and its
-    reset R. The moving set is read off the assembled [A B], not off the
-    scheme; [A B] is dropped once the map is built."""
-    AB, R = _system(grid, comm, ctx, base)      # columns over [x; y; p]
+    context_matrices, from base and swing when given) on the states the
+    context moves, with the frozen states it reads as inputs (StepMap), and
+    its reset's q rows R. The moving set is read off the assembled [A B],
+    not off the scheme; [A B] is dropped before the map is built."""
+    AB = _system(grid, comm, ctx, base, swing)      # columns over [x; y; p]
     shape = AB.shape
     moving = np.flatnonzero(AB.any(axis=1))
     AB = AB[moving]
     read = AB.any(axis=0)
     read[moving] = False
     inputs = np.flatnonzero(read)
-    D, G = one_step_map(AB[:, moving], AB[:, inputs], h)
-    return StepMap(D, G, moving, inputs, R, shape)
+    A, B = AB[:, moving], AB[:, inputs]
+    del AB      # one_step_map's products reuse its memory
+    D, G = one_step_map(A, B, h)
+    return StepMap(D, G, moving, inputs, _reset(grid, comm, ctx, base), shape)
 
 
 def interval_map(grid: PowerGrid, step: StepMap, K: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -394,15 +485,15 @@ def interval_map(grid: PowerGrid, step: StepMap, K: int) -> Tuple[np.ndarray, np
     map also advances such a state. The K steps are squared on the moving
     states, then embedded into full coordinates (StepMap.embed), where the
     held coupling and R fold in; R differs from the identity only in its N
-    q rows, so D R costs a product with those rows alone. D_K is dim x dim
-    and G_K dim x N.
+    q rows, step.R, so D R costs a product with those rows alone. D_K is
+    dim x dim and G_K dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
     D, G = step.embed(*k_step_map(step.D, step.G, K))
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
     if step.R is not None:      # D R + R - I, with R - I zero outside the q rows
         Q = slice(2 * n + e, None)
-        RQ = step.R[Q] - np.eye(n, len(D), 2 * n + e)
+        RQ = step.R - np.eye(n, len(D), 2 * n + e)
         D += D[:, Q] @ RQ
         D[Q] += RQ
     return D, np.ascontiguousarray(G[:, n:])
@@ -675,20 +766,22 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     init. Under continuous messaging, and where schedule() ignores T, no
     message is held and rx_series is None.
 
-    One loop executes the calls of plan(). The run builds each call's map
-    once per live links, kind and key (a rotation over L links keeps L + 1
-    maps of dim * (dim + N) floats, and its rotation_base), and each k-step
-    map that kernels.jump squares from it once: pieces that share a
-    context, such as the two sides of a disturbance, square once, and a new
-    p costs one product G_k w. A call with many records writes them in
-    blocks of rows, each one product with a lag map of several record
-    strides (kernels.jump), so a record's last bits depend on its index in
-    its call. A stretch
-    jumps on the moving states x[M] with offset G [x; y; p][inputs]; its
-    records are written as x[M] into the leading columns of their rows,
-    then spread to full rows with the frozen states filled in, so no
-    second record buffer is kept. Every sampling instant runs one rule,
-    sample(), on a stack of states: q resets by its context's R, and the
+    One loop executes the calls of plan(). The run builds the swing rows of
+    [A B] once (swing_rows) and each call's map once per live links, kind
+    and key (a rotation over L links keeps L + 1 maps of dim * (dim + N)
+    floats, and its rotation_base): it calls controllers.control_rate once
+    per context outside a rotation and once per rotation_base, and
+    derivative() never. It squares each k-step map that kernels.jump uses
+    once: pieces that share a context, such as the two sides of a
+    disturbance, square once, and a new p costs one product G_k w. A call
+    with many records writes them in blocks of rows, each one product with a
+    lag map of several record strides (kernels.jump), so a record's last
+    bits depend on its index in its call. A stretch jumps on the moving
+    states x[M] with offset G [x; y; p][inputs]; its records are written as
+    x[M] into the leading columns of their rows, then spread to full rows
+    with the frozen states filled in, so no second record buffer is kept.
+    Every sampling instant runs one rule, sample(), on a stack of states: q
+    resets by its context's R (the q rows of the reset), and the
     held values become C u. Interval and cycle jumps record states before
     their instants' events; the records of a run of them are sampled as
     one stack at the pause that ends it.
@@ -734,13 +827,16 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     def cached(kind: str, comm: CommGraph, key):
         """The map of a call of this kind and key on the live links comm,
         and the dict of the k-step maps that kernels.jump squares from it;
-        for kind "base" (key None) the rotation_base of comm alone."""
+        for kind "base" (key None) the rotation_base of comm alone, and for
+        kind "swing" (comm and key None) the run's swing_rows."""
+        if kind == "swing":
+            return swing_rows(grid)
         built[kind] += 1
         if kind == "base":
             return rotation_base(grid, comm)
         if kind == "stretch":
             base = cached("base", comm, None) if key.scheme == "SEQUENTIAL" else None
-            return context_step(grid, comm, key, dt, base), {}
+            return context_step(grid, comm, key, dt, base, cached("swing", None, None)), {}
         if kind == "intervals":
             return interval_map(grid, cached("stretch", comm, key)[0], K), {}
         return compose_maps([cached("intervals", comm, c)[0] for c in key]), {}
@@ -755,7 +851,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             R = cached("stretch", piece.comm, piece.contexts[c])[0].R
             if R is not None:
                 at = phase == c
-                rows[at, Q] = rows[at] @ R[Q].T
+                rows[at, Q] = rows[at] @ R.T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------

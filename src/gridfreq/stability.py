@@ -37,8 +37,8 @@ import numpy as np
 from .controllers import ControlContext, Link
 from .kernels import compose_maps
 from .model import HOLD_SCHEMES, CommGraph, PowerGrid
-from .simulator import (context_step, derivative, held_messages, interval_map, modes,
-                        rotation_base, state_labels, vector_to_state)
+from .simulator import (context_step, interval_map, law_rows, modes, rotation_base,
+                        state_labels, swing_rows)
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -79,21 +79,19 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
-    One evaluation of the reference derivative on the unit vectors of that
-    reduced state, with zero held values and powers (exact: the dynamics
-    are linear); artificial variables outside the flow-controlled nodes
-    ctx.F are left out, since the law never touches them. Held messages are
-    inputs, not state. comm holds the live links only.
+    A sliced out of the simulator's assembly of [A B], the swing rows and
+    the law's u and q rows (simulator.swing_rows, simulator.law_rows): the
+    same bits as a run's matrices (exact: the dynamics are linear).
+    Artificial variables outside the flow-controlled nodes ctx.F are left
+    out, since the law never touches them. Held messages are inputs, not
+    state. comm holds the live links only.
     """
     n, e = grid.n_nodes, grid.n_lines
     q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
-    X = np.zeros((len(keep), 3 * n + e))
-    X[np.arange(len(keep)), keep] = 1.0
-    dx = derivative(vector_to_state(0.0, X, grid, held_messages(np.zeros(n), comm.links)),
-                    grid, comm, ctx, np.zeros(n))
-    return StateMatrix(A=np.ascontiguousarray(dx[:, keep].T),
-                       labels=state_labels(grid, q_nodes), q_nodes=q_nodes)
+    law = law_rows(grid, comm, ctx)       # the u rows, then the q rows
+    rows = np.concatenate([swing_rows(grid), law[:n], law[[n + i for i in q_nodes]]])
+    return StateMatrix(A=rows[:, keep], labels=state_labels(grid, q_nodes), q_nodes=q_nodes)
 
 
 def spectrum(A) -> SpectrumReport:
@@ -117,13 +115,13 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
     SEQUENTIAL: the map of one rotation cycle over its L shared links, the
     product of L interval maps (kernels.compose_maps, as integrate() crosses
-    whole cycles), with period L T; its L contexts share one rotation_base,
-    as a run's do. The eigenvalues are 1 plus those of the map's increment
-    D, so those near 1 keep their digits. Eigenvalues within
-    STRUCTURAL_ZERO_TOL * period of 1 are the images of structural zeros
-    and of states no law moves; they are counted apart, and the rest decay
-    at -ln(rho) / period per second. comm holds the live links only; the
-    contexts come from simulator.modes, as a run's do.
+    whole cycles), with period L T; its L contexts share one rotation_base
+    and the swing rows, as a run's do. The eigenvalues are 1 plus those of
+    the map's increment D, so those near 1 keep their digits. Eigenvalues
+    within STRUCTURAL_ZERO_TOL * period of 1 are the images of structural
+    zeros and of states no law moves; they are counted apart, and the rest
+    decay at -ln(rho) / period per second. comm holds the live links only;
+    the contexts come from simulator.modes, as a run's do.
     """
     if scheme not in HOLD_SCHEMES:
         raise ValueError(f"{scheme} holds no messages; its closed loop is x' = A x")
@@ -133,7 +131,8 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
                          "to rotate over")
     K = int(round(T / dt))
     base = rotation_base(grid, comm) if scheme == "SEQUENTIAL" else None
-    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt, base), K)
+    swing = swing_rows(grid)
+    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt, base, swing), K)
                          for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
@@ -197,28 +196,32 @@ def check_sufficient_multi_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
     products; the verdict uses their symmetric parts (`coupling_margin`)
     and the raw-matrix variant is reported alongside
     (`coupling_margin_raw`, real parts of the raw eigenvalues).
+
+    M, D and C are diagonal. The cross terms of the second and third
+    conditions are the symmetric parts of the two factors of the fourth,
+    so each of the three matrices below is solved once, symmetric and
+    general, and M's extreme eigenvalues are read off its diagonal.
     """
     M, D, C, L_c_star, L_pB = (np.asarray(X, dtype=float)
                                for X in (M, D, C, L_c_star, L_pB))
-    Cinv = np.linalg.inv(C)
     LC = L_c_star @ C
-    cond2 = 0.5 * (LC @ M + M @ C @ L_c_star.T) + D
-    cond3 = L_pB + 0.5 * (LC @ D + D @ C @ L_c_star.T) + Cinv
-    lhs_sym = (_lam_min_sym(L_pB + LC @ D + Cinv) * _lam_min_sym(LC @ M + D))
-    rhs_sym = _lam_max_sym(LC @ L_pB) * _lam_max_sym(M)
+    damping = L_pB + LC @ D + np.linalg.inv(C)
+    inertia = LC @ M + D
+    coupling = LC @ L_pB
+    m = np.diag(M)
+    lam_damping, lam_inertia = _lam_min_sym(damping), _lam_min_sym(inertia)
+    lhs_sym = lam_damping * lam_inertia
+    rhs_sym = _lam_max_sym(coupling) * m.max()
 
     def _min_real(X):
         return float(np.min(np.linalg.eigvals(X).real))
 
-    def _max_real(X):
-        return float(np.max(np.linalg.eigvals(X).real))
-
-    lhs_raw = _min_real(L_pB + LC @ D + Cinv) * _min_real(LC @ M + D)
-    rhs_raw = _max_real(LC @ L_pB) * _max_real(M)
+    lhs_raw = _min_real(damping) * _min_real(inertia)
+    rhs_raw = float(np.max(np.linalg.eigvals(coupling).real)) * m.max()
     return {
-        "inertia_positive": _is_pd(M),
-        "inertia_cross_term": _is_pd(cond2),
-        "damping_cross_term": _is_pd(cond3),
+        "inertia_positive": bool(m.min() > DEFINITENESS_MARGIN),
+        "inertia_cross_term": bool(lam_inertia > DEFINITENESS_MARGIN),
+        "damping_cross_term": bool(lam_damping > DEFINITENESS_MARGIN),
         "coupling_margin": bool(lhs_sym > rhs_sym * (1.0 + DEFINITENESS_MARGIN)),
         "coupling_margin_raw": bool(lhs_raw > rhs_raw * (1.0 + DEFINITENESS_MARGIN)),
     }

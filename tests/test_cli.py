@@ -122,6 +122,20 @@ def test_scenario_file_with_zero_reactance_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_scenario_file_with_fractional_link_endpoint_exits_1(tmp_path, capsys):
+    """A comm link [1.5, 2] is a format error: exit 1 with the key named, no
+    run and no output (it used to pass validation and die in the run)."""
+    doc = scenario_to_dict(toy_grid())
+    doc["comm_links"][0] = [1.5, 2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "error: comm_links[0]: link endpoint must be an integer, got 1.5" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_simulate_unwritable_output_exits_1(tmp_path, capsys):
     code = cli.main(["simulate", "toy", "--horizon", "0.5",
                      "--out", str(tmp_path / "missing_dir" / "run")])

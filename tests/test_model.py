@@ -178,3 +178,55 @@ def test_zero_reactance_is_a_format_error(toy):
     doc["lines"][0] = {"i": 1, "j": 2, "reactance": 0.0}
     with pytest.raises(ScenarioFormatError, match=r"lines\[0\]: reactance must be nonzero"):
         scenario_from_dict(doc)
+
+
+def _set(path, value):
+    """A change of a scenario document: path is a sequence of keys and
+    indices into it, its last element the one to set."""
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("nodes", 0, "id"), 1.5, r"nodes\[0\]: 'id' must be an integer, got 1.5"),
+    (("nodes", 0, "id"), "1", r"nodes\[0\]: 'id' must be an integer, got '1'"),
+    (("lines", 0, "i"), 2.9, r"lines\[0\]: 'i' must be an integer, got 2.9"),
+    (("lines", 0, "j"), True, r"lines\[0\]: 'j' must be an integer, got True"),
+    (("lines", 0, "i"), None, r"lines\[0\]: 'i' must be an integer, got None"),
+    (("comm_links", 0), [1.5, 2], r"comm_links\[0\]: link endpoint must be an integer, got 1.5"),
+    (("comm_links", 0), [2, 7, 8], r"comm_links\[0\]: link must be a pair of node ids"),
+    (("comm_links", 0), [2, float("inf")], r"comm_links\[0\]: link endpoint must be an integer"),
+    (("comm_failures",), [{"link": [2, 7.5], "time": 1.0}],
+     r"comm_failures\[0\]: 'link' endpoint must be an integer, got 7.5"),
+    (("disturbances", 0, "node"), 3.2, r"disturbances\[0\]: 'node' must be an integer, got 3.2"),
+    (("disturbances", 0, "node"), False, r"disturbances\[0\]: 'node' must be an integer"),
+    (("record_stride",), 2.7, r"scenario: 'record_stride' must be an integer, got 2.7"),
+])
+def test_non_integer_ids_are_format_errors(toy, path, value, message):
+    """Node ids, line and link endpoints, disturbance nodes and the record
+    stride must be integers: a fractional float is not truncated, a boolean
+    is not read as 0 or 1, and the error names the key."""
+    doc = scenario_to_dict(toy)
+    _set(path, value)(doc)
+    with pytest.raises(ScenarioFormatError, match=message):
+        scenario_from_dict(doc)
+
+
+def test_integral_floats_are_integers(toy):
+    """2.0 reads as 2 wherever an integer is expected, so such a file gives
+    the scenario of its integer twin, link endpoints included."""
+    doc = scenario_to_dict(toy)
+    for change in (_set(("nodes", 1, "id"), 2.0), _set(("lines", 0, "i"), 2.0),
+                   _set(("comm_links", 0), [2.0, 7.0]), _set(("disturbances", 0, "node"), 3.0),
+                   _set(("record_stride",), 100.0),
+                   _set(("comm_failures",), [{"link": [7.0, 2], "time": 1.0}])):
+        change(doc)
+    scn = scenario_from_dict(doc)
+    twin = scenario_from_dict(dict(scenario_to_dict(toy),
+                                   comm_failures=[{"link": [2, 7], "time": 1.0}]))
+    assert scn == twin
+    assert all(type(v) is int for link in scn.comm.links for v in link)
+    assert validate(scn) == []

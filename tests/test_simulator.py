@@ -8,7 +8,7 @@ from conftest import (random_grid, reference_integrate, sequential_context, shar
                       trajectory_states)
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
-from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
+from gridfreq.model import (SCHEMES, CommGraph, DisturbanceEvent, Line, NodeParams,
                             PowerGrid, Scenario, SystemState, with_overrides)
 from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
@@ -488,17 +488,17 @@ def loop_inputs(grid, comm, ctx):
 
 
 def loop_reset(grid, comm, ctx):
+    """The q rows of the rotation reset, one init_artificial call per unit state."""
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
     pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F)
-    R = np.eye(dim)
+    RQ = np.empty((n, dim))
     for k in range(dim):
         x = np.zeros(dim)
         x[k] = 1.0
         rx = held_messages(grid.cost() * x[n + e:2 * n + e], comm.links)
-        q0, _ = init_artificial(vector_to_state(0.0, x, grid, rx), grid, pair_ctx, comm)
-        R[2 * n + e:, k] = q0
-    return R
+        RQ[:, k], _ = init_artificial(vector_to_state(0.0, x, grid, rx), grid, pair_ctx, comm)
+    return RQ
 
 
 def scheme_cases(grid, comm):
@@ -524,14 +524,24 @@ def scheme_cases(grid, comm):
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
-@pytest.mark.parametrize("grid_name", ["toy", "n30"])
-def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
+def named_grid(toy, grid_name):
+    """(grid, comm) of a named test grid: the toy grid without its failures,
+    or a seeded random grid ("n30", "n60") whose links are its lines."""
     if grid_name == "toy":
-        grid, comm = toy.grid, dataclasses.replace(toy.comm, failed=())
-    else:
-        grid = random_grid(4, 30)
-        comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
+        return toy.grid, dataclasses.replace(toy.comm, failed=())
+    grid = random_grid(4, 30) if grid_name == "n30" else random_grid(0, 60)
+    return grid, CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("grid_name", ["toy", "n30", "n60"])
+def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
+    """[A B] assembled from the swing rows and one control_rate call is
+    byte-equal, signed zeros included, to one derivative() call on the
+    identity stack (direct_matrices), and so is the stability report's A
+    sliced from it; both equal the per-column loops of derivative() calls,
+    and the reset's q rows equal a loop of init_artificial calls."""
+    grid, comm = named_grid(toy, grid_name)
     scheme, ctx, live = scheme_cases(grid, comm)[case]
     n = grid.n_nodes
     rng = np.random.default_rng(case)
@@ -540,7 +550,14 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     if scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
         last_rx = held_messages(y, live.links)
     p = rng.normal(size=n)
-    A, B, _ = context_matrices(grid, live, ctx)
+    got, want = context_matrices(grid, live, ctx), direct_matrices(grid, live, ctx)
+    for g, w in zip(got, want):
+        assert (g is w is None) or (g.shape == w.shape and g.tobytes() == w.tobytes())
+    e = grid.n_lines
+    keep = list(range(2 * n + e)) + [2 * n + e + i for i in sorted(ctx.F)]
+    A_kept = want[0][np.ix_(keep, keep)]
+    assert assemble_state_matrix(grid, live, ctx).A.tobytes() == A_kept.tobytes()
+    A, B, _ = got
     A_ref, _ = loop_affine(grid, live, ctx, np.zeros(n), held_messages(np.zeros(n), live.links),
                            0.3)
     assert np.array_equal(A, A_ref)
@@ -551,8 +568,9 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
     if ctx.F:
         R = rotation_reset(grid, live, ctx)
+        assert R.shape == (n, len(A))
         assert np.array_equal(R, loop_reset(grid, live, ctx))
-        assert np.abs(R[2 * grid.n_nodes + grid.n_lines:]).max() > 0.0
+        assert np.abs(R).max() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +584,7 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     full (A, B) within 1e-14 of its largest entry, and so do their k-step
     maps (k = 10, 100). The frozen states are the q_i outside F, and the
     full maps' rows of them are exactly zero."""
-    if grid_name == "toy":
-        grid, comm = toy.grid, dataclasses.replace(toy.comm, failed=())
-    else:
-        grid = random_grid(4, 30)
-        comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
+    grid, comm = named_grid(toy, grid_name)
     n, e = grid.n_nodes, grid.n_lines
     cases = [(ctx, live) for scheme, ctx, live in scheme_cases(grid, comm)
              if scheme != "SEQUENTIAL"]
@@ -593,9 +607,10 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
 
 @pytest.mark.parametrize("grid_name", ["toy", "n30"])
 def test_rotation_reset_folds_through_q_rows(toy, grid_name):
-    """interval_map folds a SEQUENTIAL rotation's reset R into the interval
-    map through R's q rows alone. For every SEQUENTIAL context the result
-    equals D R + R - I with the full product, within 1e-14 of its largest
+    """A SEQUENTIAL context keeps its reset R as R's N q rows, and
+    interval_map folds R into the interval map through them alone. For
+    every SEQUENTIAL context the result equals D R + R - I with the full R,
+    the identity with its q rows replaced, within 1e-14 of its largest
     entry, and G_K is the unreset map's."""
     if grid_name == "toy":
         grid, comm = toy.grid, toy.comm
@@ -604,11 +619,15 @@ def test_rotation_reset_folds_through_q_rows(toy, grid_name):
         comm = CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines))
     contexts = modes("SEQUENTIAL", grid.edge_set(), comm.links)
     assert len(contexts) == len(shared_links(grid, comm))
+    n, e = grid.n_nodes, grid.n_lines
     for ctx in contexts:
         step = context_step(grid, comm, ctx, 1e-3)
+        assert step.R.shape == (n, 3 * n + e)
         D, G = interval_map(grid, step, 10)
         D0, G0 = interval_map(grid, dataclasses.replace(step, R=None), 10)
-        want = D0 @ step.R + step.R - np.eye(len(D0))
+        R = np.eye(len(D0))
+        R[2 * n + e:] = step.R
+        want = D0 @ R + R - np.eye(len(D0))
         assert np.abs(D - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(G, G0)
 
@@ -785,12 +804,12 @@ def test_rotation_records_match_oracle(rotation_oracle, stride):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the calls of controllers.init_artificial, kernels.jump,
-    kernels.one_step_map, kernels.k_step_map and simulator.derivative made
-    from here on."""
+    """Counts of the calls of controllers.init_artificial,
+    controllers.control_rate, kernels.jump, kernels.one_step_map,
+    kernels.k_step_map and simulator.derivative made from here on."""
     from gridfreq import controllers, kernels, simulator
-    counts = dict.fromkeys(["init_artificial", "jump", "one_step_map", "k_step_map",
-                            "derivative"], 0)
+    counts = dict.fromkeys(["init_artificial", "control_rate", "jump", "one_step_map",
+                            "k_step_map", "derivative"], 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -800,7 +819,8 @@ def calls(monkeypatch):
             return inner(*args, **kw)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((controllers, "init_artificial"), (kernels, "jump"),
+    for module, name in ((controllers, "init_artificial"), (controllers, "control_rate"),
+                         (kernels, "jump"),
                          (simulator, "jump"), (kernels, "one_step_map"),
                          (simulator, "one_step_map"), (kernels, "k_step_map"),
                          (simulator, "k_step_map"), (simulator, "derivative")):
@@ -838,11 +858,11 @@ def ring_scenario(n, stride):
 def test_one_step_map_built_once_per_context(toy, calls, case):
     """A run builds RK4's one-step map once per live links and context:
     interval maps square the cached map and partial intervals jump with it.
-    A rotation calls derivative once per set of live links, for its base;
-    each pair context is the base with its pair's rows replaced. Toy
-    SEQUENTIAL at record_stride 105 stops inside intervals of its ten
-    contexts; the ring rotates over 20 shared links and stops inside
-    intervals of each at record_stride 7."""
+    A rotation calls control_rate once per set of live links, for its base,
+    and derivative never; each pair context is the base with its pair's
+    rows replaced. Toy SEQUENTIAL at record_stride 105 stops inside
+    intervals of its ten contexts; the ring rotates over 20 shared links and
+    stops inside intervals of each at record_stride 7."""
     if case == "toy":
         scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=10.0,
                              record_stride=105)
@@ -853,7 +873,8 @@ def test_one_step_map_built_once_per_context(toy, calls, case):
     contexts = {(pc.comm, c) for pc in pieces for c in pc.contexts + (pc.lead,)}
     assert len(contexts) == (10 if case == "toy" else 20)
     assert calls["one_step_map"] == len(contexts)
-    assert calls["derivative"] == len({pc.comm for pc in pieces}) == 1
+    assert calls["control_rate"] == len({pc.comm for pc in pieces}) == 1
+    assert calls["derivative"] == 0
     if case == "ring":
         x_ref = reference_integrate(scn, 500)
         assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
@@ -861,22 +882,24 @@ def test_one_step_map_built_once_per_context(toy, calls, case):
 
 def direct_matrices(grid, comm, ctx):
     """(A, B, R) of ctx from one derivative() call of ctx itself on the
-    identity stack of [x; y; p], and R from rotation_reset's own stack."""
+    identity stack of [x; y; p], and for a SEQUENTIAL context R, the q rows
+    of its reset, from rotation_reset's own stack (None otherwise)."""
     n = grid.n_nodes
     dim = 3 * n + grid.n_lines
     W = np.eye(dim + 2 * n)
     X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
     dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
                     grid, comm, ctx, P)
-    return dx[:dim].T, dx[dim:].T, rotation_reset(grid, comm, ctx)
+    R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
+    return dx[:dim].T, dx[dim:].T, R
 
 
-def rotation_failing_mid_interval():
-    """SEQUENTIAL on a seeded 30-node grid whose links are all shared
-    (K = 10): the link of the third interval fails at step 25, inside that
-    interval, so the second piece leads with the failed pair on the
+def rotation_failing_mid_interval(n=30):
+    """SEQUENTIAL on a seeded n-node grid (30 or 60) whose links are all
+    shared (K = 10): the link of the third interval fails at step 25, inside
+    that interval, so the second piece leads with the failed pair on the
     remaining links."""
-    grid = random_grid(4, 30)
+    grid = random_grid(4, 30) if n == 30 else random_grid(0, 60)
     links = tuple((ln.i, ln.j) for ln in grid.lines)
     failing = sorted(links)[2]
     comm = CommGraph(links=links, message_interval=0.01, failed=((failing, 0.025),))
@@ -884,24 +907,25 @@ def rotation_failing_mid_interval():
                     record_stride=7), failing
 
 
-@pytest.mark.parametrize("case", ["toy", "ring", "n30_failure"])
+@pytest.mark.parametrize("case", ["toy", "ring", "n30_failure", "n60_failure"])
 def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
     """Every context a rotation runs (its pairs and each piece's lead), built
     from the rotation_base of its live links, has (A, B, R) byte-equal, signed
     zeros included, to one derivative() call of that context on the
-    identity stack. The run calls derivative once per set of live links and
-    its records match the oracle. On the 30-node grid the second piece leads
-    with the failed pair on the links that remain."""
+    identity stack. The run calls control_rate once per set of live links,
+    for its base, and derivative never, and its records match the oracle.
+    On the 30- and 60-node grids the second piece leads with the failed pair
+    on the links that remain."""
     if case == "toy":
         scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=0.2,
                              record_stride=7)
     elif case == "ring":
         scn = ring_scenario(20, 7)
     else:
-        scn, failing = rotation_failing_mid_interval()
+        scn, failing = rotation_failing_mid_interval(int(case[1:3]))
     grid = scn.grid
     pieces = schedule(scn).pieces
-    if case == "n30_failure":
+    if case.endswith("_failure"):
         assert pieces[1].start == 25 and pieces[1].lead.F == set(failing)
         assert failing not in pieces[1].comm.links
     for comm in {pc.comm for pc in pieces}:
@@ -912,12 +936,32 @@ def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
             got, want = context_matrices(grid, comm, ctx, base), direct_matrices(grid, comm, ctx)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    calls["derivative"] = 0
+    calls["derivative"] = calls["control_rate"] = 0
     traj = integrate(scn)
-    assert calls["derivative"] == len({pc.comm for pc in pieces})
+    assert calls["control_rate"] == len({pc.comm for pc in pieces})
+    assert calls["derivative"] == 0
     oracle = reference_integrate(scn, schedule(scn).n_steps, every=1)
     for k, step in enumerate(np.round(traj.times / scn.dt).astype(int)):
         assert np.abs(state_to_vector(traj.state_at(k)) - oracle[step]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_integrate_calls_the_law_once_per_context_or_base(toy, calls, scheme):
+    """integrate() never calls derivative(): it assembles [A B] from the
+    swing rows and one control_rate call per context, or per rotation base
+    under SEQUENTIAL, whose pair contexts take flow_rate's rows. Toy grid,
+    link (2,7) failing at 0.3 s (PAIR_FLOW runs the two-node grid)."""
+    if scheme == "PAIR_FLOW":
+        scn = with_overrides(pair_scenario(horizon=0.6), failures=(((0, 1), 0.3),))
+    else:
+        T = 0.01 if scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL") else None
+        scn = with_overrides(toy, scheme=scheme, message_interval=T, horizon=0.6,
+                             failures=(((1, 6), 0.3),))
+    maps = integrate(scn).diagnostics["maps"]
+    contexts = 0 if scheme == "SEQUENTIAL" else maps["stretch"]
+    assert maps["base"] == (2 if scheme == "SEQUENTIAL" else 0)
+    assert calls["control_rate"] == contexts + maps["base"] > 0
+    assert calls["derivative"] == 0
 
 
 def test_run_counts_its_maps_and_kernel_calls(toy):
@@ -960,16 +1004,18 @@ def test_sampling_stops_call_no_control_law(calls):
     """With record_stride 7 the rotation stops at every record, mostly
     between instants, and at an instant before each record. No stop calls
     a control law: the offset of a partial interval is G [y; p] and an
-    instant resets q by the cached R, so derivative runs at most once per
-    context, to build the matrices, and init_artificial only to build R and
-    at the pieces' inits. Every row matches the oracle."""
+    instant resets q by the cached R, so control_rate runs at most once per
+    context, to build the matrices, derivative never, and init_artificial
+    only to build R and at the pieces' inits. Every row matches the
+    oracle."""
     scn = rotation_scenario(7)
     traj = integrate(scn)
     pieces = schedule(scn).pieces
     contexts = {(pc.comm, c) for pc in pieces for c in pc.contexts + (pc.lead,)}
     inits = sum(pc.init is not None for pc in pieces)
     assert calls["init_artificial"] <= len(contexts) + inits
-    assert calls["derivative"] <= len(contexts)
+    assert calls["control_rate"] <= len(contexts)
+    assert calls["derivative"] == 0
     steps = np.round(traj.times / scn.dt).astype(int)
     assert list(steps) == list(range(0, 601, 7)) + [600]
     oracle = reference_integrate(scn, 600, every=1)

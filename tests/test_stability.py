@@ -240,6 +240,43 @@ class TestSufficientMultiNode:
             and v["damping_cross_term"]
         assert v["coupling_margin"]  # lam_max of the zero matrix is 0
 
+    def test_each_matrix_is_solved_once(self, toy, monkeypatch):
+        """The cross terms are the symmetric parts of the coupling factors,
+        so the check makes three symmetric and three general eigen-solves,
+        none on the diagonal M; its verdict on the toy failed pair (2,7)
+        is the one of the per-condition solves."""
+        grid = toy.grid
+        pair = (1, 6)
+        comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
+        P, Lstar = failed_pair_last(grid, comm, pair)
+        M, D, C = (P @ np.diag(v) @ P.T for v in (grid.inertia(), grid.droop(), grid.cost()))
+        LpB = P @ grid.weighted_laplacian() @ P.T
+        solves = []
+        for name in ("eigvalsh", "eigvals"):
+            inner = getattr(np.linalg, name)
+
+            def counted(X, inner=inner, name=name):
+                solves.append(name)
+                return inner(X)
+            monkeypatch.setattr(np.linalg, name, counted)
+        verdict = check_sufficient_multi_node(M, D, C, Lstar, LpB)
+        assert sorted(solves) == ["eigvals"] * 3 + ["eigvalsh"] * 3
+        monkeypatch.undo()
+
+        def lam(X, pick):
+            return pick(np.linalg.eigvalsh(0.5 * (X + X.T)))
+        LC = Lstar @ C
+        cond2 = 0.5 * (LC @ M + M @ C @ Lstar.T) + D
+        cond3 = LpB + 0.5 * (LC @ D + D @ C @ Lstar.T) + np.linalg.inv(C)
+        lhs = lam(LpB + LC @ D + np.linalg.inv(C), min) * lam(LC @ M + D, min)
+        assert verdict == {
+            **verdict,
+            "inertia_positive": lam(M, min) > 1e-9,
+            "inertia_cross_term": lam(cond2, min) > 1e-9,
+            "damping_cross_term": lam(cond3, min) > 1e-9,
+            "coupling_margin": lhs > lam(LC @ LpB, max) * lam(M, max) * (1 + 1e-9),
+        }
+
     def test_toy_failed_pair_verdict_consistent_with_spectrum(self, toy):
         grid = toy.grid
         n = grid.n_nodes
