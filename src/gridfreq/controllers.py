@@ -13,7 +13,7 @@ and each held value in last_rx is then a scalar or a (k,) array. Nodes are
 indexed on the last axis, so one call evaluates the law on k states at
 once; the simulator takes the u and q rows of its matrices from one call
 on the unit vectors of the states and held values the law reads
-(simulator.law_rows).
+(simulator._system).
 
 The law is written in two parts. control_rate averages every node over the
 live links, skipping the messages into F, then overwrites the u and q rates
@@ -28,7 +28,6 @@ the failed ones, as each piece of simulator.schedule() carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -101,37 +100,24 @@ def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
     flow_rate, whose rates overwrite its u and q rows. dq is zero outside
     F. With F empty this is plain averaging; with F a power-line pair it is
     the two-node flow law on that pair.
-
-    The sum over a node's links is deg_i y_i minus the sum of the values it
-    receives on the directed links into nodes outside F: under HOLD_SCHEMES
-    one gather of those held values and one product with the 0/1 matrix of
-    their receivers, otherwise one product of y with the adjacency of those
-    links. Held values share one shape.
     """
     C = grid.cost()
-    n = len(C)
     y = C * state.u
-    links = np.fromiter(chain.from_iterable(comm.links), dtype=int,
-                        count=2 * len(comm.links)).reshape(-1, 2)
-    src, dst = links.ravel(), links[:, ::-1].ravel()     # (a, b) then (b, a), in link order
-    outside = np.ones(n, dtype=bool)
-    outside[list(ctx.F)] = False
-    src, dst = src[outside[dst]], dst[outside[dst]]
-    if ctx.scheme in HOLD_SCHEMES:
-        try:
-            held = np.array([state.last_rx[link] for link in zip(src.tolist(), dst.tolist())])
-        except KeyError as exc:
-            a, b = exc.args[0]
-            raise KeyError(f"no held value for live link {a + 1}->{b + 1} "
-                           f"at t={state.t}") from None
-        receivers = np.zeros((len(dst), n))
-        receivers[np.arange(len(dst)), dst] = 1.0
-        received = held.T @ receivers
-    else:
-        adjacency = np.zeros((n, n))
-        np.add.at(adjacency, (src, dst), 1.0)
-        received = y @ adjacency
-    du = -state.omega / C - (np.bincount(dst, minlength=n) * y - received)
+    du = -state.omega / C
+    hold = ctx.scheme in HOLD_SCHEMES
+    for a, b in comm.links:
+        for src, dst in ((a, b), (b, a)):
+            if dst in ctx.F:
+                continue
+            if hold:
+                try:
+                    sent = state.last_rx[(src, dst)]
+                except KeyError:
+                    raise KeyError(f"no held value for live link {src + 1}->{dst + 1} "
+                                   f"at t={state.t}") from None
+            else:
+                sent = y[..., src]
+            du[..., dst] -= y[..., dst] - sent
     dq = np.zeros(np.shape(state.u))
     flow_rate(state, grid, ctx.F, du, dq)
     return du, dq

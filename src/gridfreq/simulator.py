@@ -19,22 +19,22 @@ with p its fixed powers and y the held messages, C u of the last sampling
 instant (under continuous messaging B reads no y). context_matrices
 assembles a context's [A B] from those two definitions, each evaluated on
 the unit vectors of the blocks of [x; y; p] it reads and on one zero row
-(_spread): the omega and flow rows from swing_rate once per run
-(swing_rows: they depend on the grid alone), the u and q rows from one
-control_rate call on unit omega, u, q and, under HOLD_SCHEMES, y: 3N + 1
-or 4N + 1 rows (law_rows). Every other entry is the rate at zero, so
+(_spread): the omega and flow rows from one swing_rate call on unit
+omega, f, u and p (swing_rows), the u and q rows from one control_rate
+call on unit omega, u, q and, under HOLD_SCHEMES, y: 3N + 1 or 4N + 1
+rows (_law_probe, _system). Every other entry is the rate at zero, so
 [A B] holds the bits, signed zeros included, of one derivative() call on
-the identity stack of [x; y; p]. A SEQUENTIAL
-rotation makes its control_rate call once per set of live links
-(rotation_base) and gives each pair context the base's [A B] with the
-pair's u and q rows replaced by the flow law's (controllers.flow_rate),
-bit for bit. context_step builds RK4's one-step map from [A B], the one
-linear system a run keeps per live links and context. That map acts on
-the states the context moves, those whose row of [A B] is not zero: a
-state the context holds constant, such as q_i outside the flow-controlled
-set F, enters as an input like p. A sampling instant is a linear reset: y
-refreshes to C u, and SEQUENTIAL resets q to R x, R the N q rows of the
-rotation's reset. So a whole message interval is one exact affine map
+the identity stack of [x; y; p]. A SEQUENTIAL rotation makes its
+control_rate call once per set of live links (rotation_base) and gives
+each pair context the base's [A B] with the pair's u and q rows replaced
+by the flow law's (controllers.flow_rate, pair_system), bit for bit.
+context_step builds RK4's one-step map from [A B], the one linear system
+a run keeps per live links and context. That map acts on the states the
+context moves, those whose row of [A B] is not zero: a state the context
+holds constant, such as q_i outside the flow-controlled set F, enters as
+an input like p. A sampling instant is a linear reset: y refreshes to
+C u, and SEQUENTIAL resets q to R x, R the N q rows of the rotation's
+reset. So a whole message interval is one exact affine map
 (interval_map), and a whole SEQUENTIAL rotation cycle the composition of
 its interval maps (kernels.compose_maps).
 
@@ -272,20 +272,21 @@ def _spread(rates: np.ndarray, cols: Tuple[slice, ...], out: np.ndarray) -> np.n
     return out
 
 
-def swing_rows(grid: PowerGrid) -> np.ndarray:
-    """The omega and flow rows of [A B], (N + E, dim + 2N), the same for
-    every context: one swing_rate call on the unit vectors of the blocks it
-    reads, omega, f, u and p, then a zero row (q zero), spread over the
-    columns of [x; y; p] as _spread does. A run builds them once."""
+def swing_rows(grid: PowerGrid, out: np.ndarray) -> np.ndarray:
+    """Write the omega and flow rows of [A B], the same for every context,
+    into out, (N + E, dim + 2N), and return it: one swing_rate call on the
+    unit vectors of the blocks it reads, omega, f, u and p, then a zero row
+    (q zero), spread over the columns of [x; y; p] (_spread)."""
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    k = 3 * n + e
-    unit = np.eye(k + 1, k)
+    unit = np.eye(dim + 1, dim)      # omega, f, u and p: 3N + E columns, as many as x
     state = SystemState(0.0, unit[:, :n], unit[:, n:n + e], unit[:, n + e:2 * n + e],
                         np.zeros((1, n)))
-    rates = np.concatenate(swing_rate(state, grid, unit[:, 2 * n + e:]), axis=-1)
+    domega, dflow = swing_rate(state, grid, unit[:, 2 * n + e:])
     cols = (slice(0, 2 * n + e), slice(dim + n, dim + 2 * n))
-    return _spread(rates, cols, np.empty((n + e, dim + 2 * n)))
+    _spread(domega, cols, out[:n])
+    _spread(dflow, cols, out[n:])
+    return out
 
 
 def _reset_stack(grid: PowerGrid, comm: CommGraph) -> SystemState:
@@ -314,62 +315,61 @@ def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
 @dataclass(frozen=True, eq=False)
 class RotationBase:
     """What a SEQUENTIAL rotation's contexts share on one set of live links:
-    the u and q rows of [A B] of the law with F empty, the law probe they
-    were evaluated on and the identity stack of the resets
-    (rotation_base)."""
+    the [A B] of the law with F empty, the law probe its u and q rows were
+    evaluated on and the identity stack of the resets (rotation_base)."""
 
-    law: np.ndarray            # (2N, dim + 2N)
+    AB: np.ndarray             # (dim, dim + 2N)
     probe: Tuple[SystemState, Tuple[slice, ...]]    # _law_probe
     resets: SystemState        # _reset_stack
 
 
 def rotation_base(grid: PowerGrid, comm: CommGraph) -> RotationBase:
-    """The base of a rotation on the live links of comm: the u and q rows
-    of the context (SEQUENTIAL, F = {}) from its one control_rate call.
+    """The base of a rotation on the live links of comm: the [A B] of the
+    context (SEQUENTIAL, F = {}), with its one control_rate call.
     control_rate differs from it under a pair F only in the u and q rows of
-    F, which flow_rate overwrites, so a pair context's rows are these with
-    those replaced (law_rows)."""
-    probe = _law_probe(grid, comm, hold=True)
-    law = _law_rows(grid, comm, ControlContext("SEQUENTIAL"), probe)
-    return RotationBase(law, probe, _reset_stack(grid, comm))
+    F, which flow_rate overwrites, so a pair context's [A B] is this one
+    with those rows replaced (pair_system)."""
+    return RotationBase(*_system(grid, comm, ControlContext("SEQUENTIAL")),
+                        _reset_stack(grid, comm))
 
 
-def _law_rows(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-              probe: Tuple[SystemState, Tuple[slice, ...]]) -> np.ndarray:
-    """The u and q rows of [A B] of ctx, (2N, dim + 2N), from one
-    control_rate call on probe, its _law_probe."""
+def _system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
+            ) -> Tuple[np.ndarray, Tuple[SystemState, Tuple[slice, ...]]]:
+    """[A B] of ctx on the live links of comm, (dim, dim + 2N), and the law
+    probe it was evaluated on: the swing rows (swing_rows) over the law's u
+    and q rows from one controllers.control_rate call on the unit vectors
+    of the blocks the law reads (_law_probe), spread over the columns of
+    [x; y; p] (_spread). The probe is built after the swing rows, so it can
+    take the memory of theirs."""
     n, e = grid.n_nodes, grid.n_lines
+    AB = np.empty((3 * n + e, 5 * n + e))
+    swing_rows(grid, AB[:n + e])
+    probe = _law_probe(grid, comm, ctx.scheme in HOLD_SCHEMES)
     stack, cols = probe
     du, dq = controllers.control_rate(stack, grid, comm, ctx)
-    rows = np.empty((2 * n, 5 * n + e))
-    _spread(du, cols, rows[:n])
-    _spread(dq, cols, rows[n:])
-    return rows
+    _spread(du, cols, AB[n + e:2 * n + e])
+    _spread(dq, cols, AB[2 * n + e:])
+    return AB, probe
 
 
-def law_rows(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-             base: Optional[RotationBase] = None) -> np.ndarray:
-    """The u and q rows of [A B] of ctx on the live links of comm, (2N,
-    dim + 2N): one controllers.control_rate call on the unit vectors of the
-    blocks the law reads (_law_probe). With a rotation base, a copy of the
-    base's rows with the u and q rows of ctx.F replaced by
-    controllers.flow_rate on the base's probe: the entries control_rate
-    gives, bit for bit, as it overwrites those rows whole and skips only
-    the messages into F."""
-    if base is None:
-        return _law_rows(grid, comm, ctx, _law_probe(grid, comm, ctx.scheme in HOLD_SCHEMES))
-    n = grid.n_nodes
+def pair_system(grid: PowerGrid, ctx: ControlContext, base: RotationBase) -> np.ndarray:
+    """[A B] of the SEQUENTIAL pair context ctx: a copy of the base's with
+    the u and q rows of the nodes of ctx.F replaced by controllers.flow_rate
+    on the base's probe. These are the entries _system gives, bit for bit,
+    as control_rate overwrites those rows whole and skips only the messages
+    into F."""
+    n, e = grid.n_nodes, grid.n_lines
     stack, cols = base.probe
     du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
     nodes = controllers.flow_rate(stack, grid, ctx.F, du, dq)
-    rows, pair = base.law.copy(), np.empty((len(nodes), base.law.shape[1]))
-    rows[nodes] = _spread(du[:, nodes], cols, pair)
-    rows[[n + i for i in nodes]] = _spread(dq[:, nodes], cols, pair)
-    return rows
+    AB, pair = base.AB.copy(), np.empty((len(nodes), base.AB.shape[1]))
+    AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, pair)
+    AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, pair)
+    return AB
 
 
 def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-                     base: Optional[RotationBase] = None, swing: Optional[np.ndarray] = None
+                     base: Optional[RotationBase] = None
                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(A, B, R) of a control context on the live links of comm: the piece
 
@@ -380,39 +380,36 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
     SEQUENTIAL rotation to the pair ctx.F at an instant (rotation_reset),
     None for the other schemes, which rotate no pair.
 
-    [A B] is assembled from the dynamics' two definitions: the omega and
-    flow rows are swing_rows(grid) (swing when given), and the u and q rows
-    law_rows, one controllers.control_rate call on the unit vectors of the
-    law's inputs, omega, u, q and, under HOLD_SCHEMES, the held y, and on a
-    zero row, which gives every column the law does not read (_spread).
-    Exact because the dynamics are linear in the state once the event data
-    (held messages, powers, the set F) is frozen, and byte-equal, signed
-    zeros included, to one derivative() call on the identity stack of
-    [x; y; p]; the y columns of B are zero outside HOLD_SCHEMES, which read
-    no held message. Given the rotation_base of comm, a SEQUENTIAL context
-    takes the base's rows and its own pair rows instead, with the same
-    bits. A and B are views of one new [A B].
+    [A B] is assembled from the dynamics' two definitions (_system): the
+    omega and flow rows are swing_rows, and the u and q rows come from one
+    controllers.control_rate call on the unit vectors of the law's inputs,
+    omega, u, q and, under HOLD_SCHEMES, the held y, and on a zero row,
+    which gives every column the law does not read (_spread). Exact
+    because the dynamics are linear in the state once the event data (held
+    messages, powers, the set F) is frozen, and byte-equal, signed zeros
+    included, to one derivative() call on the identity stack of [x; y; p];
+    the y columns of B are zero outside HOLD_SCHEMES, which read no held
+    message. Given the rotation_base of comm, a SEQUENTIAL context takes
+    the base's [A B] with its own pair rows instead (pair_system), with
+    the same bits. A and B are views of one new [A B].
     """
-    AB = _system(grid, comm, ctx, base, swing)
+    AB, R = _assemble(grid, comm, ctx, base)
     dim = len(AB)
-    return AB[:, :dim], AB[:, dim:], _reset(grid, comm, ctx, base)
+    return AB[:, :dim], AB[:, dim:], R
 
 
-def _system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-            base: Optional[RotationBase], swing: Optional[np.ndarray]) -> np.ndarray:
-    """[A B] of context_matrices: the swing rows (swing_rows(grid) unless
-    given) over law_rows."""
-    swing = swing_rows(grid) if swing is None else swing
-    return np.concatenate([swing, law_rows(grid, comm, ctx, base)])
-
-
-def _reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-           base: Optional[RotationBase]) -> Optional[np.ndarray]:
-    """rotation_reset of a SEQUENTIAL context, on the base's stack when
-    given; None for the other schemes."""
-    if ctx.scheme != "SEQUENTIAL":
-        return None
-    return rotation_reset(grid, comm, ctx, None if base is None else base.resets)
+def _assemble(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+              base: Optional[RotationBase]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """[A B] and R of context_matrices: pair_system of base when given,
+    else _system; R on the base's reset stack when given."""
+    if base is None:
+        AB, _ = _system(grid, comm, ctx)
+    else:
+        AB = pair_system(grid, ctx, base)
+    R = None
+    if ctx.scheme == "SEQUENTIAL":
+        R = rotation_reset(grid, comm, ctx, None if base is None else base.resets)
+    return AB, R
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,14 +447,13 @@ class StepMap:
 
 
 def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
-                 base: Optional[RotationBase] = None,
-                 swing: Optional[np.ndarray] = None) -> StepMap:
+                 base: Optional[RotationBase] = None) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of its
-    context_matrices, from base and swing when given) on the states the
-    context moves, with the frozen states it reads as inputs (StepMap), and
-    its reset's q rows R. The moving set is read off the assembled [A B],
-    not off the scheme; [A B] is dropped before the map is built."""
-    AB = _system(grid, comm, ctx, base, swing)      # columns over [x; y; p]
+    context_matrices, from base when given) on the states the context
+    moves, with the frozen states it reads as inputs (StepMap), and its
+    reset's q rows R. The moving set is read off the assembled [A B], not
+    off the scheme; [A B] is dropped before the map is built."""
+    AB, R = _assemble(grid, comm, ctx, base)      # columns over [x; y; p]
     shape = AB.shape
     moving = np.flatnonzero(AB.any(axis=1))
     AB = AB[moving]
@@ -467,7 +463,7 @@ def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float
     A, B = AB[:, moving], AB[:, inputs]
     del AB      # one_step_map's products reuse its memory
     D, G = one_step_map(A, B, h)
-    return StepMap(D, G, moving, inputs, _reset(grid, comm, ctx, base), shape)
+    return StepMap(D, G, moving, inputs, R, shape)
 
 
 def interval_map(grid: PowerGrid, step: StepMap, K: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -766,10 +762,9 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     init. Under continuous messaging, and where schedule() ignores T, no
     message is held and rx_series is None.
 
-    One loop executes the calls of plan(). The run builds the swing rows of
-    [A B] once (swing_rows) and each call's map once per live links, kind
-    and key (a rotation over L links keeps L + 1 maps of dim * (dim + N)
-    floats, and its rotation_base): it calls controllers.control_rate once
+    One loop executes the calls of plan(). The run builds each call's map
+    once per live links, kind and key (a rotation over L links keeps L + 1
+    maps of dim * (dim + N) floats, and its rotation_base): it calls controllers.control_rate once
     per context outside a rotation and once per rotation_base, and
     derivative() never. It squares each k-step map that kernels.jump uses
     once: pieces that share a context, such as the two sides of a
@@ -827,16 +822,13 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     def cached(kind: str, comm: CommGraph, key):
         """The map of a call of this kind and key on the live links comm,
         and the dict of the k-step maps that kernels.jump squares from it;
-        for kind "base" (key None) the rotation_base of comm alone, and for
-        kind "swing" (comm and key None) the run's swing_rows."""
-        if kind == "swing":
-            return swing_rows(grid)
+        for kind "base" (key None) the rotation_base of comm alone."""
         built[kind] += 1
         if kind == "base":
             return rotation_base(grid, comm)
         if kind == "stretch":
             base = cached("base", comm, None) if key.scheme == "SEQUENTIAL" else None
-            return context_step(grid, comm, key, dt, base, cached("swing", None, None)), {}
+            return context_step(grid, comm, key, dt, base), {}
         if kind == "intervals":
             return interval_map(grid, cached("stretch", comm, key)[0], K), {}
         return compose_maps([cached("intervals", comm, c)[0] for c in key]), {}

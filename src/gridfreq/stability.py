@@ -37,8 +37,8 @@ import numpy as np
 from .controllers import ControlContext, Link
 from .kernels import compose_maps
 from .model import HOLD_SCHEMES, CommGraph, PowerGrid
-from .simulator import (context_step, interval_map, law_rows, modes, rotation_base,
-                        state_labels, swing_rows)
+from .simulator import (context_matrices, context_step, interval_map, modes, rotation_base,
+                        state_labels)
 
 STRUCTURAL_ZERO_TOL = 1e-8
 DEFINITENESS_MARGIN = 1e-9
@@ -79,19 +79,19 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
-    A sliced out of the simulator's assembly of [A B], the swing rows and
-    the law's u and q rows (simulator.swing_rows, simulator.law_rows): the
-    same bits as a run's matrices (exact: the dynamics are linear).
-    Artificial variables outside the flow-controlled nodes ctx.F are left
-    out, since the law never touches them. Held messages are inputs, not
-    state. comm holds the live links only.
+    A sliced out of the simulator's assembly of [A B]
+    (simulator.context_matrices): the same bits as a run's matrices
+    (exact: the dynamics are linear). Artificial variables outside the
+    flow-controlled nodes ctx.F are left out, since the law never touches
+    them. Held messages are inputs, not state. comm holds the live links
+    only.
     """
     n, e = grid.n_nodes, grid.n_lines
     q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
-    law = law_rows(grid, comm, ctx)       # the u rows, then the q rows
-    rows = np.concatenate([swing_rows(grid), law[:n], law[[n + i for i in q_nodes]]])
-    return StateMatrix(A=rows[:, keep], labels=state_labels(grid, q_nodes), q_nodes=q_nodes)
+    A, _, _ = context_matrices(grid, comm, ctx)
+    return StateMatrix(A=A[np.ix_(keep, keep)], labels=state_labels(grid, q_nodes),
+                       q_nodes=q_nodes)
 
 
 def spectrum(A) -> SpectrumReport:
@@ -115,8 +115,8 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
     SEQUENTIAL: the map of one rotation cycle over its L shared links, the
     product of L interval maps (kernels.compose_maps, as integrate() crosses
-    whole cycles), with period L T; its L contexts share one rotation_base
-    and the swing rows, as a run's do. The eigenvalues are 1 plus those of
+    whole cycles), with period L T; its L contexts share one rotation_base,
+    as a run's do. The eigenvalues are 1 plus those of
     the map's increment D, so those near 1 keep their digits. Eigenvalues
     within STRUCTURAL_ZERO_TOL * period of 1 are the images of structural
     zeros and of states no law moves; they are counted apart, and the rest
@@ -131,8 +131,7 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
                          "to rotate over")
     K = int(round(T / dt))
     base = rotation_base(grid, comm) if scheme == "SEQUENTIAL" else None
-    swing = swing_rows(grid)
-    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt, base, swing), K)
+    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt, base), K)
                          for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu

@@ -573,6 +573,36 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
         assert np.abs(R).max() > 0.0
 
 
+@pytest.mark.parametrize("scheme", ["CONSENSUS", "CONSENSUS_SAMPLED"])
+def test_assembly_sums_the_links_one_at_a_time(scheme):
+    """The law's u rows of [A B] sum a node's links one directed link at a
+    time, in link order, as a per-link loop of scalar updates does. On a
+    star whose hub has six links and cost C = 1.75 + 2^-51, the hub's entry
+    in its own u column is -C - C - ... - C = -(10.5 + 2^-49), not the
+    rounded product -6 C = -(10.5 + 2^-48)."""
+    hold = scheme == "CONSENSUS_SAMPLED"
+    C = 1.75 + 2.0 ** -51
+    costs = np.array([C] + [1.0 + k / 8 for k in range(6)])
+    grid = PowerGrid(tuple(NodeParams(k + 1, 0.1, 1.0, c, 0.0) for k, c in enumerate(costs)),
+                     tuple(Line(0, j, 1.0) for j in range(1, 7)))
+    comm = CommGraph(links=tuple((0, j) for j in range(1, 7)),
+                     message_interval=0.01 if hold else None)
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    A, B, _ = context_matrices(grid, comm, ControlContext(scheme))
+    want = np.empty((n, dim + 2 * n))
+    for k, z in enumerate(np.eye(dim + 2 * n)):
+        omega, y, held = z[:n], costs * z[n + e:2 * n + e], z[dim:dim + n]
+        du = -omega / costs
+        for a, b in comm.links:
+            for src, dst in ((a, b), (b, a)):
+                du[dst] -= y[dst] - (held[src] if hold else y[src])
+        want[:, k] = du
+    got = np.concatenate([A, B], axis=1)[n + e:2 * n + e]
+    assert got.tobytes() == want.tobytes()
+    assert A[n + e, n + e] == -(10.5 + 2.0 ** -49) != -6 * C
+
+
 # ---------------------------------------------------------------------------
 # Maps on the moving states
 
