@@ -57,6 +57,8 @@ def flow_partners(grid: PowerGrid, F: FrozenSet[int]) -> Dict[int, List[int]]:
     """For each node i of F, in sorted order, the nodes of F that share a
     power line with i, sorted. Raises PowerAdjacencyError for a node of F
     with none."""
+    if not F:
+        return {}
     power = grid.edge_set()
     nodes = sorted(F)
     partners = {i: [j for j in nodes if j != i and (min(i, j), max(i, j)) in power]

@@ -6,6 +6,7 @@ construction and safe to share between concurrent simulation runs.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -90,10 +91,18 @@ class PowerGrid:
     def incidence(self) -> np.ndarray:
         """Node-line incidence matrix: +1 at the tail, -1 at the head."""
         A = np.zeros((self.n_nodes, self.n_lines))
-        for e, ln in enumerate(self.lines):
-            A[ln.i, e] = 1.0
-            A[ln.j, e] = -1.0
+        A[self._line_ends] = (1.0, -1.0)
         return A
+
+    @functools.cached_property
+    def _line_ends(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The (tail, head) positions of each line's column in incidence(),
+        one row per line; read once from the lines per grid."""
+        ends = np.array([(ln.i, ln.j) for ln in self.lines], dtype=np.intp).reshape(-1, 2)
+        cols = np.arange(self.n_lines)[:, None]
+        for a in (ends, cols):
+            a.flags.writeable = False
+        return ends, cols
 
     def weighted_laplacian(self) -> np.ndarray:
         """Susceptance-weighted Laplacian of the power graph."""

@@ -55,6 +55,7 @@ import numpy as np
 
 from . import controllers
 from .controllers import ControlContext, Link
+from .csvtext import format_rows
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import _REC_BLOCK, compose_maps, jump, k_step_map, one_step_map
 from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Scenario,
@@ -1012,15 +1013,14 @@ def run_scenario(scenario: Scenario) -> Tuple[Trajectory, RunSummary]:
 # ---------------------------------------------------------------------------
 # Trajectory CSV (header: t,omega_1..N,u_1..N,q_1..N,f_1..E,cost_paper)
 
-_CSV_BLOCK = 512    # rows formatted per write
+_CSV_CELLS = 10000  # cells formatted per write
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per recorded sample, each value as "%.9g" (nine significant
-    digits, the same text as f"{v:.9g}"), LF line endings. Rows are
-    formatted a block at a time, with one % over a row template repeated
-    for the block, so neither the whole file nor one tuple of all its
-    values is held at once."""
+    """One row per recorded sample, each value as f"{v:.9g}" (nine
+    significant digits), LF line endings. Rows are formatted a block of
+    about _CSV_CELLS values at a time by csvtext.format_rows, so neither
+    the whole file nor its text is held at once."""
     n = traj.omega.shape[1]
     e = traj.flow.shape[1]
     cols = (["t"]
@@ -1029,11 +1029,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             + [f"q_{k + 1}" for k in range(n)]
             + [f"f_{k + 1}" for k in range(e)]
             + ["cost_paper"])
-    row = ",".join(["%.9g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(0, len(traj), _CSV_BLOCK):
-            rows = slice(k, k + _CSV_BLOCK)
-            block = np.column_stack([traj.times[rows], traj.omega[rows], traj.u[rows],
-                                     traj.q[rows], traj.flow[rows], traj.cost_series[rows]])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    step = max(1, _CSV_CELLS // len(cols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for k in range(0, len(traj), step):
+            rows = slice(k, k + step)
+            fh.write(format_rows(np.column_stack([
+                traj.times[rows], traj.omega[rows], traj.u[rows], traj.q[rows],
+                traj.flow[rows], traj.cost_series[rows]])))

@@ -6,7 +6,8 @@ integrator, a plan of kernel calls and the loop that executes it, is
 checked against it on short horizons. random_grid builds seeded connected
 grids larger than the toy one. sequential_active_link, sequential_context
 and shared_links spell out SEQUENTIAL's rotation for the oracle and the
-tests; trajectory_states lists a trajectory's recorded states.
+tests; trajectory_states lists a trajectory's recorded states, and
+reference_csv writes a trajectory's CSV one f"{v:.9g}" at a time.
 """
 from __future__ import annotations
 
@@ -85,6 +86,20 @@ def shared_links(grid: PowerGrid, comm: CommGraph) -> List[Link]:
 def trajectory_states(traj: Trajectory) -> Tuple[SystemState, ...]:
     """Every recorded state of traj, in order."""
     return tuple(traj.state_at(k) for k in range(len(traj)))
+
+
+def reference_csv(traj: Trajectory) -> bytes:
+    """The bytes write_trajectory_csv must write, one value at a time."""
+    n, e = traj.omega.shape[1], traj.flow.shape[1]
+    cols = (["t"] + [f"omega_{k + 1}" for k in range(n)] + [f"u_{k + 1}" for k in range(n)]
+            + [f"q_{k + 1}" for k in range(n)] + [f"f_{k + 1}" for k in range(e)]
+            + ["cost_paper"])
+    lines = [",".join(cols)]
+    for k in range(len(traj)):
+        row = np.concatenate([[traj.times[k]], traj.omega[k], traj.u[k], traj.q[k],
+                              traj.flow[k], [traj.cost_series[k]]])
+        lines.append(",".join(f"{v:.9g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,

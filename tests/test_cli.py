@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_grid, reference_csv
 from gridfreq import cli, stability
-from gridfreq.model import (CommGraph, Line, NodeParams, PowerGrid, Scenario, load_scenario,
-                            save_scenario, scenario_to_dict, toy_grid, with_overrides)
+from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams, PowerGrid, Scenario,
+                            load_scenario, save_scenario, scenario_to_dict, toy_grid,
+                            with_overrides)
+from gridfreq.simulator import _CSV_CELLS, integrate
 
 
 def test_simulate_toy_converges(tmp_path, capsys):
@@ -31,6 +34,24 @@ def test_simulate_summary_carries_run_diagnostics(tmp_path):
     assert summary["diagnostics"]["maps"] == {"base": 1, "stretch": 10, "intervals": 10,
                                               "cycles": 1}
     assert sum(summary["diagnostics"]["kernel_calls"].values()) > 0
+
+
+def test_simulate_random_grid_writes_the_per_value_csv(tmp_path):
+    """A seeded N = 30 grid at record stride 1 writes, byte for byte, the CSV
+    of one f"{v:.9g}" per value: rows of 130 values, three times the toy
+    grid's, in blocks of which the last is shorter than the others."""
+    grid = random_grid(4, 30)
+    scn = Scenario(grid=grid, comm=CommGraph(links=tuple((ln.i, ln.j) for ln in grid.lines)),
+                   disturbances=(DisturbanceEvent(0.1, 4, -2.0),), horizon=0.6)
+    path = tmp_path / "n30.json"
+    save_scenario(scn, path)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", str(path), "--record-stride", "1", "--out", str(out)]) in (0, 2)
+    traj = integrate(with_overrides(load_scenario(path), record_stride=1))
+    cols = 3 * 30 + traj.flow.shape[1] + 2
+    block_rows = _CSV_CELLS // cols
+    assert len(traj) > 2 * block_rows and len(traj) % block_rows != 0
+    assert (tmp_path / "run.csv").read_bytes() == reference_csv(traj)
 
 
 def test_simulate_too_short_horizon_exits_2(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (random_grid, reference_integrate, sequential_context, shared_links,
-                      trajectory_states)
+from conftest import (random_grid, reference_csv, reference_integrate, sequential_context,
+                      shared_links, trajectory_states)
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (SCHEMES, CommGraph, DisturbanceEvent, Line, NodeParams,
@@ -1174,19 +1174,6 @@ def test_ignored_message_interval_runs_as_continuous(toy, scheme, failures):
 
 # ---------------------------------------------------------------------------
 # Trajectory CSV: block formatting against a per-value reference writer
-
-def reference_csv(traj):
-    n, e = traj.omega.shape[1], traj.flow.shape[1]
-    cols = (["t"] + [f"omega_{k + 1}" for k in range(n)] + [f"u_{k + 1}" for k in range(n)]
-            + [f"q_{k + 1}" for k in range(n)] + [f"f_{k + 1}" for k in range(e)]
-            + ["cost_paper"])
-    lines = [",".join(cols)]
-    for k in range(len(traj)):
-        row = np.concatenate([[traj.times[k]], traj.omega[k], traj.u[k], traj.q[k],
-                              traj.flow[k], [traj.cost_series[k]]])
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    return ("\n".join(lines) + "\n").encode()
-
 
 def test_trajectory_csv_equals_per_value_writer(tmp_path, toy):
     z = np.array([[-0.0, 1e-300], [5e-324, 1e300], [np.inf, -np.nan]])
