@@ -17,8 +17,8 @@ import numpy as np
 
 from . import experiments
 from .dispatch import optimal_dispatch
-from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, load_scenario, save_scenario,
-                    toy_grid, validate, with_overrides)
+from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, load_scenario,
+                    post_disturbance_power, save_scenario, toy_grid, validate, with_overrides)
 from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
                         write_trajectory_csv)
 from .stability import (assemble_state_matrix, characteristic_identity_check,
@@ -91,9 +91,7 @@ def cmd_optimal(args) -> int:
     scn = _load(args)
     if scn is None:
         return 1
-    p_star = scn.grid.fixed_power().copy()
-    for d in scn.disturbances:
-        p_star[d.node] += d.delta_p
+    p_star = post_disturbance_power(scn)
     res = optimal_dispatch(scn.grid, p_star)
     doc = {
         "p_star": [float(v) for v in p_star],
@@ -229,7 +227,7 @@ def _parser() -> argparse.ArgumentParser:
                                              "simulator and analysis toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=False):
+    def add_common(p):
         p.add_argument("scenario",
                        help="scenario JSON file, or 'toy' for the bundled grid")
         p.add_argument("--scheme", choices=SCHEMES)

@@ -155,6 +155,16 @@ class Scenario:
     record_stride: int = 100
 
 
+def post_disturbance_power(scenario: Scenario) -> np.ndarray:
+    """The fixed powers after every scheduled disturbance, added in
+    scenario order whether or not the horizon reaches it: the powers the
+    optimal dispatch of `gridfreq optimal` and of t* is taken for."""
+    p = scenario.grid.fixed_power()
+    for d in scenario.disturbances:
+        p[d.node] += d.delta_p
+    return p
+
+
 @dataclass(frozen=True)
 class SystemState:
     """Snapshot of the closed-loop state.

@@ -59,7 +59,7 @@ from .csvtext import format_rows
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import _REC_BLOCK, compose_maps, jump, k_step_map, one_step_map
 from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Scenario,
-                    SystemState, validate)
+                    SystemState, post_disturbance_power, validate)
 
 
 class ScenarioError(ValueError):
@@ -369,8 +369,7 @@ def pair_system(grid: PowerGrid, ctx: ControlContext, base: RotationBase) -> np.
     return AB
 
 
-def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-                     base: Optional[RotationBase] = None
+def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(A, B, R) of a control context on the live links of comm: the piece
 
@@ -390,19 +389,19 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
     messages, powers, the set F) is frozen, and byte-equal, signed zeros
     included, to one derivative() call on the identity stack of [x; y; p];
     the y columns of B are zero outside HOLD_SCHEMES, which read no held
-    message. Given the rotation_base of comm, a SEQUENTIAL context takes
-    the base's [A B] with its own pair rows instead (pair_system), with
-    the same bits. A and B are views of one new [A B].
+    message. A run builds a SEQUENTIAL context from its rotation_base
+    instead (pair_system), with the same bits. A and B are views of one
+    new [A B].
     """
-    AB, R = _assemble(grid, comm, ctx, base)
+    AB, R = _assemble(grid, comm, ctx, None)
     dim = len(AB)
     return AB[:, :dim], AB[:, dim:], R
 
 
 def _assemble(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
               base: Optional[RotationBase]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """[A B] and R of context_matrices: pair_system of base when given,
-    else _system; R on the base's reset stack when given."""
+    """[A B] and R of ctx (context_matrices): pair_system of base when
+    given, else _system; R on the base's reset stack when given."""
     if base is None:
         AB, _ = _system(grid, comm, ctx)
     else:
@@ -450,8 +449,8 @@ class StepMap:
 def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
                  base: Optional[RotationBase] = None) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of its
-    context_matrices, from base when given) on the states the context
-    moves, with the frozen states it reads as inputs (StepMap), and its
+    context_matrices, or of pair_system of base when given) on the states
+    the context moves, with the frozen states it reads as inputs (StepMap), and its
     reset's q rows R. The moving set is read off the assembled [A B], not
     off the scheme; [A B] is dropped before the map is built."""
     AB, R = _assemble(grid, comm, ctx, base)      # columns over [x; y; p]
@@ -779,8 +778,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     Every sampling instant runs one rule, sample(), on a stack of states: q
     resets by its context's R (the q rows of the reset), and the
     held values become C u. Interval and cycle jumps record states before
-    their instants' events; the records of a run of them are sampled as
-    one stack at the pause that ends it.
+    their instants' events, and each such call samples its own records as
+    one stack right after kernels.jump writes them.
 
     After each call x and every record it wrote must be finite, and so
     must the messages C u it sends at an instant. A call that fails this
@@ -837,14 +836,13 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
         on the stack of their states, in place: under a rotation q resets
-        by R of the context of each row's interval. Returns the held values
-        each row leaves, its C u."""
-        phase = (step + stride * np.arange(len(rows))) // K % len(piece.contexts)
-        for c in set(phase.tolist()):
-            R = cached("stretch", piece.comm, piece.contexts[c])[0].R
-            if R is not None:
-                at = phase == c
-                rows[at, Q] = rows[at] @ R.T
+        by R of the context of step's interval, which the whole stack
+        shares (a pause samples one state, an interval jump records at most
+        one and a cycle jump records only on cycle starts). Returns the held
+        values each row leaves, its C u."""
+        R = cached("stretch", piece.comm, piece.context(step, K))[0].R
+        if R is not None:
+            rows[:, Q] = rows @ R.T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------
@@ -853,7 +851,6 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
     rec_rx = None if K is None else np.empty((n_rec_max, len(rx_links)))
     n_rec = 0
-    unsampled = [0, 0]      # first step and count of interval records not yet sampled
 
     def book(first_step: int, got: int, Y: np.ndarray) -> None:
         """Count the got rows recorded from first_step on, holding the
@@ -865,14 +862,6 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             rx[:] = frozen
             rx[:, live] = Y[:, senders[live]]
         n_rec += got
-
-    def flush() -> None:
-        """Sample and book the records of the interval and cycle jumps
-        since the last pause."""
-        first, got = unsampled
-        if got:
-            unsampled[1] = 0
-            book(first, got, sample(rec_states[n_rec:n_rec + got], first))
 
     def execute(call: Call) -> bool:
         """Run one call on x; whether x is then finite, and at an instant
@@ -899,19 +888,17 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             x[sm.moving] = xm
         else:
             (D, G), powers = cached(call.kind, call.piece.comm, call.key)
-            if not unsampled[1]:
-                unsampled[0] = call.start + call.first * (call.stop - call.start) // call.k
-            out = rec_states[n_rec + unsampled[1]:n_rec + unsampled[1] + call.rows]
+            out = rec_states[n_rec:n_rec + call.rows]
             got = jump(D, G, p, x, call.k, call.first, call.every, out, powers)
-            unsampled[1] += got
+            if got:
+                first = call.start + call.first * (call.stop - call.start) // call.k
+                book(first, got, sample(out[:got], first))
         instant = K is not None and call.stop % K == 0
         return got == call.rows and bool(np.isfinite(x * sends if instant else x).all())
 
     piece = failed = None
     for call in plan(sched, stride):
-        if call.kind == "pause":
-            flush()
-        else:
+        if call.kind != "pause":
             calls[call.kind] += 1
         if call.piece is not piece:
             piece = call.piece
@@ -931,7 +918,6 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 events_log += [(t, "warning", w) for w in warns]
         x0 = x.copy()
         if not execute(call):
-            flush()
             x[:] = x0
             failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
             n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
@@ -952,40 +938,39 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 # ---------------------------------------------------------------------------
 # Metrics
 
-def convergence_time(traj: Trajectory, cost_star: float, band: float = 0.01,
-                     after: Optional[float] = None) -> Optional[float]:
+BAND = 0.01     # t* and the first crossing: |cost - cost*| < BAND
+
+
+def _band(traj: Trajectory, cost_star: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per record: whether it lies at or after the last disturbance, and
+    whether its cost lies within BAND of cost_star, a finite target."""
+    if not math.isfinite(cost_star):
+        raise ValueError("cost_star must be finite")
+    after = max((t for t, kind, _ in traj.events if kind == "disturbance"), default=0.0)
+    return traj.times >= after, np.abs(traj.cost_series - cost_star) < BAND
+
+
+def convergence_time(traj: Trajectory, cost_star: float) -> Optional[float]:
     """First recorded time after the last disturbance from which the cost
-    stays inside the band until the end of the horizon; None if never.
+    stays within BAND of cost_star until the end of the horizon; None if
+    never.
 
     The raw first band crossing (which may be exited again) is available
     from first_crossing_time.
     """
-    if not math.isfinite(cost_star):
-        raise ValueError("cost_star must be finite")
-    if after is None:
-        after = max((t for t, kind, _ in traj.events if kind == "disturbance"),
-                    default=0.0)
-    eligible = traj.times >= after
-    inside = np.abs(traj.cost_series - cost_star) < band
-    ok = eligible & inside
-    # last index where the condition fails; t* is the next recorded sample
-    bad = np.nonzero(eligible & ~inside)[0]
-    if bad.size == 0:
-        idx = np.nonzero(eligible)[0]
-        return float(traj.times[idx[0]]) if idx.size else None
-    k = bad[-1] + 1
-    if k >= len(traj.times) or not ok[k:].all() or not ok[k]:
-        return None
-    return float(traj.times[k])
+    eligible, inside = _band(traj, cost_star)
+    # record times increase, so the eligible records are a suffix and t* is
+    # the record after the last eligible one outside the band
+    outside = np.flatnonzero(eligible & ~inside)
+    k = outside[-1] + 1 if outside.size else np.count_nonzero(~eligible)
+    return float(traj.times[k]) if k < len(traj.times) else None
 
 
-def first_crossing_time(traj: Trajectory, cost_star: float, band: float = 0.01,
-                        after: Optional[float] = None) -> Optional[float]:
-    if after is None:
-        after = max((t for t, kind, _ in traj.events if kind == "disturbance"),
-                    default=0.0)
-    hit = np.nonzero((traj.times >= after)
-                     & (np.abs(traj.cost_series - cost_star) < band))[0]
+def first_crossing_time(traj: Trajectory, cost_star: float) -> Optional[float]:
+    """First recorded time after the last disturbance with the cost within
+    BAND of cost_star; None if never."""
+    eligible, inside = _band(traj, cost_star)
+    hit = np.flatnonzero(eligible & inside)
     return float(traj.times[hit[0]]) if hit.size else None
 
 
@@ -994,10 +979,7 @@ def run_scenario(scenario: Scenario) -> Tuple[Trajectory, RunSummary]:
     for the post-disturbance fixed powers (all scheduled disturbances, so a
     horizon too short to even apply them reports non-convergence)."""
     traj = integrate(scenario)
-    p_star = scenario.grid.fixed_power().copy()
-    for d in scenario.disturbances:
-        p_star[d.node] += d.delta_p
-    cost_star = optimal_dispatch(scenario.grid, p_star).cost_paper
+    cost_star = optimal_dispatch(scenario.grid, post_disturbance_power(scenario)).cost_paper
     steady_u = traj.u[-1]
     cp, _ = cost_of(scenario.grid, steady_u)
     summary = RunSummary(

@@ -41,6 +41,7 @@ from .simulator import (context_matrices, context_step, interval_map, modes, rot
                         state_labels)
 
 STRUCTURAL_ZERO_TOL = 1e-8
+IDENTITY_TOL = 1e-8         # characteristic_identity_check: consistent below this residual
 DEFINITENESS_MARGIN = 1e-9
 
 
@@ -281,7 +282,6 @@ def _pencil_logdets(pts: np.ndarray, M, D, Cinv, K, LpB, H0) -> np.ndarray:
 def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                                   ctx: ControlContext,
                                   sample_points: Sequence[complex],
-                                  tol: float = 1e-8,
                                   eigenvalues: Optional[np.ndarray] = None
                                   ) -> IdentityReport:
     """Compare det(A - lam I) against the factored form at the samples.
@@ -289,7 +289,7 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     Supports the two-node flow law (PAIR_FLOW) and the single-failure law
     (HYBRID_SINGLE, nodes relabeled so the pair comes last). Points within
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
-    rejected. The returned `consistent` flag is max_residual <= tol.
+    rejected. The returned `consistent` flag is max_residual <= IDENTITY_TOL.
 
     Both sides are taken as complex logs, so determinants beyond the
     floating-point range still compare. The left side is
@@ -346,5 +346,5 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     residuals = np.abs(r - 1.0) / np.maximum(np.abs(r), 1.0)
     worst = float(np.max(residuals))
     return IdentityReport(max_residual=worst, sign=complex(sigma),
-                          consistent=worst <= tol,
+                          consistent=worst <= IDENTITY_TOL,
                           residuals=tuple(float(r) for r in residuals))

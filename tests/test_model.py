@@ -7,7 +7,7 @@ import pytest
 
 from gridfreq.model import (CONTINUOUS, CommGraph, DisturbanceEvent, Line,
                             NodeParams, PowerGrid, Scenario,
-                            ScenarioFormatError, scenario_from_dict,
+                            ScenarioFormatError, post_disturbance_power, scenario_from_dict,
                             scenario_to_dict, toy_grid, validate,
                             with_overrides)
 
@@ -31,6 +31,17 @@ def test_toy_grid_required_lines(toy):
     for pair in [(0, 1), (1, 4), (1, 6)]:
         assert pair in edges
     assert set(toy.comm.links) == edges
+
+
+def test_post_disturbance_power_adds_every_scheduled_disturbance(toy):
+    """Both disturbances count, the one past the horizon too, added in
+    scenario order onto the grid's fixed powers."""
+    scn = dataclasses.replace(toy, horizon=2.0, disturbances=(
+        DisturbanceEvent(time=1.0, node=2, delta_p=-5.0),
+        DisturbanceEvent(time=3.0, node=2, delta_p=1.5)))
+    want = np.array([n.fixed_power for n in toy.grid.nodes])
+    want[2] = want[2] - 5.0 + 1.5
+    assert np.array_equal(post_disturbance_power(scn), want)
 
 
 def test_incidence_structure(toy):

@@ -4,8 +4,9 @@ simulator.plan turns a schedule into the calls that integrate() executes,
 from step counts and keys alone. Random schedules (piece boundaries, K =
 T / dt or continuous messaging, rotation length L) and record strides check
 that the calls tile the run inside their pieces, that interval and cycle
-maps jump only between sampling instants, and that every record step is
-booked once. Named cases pin the stop rules.
+maps jump only between sampling instants, that every record step is booked
+once, and that the records of one interval or cycle jump share a rotation
+phase. Named cases pin the stop rules.
 """
 import itertools
 
@@ -79,6 +80,24 @@ def test_calls_tile_the_run_and_book_every_record_once(case):
         at = c.stop
     assert at == n and piece is sched.pieces[-1]
     assert [s for c in calls for s in booked(c)] == list(range(0, n, stride)) + [n]
+
+
+@settings(max_examples=50, deadline=None)
+@given(schedules())
+def test_the_records_of_an_interval_or_cycle_call_share_one_rotation_phase(case):
+    """integrate() resets the records of an interval or cycle jump as one
+    stack, by the R of the first record's context: an interval call crosses
+    one interval and records at most one state, and every record step of a
+    cycle call, those inside it and the ones it books, lies at the same
+    phase step // K % L of the rotation."""
+    sched, stride = case
+    K = sched.interval_steps
+    for c in plan(sched, stride):
+        if c.kind == "intervals":
+            assert c.k == 1 and c.rows <= 1
+        elif c.kind == "cycles":
+            inside = range(c.start - c.start % stride + stride, c.stop, stride)
+            assert len({s // K % len(c.piece.contexts) for s in [*inside, *booked(c)]}) <= 1
 
 
 @pytest.mark.parametrize("L", [1, 3])

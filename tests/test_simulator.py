@@ -14,8 +14,8 @@ from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
                                 convergence_time, derivative, modes,
                                 first_crossing_time, held_messages, initial_flows,
-                                integrate, interval_map, rotation_base, rotation_reset,
-                                run_scenario, schedule,
+                                integrate, interval_map, pair_system, rotation_base,
+                                rotation_reset, run_scenario, schedule,
                                 state_to_vector, vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
@@ -111,9 +111,11 @@ class TestConvergenceTime:
         traj = _traj_with_costs([5.0] * 6, events=[(3.0, "disturbance", "x")])
         assert convergence_time(traj, 5.0) == 3.0
 
-    def test_rejects_nonfinite_target(self):
+    @pytest.mark.parametrize("metric", [convergence_time, first_crossing_time])
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_target(self, metric, target):
         with pytest.raises(ValueError):
-            convergence_time(_traj_with_costs([1.0]), float("nan"))
+            metric(_traj_with_costs([1.0]), target)
 
 
 def test_two_node_matches_matrix_exponential():
@@ -940,9 +942,11 @@ def rotation_failing_mid_interval(n=30):
 @pytest.mark.parametrize("case", ["toy", "ring", "n30_failure", "n60_failure"])
 def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
     """Every context a rotation runs (its pairs and each piece's lead), built
-    from the rotation_base of its live links, has (A, B, R) byte-equal, signed
-    zeros included, to one derivative() call of that context on the
-    identity stack. The run calls control_rate once per set of live links,
+    from the rotation_base of its live links, has [A B] (pair_system)
+    byte-equal, signed zeros included, to one derivative() call of that
+    context on the identity stack, and the q rows R of its reset, from the
+    base's stack, byte-equal to one init_artificial call per unit state
+    (loop_reset). The run calls control_rate once per set of live links,
     for its base, and derivative never, and its records match the oracle.
     On the 30- and 60-node grids the second piece leads with the failed pair
     on the links that remain."""
@@ -963,9 +967,11 @@ def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
         contexts = {c for pc in pieces if pc.comm == comm for c in pc.contexts + (pc.lead,)}
         assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
         for ctx in contexts:
-            got, want = context_matrices(grid, comm, ctx, base), direct_matrices(grid, comm, ctx)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            A, B, _ = direct_matrices(grid, comm, ctx)
+            got, want = pair_system(grid, ctx, base), np.hstack([A, B])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            got, want = rotation_reset(grid, comm, ctx, base.resets), loop_reset(grid, comm, ctx)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
     calls["derivative"] = calls["control_rate"] = 0
     traj = integrate(scn)
     assert calls["control_rate"] == len({pc.comm for pc in pieces})
