@@ -177,6 +177,9 @@ def cmd_stability(args) -> int:
     """Report on the law in force at the horizon: the last piece of the
     scenario's schedule, with the links live there. The schedule's warnings
     and fallbacks to averaging go to stderr, as simulate prints them."""
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 1
     scn = _load(args)
     if scn is None:
         return 1

@@ -11,16 +11,17 @@ Every function here also takes a stacked state: each SystemState field may
 carry leading batch axes, one state per row (omega, u, q of shape (k, N)),
 and each held value in last_rx is then a scalar or a (k,) array. Nodes are
 indexed on the last axis, so one call evaluates the law on k states at
-once; the simulator takes the u and q rows of its matrices from one call
-on the unit vectors of the states and held values the law reads
-(simulator._system).
+once.
 
 The law is written in two parts. control_rate averages every node over the
 live links, skipping the messages into F, then overwrites the u and q rates
 of the nodes of F with flow_rate, the flow law alone. So the law of a
 context (scheme, F) is the law with F empty except in the u and q rows of
-F, bit for bit: a SEQUENTIAL rotation assembles its F = {} system once per
-set of live links and each pair context from it and flow_rate's rows.
+F, bit for bit, and the simulator assembles every context that way: the
+u and q rows of the law with F empty from one control_rate call on the
+unit vectors of the states and held values it reads, once per set of live
+links (simulator.law_base), then the rows of F from one flow_rate call on
+the same vectors (simulator.context_system).
 
 control_rate reads comm.links as the live links: pass a comm graph without
 the failed ones, as each piece of simulator.schedule() carries.

@@ -202,6 +202,18 @@ def _connected(n: int, pairs: Iterable[Tuple[int, int]]) -> bool:
     return all(find(i) == root for i in range(n))
 
 
+def interval_steps(T: float, dt: float) -> int:
+    """K = T / dt, the RK4 steps of dt > 0 in one message interval T.
+    Raises ValueError unless T >= dt and T / dt is finite and lies within
+    1e-9 (relative) of an integer."""
+    ratio = T / dt
+    if T < dt:
+        raise ValueError(f"message_interval {T} is shorter than dt {dt}")
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        raise ValueError(f"dt {dt} does not divide message_interval {T}")
+    return round(ratio)
+
+
 def validate(scenario: Scenario) -> list:
     """Collect every invariant violation as a human-readable string.
 
@@ -294,11 +306,10 @@ def validate(scenario: Scenario) -> list:
     if scenario.scheme not in SCHEMES:
         out.append(f"unknown scheme {scenario.scheme!r}")
     if T is not CONTINUOUS and T_ok and dt_ok:
-        ratio = T / scenario.dt
-        if T < scenario.dt:
-            out.append(f"message_interval {T} is shorter than dt {scenario.dt}")
-        elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            out.append(f"dt {scenario.dt} does not divide message_interval {T}")
+        try:
+            interval_steps(T, scenario.dt)
+        except ValueError as exc:
+            out.append(str(exc))
 
     if scenario.scheme == "PAIR_FLOW" and n != 2:
         out.append(f"PAIR_FLOW requires a two-node grid, got {n} nodes")

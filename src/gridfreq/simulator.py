@@ -16,27 +16,29 @@ derivative() joins them. Between sampling instants a piece is
     x' = A x + B [y; p],
 
 with p its fixed powers and y the held messages, C u of the last sampling
-instant (under continuous messaging B reads no y). context_matrices
-assembles a context's [A B] from those two definitions, each evaluated on
-the unit vectors of the blocks of [x; y; p] it reads and on one zero row
-(_spread): the omega and flow rows from one swing_rate call on unit
-omega, f, u and p (swing_rows), the u and q rows from one control_rate
-call on unit omega, u, q and, under HOLD_SCHEMES, y: 3N + 1 or 4N + 1
-rows (_law_probe, _system). Every other entry is the rate at zero, so
-[A B] holds the bits, signed zeros included, of one derivative() call on
-the identity stack of [x; y; p]. A SEQUENTIAL rotation makes its
-control_rate call once per set of live links (rotation_base) and gives
-each pair context the base's [A B] with the pair's u and q rows replaced
-by the flow law's (controllers.flow_rate, pair_system), bit for bit.
-context_step builds RK4's one-step map from [A B], the one linear system
-a run keeps per live links and context. That map acts on the states the
-context moves, those whose row of [A B] is not zero: a state the context
-holds constant, such as q_i outside the flow-controlled set F, enters as
-an input like p. A sampling instant is a linear reset: y refreshes to
-C u, and SEQUENTIAL resets q to R x, R the N q rows of the rotation's
-reset. So a whole message interval is one exact affine map
-(interval_map), and a whole SEQUENTIAL rotation cycle the composition of
-its interval maps (kernels.compose_maps).
+instant (under continuous messaging B reads no y). Every context's [A B]
+comes from one rule, the law's own: averaging with F empty, then the u and
+q rows of F overwritten by the flow law. law_base assembles the averaging
+[A B] once per set of live links and hold (whether the law holds
+messages, HOLD_SCHEMES), each part evaluated on the unit vectors of the
+blocks of [x; y; p] it reads and on one zero row (_spread): the omega and
+flow rows from one swing_rate call on unit omega, f, u and p
+(swing_rows), the u and q rows from one control_rate call on unit omega,
+u, q and, under HOLD_SCHEMES, y: 3N + 1 or 4N + 1 rows (_law_probe).
+context_system copies it and replaces the rows of ctx.F by
+controllers.flow_rate on the same probe. Every other entry is the rate at
+zero, so [A B] holds the bits, signed zeros included, of one derivative()
+call of the context on the identity stack of [x; y; p]. context_step
+builds RK4's one-step map from [A B], the one linear system a run keeps
+per live links and context. That map acts on the states the context
+moves, those whose row of [A B] is not zero: a state the context holds
+constant, such as q_i outside the flow-controlled set F, enters as an
+input like p. A sampling instant is a linear reset: y refreshes to C u,
+and SEQUENTIAL resets q to R x, R the N q rows of the rotation's reset
+(rotation_reset, on an identity stack the base builds once). So a whole
+message interval is one exact affine map (interval_map), and a whole
+SEQUENTIAL rotation cycle the composition of its interval maps
+(kernels.compose_maps).
 
 plan() turns a schedule into kernel calls from step counts alone: where
 each jump starts and stops, which of these maps it applies and which
@@ -59,7 +61,7 @@ from .csvtext import format_rows
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import _REC_BLOCK, compose_maps, jump, k_step_map, one_step_map
 from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Scenario,
-                    SystemState, post_disturbance_power, validate)
+                    SystemState, interval_steps, post_disturbance_power, validate)
 
 
 class ScenarioError(ValueError):
@@ -290,83 +292,78 @@ def swing_rows(grid: PowerGrid, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reset_stack(grid: PowerGrid, comm: CommGraph) -> SystemState:
-    """The identity stack of x as a stacked state whose held values are the
-    messages it sends, held_messages(C u, comm.links)."""
+@dataclass(frozen=True, eq=False)
+class LawBase:
+    """What the contexts on one set of live links share, given whether
+    their law holds messages (law_base): the [A B] of the law with F empty,
+    the law probe its u and q rows were evaluated on and, built on first
+    use, the identity stack that a SEQUENTIAL context's reset is evaluated
+    on (rotation_reset)."""
+
+    grid: PowerGrid
+    comm: CommGraph
+    AB: np.ndarray             # (dim, dim + 2N)
+    probe: Tuple[SystemState, Tuple[slice, ...]]    # _law_probe
+
+    @functools.cached_property
+    def resets(self) -> SystemState:
+        """The identity stack of x as a stacked state whose held values are
+        the messages it sends, held_messages(C u, comm.links)."""
+        n, e = self.grid.n_nodes, self.grid.n_lines
+        X = np.eye(3 * n + e)
+        return vector_to_state(0.0, X, self.grid, held_messages(
+            self.grid.cost() * X[:, n + e:2 * n + e], self.comm.links))
+
+
+def law_base(grid: PowerGrid, comm: CommGraph, hold: bool) -> LawBase:
+    """The base of the contexts on the live links of comm whose law holds
+    messages (hold) or reads current values: the [A B] of the law with F
+    empty, the swing rows (swing_rows) over its u and q rows from one
+    controllers.control_rate call on the unit vectors of the blocks the law
+    reads (_law_probe), spread over the columns of [x; y; p] (_spread). The
+    probe is built after the swing rows, so it can take the memory of
+    theirs."""
     n, e = grid.n_nodes, grid.n_lines
-    X = np.eye(3 * n + e)
-    return vector_to_state(0.0, X, grid, held_messages(grid.cost() * X[:, n + e:2 * n + e],
-                                                       comm.links))
+    AB = np.empty((3 * n + e, 5 * n + e))
+    swing_rows(grid, AB[:n + e])
+    probe = _law_probe(grid, comm, hold)
+    stack, cols = probe
+    law = ControlContext("CONSENSUS_SAMPLED" if hold else "CONSENSUS")    # F empty
+    du, dq = controllers.control_rate(stack, grid, comm, law)
+    _spread(du, cols, AB[n + e:2 * n + e])
+    _spread(dq, cols, AB[2 * n + e:])
+    return LawBase(grid, comm, AB, probe)
 
 
-def rotation_reset(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-                   stack: Optional[SystemState] = None) -> np.ndarray:
+def rotation_reset(base: LawBase, ctx: ControlContext) -> np.ndarray:
     """The N q rows of the exact reset R, R x the state after a SEQUENTIAL
     rotation to the pair ctx.F at a sampling instant: messages refreshed
     from x, then q re-initialized by init_artificial for the new pair. R
     leaves every other state as it is, so its q rows, (N, dim), are all of
     it that sample() and interval_map read. From one evaluation of
-    init_artificial on the identity stack of x, stack when given (one
-    _reset_stack shared by a rotation's contexts)."""
-    stack = _reset_stack(grid, comm) if stack is None else stack
-    q0, _ = controllers.init_artificial(stack, grid, ctx, comm)
+    init_artificial on base.resets, the identity stack of x that the
+    contexts of a rotation share."""
+    q0, _ = controllers.init_artificial(base.resets, base.grid, ctx, base.comm)
     return np.ascontiguousarray(q0.T)
 
 
-@dataclass(frozen=True, eq=False)
-class RotationBase:
-    """What a SEQUENTIAL rotation's contexts share on one set of live links:
-    the [A B] of the law with F empty, the law probe its u and q rows were
-    evaluated on and the identity stack of the resets (rotation_base)."""
-
-    AB: np.ndarray             # (dim, dim + 2N)
-    probe: Tuple[SystemState, Tuple[slice, ...]]    # _law_probe
-    resets: SystemState        # _reset_stack
-
-
-def rotation_base(grid: PowerGrid, comm: CommGraph) -> RotationBase:
-    """The base of a rotation on the live links of comm: the [A B] of the
-    context (SEQUENTIAL, F = {}), with its one control_rate call.
-    control_rate differs from it under a pair F only in the u and q rows of
-    F, which flow_rate overwrites, so a pair context's [A B] is this one
-    with those rows replaced (pair_system)."""
-    return RotationBase(*_system(grid, comm, ControlContext("SEQUENTIAL")),
-                        _reset_stack(grid, comm))
-
-
-def _system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
-            ) -> Tuple[np.ndarray, Tuple[SystemState, Tuple[slice, ...]]]:
-    """[A B] of ctx on the live links of comm, (dim, dim + 2N), and the law
-    probe it was evaluated on: the swing rows (swing_rows) over the law's u
-    and q rows from one controllers.control_rate call on the unit vectors
-    of the blocks the law reads (_law_probe), spread over the columns of
-    [x; y; p] (_spread). The probe is built after the swing rows, so it can
-    take the memory of theirs."""
-    n, e = grid.n_nodes, grid.n_lines
-    AB = np.empty((3 * n + e, 5 * n + e))
-    swing_rows(grid, AB[:n + e])
-    probe = _law_probe(grid, comm, ctx.scheme in HOLD_SCHEMES)
-    stack, cols = probe
-    du, dq = controllers.control_rate(stack, grid, comm, ctx)
-    _spread(du, cols, AB[n + e:2 * n + e])
-    _spread(dq, cols, AB[2 * n + e:])
-    return AB, probe
-
-
-def pair_system(grid: PowerGrid, ctx: ControlContext, base: RotationBase) -> np.ndarray:
-    """[A B] of the SEQUENTIAL pair context ctx: a copy of the base's with
-    the u and q rows of the nodes of ctx.F replaced by controllers.flow_rate
-    on the base's probe. These are the entries _system gives, bit for bit,
-    as control_rate overwrites those rows whole and skips only the messages
-    into F."""
-    n, e = grid.n_nodes, grid.n_lines
+def context_system(base: LawBase, ctx: ControlContext
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """[A B] of ctx on the base's live links, (dim, dim + 2N), a new array,
+    and R, the q rows of its reset under SEQUENTIAL (rotation_reset), None
+    for the other schemes. base is law_base of ctx.scheme in HOLD_SCHEMES.
+    [A B] is the base's with the u and q rows of the nodes of ctx.F
+    replaced by controllers.flow_rate on the base's probe: the entries of a
+    control_rate call of ctx itself, bit for bit, as that call overwrites
+    those rows whole and skips only the messages into F."""
+    n, e = base.grid.n_nodes, base.grid.n_lines
     stack, cols = base.probe
     du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
-    nodes = controllers.flow_rate(stack, grid, ctx.F, du, dq)
-    AB, pair = base.AB.copy(), np.empty((len(nodes), base.AB.shape[1]))
-    AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, pair)
-    AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, pair)
-    return AB
+    nodes = controllers.flow_rate(stack, base.grid, ctx.F, du, dq)
+    AB, rows = base.AB.copy(), np.empty((len(nodes), base.AB.shape[1]))
+    AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
+    AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
+    return AB, rotation_reset(base, ctx) if ctx.scheme == "SEQUENTIAL" else None
 
 
 def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
@@ -376,40 +373,19 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
         x' = A x + B [y; p]
 
     between sampling instants, with y the held values (C u at the last
-    instant) and p the fixed powers, and the q rows R of the reset of a
-    SEQUENTIAL rotation to the pair ctx.F at an instant (rotation_reset),
-    None for the other schemes, which rotate no pair.
-
-    [A B] is assembled from the dynamics' two definitions (_system): the
-    omega and flow rows are swing_rows, and the u and q rows come from one
-    controllers.control_rate call on the unit vectors of the law's inputs,
-    omega, u, q and, under HOLD_SCHEMES, the held y, and on a zero row,
-    which gives every column the law does not read (_spread). Exact
-    because the dynamics are linear in the state once the event data (held
+    instant) and p the fixed powers, and R as context_system gives it: the
+    q rows of the reset of a SEQUENTIAL rotation to the pair ctx.F, None
+    for the other schemes, which rotate no pair. [A B] is assembled by the
+    rule a run uses, context_system of the law_base of comm. It is exact,
+    as the dynamics are linear in the state once the event data (held
     messages, powers, the set F) is frozen, and byte-equal, signed zeros
     included, to one derivative() call on the identity stack of [x; y; p];
     the y columns of B are zero outside HOLD_SCHEMES, which read no held
-    message. A run builds a SEQUENTIAL context from its rotation_base
-    instead (pair_system), with the same bits. A and B are views of one
-    new [A B].
+    message. A and B are views of one new [A B].
     """
-    AB, R = _assemble(grid, comm, ctx, None)
+    AB, R = context_system(law_base(grid, comm, ctx.scheme in HOLD_SCHEMES), ctx)
     dim = len(AB)
     return AB[:, :dim], AB[:, dim:], R
-
-
-def _assemble(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
-              base: Optional[RotationBase]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """[A B] and R of ctx (context_matrices): pair_system of base when
-    given, else _system; R on the base's reset stack when given."""
-    if base is None:
-        AB, _ = _system(grid, comm, ctx)
-    else:
-        AB = pair_system(grid, ctx, base)
-    R = None
-    if ctx.scheme == "SEQUENTIAL":
-        R = rotation_reset(grid, comm, ctx, None if base is None else base.resets)
-    return AB, R
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +401,7 @@ class StepMap:
     with `inputs` the nonzero columns of [A B][M] outside M: the held
     messages and powers the context reads, and any frozen state it reads,
     which enters like p. R holds the q rows of the context's reset
-    (context_matrices)."""
+    (context_system)."""
 
     D: np.ndarray              # (|M|, |M|)
     G: np.ndarray              # (|M|, len(inputs))
@@ -446,14 +422,13 @@ class StepMap:
         return F[:, :dim], F[:, dim:]
 
 
-def context_step(grid: PowerGrid, comm: CommGraph, ctx: ControlContext, h: float,
-                 base: Optional[RotationBase] = None) -> StepMap:
-    """RK4's one-step map of the context's piece (kernels.one_step_map of its
-    context_matrices, or of pair_system of base when given) on the states
-    the context moves, with the frozen states it reads as inputs (StepMap), and its
-    reset's q rows R. The moving set is read off the assembled [A B], not
-    off the scheme; [A B] is dropped before the map is built."""
-    AB, R = _assemble(grid, comm, ctx, base)      # columns over [x; y; p]
+def context_step(base: LawBase, ctx: ControlContext, h: float) -> StepMap:
+    """RK4's one-step map of the context's piece (kernels.one_step_map of
+    its context_system from base) on the states the context moves, with
+    the frozen states it reads as inputs (StepMap), and its reset's q rows
+    R. The moving set is read off the assembled [A B], not off the scheme;
+    [A B] is dropped before the map is built."""
+    AB, R = context_system(base, ctx)      # columns over [x; y; p]
     shape = AB.shape
     moving = np.flatnonzero(AB.any(axis=1))
     AB = AB[moving]
@@ -567,7 +542,7 @@ def schedule(scenario: Scenario) -> Schedule:
         raise ScenarioError("; ".join(violations))
     grid, comm, dt, scheme = scenario.grid, scenario.comm, scenario.dt, scenario.scheme
     T = comm.message_interval
-    K = None if T is CONTINUOUS else int(round(T / dt))
+    K = None if T is CONTINUOUS else interval_steps(T, dt)
     warnings: List[str] = []
 
     def grid_step(t: float, what: str) -> int:
@@ -764,14 +739,15 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     One loop executes the calls of plan(). The run builds each call's map
     once per live links, kind and key (a rotation over L links keeps L + 1
-    maps of dim * (dim + N) floats, and its rotation_base): it calls controllers.control_rate once
-    per context outside a rotation and once per rotation_base, and
-    derivative() never. It squares each k-step map that kernels.jump uses
-    once: pieces that share a context, such as the two sides of a
-    disturbance, square once, and a new p costs one product G_k w. A call
-    with many records writes them in blocks of rows, each one product with a
-    lag map of several record strides (kernels.jump), so a record's last
-    bits depend on its index in its call. A stretch jumps on the moving
+    maps of dim * (dim + N) floats), and each context's [A B] from the
+    law_base of its live links (context_system), which it keeps until the
+    live links change: it calls controllers.control_rate once per set of
+    live links, for its base, and derivative() never. It squares each k-step map that
+    kernels.jump uses once: pieces that share a context, such as the two
+    sides of a disturbance, square once, and a new p costs one product
+    G_k w. A call with many records writes them in blocks of rows, each one
+    product with a lag map of several record strides (kernels.jump), so a
+    record's last bits depend on its index in its call. A stretch jumps on the moving
     states x[M] with offset G [x; y; p][inputs]; its records are written as
     x[M] into the leading columns of their rows, then spread to full rows
     with the frozen states filled in, so no second record buffer is kept.
@@ -818,17 +794,19 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
     calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
 
+    # the live links only shrink, so a base is not used again once they change
+    @functools.lru_cache(maxsize=1)
+    def base_of(comm: CommGraph, hold: bool) -> LawBase:
+        built["base"] += 1
+        return law_base(grid, comm, hold)
+
     @functools.cache
     def cached(kind: str, comm: CommGraph, key):
         """The map of a call of this kind and key on the live links comm,
-        and the dict of the k-step maps that kernels.jump squares from it;
-        for kind "base" (key None) the rotation_base of comm alone."""
+        and the dict of the k-step maps that kernels.jump squares from it."""
         built[kind] += 1
-        if kind == "base":
-            return rotation_base(grid, comm)
         if kind == "stretch":
-            base = cached("base", comm, None) if key.scheme == "SEQUENTIAL" else None
-            return context_step(grid, comm, key, dt, base), {}
+            return context_step(base_of(comm, key.scheme in HOLD_SCHEMES), key, dt), {}
         if kind == "intervals":
             return interval_map(grid, cached("stretch", comm, key)[0], K), {}
         return compose_maps([cached("intervals", comm, c)[0] for c in key]), {}
@@ -923,6 +901,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
             break
     cached.cache_clear()    # cached calls itself, a cycle: free its maps now, not at a collection
+    base_of.cache_clear()
     states = rec_states[:n_rec]
     u = states[:, U]
     traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),

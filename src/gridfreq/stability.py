@@ -36,8 +36,8 @@ import numpy as np
 
 from .controllers import ControlContext, Link
 from .kernels import compose_maps
-from .model import HOLD_SCHEMES, CommGraph, PowerGrid
-from .simulator import (context_matrices, context_step, interval_map, modes, rotation_base,
+from .model import HOLD_SCHEMES, CommGraph, PowerGrid, interval_steps
+from .simulator import (context_matrices, context_step, interval_map, law_base, modes,
                         state_labels)
 
 STRUCTURAL_ZERO_TOL = 1e-8
@@ -116,13 +116,14 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
     SEQUENTIAL: the map of one rotation cycle over its L shared links, the
     product of L interval maps (kernels.compose_maps, as integrate() crosses
-    whole cycles), with period L T; its L contexts share one rotation_base,
-    as a run's do. The eigenvalues are 1 plus those of
-    the map's increment D, so those near 1 keep their digits. Eigenvalues
+    whole cycles), with period L T. The contexts come from simulator.modes
+    and share one law_base, as a run's do. The eigenvalues are 1 plus those
+    of the map's increment D, so those near 1 keep their digits. Eigenvalues
     within STRUCTURAL_ZERO_TOL * period of 1 are the images of structural
     zeros and of states no law moves; they are counted apart, and the rest
-    decay at -ln(rho) / period per second. comm holds the live links only;
-    the contexts come from simulator.modes, as a run's do.
+    decay at -ln(rho) / period per second. comm holds the live links only.
+    Raises ValueError unless T is a whole number of steps dt
+    (model.interval_steps), as validate does.
     """
     if scheme not in HOLD_SCHEMES:
         raise ValueError(f"{scheme} holds no messages; its closed loop is x' = A x")
@@ -130,10 +131,9 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     if not ctxs:
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
-    K = int(round(T / dt))
-    base = rotation_base(grid, comm) if scheme == "SEQUENTIAL" else None
-    D, _ = compose_maps([interval_map(grid, context_step(grid, comm, ctx, dt, base), K)
-                         for ctx in ctxs])
+    K = interval_steps(T, dt)
+    base = law_base(grid, comm, True)
+    D, _ = compose_maps([interval_map(grid, context_step(base, ctx, dt), K) for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
     period = len(ctxs) * T
@@ -289,7 +289,8 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     Supports the two-node flow law (PAIR_FLOW) and the single-failure law
     (HYBRID_SINGLE, nodes relabeled so the pair comes last). Points within
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
-    rejected. The returned `consistent` flag is max_residual <= IDENTITY_TOL.
+    rejected, and so is an empty set of points. The returned `consistent`
+    flag is max_residual <= IDENTITY_TOL.
 
     Both sides are taken as complex logs, so determinants beyond the
     floating-point range still compare. The left side is
@@ -304,6 +305,8 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     """
     if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE"):
         raise ValueError("identity check applies to the flow-based laws only")
+    if not len(sample_points):
+        raise ValueError("no sample points")
     if len(ctx.F) != 2:
         raise ValueError(f"exactly two flow-controlled nodes expected, got {len(ctx.F)}")
     n, e = grid.n_nodes, grid.n_lines

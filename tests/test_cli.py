@@ -464,6 +464,18 @@ def test_stability_command_two_node(tmp_path):
     assert rep["identity"]["max_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_stability_rejects_no_samples(tmp_path, capsys, samples):
+    """The identity check needs a sample point: --samples below 1 is bad
+    input, an error line and exit code 1, not a traceback."""
+    scn_path = tmp_path / "pair.json"
+    scn_path.write_text(json.dumps(PAIR_DOC))
+    out = tmp_path / "stab.json"
+    assert cli.main(["stability", str(scn_path), "--out", str(out), "--samples", samples]) == 1
+    assert capsys.readouterr().err == f"error: --samples must be at least 1, got {samples}\n"
+    assert not out.exists()
+
+
 def test_stability_command_multi_failure(tmp_path):
     scn = toy_grid()
     doc = scenario_to_dict(scn)

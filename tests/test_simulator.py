@@ -8,15 +8,15 @@ from conftest import (random_grid, reference_csv, reference_integrate, sequentia
                       shared_links, trajectory_states)
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
-from gridfreq.model import (SCHEMES, CommGraph, DisturbanceEvent, Line, NodeParams,
-                            PowerGrid, Scenario, SystemState, with_overrides)
+from gridfreq.model import (HOLD_SCHEMES, SCHEMES, CommGraph, DisturbanceEvent, Line,
+                            NodeParams, PowerGrid, Scenario, SystemState, with_overrides)
 from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
-                                convergence_time, derivative, modes,
+                                context_system, convergence_time, derivative, modes,
                                 first_crossing_time, held_messages, initial_flows,
-                                integrate, interval_map, pair_system, rotation_base,
-                                rotation_reset, run_scenario, schedule,
-                                state_to_vector, vector_to_state, write_trajectory_csv)
+                                integrate, interval_map, law_base, rotation_reset,
+                                run_scenario, schedule, state_to_vector, vector_to_state,
+                                write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
 
@@ -569,7 +569,7 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     assert np.abs(A - A_ref).max() <= 1e-12
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
     if ctx.F:
-        R = rotation_reset(grid, live, ctx)
+        R = rotation_reset(law_base(grid, live, False), ctx)
         assert R.shape == (n, len(A))
         assert np.array_equal(R, loop_reset(grid, live, ctx))
         assert np.abs(R).max() > 0.0
@@ -625,7 +625,7 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     h = 1e-3
     for ctx, live in cases:
         A, B, _ = context_matrices(grid, live, ctx)
-        step = context_step(grid, live, ctx, h)
+        step = context_step(law_base(grid, live, ctx.scheme in HOLD_SCHEMES), ctx, h)
         frozen = np.setdiff1d(np.arange(len(A)), step.moving)
         assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
         full = one_step_map(A, B, h)
@@ -652,8 +652,9 @@ def test_rotation_reset_folds_through_q_rows(toy, grid_name):
     contexts = modes("SEQUENTIAL", grid.edge_set(), comm.links)
     assert len(contexts) == len(shared_links(grid, comm))
     n, e = grid.n_nodes, grid.n_lines
+    base = law_base(grid, comm, True)
     for ctx in contexts:
-        step = context_step(grid, comm, ctx, 1e-3)
+        step = context_step(base, ctx, 1e-3)
         assert step.R.shape == (n, 3 * n + e)
         D, G = interval_map(grid, step, 10)
         D0, G0 = interval_map(grid, dataclasses.replace(step, R=None), 10)
@@ -915,14 +916,15 @@ def test_one_step_map_built_once_per_context(toy, calls, case):
 def direct_matrices(grid, comm, ctx):
     """(A, B, R) of ctx from one derivative() call of ctx itself on the
     identity stack of [x; y; p], and for a SEQUENTIAL context R, the q rows
-    of its reset, from rotation_reset's own stack (None otherwise)."""
+    of its reset, from one init_artificial call per unit state (loop_reset;
+    None otherwise)."""
     n = grid.n_nodes
     dim = 3 * n + grid.n_lines
     W = np.eye(dim + 2 * n)
     X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
     dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
                     grid, comm, ctx, P)
-    R = rotation_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
+    R = loop_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
     return dx[:dim].T, dx[dim:].T, R
 
 
@@ -939,39 +941,64 @@ def rotation_failing_mid_interval(n=30):
                     record_stride=7), failing
 
 
-@pytest.mark.parametrize("case", ["toy", "ring", "n30_failure", "n60_failure"])
-def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
-    """Every context a rotation runs (its pairs and each piece's lead), built
-    from the rotation_base of its live links, has [A B] (pair_system)
-    byte-equal, signed zeros included, to one derivative() call of that
-    context on the identity stack, and the q rows R of its reset, from the
-    base's stack, byte-equal to one init_artificial call per unit state
-    (loop_reset). The run calls control_rate once per set of live links,
-    for its base, and derivative never, and its records match the oracle.
-    On the 30- and 60-node grids the second piece leads with the failed pair
-    on the links that remain."""
+def run_case(toy, case):
+    """The scenario of a named run: a rotation ("toy", "ring", "n30_failure",
+    "n60_failure"), or toy HYBRID_SINGLE, MULTI_FAILURE, CONSENSUS_SAMPLED
+    at T = 10 ms and the two-node PAIR_FLOW with a link failing at 50 ms
+    (MULTI_FAILURE a second one at 100 ms, which leaves F four nodes)."""
     if case == "toy":
-        scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=0.2,
-                             record_stride=7)
-    elif case == "ring":
-        scn = ring_scenario(20, 7)
-    else:
-        scn, failing = rotation_failing_mid_interval(int(case[1:3]))
+        return with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=0.2,
+                              record_stride=7)
+    if case == "ring":
+        return ring_scenario(20, 7)
+    if case in ("n30_failure", "n60_failure"):
+        return rotation_failing_mid_interval(int(case[1:3]))[0]
+    if case == "pair_flow":
+        return with_overrides(pair_scenario(horizon=0.2, record_stride=7),
+                              failures=(((0, 1), 0.05),))
+    scheme, T, failures = {
+        "hybrid_single": ("HYBRID_SINGLE", None, (((1, 6), 0.05),)),
+        "multi_failure": ("MULTI_FAILURE", None, (((1, 6), 0.05), ((8, 9), 0.1))),
+        "sampled_failure": ("CONSENSUS_SAMPLED", 0.01, (((1, 6), 0.05),)),
+    }[case]
+    return with_overrides(toy, scheme=scheme, message_interval=T, horizon=0.2,
+                          record_stride=7, failures=failures)
+
+
+@pytest.mark.parametrize("case", ["toy", "ring", "n30_failure", "n60_failure", "hybrid_single",
+                                  "multi_failure", "pair_flow", "sampled_failure"])
+def test_run_contexts_equal_direct_assembly(toy, calls, case):
+    """Every context a run builds (each piece's contexts and lead), from the
+    law_base of its live links, has [A B] (context_system) byte-equal,
+    signed zeros included, to one derivative() call of that context on the
+    identity stack, and R, the q rows of a SEQUENTIAL context's reset, from
+    the base's stack, byte-equal to one init_artificial call per unit state
+    (direct_matrices). The run calls control_rate once per set of live
+    links, for its base, and derivative never, and its records match the
+    oracle. On the 30- and 60-node grids the second piece of the rotation
+    leads with the failed pair on the links that remain; MULTI_FAILURE ends
+    with F = {2, 7, 9, 10}."""
+    scn = run_case(toy, case)
     grid = scn.grid
     pieces = schedule(scn).pieces
-    if case.endswith("_failure"):
+    if case in ("n30_failure", "n60_failure"):
+        failing = rotation_failing_mid_interval(int(case[1:3]))[1]
         assert pieces[1].start == 25 and pieces[1].lead.F == set(failing)
         assert failing not in pieces[1].comm.links
+    if case == "multi_failure":
+        assert pieces[-1].contexts[0].F == {1, 6, 8, 9}
     for comm in {pc.comm for pc in pieces}:
-        base = rotation_base(grid, comm)
+        base = law_base(grid, comm, scn.scheme in HOLD_SCHEMES)
         contexts = {c for pc in pieces if pc.comm == comm for c in pc.contexts + (pc.lead,)}
-        assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
+        if scn.scheme == "SEQUENTIAL":
+            assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
         for ctx in contexts:
-            A, B, _ = direct_matrices(grid, comm, ctx)
-            got, want = pair_system(grid, ctx, base), np.hstack([A, B])
+            A, B, R = direct_matrices(grid, comm, ctx)
+            got, got_R = context_system(base, ctx)
+            want = np.hstack([A, B])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            got, want = rotation_reset(grid, comm, ctx, base.resets), loop_reset(grid, comm, ctx)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert (got_R is R is None) or (got_R.shape == R.shape
+                                             and got_R.tobytes() == R.tobytes())
     calls["derivative"] = calls["control_rate"] = 0
     traj = integrate(scn)
     assert calls["control_rate"] == len({pc.comm for pc in pieces})
@@ -982,11 +1009,12 @@ def test_rotation_contexts_equal_direct_assembly(toy, calls, case):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_integrate_calls_the_law_once_per_context_or_base(toy, calls, scheme):
-    """integrate() never calls derivative(): it assembles [A B] from the
-    swing rows and one control_rate call per context, or per rotation base
-    under SEQUENTIAL, whose pair contexts take flow_rate's rows. Toy grid,
-    link (2,7) failing at 0.3 s (PAIR_FLOW runs the two-node grid)."""
+def test_integrate_calls_the_law_once_per_base(toy, calls, scheme):
+    """integrate() never calls derivative(): under every scheme it
+    assembles [A B] from the swing rows and one control_rate call per
+    law_base, one per distinct live links and hold, whose contexts take
+    flow_rate's rows. Toy grid, link (2,7) failing at 0.3 s (PAIR_FLOW
+    runs the two-node grid)."""
     if scheme == "PAIR_FLOW":
         scn = with_overrides(pair_scenario(horizon=0.6), failures=(((0, 1), 0.3),))
     else:
@@ -994,17 +1022,17 @@ def test_integrate_calls_the_law_once_per_context_or_base(toy, calls, scheme):
         scn = with_overrides(toy, scheme=scheme, message_interval=T, horizon=0.6,
                              failures=(((1, 6), 0.3),))
     maps = integrate(scn).diagnostics["maps"]
-    contexts = 0 if scheme == "SEQUENTIAL" else maps["stretch"]
-    assert maps["base"] == (2 if scheme == "SEQUENTIAL" else 0)
-    assert calls["control_rate"] == contexts + maps["base"] > 0
+    bases = {(pc.comm, c.scheme in HOLD_SCHEMES) for pc in schedule(scn).pieces
+             for c in pc.contexts}
+    assert calls["control_rate"] == maps["base"] == len(bases) == 2
     assert calls["derivative"] == 0
 
 
 def test_run_counts_its_maps_and_kernel_calls(toy):
     """Trajectory.diagnostics counts the maps a run builds and its kernel
-    calls, by kind. Toy SEQUENTIAL at T = 10 ms builds one rotation base
-    and the one-step maps of its ten pairs; toy HYBRID_SINGLE with a
-    failure builds no base."""
+    calls, by kind. Toy SEQUENTIAL at T = 10 ms builds one law base and
+    the one-step maps of its ten pairs; toy HYBRID_SINGLE with a failure
+    builds one base on each side of it."""
     scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=1.0,
                          record_stride=100)
     diag = integrate(scn).diagnostics
@@ -1014,7 +1042,7 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
                          failures=(((1, 6), 0.5),))
     diag = integrate(scn).diagnostics
-    assert diag["maps"] == {"base": 0, "stretch": 2, "intervals": 0, "cycles": 0}
+    assert diag["maps"] == {"base": 2, "stretch": 2, "intervals": 0, "cycles": 0}
     assert diag["kernel_calls"]["intervals"] == diag["kernel_calls"]["cycles"] == 0
     assert diag["kernel_calls"]["stretch"] == 3       # one per piece
 

@@ -130,6 +130,18 @@ class TestIntervalMapSpectrum:
         with pytest.raises(ValueError):
             interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS", toy.dt, 0.01)
 
+    @pytest.mark.parametrize("T, needle", [(1e-4, "shorter than dt"),
+                                           (0.0155, "does not divide"),
+                                           (math.inf, "does not divide")])
+    def test_rejects_a_period_off_the_step_grid(self, toy, T, needle):
+        """T must be a whole number of steps dt, as validate requires: at
+        T = 0.1 ms the map would be one step's (K = 0 rounds to no steps,
+        and k_step_map(D, G, 0) is the one-step map), at 15.5 ms 16 steps
+        divided by a period of 15.5 ms; an infinite T is no whole number of
+        steps either."""
+        with pytest.raises(ValueError, match=needle):
+            interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS_SAMPLED", 1e-3, T)
+
 
 class TestSpectrum:
     def test_diagonal(self):
@@ -354,6 +366,11 @@ class TestCharacteristicIdentity:
         with pytest.raises(ValueError):
             characteristic_identity_check(grid, CommGraph(links=((0, 1),)),
                                           pair_ctx(), [1.0 + 0j, -2.0 + 1e-8j])
+
+    def test_no_sample_points_rejected(self):
+        with pytest.raises(ValueError, match="no sample points"):
+            characteristic_identity_check(two_node_grid(), CommGraph(links=((0, 1),)),
+                                          pair_ctx(), [])
 
     def _three_node(self, costs):
         nodes = tuple(NodeParams(k + 1, (0.05, 0.1, 0.2)[k], (0.5, 1.0, 0.8)[k],
