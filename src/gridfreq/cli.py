@@ -87,6 +87,23 @@ def cmd_simulate(args) -> int:
     return 0 if summary.t_star is not None else 2
 
 
+def _write_json(doc: dict, path: Optional[str]) -> int:
+    """Write doc as indented JSON to path, or to stdout when path is not
+    given. Returns the exit code: 0, or 1 with an error line when path
+    cannot be written."""
+    text = json.dumps(doc, indent=2)
+    if not path:
+        print(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_optimal(args) -> int:
     scn = _load(args)
     if scn is None:
@@ -100,13 +117,7 @@ def cmd_optimal(args) -> int:
         "cost_paper": res.cost_paper,
         "cost_quadratic": res.cost_quadratic,
     }
-    out = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
-    return 0
+    return _write_json(doc, args.out)
 
 
 def _interval_map_report(scn, piece) -> dict:
@@ -199,23 +210,21 @@ def cmd_stability(args) -> int:
         doc = _interval_map_report(scn, piece)
     else:
         doc = _state_matrix_report(scn, piece, args)
-    out = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
-    return 0
+    return _write_json(doc, args.out)
 
 
 def cmd_repro(args) -> int:
     rows = experiments.EXPERIMENTS[args.experiment]()
     fields = list(rows[0].keys())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            w = csv.DictWriter(fh, fieldnames=fields)
-            w.writeheader()
-            w.writerows(rows)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                w = csv.DictWriter(fh, fieldnames=fields)
+                w.writeheader()
+                w.writerows(rows)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}")
     for row in rows:
         print("  ".join(f"{k}={row[k]}" for k in fields))

@@ -184,8 +184,7 @@ class SystemState:
 
 
 def _connected(n: int, pairs: Iterable[Tuple[int, int]]) -> bool:
-    if n == 0:
-        return False
+    """Whether the n >= 1 nodes are connected by pairs."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -347,6 +346,38 @@ def _int(value, where: str, what: str) -> int:
     return int(value)
 
 
+def _float(value, where: str, what: str) -> float:
+    """value as a float: an integer or a float. Anything else, booleans and
+    numeric strings included, raises ScenarioFormatError naming what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"{where}: {what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:       # an integer past the float range
+        raise ScenarioFormatError(f"{where}: {what} is out of range, got {value!r}") from None
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    """The number under key of obj, which must be there (_req, _float)."""
+    return _float(_req(obj, key, where), where, repr(key))
+
+
+def _object(value, where: str) -> dict:
+    """value, which must be a JSON object; else ScenarioFormatError."""
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{where}: must be an object, got {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str, required: bool = True) -> list:
+    """The list under key of the document (empty when absent and not
+    required); anything but a list raises ScenarioFormatError."""
+    items = _req(doc, key, "scenario") if required else doc.get(key, [])
+    if not isinstance(items, list):
+        raise ScenarioFormatError(f"scenario: {key!r} must be a list, got {items!r}")
+    return items
+
+
 def _link(value, where: str, what: str) -> Tuple[int, int]:
     """A link [a, b] of 1-based integer endpoints as a 0-based pair (min, max)."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -358,60 +389,69 @@ def _link(value, where: str, what: str) -> Tuple[int, int]:
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a scenario document. Node ids, line endpoints, link
     endpoints, disturbance nodes and record_stride must be integers (an
-    integral float such as 2.0 is accepted); anything else raises
-    ScenarioFormatError naming the key."""
+    integral float such as 2.0 is accepted), every other number field an
+    integer or a float (message_interval may also be "continuous"), the
+    document and each entry of its sections objects, and each section a
+    list; anything else raises ScenarioFormatError naming the key."""
+    doc = _object(doc, "scenario")
     nodes = []
-    for k, nd in enumerate(_req(doc, "nodes", "scenario")):
+    for k, nd in enumerate(_section(doc, "nodes")):
         where = f"nodes[{k}]"
+        nd = _object(nd, where)
         nodes.append(NodeParams(
             id=_int(nd.get("id", k + 1), where, "'id'"),
-            inertia=float(_req(nd, "inertia", where)),
-            droop=float(_req(nd, "droop", where)),
-            cost=float(_req(nd, "cost", where)),
-            fixed_power=float(_req(nd, "p", where)),
+            inertia=_number(nd, "inertia", where),
+            droop=_number(nd, "droop", where),
+            cost=_number(nd, "cost", where),
+            fixed_power=_number(nd, "p", where),
         ))
 
     lines = []
-    for k, ld in enumerate(_req(doc, "lines", "scenario")):
+    for k, ld in enumerate(_section(doc, "lines")):
         where = f"lines[{k}]"
+        ld = _object(ld, where)
         i, j = (_int(_req(ld, key, where), where, repr(key)) - 1 for key in ("i", "j"))
         has_b, has_x = "b" in ld, "reactance" in ld
         if has_b == has_x:
             raise ScenarioFormatError(f"{where}: exactly one of 'b' or 'reactance' required")
         if has_b:
-            b = float(ld["b"])
-        elif float(ld["reactance"]) == 0:
-            raise ScenarioFormatError(f"{where}: reactance must be nonzero")
+            b = _number(ld, "b", where)
         else:
-            b = 1.0 / float(ld["reactance"])
+            x = _number(ld, "reactance", where)
+            if x == 0:
+                raise ScenarioFormatError(f"{where}: reactance must be nonzero")
+            b = 1.0 / x
         lines.append(Line(min(i, j), max(i, j), b))
 
     links = tuple(_link(link, f"comm_links[{k}]", "link")
-                  for k, link in enumerate(_req(doc, "comm_links", "scenario")))
+                  for k, link in enumerate(_section(doc, "comm_links")))
     failures = []
-    for k, fd in enumerate(doc.get("comm_failures", [])):
+    for k, fd in enumerate(_section(doc, "comm_failures", required=False)):
         where = f"comm_failures[{k}]"
+        fd = _object(fd, where)
         failures.append((_link(_req(fd, "link", where), where, "'link'"),
-                         float(_req(fd, "time", where))))
+                         _number(fd, "time", where)))
 
     raw_T = doc.get("message_interval", "continuous")
-    T = CONTINUOUS if (raw_T in (None, "continuous")) else float(raw_T)
+    T = (CONTINUOUS if raw_T in (None, "continuous")
+         else _float(raw_T, "scenario", "'message_interval'"))
 
-    disturbances = tuple(
-        DisturbanceEvent(time=float(_req(dd, "time", f"disturbances[{k}]")),
-                         node=_int(_req(dd, "node", f"disturbances[{k}]"), f"disturbances[{k}]",
-                                   "'node'") - 1,
-                         delta_p=float(_req(dd, "delta_p", f"disturbances[{k}]")))
-        for k, dd in enumerate(doc.get("disturbances", []))
-    )
+    disturbances = []
+    for k, dd in enumerate(_section(doc, "disturbances", required=False)):
+        where = f"disturbances[{k}]"
+        dd = _object(dd, where)
+        disturbances.append(DisturbanceEvent(
+            time=_number(dd, "time", where),
+            node=_int(_req(dd, "node", where), where, "'node'") - 1,
+            delta_p=_number(dd, "delta_p", where)))
 
     return Scenario(
         grid=PowerGrid(nodes=tuple(nodes), lines=tuple(lines)),
         comm=CommGraph(links=links, failed=tuple(failures), message_interval=T),
-        disturbances=disturbances,
+        disturbances=tuple(disturbances),
         scheme=str(doc.get("scheme", "CONSENSUS")),
-        horizon=float(doc.get("horizon", 200.0)),
-        dt=float(doc.get("dt", 1e-3)),
+        horizon=_float(doc.get("horizon", 200.0), "scenario", "'horizon'"),
+        dt=_float(doc.get("dt", 1e-3), "scenario", "'dt'"),
         record_stride=_int(doc.get("record_stride", 100), "scenario", "'record_stride'"),
     )
 

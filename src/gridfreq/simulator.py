@@ -355,14 +355,17 @@ def context_system(base: LawBase, ctx: ControlContext
     [A B] is the base's with the u and q rows of the nodes of ctx.F
     replaced by controllers.flow_rate on the base's probe: the entries of a
     control_rate call of ctx itself, bit for bit, as that call overwrites
-    those rows whole and skips only the messages into F."""
-    n, e = base.grid.n_nodes, base.grid.n_lines
-    stack, cols = base.probe
-    du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
-    nodes = controllers.flow_rate(stack, base.grid, ctx.F, du, dq)
-    AB, rows = base.AB.copy(), np.empty((len(nodes), base.AB.shape[1]))
-    AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
-    AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
+    those rows whole and skips only the messages into F. With F empty no
+    row is replaced and [A B] is the base's copy."""
+    AB = base.AB.copy()
+    if ctx.F:
+        n, e = base.grid.n_nodes, base.grid.n_lines
+        stack, cols = base.probe
+        du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
+        nodes = controllers.flow_rate(stack, base.grid, ctx.F, du, dq)
+        rows = np.empty((len(nodes), AB.shape[1]))
+        AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
+        AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
     return AB, rotation_reset(base, ctx) if ctx.scheme == "SEQUENTIAL" else None
 
 
@@ -737,17 +740,21 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     init. Under continuous messaging, and where schedule() ignores T, no
     message is held and rx_series is None.
 
-    One loop executes the calls of plan(). The run builds each call's map
-    once per live links, kind and key (a rotation over L links keeps L + 1
-    maps of dim * (dim + N) floats), and each context's [A B] from the
-    law_base of its live links (context_system), which it keeps until the
-    live links change: it calls controllers.control_rate once per set of
-    live links, for its base, and derivative() never. It squares each k-step map that
-    kernels.jump uses once: pieces that share a context, such as the two
-    sides of a disturbance, square once, and a new p costs one product
-    G_k w. A call with many records writes them in blocks of rows, each one
-    product with a lag map of several record strides (kernels.jump), so a
-    record's last bits depend on its index in its call. A stretch jumps on the moving
+    One loop executes the calls of plan(). The run keeps one store of maps
+    per set of live links: the law_base of the links in force, and each
+    call's map by kind and key (a rotation over L links keeps L + 1 maps of
+    dim * (dim + N) floats), each context's [A B] from that base
+    (context_system). A link failure is the only event that changes the
+    live links, and they only shrink, so no map is asked for again once
+    they change: the store is emptied at each failure and at the end of
+    the run. So the run calls controllers.control_rate once per set of
+    live links, for its base, and derivative() never. It squares each
+    k-step map that kernels.jump uses once: pieces that share a context,
+    such as the two sides of a disturbance, square once, and a new p costs
+    one product G_k w. A call with many records writes them in blocks of
+    rows, each one product with a lag map of several record strides
+    (kernels.jump), so a record's last bits depend on its index in its
+    call. A stretch jumps on the moving
     states x[M] with offset G [x; y; p][inputs]; its records are written as
     x[M] into the leading columns of their rows, then spread to full rows
     with the frozen states filled in, so no second record buffer is kept.
@@ -793,23 +800,25 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
     calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
+    hold = scenario.scheme in HOLD_SCHEMES      # modes() never mixes hold and non-hold contexts
+    maps: dict = {}     # of the live links in force: (kind, key) -> (map, powers)
 
-    # the live links only shrink, so a base is not used again once they change
-    @functools.lru_cache(maxsize=1)
-    def base_of(comm: CommGraph, hold: bool) -> LawBase:
-        built["base"] += 1
-        return law_base(grid, comm, hold)
-
-    @functools.cache
-    def cached(kind: str, comm: CommGraph, key):
-        """The map of a call of this kind and key on the live links comm,
-        and the dict of the k-step maps that kernels.jump squares from it."""
-        built[kind] += 1
-        if kind == "stretch":
-            return context_step(base_of(comm, key.scheme in HOLD_SCHEMES), key, dt), {}
-        if kind == "intervals":
-            return interval_map(grid, cached("stretch", comm, key)[0], K), {}
-        return compose_maps([cached("intervals", comm, c)[0] for c in key]), {}
+    def cached(kind: str, key):
+        """The map of kind and key on the live links in force, and the dict
+        of the k-step maps that kernels.jump squares from it; the law base
+        is kind "base", key None."""
+        if (kind, key) not in maps:
+            built[kind] += 1
+            if kind == "base":
+                m = law_base(grid, piece.comm, hold)
+            elif kind == "stretch":
+                m = context_step(cached("base", None)[0], key, dt)
+            elif kind == "intervals":
+                m = interval_map(grid, cached("stretch", key)[0], K)
+            else:
+                m = compose_maps([cached("intervals", c)[0] for c in key])
+            maps[kind, key] = m, {}
+        return maps[kind, key]
 
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
@@ -818,7 +827,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         shares (a pause samples one state, an interval jump records at most
         one and a cycle jump records only on cycle starts). Returns the held
         values each row leaves, its C u."""
-        R = cached("stretch", piece.comm, piece.context(step, K))[0].R
+        R = cached("stretch", piece.context(step, K))[0].R
         if R is not None:
             rows[:, Q] = rows @ R.T
         return cost_vec * rows[:, U]
@@ -852,7 +861,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 rec_states[n_rec] = x
                 book(call.start, 1, y[None])
         elif call.kind == "stretch":
-            sm, powers = cached(call.kind, call.piece.comm, call.key)
+            sm, powers = cached(call.kind, call.key)
             w = np.concatenate([x, y, p])[sm.inputs]
             xm = x[sm.moving]
             rec = rec_states[n_rec:n_rec + call.rows]
@@ -865,7 +874,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 book(call.start + call.first, got, y[None])
             x[sm.moving] = xm
         else:
-            (D, G), powers = cached(call.kind, call.piece.comm, call.key)
+            (D, G), powers = cached(call.kind, call.key)
             out = rec_states[n_rec:n_rec + call.rows]
             got = jump(D, G, p, x, call.k, call.first, call.every, out, powers)
             if got:
@@ -879,6 +888,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         if call.kind != "pause":
             calls[call.kind] += 1
         if call.piece is not piece:
+            if piece is not None and call.piece.comm is not piece.comm:
+                maps.clear()    # a failure: the live links only shrink, so no map is asked for again
             piece = call.piece
             t = piece.start * dt
             p = np.array(piece.p)
@@ -900,8 +911,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
             n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
             break
-    cached.cache_clear()    # cached calls itself, a cycle: free its maps now, not at a collection
-    base_of.cache_clear()
+    maps.clear()    # cached calls itself, a cycle: free its maps now, not at a collection
     states = rec_states[:n_rec]
     u = states[:, U]
     traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),

@@ -67,12 +67,19 @@ def test_simulate_missing_file_exits_1(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_malformed_scenario_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("text, needle", [
+    ('{"nodes": [{"inertia": 1.0}]}', "nodes[0]: missing required key 'droop'"),
+    ("null", "scenario: must be an object, got None"),
+    ('{"nodes": [1], "lines": [], "comm_links": []}', "nodes[0]: must be an object, got 1"),
+])
+def test_malformed_scenario_exits_1(tmp_path, capsys, text, needle):
+    """A scenario file of the wrong format or shape is one error line and
+    exit 1, not a traceback."""
     bad = tmp_path / "bad.json"
-    bad.write_text('{"nodes": [{"inertia": 1.0}]}')
+    bad.write_text(text)
     code = cli.main(["simulate", str(bad), "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "missing required key" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {needle}\n"
 
 
 def test_invalid_scenario_reports_violations(tmp_path, capsys):
@@ -503,6 +510,20 @@ def test_repro_writes_csv(tmp_path, monkeypatch):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "experiment,scheme,steady_cost_paper,t_star,reference_cost,status"
     assert lines[1].startswith("fake,CONSENSUS,1.0,2.0,")
+
+
+@pytest.mark.parametrize("argv", [["optimal", "toy"], ["stability", "toy"],
+                                  ["repro", "failure_costs"]])
+def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, argv):
+    """optimal, stability and repro report an --out they cannot write as
+    one error line and exit 1, as simulate does."""
+    rows = [{"experiment": "fake", "status": "target"}]
+    monkeypatch.setitem(cli.experiments.EXPERIMENTS, "failure_costs", lambda: rows)
+    out = tmp_path / "missing_dir" / "x.json"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err and captured.out == ""
 
 
 def test_successive_calls_share_one_parser(tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 
 from gridfreq.model import (CONTINUOUS, CommGraph, DisturbanceEvent, Line,
                             NodeParams, PowerGrid, Scenario,
-                            ScenarioFormatError, post_disturbance_power, scenario_from_dict,
-                            scenario_to_dict, toy_grid, validate,
+                            ScenarioFormatError, load_scenario, post_disturbance_power,
+                            scenario_from_dict, scenario_to_dict, validate,
                             with_overrides)
+from gridfreq.simulator import ScenarioError, schedule
 
 
 def test_toy_grid_is_valid(toy):
@@ -241,3 +242,127 @@ def test_integral_floats_are_integers(toy):
     assert scn == twin
     assert all(type(v) is int for link in scn.comm.links for v in link)
     assert validate(scn) == []
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ((), None, r"^scenario: must be an object, got None$"),
+    ((), [], r"^scenario: must be an object, got \[\]$"),
+    (("nodes",), {"id": 1}, r"^scenario: 'nodes' must be a list"),
+    (("lines",), None, r"^scenario: 'lines' must be a list, got None$"),
+    (("comm_links",), "1-2", r"^scenario: 'comm_links' must be a list"),
+    (("comm_failures",), {"link": [2, 7]}, r"^scenario: 'comm_failures' must be a list"),
+    (("disturbances",), {"time": 1}, r"^scenario: 'disturbances' must be a list"),
+    (("nodes", 0), 1, r"^nodes\[0\]: must be an object, got 1$"),
+    (("lines", 0), [2, 7], r"^lines\[0\]: must be an object"),
+    (("comm_failures",), [5], r"^comm_failures\[0\]: must be an object, got 5$"),
+    (("disturbances", 0), "node 3", r"^disturbances\[0\]: must be an object"),
+    (("nodes", 0, "inertia"), None, r"^nodes\[0\]: 'inertia' must be a number, got None$"),
+    (("nodes", 1, "droop"), "0.3", r"^nodes\[1\]: 'droop' must be a number, got '0.3'$"),
+    (("nodes", 0, "cost"), True, r"^nodes\[0\]: 'cost' must be a number, got True$"),
+    (("nodes", 0, "p"), [1.0], r"^nodes\[0\]: 'p' must be a number"),
+    (("lines", 0, "b"), "1.5", r"^lines\[0\]: 'b' must be a number, got '1.5'$"),
+    (("lines", 0), {"i": 2, "j": 7, "reactance": None},
+     r"^lines\[0\]: 'reactance' must be a number, got None$"),
+    (("comm_failures",), [{"link": [2, 7], "time": "soon"}],
+     r"^comm_failures\[0\]: 'time' must be a number, got 'soon'$"),
+    (("disturbances", 0, "time"), "1", r"^disturbances\[0\]: 'time' must be a number"),
+    (("disturbances", 0, "delta_p"), None, r"^disturbances\[0\]: 'delta_p' must be a number"),
+    (("message_interval",), "0.01", r"^scenario: 'message_interval' must be a number"),
+    (("message_interval",), False, r"^scenario: 'message_interval' must be a number"),
+    (("horizon",), None, r"^scenario: 'horizon' must be a number, got None$"),
+    (("dt",), "1e-3", r"^scenario: 'dt' must be a number, got '1e-3'$"),
+    (("horizon",), 10 ** 400, r"^scenario: 'horizon' is out of range"),
+])
+def test_malformed_documents_are_format_errors(toy, path, value, message):
+    """A document or entry that is not an object, a section that is not a
+    list and a number field holding anything but an integer or a float
+    (a numeric string included) each raise ScenarioFormatError naming the
+    key, not a TypeError or AttributeError from deep in the reader."""
+    doc = value if path == () else scenario_to_dict(toy)
+    if path:
+        _set(path, value)(doc)
+    with pytest.raises(ScenarioFormatError, match=message):
+        scenario_from_dict(doc)
+
+
+def test_number_fields_take_integers_and_continuous_messaging(toy):
+    """An integer reads as its float wherever a number is expected, and
+    message_interval may be "continuous" or null."""
+    doc = scenario_to_dict(toy)
+    doc["nodes"][0]["p"], doc["horizon"], doc["disturbances"][0]["delta_p"] = 1, 200, -5
+    for T in ("continuous", None):
+        scn = scenario_from_dict(dict(doc, message_interval=T))
+        assert scn == toy and scn.comm.message_interval is CONTINUOUS
+    assert type(scn.horizon) is float and scn.horizon == 200.0
+    assert scenario_from_dict(dict(doc, message_interval=1)).comm.message_interval == 1.0
+
+
+def _toy_with(toy, **change):
+    """toy with its nodes, lines or comm links replaced, or a scenario field
+    or its first disturbance (node, time) changed."""
+    grid, comm = toy.grid, toy.comm
+    if "nodes" in change or "lines" in change:
+        grid = PowerGrid(change.pop("nodes", grid.nodes), change.pop("lines", grid.lines))
+    if "links" in change:
+        comm = CommGraph(links=change.pop("links"), failed=comm.failed,
+                         message_interval=comm.message_interval)
+    if "failed" in change:
+        comm = dataclasses.replace(comm, failed=change.pop("failed"))
+    if "disturbance" in change:
+        change["disturbances"] = (dataclasses.replace(toy.disturbances[0],
+                                                      **change.pop("disturbance")),)
+    return dataclasses.replace(toy, grid=grid, comm=comm, **change)
+
+
+def _unshared(toy):
+    """The first node pair of the toy grid that is not a power line."""
+    return next((a, b) for a in range(10) for b in range(a + 1, 10)
+                if (a, b) not in toy.grid.edge_set())
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda t: _toy_with(t, nodes=()), "grid has no nodes"),
+    (lambda t: _toy_with(t, nodes=(t.grid.nodes[0], dataclasses.replace(t.grid.nodes[1], id=5))
+                         + t.grid.nodes[2:]),
+     "node at position 1 has id 5, expected 2"),
+    (lambda t: _toy_with(t, lines=t.grid.lines + (Line(0, 10, 1.0),)),
+     "line (1,11): endpoint out of range"),
+    (lambda t: _toy_with(t, lines=t.grid.lines + (Line(1, 1, 1.0),)), "line (2,2): self-loop"),
+    (lambda t: _toy_with(t, lines=t.grid.lines + (Line(6, 1, 1.0),)),
+     "line (7,2): endpoints must satisfy i < j"),
+    (lambda t: _toy_with(t, lines=t.grid.lines + t.grid.lines[:1]),
+     "line (2,7): duplicate line"),
+    (lambda t: _toy_with(t, links=t.comm.links + ((0, 10),)),
+     "comm link (1,11): endpoint out of range"),
+    (lambda t: _toy_with(t, links=t.comm.links + ((3, 3),)), "comm link (4,4): self-loop"),
+    (lambda t: _toy_with(t, links=t.comm.links + ((6, 1),)),
+     "comm link (7,2): endpoints must satisfy i < j"),
+    (lambda t: _toy_with(t, links=t.comm.links + ((1, 6),)), "comm link (2,7): duplicate link"),
+    (lambda t: _toy_with(t, failed=(((1, 6), -1.0),)),
+     "comm failure on (2,7) has negative time -1.0"),
+    (lambda t: _toy_with(t, disturbance={"node": 10}),
+     "disturbance at t=1.0 references unknown node 11"),
+    (lambda t: _toy_with(t, disturbance={"time": -2.0}),
+     "disturbance at node 3 has negative time -2.0"),
+    (lambda t: _toy_with(t, horizon=1e-4), "horizon 0.0001 is shorter than dt 0.001"),
+    (lambda t: _toy_with(t, record_stride=0), "record_stride must be >= 1, got 0"),
+    (lambda t: _toy_with(t, scheme="ROUND_ROBIN"), "unknown scheme 'ROUND_ROBIN'"),
+    (lambda t: _toy_with(with_overrides(t, message_interval=0.01), scheme="SEQUENTIAL",
+                         links=(_unshared(t),)),
+     "SEQUENTIAL requires at least one edge shared by the power and communication graphs"),
+])
+def test_validate_names_each_violation(toy, case, message):
+    """Each structural check of validate() reports its own message."""
+    assert message in validate(case(toy))
+
+
+def test_schedule_refuses_an_invalid_scenario(toy):
+    with pytest.raises(ScenarioError, match="record_stride must be >= 1, got 0"):
+        schedule(dataclasses.replace(toy, record_stride=0))
+
+
+def test_invalid_json_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"nodes": [')
+    with pytest.raises(ScenarioFormatError, match=r"bad\.json: invalid JSON"):
+        load_scenario(path)

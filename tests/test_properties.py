@@ -7,6 +7,10 @@ Grids are connected, with 2 to 6 nodes; the scheme's flow-based pair is a
 power-adjacent communication link that has failed (or, under SEQUENTIAL,
 the active shared link).
 """
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,3 +70,21 @@ def test_assembled_affine_map_reproduces_derivative(case, seed):
     for x in rng.normal(size=(3, 3 * n + grid.n_lines)):
         dx = derivative(vector_to_state(0.0, x, grid, last_rx), grid, comm, ctx, p)
         assert np.abs(A @ x + b - dx).max() <= 1e-12
+
+
+def test_a_failing_property_fails_alone(tmp_path):
+    """A failing hypothesis test under this suite's warning filters is one
+    failure (exit 1), not an INTERNALERROR (exit 3) that ends the session:
+    hypothesis's failure report imports libcst, which warns that
+    mypy_extensions.TypedDict is deprecated."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), "--rootdir", str(tmp_path), "test_fails.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1 and "1 failed" in run.stdout

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -1045,6 +1047,40 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     assert diag["maps"] == {"base": 2, "stretch": 2, "intervals": 0, "cycles": 0}
     assert diag["kernel_calls"]["intervals"] == diag["kernel_calls"]["cycles"] == 0
     assert diag["kernel_calls"]["stretch"] == 3       # one per piece
+
+
+def test_run_frees_the_maps_of_replaced_live_links(toy, monkeypatch):
+    """A run keeps the maps of the live links in force and no others: toy
+    HYBRID_SINGLE with link (2,7) failing at 0.5 s holds no step map of
+    the first live links by the time it builds the second base, and none
+    at all after the run. With the garbage collector off, a map still
+    referenced from the run's store stays alive, so this sees the store
+    itself, not a collection."""
+    from gridfreq import simulator
+    maps, alive_at_base = [], []
+
+    def step(*args):
+        sm = context_step(*args)
+        maps.append(weakref.ref(sm))
+        return sm
+
+    def base(*args):
+        alive_at_base.append(sum(ref() is not None for ref in maps))
+        return law_base(*args)
+
+    monkeypatch.setattr(simulator, "context_step", step)
+    monkeypatch.setattr(simulator, "law_base", base)
+    scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=1.0, failures=(((1, 6), 0.5),))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        integrate(scn)
+        alive_after = sum(ref() is not None for ref in maps)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(maps) == 2 and alive_at_base == [0, 0]
+    assert alive_after == 0
 
 
 def test_rotation_records_without_stopping(calls):
