@@ -11,7 +11,7 @@ import csv
 import functools
 import json
 import sys
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,34 +22,36 @@ from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, load_scenario,
 from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
                         write_trajectory_csv)
 from .stability import (assemble_state_matrix, characteristic_identity_check,
-                        check_sufficient_multi_node, check_sufficient_two_node,
-                        failed_pair_last, interval_map_spectrum, spectrum)
+                        interval_map_spectrum, spectrum, sufficient_conditions)
+
+
+def _error(message) -> int:
+    """Print message as one error line on stderr; returns exit code 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _load(args) -> Optional[object]:
-    if args.scenario == "toy":
-        scn = toy_grid()
-    else:
-        try:
-            scn = load_scenario(args.scenario)
-        except FileNotFoundError:
-            print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-            return None
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None
+    """The scenario of args (the bundled toy grid or a file) with the
+    command-line overrides applied, or None when it cannot be read or is
+    invalid, each reason printed to stderr."""
+    try:
+        scn = toy_grid() if args.scenario == "toy" else load_scenario(args.scenario)
+    except FileNotFoundError:
+        _error(f"scenario file not found: {args.scenario}")
+        return None
+    except (ValueError, OSError) as exc:
+        _error(exc)
+        return None
     T = "unset"
-    if getattr(args, "T", None) is not None:
+    if args.T is not None:
         try:
             T = CONTINUOUS if args.T == "continuous" else float(args.T)
         except ValueError:
-            print(f"error: --T must be a number of seconds or 'continuous', got {args.T!r}",
-                  file=sys.stderr)
+            _error(f"--T must be a number of seconds or 'continuous', got {args.T!r}")
             return None
-    scn = with_overrides(scn, scheme=getattr(args, "scheme", None),
-                         horizon=getattr(args, "horizon", None),
-                         dt=getattr(args, "dt", None), message_interval=T,
-                         record_stride=getattr(args, "record_stride", None))
+    scn = with_overrides(scn, scheme=args.scheme, horizon=args.horizon, dt=args.dt,
+                         message_interval=T, record_stride=args.record_stride)
     problems = validate(scn)
     if problems:
         for p in problems:
@@ -58,27 +60,32 @@ def _load(args) -> Optional[object]:
     return scn
 
 
+def _warn(events) -> List[dict]:
+    """The warnings and fallbacks to averaging among the (t, kind, detail)
+    events, each printed to stderr as one line and returned as a dict."""
+    warnings = [{"t": t, "kind": kind, "detail": detail} for t, kind, detail in events
+                if kind in ("warning", "fallback_consensus")]
+    for w in warnings:
+        print(f"{w['kind']} at t={w['t']:g}: {w['detail']}", file=sys.stderr)
+    return warnings
+
+
 def cmd_simulate(args) -> int:
     scn = _load(args)
     if scn is None:
         return 1
+    csv_path = args.out + ".csv"
+    json_path = args.out + ".summary.json"
     try:
         if args.emit_scenario:
             save_scenario(scn, args.emit_scenario)
         traj, summary = run_scenario(scn)
-        warnings = [{"t": t, "kind": kind, "detail": detail} for t, kind, detail in traj.events
-                    if kind in ("warning", "fallback_consensus")]
-        for w in warnings:
-            print(f"{w['kind']} at t={w['t']:g}: {w['detail']}", file=sys.stderr)
-        csv_path = args.out + ".csv"
-        json_path = args.out + ".summary.json"
+        warnings = _warn(traj.events)
         write_trajectory_csv(traj, csv_path)
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({**summary.to_dict(), "warnings": warnings,
-                       "diagnostics": traj.diagnostics}, fh, indent=2)
-            fh.write("\n")
     except (ScenarioError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return _error(exc)
+    if _write_json({**summary.to_dict(), "warnings": warnings,
+                    "diagnostics": traj.diagnostics}, json_path):
         return 1
     print(f"trajectory: {csv_path}")
     print(f"summary:    {json_path}")
@@ -99,8 +106,7 @@ def _write_json(doc: dict, path: Optional[str]) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     return 0
 
 
@@ -152,29 +158,15 @@ def _state_matrix_report(scn, piece, args) -> dict:
         "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
         "structural_zero_count": rep.structural_zero_count,
         "spectral_abscissa_excl_zeros": rep.spectral_abscissa_excl_zeros,
-        "sufficient": None,
+        "sufficient": sufficient_conditions(scn.grid, comm, ctx),
         "identity": None,
     }
-
-    grid = scn.grid
-    M = np.diag(grid.inertia())
-    D = np.diag(grid.droop())
-    C = np.diag(grid.cost())
-    if ctx.scheme == "PAIR_FLOW" and grid.n_nodes == 2:
-        L_c = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        doc["sufficient"] = check_sufficient_two_node(
-            M, D, C, grid.lines[0].b, L_c)
-    elif ctx.scheme == "HYBRID_SINGLE" and len(ctx.F) == 2:
-        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
-        doc["sufficient"] = check_sufficient_multi_node(
-            P @ M @ P.T, P @ D @ P.T, P @ C @ P.T, Lstar,
-            P @ grid.weighted_laplacian() @ P.T)
-
-    if ctx.scheme in ("PAIR_FLOW", "HYBRID_SINGLE"):
+    if doc["sufficient"] is not None:   # a flow law: check its factorization too
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0.5, 5.0, args.samples) * np.exp(
             1j * rng.uniform(0.0, 2.0 * np.pi, args.samples))
-        idr = characteristic_identity_check(grid, comm, ctx, pts, eigenvalues=rep.eigenvalues)
+        idr = characteristic_identity_check(scn.grid, comm, ctx, pts,
+                                            eigenvalues=rep.eigenvalues)
         doc["identity"] = {
             "max_residual": idr.max_residual,
             "sign": [idr.sign.real, idr.sign.imag],
@@ -189,22 +181,17 @@ def cmd_stability(args) -> int:
     scenario's schedule, with the links live there. The schedule's warnings
     and fallbacks to averaging go to stderr, as simulate prints them."""
     if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return 1
+        return _error(f"--samples must be at least 1, got {args.samples}")
     scn = _load(args)
     if scn is None:
         return 1
     try:
         plan = schedule(scn)
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for w in plan.warnings:
-        print(f"warning at t=0: {w}", file=sys.stderr)
-    for piece in plan.pieces:
-        for kind, detail in piece.events:
-            if kind == "fallback_consensus":
-                print(f"{kind} at t={piece.start * scn.dt:g}: {detail}", file=sys.stderr)
+        return _error(exc)
+    _warn([(0.0, "warning", w) for w in plan.warnings]
+          + [(piece.start * scn.dt, kind, detail)
+             for piece in plan.pieces for kind, detail in piece.events])
     piece = plan.pieces[-1]
     if scn.scheme in HOLD_SCHEMES:
         doc = _interval_map_report(scn, piece)
@@ -223,8 +210,7 @@ def cmd_repro(args) -> int:
                 w.writeheader()
                 w.writerows(rows)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(exc)
         print(f"wrote {args.out}")
     for row in rows:
         print("  ".join(f"{k}={row[k]}" for k in fields))

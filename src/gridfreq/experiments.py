@@ -8,6 +8,7 @@ cost, and the flow-based law recovering it) carry status "target".
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -31,46 +32,49 @@ REFERENCE_STATUS = "reference (reconstructed topology)"
 TARGET_STATUS = "target"
 
 
-def _row(name: str, scheme: str, traj, summary, reference: float, status: str) -> Dict:
+def _cost_row(name: str, scenario: Scenario, reference: str) -> Dict:
+    """Run scenario; its row of the failure-cost tables, beside
+    REFERENCE[reference]. Only the optimal cost does not depend on the
+    wiring, so it alone is a target."""
+    traj, summary = run_scenario(scenario)
     return {
         "experiment": name,
-        "scheme": scheme,
+        "scheme": scenario.scheme,
         "steady_cost_paper": summary.steady_cost_paper,
         "t_star": summary.t_star,
         "final_max_omega": float(np.abs(traj.omega[-1]).max()),
-        "reference_cost": reference,
-        "status": status,
+        "reference_cost": REFERENCE[reference],
+        "status": TARGET_STATUS if reference == "optimal" else REFERENCE_STATUS,
+    }
+
+
+def _t_star_row(name: str, scheme: str, T: float, horizon: float) -> Dict:
+    """Run the toy grid under scheme at message interval T; its row of the
+    t* tables."""
+    traj, summary = run_scenario(with_overrides(toy_grid(), scheme=scheme, message_interval=T,
+                                                horizon=horizon, record_stride=1000))
+    return {
+        "experiment": name,
+        "scheme": scheme,
+        "T": T,
+        "t_star": summary.t_star,
+        "t_star_first_crossing": summary.t_star_first_crossing,
+        "steady_cost_paper": summary.steady_cost_paper,
+        "final_max_omega": float(np.abs(traj.omega[-1]).max()),
     }
 
 
 def failure_costs() -> List[Dict]:
     """Steady cost with full messaging, one failed link (with and without the
     flow-based recovery), and no messaging at all."""
-    base = toy_grid()
-    rows = []
-
-    tr, s = run_scenario(with_overrides(base, horizon=600.0))
-    rows.append(_row("full_comm", "CONSENSUS", tr, s, REFERENCE["optimal"],
-                     TARGET_STATUS))
-
-    fail27 = (((1, 6), FAIL_T0),)
-    tr, s = run_scenario(with_overrides(base, horizon=600.0, failures=fail27))
-    rows.append(_row("fail_2_7", "CONSENSUS", tr, s,
-                     REFERENCE["consensus_fail_2_7"], REFERENCE_STATUS))
-
-    tr, s = run_scenario(with_overrides(base, scheme="HYBRID_SINGLE", horizon=600.0,
-                                        failures=fail27))
-    rows.append(_row("fail_2_7", "HYBRID_SINGLE", tr, s, REFERENCE["optimal"],
-                     TARGET_STATUS))
-
-    no_comm = Scenario(grid=base.grid, comm=CommGraph(links=()),
-                       disturbances=base.disturbances, scheme="CONSENSUS",
-                       horizon=600.0, dt=base.dt,
-                       record_stride=base.record_stride)
-    tr, s = run_scenario(no_comm)
-    rows.append(_row("no_comm", "CONSENSUS", tr, s,
-                     REFERENCE["consensus_no_comm"], REFERENCE_STATUS))
-    return rows
+    base = with_overrides(toy_grid(), horizon=600.0)
+    fail27 = with_overrides(base, failures=(((1, 6), FAIL_T0),))
+    return [_cost_row(*spec) for spec in (
+        ("full_comm", base, "optimal"),
+        ("fail_2_7", fail27, "consensus_fail_2_7"),
+        ("fail_2_7", with_overrides(fail27, scheme="HYBRID_SINGLE"), "optimal"),
+        ("no_comm", replace(base, comm=CommGraph(links=())), "consensus_no_comm"),
+    )]
 
 
 # Horizons sized so every sweep member converges; the T = 1 s run is slow
@@ -82,64 +86,30 @@ SWEEP_HORIZON = {1e-3: 250.0, 1e-2: 300.0, 1e-1: 500.0, 1.0: 3900.0}
 def convergence_vs_T() -> List[Dict]:
     """Convergence time of the sampled averaging law as the message interval
     grows."""
-    base = toy_grid()
-    rows = []
-    for T in SWEEP_T:
-        scn = with_overrides(base, scheme="CONSENSUS_SAMPLED", message_interval=T,
-                             horizon=SWEEP_HORIZON[T], record_stride=1000)
-        tr, s = run_scenario(scn)
-        rows.append({
-            "experiment": "convergence_vs_T",
-            "scheme": "CONSENSUS_SAMPLED",
-            "T": T,
-            "t_star": s.t_star,
-            "t_star_first_crossing": s.t_star_first_crossing,
-            "steady_cost_paper": s.steady_cost_paper,
-            "final_max_omega": float(np.abs(tr.omega[-1]).max()),
-        })
-    return rows
+    return [_t_star_row("convergence_vs_T", "CONSENSUS_SAMPLED", T, SWEEP_HORIZON[T])
+            for T in SWEEP_T]
 
 
 def multi_failure() -> List[Dict]:
     """Two simultaneous link failures: plain averaging on the surviving graph
     versus the multi-failure flow-based law."""
-    base = toy_grid()
-    fails = (((0, 1), FAIL_T0), ((1, 4), FAIL_T0))
-    rows = []
-    tr, s = run_scenario(with_overrides(base, horizon=600.0, failures=fails))
-    rows.append(_row("fail_1_2_and_2_5", "CONSENSUS", tr, s,
-                     REFERENCE["consensus_fail_1_2_2_5"], REFERENCE_STATUS))
-    tr, s = run_scenario(with_overrides(base, scheme="MULTI_FAILURE", horizon=600.0,
-                                        failures=fails))
-    rows.append(_row("fail_1_2_and_2_5", "MULTI_FAILURE", tr, s,
-                     REFERENCE["multi_failure_1_2_2_5"], REFERENCE_STATUS))
-    return rows
+    fails = with_overrides(toy_grid(), horizon=600.0,
+                           failures=(((0, 1), FAIL_T0), ((1, 4), FAIL_T0)))
+    return [_cost_row(*spec) for spec in (
+        ("fail_1_2_and_2_5", fails, "consensus_fail_1_2_2_5"),
+        ("fail_1_2_and_2_5", with_overrides(fails, scheme="MULTI_FAILURE"),
+         "multi_failure_1_2_2_5"),
+    )]
 
 
 def sequential() -> List[Dict]:
     """Sequential link rotation at T = 1 s against the sampled averaging law
     at T = 1 s and T = 1 ms."""
-    base = toy_grid()
-    rows = []
-    specs = [
+    return [_t_star_row("sequential", *spec) for spec in (
         ("SEQUENTIAL", 1.0, 700.0),
         ("CONSENSUS_SAMPLED", 1.0, 3900.0),
         ("CONSENSUS_SAMPLED", 1e-3, 250.0),
-    ]
-    for scheme, T, horizon in specs:
-        scn = with_overrides(base, scheme=scheme, message_interval=T,
-                             horizon=horizon, record_stride=1000)
-        tr, s = run_scenario(scn)
-        rows.append({
-            "experiment": "sequential",
-            "scheme": scheme,
-            "T": T,
-            "t_star": s.t_star,
-            "t_star_first_crossing": s.t_star_first_crossing,
-            "steady_cost_paper": s.steady_cost_paper,
-            "final_max_omega": float(np.abs(tr.omega[-1]).max()),
-        })
-    return rows
+    )]
 
 
 EXPERIMENTS = {

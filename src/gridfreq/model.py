@@ -487,7 +487,7 @@ def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
             raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from exc
     return scenario_from_dict(doc)
 

@@ -48,6 +48,7 @@ inputs.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -69,6 +70,11 @@ class ScenarioError(ValueError):
     left with no live shared link to rotate over."""
 
 
+# NumPy's overflow and invalid-value warnings off where the finite checks
+# catch what they flag and IntegrationError reports it
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 class IntegrationError(RuntimeError):
     """The state left the finite range. step is the first step, replayed
     one RK4 step at a time from the start of the failing kernel call, after
@@ -78,8 +84,16 @@ class IntegrationError(RuntimeError):
     overflow, so checking the messages makes every record stride report
     the same step. The naive oracle (tests/conftest.py) can overflow a few
     steps earlier, inside an RK4 stage: its intermediate stage states may
-    leave the range before the step's combination does. last_state is the
-    last recorded state before step, or None."""
+    leave the range before the step's combination does. Near the float
+    limit step can still move by one with the record stride: the squared
+    maps that jump to the failing call round differently from single
+    steps, and the unstable modes amplify that (on the toy grid at dt =
+    0.05 s it reads 194 at stride 4 and 193 at strides 1, 3, 7 and 100).
+    last_state is the last recorded state before step, or None. The run's
+    calls (their maps, kernel calls, sampling and replay) and a failing
+    run's records run with NumPy's overflow and invalid-value warnings off:
+    every value they compute reaches the state or its messages, whose
+    finite checks catch what the warnings flag, and this error reports it."""
 
     def __init__(self, step: int, last_state: Optional[SystemState]):
         self.step = step
@@ -768,7 +782,9 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     must the messages C u it sends at an instant. A call that fails this
     is replayed by the same executor one RK4 step at a time from a copy of
     its start state (exact, as no event lies inside a call), and
-    IntegrationError names the first step that fails it.
+    IntegrationError names the first step that fails it. The calls run
+    with NumPy's overflow and invalid-value warnings off, so a diverging
+    run reports the error alone.
 
     Trajectory.diagnostics counts the maps the run built and the kernel
     calls of its plan, each by kind.
@@ -884,41 +900,47 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         return got == call.rows and bool(np.isfinite(x * sends if instant else x).all())
 
     piece = failed = None
-    for call in plan(sched, stride):
-        if call.kind != "pause":
-            calls[call.kind] += 1
-        if call.piece is not piece:
-            if piece is not None and call.piece.comm is not piece.comm:
-                maps.clear()    # a failure: the live links only shrink, so no map is asked for again
-            piece = call.piece
-            t = piece.start * dt
-            p = np.array(piece.p)
-            events_log += [(t, kind, detail) for kind, detail in piece.events]
-            now = np.array([(min(d), max(d)) in piece.comm.links for d in rx_links], dtype=bool)
-            gone = live & ~now
-            frozen[gone] = y[senders[gone]]
-            live = now
-            if piece.init is not None:
-                rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
-                      if not np.isnan(v)}
-                q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
-                                                        grid, piece.init, piece.comm)
-                x[Q] = q0
-                events_log += [(t, "warning", w) for w in warns]
-        x0 = x.copy()
-        if not execute(call):
-            x[:] = x0
-            failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
-            n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
-            break
+    with np.errstate(**_QUIET):
+        for call in plan(sched, stride):
+            if call.kind != "pause":
+                calls[call.kind] += 1
+            if call.piece is not piece:
+                if piece is not None and call.piece.comm is not piece.comm:
+                    # a failure: the live links only shrink, so no map is asked for again
+                    maps.clear()
+                piece = call.piece
+                t = piece.start * dt
+                p = np.array(piece.p)
+                events_log += [(t, kind, detail) for kind, detail in piece.events]
+                now = np.array([(min(d), max(d)) in piece.comm.links for d in rx_links],
+                               dtype=bool)
+                gone = live & ~now
+                frozen[gone] = y[senders[gone]]
+                live = now
+                if piece.init is not None:
+                    rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
+                          if not np.isnan(v)}
+                    q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
+                                                            grid, piece.init, piece.comm)
+                    x[Q] = q0
+                    events_log += [(t, "warning", w) for w in warns]
+            x0 = x.copy()
+            if not execute(call):
+                x[:] = x0
+                failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
+                n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
+                break
     maps.clear()    # cached calls itself, a cycle: free its maps now, not at a collection
     states = rec_states[:n_rec]
     u = states[:, U]
-    traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),
-                      flow=states[:, n:n + e].copy(), u=u.copy(), q=states[:, Q].copy(),
-                      cost_series=(u * u) @ cost_vec, events=tuple(events_log),
-                      rx_links=rx_links, rx_series=None if K is None else rec_rx[:n_rec].copy(),
-                      diagnostics={"maps": built, "kernel_calls": calls})
+    # a finished run keeps its warnings: no finite check sees a cost that overflows
+    with np.errstate(**_QUIET) if failed is not None else contextlib.nullcontext():
+        traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),
+                          flow=states[:, n:n + e].copy(), u=u.copy(), q=states[:, Q].copy(),
+                          cost_series=(u * u) @ cost_vec, events=tuple(events_log),
+                          rx_links=rx_links,
+                          rx_series=None if K is None else rec_rx[:n_rec].copy(),
+                          diagnostics={"maps": built, "kernel_calls": calls})
     if failed is not None:
         raise IntegrationError(failed, traj.state_at(n_rec - 1) if n_rec else None)
     return traj

@@ -267,6 +267,40 @@ def failed_pair_last(grid: PowerGrid, comm: CommGraph, pair: Link
     return P, build_Lc_star(L_c, P @ np.diag(grid.cost()) @ P.T, (n - 2, n - 1))
 
 
+def certificate_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
+                         ) -> Optional[Tuple[np.ndarray, ...]]:
+    """(M, D, C, L_p^B, L_c) that certify a flow law, from which both the
+    sufficient conditions and the identity check read: the diagonal M, D
+    and C, the power Laplacian L_p^B and L_c = [[1, -1], [-1, 1]] under
+    PAIR_FLOW; under HYBRID_SINGLE with two flow-controlled nodes the same
+    matrices relabelled so the pair comes last (failed_pair_last), with
+    L_c* in place of L_c. None for any other law. comm holds the live
+    links only."""
+    mats = (np.diag(grid.inertia()), np.diag(grid.droop()), np.diag(grid.cost()),
+            grid.weighted_laplacian())
+    if ctx.scheme == "PAIR_FLOW":
+        return (*mats, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    if ctx.scheme == "HYBRID_SINGLE" and len(ctx.F) == 2:
+        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
+        return (*(P @ X @ P.T for X in mats), Lstar)
+    return None
+
+
+def sufficient_conditions(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
+                          ) -> Optional[Dict[str, bool]]:
+    """The sufficient stability conditions of ctx's flow law on
+    certificate_matrices: check_sufficient_two_node under PAIR_FLOW (B the
+    one line's susceptance), check_sufficient_multi_node under
+    HYBRID_SINGLE. None for a law without a certificate."""
+    mats = certificate_matrices(grid, comm, ctx)
+    if mats is None:
+        return None
+    M, D, C, LpB, L_c = mats
+    if ctx.scheme == "PAIR_FLOW":
+        return check_sufficient_two_node(M, D, C, LpB[0, 0], L_c)
+    return check_sufficient_multi_node(M, D, C, L_c, LpB)
+
+
 def _pencil_logdets(pts: np.ndarray, M, D, Cinv, K, LpB, H0) -> np.ndarray:
     """Complex log det(H(z)) at each point, H(z) = z^3 M + z^2 (D + K M)
     + z (C^-1 + K D + L_p^B) + H0 for the two-node pencil (K = L_c,
@@ -287,7 +321,9 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     """Compare det(A - lam I) against the factored form at the samples.
 
     Supports the two-node flow law (PAIR_FLOW) and the single-failure law
-    (HYBRID_SINGLE, nodes relabeled so the pair comes last). Points within
+    (HYBRID_SINGLE, nodes relabeled so the pair comes last), on the
+    matrices of certificate_matrices, from which the report's sufficient
+    conditions read too. Points within
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
     rejected, and so is an empty set of points. The returned `consistent`
     flag is max_residual <= IDENTITY_TOL.
@@ -310,25 +346,18 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     if len(ctx.F) != 2:
         raise ValueError(f"exactly two flow-controlled nodes expected, got {len(ctx.F)}")
     n, e = grid.n_nodes, grid.n_lines
+    if ctx.scheme == "PAIR_FLOW" and n != 2:
+        raise ValueError("two-node form requires a two-node grid")
     if eigenvalues is None:
         eigenvalues = spectrum(assemble_state_matrix(grid, comm, ctx)).eigenvalues
 
-    M = np.diag(grid.inertia())
-    D = np.diag(grid.droop())
-    C = np.diag(grid.cost())
-    LpB = grid.weighted_laplacian()
-
+    M, D, C, LpB, L_c = certificate_matrices(grid, comm, ctx)
     if ctx.scheme == "PAIR_FLOW":
-        if n != 2:
-            raise ValueError("two-node form requires a two-node grid")
-        K = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        H0 = 2.0 * LpB
+        K, H0 = L_c, 2.0 * LpB
         log_sign_n, exp_lam = 0.0, 0
         singular_eigs = np.array([0.0, -2.0])
     else:
-        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
-        M, D, C, LpB = (P @ X @ P.T for X in (M, D, C, LpB))
-        K = Lstar @ C
+        K = L_c @ C
         H0 = K @ LpB
         log_sign_n, exp_lam = 1j * math.pi * (n % 2), 1 + e - n
         singular_eigs = np.concatenate([[0.0, -2.0], np.linalg.eigvals(-K)])

@@ -82,6 +82,27 @@ def test_malformed_scenario_exits_1(tmp_path, capsys, text, needle):
     assert capsys.readouterr().err == f"error: {needle}\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimal", "stability"])
+@pytest.mark.parametrize("case", ["nested", "invalid"])
+def test_bad_scenario_file_exits_1_in_every_command(tmp_path, capsys, command, case):
+    """A file of 100 000 nested '[' (past the JSON decoder's recursion
+    limit) and a scenario with a zero inertia each end every command that
+    reads a scenario in one error line and exit 1, with nothing written."""
+    bad = tmp_path / "bad.json"
+    if case == "nested":
+        bad.write_text("[" * 100_000)
+        line = (f"error: {bad}: invalid JSON (maximum recursion depth exceeded while "
+                "decoding a JSON array from a unicode string)\n")
+    else:
+        doc = scenario_to_dict(toy_grid())
+        doc["nodes"][2]["inertia"] = 0.0
+        bad.write_text(json.dumps(doc))
+        line = "invalid scenario: node 3: inertia must be finite and > 0, got 0.0\n"
+    assert cli.main([command, str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def test_invalid_scenario_reports_violations(tmp_path, capsys):
     doc = scenario_to_dict(toy_grid())
     doc["nodes"][2]["inertia"] = 0.0
@@ -171,14 +192,27 @@ def test_simulate_unwritable_output_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_simulate_diverging_run_exits_1(tmp_path, capsys):
-    # a step size far past the stability limit drives the state non-finite
-    code = cli.main(["simulate", "toy", "--dt", "0.05", "--horizon", "20",
-                     "--out", str(tmp_path / "run")])
+def test_simulate_unwritable_summary_exits_1(tmp_path, capsys):
+    """A summary path that cannot be written, after the CSV was, is one
+    error line naming it and exit 1, with nothing on stdout."""
+    (tmp_path / "run.summary.json").mkdir()
+    code = cli.main(["simulate", "toy", "--horizon", "1.5", "--out", str(tmp_path / "run")])
     assert code == 1
-    assert "non-finite" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "run.summary.json" in captured.err and captured.out == ""
+
+
+def test_simulate_diverging_run_exits_1(tmp_path, capsys):
+    """A step size far past the stability limit drives the state non-finite:
+    the error line alone reaches stderr, without the overflow warnings of
+    the kernel calls and records that met it, at the default record stride
+    and at stride 1."""
+    for stride in ([], ["--record-stride", "1"]):
+        code = cli.main(["simulate", "toy", "--dt", "0.05", "--horizon", "20",
+                         "--out", str(tmp_path / "run")] + stride)
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite state at step 193\n"
 
 
 @pytest.mark.parametrize("failure_t, horizon, details", [

@@ -61,6 +61,11 @@ def test_empty_grid_rejected():
         optimal_dispatch(PowerGrid((), ()), np.array([]))
 
 
+def test_optimal_dispatch_rejects_length_mismatch(toy):
+    with pytest.raises(ValueError, match=r"p_star must have length 10, got \(3,\)"):
+        optimal_dispatch(toy.grid, np.zeros(3))
+
+
 def _projected_gradient(cost, total, iters=20000, eta=None):
     """Independent minimizer of sum(C u^2)/2 subject to sum(u) = total."""
     n = len(cost)

@@ -37,6 +37,8 @@ def test_derivative_single_node():
                      q=np.zeros(1))
     dx = derivative(st, grid, CommGraph(links=()), ControlContext(scheme="CONSENSUS"))
     assert dx[0] == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="unknown scheme 'NO_SUCH_LAW'"):
+        derivative(st, grid, CommGraph(links=()), ControlContext(scheme="NO_SUCH_LAW"))
 
 
 def test_derivative_matches_state_matrix_product():
@@ -200,13 +202,22 @@ def test_trajectory_csv_format(tmp_path, toy):
         assert len(mantissa) <= 9
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_state_reports_step(toy):
     wild = with_overrides(toy, dt=0.05, horizon=20.0)  # RK4-unstable step size
     with pytest.raises(IntegrationError) as err:
         integrate(wild)
     assert err.value.step > 0
+
+
+def test_nonfinite_initial_state_fails_at_step_0(toy):
+    """An infinite entry in the initial state fails the run's first call,
+    the pause that records step 0; its replay is that pause alone, so the
+    error names step 0 with no record before it."""
+    x = np.zeros(3 * toy.grid.n_nodes + toy.grid.n_lines)
+    x[0] = np.inf
+    with pytest.raises(IntegrationError) as err:
+        integrate(toy, initial_state=vector_to_state(0.0, x, toy.grid))
+    assert (err.value.step, err.value.last_state) == (0, None)
 
 
 def test_records_follow_stride(toy):
@@ -437,8 +448,6 @@ def test_rx_series_holds_failed_and_marks_never_received(toy):
     assert (0, 1) not in traj.state_at(k120).last_rx
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_sampled_nonfinite_state_keeps_last_finite_record(toy):
     wild = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.1,
                           dt=0.05, horizon=20.0, record_stride=4)
@@ -1154,8 +1163,6 @@ def held_coupling_blowup(cost=160.0, T=0.02):
                     scheme="CONSENSUS_SAMPLED", horizon=60.0, dt=0.01, record_stride=1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("stride", [1, 5, 7, 10, 11, 100])
 @pytest.mark.parametrize("case", ["continuous", "sampled", "held_coupling", "held_coupling_170"])
 def test_nonfinite_step_is_first_stepwise_one(toy, case, stride):

@@ -12,8 +12,9 @@ from gridfreq.simulator import derivative, vector_to_state
 from gridfreq.stability import (IdentityReport, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node,
-                                check_sufficient_two_node, failed_pair_last,
-                                interval_map_spectrum, spectrum)
+                                check_sufficient_two_node, certificate_matrices,
+                                failed_pair_last, interval_map_spectrum, spectrum,
+                                sufficient_conditions)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -130,6 +131,10 @@ class TestIntervalMapSpectrum:
         with pytest.raises(ValueError):
             interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS", toy.dt, 0.01)
 
+    def test_rejects_a_rotation_over_no_live_shared_link(self, toy):
+        with pytest.raises(ValueError, match="SEQUENTIAL has no shared power/communication"):
+            interval_map_spectrum(toy.grid, CommGraph(links=()), "SEQUENTIAL", toy.dt, 0.01)
+
     @pytest.mark.parametrize("T, needle", [(1e-4, "shorter than dt"),
                                            (0.0155, "does not divide"),
                                            (math.inf, "does not divide")])
@@ -203,6 +208,11 @@ class TestSufficientTwoNode:
                          "inertia_cross_term": 0.5 * (L2 @ M + M @ L2) + D,
                          "damping_cross_term": 0.5 * (L2 @ D + D @ L2) + LpB + Cinv}[key]
                     assert abs(np.linalg.eigvalsh(0.5 * (X + X.T))[0]) < 1e-8
+
+    def test_rejects_matrices_that_are_not_2x2(self):
+        with pytest.raises(ValueError, match="two-node check expects 2x2 matrices"):
+            check_sufficient_two_node(np.eye(3), np.eye(3), np.eye(3), 1.0, np.eye(3))
+
     def test_zero_inertia_fails_first_condition(self):
         v = check_sufficient_two_node(np.diag([0.0, 0.02]), np.eye(2),
                                       np.diag([0.1, 0.1]), 1.0, L2)
@@ -372,6 +382,21 @@ class TestCharacteristicIdentity:
             characteristic_identity_check(two_node_grid(), CommGraph(links=((0, 1),)),
                                           pair_ctx(), [])
 
+    @pytest.mark.parametrize("scheme, F, needle", [
+        ("CONSENSUS", (), "applies to the flow-based laws only"),
+        ("MULTI_FAILURE", (0, 1), "applies to the flow-based laws only"),
+        ("HYBRID_SINGLE", (0, 1, 2), "exactly two flow-controlled nodes expected, got 3"),
+        ("PAIR_FLOW", (0, 1), "two-node form requires a two-node grid"),
+    ])
+    def test_rejects_laws_without_a_factorization(self, scheme, F, needle):
+        """Only PAIR_FLOW on two nodes and HYBRID_SINGLE on a pair have a
+        factored form; each other case is a ValueError, raised before the
+        state matrix is assembled."""
+        grid, comm, _ = self._three_node((1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=needle):
+            characteristic_identity_check(grid, comm, ControlContext(scheme, frozenset(F)),
+                                          [1.0 + 1.0j])
+
     def _three_node(self, costs):
         nodes = tuple(NodeParams(k + 1, (0.05, 0.1, 0.2)[k], (0.5, 1.0, 0.8)[k],
                                  costs[k], 0.0) for k in range(3))
@@ -495,6 +520,40 @@ def test_identity_check_matches_lu_oracle():
         assert abs(rep.sign - sigma) <= 1e-9
         flags.append(rep.consistent)
     assert len(flags) == 36 and 0 < sum(flags) < 36
+
+
+def test_certificates_of_the_flow_laws(toy):
+    """The report's sufficient conditions and the identity check read one
+    set of matrices: under PAIR_FLOW the two-node conditions on diag(M, D,
+    C), B and L2; under HYBRID_SINGLE the multi-node ones on the matrices
+    relabelled so the failed pair comes last, with L_c*; no certificate
+    for any other law, HYBRID_SINGLE before its failure included."""
+    grid = two_node_grid(M=(0.05, 0.1), D=(0.8, 1.2), C=(0.1, 0.2), B=0.7)
+    M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
+    mats = certificate_matrices(grid, CommGraph(links=((0, 1),)), pair_ctx())
+    assert len(mats) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, 0.7 * L2, L2)))
+    assert (sufficient_conditions(grid, CommGraph(links=((0, 1),)), pair_ctx())
+            == check_sufficient_two_node(M, D, C, 0.7, L2))
+
+    pair = (1, 6)
+    comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
+    ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
+    P, Lstar = failed_pair_last(toy.grid, comm, pair)
+    relabelled = tuple(P @ X @ P.T for X in (np.diag(toy.grid.inertia()),
+                                             np.diag(toy.grid.droop()),
+                                             np.diag(toy.grid.cost()),
+                                             toy.grid.weighted_laplacian()))
+    mats = certificate_matrices(toy.grid, comm, ctx)
+    assert len(mats) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(mats, relabelled + (Lstar,)))
+    M, D, C, LpB = relabelled
+    assert (sufficient_conditions(toy.grid, comm, ctx)
+            == check_sufficient_multi_node(M, D, C, Lstar, LpB))
+    for other in (ControlContext("CONSENSUS"), ControlContext("HYBRID_SINGLE"),
+                  ControlContext("MULTI_FAILURE", frozenset(pair))):
+        assert certificate_matrices(toy.grid, comm, other) is None
+        assert sufficient_conditions(toy.grid, comm, other) is None
 
 
 def test_identity_check_takes_the_spectrum():
