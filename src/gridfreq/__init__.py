@@ -52,7 +52,6 @@ from .stability import (
     build_Lc_star,
     characteristic_identity_check,
     check_sufficient_multi_node,
-    check_sufficient_two_node,
     interval_map_spectrum,
     spectrum,
 )

@@ -206,7 +206,7 @@ def cmd_repro(args) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                w = csv.DictWriter(fh, fieldnames=fields)
+                w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
                 w.writeheader()
                 w.writerows(rows)
         except OSError as exc:

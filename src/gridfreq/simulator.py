@@ -851,15 +851,13 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     # --- record buffers -----------------------------------------------------
     n_rec_max = sched.n_steps // stride + 2
     rec_states = np.empty((n_rec_max, dim))
-    rec_steps = np.empty(n_rec_max, dtype=np.int64)
     rec_rx = None if K is None else np.empty((n_rec_max, len(rx_links)))
-    n_rec = 0
+    n_rec = 0       # record k is at step min(k stride, n_steps)
 
-    def book(first_step: int, got: int, Y: np.ndarray) -> None:
-        """Count the got rows recorded from first_step on, holding the
-        messages of the rows of Y (one row: held by all of them)."""
+    def book(got: int, Y: np.ndarray) -> None:
+        """Count the next got rows recorded, holding the messages of the
+        rows of Y (one row: held by all of them)."""
         nonlocal n_rec
-        rec_steps[n_rec:n_rec + got] = first_step + stride * np.arange(got)
         if K is not None:
             rx = rec_rx[n_rec:n_rec + got]
             rx[:] = frozen
@@ -875,7 +873,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 y[:] = sample(x[None], call.start)[0]
             if call.rows:
                 rec_states[n_rec] = x
-                book(call.start, 1, y[None])
+                book(1, y[None])
         elif call.kind == "stretch":
             sm, powers = cached(call.kind, call.key)
             w = np.concatenate([x, y, p])[sm.inputs]
@@ -887,7 +885,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 moved = rec[:got, :len(xm)].copy()
                 rec[:got] = x
                 rec[:got, sm.moving] = moved
-                book(call.start + call.first, got, y[None])
+                book(got, y[None])
             x[sm.moving] = xm
         else:
             (D, G), powers = cached(call.kind, call.key)
@@ -895,7 +893,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             got = jump(D, G, p, x, call.k, call.first, call.every, out, powers)
             if got:
                 first = call.start + call.first * (call.stop - call.start) // call.k
-                book(first, got, sample(out[:got], first))
+                book(got, sample(out[:got], first))
         instant = K is not None and call.stop % K == 0
         return got == call.rows and bool(np.isfinite(x * sends if instant else x).all())
 
@@ -928,18 +926,19 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             if not execute(call):
                 x[:] = x0
                 failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
-                n_rec = int(np.searchsorted(rec_steps[:n_rec], failed))     # the records before it
+                n_rec = min(n_rec, -(-failed // stride))     # the records before it
                 break
     maps.clear()    # cached calls itself, a cycle: free its maps now, not at a collection
+    # views of the record buffers: the Trajectory holds each record once
     states = rec_states[:n_rec]
     u = states[:, U]
+    steps = np.minimum(np.arange(n_rec) * stride, sched.n_steps)
     # a finished run keeps its warnings: no finite check sees a cost that overflows
     with np.errstate(**_QUIET) if failed is not None else contextlib.nullcontext():
-        traj = Trajectory(times=rec_steps[:n_rec] * dt, omega=states[:, :n].copy(),
-                          flow=states[:, n:n + e].copy(), u=u.copy(), q=states[:, Q].copy(),
-                          cost_series=(u * u) @ cost_vec, events=tuple(events_log),
-                          rx_links=rx_links,
-                          rx_series=None if K is None else rec_rx[:n_rec].copy(),
+        traj = Trajectory(times=steps * dt, omega=states[:, :n], flow=states[:, n:n + e],
+                          u=u, q=states[:, Q], cost_series=(u * u) @ cost_vec,
+                          events=tuple(events_log), rx_links=rx_links,
+                          rx_series=None if K is None else rec_rx[:n_rec],
                           diagnostics={"maps": built, "kernel_calls": calls})
     if failed is not None:
         raise IntegrationError(failed, traj.state_at(n_rec - 1) if n_rec else None)

@@ -3,24 +3,28 @@
 Assembles the exact state matrix (the dynamics are linear), computes its
 spectrum with structural zero eigenvalues separated out, checks the
 sufficient positive-definiteness conditions for the flow-based laws, and
-numerically verifies the characteristic-polynomial factorizations
+numerically verifies the characteristic-polynomial factorization of the
+single-failure analysis
 
-    two-node:    s(lam) = sigma (lam + 2) det(M^-1) det(H(lam))
-    multi-node:  s(lam) = sigma (-1)^N lam^(1+E-N) (lam + 2) det(M^-1) det(H(lam))
+    s(lam) = sigma (-1)^N lam^(1+E-N) (lam + 2) det(M^-1) det(H(lam))
 
-where H is the cubic matrix pencil built from M, D, C and the two graph
-Laplacians, and sigma is a single global sign calibrated at the first
-sample point (row-reduction sign bookkeeping is not re-derived here).
+where H is the cubic matrix pencil built from M, D, C, the power Laplacian
+L_p^B and the modified communication Laplacian L_c*, and sigma is a single
+global sign calibrated at the first sample point (row-reduction sign
+bookkeeping is not re-derived here). The two-node flow law (PAIR_FLOW) is
+its smallest case: at N = 2, E = 1 the failed pair is the whole grid,
+L_c* = L2 C^-1 with L2 = [[1, -1], [-1, 1]], and the factor
+(-1)^N lam^(1+E-N) is 1, so both flow laws get one certificate.
 Both sides are compared as log-determinants, since on large grids the
 determinants themselves leave the floating-point range. The left side is
 read off the spectrum, log s(lam) = sum_i log(lam_i - lam), so a report
 decomposes A once; the right side is one stacked slogdet of H at all the
 sample points.
 
-The multi-node factorization silently commutes the cost matrix with a
-Laplacian; it holds exactly when all cost coefficients are equal and fails
-otherwise. check results therefore carry an explicit `consistent` flag
-instead of asserting the identity.
+The factorization silently commutes the cost matrix with a Laplacian; on
+more than two nodes it holds exactly when all cost coefficients are equal
+and fails otherwise. check results therefore carry an explicit `consistent`
+flag instead of asserting the identity.
 
 Under the hold schemes (CONSENSUS_SAMPLED, SEQUENTIAL) the closed loop is a
 sampled-data system, not x' = A x: interval_map_spectrum reports the
@@ -156,41 +160,16 @@ def _lam_min_sym(X: np.ndarray) -> float:
 def _lam_max_sym(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_sym(X))[-1])
 
-def _is_pd(X: np.ndarray) -> bool:
-    return bool(_lam_min_sym(X) > DEFINITENESS_MARGIN)
-
-
-def check_sufficient_two_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
-                              B: float, L_c: np.ndarray) -> Dict[str, bool]:
-    """Stability conditions for the two-node flow-based law.
-
-    inertia_positive:    M > 0
-    inertia_cross_term:  sym(L_c M) + D > 0
-    damping_cross_term:  sym(L_c D) + L_p^B + C^-1 > 0
-    coupling_margin:     lam_min[L_p^B + sym(L_c D) + C^-1]
-                         * lam_min[sym(L_c M) + D]  >  4 B max(M_1, M_2)
-    """
-    M, D, C, L_c = (np.asarray(X, dtype=float) for X in (M, D, C, L_c))
-    if M.shape != (2, 2):
-        raise ValueError("two-node check expects 2x2 matrices")
-    Ap = np.array([[1.0], [-1.0]])
-    LpB = B * (Ap @ Ap.T)
-    Cinv = np.linalg.inv(C)
-    lhs = (_lam_min_sym(LpB + _sym(L_c @ D) + Cinv)
-           * _lam_min_sym(_sym(L_c @ M) + D))
-    rhs = 4.0 * B * max(M[0, 0], M[1, 1])
-    return {
-        "inertia_positive": _is_pd(M),
-        "inertia_cross_term": _is_pd(_sym(L_c @ M) + D),
-        "damping_cross_term": _is_pd(_sym(L_c @ D) + LpB + Cinv),
-        "coupling_margin": bool(lhs > rhs * (1.0 + DEFINITENESS_MARGIN)),
-    }
-
 
 def check_sufficient_multi_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
                                 L_c_star: np.ndarray,
                                 L_pB: np.ndarray) -> Dict[str, bool]:
-    """Multi-node analogue with the modified Laplacian L_c*.
+    """Stability conditions for a flow law with the modified Laplacian L_c*.
+
+    At N = 2, with L_c* = L2 C^-1 and L_p^B = B L2, the first four keys are
+    the paper's two-node conditions: M > 0, sym(L2 M) + D > 0,
+    sym(L2 D) + L_p^B + C^-1 > 0, and the product of their least
+    eigenvalues above 4 B max(M_1, M_2), since lam_max[sym(L2 L_p^B)] = 4 B.
 
     The fourth condition involves eigenvalue extrema of non-symmetric
     products; the verdict uses their symmetric parts (`coupling_margin`)
@@ -269,46 +248,41 @@ def failed_pair_last(grid: PowerGrid, comm: CommGraph, pair: Link
 
 def certificate_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
                          ) -> Optional[Tuple[np.ndarray, ...]]:
-    """(M, D, C, L_p^B, L_c) that certify a flow law, from which both the
+    """(M, D, C, L_p^B, L_c*) that certify a flow law with two
+    flow-controlled nodes, PAIR_FLOW or HYBRID_SINGLE, from which both the
     sufficient conditions and the identity check read: the diagonal M, D
-    and C, the power Laplacian L_p^B and L_c = [[1, -1], [-1, 1]] under
-    PAIR_FLOW; under HYBRID_SINGLE with two flow-controlled nodes the same
-    matrices relabelled so the pair comes last (failed_pair_last), with
-    L_c* in place of L_c. None for any other law. comm holds the live
-    links only."""
+    and C and the power Laplacian L_p^B relabelled so the pair comes last,
+    and L_c* (failed_pair_last). On a two-node grid P = I and
+    L_c* = L2 C^-1. None for any other law. comm holds the live links
+    only."""
+    if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE") or len(ctx.F) != 2:
+        return None
     mats = (np.diag(grid.inertia()), np.diag(grid.droop()), np.diag(grid.cost()),
             grid.weighted_laplacian())
-    if ctx.scheme == "PAIR_FLOW":
-        return (*mats, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    if ctx.scheme == "HYBRID_SINGLE" and len(ctx.F) == 2:
-        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
-        return (*(P @ X @ P.T for X in mats), Lstar)
-    return None
+    P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
+    return (*(P @ X @ P.T for X in mats), Lstar)
 
 
 def sufficient_conditions(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
                           ) -> Optional[Dict[str, bool]]:
-    """The sufficient stability conditions of ctx's flow law on
-    certificate_matrices: check_sufficient_two_node under PAIR_FLOW (B the
-    one line's susceptance), check_sufficient_multi_node under
-    HYBRID_SINGLE. None for a law without a certificate."""
+    """The sufficient stability conditions of ctx's flow law:
+    check_sufficient_multi_node on certificate_matrices. None for a law
+    without a certificate."""
     mats = certificate_matrices(grid, comm, ctx)
     if mats is None:
         return None
-    M, D, C, LpB, L_c = mats
-    if ctx.scheme == "PAIR_FLOW":
-        return check_sufficient_two_node(M, D, C, LpB[0, 0], L_c)
-    return check_sufficient_multi_node(M, D, C, L_c, LpB)
+    M, D, C, LpB, Lstar = mats
+    return check_sufficient_multi_node(M, D, C, Lstar, LpB)
 
 
-def _pencil_logdets(pts: np.ndarray, M, D, Cinv, K, LpB, H0) -> np.ndarray:
+def _pencil_logdets(pts: np.ndarray, M, D, Cinv, K, LpB) -> np.ndarray:
     """Complex log det(H(z)) at each point, H(z) = z^3 M + z^2 (D + K M)
-    + z (C^-1 + K D + L_p^B) + H0 for the two-node pencil (K = L_c,
-    H0 = 2 L_p^B) and the multi-node one (K = L_c* C, H0 = K L_p^B): the
-    fixed products are formed once, and the k determinants are taken by one
-    stacked slogdet over a (k, N, N) array."""
+    + z (C^-1 + K D + L_p^B) + K L_p^B with K = L_c* C (at N = 2, K = L2
+    and K L_p^B = 2 L_p^B, the two-node pencil): the fixed products are
+    formed once, and the k determinants are taken by one stacked slogdet
+    over a (k, N, N) array."""
     z = pts[:, None, None]
-    H = ((z * M + (D + K @ M)) * z + (Cinv + K @ D + LpB)) * z + H0
+    H = ((z * M + (D + K @ M)) * z + (Cinv + K @ D + LpB)) * z + K @ LpB
     sign, logabs = np.linalg.slogdet(H)
     return np.log(sign) + logabs
 
@@ -320,8 +294,8 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                                   ) -> IdentityReport:
     """Compare det(A - lam I) against the factored form at the samples.
 
-    Supports the two-node flow law (PAIR_FLOW) and the single-failure law
-    (HYBRID_SINGLE, nodes relabeled so the pair comes last), on the
+    Supports the single-failure law (HYBRID_SINGLE, nodes relabeled so the
+    pair comes last) and its two-node case, the flow law PAIR_FLOW, on the
     matrices of certificate_matrices, from which the report's sufficient
     conditions read too. Points within
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
@@ -351,16 +325,9 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     if eigenvalues is None:
         eigenvalues = spectrum(assemble_state_matrix(grid, comm, ctx)).eigenvalues
 
-    M, D, C, LpB, L_c = certificate_matrices(grid, comm, ctx)
-    if ctx.scheme == "PAIR_FLOW":
-        K, H0 = L_c, 2.0 * LpB
-        log_sign_n, exp_lam = 0.0, 0
-        singular_eigs = np.array([0.0, -2.0])
-    else:
-        K = L_c @ C
-        H0 = K @ LpB
-        log_sign_n, exp_lam = 1j * math.pi * (n % 2), 1 + e - n
-        singular_eigs = np.concatenate([[0.0, -2.0], np.linalg.eigvals(-K)])
+    M, D, C, LpB, Lstar = certificate_matrices(grid, comm, ctx)
+    K = Lstar @ C
+    singular_eigs = np.concatenate([[0.0, -2.0], np.linalg.eigvals(-K)])
 
     pts = np.array([complex(z) for z in sample_points])
     for z in pts:
@@ -369,9 +336,9 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                              "singularity")
 
     lhs = np.log(np.asarray(eigenvalues)[None, :] - pts[:, None]).sum(axis=1)
-    log_factored = (log_sign_n + exp_lam * np.log(pts) + np.log(pts + 2.0)
+    log_factored = (1j * math.pi * (n % 2) + (1 + e - n) * np.log(pts) + np.log(pts + 2.0)
                     - np.log(grid.inertia()).sum()
-                    + _pencil_logdets(pts, M, D, np.linalg.inv(C), K, LpB, H0))
+                    + _pencil_logdets(pts, M, D, np.linalg.inv(C), K, LpB))
     log_ratio = lhs - log_factored
     sigma = np.exp(log_ratio[0])
     r = np.exp(log_ratio - log_ratio[0])

@@ -493,6 +493,22 @@ def test_stability_report_decomposes_the_state_matrix_once(tmp_path, monkeypatch
     assert shapes.count((doc["state_dim"], doc["state_dim"])) == 1
 
 
+def test_flow_laws_report_one_schema(tmp_path):
+    """Both flow laws get the single-failure certificate: the stability
+    report of PAIR_FLOW on two nodes and of HYBRID_SINGLE after its
+    failure on the toy grid carry the same sufficient-condition keys."""
+    hybrid = with_overrides(toy_grid(), scheme="HYBRID_SINGLE", failures=(((1, 6), 0.5),))
+    keys = []
+    for name, doc in (("pair", PAIR_DOC), ("hybrid", scenario_to_dict(hybrid))):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}_stab.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["stability", str(path), "--out", str(out)]) == 0
+        keys.append(list(json.loads(out.read_text())["sufficient"]))
+    assert keys[0] == keys[1] == ["inertia_positive", "inertia_cross_term",
+                                  "damping_cross_term", "coupling_margin",
+                                  "coupling_margin_raw"]
+
+
 def test_stability_command_two_node(tmp_path):
     scn_path = tmp_path / "pair.json"
     scn_path.write_text(json.dumps(PAIR_DOC))
@@ -541,7 +557,9 @@ def test_repro_writes_csv(tmp_path, monkeypatch):
     out = tmp_path / "table.csv"
     code = cli.main(["repro", "failure_costs", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
+    data = out.read_bytes()
+    assert b"\r" not in data      # LF line ends, as the trajectory CSV
+    lines = data.decode().strip().split("\n")
     assert lines[0] == "experiment,scheme,steady_cost_paper,t_star,reference_cost,status"
     assert lines[1].startswith("fake,CONSENSUS,1.0,2.0,")
 

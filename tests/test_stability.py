@@ -11,8 +11,7 @@ from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
 from gridfreq.simulator import derivative, vector_to_state
 from gridfreq.stability import (IdentityReport, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
-                                check_sufficient_multi_node,
-                                check_sufficient_two_node, certificate_matrices,
+                                check_sufficient_multi_node, certificate_matrices,
                                 failed_pair_last, interval_map_spectrum, spectrum,
                                 sufficient_conditions)
 
@@ -26,6 +25,34 @@ def two_node_grid(M=(1.0, 1.0), D=(1.0, 1.0), C=(1.0, 1.0), B=1.0):
 
 def pair_ctx(i=0, j=1):
     return ControlContext(scheme="PAIR_FLOW", F=frozenset({i, j}))
+
+
+PAIR_COMM = CommGraph(links=((0, 1),))
+# the paper's two-node conditions; check_sufficient_multi_node adds coupling_margin_raw
+TWO_NODE_KEYS = ("inertia_positive", "inertia_cross_term", "damping_cross_term",
+                 "coupling_margin")
+
+
+def pair_verdict(M, D, C, B):
+    """The report's verdict on the two-node grid of the diagonals M, D, C
+    and susceptance B: sufficient_conditions under PAIR_FLOW."""
+    return sufficient_conditions(two_node_grid(M=M, D=D, C=C, B=B), PAIR_COMM, pair_ctx())
+
+
+def paper_two_node(M, D, C, B):
+    """The paper's two-node conditions in closed form, from the least
+    eigenvalue (a + c) / 2 - sqrt(((a - c) / 2)^2 + b^2) of a symmetric
+    [[a, b], [b, c]]: M > 0, sym(L2 M) + D > 0, sym(L2 D) + B L2 + C^-1 > 0,
+    and the product of the last two least eigenvalues above
+    4 B max(M_1, M_2), with the checker's 1e-9 margin."""
+    def lam_min(a, b, c):
+        return 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
+    inertia = lam_min(M[0] + D[0], -0.5 * (M[0] + M[1]), M[1] + D[1])
+    damping = lam_min(D[0] + B + 1.0 / C[0], -0.5 * (D[0] + D[1]) - B, D[1] + B + 1.0 / C[1])
+    return {"inertia_positive": min(M) > 1e-9,
+            "inertia_cross_term": inertia > 1e-9,
+            "damping_cross_term": damping > 1e-9,
+            "coupling_margin": damping * inertia > 4.0 * B * max(M) * (1 + 1e-9)}
 
 
 def rand_points(rng, k=10):
@@ -172,9 +199,11 @@ class TestSpectrum:
 
 
 class TestSufficientTwoNode:
+    """The two-node flow law's certificate is the single-failure one at
+    N = 2 (certificate_matrices, check_sufficient_multi_node)."""
+
     def test_reference_point_all_hold(self):
-        v = check_sufficient_two_node(np.diag([0.01, 0.02]), np.eye(2),
-                                      np.diag([0.1, 0.1]), 1.0, L2)
+        v = pair_verdict((0.01, 0.02), (1.0, 1.0), (0.1, 0.1), 1.0)
         assert all(v.values())
 
     def test_cholesky_oracle_agreement(self):
@@ -184,7 +213,7 @@ class TestSufficientTwoNode:
             D = np.diag(rng.uniform(0.0, 3.0, 2))
             C = np.diag(rng.uniform(0.02, 10.0, 2))
             B = rng.uniform(0.1, 3.0)
-            v = check_sufficient_two_node(M, D, C, B, L2)
+            v = pair_verdict(np.diag(M), np.diag(D), np.diag(C), B)
 
             def pd(X):
                 try:
@@ -209,13 +238,32 @@ class TestSufficientTwoNode:
                          "damping_cross_term": 0.5 * (L2 @ D + D @ L2) + LpB + Cinv}[key]
                     assert abs(np.linalg.eigvalsh(0.5 * (X + X.T))[0]) < 1e-8
 
-    def test_rejects_matrices_that_are_not_2x2(self):
-        with pytest.raises(ValueError, match="two-node check expects 2x2 matrices"):
-            check_sufficient_two_node(np.eye(3), np.eye(3), np.eye(3), 1.0, np.eye(3))
+    def test_closed_form_oracle_agreement(self):
+        """On 1200 seeded two-node grids the report's verdict equals the
+        paper's conditions in closed form on every two-node key, each key
+        takes both values, and the identity check of the same matrices is
+        consistent."""
+        rng = np.random.default_rng(7)
+        seen = {key: set() for key in TWO_NODE_KEYS}
+        for _ in range(1200):
+            M = rng.uniform(0.001, 1.0, 2)
+            D = rng.uniform(0.0, 3.0, 2)
+            C = rng.uniform(0.02, 10.0, 2)
+            B = float(rng.uniform(0.1, 3.0))
+            if rng.uniform() < 0.05:
+                M[rng.integers(2)] = 0.0
+            v, want = pair_verdict(M, D, C, B), paper_two_node(M, D, C, B)
+            assert {key: v[key] for key in TWO_NODE_KEYS} == want
+            for key in TWO_NODE_KEYS:
+                seen[key].add(want[key])
+            if M.min() > 0:
+                rep = characteristic_identity_check(two_node_grid(M=M, D=D, C=C, B=B),
+                                                    PAIR_COMM, pair_ctx(), rand_points(rng))
+                assert rep.consistent
+        assert all(values == {False, True} for values in seen.values())
 
     def test_zero_inertia_fails_first_condition(self):
-        v = check_sufficient_two_node(np.diag([0.0, 0.02]), np.eye(2),
-                                      np.diag([0.1, 0.1]), 1.0, L2)
+        v = pair_verdict((0.0, 0.02), (1.0, 1.0), (0.1, 0.1), 1.0)
         assert not v["inertia_positive"]
 
     def test_conditions_imply_stability(self):
@@ -228,11 +276,12 @@ class TestSufficientTwoNode:
             D = np.diag(rng.uniform(0.2, 3.0, 2))
             C = np.diag(rng.uniform(0.02, 0.5, 2))
             B = rng.uniform(0.2, 3.0)
-            if not all(check_sufficient_two_node(M, D, C, B, L2).values()):
+            v = pair_verdict(np.diag(M), np.diag(D), np.diag(C), B)
+            if not all(v[key] for key in TWO_NODE_KEYS):
                 continue
             found += 1
             grid = two_node_grid(M=np.diag(M), D=np.diag(D), C=np.diag(C), B=B)
-            sm = assemble_state_matrix(grid, CommGraph(links=((0, 1),)), pair_ctx())
+            sm = assemble_state_matrix(grid, PAIR_COMM, pair_ctx())
             rep = spectrum(sm)
             assert rep.structural_zero_count == 1
             assert rep.spectral_abscissa_excl_zeros < 0
@@ -248,7 +297,7 @@ class TestSufficientMultiNode:
         LpB = B * (Ap @ Ap.T)
         Lstar = L2 @ np.linalg.inv(C)
         multi = check_sufficient_multi_node(M, D, C, Lstar, LpB)
-        two = check_sufficient_two_node(M, D, C, B, L2)
+        two = paper_two_node(np.diag(M), np.diag(D), np.diag(C), B)
         for key in two:
             assert multi[key] == two[key]
 
@@ -524,17 +573,19 @@ def test_identity_check_matches_lu_oracle():
 
 def test_certificates_of_the_flow_laws(toy):
     """The report's sufficient conditions and the identity check read one
-    set of matrices: under PAIR_FLOW the two-node conditions on diag(M, D,
-    C), B and L2; under HYBRID_SINGLE the multi-node ones on the matrices
-    relabelled so the failed pair comes last, with L_c*; no certificate
-    for any other law, HYBRID_SINGLE before its failure included."""
+    set of matrices, the single-failure analysis's: the multi-node
+    conditions on M, D, C and L_p^B relabelled so the flow pair comes
+    last, with L_c*. Under PAIR_FLOW on two nodes that is diag(M, D, C),
+    B L2 and L_c* = L2 C^-1. No certificate for any other law,
+    HYBRID_SINGLE before its failure included."""
     grid = two_node_grid(M=(0.05, 0.1), D=(0.8, 1.2), C=(0.1, 0.2), B=0.7)
     M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
-    mats = certificate_matrices(grid, CommGraph(links=((0, 1),)), pair_ctx())
+    Lstar = L2 @ np.diag(1.0 / grid.cost())
+    mats = certificate_matrices(grid, PAIR_COMM, pair_ctx())
     assert len(mats) == 5
-    assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, 0.7 * L2, L2)))
-    assert (sufficient_conditions(grid, CommGraph(links=((0, 1),)), pair_ctx())
-            == check_sufficient_two_node(M, D, C, 0.7, L2))
+    assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, 0.7 * L2, Lstar)))
+    assert (sufficient_conditions(grid, PAIR_COMM, pair_ctx())
+            == check_sufficient_multi_node(M, D, C, Lstar, 0.7 * L2))
 
     pair = (1, 6)
     comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
