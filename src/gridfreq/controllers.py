@@ -29,11 +29,11 @@ the failed ones, as each piece of simulator.schedule() carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
-from .model import CONTINUOUS, HOLD_SCHEMES, CommGraph, PowerGrid, SystemState
+from .model import HOLD_SCHEMES, CommGraph, PowerGrid, SystemState
 
 Link = Tuple[int, int]
 
@@ -126,33 +126,31 @@ def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
     return du, dq
 
 
-def init_artificial(state: SystemState, grid: PowerGrid, ctx: ControlContext,
-                    comm: Optional[CommGraph] = None) -> Tuple[np.ndarray, List[str]]:
+def init_artificial(state: SystemState, grid: PowerGrid, ctx: ControlContext
+                    ) -> Tuple[np.ndarray, List[str]]:
     """Artificial-variable values at the failure instant.
 
-    q_i = sum over j in F power-adjacent to i of (C_i u_i(t0) - C_j u_j(t0))
-    (flow_partners); for a single pair this is q_i = -q_j = C_i u_i(t0) -
-    C_j u_j(t0). The neighbor value is the last one exchanged: the current
-    C_j u_j under continuous messaging, else the held sample. A missing held
-    value contributes zero and produces a warning (the run still balances
-    power, but the optimality guarantee is void).
+    q_i = sum over j in F power-adjacent to i of (C_i u_i(t0) - y_ji)
+    (flow_partners), with y_ji = state.last_rx[(j, i)] the value the link
+    j->i last carried: a live link the last message sent on it, a failed
+    link the value it held when it failed. For a pair whose link fails at
+    t0 under continuous messaging this is q_i = -q_j = C_i u_i(t0) -
+    C_j u_j(t0). A partner with no held value, such as one across a power
+    line with no comm link, contributes zero and produces a warning (the
+    run still balances power, but the optimality guarantee is void).
     """
     q = np.zeros(np.shape(state.u))
     warnings: List[str] = []
     C = grid.cost()
-    sampled = comm is not None and comm.message_interval is not CONTINUOUS
     for i, partners in flow_partners(grid, ctx.F).items():
         own = C[i] * state.u[..., i]
         for j in partners:
-            if sampled:
-                try:
-                    other = state.last_rx[(j, i)]
-                except KeyError:
-                    warnings.append(
-                        f"no value ever received on link {j + 1}->{i + 1}; "
-                        f"artificial variable term initialized to 0")
-                    continue
-            else:
-                other = C[j] * state.u[..., j]
+            try:
+                other = state.last_rx[(j, i)]
+            except KeyError:
+                warnings.append(
+                    f"no value ever received on link {j + 1}->{i + 1}; "
+                    f"artificial variable term initialized to 0")
+                continue
             q[..., i] += own - other
     return q, warnings

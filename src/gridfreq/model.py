@@ -122,12 +122,10 @@ class CommGraph:
     failed: Tuple[Tuple[Tuple[int, int], float], ...] = ()
     message_interval: Optional[float] = CONTINUOUS
 
-    def laplacian(self, links: Optional[Iterable[Tuple[int, int]]] = None,
-                  n_nodes: Optional[int] = None) -> np.ndarray:
-        links = self.links if links is None else tuple(links)
-        n = (max((max(l) for l in links), default=-1) + 1) if n_nodes is None else n_nodes
-        L = np.zeros((n, n))
-        for a, b in links:
+    def laplacian(self, n_nodes: int) -> np.ndarray:
+        """The graph Laplacian of the links over n_nodes nodes."""
+        L = np.zeros((n_nodes, n_nodes))
+        for a, b in self.links:
             L[a, a] += 1.0
             L[b, b] += 1.0
             L[a, b] -= 1.0

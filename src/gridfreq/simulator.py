@@ -66,8 +66,9 @@ from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Sce
 
 
 class ScenarioError(ValueError):
-    """A scenario that fails validation, or whose law cannot run: SEQUENTIAL
-    left with no live shared link to rotate over."""
+    """A scenario that fails validation, or whose run cannot go ahead:
+    SEQUENTIAL left with no live shared link to rotate over, or more
+    records than memory can hold."""
 
 
 # NumPy's overflow and invalid-value warnings off where the finite checks
@@ -357,7 +358,7 @@ def rotation_reset(base: LawBase, ctx: ControlContext) -> np.ndarray:
     it that sample() and interval_map read. From one evaluation of
     init_artificial on base.resets, the identity stack of x that the
     contexts of a rotation share."""
-    q0, _ = controllers.init_artificial(base.resets, base.grid, ctx, base.comm)
+    q0, _ = controllers.init_artificial(base.resets, base.grid, ctx)
     return np.ascontiguousarray(q0.T)
 
 
@@ -540,7 +541,7 @@ def schedule(scenario: Scenario) -> Schedule:
     ignored under CONSENSUS, and under the flow-based laws when no failure
     falls within the horizon; such a schedule is that of continuous
     messaging (interval_steps None), so the run makes the continuous run's
-    kernel calls, gives its states bit for bit and holds no messages
+    kernel calls, gives its states bit for bit and records no held messages
     (rx_series None). Events at one step apply in a fixed order:
     disturbances, then link failures, each group in scenario order; a link
     that has already failed does not fail again.
@@ -612,8 +613,7 @@ def schedule(scenario: Scenario) -> Schedule:
         events += [("comm_failure", f"link ({a + 1},{b + 1})") for a, b in newly]
         if newly or not pieces:     # the live links and the law change only here
             gone = set(failed)
-            live = CommGraph(links=tuple(l for l in comm.links if l not in gone),
-                             message_interval=T)
+            live = CommGraph(links=tuple(l for l in comm.links if l not in gone))
             pending = {link for link, k in last_failure.items() if k > start} - gone
             contexts = modes(scheme, power, live.links, failed, pending)
         if not contexts:
@@ -749,10 +749,13 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     Between events a piece is x' = A x + B [y; p], with p its fixed powers
     and y the held messages: C u of the last sampling instant, which every
-    live link holds. A failed link keeps the value it held when it failed;
-    that value is read by rx_series and by init_artificial at a piece's
-    init. Under continuous messaging, and where schedule() ignores T, no
-    message is held and rx_series is None.
+    live link holds. Under continuous messaging, and where schedule()
+    ignores T, a live link holds its sender's current C u instead,
+    refreshed at each piece's start before a failing link freezes (no law
+    reads y between events there). A failed link keeps the value it held
+    when it failed. init_artificial at a piece's init reads these held
+    values in every messaging mode; rx_series records them under sampled
+    messaging only (None otherwise).
 
     One loop executes the calls of plan(). The run keeps one store of maps
     per set of live links: the law_base of the links in force, and each
@@ -807,9 +810,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     # Held messages, per directed link rx_links[c] from senders[c]: a live
     # link holds y[sender], a failed one frozen[c]; NaN before any instant.
-    y = np.zeros(n) if K is None else np.full(n, np.nan)
-    rx_links = (tuple(d for a_, b_ in scenario.comm.links for d in ((a_, b_), (b_, a_)))
-                if K is not None else ())
+    y = np.full(n, np.nan)
+    rx_links = tuple(d for a_, b_ in scenario.comm.links for d in ((a_, b_), (b_, a_)))
     senders = np.array([a_ for a_, _ in rx_links], dtype=int)
     frozen = np.full(len(rx_links), np.nan)
     live = np.ones(len(rx_links), dtype=bool)
@@ -850,8 +852,12 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     # --- record buffers -----------------------------------------------------
     n_rec_max = sched.n_steps // stride + 2
-    rec_states = np.empty((n_rec_max, dim))
-    rec_rx = None if K is None else np.empty((n_rec_max, len(rx_links)))
+    try:
+        rec_states = np.empty((n_rec_max, dim))
+        rec_rx = None if K is None else np.empty((n_rec_max, len(rx_links)))
+    except (ValueError, MemoryError):
+        raise ScenarioError(f"cannot hold the run's {n_rec_max} records of {dim} states; "
+                            "shorten the horizon or raise the record stride") from None
     n_rec = 0       # record k is at step min(k stride, n_steps)
 
     def book(got: int, Y: np.ndarray) -> None:
@@ -910,8 +916,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 t = piece.start * dt
                 p = np.array(piece.p)
                 events_log += [(t, kind, detail) for kind, detail in piece.events]
-                now = np.array([(min(d), max(d)) in piece.comm.links for d in rx_links],
-                               dtype=bool)
+                if K is None:       # continuous messaging: every live link holds the current C u
+                    y[:] = cost_vec * x[U]
+                alive = set(piece.comm.links)
+                now = np.array([l in alive for l in scenario.comm.links], dtype=bool).repeat(2)
                 gone = live & ~now
                 frozen[gone] = y[senders[gone]]
                 live = now
@@ -919,7 +927,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                     rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
                           if not np.isnan(v)}
                     q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
-                                                            grid, piece.init, piece.comm)
+                                                            grid, piece.init)
                     x[Q] = q0
                     events_log += [(t, "warning", w) for w in warns]
             x0 = x.copy()

@@ -14,7 +14,9 @@ global sign calibrated at the first sample point (row-reduction sign
 bookkeeping is not re-derived here). The two-node flow law (PAIR_FLOW) is
 its smallest case: at N = 2, E = 1 the failed pair is the whole grid,
 L_c* = L2 C^-1 with L2 = [[1, -1], [-1, 1]], and the factor
-(-1)^N lam^(1+E-N) is 1, so both flow laws get one certificate.
+(-1)^N lam^(1+E-N) is 1, so both flow laws get one certificate. Every
+matrix of the certificate is taken in the grid's own labelling: L_c*
+replaces the rows of the failed pair wherever the pair sits.
 Both sides are compared as log-determinants, since on large grids the
 determinants themselves leave the floating-point range. The left side is
 read off the spectrum, log s(lam) = sum_i log(lam_i - lam), so a report
@@ -38,7 +40,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .controllers import ControlContext, Link
+from .controllers import ControlContext
 from .kernels import compose_maps
 from .model import HOLD_SCHEMES, CommGraph, PowerGrid, interval_steps
 from .simulator import (context_matrices, context_step, interval_map, law_base, modes,
@@ -209,41 +211,24 @@ def check_sufficient_multi_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
 # ---------------------------------------------------------------------------
 # Characteristic-polynomial factorizations
 
-def build_Lc_star(L_c: np.ndarray, C: np.ndarray,
-                  failed_pair: Tuple[int, int]) -> np.ndarray:
-    """Modified communication Laplacian for the single-failure analysis.
+def build_Lc_star(L_c: np.ndarray, C: np.ndarray, pair: Tuple[int, int]) -> np.ndarray:
+    """Modified communication Laplacian of the single-failure analysis, in
+    the grid's own labelling.
 
-    Requires the failed pair to be the last two nodes (relabel first). The
-    top block keeps the surviving-Laplacian rows over all N columns (the
-    block shorthand this follows is dimensionally ambiguous; the all-columns
-    reading is the one validated numerically by the identity check). The
-    bottom two rows are [0 | L2 C2^-1] with L2 the two-node Laplacian.
+    Every row outside the failed pair keeps its row of L_c over all N
+    columns (the block shorthand this follows is dimensionally ambiguous;
+    the all-columns reading is the one validated numerically by the
+    identity check). The pair's rows are zero outside the pair's columns
+    and L2 C2^-1 in them, with L2 the two-node Laplacian and C2 the pair's
+    costs, wherever the pair sits. A link between the pair touches only
+    the rows this replaces.
     """
-    L_c = np.asarray(L_c, dtype=float)
-    C = np.asarray(C, dtype=float)
-    N = L_c.shape[0]
-    i, j = failed_pair
-    if (i, j) != (N - 2, N - 1):
-        raise ValueError("relabel nodes so the failed pair is (N-2, N-1)")
-    out = np.zeros((N, N))
-    out[: N - 2, :] = L_c[: N - 2, :]
+    out = np.array(L_c, dtype=float)
+    idx = np.array(pair)
+    out[idx] = 0.0
     L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    C2inv = np.diag(1.0 / np.diag(C)[N - 2:])
-    out[N - 2:, N - 2:] = L2 @ C2inv
+    out[np.ix_(idx, idx)] = L2 / np.diag(np.asarray(C, dtype=float))[idx]
     return out
-
-
-def failed_pair_last(grid: PowerGrid, comm: CommGraph, pair: Link
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """(P, L_c*) of the single-failure analysis: the permutation matrix P
-    that relabels the nodes so the failed pair comes last, as build_Lc_star
-    requires, and L_c* from the Laplacian of comm's links in that labelling
-    (a link between the pair touches only the rows L_c* replaces). A matrix
-    X over the nodes relabels as P X P^T."""
-    n = grid.n_nodes
-    P = np.eye(n)[[k for k in range(n) if k not in pair] + sorted(pair)]
-    L_c = P @ comm.laplacian(comm.links, n) @ P.T
-    return P, build_Lc_star(L_c, P @ np.diag(grid.cost()) @ P.T, (n - 2, n - 1))
 
 
 def certificate_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
@@ -251,16 +236,15 @@ def certificate_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     """(M, D, C, L_p^B, L_c*) that certify a flow law with two
     flow-controlled nodes, PAIR_FLOW or HYBRID_SINGLE, from which both the
     sufficient conditions and the identity check read: the diagonal M, D
-    and C and the power Laplacian L_p^B relabelled so the pair comes last,
-    and L_c* (failed_pair_last). On a two-node grid P = I and
-    L_c* = L2 C^-1. None for any other law. comm holds the live links
-    only."""
+    and C, the power Laplacian L_p^B and L_c* (build_Lc_star on the
+    Laplacian of comm's links), all as the grid labels its nodes. On a
+    two-node grid L_c* = L2 C^-1. None for any other law. comm holds the
+    live links only."""
     if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE") or len(ctx.F) != 2:
         return None
-    mats = (np.diag(grid.inertia()), np.diag(grid.droop()), np.diag(grid.cost()),
-            grid.weighted_laplacian())
-    P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
-    return (*(P @ X @ P.T for X in mats), Lstar)
+    C = np.diag(grid.cost())
+    Lstar = build_Lc_star(comm.laplacian(grid.n_nodes), C, tuple(ctx.F))
+    return np.diag(grid.inertia()), np.diag(grid.droop()), C, grid.weighted_laplacian(), Lstar
 
 
 def sufficient_conditions(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
@@ -294,10 +278,10 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                                   ) -> IdentityReport:
     """Compare det(A - lam I) against the factored form at the samples.
 
-    Supports the single-failure law (HYBRID_SINGLE, nodes relabeled so the
-    pair comes last) and its two-node case, the flow law PAIR_FLOW, on the
-    matrices of certificate_matrices, from which the report's sufficient
-    conditions read too. Points within
+    Supports the single-failure law (HYBRID_SINGLE) and its two-node case,
+    the flow law PAIR_FLOW, on the matrices of certificate_matrices, in the
+    grid's own labelling, from which the report's sufficient conditions
+    read too. Points within
     1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
     rejected, and so is an empty set of points. The returned `consistent`
     flag is max_residual <= IDENTITY_TOL.

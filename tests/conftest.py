@@ -110,6 +110,9 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,
     of its step. Starts from initial_state, as integrate() does, or else at
     rest with the initial flows. Handles disturbances, failures, sampling
     and sequential rotation inline, in the same event order as integrate().
+    The held values are refreshed from the live links at every sampling
+    instant, and under continuous messaging at the start of every step,
+    before that step's events; a failed link keeps its last value.
     """
     grid, comm = scenario.grid, scenario.comm
     n, e = grid.n_nodes, grid.n_lines
@@ -137,8 +140,16 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,
         return CommGraph(links=tuple(l for l in comm.links if l not in failed),
                          failed=(), message_interval=T)
 
+    def refresh():
+        y = grid.cost() * x[n + e:2 * n + e]
+        for a, b in live_comm().links:
+            last_rx[(a, b)] = y[a]
+            last_rx[(b, a)] = y[b]
+
     for step in range(n_steps + 1):
         t = step * dt
+        if steps_per_T is None:     # continuous messaging: live links carry the current C u
+            refresh()
         # events at this step, spec order
         for d in scenario.disturbances:
             if int(round(d.time / dt)) == step:
@@ -151,20 +162,17 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,
                     new_mode = scheme
                     mode_ctx = ControlContext(scheme=new_mode, F=frozenset(link))
                     st = vector_to_state(t, x, grid, last_rx)
-                    q0, _ = init_artificial(st, grid, mode_ctx, comm)
+                    q0, _ = init_artificial(st, grid, mode_ctx)
                     x[2 * n + e:] = q0
                 elif scheme == "MULTI_FAILURE":
                     pairs = frozenset(l for l in failed if l in power)
                     F = frozenset(i for l in pairs for i in l)
                     mode_ctx = ControlContext(scheme="MULTI_FAILURE", F=F)
                     st = vector_to_state(t, x, grid, last_rx)
-                    q0, _ = init_artificial(st, grid, mode_ctx, comm)
+                    q0, _ = init_artificial(st, grid, mode_ctx)
                     x[2 * n + e:] = q0
         if steps_per_T is not None and step % steps_per_T == 0:
-            y = grid.cost() * x[n + e:2 * n + e]
-            for a, b in live_comm().links:
-                last_rx[(a, b)] = y[a]
-                last_rx[(b, a)] = y[b]
+            refresh()
         if scheme == "SEQUENTIAL" and step % steps_per_T == 0:
             K = step // steps_per_T
             shared = sorted(set((ln.i, ln.j) for ln in grid.lines)
@@ -173,7 +181,7 @@ def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,
             mode_ctx = ControlContext(scheme="SEQUENTIAL", F=frozenset(link))
             pair_ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset(link))
             st = vector_to_state(t, x, grid, last_rx)
-            q0, _ = init_artificial(st, grid, pair_ctx, comm)
+            q0, _ = init_artificial(st, grid, pair_ctx)
             x[2 * n + e:] = q0
         if every and step % every == 0:
             states[step] = x.copy()

@@ -203,6 +203,22 @@ def test_simulate_unwritable_summary_exits_1(tmp_path, capsys):
     assert "run.summary.json" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, records", [
+    (["--horizon", "1e30"], int(round(1e30 / 1e-3)) // 100 + 2),
+    (["--horizon", "1e12", "--record-stride", "1"], 10 ** 15 + 2),
+], ids=["dimension", "memory"])
+def test_simulate_records_past_any_address_space_exit_1(tmp_path, capsys, argv, records):
+    """A run whose record buffers no address space can hold (NumPy's
+    maximum dimension, or petabytes) is one error line naming the record
+    count and exit 1, with no file written and nothing allocated."""
+    code = cli.main(["simulate", "toy", "--out", str(tmp_path / "run")] + argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot hold the run's {records} records of 40 states; "
+                            "shorten the horizon or raise the record stride\n")
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
 def test_simulate_diverging_run_exits_1(tmp_path, capsys):
     """A step size far past the stability limit drives the state non-finite:
     the error line alone reaches stderr, without the overflow warnings of

@@ -169,7 +169,7 @@ class TestHybridAndMulti:
         ctx = ControlContext(scheme="MULTI_FAILURE")
         du, dq = control_rate(st, grid, comm, ctx)
         C = grid.cost()
-        L_c = comm.laplacian(comm.links, grid.n_nodes)
+        L_c = comm.laplacian(grid.n_nodes)
         ref = -st.omega / C - L_c @ (C * st.u)
         # within 1e-15 of the sum of the terms' magnitudes (rounding only)
         scale = np.abs(st.omega / C) + np.abs(L_c) @ np.abs(C * st.u)
@@ -188,7 +188,7 @@ class TestHybridAndMulti:
                         last_rx=held_messages(y, comm.links))
         du, dq = control_rate(st, grid, comm, ControlContext("CONSENSUS_SAMPLED"))
         C = grid.cost()
-        L_c = comm.laplacian(comm.links, grid.n_nodes)
+        L_c = comm.laplacian(grid.n_nodes)
         deg = np.diag(L_c)
         ref = -st.omega / C - deg * (C * st.u) + (np.diag(deg) - L_c) @ y
         scale = (np.abs(st.omega / C) + deg * np.abs(C * st.u)
@@ -198,10 +198,17 @@ class TestHybridAndMulti:
 
 
 class TestInitArtificial:
+    """init_artificial reads each partner's value from last_rx, the value
+    its link last carried; here the held values are the current C u."""
+
+    @staticmethod
+    def held_state(grid, u, links):
+        return make_state(grid, u=u, last_rx=held_messages(grid.cost() * np.asarray(u), links))
+
     def test_pair_antisymmetric_value(self):
         grid = make_grid([3.0, 1.0], [(0, 1, 1.0)])
         ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
-        st = make_state(grid, u=[1.0, 1.0])  # C u = [3, 1]
+        st = self.held_state(grid, [1.0, 1.0], [(0, 1)])  # C u = [3, 1]
         q, warns = init_artificial(st, grid, ctx)
         assert q == pytest.approx([2.0, -2.0])
         assert warns == []
@@ -209,7 +216,7 @@ class TestInitArtificial:
     def test_consensus_manifold_gives_zero(self):
         grid = make_grid([2.0, 5.0], [(0, 1, 1.0)])
         ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
-        st = make_state(grid, u=[0.5, 0.2])  # both weighted values equal 1
+        st = self.held_state(grid, [0.5, 0.2], [(0, 1)])  # both weighted values equal 1
         q, _ = init_artificial(st, grid, ctx)
         assert q == pytest.approx([0.0, 0.0], abs=1e-15)
 
@@ -217,7 +224,7 @@ class TestInitArtificial:
         grid = make_grid([1.0] * 5, [(0, 1, 1.0), (1, 4, 1.0), (2, 3, 1.0),
                                      (0, 4, 1.0), (3, 4, 1.0)])
         ctx = ControlContext(scheme="MULTI_FAILURE", F=frozenset({0, 1, 4}))
-        st = make_state(grid, u=[1.0, 2.0, 9.0, 9.0, 7.0])
+        st = self.held_state(grid, [1.0, 2.0, 9.0, 9.0, 7.0], [(0, 1), (1, 4), (0, 4)])
         q, _ = init_artificial(st, grid, ctx)
         # node 2 of the pair set: (u2-u1) + (u2-u5), with unit costs
         assert q[1] == pytest.approx((2.0 - 1.0) + (2.0 - 7.0))
@@ -226,11 +233,9 @@ class TestInitArtificial:
 
     def test_missing_held_value_warns_and_zeroes(self):
         grid = make_grid([1.0, 1.0], [(0, 1, 1.0)])
-        comm = CommGraph(links=((0, 1),), message_interval=0.5,
-                         failed=(((0, 1), 0.0),))
         ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset({0, 1}))
         st = make_state(grid, u=[0.7, -0.7])
-        q, warns = init_artificial(st, grid, ctx, comm)
+        q, warns = init_artificial(st, grid, ctx)
         assert q == pytest.approx([0.0, 0.0])
         assert len(warns) == 2
 
@@ -337,17 +342,14 @@ class TestStackedStates:
             derivative(vector_to_state(0.0, X, grid), grid, CommGraph(links=()), ctx)
 
     def test_init_artificial_of_stack_equals_row_by_row(self, toy):
-        grid, comm, ctx = self._setup(toy, "MULTI_FAILURE", ((0, 1), (1, 4)))
-        sampled = CommGraph(links=toy.comm.links, message_interval=0.01)
+        grid, _, ctx = self._setup(toy, "MULTI_FAILURE", ((0, 1), (1, 4)))
+        links = toy.comm.links      # the failed pairs hold the values they last carried
         rng = np.random.default_rng(12)
         X = rng.normal(size=(16, 3 * grid.n_nodes + grid.n_lines))
         Y = rng.normal(size=(16, grid.n_nodes))
-        for c in (None, sampled):
-            q, warns = init_artificial(vector_to_state(0.0, X, grid,
-                                                       held_messages(Y, c.links) if c else {}),
-                                       grid, ctx, c)
-            rows = [init_artificial(vector_to_state(0.0, X[r], grid,
-                                                    held_messages(Y[r], c.links) if c else {}),
-                                    grid, ctx, c)[0] for r in range(16)]
-            assert warns == []
-            assert np.array_equal(q, np.array(rows))
+        q, warns = init_artificial(vector_to_state(0.0, X, grid, held_messages(Y, links)),
+                                   grid, ctx)
+        rows = [init_artificial(vector_to_state(0.0, X[r], grid, held_messages(Y[r], links)),
+                                grid, ctx)[0] for r in range(16)]
+        assert warns == []
+        assert np.array_equal(q, np.array(rows))

@@ -122,12 +122,13 @@ def test_line_requires_exactly_one_of_b_and_reactance(toy):
         scenario_from_dict(doc)
 
 
-def test_laplacian_sizes_from_the_links_it_is_given():
-    comm = CommGraph(links=((0, 1),))
-    L = comm.laplacian([(0, 1), (1, 2)])
-    assert L.shape == (3, 3)
+def test_laplacian_of_the_links_over_n_nodes():
+    """The Laplacian of a graph's own links, over the nodes asked for: a
+    node that no link reaches has a zero row and column."""
+    L = CommGraph(links=((0, 1), (1, 2))).laplacian(3)
     assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
-    assert comm.laplacian().shape == (2, 2)
+    L = CommGraph(links=((0, 1),)).laplacian(3)
+    assert np.array_equal(L, [[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 
 
 @pytest.mark.parametrize("tweak, needle", [

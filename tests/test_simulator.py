@@ -448,6 +448,45 @@ def test_rx_series_holds_failed_and_marks_never_received(toy):
     assert (0, 1) not in traj.state_at(k120).last_rx
 
 
+def test_continuous_failure_reads_what_a_failed_link_last_carried(toy):
+    """Under continuous messaging a failed link holds the value it carried
+    when it failed, as under sampled messaging. Toy MULTI_FAILURE with
+    (1,2) failing at 0.5 s and (2,5) at 2.0 s: at the second re-init node
+    1's partner is node 2, across the link dead since 0.5 s, so
+    q_1 = C_1 u_1(2.0) - C_2 u_2(0.5). After 600 s the cost is within 1e-3
+    of the run at T = 1 ms, which reads the same held values."""
+    failures = (((0, 1), 0.5), ((1, 4), 2.0))
+    short = integrate(with_overrides(toy, scheme="MULTI_FAILURE", horizon=2.0,
+                                     record_stride=500, failures=failures))
+    assert np.array_equal(np.round(short.times / toy.dt), [0, 500, 1000, 1500, 2000])
+    C = toy.grid.cost()
+    assert abs(short.q[-1, 0] - (C[0] * short.u[-1, 0] - C[1] * short.u[1, 1])) <= 1e-12
+    steady = [integrate(with_overrides(toy, scheme="MULTI_FAILURE", message_interval=T,
+                                       horizon=600.0, record_stride=1000,
+                                       failures=failures)).cost_series[-1]
+              for T in (None, 1e-3)]
+    assert abs(steady[0] - steady[1]) <= 1e-3
+
+
+@pytest.mark.parametrize("T", [None, 0.01])
+def test_flow_partner_without_comm_link_is_warned_in_every_mode(T):
+    """Lines (1,2), (1,3), (2,3), (3,4) and comm links (1,2), (2,3), (3,4);
+    MULTI_FAILURE with (1,2) and (2,3) failing at 0.5 s takes F = {1, 2, 3}.
+    Nodes 1 and 3 are flow partners across a power line that carries no
+    message, so under continuous messaging, as at T = 10 ms, the init
+    warns twice and takes those terms as 0."""
+    nodes = tuple(NodeParams(k + 1, 0.1, 1.0, c, p)
+                  for k, (c, p) in enumerate(zip((1.0, 2.0, 4.0, 2.0), (1.0, -2.0, 0.5, 0.5))))
+    grid = PowerGrid(nodes, tuple(Line(i, j, 1.0) for i, j in ((0, 1), (0, 2), (1, 2), (2, 3))))
+    comm = CommGraph(links=((0, 1), (1, 2), (2, 3)), message_interval=T,
+                     failed=(((0, 1), 0.5), ((1, 2), 0.5)))
+    traj = integrate(Scenario(grid=grid, comm=comm, scheme="MULTI_FAILURE", horizon=1.0,
+                              dt=1e-3, record_stride=100))
+    warned = [detail for _, kind, detail in traj.events if kind == "warning"]
+    assert warned == [f"no value ever received on link {a}->{b}; artificial variable term "
+                      "initialized to 0" for a, b in ((3, 1), (1, 3))]
+
+
 def test_sampled_nonfinite_state_keeps_last_finite_record(toy):
     wild = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=0.1,
                           dt=0.05, horizon=20.0, record_stride=4)
@@ -510,7 +549,7 @@ def loop_reset(grid, comm, ctx):
         x = np.zeros(dim)
         x[k] = 1.0
         rx = held_messages(grid.cost() * x[n + e:2 * n + e], comm.links)
-        RQ[:, k], _ = init_artificial(vector_to_state(0.0, x, grid, rx), grid, pair_ctx, comm)
+        RQ[:, k], _ = init_artificial(vector_to_state(0.0, x, grid, rx), grid, pair_ctx)
     return RQ
 
 
@@ -579,10 +618,10 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     A_ref, b_ref = loop_affine(grid, live, ctx, p, last_rx, 0.3)
     assert np.abs(A - A_ref).max() <= 1e-12
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
-    if ctx.F:
-        R = rotation_reset(law_base(grid, live, False), ctx)
+    if ctx.F:       # the reset of a rotation to F, whose links are live in it
+        R = rotation_reset(law_base(grid, comm, False), ctx)
         assert R.shape == (n, len(A))
-        assert np.array_equal(R, loop_reset(grid, live, ctx))
+        assert np.array_equal(R, loop_reset(grid, comm, ctx))
         assert np.abs(R).max() > 0.0
 
 
@@ -1239,13 +1278,14 @@ def test_ignored_message_interval_runs_as_continuous(toy, scheme, failures):
     as continuous messaging: CONSENSUS, with or without a failure, and
     HYBRID_SINGLE whose link fails past the horizon run the continuous
     run's plan at T = 0.5. Their records equal the continuous run's bit for
-    bit at record stride 1, and they hold no messages."""
+    bit at record stride 1, and like it they record no held messages."""
     runs = {T: with_overrides(toy, scheme=scheme, message_interval=T, horizon=2.0,
                               record_stride=1, failures=failures) for T in (0.5, None)}
     assert schedule(runs[0.5]).interval_steps is None
     assert schedule(runs[0.5]).warnings[0].startswith("message_interval T=0.5 ignored")
     sampled, continuous = (integrate(scn) for scn in runs.values())
-    assert sampled.rx_series is None and sampled.rx_links == ()
+    assert sampled.rx_series is continuous.rx_series is None
+    assert sampled.rx_links == continuous.rx_links
     for field in ("times", "omega", "flow", "u", "q", "cost_series"):
         assert np.array_equal(getattr(sampled, field), getattr(continuous, field))
 

@@ -12,8 +12,7 @@ from gridfreq.simulator import derivative, vector_to_state
 from gridfreq.stability import (IdentityReport, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node, certificate_matrices,
-                                failed_pair_last, interval_map_spectrum, spectrum,
-                                sufficient_conditions)
+                                interval_map_spectrum, spectrum, sufficient_conditions)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -319,9 +318,9 @@ class TestSufficientMultiNode:
         grid = toy.grid
         pair = (1, 6)
         comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
-        P, Lstar = failed_pair_last(grid, comm, pair)
-        M, D, C = (P @ np.diag(v) @ P.T for v in (grid.inertia(), grid.droop(), grid.cost()))
-        LpB = P @ grid.weighted_laplacian() @ P.T
+        M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
+        LpB = grid.weighted_laplacian()
+        Lstar = build_Lc_star(comm.laplacian(grid.n_nodes), C, pair)
         solves = []
         for name in ("eigvalsh", "eigvals"):
             inner = getattr(np.linalg, name)
@@ -353,16 +352,11 @@ class TestSufficientMultiNode:
         n = grid.n_nodes
         pair = (1, 6)
         comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
-        order = [k for k in range(n) if k not in pair] + list(pair)
-        P = np.eye(n)[order]
         M = np.diag(grid.inertia())
         D = np.diag(grid.droop())
         C = np.diag(grid.cost())
-        Lstar = build_Lc_star(P @ comm.laplacian(comm.links, n) @ P.T,
-                              P @ C @ P.T, (n - 2, n - 1))
-        verdict = check_sufficient_multi_node(
-            P @ M @ P.T, P @ D @ P.T, P @ C @ P.T, Lstar,
-            P @ grid.weighted_laplacian() @ P.T)
+        Lstar = build_Lc_star(comm.laplacian(n), C, pair)
+        verdict = check_sufficient_multi_node(M, D, C, Lstar, grid.weighted_laplacian())
         ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
         rep = spectrum(assemble_state_matrix(grid, comm, ctx))
         # sufficient, not necessary: a positive verdict must mean stable
@@ -379,17 +373,33 @@ class TestBuildLcStar:
         assert out == pytest.approx(L2 @ np.linalg.inv(C))
 
     def test_three_node_path(self):
-        comm = CommGraph(links=((0, 1), (1, 2)))
-        Lc_surv = comm.laplacian([(0, 1)], 3)  # failed pair (1,2) removed
+        Lc_surv = CommGraph(links=((0, 1),)).laplacian(3)  # failed pair (1,2) removed
         C = np.diag([1.0, 2.0, 4.0])
         out = build_Lc_star(Lc_surv, C, (1, 2))
         assert out[1:, 1:] == pytest.approx(np.array([[1 / 2.0, -1 / 4.0],
                                                       [-1 / 2.0, 1 / 4.0]]))
         assert out[0] == pytest.approx(Lc_surv[0])
 
-    def test_requires_relabeled_pair(self):
-        with pytest.raises(ValueError):
-            build_Lc_star(np.zeros((3, 3)), np.eye(3), (0, 1))
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_equals_the_relabelled_form(self, linked):
+        """On a seeded 10-node grid, L_c* of a pair in place equals P^T L P,
+        with L the block form of the pair relabelled last: P L_c P^T's
+        surviving rows over [0 | L2 C2^-1]. The pair's order does not
+        matter, and a live link between the pair changes nothing."""
+        grid = random_grid(3, 10)
+        n = grid.n_nodes
+        links = tuple((ln.i, ln.j) for ln in grid.lines)
+        pair = links[3]     # nodes 4 and 7
+        L_c = CommGraph(links=links if linked else links[:3] + links[4:]).laplacian(n)
+        C = np.diag(grid.cost())
+        P = np.eye(n)[[k for k in range(n) if k not in pair] + list(pair)]
+        relabelled = np.zeros((n, n))
+        relabelled[:n - 2] = (P @ L_c @ P.T)[:n - 2]
+        relabelled[n - 2:, n - 2:] = L2 @ np.diag(1.0 / grid.cost()[list(pair)])
+        want = P.T @ relabelled @ P
+        assert pair[0] < pair[1] < n - 2
+        assert np.array_equal(build_Lc_star(L_c, C, pair), want)
+        assert np.array_equal(build_Lc_star(L_c, C, pair[::-1]), want)
 
 
 class TestCharacteristicIdentity:
@@ -512,8 +522,7 @@ def identity_oracle(grid, comm, ctx, pts):
         def tail(z):
             return (2.0 + z) * LpB
     else:
-        P, Lstar = failed_pair_last(grid, comm, tuple(sorted(ctx.F)))
-        M, D, C, LpB = (P @ X @ P.T for X in (M, D, C, LpB))
+        Lstar = build_Lc_star(comm.laplacian(n), C, tuple(ctx.F))
         K, exp_lam, sign_n = Lstar @ C, 1 + e - n, 1j * math.pi * (n % 2)
 
         def tail(z):
@@ -574,10 +583,11 @@ def test_identity_check_matches_lu_oracle():
 def test_certificates_of_the_flow_laws(toy):
     """The report's sufficient conditions and the identity check read one
     set of matrices, the single-failure analysis's: the multi-node
-    conditions on M, D, C and L_p^B relabelled so the flow pair comes
-    last, with L_c*. Under PAIR_FLOW on two nodes that is diag(M, D, C),
-    B L2 and L_c* = L2 C^-1. No certificate for any other law,
-    HYBRID_SINGLE before its failure included."""
+    conditions on M, D, C and L_p^B as the grid labels its nodes, with
+    L_c* (build_Lc_star of the live links' Laplacian). Under PAIR_FLOW on
+    two nodes that is diag(M, D, C), B L2 and L_c* = L2 C^-1. No
+    certificate for any other law, HYBRID_SINGLE before its failure
+    included."""
     grid = two_node_grid(M=(0.05, 0.1), D=(0.8, 1.2), C=(0.1, 0.2), B=0.7)
     M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
     Lstar = L2 @ np.diag(1.0 / grid.cost())
@@ -590,15 +600,12 @@ def test_certificates_of_the_flow_laws(toy):
     pair = (1, 6)
     comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
     ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
-    P, Lstar = failed_pair_last(toy.grid, comm, pair)
-    relabelled = tuple(P @ X @ P.T for X in (np.diag(toy.grid.inertia()),
-                                             np.diag(toy.grid.droop()),
-                                             np.diag(toy.grid.cost()),
-                                             toy.grid.weighted_laplacian()))
+    M, D, C, LpB = (np.diag(toy.grid.inertia()), np.diag(toy.grid.droop()),
+                    np.diag(toy.grid.cost()), toy.grid.weighted_laplacian())
+    Lstar = build_Lc_star(comm.laplacian(toy.grid.n_nodes), C, pair)
     mats = certificate_matrices(toy.grid, comm, ctx)
     assert len(mats) == 5
-    assert all(np.array_equal(a, b) for a, b in zip(mats, relabelled + (Lstar,)))
-    M, D, C, LpB = relabelled
+    assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, LpB, Lstar)))
     assert (sufficient_conditions(toy.grid, comm, ctx)
             == check_sufficient_multi_node(M, D, C, Lstar, LpB))
     for other in (ControlContext("CONSENSUS"), ControlContext("HYBRID_SINGLE"),
