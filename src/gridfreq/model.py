@@ -62,6 +62,12 @@ class Line:
 
 @dataclass(frozen=True)
 class PowerGrid:
+    """Nodes and power lines. The arrays inertia(), droop(), cost(),
+    susceptance() and incidence(), and edge_set(), are derived once per
+    grid and shared by every caller, so the arrays are read-only.
+    fixed_power() is a new array on each call: schedule() and
+    post_disturbance_power() add the disturbances into it."""
+
     nodes: Tuple[NodeParams, ...]
     lines: Tuple[Line, ...]
 
@@ -74,43 +80,47 @@ class PowerGrid:
         return len(self.lines)
 
     def inertia(self) -> np.ndarray:
-        return np.array([n.inertia for n in self.nodes])
+        return self._derived["inertia"]
 
     def droop(self) -> np.ndarray:
-        return np.array([n.droop for n in self.nodes])
+        return self._derived["droop"]
 
     def cost(self) -> np.ndarray:
-        return np.array([n.cost for n in self.nodes])
+        return self._derived["cost"]
 
     def fixed_power(self) -> np.ndarray:
         return np.array([n.fixed_power for n in self.nodes])
 
     def susceptance(self) -> np.ndarray:
-        return np.array([ln.b for ln in self.lines])
+        return self._derived["susceptance"]
 
     def incidence(self) -> np.ndarray:
         """Node-line incidence matrix: +1 at the tail, -1 at the head."""
-        A = np.zeros((self.n_nodes, self.n_lines))
-        A[self._line_ends] = (1.0, -1.0)
-        return A
+        return self._derived["incidence"]
+
+    def edge_set(self) -> frozenset:
+        return self._derived["edge_set"]
 
     @functools.cached_property
-    def _line_ends(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The (tail, head) positions of each line's column in incidence(),
-        one row per line; read once from the lines per grid."""
+    def _derived(self) -> dict:
+        """What inertia() to edge_set() return, read once from the nodes and
+        lines; each array read-only."""
         ends = np.array([(ln.i, ln.j) for ln in self.lines], dtype=np.intp).reshape(-1, 2)
-        cols = np.arange(self.n_lines)[:, None]
-        for a in (ends, cols):
+        incidence = np.zeros((self.n_nodes, self.n_lines))
+        incidence[ends, np.arange(self.n_lines)[:, None]] = (1.0, -1.0)
+        arrays = {"inertia": np.array([n.inertia for n in self.nodes]),
+                  "droop": np.array([n.droop for n in self.nodes]),
+                  "cost": np.array([n.cost for n in self.nodes]),
+                  "susceptance": np.array([ln.b for ln in self.lines]),
+                  "incidence": incidence}
+        for a in arrays.values():
             a.flags.writeable = False
-        return ends, cols
+        return {**arrays, "edge_set": frozenset((ln.i, ln.j) for ln in self.lines)}
 
     def weighted_laplacian(self) -> np.ndarray:
         """Susceptance-weighted Laplacian of the power graph."""
         A = self.incidence()
         return A @ np.diag(self.susceptance()) @ A.T
-
-    def edge_set(self) -> frozenset:
-        return frozenset((ln.i, ln.j) for ln in self.lines)
 
 
 @dataclass(frozen=True)
@@ -298,6 +308,16 @@ def validate(scenario: Scenario) -> list:
         out.append(f"dt must be finite and > 0, got {scenario.dt}")
     elif scenario.horizon < scenario.dt:
         out.append(f"horizon {scenario.horizon} is shorter than dt {scenario.dt}")
+    if dt_ok:       # a time is a step count t / dt, which must fit in a float
+        times = ([("horizon", scenario.horizon)]
+                 + [(f"disturbance at node {d.node + 1} time", d.time)
+                    for d in scenario.disturbances]
+                 + [(f"comm failure on ({a + 1},{b + 1}) time", t0)
+                    for (a, b), t0 in comm.failed])
+        for what, t in times:
+            if math.isfinite(t) and not math.isfinite(t / scenario.dt):
+                out.append(f"{what} {t:g} is out of range: its step count t / dt "
+                           f"overflows at dt {scenario.dt:g}")
     if scenario.record_stride < 1:
         out.append(f"record_stride must be >= 1, got {scenario.record_stride}")
     if scenario.scheme not in SCHEMES:

@@ -52,7 +52,8 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -113,8 +114,9 @@ class Trajectory:
     events: Tuple[Tuple[float, str, str], ...]
     rx_links: Tuple[Tuple[int, int], ...] = ()
     rx_series: Optional[np.ndarray] = None   # (S, len(rx_links)) held values
-    # counts of the run: {"maps": built by kind, "kernel_calls": planned, by kind}
-    diagnostics: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    # counts of the run: {"maps": built by kind, "kernel_calls": run by kind,
+    # "pauses": the plan's pauses run}
+    diagnostics: Dict[str, Union[int, Dict[str, int]]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -675,10 +677,16 @@ def plan(sched: Schedule, stride: int) -> Iterator[Call]:
     - at every record, when the stride is not a multiple of K, since an
       interval map records only on an instant;
     - at the first instant of a piece, reached by a stretch;
-    - at the last instant before the piece's end (or before the next stop
-      above), reached by whole intervals; a stretch covers the partial
-      interval after it, if any, with the messages held from there, which
-      a failure or an init at the next piece's start reads too.
+    - at the last instant before the next stop above, reached by whole
+      intervals; a stretch covers the partial interval after it, if any,
+      with the messages held from there;
+    - at the last instant before the piece's end, reached by whole
+      intervals, in two cases only: the end lies inside an interval, whose
+      partial interval a stretch covers as above, or a link fails there,
+      whose frozen held value and init (init_artificial) read the messages
+      of that instant. Otherwise whole intervals run up to the piece's end,
+      where the pause runs the next piece's events, which read no held
+      message, and then the instant's sampling.
 
     Whole intervals record the instants inside them without stopping. They
     cross whole rotation cycles of L intervals by one jump of the cycle map
@@ -689,8 +697,11 @@ def plan(sched: Schedule, stride: int) -> Iterator[Call]:
     after its start up to its stop, except a stop where a pause follows.
     """
     K, n = sched.interval_steps, sched.n_steps
-    for piece in sched.pieces:
+    for piece, after in zip(sched.pieces, sched.pieces[1:] + sched.pieces[-1:]):
         step = piece.start
+        # whole intervals run up to the piece's end when it is an instant
+        # and no link fails there: nothing reads the messages held before it
+        open_end = K is not None and piece.stop % K == 0 and after.comm is piece.comm
         while True:
             yield Call("pause", piece, step, step, rows=int(step % stride == 0 or step == n))
             if step == piece.stop:
@@ -700,8 +711,8 @@ def plan(sched: Schedule, stride: int) -> Iterator[Call]:
                 if stride % K:
                     stop = min(stop, (step // stride + 1) * stride)
                 whole = step % K == 0 and stop - step >= K
-                stop = (max((stop - 1) // K * K, step + K) if whole
-                        else min(stop, step - step % K + K))
+                last = stop if open_end and stop == piece.stop else (stop - 1) // K * K
+                stop = max(last, step + K) if whole else min(stop, step - step % K + K)
             head = tail = stop          # one jump crosses the cycles from head to tail
             if whole:
                 cycle = len(piece.contexts) * K
@@ -755,7 +766,12 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     reads y between events there). A failed link keeps the value it held
     when it failed. init_artificial at a piece's init reads these held
     values in every messaging mode; rx_series records them under sampled
-    messaging only (None otherwise).
+    messaging only (None otherwise). Under sampled messaging the run
+    refreshes y at the pauses on instants alone: an interval or cycle jump
+    gives its records their own messages and leaves y as it was. A failure
+    is the only event that reads y before its step's sampling, so plan()
+    pauses at the instant before one; at any other event on an instant
+    the jump runs up to it, and the pause there samples before y is read.
 
     One loop executes the calls of plan(). The run keeps one store of maps
     per set of live links: the law_base of the links in force, and each
@@ -790,7 +806,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     run reports the error alone.
 
     Trajectory.diagnostics counts the maps the run built and the kernel
-    calls of its plan, each by kind.
+    calls of its plan, each by kind, and the plan's pauses.
     """
     sched = schedule(scenario)
     grid = scenario.grid
@@ -818,6 +834,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
     calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
+    pauses = 0
     hold = scenario.scheme in HOLD_SCHEMES      # modes() never mixes hold and non-hold contexts
     maps: dict = {}     # of the live links in force: (kind, key) -> (map, powers)
 
@@ -906,7 +923,9 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     piece = failed = None
     with np.errstate(**_QUIET):
         for call in plan(sched, stride):
-            if call.kind != "pause":
+            if call.kind == "pause":
+                pauses += 1
+            else:
                 calls[call.kind] += 1
             if call.piece is not piece:
                 if piece is not None and call.piece.comm is not piece.comm:
@@ -947,7 +966,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                           u=u, q=states[:, Q], cost_series=(u * u) @ cost_vec,
                           events=tuple(events_log), rx_links=rx_links,
                           rx_series=None if K is None else rec_rx[:n_rec],
-                          diagnostics={"maps": built, "kernel_calls": calls})
+                          diagnostics={"maps": built, "kernel_calls": calls,
+                                       "pauses": pauses})
     if failed is not None:
         raise IntegrationError(failed, traj.state_at(n_rec - 1) if n_rec else None)
     return traj

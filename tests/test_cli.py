@@ -219,6 +219,32 @@ def test_simulate_records_past_any_address_space_exit_1(tmp_path, capsys, argv, 
     assert captured.out == "" and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, edit, line", [
+    ("simulate", None, "horizon 1e+308"),
+    ("stability", None, "horizon 1e+308"),
+    ("simulate", lambda doc: doc["disturbances"][0].update(time=1e308),
+     "disturbance at node 3 time 1e+308"),
+    ("simulate", lambda doc: doc.update(comm_failures=[{"link": [2, 7], "time": 1e308}]),
+     "comm failure on (2,7) time 1e+308"),
+], ids=["simulate_horizon", "stability_horizon", "disturbance", "failure"])
+def test_time_whose_step_count_overflows_exits_1(tmp_path, capsys, command, edit, line):
+    """A finite time t whose step count t / dt overflows a float is invalid
+    input: one "invalid scenario:" line and exit 1, with nothing written,
+    where rounding it onto the dt grid raised an OverflowError. Toy at
+    dt = 1 ms: --horizon 1e308, or a disturbance or failure at 1e308 s under
+    the toy's 200 s horizon."""
+    argv = [command, "toy", "--horizon", "1e308"]
+    if edit is not None:
+        doc = scenario_to_dict(toy_grid())
+        edit(doc)
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        argv = [command, str(tmp_path / "in.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr() == ("", f"invalid scenario: {line} is out of range: its step "
+                                       "count t / dt overflows at dt 0.001\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["in.json"] if edit else [])
+
+
 def test_simulate_diverging_run_exits_1(tmp_path, capsys):
     """A step size far past the stability limit drives the state non-finite:
     the error line alone reaches stderr, without the overflow warnings of

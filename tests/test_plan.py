@@ -1,17 +1,19 @@
 """The plan of kernel calls, checked without numerics (hypothesis).
 
 simulator.plan turns a schedule into the calls that integrate() executes,
-from step counts and keys alone. Random schedules (piece boundaries, K =
-T / dt or continuous messaging, rotation length L) and record strides check
-that the calls tile the run inside their pieces, that interval and cycle
-maps jump only between sampling instants, that every record step is booked
-once, and that the records of one interval or cycle jump share a rotation
-phase. Named cases pin the stop rules.
+from step counts and keys alone. Random schedules (piece boundaries, link
+failures at some of them, K = T / dt or continuous messaging, rotation
+length L) and record strides check that the calls tile the run inside
+their pieces, that interval and cycle maps jump only between sampling
+instants, that every record step is booked once, that the records of one
+interval or cycle jump share a rotation phase, and that whole intervals
+stop short of a piece's end only before a partial interval or a failure.
+Named cases pin the stop rules.
 """
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridfreq.controllers import ControlContext
@@ -21,13 +23,18 @@ from gridfreq.simulator import Piece, Schedule, plan
 LINKS = ((0, 1), (1, 2), (2, 3), (3, 4))
 
 
-def make_schedule(n, cuts, K, L):
-    """n steps cut into pieces at cuts, each rotating over L contexts."""
-    comm = CommGraph(links=LINKS)
+def make_schedule(n, cuts, K, L, fails=()):
+    """n steps cut into pieces at cuts, each rotating over L contexts. At
+    each cut in fails a link fails: the pieces from there on hold a new
+    CommGraph, one link shorter."""
     contexts = tuple(ControlContext("SEQUENTIAL", F=frozenset(link)) for link in LINKS[:L])
     steps = sorted(set(cuts) | {0, n})
-    return Schedule(n, K, (), tuple(Piece(a, b, comm, contexts, contexts[0], ())
-                                    for a, b in zip(steps, steps[1:] + [n])))
+    pieces = []
+    for a, b in zip(steps, steps[1:] + [n]):
+        if a == 0 or a in fails:
+            comm = CommGraph(links=LINKS[sum(f <= a for f in fails):])
+        pieces.append(Piece(a, b, comm, contexts, contexts[0], ()))
+    return Schedule(n, K, (), tuple(pieces))
 
 
 def booked(call):
@@ -46,9 +53,10 @@ def pauses(calls):
 def schedules(draw):
     n = draw(st.integers(1, 400))
     cuts = draw(st.sets(st.integers(1, n), max_size=4))
+    fails = draw(st.sets(st.sampled_from(sorted(cuts)), max_size=3)) if cuts else ()
     K = draw(st.one_of(st.none(), st.integers(1, 25)))
     L = 1 if K is None else draw(st.integers(1, len(LINKS)))
-    return make_schedule(n, cuts, K, L), draw(st.integers(1, 150))
+    return make_schedule(n, cuts, K, L, fails), draw(st.integers(1, 150))
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,19 +108,56 @@ def test_the_records_of_an_interval_or_cycle_call_share_one_rotation_phase(case)
             assert len({s // K % len(c.piece.contexts) for s in [*inside, *booked(c)]}) <= 1
 
 
+@settings(max_examples=50, deadline=None)
+@given(schedules(), st.integers(1, 6))
+def test_a_pause_reached_by_intervals_ends_a_partial_interval_or_precedes_a_failure(case, m):
+    """With a stride that is a multiple of K no record stops the run. A
+    pause at an instant other than a piece's start and its first instant,
+    one that whole intervals reach, is then followed by a stretch over a
+    partial interval, or sits at the last instant before a boundary where
+    the live links change: elsewhere whole intervals run up to the piece's
+    end."""
+    sched, _ = case
+    K = sched.interval_steps
+    assume(K is not None)
+    calls = list(plan(sched, m * K))
+    after = dict(zip(sched.pieces, sched.pieces[1:]))
+    for before, c, nxt in zip(calls, calls[1:], calls[2:]):
+        pc = c.piece
+        if (c.kind == "pause" and c.start % K == 0 and c.start != pc.start
+                and before.kind in ("intervals", "cycles")):
+            assert nxt.kind == "stretch" or (
+                c.start == pc.stop - K and after[pc].comm is not pc.comm)
+
+
 @pytest.mark.parametrize("L", [1, 3])
 @pytest.mark.parametrize("stride", [10, 30, 60])
 def test_stride_a_multiple_of_K_stops_only_at_pieces_and_instants_next_to_them(L, stride):
     """With stride % K == 0 every record is an instant, so the run pauses
-    only at a piece's start, its first instant and its last instant before
-    the end. With one context the kernel calls also end only there or at
-    the piece's end: one jump crosses the whole intervals between."""
+    only at a piece's start and its first instant, and at the last instant
+    before a piece's end that lies inside an interval: 50, since a stretch
+    covers [50, 57) with the messages held from there. The other piece ends
+    (430, 700, 1000) are instants where the live links stay, so whole
+    intervals run up to them. With one context the kernel calls also end
+    only there: one jump crosses the whole intervals between."""
     calls = list(plan(make_schedule(1000, (57, 430, 700), 10, L), stride))
     for c in calls:
         pc = c.piece
         if c.kind == "pause" or L == 1:
             assert c.stop in {pc.start, -(-pc.start // 10) * 10, (pc.stop - 1) // 10 * 10, pc.stop}
-    assert pauses(calls) == [0, 50, 57, 60, 420, 430, 690, 700, 990, 1000]
+    assert pauses(calls) == [0, 50, 57, 60, 430, 700, 1000]
+
+
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("stride", [10, 30, 60])
+def test_a_link_failure_on_an_instant_keeps_the_stop_before_it(L, stride):
+    """A link that fails at 430, an instant, gives the later pieces a second
+    CommGraph. The failed link keeps, and a flow law's init reads, the
+    messages held at 420, so the run still pauses there and crosses the
+    last interval in a call of its own; 700 and 1000 keep the live links."""
+    calls = list(plan(make_schedule(1000, (57, 430, 700), 10, L, fails=(430,)), stride))
+    assert pauses(calls) == [0, 50, 57, 60, 420, 430, 700, 1000]
+    assert [(c.start, c.stop) for c in calls if 420 <= c.start < 430] == [(420, 420), (420, 430)]
 
 
 def test_stride_off_the_instants_stops_at_every_record():

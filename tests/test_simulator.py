@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from conftest import (random_grid, reference_csv, reference_integrate, sequential_context,
                       shared_links, trajectory_states)
+from gridfreq import controllers
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (HOLD_SCHEMES, SCHEMES, CommGraph, DisturbanceEvent, Line,
@@ -747,6 +748,58 @@ def test_frozen_states_keep_their_values(toy, scheme, T):
         assert np.abs(state_to_vector(traj.state_at(k)) - ref[step]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("scheme, event", [
+    ("SEQUENTIAL", "disturbance"), ("SEQUENTIAL", "failure"),
+    ("CONSENSUS_SAMPLED", "disturbance"), ("CONSENSUS_SAMPLED", "failure"),
+    ("MULTI_FAILURE", "failure")])
+def test_events_on_an_instant_match_the_oracle(toy, monkeypatch, scheme, event):
+    """Toy runs at T = 10 ms from a start off equilibrium (seeded u), with
+    the toy's disturbance at 1.0 s or, in its place, link (1,2) failing at
+    1.0 s, both on a sampling instant: whole intervals run up to the
+    disturbance, and stop at 0.99 s before the failure. At strides 1, 7, 10
+    and 100 every record lies within 1e-12 of the stepwise oracle. After
+    the failure the failed link holds what its sender sent at 0.99 s, C u
+    of the oracle's state then, and MULTI_FAILURE's init_artificial reads
+    those messages on every link."""
+    failures = (((0, 1), 1.0),) if event == "failure" else ()
+    scn = with_overrides(toy, scheme=scheme, message_interval=0.01, horizon=1.1,
+                         failures=failures)
+    if failures:
+        scn = dataclasses.replace(scn, disturbances=())
+    grid = toy.grid
+    n, e = grid.n_nodes, grid.n_lines
+    x0 = np.zeros(3 * n + e)
+    x0[n:n + e] = initial_flows(grid, grid.fixed_power())
+    x0[n + e:2 * n + e] = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+    start = vector_to_state(0.0, x0, grid)
+    ref = reference_integrate(scn, 1100, every=1, initial_state=start)
+    sent = grid.cost() * ref[990][n + e:2 * n + e]
+    seen = []
+    real = controllers.init_artificial
+
+    def spy(state, *args):
+        if np.ndim(state.omega) == 1:       # a piece's init, not a rotation's reset stack
+            seen.append(dict(state.last_rx))
+        return real(state, *args)
+
+    monkeypatch.setattr(controllers, "init_artificial", spy)
+    for stride in (1, 7, 10, 100):
+        traj = integrate(with_overrides(scn, record_stride=stride), initial_state=start)
+        steps = np.round(traj.times / scn.dt).astype(int)
+        assert list(steps) == list(range(0, 1100, stride)) + [1100]
+        states = np.hstack([traj.omega, traj.flow, traj.u, traj.q])
+        assert np.abs(states - np.array([ref[s] for s in steps])).max() <= 1e-12
+        if failures:
+            col = {link: c for c, link in enumerate(traj.rx_links)}
+            frozen = traj.rx_series[steps >= 1000][:, [col[(0, 1)], col[(1, 0)]]]
+            assert (frozen == frozen[0]).all()
+            assert np.abs(frozen[0] - sent[[0, 1]]).max() <= 1e-12
+    assert len(seen) == (4 if scheme == "MULTI_FAILURE" else 0)    # once per stride
+    for rx in seen:
+        assert sorted(rx) == sorted(held_messages(sent, toy.comm.links))
+        assert max(abs(v - sent[a]) for (a, _), v in rx.items()) <= 1e-12
+
+
 def test_records_span_several_blocks(toy):
     """A continuous piece with more records than one block of moving-state
     rows (512) is several jumps: at record_stride 1 the 1100 steps after the
@@ -1079,22 +1132,34 @@ def test_integrate_calls_the_law_once_per_base(toy, calls, scheme):
 
 
 def test_run_counts_its_maps_and_kernel_calls(toy):
-    """Trajectory.diagnostics counts the maps a run builds and its kernel
-    calls, by kind. Toy SEQUENTIAL at T = 10 ms builds one law base and
-    the one-step maps of its ten pairs; toy HYBRID_SINGLE with a failure
-    builds one base on each side of it."""
-    scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=1.0,
-                         record_stride=100)
-    diag = integrate(scn).diagnostics
+    """Trajectory.diagnostics counts the maps a run builds, its kernel
+    calls by kind and its pauses. Toy SEQUENTIAL at T = 10 ms builds one
+    law base and the one-step maps of its ten pairs. The disturbance at
+    1.0 s lies on an instant, so one cycle jump runs up to it: over 1 s one
+    call and pauses at 0 and 1.0 s, over 10 s two calls and three pauses.
+    Link (1,2) failing at 1.0 s keeps the stop at 0.99 s: cycles to 0.9 s,
+    nine intervals, a pause, the last interval and the pause at 1.0 s.
+    Toy HYBRID_SINGLE with a failure builds one base on each side of it
+    and makes one stretch per piece."""
+    rotation = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01,
+                              record_stride=100)
+    diag = integrate(with_overrides(rotation, horizon=1.0)).diagnostics
     assert diag["maps"] == {"base": 1, "stretch": 10, "intervals": 10, "cycles": 1}
-    assert set(diag["kernel_calls"]) == {"stretch", "intervals", "cycles"}
-    assert diag["kernel_calls"]["cycles"] >= 1
+    assert diag["kernel_calls"] == {"stretch": 0, "intervals": 0, "cycles": 1}
+    assert diag["pauses"] == 2
+    diag = integrate(with_overrides(rotation, horizon=10.0)).diagnostics
+    assert (diag["kernel_calls"], diag["pauses"]) == (
+        {"stretch": 0, "intervals": 0, "cycles": 2}, 3)
+    diag = integrate(with_overrides(rotation, horizon=1.0,
+                                    failures=(((0, 1), 1.0),))).diagnostics
+    assert (diag["kernel_calls"], diag["pauses"]) == (
+        {"stretch": 0, "intervals": 10, "cycles": 1}, 3)
     scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
                          failures=(((1, 6), 0.5),))
     diag = integrate(scn).diagnostics
     assert diag["maps"] == {"base": 2, "stretch": 2, "intervals": 0, "cycles": 0}
-    assert diag["kernel_calls"]["intervals"] == diag["kernel_calls"]["cycles"] == 0
-    assert diag["kernel_calls"]["stretch"] == 3       # one per piece
+    assert diag["kernel_calls"] == {"stretch": 3, "intervals": 0, "cycles": 0}
+    assert diag["pauses"] == 4        # the starts of the pieces at 0, 0.5, 1.0 and 2.0 s
 
 
 def test_run_frees_the_maps_of_replaced_live_links(toy, monkeypatch):
