@@ -212,10 +212,14 @@ def _connected(n: int, pairs: Iterable[Tuple[int, int]]) -> bool:
 def interval_steps(T: float, dt: float) -> int:
     """K = T / dt, the RK4 steps of dt > 0 in one message interval T.
     Raises ValueError unless T >= dt and T / dt is finite and lies within
-    1e-9 (relative) of an integer."""
+    1e-9 (relative) of an integer; a finite T whose step count overflows
+    is reported as validate reports such a horizon."""
     ratio = T / dt
     if T < dt:
         raise ValueError(f"message_interval {T} is shorter than dt {dt}")
+    if math.isfinite(T) and not math.isfinite(ratio):
+        raise ValueError(f"message_interval {T:g} is out of range: its step count "
+                         f"t / dt overflows at dt {dt:g}")
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"dt {dt} does not divide message_interval {T}")
     return round(ratio)

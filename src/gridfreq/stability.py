@@ -21,7 +21,21 @@ Both sides are compared as log-determinants, since on large grids the
 determinants themselves leave the floating-point range. The left side is
 read off the spectrum, log s(lam) = sum_i log(lam_i - lam), so a report
 decomposes A once; the right side is one stacked slogdet of H at all the
-sample points.
+sample points, a (k, N, N) stack filled in place.
+
+The certificate takes its spectra from the structure of L_c*. Its pair
+rows are zero outside the pair's columns, and its other rows are those of
+the live links' Laplacian, so with the nodes ordered (R, P), P the pair
+and R the rest, L_c* W + S is block upper-triangular for any diagonal W
+and S (Golub & Van Loan, Matrix Computations, 4th ed., 7.1). Its spectrum
+is that of the pair's 2 x 2 block and that of L_RR W_R + S_R, which the
+diagonal scaling W_R^(1/2) makes similar to the symmetric
+W_R^(1/2) L_RR W_R^(1/2) + S_R (Horn & Johnson, Matrix Analysis, 2nd ed.,
+4.5): real, and taken by a symmetric solve. The singular points of the
+factorization (W = C, S = 0) and the raw least real part of the inertia
+term (W = C M, S = D) are read that way; the damping and coupling terms
+mix in the full power Laplacian, have complex spectra on many grids, and
+keep general solves. M, D and C are applied as vectors.
 
 The factorization silently commutes the cost matrix with a Laplacian; on
 more than two nodes it holds exactly when all cost coefficients are equal
@@ -163,10 +177,56 @@ def _lam_max_sym(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_sym(X))[-1])
 
 
+def _pencil_coefficients(m: np.ndarray, d: np.ndarray, c: np.ndarray,
+                         L_c_star: np.ndarray, L_pB: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A0, A1, A2) = (K L_p^B, K D + C^-1 + L_p^B, K M + D) with
+    K = L_c* C, from the diagonals m, d and c as vectors: the pencil's
+    constant, linear and quadratic terms, and the coupling, damping and
+    inertia terms of the sufficient conditions."""
+    K = L_c_star * c
+    diag = np.diag_indices(len(c))
+    A2 = K * m
+    A2[diag] += d
+    A1 = K * d
+    A1[diag] += 1.0 / c
+    A1 += L_pB
+    return K @ L_pB, A1, A2
+
+
+def _block_spectrum(L_c_star: np.ndarray, pair: Tuple[int, int], w: np.ndarray,
+                    s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of L_c* diag(w) + diag(s) for w >= 0: those of the
+    pair's 2 x 2 block (one general solve) and those of the rest R,
+    ascending, from the symmetric diag(w_R)^(1/2) L_RR diag(w_R)^(1/2)
+    + diag(s_R). Raises ValueError unless L_c* has the form build_Lc_star
+    gives it: the pair's rows zero outside the pair's columns and L_RR
+    symmetric, which makes the matrix block-triangular and its R block
+    similar to the symmetric one (the limit of that similarity where some
+    w_R is 0)."""
+    n = L_c_star.shape[0]
+    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= k < n for k in pair):
+        raise ValueError(f"pair {pair} is not two distinct nodes of {n}")
+    P = np.array(pair)
+    R = np.setdiff1d(np.arange(n), P)
+    if np.any(L_c_star[np.ix_(P, R)]):
+        raise ValueError("L_c* has a nonzero entry in a row of the pair outside "
+                         "the pair's columns")
+    L_RR = L_c_star[np.ix_(R, R)]
+    if not np.array_equal(L_RR, L_RR.T):
+        raise ValueError("L_c* is not symmetric outside the pair's rows and columns")
+    root = np.sqrt(w[R])
+    S = root[:, None] * L_RR * root
+    S[np.diag_indices(len(R))] += s[R]
+    return (np.linalg.eigvals(L_c_star[np.ix_(P, P)] * w[P] + np.diag(s[P])),
+            np.linalg.eigvalsh(S))
+
+
 def check_sufficient_multi_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
-                                L_c_star: np.ndarray,
-                                L_pB: np.ndarray) -> Dict[str, bool]:
-    """Stability conditions for a flow law with the modified Laplacian L_c*.
+                                L_c_star: np.ndarray, L_pB: np.ndarray,
+                                pair: Tuple[int, int]) -> Dict[str, bool]:
+    """Stability conditions for a flow law with the modified Laplacian L_c*
+    of the failed pair `pair` (build_Lc_star).
 
     At N = 2, with L_c* = L2 C^-1 and L_p^B = B L2, the first four keys are
     the paper's two-node conditions: M > 0, sym(L2 M) + D > 0,
@@ -178,26 +238,37 @@ def check_sufficient_multi_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
     and the raw-matrix variant is reported alongside
     (`coupling_margin_raw`, real parts of the raw eigenvalues).
 
-    M, D and C are diagonal. The cross terms of the second and third
-    conditions are the symmetric parts of the two factors of the fourth,
-    so each of the three matrices below is solved once, symmetric and
-    general, and M's extreme eigenvalues are read off its diagonal.
+    M, D and C are diagonal, and are applied as the vectors of their
+    diagonals; C must be positive and M nonnegative. The cross terms of the
+    second and third conditions are the symmetric parts of the two factors
+    of the fourth, so the symmetric parts of the inertia term
+    L_c* C M + D, the damping term L_p^B + L_c* C D + C^-1 and the coupling
+    term L_c* C L_p^B are each solved once, and M's extreme eigenvalues are
+    read off its diagonal. Of the raw spectra, the inertia term's is real:
+    L_c* C M + D is block-triangular with the pair's 2 x 2 block and an R
+    block similar to the symmetric (C_R M_R)^(1/2) L_RR (C_R M_R)^(1/2) + D_R
+    (_block_spectrum), so its least real part is the smaller of the pair
+    block's and that symmetric matrix's least eigenvalue. The damping and
+    coupling terms mix in the full L_p^B, their spectra are complex on many
+    grids, and each keeps one general solve. Raises ValueError unless L_c*
+    has the form build_Lc_star gives it, and unless the diagonals have the
+    signs above.
     """
     M, D, C, L_c_star, L_pB = (np.asarray(X, dtype=float)
                                for X in (M, D, C, L_c_star, L_pB))
-    LC = L_c_star @ C
-    damping = L_pB + LC @ D + np.linalg.inv(C)
-    inertia = LC @ M + D
-    coupling = LC @ L_pB
-    m = np.diag(M)
+    m, d, c = np.diag(M), np.diag(D), np.diag(C)
+    if any(np.any(X != np.diag(np.diag(X))) for X in (M, D, C)):
+        raise ValueError("M, D and C must be diagonal")
+    if np.any(c <= 0.0) or np.any(m < 0.0):
+        raise ValueError("C must be positive and M nonnegative")
+    coupling, damping, inertia = _pencil_coefficients(m, d, c, L_c_star, L_pB)
+    pair_eigs, rest_eigs = _block_spectrum(L_c_star, pair, c * m, d)
     lam_damping, lam_inertia = _lam_min_sym(damping), _lam_min_sym(inertia)
     lhs_sym = lam_damping * lam_inertia
     rhs_sym = _lam_max_sym(coupling) * m.max()
 
-    def _min_real(X):
-        return float(np.min(np.linalg.eigvals(X).real))
-
-    lhs_raw = _min_real(damping) * _min_real(inertia)
+    min_real_inertia = float(np.concatenate([pair_eigs.real, rest_eigs[:1]]).min())
+    lhs_raw = float(np.min(np.linalg.eigvals(damping).real)) * min_real_inertia
     rhs_raw = float(np.max(np.linalg.eigvals(coupling).real)) * m.max()
     return {
         "inertia_positive": bool(m.min() > DEFINITENESS_MARGIN),
@@ -256,17 +327,25 @@ def sufficient_conditions(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     if mats is None:
         return None
     M, D, C, LpB, Lstar = mats
-    return check_sufficient_multi_node(M, D, C, Lstar, LpB)
+    return check_sufficient_multi_node(M, D, C, Lstar, LpB, tuple(ctx.F))
 
 
-def _pencil_logdets(pts: np.ndarray, M, D, Cinv, K, LpB) -> np.ndarray:
-    """Complex log det(H(z)) at each point, H(z) = z^3 M + z^2 (D + K M)
-    + z (C^-1 + K D + L_p^B) + K L_p^B with K = L_c* C (at N = 2, K = L2
-    and K L_p^B = 2 L_p^B, the two-node pencil): the fixed products are
-    formed once, and the k determinants are taken by one stacked slogdet
-    over a (k, N, N) array."""
+def _pencil_logdets(pts: np.ndarray, m: np.ndarray, A0: np.ndarray, A1: np.ndarray,
+                    A2: np.ndarray) -> np.ndarray:
+    """Complex log det(H(z)) at each point, H(z) = z^3 M + z^2 A2 + z A1 + A0
+    with the terms of _pencil_coefficients (at N = 2, K = L2 and
+    K L_p^B = 2 L_p^B, the two-node pencil): H is evaluated by Horner's rule
+    in place in one (k, N, N) stack, M added on its diagonal, and the k
+    determinants are taken by one stacked slogdet."""
+    H = np.empty((len(pts), len(m), len(m)), dtype=complex)
+    H[:] = A2
+    diag = np.arange(len(m))
+    H[:, diag, diag] += pts[:, None] * m
     z = pts[:, None, None]
-    H = ((z * M + (D + K @ M)) * z + (Cinv + K @ D + LpB)) * z + K @ LpB
+    H *= z
+    H += A1
+    H *= z
+    H += A0
     sign, logabs = np.linalg.slogdet(H)
     return np.log(sign) + logabs
 
@@ -281,10 +360,11 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     Supports the single-failure law (HYBRID_SINGLE) and its two-node case,
     the flow law PAIR_FLOW, on the matrices of certificate_matrices, in the
     grid's own labelling, from which the report's sufficient conditions
-    read too. Points within
-    1e-6 of a factorization singularity (0, -2, eigenvalues of -L_c* C) are
-    rejected, and so is an empty set of points. The returned `consistent`
-    flag is max_residual <= IDENTITY_TOL.
+    read too. Points within 1e-6 of a factorization singularity are
+    rejected, and so is an empty set of points: 0, -2 and the eigenvalues
+    of -L_c* C, which are minus those of the pair's 2 x 2 block and
+    -eigvalsh(C_R^(1/2) L_RR C_R^(1/2)) (_block_spectrum). The returned
+    `consistent` flag is max_residual <= IDENTITY_TOL.
 
     Both sides are taken as complex logs, so determinants beyond the
     floating-point range still compare. The left side is
@@ -310,8 +390,9 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
         eigenvalues = spectrum(assemble_state_matrix(grid, comm, ctx)).eigenvalues
 
     M, D, C, LpB, Lstar = certificate_matrices(grid, comm, ctx)
-    K = Lstar @ C
-    singular_eigs = np.concatenate([[0.0, -2.0], np.linalg.eigvals(-K)])
+    m, d, c = np.diag(M), np.diag(D), np.diag(C)
+    pair_eigs, rest_eigs = _block_spectrum(Lstar, tuple(ctx.F), c, np.zeros(n))
+    singular_eigs = np.concatenate([[0.0, -2.0], -pair_eigs, -rest_eigs])
 
     pts = np.array([complex(z) for z in sample_points])
     for z in pts:
@@ -322,7 +403,7 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     lhs = np.log(np.asarray(eigenvalues)[None, :] - pts[:, None]).sum(axis=1)
     log_factored = (1j * math.pi * (n % 2) + (1 + e - n) * np.log(pts) + np.log(pts + 2.0)
                     - np.log(grid.inertia()).sum()
-                    + _pencil_logdets(pts, M, D, np.linalg.inv(C), K, LpB))
+                    + _pencil_logdets(pts, m, *_pencil_coefficients(m, d, c, Lstar, LpB)))
     log_ratio = lhs - log_factored
     sigma = np.exp(log_ratio[0])
     r = np.exp(log_ratio - log_ratio[0])

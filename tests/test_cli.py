@@ -226,13 +226,19 @@ def test_simulate_records_past_any_address_space_exit_1(tmp_path, capsys, argv, 
      "disturbance at node 3 time 1e+308"),
     ("simulate", lambda doc: doc.update(comm_failures=[{"link": [2, 7], "time": 1e308}]),
      "comm failure on (2,7) time 1e+308"),
-], ids=["simulate_horizon", "stability_horizon", "disturbance", "failure"])
+    ("simulate", lambda doc: doc.update(scheme="CONSENSUS_SAMPLED", message_interval=1e306),
+     "message_interval 1e+306"),
+    ("stability", lambda doc: doc.update(scheme="CONSENSUS_SAMPLED", message_interval=1e306),
+     "message_interval 1e+306"),
+], ids=["simulate_horizon", "stability_horizon", "disturbance", "failure",
+        "simulate_interval", "stability_interval"])
 def test_time_whose_step_count_overflows_exits_1(tmp_path, capsys, command, edit, line):
     """A finite time t whose step count t / dt overflows a float is invalid
     input: one "invalid scenario:" line and exit 1, with nothing written,
     where rounding it onto the dt grid raised an OverflowError. Toy at
-    dt = 1 ms: --horizon 1e308, or a disturbance or failure at 1e308 s under
-    the toy's 200 s horizon."""
+    dt = 1 ms: --horizon 1e308, a disturbance or failure at 1e308 s under
+    the toy's 200 s horizon, or a CONSENSUS_SAMPLED message interval of
+    1e306 s, which was reported as one dt does not divide."""
     argv = [command, "toy", "--horizon", "1e308"]
     if edit is not None:
         doc = scenario_to_dict(toy_grid())

@@ -9,7 +9,7 @@ from conftest import random_grid, shared_links
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
 from gridfreq.simulator import derivative, vector_to_state
-from gridfreq.stability import (IdentityReport, assemble_state_matrix,
+from gridfreq.stability import (IdentityReport, _block_spectrum, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node, certificate_matrices,
                                 interval_map_spectrum, spectrum, sufficient_conditions)
@@ -295,7 +295,7 @@ class TestSufficientMultiNode:
         Ap = np.array([[1.0], [-1.0]])
         LpB = B * (Ap @ Ap.T)
         Lstar = L2 @ np.linalg.inv(C)
-        multi = check_sufficient_multi_node(M, D, C, Lstar, LpB)
+        multi = check_sufficient_multi_node(M, D, C, Lstar, LpB, (0, 1))
         two = paper_two_node(np.diag(M), np.diag(D), np.diag(C), B)
         for key in two:
             assert multi[key] == two[key]
@@ -305,32 +305,38 @@ class TestSufficientMultiNode:
         D = np.eye(3)
         C = np.diag([1.0, 2.0, 4.0])
         LpB = np.zeros((3, 3))
-        v = check_sufficient_multi_node(M, D, C, np.zeros((3, 3)), LpB)
+        v = check_sufficient_multi_node(M, D, C, np.zeros((3, 3)), LpB, (0, 2))
         assert v["inertia_positive"] and v["inertia_cross_term"] \
             and v["damping_cross_term"]
         assert v["coupling_margin"]  # lam_max of the zero matrix is 0
 
     def test_each_matrix_is_solved_once(self, toy, monkeypatch):
         """The cross terms are the symmetric parts of the coupling factors,
-        so the check makes three symmetric and three general eigen-solves,
-        none on the diagonal M; its verdict on the toy failed pair (2,7)
-        is the one of the per-condition solves."""
+        so the check makes three symmetric solves of N x N matrices, none on
+        the diagonal M. Of the raw spectra, the damping and coupling terms
+        take two general N x N solves; the inertia term's is read off its
+        pair block (one general 2 x 2 solve) and one symmetric solve of the
+        other N - 2 nodes. Its verdict on the toy failed pair (2,7) is the
+        one of the per-condition solves."""
         grid = toy.grid
+        n = grid.n_nodes
         pair = (1, 6)
         comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
         M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
         LpB = grid.weighted_laplacian()
-        Lstar = build_Lc_star(comm.laplacian(grid.n_nodes), C, pair)
+        Lstar = build_Lc_star(comm.laplacian(n), C, pair)
         solves = []
         for name in ("eigvalsh", "eigvals"):
             inner = getattr(np.linalg, name)
 
             def counted(X, inner=inner, name=name):
-                solves.append(name)
+                solves.append((name, X.shape))
                 return inner(X)
             monkeypatch.setattr(np.linalg, name, counted)
-        verdict = check_sufficient_multi_node(M, D, C, Lstar, LpB)
-        assert sorted(solves) == ["eigvals"] * 3 + ["eigvalsh"] * 3
+        verdict = check_sufficient_multi_node(M, D, C, Lstar, LpB, pair)
+        assert sorted(solves) == sorted([("eigvals", (n, n))] * 2 + [("eigvals", (2, 2))]
+                                        + [("eigvalsh", (n, n))] * 3
+                                        + [("eigvalsh", (n - 2, n - 2))])
         monkeypatch.undo()
 
         def lam(X, pick):
@@ -356,7 +362,7 @@ class TestSufficientMultiNode:
         D = np.diag(grid.droop())
         C = np.diag(grid.cost())
         Lstar = build_Lc_star(comm.laplacian(n), C, pair)
-        verdict = check_sufficient_multi_node(M, D, C, Lstar, grid.weighted_laplacian())
+        verdict = check_sufficient_multi_node(M, D, C, Lstar, grid.weighted_laplacian(), pair)
         ctx = ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
         rep = spectrum(assemble_state_matrix(grid, comm, ctx))
         # sufficient, not necessary: a positive verdict must mean stable
@@ -595,7 +601,7 @@ def test_certificates_of_the_flow_laws(toy):
     assert len(mats) == 5
     assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, 0.7 * L2, Lstar)))
     assert (sufficient_conditions(grid, PAIR_COMM, pair_ctx())
-            == check_sufficient_multi_node(M, D, C, Lstar, 0.7 * L2))
+            == check_sufficient_multi_node(M, D, C, Lstar, 0.7 * L2, (0, 1)))
 
     pair = (1, 6)
     comm = CommGraph(links=tuple(l for l in toy.comm.links if l != pair))
@@ -607,7 +613,7 @@ def test_certificates_of_the_flow_laws(toy):
     assert len(mats) == 5
     assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, LpB, Lstar)))
     assert (sufficient_conditions(toy.grid, comm, ctx)
-            == check_sufficient_multi_node(M, D, C, Lstar, LpB))
+            == check_sufficient_multi_node(M, D, C, Lstar, LpB, pair))
     for other in (ControlContext("CONSENSUS"), ControlContext("HYBRID_SINGLE"),
                   ControlContext("MULTI_FAILURE", frozenset(pair))):
         assert certificate_matrices(toy.grid, comm, other) is None
@@ -652,3 +658,120 @@ def test_routh_hurwitz_cubic_consistency():
             assert np.max(roots.real) <= 1e-9
             checked += 1
     assert checked > 50  # the regime is actually exercised
+
+
+def general_verdict(M, D, C, Lstar, LpB):
+    """check_sufficient_multi_node's verdict from dense products and a
+    general eigen-solve of every raw spectrum."""
+    LC = Lstar @ C
+    damping, inertia, coupling = LpB + LC @ D + np.linalg.inv(C), LC @ M + D, LC @ LpB
+
+    def lam(X, pick):
+        return pick(np.linalg.eigvalsh(0.5 * (X + X.T)))
+
+    def real(X, pick):
+        return pick(np.linalg.eigvals(X).real)
+    m = np.diag(M)
+    margin = 1e-9
+    return {
+        "inertia_positive": bool(m.min() > margin),
+        "inertia_cross_term": bool(lam(inertia, min) > margin),
+        "damping_cross_term": bool(lam(damping, min) > margin),
+        "coupling_margin": bool(lam(damping, min) * lam(inertia, min)
+                                > lam(coupling, max) * m.max() * (1 + margin)),
+        "coupling_margin_raw": bool(real(damping, min) * real(inertia, min)
+                                    > real(coupling, max) * m.max() * (1 + margin)),
+    }
+
+
+def structured_cases():
+    """(name, grid, comm, ctx): HYBRID_SINGLE on 30 seeded random grids
+    with N from 3 to 100, the failed pair any power line and each other
+    line a live comm link with probability 0.8; PAIR_FLOW on two nodes (no
+    rest); and a pair whose failed link was its only comm link."""
+    rng = np.random.default_rng(25)
+    for seed in range(30):
+        grid = random_grid(seed, int(rng.integers(3, 101)))
+        lines = [(ln.i, ln.j) for ln in grid.lines]
+        pair = lines[rng.integers(len(lines))]
+        comm = CommGraph(links=tuple(l for l in lines if l != pair and rng.uniform() < 0.8))
+        yield (f"seed{seed}_n{grid.n_nodes}", grid, comm,
+               ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair)))
+    yield ("pair_flow", two_node_grid(M=(0.05, 0.2), D=(0.7, 1.1), C=(0.1, 0.25), B=1.3),
+           PAIR_COMM, pair_ctx())
+    grid = random_grid(4, 12)
+    pair = (grid.lines[5].i, grid.lines[5].j)
+    comm = CommGraph(links=tuple((l.i, l.j) for l in grid.lines
+                                 if not {l.i, l.j} & set(pair)))
+    yield "isolated_pair", grid, comm, ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair))
+
+
+def _close(got, want):
+    """Equal within 1e-12 relative to the largest magnitude of want."""
+    return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("name, grid, comm, ctx", structured_cases(),
+                         ids=[case[0] for case in structured_cases()])
+def test_structured_solves_match_general_ones(name, grid, comm, ctx):
+    """The real spectra read off the structure of L_c* match dense general
+    solves within 1e-12 (relative): the least real part of the inertia term
+    L_c* C M + D and the singular points of the factorization, the
+    eigenvalues of -L_c* C. The verdict equals that of the general solves,
+    and the identity check matches the one-LU-per-point oracle."""
+    M, D, C, LpB, Lstar = certificate_matrices(grid, comm, ctx)
+    m, c = np.diag(M), np.diag(C)
+    pair = tuple(ctx.F)
+    n = grid.n_nodes
+
+    pair_eigs, rest_eigs = _block_spectrum(Lstar, pair, c * m, np.diag(D))
+    assert rest_eigs.shape == (n - 2,)
+    least = np.concatenate([pair_eigs.real, rest_eigs[:1]]).min()
+    dense = np.linalg.eigvals(Lstar @ C @ M + D)
+    assert _close(np.array([least]), np.array([dense.real.min()]))
+
+    pair_eigs, rest_eigs = _block_spectrum(Lstar, pair, c, np.zeros(n))
+    got = np.sort(np.concatenate([-pair_eigs, -rest_eigs]).real)
+    dense = np.linalg.eigvals(-Lstar @ C)
+    assert _close(np.abs(dense.imag), np.zeros(n))
+    assert _close(got, np.sort(dense.real))
+
+    assert check_sufficient_multi_node(M, D, C, Lstar, LpB, pair) == \
+        general_verdict(M, D, C, Lstar, LpB)
+    pts = rand_points(np.random.default_rng(n))
+    rep = characteristic_identity_check(grid, comm, ctx, pts)
+    residuals, _ = identity_oracle(grid, comm, ctx, pts)
+    assert rep.consistent == (residuals.max() <= 1e-8)
+    assert np.abs(np.array(rep.residuals) - residuals).max() <= 1e-10
+
+
+def _bad_certificates():
+    grid = random_grid(1, 8)
+    pair = (grid.lines[0].i, grid.lines[0].j)
+    comm = CommGraph(links=tuple((l.i, l.j) for l in grid.lines[1:]))
+    M, D, C, LpB, Lstar = certificate_matrices(
+        grid, comm, ControlContext(scheme="HYBRID_SINGLE", F=frozenset(pair)))
+    rest = [k for k in range(8) if k not in pair]
+    skew = Lstar.copy()
+    skew[rest[0], rest[1]] += 0.5
+    return [
+        ("the live links' Laplacian", (M, D, C, comm.laplacian(8), LpB, pair),
+         "nonzero entry in a row of the pair"),
+        ("an asymmetric rest", (M, D, C, skew, LpB, pair), "not symmetric"),
+        ("a node twice", (M, D, C, Lstar, LpB, (pair[0], pair[0])), "two distinct nodes"),
+        ("a node out of range", (M, D, C, Lstar, LpB, (pair[0], 8)), "two distinct nodes"),
+        ("a full M", (M + 0.01, D, C, Lstar, LpB, pair), "must be diagonal"),
+        ("a negative M", (-M, D, C, Lstar, LpB, pair), "M nonnegative"),
+        ("a zero cost", (M, D, 0.0 * C, Lstar, LpB, pair), "C must be positive"),
+    ]
+
+
+@pytest.mark.parametrize("name, args, needle", _bad_certificates(),
+                         ids=[case[0] for case in _bad_certificates()])
+def test_sufficient_conditions_reject_what_build_Lc_star_cannot_make(name, args, needle):
+    """The structured solves rely on the form build_Lc_star gives L_c*
+    (the pair's rows zero outside the pair's columns, the rest symmetric),
+    on diagonal M, D and C, and on C > 0 and M >= 0; anything else is a
+    ValueError, not a wrong verdict."""
+    with pytest.raises(ValueError, match=needle):
+        check_sufficient_multi_node(*args)
