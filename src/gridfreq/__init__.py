@@ -36,7 +36,6 @@ from .simulator import (
     ScenarioError,
     Trajectory,
     convergence_time,
-    derivative,
     first_crossing_time,
     integrate,
     run_scenario,

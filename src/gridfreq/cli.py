@@ -17,8 +17,8 @@ import numpy as np
 
 from . import experiments
 from .dispatch import optimal_dispatch
-from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, load_scenario,
-                    post_disturbance_power, save_scenario, toy_grid, validate, with_overrides)
+from .model import (CONTINUOUS, SCHEMES, load_scenario, post_disturbance_power, save_scenario,
+                    toy_grid, validate, with_overrides)
 from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
                         write_trajectory_csv)
 from .stability import (assemble_state_matrix, characteristic_identity_check,
@@ -193,7 +193,7 @@ def cmd_stability(args) -> int:
           + [(piece.start * scn.dt, kind, detail)
              for piece in plan.pieces for kind, detail in piece.events])
     piece = plan.pieces[-1]
-    if scn.scheme in HOLD_SCHEMES:
+    if piece.contexts[0].hold:
         doc = _interval_map_report(scn, piece)
     else:
         doc = _state_matrix_report(scn, piece, args)

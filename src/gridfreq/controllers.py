@@ -4,8 +4,10 @@ One law covers every scheme. It drives the weighted controls C_j u_j toward
 a common value while restoring frequency, and a flow-controlled set F of
 nodes stands in for lost messages with the locally observable line-flow
 dynamics: d(f_ij)/dt / B_ij equals the frequency difference across the
-line, so no message exchange is needed. A scheme picks F (simulator.modes)
-and whether messages are held between sampling instants (HOLD_SCHEMES).
+line, so no message exchange is needed. simulator.modes turns a scheme
+into its control contexts; past it the law reads only a context's
+structure: F, and whether it holds messages between sampling instants
+(ControlContext.hold).
 
 Every function here also takes a stacked state: each SystemState field may
 carry leading batch axes, one state per row (omega, u, q of shape (k, N)),
@@ -45,13 +47,20 @@ class PowerAdjacencyError(ValueError):
 @dataclass(frozen=True)
 class ControlContext:
     """The law in force: the scheme and F, the set of flow-controlled
-    nodes. Nodes outside F average over the live links (held values under
-    HOLD_SCHEMES); nodes in F follow the flow-based law, coupled by the
-    power lines inside F. F is empty while no link has failed, and under
-    SEQUENTIAL it is the pair of the active shared link."""
+    nodes. Nodes outside F average over the live links (held values when
+    the law holds messages, hold); nodes in F follow the flow-based law,
+    coupled by the power lines inside F. F is empty while no link has
+    failed, and under SEQUENTIAL it is the pair of the active shared link."""
 
     scheme: str
     F: FrozenSet[int] = frozenset()
+
+    @property
+    def hold(self) -> bool:
+        """Whether the law averages the messages held since the last
+        sampling instant (HOLD_SCHEMES) rather than current values. With F
+        it is a SEQUENTIAL rotation, whose q resets at each instant."""
+        return self.scheme in HOLD_SCHEMES
 
 
 def flow_partners(grid: PowerGrid, F: FrozenSet[int]) -> Dict[int, List[int]]:
@@ -97,7 +106,7 @@ def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
 
     A node i outside ctx.F averages:
         C_i du_i = -omega_i - C_i * sum over live links (j, i) of (C_i u_i - y_ji),
-    where y_ji is the sender's current C_j u_j, or under HOLD_SCHEMES the
+    where y_ji is the sender's current C_j u_j, or when ctx.hold the
     value held in state.last_rx[(j, i)] (a missing one raises KeyError
     naming the link). A node i in ctx.F ignores messages and follows
     flow_rate, whose rates overwrite its u and q rows. dq is zero outside
@@ -107,12 +116,11 @@ def control_rate(state: SystemState, grid: PowerGrid, comm: CommGraph,
     C = grid.cost()
     y = C * state.u
     du = -state.omega / C
-    hold = ctx.scheme in HOLD_SCHEMES
     for a, b in comm.links:
         for src, dst in ((a, b), (b, a)):
             if dst in ctx.F:
                 continue
-            if hold:
+            if ctx.hold:
                 try:
                     sent = state.last_rx[(src, dst)]
                 except KeyError:

@@ -11,7 +11,7 @@ Within a piece the closed loop is an affine system over the state layout
 [omega (N), flow (E), u (N), q (N)]. Its dynamics are defined once, in two
 parts that take stacked states, one state per row: swing_rate, the swing
 and line equations, and controllers.control_rate, the control law.
-derivative() joins them. Between sampling instants a piece is
+Between sampling instants a piece is
 
     x' = A x + B [y; p],
 
@@ -19,39 +19,38 @@ with p its fixed powers and y the held messages, C u of the last sampling
 instant (under continuous messaging B reads no y). Every context's [A B]
 comes from one rule, the law's own: averaging with F empty, then the u and
 q rows of F overwritten by the flow law. law_base assembles the averaging
-[A B] once per set of live links and hold (whether the law holds
-messages, HOLD_SCHEMES), each part evaluated on the unit vectors of the
-blocks of [x; y; p] it reads and on one zero row (_spread): the omega and
-flow rows from one swing_rate call on unit omega, f, u and p
+[A B] once per set of live links and law with F empty (whether it holds
+messages, ControlContext.hold), each part evaluated on the unit vectors of
+the blocks of [x; y; p] it reads and on one zero row (_spread): the omega
+and flow rows from one swing_rate call on unit omega, f, u and p
 (swing_rows), the u and q rows from one control_rate call on unit omega,
-u, q and, under HOLD_SCHEMES, y: 3N + 1 or 4N + 1 rows (_law_probe).
-context_system copies it and replaces the rows of ctx.F by
+u, q and, when the law holds messages, y: 3N + 1 or 4N + 1 rows
+(_law_probe). context_system copies it and replaces the rows of ctx.F by
 controllers.flow_rate on the same probe. Every other entry is the rate at
-zero, so [A B] holds the bits, signed zeros included, of one derivative()
-call of the context on the identity stack of [x; y; p]. context_step
-builds RK4's one-step map from [A B], the one linear system a run keeps
-per live links and context. That map acts on the states the context
-moves, those whose row of [A B] is not zero: a state the context holds
-constant, such as q_i outside the flow-controlled set F, enters as an
-input like p. A sampling instant is a linear reset: y refreshes to C u,
-and SEQUENTIAL resets q to R x, R the N q rows of the rotation's reset
-(rotation_reset, on an identity stack the base builds once). So a whole
-message interval is one exact affine map (interval_map), and a whole
-SEQUENTIAL rotation cycle the composition of its interval maps
-(kernels.compose_maps).
+zero, so [A B] holds the bits, signed zeros included, of one call of
+swing_rate and control_rate of the context on the identity stack of
+[x; y; p]. context_step builds RK4's one-step map from [A B], the one
+linear system a run keeps per live links and context. That map acts on
+the states the context moves, those whose row of [A B] is not zero: a
+state the context holds constant, such as q_i outside the flow-controlled
+set F, enters as an input like p. A sampling instant is a linear reset: y
+refreshes to C u, and a rotation (a context that holds messages and has
+F) resets q to R x, R the N q rows of its reset (rotation_reset, on an
+identity stack the base builds once). So a whole message interval is one
+exact affine map (interval_map), and a whole SEQUENTIAL rotation cycle the
+composition of its interval maps (kernels.compose_maps).
 
 plan() turns a schedule into kernel calls from step counts alone: where
 each jump starts and stops, which of these maps it applies and which
-states it records. integrate() executes them in one loop, and calls
-derivative() not at all. The trajectory is bit-reproducible for identical
-inputs.
+states it records. integrate() executes them in one loop. The trajectory
+is bit-reproducible for identical inputs.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -62,8 +61,8 @@ from .controllers import ControlContext, Link
 from .csvtext import format_rows
 from .dispatch import cost_of, optimal_dispatch
 from .kernels import _REC_BLOCK, compose_maps, jump, k_step_map, one_step_map
-from .model import (CONTINUOUS, HOLD_SCHEMES, SCHEMES, CommGraph, PowerGrid, Scenario,
-                    SystemState, interval_steps, post_disturbance_power, validate)
+from .model import (CONTINUOUS, HOLD_SCHEMES, CommGraph, PowerGrid, Scenario, SystemState,
+                    interval_steps, post_disturbance_power, validate)
 
 
 class ScenarioError(ValueError):
@@ -151,9 +150,8 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# Continuous-time derivative (the reference dynamics; the integrator's
-# affine matrices are assembled from its two parts, swing_rate and
-# controllers.control_rate)
+# Continuous-time dynamics (the integrator's affine matrices are assembled
+# from their two parts, swing_rate and controllers.control_rate)
 
 def state_to_vector(state: SystemState) -> np.ndarray:
     return np.concatenate([state.omega, state.flow, state.u, state.q], axis=-1)
@@ -183,32 +181,13 @@ def swing_rate(state: SystemState, grid: PowerGrid, p: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
     """(dω/dt, df/dt) of the swing and line dynamics, the same under every
     law: M dω = -D ω + p + u - (incidence) f and df = B (ω_i - ω_j). Reads
-    omega, flow, u and p only; stacked states as in derivative()."""
+    omega, flow, u and p only. Every array field of state, and p, may carry
+    leading batch axes, one state per row, as vector_to_state makes from a
+    (k, dim) stack; the rates then carry the same axes."""
     inc = grid.incidence()
     domega = (-grid.droop() * state.omega + p + state.u - state.flow @ inc.T) / grid.inertia()
     dflow = grid.susceptance() * (state.omega @ inc)
     return domega, dflow
-
-
-def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
-               ctx: ControlContext, p: Optional[np.ndarray] = None) -> np.ndarray:
-    """Time derivative of the full state vector [omega, flow, u, q]: dω and
-    df from swing_rate, du and dq from the control law of ctx
-    (controllers.control_rate). p defaults to the grid's fixed powers; pass
-    the disturbed vector when evaluating mid-run.
-
-    Stacked states: every array field of state (and p) may carry leading
-    batch axes, one state per row, as vector_to_state makes from a (k, dim)
-    stack; each held value in state.last_rx is then a scalar or a (k,)
-    array. The result has the same leading axes, row r the derivative of
-    state r. One code path serves single and stacked states.
-    """
-    if ctx.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {ctx.scheme!r}")
-    if p is None:
-        p = grid.fixed_power()
-    du, dq = controllers.control_rate(state, grid, comm, ctx)
-    return np.concatenate([*swing_rate(state, grid, p), du, dq], axis=-1)
 
 
 def held_messages(y: np.ndarray, links: Sequence[Tuple[int, int]]) -> dict:
@@ -235,14 +214,16 @@ def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
       them live there is nothing to rotate over: ().
     - PAIR_FLOW takes F = the first power line from t = 0, unless that link
       is still to fail: F is empty until it does.
-    - HYBRID_SINGLE has F empty until its link fails, then F = that link if
-      it is a power line; if not, F stays empty (averaging continues).
-    - MULTI_FAILURE has F empty until the first failure, then F = the
-      endpoints of every failed link that is a power line.
+    - HYBRID_SINGLE has F = the first failed link that is a power line.
+    - MULTI_FAILURE has F = the endpoints of every failed link that is a
+      power line.
     - CONSENSUS and CONSENSUS_SAMPLED keep F empty.
 
-    Before their flow law engages, PAIR_FLOW, HYBRID_SINGLE and
-    MULTI_FAILURE run the context CONSENSUS.
+    Where their F would be empty, PAIR_FLOW, HYBRID_SINGLE and
+    MULTI_FAILURE run the context CONSENSUS: before a failure, and after
+    failures of links without a power line (averaging continues). Past
+    this rule the law is read from a context's F and hold, never from its
+    scheme's name.
     """
     if scheme == "SEQUENTIAL":
         return tuple(ControlContext(scheme, F=frozenset(link))
@@ -252,7 +233,7 @@ def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
         hit = [] if min(power) in pending else [min(power)]
     if scheme in ("PAIR_FLOW", "HYBRID_SINGLE") and hit:
         return (ControlContext(scheme, F=frozenset(hit[0])),)
-    if scheme == "MULTI_FAILURE" and failed:
+    if scheme == "MULTI_FAILURE" and hit:
         return (ControlContext(scheme, F=frozenset(i for link in hit for i in link)),)
     return (ControlContext(scheme if scheme == "CONSENSUS_SAMPLED" else "CONSENSUS"),)
 
@@ -311,16 +292,17 @@ def swing_rows(grid: PowerGrid, out: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LawBase:
-    """What the contexts on one set of live links share, given whether
-    their law holds messages (law_base): the [A B] of the law with F empty,
-    the law probe its u and q rows were evaluated on and, built on first
-    use, the identity stack that a SEQUENTIAL context's reset is evaluated
-    on (rotation_reset)."""
+    """What the contexts of one law on one set of live links share
+    (law_base): the [A B] of the law with F empty, the law probe its u and
+    q rows were evaluated on and, built on first use, the identity stack
+    that a rotation's reset is evaluated on and each rotation context's
+    reset (rotation_reset)."""
 
     grid: PowerGrid
     comm: CommGraph
     AB: np.ndarray             # (dim, dim + 2N)
     probe: Tuple[SystemState, Tuple[slice, ...]]    # _law_probe
+    R: Dict[ControlContext, np.ndarray] = field(default_factory=dict)
 
     @functools.cached_property
     def resets(self) -> SystemState:
@@ -332,43 +314,46 @@ class LawBase:
             self.grid.cost() * X[:, n + e:2 * n + e], self.comm.links))
 
 
-def law_base(grid: PowerGrid, comm: CommGraph, hold: bool) -> LawBase:
-    """The base of the contexts on the live links of comm whose law holds
-    messages (hold) or reads current values: the [A B] of the law with F
-    empty, the swing rows (swing_rows) over its u and q rows from one
-    controllers.control_rate call on the unit vectors of the blocks the law
-    reads (_law_probe), spread over the columns of [x; y; p] (_spread). The
-    probe is built after the swing rows, so it can take the memory of
-    theirs."""
+def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> LawBase:
+    """The base of the contexts on the live links of comm that share ctx's
+    law with F empty, which holds messages or reads current values as ctx
+    does (ctx.hold): its [A B], the swing rows (swing_rows) over its u and
+    q rows from one controllers.control_rate call on the unit vectors of
+    the blocks the law reads (_law_probe), spread over the columns of
+    [x; y; p] (_spread). The probe is built after the swing rows, so it can
+    take the memory of theirs."""
     n, e = grid.n_nodes, grid.n_lines
     AB = np.empty((3 * n + e, 5 * n + e))
     swing_rows(grid, AB[:n + e])
-    probe = _law_probe(grid, comm, hold)
+    probe = _law_probe(grid, comm, ctx.hold)
     stack, cols = probe
-    law = ControlContext("CONSENSUS_SAMPLED" if hold else "CONSENSUS")    # F empty
-    du, dq = controllers.control_rate(stack, grid, comm, law)
+    du, dq = controllers.control_rate(stack, grid, comm, replace(ctx, F=frozenset()))
     _spread(du, cols, AB[n + e:2 * n + e])
     _spread(dq, cols, AB[2 * n + e:])
     return LawBase(grid, comm, AB, probe)
 
 
 def rotation_reset(base: LawBase, ctx: ControlContext) -> np.ndarray:
-    """The N q rows of the exact reset R, R x the state after a SEQUENTIAL
-    rotation to the pair ctx.F at a sampling instant: messages refreshed
-    from x, then q re-initialized by init_artificial for the new pair. R
-    leaves every other state as it is, so its q rows, (N, dim), are all of
-    it that sample() and interval_map read. From one evaluation of
-    init_artificial on base.resets, the identity stack of x that the
-    contexts of a rotation share."""
-    q0, _ = controllers.init_artificial(base.resets, base.grid, ctx)
-    return np.ascontiguousarray(q0.T)
+    """The N q rows of the exact reset R, R x the state after a rotation to
+    the pair ctx.F at a sampling instant: messages refreshed from x, then q
+    re-initialized by init_artificial for the new pair. R leaves every
+    other state as it is, so its q rows, (N, dim), are all of it that
+    sample() and interval_map read. From one evaluation of init_artificial
+    on base.resets, the identity stack of x that the contexts of a rotation
+    share, made on the first call for ctx and kept in the base."""
+    R = base.R.get(ctx)
+    if R is None:
+        q0, _ = controllers.init_artificial(base.resets, base.grid, ctx)
+        R = base.R[ctx] = np.ascontiguousarray(q0.T)
+    return R
 
 
 def context_system(base: LawBase, ctx: ControlContext
                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """[A B] of ctx on the base's live links, (dim, dim + 2N), a new array,
-    and R, the q rows of its reset under SEQUENTIAL (rotation_reset), None
-    for the other schemes. base is law_base of ctx.scheme in HOLD_SCHEMES.
+    and R, the q rows of its reset when ctx is a rotation, a context that
+    holds messages and has F (rotation_reset), else None. base is the
+    law_base of ctx.
     [A B] is the base's with the u and q rows of the nodes of ctx.F
     replaced by controllers.flow_rate on the base's probe: the entries of a
     control_rate call of ctx itself, bit for bit, as that call overwrites
@@ -383,7 +368,7 @@ def context_system(base: LawBase, ctx: ControlContext
         rows = np.empty((len(nodes), AB.shape[1]))
         AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
         AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
-    return AB, rotation_reset(base, ctx) if ctx.scheme == "SEQUENTIAL" else None
+    return AB, rotation_reset(base, ctx) if ctx.hold and ctx.F else None
 
 
 def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
@@ -394,16 +379,16 @@ def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
 
     between sampling instants, with y the held values (C u at the last
     instant) and p the fixed powers, and R as context_system gives it: the
-    q rows of the reset of a SEQUENTIAL rotation to the pair ctx.F, None
-    for the other schemes, which rotate no pair. [A B] is assembled by the
-    rule a run uses, context_system of the law_base of comm. It is exact,
-    as the dynamics are linear in the state once the event data (held
-    messages, powers, the set F) is frozen, and byte-equal, signed zeros
-    included, to one derivative() call on the identity stack of [x; y; p];
-    the y columns of B are zero outside HOLD_SCHEMES, which read no held
-    message. A and B are views of one new [A B].
+    q rows of the reset of a rotation to the pair ctx.F, None for a context
+    that rotates no pair. [A B] is assembled by the rule a run uses,
+    context_system of the law_base of comm. It is exact, as the dynamics
+    are linear in the state once the event data (held messages, powers,
+    the set F) is frozen, and byte-equal, signed zeros included, to one
+    call of swing_rate and control_rate on the identity stack of
+    [x; y; p]; the y columns of B are zero unless ctx.hold, as a law that
+    holds no message reads none. A and B are views of one new [A B].
     """
-    AB, R = context_system(law_base(grid, comm, ctx.scheme in HOLD_SCHEMES), ctx)
+    AB, R = context_system(law_base(grid, comm, ctx), ctx)
     dim = len(AB)
     return AB[:, :dim], AB[:, dim:], R
 
@@ -548,11 +533,14 @@ def schedule(scenario: Scenario) -> Schedule:
     disturbances, then link failures, each group in scenario order; a link
     that has already failed does not fail again.
 
-    A failure that engages a flow-based law (PAIR_FLOW, HYBRID_SINGLE,
-    MULTI_FAILURE: at each failure) re-initializes the artificial variables
-    under it; a HYBRID_SINGLE failure on a link without a power line is
-    logged as a fallback to averaging. Under SEQUENTIAL a failure mid-
-    interval changes the rotation from the next sampling instant on.
+    At each failure the law that modes() puts in force is read from its
+    context: a flow law, one that holds no messages and has F,
+    re-initializes the artificial variables under it (init). A failure
+    after which F is empty, where modes() would have given F had the failed
+    links carried power lines, is logged as a fallback to averaging. A law
+    that holds messages changes only at sampling instants, so under
+    SEQUENTIAL a failure mid-interval changes the rotation from the next
+    instant on.
 
     Raises ScenarioError when the scenario fails validation, or when a
     failure leaves SEQUENTIAL without a live shared link.
@@ -621,18 +609,17 @@ def schedule(scenario: Scenario) -> Schedule:
         if not contexts:
             raise ScenarioError(f"SEQUENTIAL has no live shared power/communication link "
                                 f"to rotate over after the failure at t={start * dt:g}")
-        init = None
-        if newly and contexts[0].scheme in ("PAIR_FLOW", "HYBRID_SINGLE", "MULTI_FAILURE"):
-            init = contexts[0]
-            if init.F:
-                events.append(("init_artificial",
-                               f"nodes {','.join(str(i + 1) for i in sorted(init.F))}"))
-        elif newly and scheme == "HYBRID_SINGLE":
+        law = lead = contexts[0]
+        init = law if newly and law.F and not law.hold else None
+        if init:
+            events.append(("init_artificial",
+                           f"nodes {','.join(str(i + 1) for i in sorted(init.F))}"))
+        elif newly and not law.F and modes(scheme, power | set(newly), live.links, failed,
+                                           pending)[0].F:
             events.append(("fallback_consensus",
                            f"failed link ({newly[0][0] + 1},{newly[0][1] + 1}) has no "
                            "power line; averaging continues on surviving links"))
-        lead = contexts[0]
-        if scheme == "SEQUENTIAL" and start % K:
+        if law.hold and start % K:
             lead = pieces[-1].context(start, K)
         pieces.append(Piece(start, stop, live, contexts, lead, tuple(p), init, tuple(events)))
     return Schedule(n_total, K, tuple(warnings), tuple(pieces))
@@ -781,7 +768,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     live links, and they only shrink, so no map is asked for again once
     they change: the store is emptied at each failure and at the end of
     the run. So the run calls controllers.control_rate once per set of
-    live links, for its base, and derivative() never. It squares each
+    live links, for its base, and never per step. It squares each
     k-step map that kernels.jump uses once: pieces that share a context,
     such as the two sides of a disturbance, square once, and a new p costs
     one product G_k w. A call with many records writes them in blocks of
@@ -791,11 +778,11 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     states x[M] with offset G [x; y; p][inputs]; its records are written as
     x[M] into the leading columns of their rows, then spread to full rows
     with the frozen states filled in, so no second record buffer is kept.
-    Every sampling instant runs one rule, sample(), on a stack of states: q
-    resets by its context's R (the q rows of the reset), and the
-    held values become C u. Interval and cycle jumps record states before
-    their instants' events, and each such call samples its own records as
-    one stack right after kernels.jump writes them.
+    Every sampling instant runs one rule, sample(), on a stack of states:
+    under a rotation q resets by its context's R (the q rows of the reset),
+    and the held values become C u. Interval and cycle jumps record states
+    before their instants' events, and each such call samples its own
+    records as one stack right after kernels.jump writes them.
 
     After each call x and every record it wrote must be finite, and so
     must the messages C u it sends at an instant. A call that fails this
@@ -835,19 +822,16 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
     calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
     pauses = 0
-    hold = scenario.scheme in HOLD_SCHEMES      # modes() never mixes hold and non-hold contexts
-    maps: dict = {}     # of the live links in force: (kind, key) -> (map, powers)
+    # of the live links in force: (kind, key) -> (map, powers), ("base", hold) -> LawBase
+    maps: dict = {}
 
     def cached(kind: str, key):
         """The map of kind and key on the live links in force, and the dict
-        of the k-step maps that kernels.jump squares from it; the law base
-        is kind "base", key None."""
+        of the k-step maps that kernels.jump squares from it."""
         if (kind, key) not in maps:
             built[kind] += 1
-            if kind == "base":
-                m = law_base(grid, piece.comm, hold)
-            elif kind == "stretch":
-                m = context_step(cached("base", None)[0], key, dt)
+            if kind == "stretch":
+                m = context_step(base(key), key, dt)
             elif kind == "intervals":
                 m = interval_map(grid, cached("stretch", key)[0], K)
             else:
@@ -855,16 +839,26 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             maps[kind, key] = m, {}
         return maps[kind, key]
 
+    def base(ctx: ControlContext) -> LawBase:
+        """The law base of ctx on the live links in force, kept under
+        ctx.hold: the law with F empty reads nothing else of a context."""
+        if ("base", ctx.hold) not in maps:
+            built["base"] += 1
+            maps["base", ctx.hold] = law_base(grid, piece.comm, ctx)
+        return maps["base", ctx.hold]
+
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
         on the stack of their states, in place: under a rotation q resets
         by R of the context of step's interval, which the whole stack
         shares (a pause samples one state, an interval jump records at most
-        one and a cycle jump records only on cycle starts). Returns the held
-        values each row leaves, its C u."""
-        R = cached("stretch", piece.context(step, K))[0].R
-        if R is not None:
-            rows[:, Q] = rows @ R.T
+        one and a cycle jump records only on cycle starts). R is read off
+        the law base, so an instant whose interval never runs, such as the
+        horizon's, builds no step map. Returns the held values each row
+        leaves, its C u."""
+        ctx = piece.context(step, K)
+        if ctx.hold and ctx.F:
+            rows[:, Q] = rows @ rotation_reset(base(ctx), ctx).T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------

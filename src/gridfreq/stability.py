@@ -11,12 +11,14 @@ single-failure analysis
 where H is the cubic matrix pencil built from M, D, C, the power Laplacian
 L_p^B and the modified communication Laplacian L_c*, and sigma is a single
 global sign calibrated at the first sample point (row-reduction sign
-bookkeeping is not re-derived here). The two-node flow law (PAIR_FLOW) is
-its smallest case: at N = 2, E = 1 the failed pair is the whole grid,
-L_c* = L2 C^-1 with L2 = [[1, -1], [-1, 1]], and the factor
-(-1)^N lam^(1+E-N) is 1, so both flow laws get one certificate. Every
-matrix of the certificate is taken in the grid's own labelling: L_c*
-replaces the rows of the failed pair wherever the pair sits.
+bookkeeping is not re-derived here). It covers every law with two
+flow-controlled nodes and no held messages, whatever the scheme that put
+it in force. The two-node flow law (PAIR_FLOW) is its smallest case: at
+N = 2, E = 1 the failed pair is the whole grid, L_c* = L2 C^-1 with
+L2 = [[1, -1], [-1, 1]], and the factor (-1)^N lam^(1+E-N) is 1, so it
+gets the same certificate. Every matrix of the certificate is taken in the
+grid's own labelling: L_c* replaces the rows of the failed pair wherever
+the pair sits.
 Both sides are compared as log-determinants, since on large grids the
 determinants themselves leave the floating-point range. The left side is
 read off the spectrum, log s(lam) = sum_i log(lam_i - lam), so a report
@@ -152,7 +154,7 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
     K = interval_steps(T, dt)
-    base = law_base(grid, comm, True)
+    base = law_base(grid, comm, ctxs[0])
     D, _ = compose_maps([interval_map(grid, context_step(base, ctx, dt), K) for ctx in ctxs])
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
@@ -305,13 +307,15 @@ def build_Lc_star(L_c: np.ndarray, C: np.ndarray, pair: Tuple[int, int]) -> np.n
 def certificate_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
                          ) -> Optional[Tuple[np.ndarray, ...]]:
     """(M, D, C, L_p^B, L_c*) that certify a flow law with two
-    flow-controlled nodes, PAIR_FLOW or HYBRID_SINGLE, from which both the
-    sufficient conditions and the identity check read: the diagonal M, D
-    and C, the power Laplacian L_p^B and L_c* (build_Lc_star on the
-    Laplacian of comm's links), all as the grid labels its nodes. On a
-    two-node grid L_c* = L2 C^-1. None for any other law. comm holds the
-    live links only."""
-    if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE") or len(ctx.F) != 2:
+    flow-controlled nodes and no held messages (not ctx.hold, two nodes in
+    ctx.F: the law of PAIR_FLOW, of HYBRID_SINGLE and of MULTI_FAILURE
+    after one power-line failure), from which both the sufficient
+    conditions and the identity check read: the diagonal M, D and C, the
+    power Laplacian L_p^B and L_c* (build_Lc_star on the Laplacian of
+    comm's links), all as the grid labels its nodes. On a two-node grid
+    L_c* = L2 C^-1. None for any other law. comm holds the live links
+    only."""
+    if ctx.hold or len(ctx.F) != 2:
         return None
     C = np.diag(grid.cost())
     Lstar = build_Lc_star(comm.laplacian(grid.n_nodes), C, tuple(ctx.F))
@@ -357,14 +361,14 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
                                   ) -> IdentityReport:
     """Compare det(A - lam I) against the factored form at the samples.
 
-    Supports the single-failure law (HYBRID_SINGLE) and its two-node case,
-    the flow law PAIR_FLOW, on the matrices of certificate_matrices, in the
-    grid's own labelling, from which the report's sufficient conditions
-    read too. Points within 1e-6 of a factorization singularity are
-    rejected, and so is an empty set of points: 0, -2 and the eigenvalues
-    of -L_c* C, which are minus those of the pair's 2 x 2 block and
-    -eigvalsh(C_R^(1/2) L_RR C_R^(1/2)) (_block_spectrum). The returned
-    `consistent` flag is max_residual <= IDENTITY_TOL.
+    Supports the laws that certificate_matrices certifies, on its matrices,
+    in the grid's own labelling, from which the report's sufficient
+    conditions read too; any other law is a ValueError. Points within 1e-6
+    of a factorization singularity are rejected, and so is an empty set of
+    points: 0, -2 and the eigenvalues of -L_c* C, which are minus those of
+    the pair's 2 x 2 block and -eigvalsh(C_R^(1/2) L_RR C_R^(1/2))
+    (_block_spectrum). The returned `consistent` flag is
+    max_residual <= IDENTITY_TOL.
 
     Both sides are taken as complex logs, so determinants beyond the
     floating-point range still compare. The left side is
@@ -377,19 +381,17 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     r = lhs / (sigma rhs), which equals
     |lhs - sigma rhs| / max(|lhs|, |sigma rhs|).
     """
-    if ctx.scheme not in ("PAIR_FLOW", "HYBRID_SINGLE"):
-        raise ValueError("identity check applies to the flow-based laws only")
+    mats = certificate_matrices(grid, comm, ctx)
+    if mats is None:
+        raise ValueError("identity check applies to a law with two flow-controlled nodes "
+                         "and no held messages")
     if not len(sample_points):
         raise ValueError("no sample points")
-    if len(ctx.F) != 2:
-        raise ValueError(f"exactly two flow-controlled nodes expected, got {len(ctx.F)}")
     n, e = grid.n_nodes, grid.n_lines
-    if ctx.scheme == "PAIR_FLOW" and n != 2:
-        raise ValueError("two-node form requires a two-node grid")
     if eigenvalues is None:
         eigenvalues = spectrum(assemble_state_matrix(grid, comm, ctx)).eigenvalues
 
-    M, D, C, LpB, Lstar = certificate_matrices(grid, comm, ctx)
+    M, D, C, LpB, Lstar = mats
     m, d, c = np.diag(M), np.diag(D), np.diag(C)
     pair_eigs, rest_eigs = _block_spectrum(Lstar, tuple(ctx.F), c, np.zeros(n))
     singular_eigs = np.concatenate([[0.0, -2.0], -pair_eigs, -rest_eigs])

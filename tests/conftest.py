@@ -1,9 +1,11 @@
 """Shared fixtures and reference oracles.
 
-reference_integrate is a deliberately naive RK4 loop driven by the public
-derivative() function with inline event handling; the production
-integrator, a plan of kernel calls and the loop that executes it, is
-checked against it on short horizons. random_grid builds seeded connected
+derivative() is the reference dynamics, the swing and line rates of
+simulator.swing_rate joined with the control law of
+controllers.control_rate. reference_integrate is a deliberately naive RK4
+loop driven by it with inline event handling; the production integrator,
+a plan of kernel calls and the loop that executes it, is checked against
+it on short horizons. random_grid builds seeded connected
 grids larger than the toy one. sequential_active_link, sequential_context
 and shared_links spell out SEQUENTIAL's rotation for the oracle and the
 tests; trajectory_states lists a trajectory's recorded states, and
@@ -18,10 +20,10 @@ import numpy as np
 import pytest
 
 from gridfreq import toy_grid
-from gridfreq.controllers import ControlContext, Link, init_artificial
+from gridfreq.controllers import ControlContext, Link, control_rate, init_artificial
 from gridfreq.model import (CONTINUOUS, CommGraph, Line, NodeParams, PowerGrid, Scenario,
                             SystemState)
-from gridfreq.simulator import (Trajectory, derivative, initial_flows, modes, state_to_vector,
+from gridfreq.simulator import (Trajectory, initial_flows, modes, state_to_vector, swing_rate,
                                 vector_to_state)
 
 
@@ -100,6 +102,25 @@ def reference_csv(traj: Trajectory) -> bytes:
                               traj.flow[k], [traj.cost_series[k]]])
         lines.append(",".join(f"{v:.9g}" for v in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
+               ctx: ControlContext, p: Optional[np.ndarray] = None) -> np.ndarray:
+    """Time derivative of the full state vector [omega, flow, u, q]: dω and
+    df from simulator.swing_rate, du and dq from the control law of ctx
+    (controllers.control_rate). p defaults to the grid's fixed powers; pass
+    the disturbed vector when evaluating mid-run.
+
+    Stacked states: every array field of state (and p) may carry leading
+    batch axes, one state per row, as vector_to_state makes from a (k, dim)
+    stack; each held value in state.last_rx is then a scalar or a (k,)
+    array. The result has the same leading axes, row r the derivative of
+    state r. One code path serves single and stacked states.
+    """
+    if p is None:
+        p = grid.fixed_power()
+    du, dq = control_rate(state, grid, comm, ctx)
+    return np.concatenate([*swing_rate(state, grid, p), du, dq], axis=-1)
 
 
 def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,

@@ -317,38 +317,43 @@ def test_consensus_message_interval_is_warned(tmp_path, capsys, scheme, T, warne
     assert capsys.readouterr().err == (line if warned else "")
 
 
-def fallback_scenario(tmp_path):
-    """HYBRID_SINGLE whose failed link (1,3) has no power line."""
+def fallback_scenario(tmp_path, scheme):
+    """A flow scheme whose failed link (1,3) has no power line."""
     nodes = tuple(NodeParams(k + 1, 0.1, 1.0, (1.0, 2.0, 4.0)[k], (1.0, 0.0, -1.0)[k])
                   for k in range(3))
     scn = Scenario(grid=PowerGrid(nodes, (Line(0, 1, 1.0), Line(1, 2, 1.0))),
                    comm=CommGraph(links=((0, 1), (0, 2), (1, 2)), failed=(((0, 2), 0.5),)),
-                   scheme="HYBRID_SINGLE", horizon=1.0, dt=1e-3, record_stride=100)
+                   scheme=scheme, horizon=1.0, dt=1e-3, record_stride=100)
     path = tmp_path / "fallback.json"
     save_scenario(scn, path)
     return path
 
 
-def test_simulate_reports_fallback(tmp_path, capsys):
-    """A HYBRID_SINGLE failure on a link with no power line falls back to
-    averaging; the summary and stderr say so."""
-    path = fallback_scenario(tmp_path)
+FALLBACK = ("fallback_consensus at t=0.5: failed link (1,3) has no power line; averaging "
+            "continues on surviving links\n")
+
+
+@pytest.mark.parametrize("scheme", ["HYBRID_SINGLE", "MULTI_FAILURE"])
+def test_simulate_reports_fallback(tmp_path, capsys, scheme):
+    """A failure on a link with no power line makes every flow scheme fall
+    back to averaging; the summary and stderr say so, once."""
+    path = fallback_scenario(tmp_path, scheme)
     cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
     summary = json.loads((tmp_path / "run.summary.json").read_text())
     assert [(w["t"], w["kind"]) for w in summary["warnings"]] == [(0.5, "fallback_consensus")]
-    assert "fallback_consensus at t=0.5: failed link (1,3) has no power line" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err.count(FALLBACK) == 1
 
 
-def test_stability_reports_fallback(tmp_path, capsys):
-    """The report of the averaging law that a HYBRID_SINGLE failure falls
-    back to says on stderr why it is not HYBRID_SINGLE, as simulate does."""
-    path = fallback_scenario(tmp_path)
+@pytest.mark.parametrize("scheme", ["HYBRID_SINGLE", "MULTI_FAILURE"])
+def test_stability_reports_fallback(tmp_path, capsys, scheme):
+    """The report of the averaging law that the failure falls back to is
+    named CONSENSUS, and says on stderr why it is not the flow scheme's
+    law, as simulate does."""
+    path = fallback_scenario(tmp_path, scheme)
     out = tmp_path / "stab.json"
     assert cli.main(["stability", str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["scheme"] == "CONSENSUS"
-    assert capsys.readouterr().err == ("fallback_consensus at t=0.5: failed link (1,3) has "
-                                       "no power line; averaging continues on surviving links\n")
+    assert capsys.readouterr().err == FALLBACK
 
 
 def test_scenario_roundtrip_through_files(tmp_path):
@@ -555,6 +560,25 @@ def test_flow_laws_report_one_schema(tmp_path):
     assert keys[0] == keys[1] == ["inertia_positive", "inertia_cross_term",
                                   "damping_cross_term", "coupling_margin",
                                   "coupling_margin_raw"]
+
+
+def test_multi_failure_after_one_power_line_gets_the_certificate(tmp_path, capsys):
+    """After one power-line failure MULTI_FAILURE runs the single-failure
+    law, so its report on the toy grid with (2,7) failing at 0.5 s is
+    HYBRID_SINGLE's, sufficient conditions and identity check included;
+    only the scheme's name differs."""
+    docs = {}
+    for scheme in ("HYBRID_SINGLE", "MULTI_FAILURE"):
+        path, out = tmp_path / f"{scheme}.json", tmp_path / f"{scheme}_stab.json"
+        save_scenario(with_overrides(toy_grid(), scheme=scheme, failures=(((1, 6), 0.5),)),
+                      path)
+        assert cli.main(["stability", str(path), "--out", str(out)]) == 0
+        docs[scheme] = json.loads(out.read_text())
+    assert capsys.readouterr().err == ""
+    hybrid, multi = docs["HYBRID_SINGLE"], docs["MULTI_FAILURE"]
+    assert multi["sufficient"] is not None and multi["identity"]["n_samples"] == 10
+    assert (hybrid.pop("scheme"), multi.pop("scheme")) == ("HYBRID_SINGLE", "MULTI_FAILURE")
+    assert multi == hybrid
 
 
 def test_stability_command_two_node(tmp_path):

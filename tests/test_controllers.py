@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import sequential_active_link, sequential_context
+from conftest import derivative, sequential_active_link, sequential_context
 from gridfreq.controllers import (ControlContext, PowerAdjacencyError, control_rate,
                                   init_artificial)
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid, SystemState
-from gridfreq.simulator import (derivative, held_messages, integrate, run_scenario,
-                                vector_to_state)
+from gridfreq.simulator import held_messages, integrate, vector_to_state
 from gridfreq.model import Scenario, with_overrides
 
 
@@ -260,7 +259,6 @@ class TestSequentialLink:
 def test_converged_states_have_zero_frequency(toy):
     """Whenever the rates have died out, the frequency deviation is zero:
     power is balanced at every equilibrium of every law."""
-    from gridfreq.simulator import derivative
     from gridfreq.model import CommGraph
 
     for scheme, failures in [("CONSENSUS", ()), ("HYBRID_SINGLE", (((1, 6), 0.5),)),

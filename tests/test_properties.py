@@ -15,10 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sequential_context
+from conftest import derivative, sequential_context
 from gridfreq.controllers import ControlContext
 from gridfreq.model import SCHEMES, CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import context_matrices, derivative, held_messages, vector_to_state
+from gridfreq.simulator import context_matrices, held_messages, vector_to_state
 
 positive = st.floats(0.05, 5.0)
 

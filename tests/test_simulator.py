@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (random_grid, reference_csv, reference_integrate, sequential_context,
-                      shared_links, trajectory_states)
+from conftest import (derivative, random_grid, reference_csv, reference_integrate,
+                      sequential_context, shared_links, trajectory_states)
 from gridfreq import controllers
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
-from gridfreq.model import (HOLD_SCHEMES, SCHEMES, CommGraph, DisturbanceEvent, Line,
-                            NodeParams, PowerGrid, Scenario, SystemState, with_overrides)
+from gridfreq.model import (SCHEMES, CommGraph, DisturbanceEvent, Line, NodeParams, PowerGrid,
+                            Scenario, SystemState, with_overrides)
 from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
-                                context_system, convergence_time, derivative, modes,
+                                context_system, convergence_time, modes,
                                 first_crossing_time, held_messages, initial_flows,
                                 integrate, interval_map, law_base, rotation_reset,
                                 run_scenario, schedule, state_to_vector, vector_to_state,
@@ -38,8 +38,6 @@ def test_derivative_single_node():
                      q=np.zeros(1))
     dx = derivative(st, grid, CommGraph(links=()), ControlContext(scheme="CONSENSUS"))
     assert dx[0] == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="unknown scheme 'NO_SUCH_LAW'"):
-        derivative(st, grid, CommGraph(links=()), ControlContext(scheme="NO_SUCH_LAW"))
 
 
 def test_derivative_matches_state_matrix_product():
@@ -620,7 +618,7 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     assert np.abs(A - A_ref).max() <= 1e-12
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
     if ctx.F:       # the reset of a rotation to F, whose links are live in it
-        R = rotation_reset(law_base(grid, comm, False), ctx)
+        R = rotation_reset(law_base(grid, comm, ctx), ctx)
         assert R.shape == (n, len(A))
         assert np.array_equal(R, loop_reset(grid, comm, ctx))
         assert np.abs(R).max() > 0.0
@@ -676,7 +674,7 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     h = 1e-3
     for ctx, live in cases:
         A, B, _ = context_matrices(grid, live, ctx)
-        step = context_step(law_base(grid, live, ctx.scheme in HOLD_SCHEMES), ctx, h)
+        step = context_step(law_base(grid, live, ctx), ctx, h)
         frozen = np.setdiff1d(np.arange(len(A)), step.moving)
         assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
         full = one_step_map(A, B, h)
@@ -703,7 +701,7 @@ def test_rotation_reset_folds_through_q_rows(toy, grid_name):
     contexts = modes("SEQUENTIAL", grid.edge_set(), comm.links)
     assert len(contexts) == len(shared_links(grid, comm))
     n, e = grid.n_nodes, grid.n_lines
-    base = law_base(grid, comm, True)
+    base = law_base(grid, comm, contexts[0])
     for ctx in contexts:
         step = context_step(base, ctx, 1e-3)
         assert step.R.shape == (n, 3 * n + e)
@@ -941,11 +939,11 @@ def test_rotation_records_match_oracle(rotation_oracle, stride):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the calls of controllers.init_artificial,
-    controllers.control_rate, kernels.jump, kernels.one_step_map,
-    kernels.k_step_map and simulator.derivative made from here on."""
+    controllers.control_rate, kernels.jump, kernels.one_step_map and
+    kernels.k_step_map made from here on."""
     from gridfreq import controllers, kernels, simulator
     counts = dict.fromkeys(["init_artificial", "control_rate", "jump", "one_step_map",
-                            "k_step_map", "derivative"], 0)
+                            "k_step_map"], 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -959,7 +957,7 @@ def calls(monkeypatch):
                          (kernels, "jump"),
                          (simulator, "jump"), (kernels, "one_step_map"),
                          (simulator, "one_step_map"), (kernels, "k_step_map"),
-                         (simulator, "k_step_map"), (simulator, "derivative")):
+                         (simulator, "k_step_map")):
         count(module, name)
     return counts
 
@@ -994,11 +992,11 @@ def ring_scenario(n, stride):
 def test_one_step_map_built_once_per_context(toy, calls, case):
     """A run builds RK4's one-step map once per live links and context:
     interval maps square the cached map and partial intervals jump with it.
-    A rotation calls control_rate once per set of live links, for its base,
-    and derivative never; each pair context is the base with its pair's
-    rows replaced. Toy SEQUENTIAL at record_stride 105 stops inside
-    intervals of its ten contexts; the ring rotates over 20 shared links and
-    stops inside intervals of each at record_stride 7."""
+    A rotation calls control_rate once per set of live links, for its base;
+    each pair context is the base with its pair's rows replaced. Toy
+    SEQUENTIAL at record_stride 105 stops inside intervals of its ten
+    contexts; the ring rotates over 20 shared links and stops inside
+    intervals of each at record_stride 7."""
     if case == "toy":
         scn = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01, horizon=10.0,
                              record_stride=105)
@@ -1010,7 +1008,6 @@ def test_one_step_map_built_once_per_context(toy, calls, case):
     assert len(contexts) == (10 if case == "toy" else 20)
     assert calls["one_step_map"] == len(contexts)
     assert calls["control_rate"] == len({pc.comm for pc in pieces}) == 1
-    assert calls["derivative"] == 0
     if case == "ring":
         x_ref = reference_integrate(scn, 500)
         assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
@@ -1077,10 +1074,10 @@ def test_run_contexts_equal_direct_assembly(toy, calls, case):
     identity stack, and R, the q rows of a SEQUENTIAL context's reset, from
     the base's stack, byte-equal to one init_artificial call per unit state
     (direct_matrices). The run calls control_rate once per set of live
-    links, for its base, and derivative never, and its records match the
-    oracle. On the 30- and 60-node grids the second piece of the rotation
-    leads with the failed pair on the links that remain; MULTI_FAILURE ends
-    with F = {2, 7, 9, 10}."""
+    links, for its base, and its records match the oracle. On the 30- and
+    60-node grids the second piece of the rotation leads with the failed
+    pair on the links that remain; MULTI_FAILURE ends with F = {2, 7, 9,
+    10}."""
     scn = run_case(toy, case)
     grid = scn.grid
     pieces = schedule(scn).pieces
@@ -1091,21 +1088,19 @@ def test_run_contexts_equal_direct_assembly(toy, calls, case):
     if case == "multi_failure":
         assert pieces[-1].contexts[0].F == {1, 6, 8, 9}
     for comm in {pc.comm for pc in pieces}:
-        base = law_base(grid, comm, scn.scheme in HOLD_SCHEMES)
         contexts = {c for pc in pieces if pc.comm == comm for c in pc.contexts + (pc.lead,)}
         if scn.scheme == "SEQUENTIAL":
             assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
         for ctx in contexts:
             A, B, R = direct_matrices(grid, comm, ctx)
-            got, got_R = context_system(base, ctx)
+            got, got_R = context_system(law_base(grid, comm, ctx), ctx)
             want = np.hstack([A, B])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert (got_R is R is None) or (got_R.shape == R.shape
                                              and got_R.tobytes() == R.tobytes())
-    calls["derivative"] = calls["control_rate"] = 0
+    calls["control_rate"] = 0
     traj = integrate(scn)
     assert calls["control_rate"] == len({pc.comm for pc in pieces})
-    assert calls["derivative"] == 0
     oracle = reference_integrate(scn, schedule(scn).n_steps, every=1)
     for k, step in enumerate(np.round(traj.times / scn.dt).astype(int)):
         assert np.abs(state_to_vector(traj.state_at(k)) - oracle[step]).max() <= 1e-12
@@ -1113,10 +1108,9 @@ def test_run_contexts_equal_direct_assembly(toy, calls, case):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_integrate_calls_the_law_once_per_base(toy, calls, scheme):
-    """integrate() never calls derivative(): under every scheme it
-    assembles [A B] from the swing rows and one control_rate call per
-    law_base, one per distinct live links and hold, whose contexts take
-    flow_rate's rows. Toy grid, link (2,7) failing at 0.3 s (PAIR_FLOW
+    """Under every scheme integrate() assembles [A B] from the swing rows
+    and one control_rate call per law_base, one per distinct live links
+    and hold, whose contexts take flow_rate's rows. Toy grid, link (2,7) failing at 0.3 s (PAIR_FLOW
     runs the two-node grid)."""
     if scheme == "PAIR_FLOW":
         scn = with_overrides(pair_scenario(horizon=0.6), failures=(((0, 1), 0.3),))
@@ -1125,10 +1119,8 @@ def test_integrate_calls_the_law_once_per_base(toy, calls, scheme):
         scn = with_overrides(toy, scheme=scheme, message_interval=T, horizon=0.6,
                              failures=(((1, 6), 0.3),))
     maps = integrate(scn).diagnostics["maps"]
-    bases = {(pc.comm, c.scheme in HOLD_SCHEMES) for pc in schedule(scn).pieces
-             for c in pc.contexts}
+    bases = {(pc.comm, c.hold) for pc in schedule(scn).pieces for c in pc.contexts}
     assert calls["control_rate"] == maps["base"] == len(bases) == 2
-    assert calls["derivative"] == 0
 
 
 def test_run_counts_its_maps_and_kernel_calls(toy):
@@ -1139,6 +1131,9 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     call and pauses at 0 and 1.0 s, over 10 s two calls and three pauses.
     Link (1,2) failing at 1.0 s keeps the stop at 0.99 s: cycles to 0.9 s,
     nine intervals, a pause, the last interval and the pause at 1.0 s.
+    That pause resets q by the reset of a context whose interval never
+    runs, read off the new live links' base: the run builds a second base
+    but no eleventh step map, and its last record matches the oracle.
     Toy HYBRID_SINGLE with a failure builds one base on each side of it
     and makes one stretch per piece."""
     rotation = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01,
@@ -1150,10 +1145,14 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     diag = integrate(with_overrides(rotation, horizon=10.0)).diagnostics
     assert (diag["kernel_calls"], diag["pauses"]) == (
         {"stretch": 0, "intervals": 0, "cycles": 2}, 3)
-    diag = integrate(with_overrides(rotation, horizon=1.0,
-                                    failures=(((0, 1), 1.0),))).diagnostics
+    failing = with_overrides(rotation, horizon=1.0, failures=(((0, 1), 1.0),))
+    traj = integrate(failing)
+    diag = traj.diagnostics
     assert (diag["kernel_calls"], diag["pauses"]) == (
         {"stretch": 0, "intervals": 10, "cycles": 1}, 3)
+    assert diag["maps"] == {"base": 2, "stretch": 10, "intervals": 10, "cycles": 1}
+    x_ref = reference_integrate(failing, 1000)
+    assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
     scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
                          failures=(((1, 6), 0.5),))
     diag = integrate(scn).diagnostics
@@ -1218,8 +1217,8 @@ def test_sampling_stops_call_no_control_law(calls):
     between instants, and at an instant before each record. No stop calls
     a control law: the offset of a partial interval is G [y; p] and an
     instant resets q by the cached R, so control_rate runs at most once per
-    context, to build the matrices, derivative never, and init_artificial
-    only to build R and at the pieces' inits. Every row matches the
+    context, to build the matrices, and init_artificial only to build R and
+    at the pieces' inits. Every row matches the
     oracle."""
     scn = rotation_scenario(7)
     traj = integrate(scn)
@@ -1228,7 +1227,6 @@ def test_sampling_stops_call_no_control_law(calls):
     inits = sum(pc.init is not None for pc in pieces)
     assert calls["init_artificial"] <= len(contexts) + inits
     assert calls["control_rate"] <= len(contexts)
-    assert calls["derivative"] == 0
     steps = np.round(traj.times / scn.dt).astype(int)
     assert list(steps) == list(range(0, 601, 7)) + [600]
     oracle = reference_integrate(scn, 600, every=1)

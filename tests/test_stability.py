@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_grid, shared_links
+from conftest import derivative, random_grid, shared_links
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import derivative, vector_to_state
+from gridfreq.simulator import vector_to_state
 from gridfreq.stability import (IdentityReport, _block_spectrum, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node, certificate_matrices,
@@ -447,20 +447,35 @@ class TestCharacteristicIdentity:
             characteristic_identity_check(two_node_grid(), CommGraph(links=((0, 1),)),
                                           pair_ctx(), [])
 
-    @pytest.mark.parametrize("scheme, F, needle", [
-        ("CONSENSUS", (), "applies to the flow-based laws only"),
-        ("MULTI_FAILURE", (0, 1), "applies to the flow-based laws only"),
-        ("HYBRID_SINGLE", (0, 1, 2), "exactly two flow-controlled nodes expected, got 3"),
-        ("PAIR_FLOW", (0, 1), "two-node form requires a two-node grid"),
+    @pytest.mark.parametrize("scheme, F", [
+        ("CONSENSUS", ()),
+        ("MULTI_FAILURE", (0, 1, 2)),
+        ("HYBRID_SINGLE", (0, 1, 2)),
+        ("PAIR_FLOW", ()),
+        ("CONSENSUS_SAMPLED", ()),
+        ("SEQUENTIAL", (0, 1)),
     ])
-    def test_rejects_laws_without_a_factorization(self, scheme, F, needle):
-        """Only PAIR_FLOW on two nodes and HYBRID_SINGLE on a pair have a
-        factored form; each other case is a ValueError, raised before the
-        state matrix is assembled."""
+    def test_rejects_laws_without_a_factorization(self, scheme, F):
+        """Only a law with two flow-controlled nodes and no held messages
+        has a factored form, whatever its scheme: F empty, F of three nodes
+        and a law that holds messages, a rotation's pair included, are each
+        a ValueError, raised before the state matrix is assembled."""
         grid, comm, _ = self._three_node((1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match=needle):
+        with pytest.raises(ValueError, match="two flow-controlled nodes and no held messages"):
             characteristic_identity_check(grid, comm, ControlContext(scheme, frozenset(F)),
                                           [1.0 + 1.0j])
+
+    @pytest.mark.parametrize("scheme", ["PAIR_FLOW", "MULTI_FAILURE", "CONSENSUS"])
+    def test_any_scheme_with_the_pair_law_gets_its_factorization(self, scheme):
+        """The check reads the law from the context's structure: a context
+        of any scheme that holds no messages, with F a pair, gets the
+        HYBRID_SINGLE report of that pair, bit for bit."""
+        rng = np.random.default_rng(4)
+        grid, comm, ctx = self._three_node((2.0, 5.0, 10.0))
+        pts = rand_points(rng, 8)
+        want = characteristic_identity_check(grid, comm, ctx, pts)
+        assert characteristic_identity_check(grid, comm, ControlContext(scheme, ctx.F),
+                                             pts) == want
 
     def _three_node(self, costs):
         nodes = tuple(NodeParams(k + 1, (0.05, 0.1, 0.2)[k], (0.5, 1.0, 0.8)[k],
@@ -591,9 +606,12 @@ def test_certificates_of_the_flow_laws(toy):
     set of matrices, the single-failure analysis's: the multi-node
     conditions on M, D, C and L_p^B as the grid labels its nodes, with
     L_c* (build_Lc_star of the live links' Laplacian). Under PAIR_FLOW on
-    two nodes that is diag(M, D, C), B L2 and L_c* = L2 C^-1. No
-    certificate for any other law, HYBRID_SINGLE before its failure
-    included."""
+    two nodes that is diag(M, D, C), B L2 and L_c* = L2 C^-1. The law is
+    read from the context's structure: every context with two
+    flow-controlled nodes and no held messages gets the certificate,
+    MULTI_FAILURE after one power-line failure included, and no other law
+    does: F empty (HYBRID_SINGLE before its failure), F of three nodes, or
+    a rotation's pair, whose law holds messages."""
     grid = two_node_grid(M=(0.05, 0.1), D=(0.8, 1.2), C=(0.1, 0.2), B=0.7)
     M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
     Lstar = L2 @ np.diag(1.0 / grid.cost())
@@ -614,8 +632,15 @@ def test_certificates_of_the_flow_laws(toy):
     assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, LpB, Lstar)))
     assert (sufficient_conditions(toy.grid, comm, ctx)
             == check_sufficient_multi_node(M, D, C, Lstar, LpB, pair))
+    for scheme in ("PAIR_FLOW", "MULTI_FAILURE", "CONSENSUS"):
+        same = ControlContext(scheme, frozenset(pair))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(certificate_matrices(toy.grid, comm, same), mats))
+        assert sufficient_conditions(toy.grid, comm, same) == sufficient_conditions(
+            toy.grid, comm, ctx)
     for other in (ControlContext("CONSENSUS"), ControlContext("HYBRID_SINGLE"),
-                  ControlContext("MULTI_FAILURE", frozenset(pair))):
+                  ControlContext("MULTI_FAILURE", frozenset({1, 6, 9})),
+                  ControlContext("SEQUENTIAL", frozenset(pair))):
         assert certificate_matrices(toy.grid, comm, other) is None
         assert sufficient_conditions(toy.grid, comm, other) is None
 
