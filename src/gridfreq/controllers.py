@@ -21,9 +21,10 @@ of the nodes of F with flow_rate, the flow law alone. So the law of a
 context (scheme, F) is the law with F empty except in the u and q rows of
 F, bit for bit, and the simulator assembles every context that way: the
 u and q rows of the law with F empty from one control_rate call on the
-unit vectors of the states and held values it reads, once per set of live
-links (simulator.law_base), then the rows of F from one flow_rate call on
-the same vectors (simulator.context_system).
+unit vectors of the states and held values it reads (simulator.law_base),
+made when a run first needs a step map on a set of live links and kept
+in the store of those links (simulator.LinkStore), then the rows of F from
+one flow_rate call on the same vectors (simulator.context_system).
 
 control_rate reads comm.links as the live links: pass a comm graph without
 the failed ones, as each piece of simulator.schedule() carries.

@@ -19,26 +19,25 @@ with p its fixed powers and y the held messages, C u of the last sampling
 instant (under continuous messaging B reads no y). Every context's [A B]
 comes from one rule, the law's own: averaging with F empty, then the u and
 q rows of F overwritten by the flow law. law_base assembles the averaging
-[A B] once per set of live links and law with F empty (whether it holds
-messages, ControlContext.hold), each part evaluated on the unit vectors of
-the blocks of [x; y; p] it reads and on one zero row (_spread): the omega
-and flow rows from one swing_rate call on unit omega, f, u and p
-(swing_rows), the u and q rows from one control_rate call on unit omega,
-u, q and, when the law holds messages, y: 3N + 1 or 4N + 1 rows
-(_law_probe). context_system copies it and replaces the rows of ctx.F by
+[A B], each part evaluated on the unit vectors of the blocks of [x; y; p]
+it reads and on one zero row (_spread): the omega and flow rows from one
+swing_rate call on unit omega, f, u and p (swing_rows), the u and q rows
+from one control_rate call on unit omega, u, q and, when the law holds
+messages (ControlContext.hold), y: 3N + 1 or 4N + 1 rows (_law_probe).
+context_system copies it and replaces the rows of ctx.F by
 controllers.flow_rate on the same probe. Every other entry is the rate at
 zero, so [A B] holds the bits, signed zeros included, of one call of
 swing_rate and control_rate of the context on the identity stack of
-[x; y; p]. context_step builds RK4's one-step map from [A B], the one
-linear system a run keeps per live links and context. That map acts on
-the states the context moves, those whose row of [A B] is not zero: a
-state the context holds constant, such as q_i outside the flow-controlled
-set F, enters as an input like p. A sampling instant is a linear reset: y
-refreshes to C u, and a rotation (a context that holds messages and has
-F) resets q to R x, R the N q rows of its reset (rotation_reset, on an
-identity stack the base builds once). So a whole message interval is one
-exact affine map (interval_map), and a whole SEQUENTIAL rotation cycle the
-composition of its interval maps (kernels.compose_maps).
+[x; y; p]. context_step builds RK4's one-step map from [A B]. That map
+acts on the states the context moves, those whose row of [A B] is not
+zero: a state the context holds constant, such as q_i outside the
+flow-controlled set F, enters as an input like p. A sampling instant is a
+linear reset: y refreshes to C u, and a rotation (a context that holds
+messages and has F) resets q to R x, R the N q rows of its reset. So a
+whole message interval is one exact affine map (interval_map), and a
+whole SEQUENTIAL rotation cycle the composition of its interval maps
+(kernels.compose_maps). LinkStore keeps all of these for one set of live
+links, each built on its first lookup.
 
 plan() turns a schedule into kernel calls from step counts alone: where
 each jump starts and stops, which of these maps it applies and which
@@ -48,7 +47,6 @@ is bit-reproducible for identical inputs.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import (Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
@@ -290,38 +288,16 @@ def swing_rows(grid: PowerGrid, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class LawBase:
-    """What the contexts of one law on one set of live links share
-    (law_base): the [A B] of the law with F empty, the law probe its u and
-    q rows were evaluated on and, built on first use, the identity stack
-    that a rotation's reset is evaluated on and each rotation context's
-    reset (rotation_reset)."""
-
-    grid: PowerGrid
-    comm: CommGraph
-    AB: np.ndarray             # (dim, dim + 2N)
-    probe: Tuple[SystemState, Tuple[slice, ...]]    # _law_probe
-    R: Dict[ControlContext, np.ndarray] = field(default_factory=dict)
-
-    @functools.cached_property
-    def resets(self) -> SystemState:
-        """The identity stack of x as a stacked state whose held values are
-        the messages it sends, held_messages(C u, comm.links)."""
-        n, e = self.grid.n_nodes, self.grid.n_lines
-        X = np.eye(3 * n + e)
-        return vector_to_state(0.0, X, self.grid, held_messages(
-            self.grid.cost() * X[:, n + e:2 * n + e], self.comm.links))
-
-
-def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> LawBase:
+def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
+             ) -> Tuple[np.ndarray, Tuple[SystemState, Tuple[slice, ...]]]:
     """The base of the contexts on the live links of comm that share ctx's
     law with F empty, which holds messages or reads current values as ctx
-    does (ctx.hold): its [A B], the swing rows (swing_rows) over its u and
-    q rows from one controllers.control_rate call on the unit vectors of
-    the blocks the law reads (_law_probe), spread over the columns of
-    [x; y; p] (_spread). The probe is built after the swing rows, so it can
-    take the memory of theirs."""
+    does (ctx.hold): its [A B], (dim, dim + 2N), the swing rows
+    (swing_rows) over its u and q rows from one controllers.control_rate
+    call on the unit vectors of the blocks the law reads, spread over the
+    columns of [x; y; p] (_spread), and that probe (_law_probe), on which
+    context_system evaluates the rows of F. The probe is built after the
+    swing rows, so it can take the memory of theirs."""
     n, e = grid.n_nodes, grid.n_lines
     AB = np.empty((3 * n + e, 5 * n + e))
     swing_rows(grid, AB[:n + e])
@@ -330,67 +306,37 @@ def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext) -> LawBase:
     du, dq = controllers.control_rate(stack, grid, comm, replace(ctx, F=frozenset()))
     _spread(du, cols, AB[n + e:2 * n + e])
     _spread(dq, cols, AB[2 * n + e:])
-    return LawBase(grid, comm, AB, probe)
+    return AB, probe
 
 
-def rotation_reset(base: LawBase, ctx: ControlContext) -> np.ndarray:
-    """The N q rows of the exact reset R, R x the state after a rotation to
-    the pair ctx.F at a sampling instant: messages refreshed from x, then q
-    re-initialized by init_artificial for the new pair. R leaves every
-    other state as it is, so its q rows, (N, dim), are all of it that
-    sample() and interval_map read. From one evaluation of init_artificial
-    on base.resets, the identity stack of x that the contexts of a rotation
-    share, made on the first call for ctx and kept in the base."""
-    R = base.R.get(ctx)
-    if R is None:
-        q0, _ = controllers.init_artificial(base.resets, base.grid, ctx)
-        R = base.R[ctx] = np.ascontiguousarray(q0.T)
-    return R
-
-
-def context_system(base: LawBase, ctx: ControlContext
-                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """[A B] of ctx on the base's live links, (dim, dim + 2N), a new array,
-    and R, the q rows of its reset when ctx is a rotation, a context that
-    holds messages and has F (rotation_reset), else None. base is the
-    law_base of ctx.
-    [A B] is the base's with the u and q rows of the nodes of ctx.F
-    replaced by controllers.flow_rate on the base's probe: the entries of a
-    control_rate call of ctx itself, bit for bit, as that call overwrites
-    those rows whole and skips only the messages into F. With F empty no
-    row is replaced and [A B] is the base's copy."""
-    AB = base.AB.copy()
-    if ctx.F:
-        n, e = base.grid.n_nodes, base.grid.n_lines
-        stack, cols = base.probe
-        du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
-        nodes = controllers.flow_rate(stack, base.grid, ctx.F, du, dq)
-        rows = np.empty((len(nodes), AB.shape[1]))
-        AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
-        AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
-    return AB, rotation_reset(base, ctx) if ctx.hold and ctx.F else None
-
-
-def context_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
-                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(A, B, R) of a control context on the live links of comm: the piece
+def context_system(grid: PowerGrid, base, ctx: ControlContext) -> np.ndarray:
+    """[A B] of ctx, the piece
 
         x' = A x + B [y; p]
 
     between sampling instants, with y the held values (C u at the last
-    instant) and p the fixed powers, and R as context_system gives it: the
-    q rows of the reset of a rotation to the pair ctx.F, None for a context
-    that rotates no pair. [A B] is assembled by the rule a run uses,
-    context_system of the law_base of comm. It is exact, as the dynamics
-    are linear in the state once the event data (held messages, powers,
-    the set F) is frozen, and byte-equal, signed zeros included, to one
-    call of swing_rate and control_rate on the identity stack of
-    [x; y; p]; the y columns of B are zero unless ctx.hold, as a law that
-    holds no message reads none. A and B are views of one new [A B].
-    """
-    AB, R = context_system(law_base(grid, comm, ctx), ctx)
-    dim = len(AB)
-    return AB[:, :dim], AB[:, dim:], R
+    instant) and p the fixed powers, as a new (dim, dim + 2N) array; base
+    is the law_base of ctx on its live links. It is the base's [A B] with
+    the u and q rows of the nodes of ctx.F replaced by
+    controllers.flow_rate on the base's probe: the entries of a
+    control_rate call of ctx itself, bit for bit, as that call overwrites
+    those rows whole and skips only the messages into F. With F empty no
+    row is replaced and [A B] is the base's copy. It is exact, as the
+    dynamics are linear in the state once the event data (held messages,
+    powers, the set F) is frozen, and byte-equal, signed zeros included,
+    to one call of swing_rate and control_rate on the identity stack of
+    [x; y; p]; the y columns are zero unless ctx.hold, as a law that holds
+    no message reads none."""
+    AB0, (stack, cols) = base
+    AB = AB0.copy()
+    if ctx.F:
+        n, e = grid.n_nodes, grid.n_lines
+        du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
+        nodes = controllers.flow_rate(stack, grid, ctx.F, du, dq)
+        rows = np.empty((len(nodes), AB.shape[1]))
+        AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
+        AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
+    return AB
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,14 +351,12 @@ class StepMap:
 
     with `inputs` the nonzero columns of [A B][M] outside M: the held
     messages and powers the context reads, and any frozen state it reads,
-    which enters like p. R holds the q rows of the context's reset
-    (context_system)."""
+    which enters like p."""
 
     D: np.ndarray              # (|M|, |M|)
     G: np.ndarray              # (|M|, len(inputs))
     moving: np.ndarray         # indices into x
     inputs: np.ndarray         # indices into z = [x; y; p]
-    R: Optional[np.ndarray]    # (N, dim)
     shape: Tuple[int, int]     # of [A B]: (dim, dim + 2N)
 
     def embed(self, Dm: np.ndarray, Gm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -427,13 +371,13 @@ class StepMap:
         return F[:, :dim], F[:, dim:]
 
 
-def context_step(base: LawBase, ctx: ControlContext, h: float) -> StepMap:
+def context_step(grid: PowerGrid, base, ctx: ControlContext, h: float) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of
     its context_system from base) on the states the context moves, with
-    the frozen states it reads as inputs (StepMap), and its reset's q rows
-    R. The moving set is read off the assembled [A B], not off the scheme;
-    [A B] is dropped before the map is built."""
-    AB, R = context_system(base, ctx)      # columns over [x; y; p]
+    the frozen states it reads as inputs (StepMap). The moving set is read
+    off the assembled [A B], not off the scheme; [A B] is dropped before
+    the map is built."""
+    AB = context_system(grid, base, ctx)      # columns over [x; y; p]
     shape = AB.shape
     moving = np.flatnonzero(AB.any(axis=1))
     AB = AB[moving]
@@ -443,36 +387,105 @@ def context_step(base: LawBase, ctx: ControlContext, h: float) -> StepMap:
     A, B = AB[:, moving], AB[:, inputs]
     del AB      # one_step_map's products reuse its memory
     D, G = one_step_map(A, B, h)
-    return StepMap(D, G, moving, inputs, R, shape)
+    return StepMap(D, G, moving, inputs, shape)
 
 
-def interval_map(grid: PowerGrid, step: StepMap, K: int) -> Tuple[np.ndarray, np.ndarray]:
+def interval_map(grid: PowerGrid, step: StepMap, K: int, R: Optional[np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact map of one message interval, K RK4 steps from one sampling
     instant to the next, as (D_K, G_K) with
 
         x(next instant) = x + D_K x + G_K p
 
-    for fixed powers p, given a context's context_step. At the instant the
-    held values refresh to y = C u and, when step.R is not None, q resets
-    to R x; then K steps x -> x + D x + G [y; p] follow with y constant.
+    for fixed powers p, given a context's context_step and, for a rotation,
+    R, the N q rows of its reset (LinkStore), else None. At the instant the
+    held values refresh to y = C u and, when R is not None, q resets to
+    R x; then K steps x -> x + D x + G [y; p] follow with y constant.
     Refresh and reset are linear and the K-fold step map with constant
     inputs is affine (kernels.k_step_map), so the map is exact. Both leave a
     state whose sampling events have already been applied unchanged, so the
     map also advances such a state. The K steps are squared on the moving
     states, then embedded into full coordinates (StepMap.embed), where the
     held coupling and R fold in; R differs from the identity only in its N
-    q rows, step.R, so D R costs a product with those rows alone. D_K is
-    dim x dim and G_K dim x N.
+    q rows, so D R costs a product with those rows alone. D_K is dim x dim
+    and G_K dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
     D, G = step.embed(*k_step_map(step.D, step.G, K))
     D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
-    if step.R is not None:      # D R + R - I, with R - I zero outside the q rows
+    if R is not None:      # D R + R - I, with R - I zero outside the q rows
         Q = slice(2 * n + e, None)
-        RQ = step.R - np.eye(n, len(D), 2 * n + e)
+        RQ = R - np.eye(n, len(D), 2 * n + e)
         D += D[:, Q] @ RQ
         D[Q] += RQ
     return D, np.ascontiguousarray(G[:, n:])
+
+
+class LinkStore(dict):
+    """Everything built on one set of live links (comm), by (kind, key),
+    each part built on its first lookup (__missing__) and kept as long as
+    the store:
+
+    - ("base", ctx): the law_base of the context ctx, which has F empty;
+      built when a step map of a context with that law misses;
+    - ("reset", None): the identity stack of x as a stacked state whose
+      held values are the messages it sends, held_messages(C u,
+      comm.links), shared by the resets of a rotation;
+    - ("R", ctx): the N q rows, (N, dim), of the exact reset R of a
+      rotation to the pair ctx.F at a sampling instant, R x the state
+      after messages refreshed from x and q re-initialized by
+      init_artificial for the new pair: one init_artificial call on the
+      reset stack. R leaves every other state as it is, so its q rows are
+      all of it that a run and interval_map read. None for a context that
+      holds no messages or has no F, which resets nothing;
+    - ("stretch", ctx): RK4's one-step map of ctx at step dt
+      (context_step), from the base of ctx with F empty;
+    - ("intervals", ctx): the map of one message interval of K steps of ctx
+      (interval_map);
+    - ("cycles", contexts): the map of a rotation cycle over contexts, the
+      composition of their interval maps (kernels.compose_maps).
+
+    A map comes with the dict of its k-step maps that kernels.jump squares
+    from it, (map, powers). Only the maps read the step dt and the steps
+    per message interval K. Each build of a base or a map is counted into
+    built by kind. A link failure is the only event that changes the live
+    links, and they only shrink, so no part is asked for again once they
+    change: a run replaces its store at each failure. No part refers to
+    the store, so a dropped store frees its parts at once."""
+
+    def __init__(self, grid: PowerGrid, comm: CommGraph, dt: Optional[float] = None,
+                 K: Optional[int] = None, built: Optional[Dict[str, int]] = None):
+        super().__init__()
+        self.grid, self.comm, self.dt, self.K = grid, comm, dt, K
+        self.built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0) \
+            if built is None else built
+
+    def __missing__(self, part: Tuple[str, object]):
+        kind, key = part
+        grid = self.grid
+        if kind in self.built:
+            self.built[kind] += 1
+        if kind == "base":
+            value = law_base(grid, self.comm, key)
+        elif kind == "reset":
+            n, e = grid.n_nodes, grid.n_lines
+            X = np.eye(3 * n + e)
+            value = vector_to_state(0.0, X, grid, held_messages(
+                grid.cost() * X[:, n + e:2 * n + e], self.comm.links))
+        elif kind == "R":
+            value = None
+            if key.hold and key.F:
+                q0, _ = controllers.init_artificial(self["reset", None], grid, key)
+                value = np.ascontiguousarray(q0.T)
+        elif kind == "stretch":
+            value = context_step(grid, self["base", replace(key, F=frozenset())], key,
+                                 self.dt), {}
+        elif kind == "intervals":
+            value = interval_map(grid, self["stretch", key][0], self.K, self["R", key]), {}
+        else:
+            value = compose_maps([self["intervals", c][0] for c in key]), {}
+        self[part] = value
+        return value
 
 
 def initial_flows(grid: PowerGrid, p: np.ndarray) -> np.ndarray:
@@ -760,15 +773,16 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     pauses at the instant before one; at any other event on an instant
     the jump runs up to it, and the pause there samples before y is read.
 
-    One loop executes the calls of plan(). The run keeps one store of maps
-    per set of live links: the law_base of the links in force, and each
-    call's map by kind and key (a rotation over L links keeps L + 1 maps of
-    dim * (dim + N) floats), each context's [A B] from that base
-    (context_system). A link failure is the only event that changes the
-    live links, and they only shrink, so no map is asked for again once
-    they change: the store is emptied at each failure and at the end of
-    the run. So the run calls controllers.control_rate once per set of
-    live links, for its base, and never per step. It squares each
+    One loop executes the calls of plan(). The run keeps one LinkStore of
+    the live links in force: each call's map by kind and key (a rotation
+    over L links keeps L + 1 maps of dim * (dim + N) floats), the law base
+    that a step map is built from, and each rotation's reset. A link
+    failure is the only event that changes the live links, and they only
+    shrink, so the run replaces the store at each failure: it holds the
+    parts of the links in force and no others. So the run calls
+    controllers.control_rate at most once per set of live links and law,
+    for the base of its first step map, and never per step; a failure at
+    the horizon, whose pause only resets q, builds no base. It squares each
     k-step map that kernels.jump uses once: pieces that share a context,
     such as the two sides of a disturbance, square once, and a new p costs
     one product G_k w. A call with many records writes them in blocks of
@@ -822,43 +836,19 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
     calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
     pauses = 0
-    # of the live links in force: (kind, key) -> (map, powers), ("base", hold) -> LawBase
-    maps: dict = {}
-
-    def cached(kind: str, key):
-        """The map of kind and key on the live links in force, and the dict
-        of the k-step maps that kernels.jump squares from it."""
-        if (kind, key) not in maps:
-            built[kind] += 1
-            if kind == "stretch":
-                m = context_step(base(key), key, dt)
-            elif kind == "intervals":
-                m = interval_map(grid, cached("stretch", key)[0], K)
-            else:
-                m = compose_maps([cached("intervals", c)[0] for c in key])
-            maps[kind, key] = m, {}
-        return maps[kind, key]
-
-    def base(ctx: ControlContext) -> LawBase:
-        """The law base of ctx on the live links in force, kept under
-        ctx.hold: the law with F empty reads nothing else of a context."""
-        if ("base", ctx.hold) not in maps:
-            built["base"] += 1
-            maps["base", ctx.hold] = law_base(grid, piece.comm, ctx)
-        return maps["base", ctx.hold]
 
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
         on the stack of their states, in place: under a rotation q resets
         by R of the context of step's interval, which the whole stack
         shares (a pause samples one state, an interval jump records at most
-        one and a cycle jump records only on cycle starts). R is read off
-        the law base, so an instant whose interval never runs, such as the
-        horizon's, builds no step map. Returns the held values each row
-        leaves, its C u."""
-        ctx = piece.context(step, K)
-        if ctx.hold and ctx.F:
-            rows[:, Q] = rows @ rotation_reset(base(ctx), ctx).T
+        one and a cycle jump records only on cycle starts). R comes from the
+        store, not from a step map, so an instant whose interval never runs,
+        such as the horizon's, builds no map. Returns the held values each
+        row leaves, its C u."""
+        R = store["R", piece.context(step, K)]
+        if R is not None:
+            rows[:, Q] = rows @ R.T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------
@@ -892,7 +882,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 rec_states[n_rec] = x
                 book(1, y[None])
         elif call.kind == "stretch":
-            sm, powers = cached(call.kind, call.key)
+            sm, powers = store[call.kind, call.key]
             w = np.concatenate([x, y, p])[sm.inputs]
             xm = x[sm.moving]
             rec = rec_states[n_rec:n_rec + call.rows]
@@ -905,7 +895,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 book(got, y[None])
             x[sm.moving] = xm
         else:
-            (D, G), powers = cached(call.kind, call.key)
+            (D, G), powers = store[call.kind, call.key]
             out = rec_states[n_rec:n_rec + call.rows]
             got = jump(D, G, p, x, call.k, call.first, call.every, out, powers)
             if got:
@@ -914,7 +904,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         instant = K is not None and call.stop % K == 0
         return got == call.rows and bool(np.isfinite(x * sends if instant else x).all())
 
-    piece = failed = None
+    piece = store = failed = None
     with np.errstate(**_QUIET):
         for call in plan(sched, stride):
             if call.kind == "pause":
@@ -922,9 +912,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
             else:
                 calls[call.kind] += 1
             if call.piece is not piece:
-                if piece is not None and call.piece.comm is not piece.comm:
-                    # a failure: the live links only shrink, so no map is asked for again
-                    maps.clear()
+                if piece is None or call.piece.comm is not piece.comm:
+                    # the first piece or a failure: the live links only shrink, so no
+                    # part of the old store is asked for again
+                    store = LinkStore(grid, call.piece.comm, dt, K, built)
                 piece = call.piece
                 t = piece.start * dt
                 p = np.array(piece.p)
@@ -949,7 +940,6 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
                 n_rec = min(n_rec, -(-failed // stride))     # the records before it
                 break
-    maps.clear()    # cached calls itself, a cycle: free its maps now, not at a collection
     # views of the record buffers: the Trajectory holds each record once
     states = rec_states[:n_rec]
     u = states[:, U]

@@ -57,10 +57,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .controllers import ControlContext
-from .kernels import compose_maps
 from .model import HOLD_SCHEMES, CommGraph, PowerGrid, interval_steps
-from .simulator import (context_matrices, context_step, interval_map, law_base, modes,
-                        state_labels)
+from .simulator import LinkStore, context_system, law_base, modes, state_labels
 
 STRUCTURAL_ZERO_TOL = 1e-8
 IDENTITY_TOL = 1e-8         # characteristic_identity_check: consistent below this residual
@@ -103,8 +101,8 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
     """Homogeneous state matrix over [omega, f, u, q(active nodes)].
 
     A sliced out of the simulator's assembly of [A B]
-    (simulator.context_matrices): the same bits as a run's matrices
-    (exact: the dynamics are linear). Artificial variables outside the
+    (simulator.context_system of the law_base of comm): the same bits as a
+    run's matrices (exact: the dynamics are linear). Artificial variables outside the
     flow-controlled nodes ctx.F are left out, since the law never touches
     them. Held messages are inputs, not state. comm holds the live links
     only.
@@ -112,8 +110,8 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
     n, e = grid.n_nodes, grid.n_lines
     q_nodes = tuple(sorted(ctx.F))
     keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
-    A, _, _ = context_matrices(grid, comm, ctx)
-    return StateMatrix(A=A[np.ix_(keep, keep)], labels=state_labels(grid, q_nodes),
+    AB = context_system(grid, law_base(grid, comm, ctx), ctx)
+    return StateMatrix(A=AB[np.ix_(keep, keep)], labels=state_labels(grid, q_nodes),
                        q_nodes=q_nodes)
 
 
@@ -137,10 +135,11 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
 
     CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
     SEQUENTIAL: the map of one rotation cycle over its L shared links, the
-    product of L interval maps (kernels.compose_maps, as integrate() crosses
-    whole cycles), with period L T. The contexts come from simulator.modes
-    and share one law_base, as a run's do. The eigenvalues are 1 plus those
-    of the map's increment D, so those near 1 keep their digits. Eigenvalues
+    product of L interval maps, with period L T. The contexts come from
+    simulator.modes, and the map from one lookup of the cycle over them in
+    a simulator.LinkStore of comm: the map by which a run crosses whole
+    cycles. The eigenvalues are 1 plus those of the map's increment D, so
+    those near 1 keep their digits. Eigenvalues
     within STRUCTURAL_ZERO_TOL * period of 1 are the images of structural
     zeros and of states no law moves; they are counted apart, and the rest
     decay at -ln(rho) / period per second. comm holds the live links only.
@@ -153,9 +152,7 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
     if not ctxs:
         raise ValueError("SEQUENTIAL has no shared power/communication link "
                          "to rotate over")
-    K = interval_steps(T, dt)
-    base = law_base(grid, comm, ctxs[0])
-    D, _ = compose_maps([interval_map(grid, context_step(base, ctx, dt), K) for ctx in ctxs])
+    (D, _), _ = LinkStore(grid, comm, dt, interval_steps(T, dt))["cycles", ctxs]
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
     period = len(ctxs) * T

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import derivative, sequential_context
 from gridfreq.controllers import ControlContext
 from gridfreq.model import SCHEMES, CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import context_matrices, held_messages, vector_to_state
+from gridfreq.simulator import context_system, held_messages, law_base, vector_to_state
 
 positive = st.floats(0.05, 5.0)
 
@@ -62,7 +62,8 @@ def test_assembled_affine_map_reproduces_derivative(case, seed):
     y = rng.normal(size=n)
     last_rx = held_messages(y, comm.links)
     p = rng.normal(size=n)
-    A, B, _ = context_matrices(grid, comm, ctx)
+    AB = context_system(grid, law_base(grid, comm, ctx), ctx)
+    A, B = AB[:, :len(AB)], AB[:, len(AB):]
     b = B @ np.concatenate([y, p])
     zero = np.zeros(3 * n + grid.n_lines)
     dx = derivative(vector_to_state(0.0, zero, grid, last_rx), grid, comm, ctx, p)

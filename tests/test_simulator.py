@@ -14,10 +14,10 @@ from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (SCHEMES, CommGraph, DisturbanceEvent, Line, NodeParams, PowerGrid,
                             Scenario, SystemState, with_overrides)
 from gridfreq.kernels import k_step_map, one_step_map
-from gridfreq.simulator import (IntegrationError, Trajectory, context_matrices, context_step,
+from gridfreq.simulator import (IntegrationError, LinkStore, Trajectory, context_step,
                                 context_system, convergence_time, modes,
                                 first_crossing_time, held_messages, initial_flows,
-                                integrate, interval_map, law_base, rotation_reset,
+                                integrate, interval_map, law_base,
                                 run_scenario, schedule, state_to_vector, vector_to_state,
                                 write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
@@ -601,7 +601,9 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     if scheme in ("CONSENSUS_SAMPLED", "SEQUENTIAL"):
         last_rx = held_messages(y, live.links)
     p = rng.normal(size=n)
-    got, want = context_matrices(grid, live, ctx), direct_matrices(grid, live, ctx)
+    AB = context_system(grid, law_base(grid, live, ctx), ctx)
+    got = AB[:, :len(AB)], AB[:, len(AB):], LinkStore(grid, live)["R", ctx]
+    want = direct_matrices(grid, live, ctx)
     for g, w in zip(got, want):
         assert (g is w is None) or (g.shape == w.shape and g.tobytes() == w.tobytes())
     e = grid.n_lines
@@ -618,7 +620,7 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
     assert np.abs(A - A_ref).max() <= 1e-12
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
     if ctx.F:       # the reset of a rotation to F, whose links are live in it
-        R = rotation_reset(law_base(grid, comm, ctx), ctx)
+        R = LinkStore(grid, comm)["R", ControlContext("SEQUENTIAL", ctx.F)]
         assert R.shape == (n, len(A))
         assert np.array_equal(R, loop_reset(grid, comm, ctx))
         assert np.abs(R).max() > 0.0
@@ -640,7 +642,9 @@ def test_assembly_sums_the_links_one_at_a_time(scheme):
                      message_interval=0.01 if hold else None)
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    A, B, _ = context_matrices(grid, comm, ControlContext(scheme))
+    ctx = ControlContext(scheme)
+    AB = context_system(grid, law_base(grid, comm, ctx), ctx)
+    A, B = AB[:, :dim], AB[:, dim:]
     want = np.empty((n, dim + 2 * n))
     for k, z in enumerate(np.eye(dim + 2 * n)):
         omega, y, held = z[:n], costs * z[n + e:2 * n + e], z[dim:dim + n]
@@ -673,8 +677,9 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     assert len(cases) == 5 + len(shared_links(grid, comm))
     h = 1e-3
     for ctx, live in cases:
-        A, B, _ = context_matrices(grid, live, ctx)
-        step = context_step(law_base(grid, live, ctx), ctx, h)
+        AB = context_system(grid, law_base(grid, live, ctx), ctx)
+        A, B = AB[:, :len(AB)], AB[:, len(AB):]
+        step = context_step(grid, law_base(grid, live, ctx), ctx, h)
         frozen = np.setdiff1d(np.arange(len(A)), step.moving)
         assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
         full = one_step_map(A, B, h)
@@ -688,7 +693,7 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
 
 @pytest.mark.parametrize("grid_name", ["toy", "n30"])
 def test_rotation_reset_folds_through_q_rows(toy, grid_name):
-    """A SEQUENTIAL context keeps its reset R as R's N q rows, and
+    """The store keeps a SEQUENTIAL context's reset R as R's N q rows, and
     interval_map folds R into the interval map through them alone. For
     every SEQUENTIAL context the result equals D R + R - I with the full R,
     the identity with its q rows replaced, within 1e-14 of its largest
@@ -701,14 +706,14 @@ def test_rotation_reset_folds_through_q_rows(toy, grid_name):
     contexts = modes("SEQUENTIAL", grid.edge_set(), comm.links)
     assert len(contexts) == len(shared_links(grid, comm))
     n, e = grid.n_nodes, grid.n_lines
-    base = law_base(grid, comm, contexts[0])
+    base, store = law_base(grid, comm, contexts[0]), LinkStore(grid, comm)
     for ctx in contexts:
-        step = context_step(base, ctx, 1e-3)
-        assert step.R.shape == (n, 3 * n + e)
-        D, G = interval_map(grid, step, 10)
-        D0, G0 = interval_map(grid, dataclasses.replace(step, R=None), 10)
+        step = context_step(grid, base, ctx, 1e-3)
+        assert store["R", ctx].shape == (n, 3 * n + e)
+        D, G = interval_map(grid, step, 10, store["R", ctx])
+        D0, G0 = interval_map(grid, step, 10, None)
         R = np.eye(len(D0))
-        R[2 * n + e:] = step.R
+        R[2 * n + e:] = store["R", ctx]
         want = D0 @ R + R - np.eye(len(D0))
         assert np.abs(D - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(G, G0)
@@ -1072,7 +1077,7 @@ def test_run_contexts_equal_direct_assembly(toy, calls, case):
     law_base of its live links, has [A B] (context_system) byte-equal,
     signed zeros included, to one derivative() call of that context on the
     identity stack, and R, the q rows of a SEQUENTIAL context's reset, from
-    the base's stack, byte-equal to one init_artificial call per unit state
+    the store's reset stack, byte-equal to one init_artificial call per unit state
     (direct_matrices). The run calls control_rate once per set of live
     links, for its base, and its records match the oracle. On the 30- and
     60-node grids the second piece of the rotation leads with the failed
@@ -1093,7 +1098,8 @@ def test_run_contexts_equal_direct_assembly(toy, calls, case):
             assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
         for ctx in contexts:
             A, B, R = direct_matrices(grid, comm, ctx)
-            got, got_R = context_system(law_base(grid, comm, ctx), ctx)
+            got = context_system(grid, law_base(grid, comm, ctx), ctx)
+            got_R = LinkStore(grid, comm)["R", ctx]
             want = np.hstack([A, B])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert (got_R is R is None) or (got_R.shape == R.shape
@@ -1123,7 +1129,7 @@ def test_integrate_calls_the_law_once_per_base(toy, calls, scheme):
     assert calls["control_rate"] == maps["base"] == len(bases) == 2
 
 
-def test_run_counts_its_maps_and_kernel_calls(toy):
+def test_run_counts_its_maps_and_kernel_calls(toy, calls):
     """Trajectory.diagnostics counts the maps a run builds, its kernel
     calls by kind and its pauses. Toy SEQUENTIAL at T = 10 ms builds one
     law base and the one-step maps of its ten pairs. The disturbance at
@@ -1132,10 +1138,12 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     Link (1,2) failing at 1.0 s keeps the stop at 0.99 s: cycles to 0.9 s,
     nine intervals, a pause, the last interval and the pause at 1.0 s.
     That pause resets q by the reset of a context whose interval never
-    runs, read off the new live links' base: the run builds a second base
-    but no eleventh step map, and its last record matches the oracle.
-    Toy HYBRID_SINGLE with a failure builds one base on each side of it
-    and makes one stretch per piece."""
+    runs, from the new live links' store: the run builds no second base
+    and no eleventh step map, and its last record matches the oracle. So
+    does the N = 60 rotation over all its lines whose first link fails at
+    the horizon: it calls control_rate once. Toy HYBRID_SINGLE with a
+    failure builds one base on each side of it and makes one stretch per
+    piece."""
     rotation = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01,
                               record_stride=100)
     diag = integrate(with_overrides(rotation, horizon=1.0)).diagnostics
@@ -1150,9 +1158,16 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     diag = traj.diagnostics
     assert (diag["kernel_calls"], diag["pauses"]) == (
         {"stretch": 0, "intervals": 10, "cycles": 1}, 3)
-    assert diag["maps"] == {"base": 2, "stretch": 10, "intervals": 10, "cycles": 1}
+    assert diag["maps"] == {"base": 1, "stretch": 10, "intervals": 10, "cycles": 1}
     x_ref = reference_integrate(failing, 1000)
     assert np.abs(state_to_vector(traj.state_at(len(traj) - 1)) - x_ref).max() <= 1e-12
+    grid = random_grid(0, 60)
+    links = tuple((ln.i, ln.j) for ln in grid.lines)
+    comm = CommGraph(links=links, message_interval=0.01, failed=((links[0], 0.1),))
+    calls["control_rate"] = 0
+    integrate(Scenario(grid=grid, comm=comm, scheme="SEQUENTIAL", horizon=0.1, dt=1e-3,
+                       record_stride=100))
+    assert calls["control_rate"] == 1
     scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
                          failures=(((1, 6), 0.5),))
     diag = integrate(scn).diagnostics
@@ -1161,37 +1176,45 @@ def test_run_counts_its_maps_and_kernel_calls(toy):
     assert diag["pauses"] == 4        # the starts of the pieces at 0, 0.5, 1.0 and 2.0 s
 
 
-def test_run_frees_the_maps_of_replaced_live_links(toy, monkeypatch):
-    """A run keeps the maps of the live links in force and no others: toy
-    HYBRID_SINGLE with link (2,7) failing at 0.5 s holds no step map of
-    the first live links by the time it builds the second base, and none
-    at all after the run. With the garbage collector off, a map still
-    referenced from the run's store stays alive, so this sees the store
-    itself, not a collection."""
+@pytest.mark.parametrize("scheme, T, failure", [("HYBRID_SINGLE", None, ((1, 6), 0.5)),
+                                                ("SEQUENTIAL", 0.01, ((0, 1), 0.5))],
+                         ids=["HYBRID_SINGLE", "SEQUENTIAL"])
+def test_run_frees_the_maps_of_replaced_live_links(toy, monkeypatch, scheme, T, failure):
+    """A run keeps the parts of the live links in force and no others: toy
+    HYBRID_SINGLE with link (2,7) failing at 0.5 s, and toy SEQUENTIAL at
+    T = 10 ms with link (1,2) failing at 0.5 s, hold no step map and no
+    reset R of the first live links by the time the second store builds
+    its first part, and none at all after the run. With the garbage
+    collector off, a part still referenced from a store stays alive, so
+    this sees the store itself, not a collection."""
     from gridfreq import simulator
-    maps, alive_at_base = [], []
+    missing = simulator.LinkStore.__missing__
+    parts, stores, made, alive = [], [], [], []
 
-    def step(*args):
-        sm = context_step(*args)
-        maps.append(weakref.ref(sm))
-        return sm
+    def build(store, part):
+        if not stores or stores[-1]() is not store:
+            stores.append(weakref.ref(store))
+            made.append(len(parts))
+            alive.append(sum(ref() is not None for ref in parts))
+        value = missing(store, part)
+        if part[0] == "stretch":
+            parts.append(weakref.ref(value[0]))
+        elif part[0] == "R" and value is not None:
+            parts.append(weakref.ref(value))
+        return value
 
-    def base(*args):
-        alive_at_base.append(sum(ref() is not None for ref in maps))
-        return law_base(*args)
-
-    monkeypatch.setattr(simulator, "context_step", step)
-    monkeypatch.setattr(simulator, "law_base", base)
-    scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=1.0, failures=(((1, 6), 0.5),))
+    monkeypatch.setattr(simulator.LinkStore, "__missing__", build)
+    scn = with_overrides(toy, scheme=scheme, message_interval=T, horizon=1.0,
+                         failures=(failure,))
     enabled = gc.isenabled()
     gc.disable()
     try:
         integrate(scn)
-        alive_after = sum(ref() is not None for ref in maps)
+        alive_after = sum(ref() is not None for ref in parts)
     finally:
         if enabled:
             gc.enable()
-    assert len(maps) == 2 and alive_at_base == [0, 0]
+    assert made == [0, 1 if scheme == "HYBRID_SINGLE" else 20] and alive == [0, 0]
     assert alive_after == 0
 
 
