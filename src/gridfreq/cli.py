@@ -127,12 +127,13 @@ def cmd_optimal(args) -> int:
 
 
 def _interval_map_report(scn, piece) -> dict:
-    """Report of a hold scheme: its closed loop is the exact map of one
-    message interval (one rotation cycle under SEQUENTIAL), not x' = A x."""
-    rep = interval_map_spectrum(scn.grid, piece.comm, scn.scheme, scn.dt,
+    """Report of a law that holds messages: its closed loop is the exact map
+    of one cycle of the piece's contexts (one message interval, or one
+    SEQUENTIAL rotation), not x' = A x."""
+    rep = interval_map_spectrum(scn.grid, piece.comm, piece.contexts, scn.dt,
                                 scn.comm.message_interval)
     return {
-        "scheme": scn.scheme,
+        "scheme": piece.contexts[0].scheme,
         "message_interval": scn.comm.message_interval,
         "map_period": rep.period,
         "state_dim": int(rep.eigenvalues.shape[0]),
@@ -177,9 +178,10 @@ def _state_matrix_report(scn, piece, args) -> dict:
 
 
 def cmd_stability(args) -> int:
-    """Report on the law in force at the horizon: the last piece of the
-    scenario's schedule, with the links live there. The schedule's warnings
-    and fallbacks to averaging go to stderr, as simulate prints them."""
+    """Report on the law in force at the horizon: the contexts of the last
+    piece of the scenario's schedule, with the links live there. The
+    warnings and fallbacks to averaging among the pieces' events go to
+    stderr, as simulate prints them."""
     if args.samples < 1:
         return _error(f"--samples must be at least 1, got {args.samples}")
     scn = _load(args)
@@ -189,9 +191,8 @@ def cmd_stability(args) -> int:
         plan = schedule(scn)
     except ScenarioError as exc:
         return _error(exc)
-    _warn([(0.0, "warning", w) for w in plan.warnings]
-          + [(piece.start * scn.dt, kind, detail)
-             for piece in plan.pieces for kind, detail in piece.events])
+    _warn([(piece.start * scn.dt, kind, detail)
+           for piece in plan.pieces for kind, detail in piece.events])
     piece = plan.pieces[-1]
     if piece.contexts[0].hold:
         doc = _interval_map_report(scn, piece)

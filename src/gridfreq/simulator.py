@@ -2,10 +2,12 @@
 
 schedule() compiles a scenario into pieces: stretches of steps with no
 disturbance or link failure inside. Each piece carries its live links (a
-CommGraph of them), its fixed powers, the events at its start and its
-control contexts, one context or SEQUENTIAL's rotation over the live
-shared links, all from one rule (modes) that `gridfreq stability` and
-interval_map_spectrum use too, so the report analyses the law the run ran.
+CommGraph of them), its fixed powers, the events at its start (the
+schedule's warnings open the first piece's) and its control contexts, one
+context or SEQUENTIAL's rotation over the live shared links, from one
+rule (modes). The pieces are all that a run and `gridfreq stability` read
+of the law: the report takes the last piece's contexts and live links and
+warns from the pieces' events, so it analyses the law the run ran.
 
 Within a piece the closed loop is an affine system over the state layout
 [omega (N), flow (E), u (N), q (N)]. Its dynamics are defined once, in two
@@ -164,14 +166,13 @@ def vector_to_state(t: float, x: np.ndarray, grid: PowerGrid,
                        last_rx=last_rx or {})
 
 
-def state_labels(grid: PowerGrid, q_nodes: Optional[Sequence[int]] = None) -> Tuple[str, ...]:
-    """Row labels for the state layout; q_nodes limits the q block."""
-    qs = range(grid.n_nodes) if q_nodes is None else q_nodes
+def state_labels(grid: PowerGrid) -> Tuple[str, ...]:
+    """Row labels for the state layout [omega, flow, u, q]."""
     return tuple(
         [f"omega_{k + 1}" for k in range(grid.n_nodes)]
         + [f"f_{ln.i + 1}_{ln.j + 1}" for ln in grid.lines]
         + [f"u_{k + 1}" for k in range(grid.n_nodes)]
-        + [f"q_{k + 1}" for k in qs]
+        + [f"q_{k + 1}" for k in range(grid.n_nodes)]
     )
 
 
@@ -443,7 +444,9 @@ class LinkStore(dict):
     - ("intervals", ctx): the map of one message interval of K steps of ctx
       (interval_map);
     - ("cycles", contexts): the map of a rotation cycle over contexts, the
-      composition of their interval maps (kernels.compose_maps).
+      composition of their interval maps (kernels.compose_maps); for one
+      context the ("intervals", ctx) entry itself, its powers included,
+      neither built nor counted again.
 
     A map comes with the dict of its k-step maps that kernels.jump squares
     from it, (map, powers). Only the maps read the step dt and the steps
@@ -463,6 +466,8 @@ class LinkStore(dict):
     def __missing__(self, part: Tuple[str, object]):
         kind, key = part
         grid = self.grid
+        if kind == "cycles" and len(key) == 1:     # a cycle of one interval is that interval
+            return self.setdefault(part, self["intervals", key[0]])
         if kind in self.built:
             self.built[kind] += 1
         if kind == "base":
@@ -502,9 +507,10 @@ def initial_flows(grid: PowerGrid, p: np.ndarray) -> np.ndarray:
 class Piece:
     """Steps [start, stop) of a run, with no disturbance or link failure
     inside. comm holds the links live in the piece. At start the fixed
-    powers become p, the events are logged and, when init is set, the
-    artificial variables are re-initialized under it; then the sampling
-    events of the instant, if start is one, take place."""
+    powers become p, the events are logged (the first piece's open with
+    the schedule's warnings) and, when init is set, the artificial
+    variables are re-initialized under it; then the sampling events of the
+    instant, if start is one, take place."""
 
     start: int
     stop: int
@@ -525,9 +531,13 @@ class Piece:
 
 @dataclass(frozen=True)
 class Schedule:
+    """A scenario compiled into its pieces (schedule()). The pieces are the
+    one description of the law a run and a report read: their contexts,
+    live links and events; the schedule's warnings open the first piece's
+    events."""
+
     n_steps: int
     interval_steps: Optional[int]          # K = T / dt; None under continuous messaging
-    warnings: Tuple[str, ...]
     pieces: Tuple[Piece, ...]              # the last one starts and stops at n_steps
 
 
@@ -544,7 +554,9 @@ def schedule(scenario: Scenario) -> Schedule:
     kernel calls, gives its states bit for bit and records no held messages
     (rx_series None). Events at one step apply in a fixed order:
     disturbances, then link failures, each group in scenario order; a link
-    that has already failed does not fail again.
+    that has already failed does not fail again. The warnings open the
+    first piece's events, as ("warning", text), so the pieces' events are
+    the schedule's whole log.
 
     At each failure the law that modes() puts in force is read from its
     context: a flow law, one that holds no messages and has F,
@@ -607,7 +619,7 @@ def schedule(scenario: Scenario) -> Schedule:
     steps = sorted(set(at) | {0, n_total})
     for start, stop in zip(steps, steps[1:] + [n_total]):
         dists, links = at.get(start, ((), ()))
-        events = []
+        events = [] if pieces else [("warning", w) for w in warnings]
         for d in dists:
             p[d.node] += d.delta_p
             events.append(("disturbance", f"node {d.node + 1} delta_p {d.delta_p:+g}"))
@@ -635,7 +647,7 @@ def schedule(scenario: Scenario) -> Schedule:
         if law.hold and start % K:
             lead = pieces[-1].context(start, K)
         pieces.append(Piece(start, stop, live, contexts, lead, tuple(p), init, tuple(events)))
-    return Schedule(n_total, K, tuple(warnings), tuple(pieces))
+    return Schedule(n_total, K, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +766,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     """Run the scenario's schedule and record every record_stride-th step
     (plus the final one). At the start of each piece its events apply, then
     the sampling events of the instant. A snapshot reflects the state after
-    the events at its step. The event log keeps the schedule's warnings and
-    discrete occurrences; routine sampling refreshes and rotations are not
-    logged.
+    the events at its step. The event log is the pieces' events, the
+    schedule's warnings first, each at its piece's start, with the warnings
+    of init_artificial after its piece's events; routine sampling refreshes
+    and rotations are not logged.
 
     Between events a piece is x' = A x + B [y; p], with p its fixed powers
     and y the held messages: C u of the last sampling instant, which every
@@ -818,7 +831,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     cost_vec = grid.cost()
     sends = np.ones(dim)    # x * sends holds the messages C u in place of u
     sends[U] = cost_vec
-    events_log: List[Tuple[float, str, str]] = [(0.0, "warning", w) for w in sched.warnings]
+    events_log: List[Tuple[float, str, str]] = []
     if initial_state is None:
         x = np.zeros(dim)
         x[n:n + e] = initial_flows(grid, grid.fixed_power())

@@ -1,10 +1,10 @@
 """Small-signal stability analysis of the closed loop.
 
-Assembles the exact state matrix (the dynamics are linear), computes its
-spectrum with structural zero eigenvalues separated out, checks the
-sufficient positive-definiteness conditions for the flow-based laws, and
-numerically verifies the characteristic-polynomial factorization of the
-single-failure analysis
+Assembles the exact state matrix on the states the law moves (the
+dynamics are linear), computes its spectrum with structural zero
+eigenvalues separated out, checks the sufficient positive-definiteness
+conditions for the flow-based laws, and numerically verifies the
+characteristic-polynomial factorization of the single-failure analysis
 
     s(lam) = sigma (-1)^N lam^(1+E-N) (lam + 2) det(M^-1) det(H(lam))
 
@@ -39,14 +39,25 @@ term (W = C M, S = D) are read that way; the damping and coupling terms
 mix in the full power Laplacian, have complex spectra on many grids, and
 keep general solves. M, D and C are applied as vectors.
 
-The factorization silently commutes the cost matrix with a Laplacian; on
-more than two nodes it holds exactly when all cost coefficients are equal
-and fails otherwise. check results therefore carry an explicit `consistent`
-flag instead of asserting the identity.
+On more than two nodes the identity holds to rounding when the failed
+pair's two costs are equal, and fails when they differ: on the toy grid,
+whose costs are not all equal, the pair (1,2), with costs 10 and 10,
+leaves a residual of 2.5e-14, and (2,7) and (2,5), with costs 10 and 7
+and 10 and 5, leave 2.8e-3 and 2.2e-3. ROADMAP item 1 traces these
+failures to the order of the pair block of L_c*: the law's pair rows give
+C_P^-1 L2 C_P in K = L_c* C, where build_Lc_star gives L2. check results
+therefore carry an explicit `consistent` flag instead of asserting the
+identity.
 
-Under the hold schemes (CONSENSUS_SAMPLED, SEQUENTIAL) the closed loop is a
-sampled-data system, not x' = A x: interval_map_spectrum reports the
-spectral radius of its exact interval map and the decay rate it implies.
+A law that holds messages (ControlContext.hold: CONSENSUS_SAMPLED, and
+SEQUENTIAL's rotation) makes the closed loop a sampled-data system, not
+x' = A x: interval_map_spectrum reports, from the law's contexts, the
+spectral radius of its exact map over one cycle of them and the decay rate
+it implies.
+
+A function here that takes a law takes it as a run's schedule gives it:
+the control contexts of a piece (simulator.schedule reads the scheme name
+once, through simulator.modes) and its live links, never a scheme name.
 """
 from __future__ import annotations
 
@@ -57,8 +68,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .controllers import ControlContext
-from .model import HOLD_SCHEMES, CommGraph, PowerGrid, interval_steps
-from .simulator import LinkStore, context_system, law_base, modes, state_labels
+from .model import CommGraph, PowerGrid, interval_steps
+from .simulator import LinkStore, context_system, law_base, state_labels
 
 STRUCTURAL_ZERO_TOL = 1e-8
 IDENTITY_TOL = 1e-8         # characteristic_identity_check: consistent below this residual
@@ -69,7 +80,7 @@ DEFINITENESS_MARGIN = 1e-9
 class StateMatrix:
     A: np.ndarray
     labels: Tuple[str, ...]
-    q_nodes: Tuple[int, ...]   # nodes whose artificial variable is part of the state
+    q_nodes: Tuple[int, ...]   # nodes whose artificial variable the law moves
 
 
 @dataclass(frozen=True)
@@ -98,21 +109,23 @@ class IdentityReport:
 
 def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
-    """Homogeneous state matrix over [omega, f, u, q(active nodes)].
+    """Homogeneous state matrix of ctx on the states it moves.
 
-    A sliced out of the simulator's assembly of [A B]
-    (simulator.context_system of the law_base of comm): the same bits as a
-    run's matrices (exact: the dynamics are linear). Artificial variables outside the
-    flow-controlled nodes ctx.F are left out, since the law never touches
-    them. Held messages are inputs, not state. comm holds the live links
-    only.
+    A is the simulator's [A B] (simulator.context_system of the law_base
+    of comm) at its rows that are not zero, in those rows and columns: the
+    states that simulator.context_step moves, by the same rule, and the
+    same bits as a run's matrices (exact: the dynamics are linear). They
+    are omega, f, u and the artificial variables of the flow-controlled
+    nodes ctx.F; the law never touches the others. Held messages are
+    inputs, not state. labels are state_labels(grid) at those rows, and
+    q_nodes the nodes of their artificial variables. comm holds the live
+    links only.
     """
-    n, e = grid.n_nodes, grid.n_lines
-    q_nodes = tuple(sorted(ctx.F))
-    keep = list(range(2 * n + e)) + [2 * n + e + i for i in q_nodes]
     AB = context_system(grid, law_base(grid, comm, ctx), ctx)
-    return StateMatrix(A=AB[np.ix_(keep, keep)], labels=state_labels(grid, q_nodes),
-                       q_nodes=q_nodes)
+    moving = np.flatnonzero(AB.any(axis=1))
+    labels, q0 = state_labels(grid), 2 * grid.n_nodes + grid.n_lines
+    return StateMatrix(A=AB[np.ix_(moving, moving)], labels=tuple(labels[k] for k in moving),
+                       q_nodes=tuple(int(k) - q0 for k in moving if k >= q0))
 
 
 def spectrum(A) -> SpectrumReport:
@@ -128,34 +141,32 @@ def spectrum(A) -> SpectrumReport:
                           spectral_abscissa_excl_zeros=abscissa)
 
 
-def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, scheme: str,
+def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, contexts: Sequence[ControlContext],
                           dt: float, T: float) -> IntervalMapReport:
-    """Spectrum of a hold scheme's exact sampled-data map (Chen & Francis,
-    Optimal Sampled-Data Control Systems, 1995).
+    """Spectrum of the exact sampled-data map of a law that holds messages
+    (Chen & Francis, Optimal Sampled-Data Control Systems, 1995), over one
+    cycle of its contexts, as a schedule's piece carries them: message
+    interval k runs context k mod L.
 
-    CONSENSUS_SAMPLED: the map of one message interval of T / dt RK4 steps.
-    SEQUENTIAL: the map of one rotation cycle over its L shared links, the
-    product of L interval maps, with period L T. The contexts come from
-    simulator.modes, and the map from one lookup of the cycle over them in
-    a simulator.LinkStore of comm: the map by which a run crosses whole
-    cycles. The eigenvalues are 1 plus those of the map's increment D, so
-    those near 1 keep their digits. Eigenvalues
-    within STRUCTURAL_ZERO_TOL * period of 1 are the images of structural
-    zeros and of states no law moves; they are counted apart, and the rest
-    decay at -ln(rho) / period per second. comm holds the live links only.
-    Raises ValueError unless T is a whole number of steps dt
-    (model.interval_steps), as validate does.
+    One context (CONSENSUS_SAMPLED): the map of one message interval of
+    T / dt RK4 steps, period T. A SEQUENTIAL rotation over L shared links:
+    the product of the L interval maps, period L T. The map is one lookup
+    of the cycle over contexts in a simulator.LinkStore of comm: the map
+    by which a run crosses whole cycles. The eigenvalues are 1 plus those
+    of the map's increment D, so those near 1 keep their digits.
+    Eigenvalues within STRUCTURAL_ZERO_TOL * period of 1 are the images of
+    structural zeros and of states no law moves; they are counted apart,
+    and the rest decay at -ln(rho) / period per second. comm holds the
+    live links only. Raises ValueError for no contexts or a context that
+    holds no messages (ControlContext.hold), and unless T is a whole number
+    of steps dt (model.interval_steps), as validate does.
     """
-    if scheme not in HOLD_SCHEMES:
-        raise ValueError(f"{scheme} holds no messages; its closed loop is x' = A x")
-    ctxs = modes(scheme, grid.edge_set(), comm.links)
-    if not ctxs:
-        raise ValueError("SEQUENTIAL has no shared power/communication link "
-                         "to rotate over")
-    (D, _), _ = LinkStore(grid, comm, dt, interval_steps(T, dt))["cycles", ctxs]
+    if not contexts or not all(ctx.hold for ctx in contexts):
+        raise ValueError("an interval map needs one or more contexts that hold messages")
+    (D, _), _ = LinkStore(grid, comm, dt, interval_steps(T, dt))["cycles", tuple(contexts)]
     mu = np.linalg.eigvals(D)
     lam = 1.0 + mu
-    period = len(ctxs) * T
+    period = len(contexts) * T
     unit = np.abs(mu) <= STRUCTURAL_ZERO_TOL * period
     rho = float(np.max(np.abs(lam[~unit]))) if (~unit).any() else 0.0
     return IntervalMapReport(eigenvalues=lam, unit_eigenvalue_count=int(unit.sum()),

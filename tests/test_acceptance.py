@@ -261,9 +261,10 @@ def test_criterion_08_characteristic_identities():
         worst = max(worst, rep.max_residual)
         assert rep.max_residual <= 1e-8
 
-    # three-node single-failure form: the block factorization only commutes
-    # for uniform costs; the check must validate there and raise the
-    # interpretation-inconsistency flag for heterogeneous costs
+    # three-node single-failure form: the identity holds to rounding when the
+    # failed pair's two costs are equal (uniform costs here); the check must
+    # validate there and raise the inconsistency flag where they differ, which
+    # ROADMAP item 1 traces to the order of the pair block of L_c*
     def three_node(costs):
         nodes = tuple(NodeParams(k + 1, (0.05, 0.1, 0.2)[k], (0.5, 1.0, 0.8)[k],
                                  costs[k], 0.0) for k in range(3))

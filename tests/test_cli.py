@@ -454,6 +454,7 @@ def test_simulate_sequential_without_live_shared_link_exits_1(tmp_path, capsys):
     ("HYBRID_SINGLE", "continuous", [((2, 7), 1000.0)], "200", "scheme", "CONSENSUS"),
     ("MULTI_FAILURE", "continuous", [((1, 2), 0.5), ((2, 5), 1000.0)], "20", "state_dim", 32),
     ("SEQUENTIAL", 1.0, [((2, 7), 1000.0)], "20", "map_period", 10.0),
+    ("SEQUENTIAL", 1.0, [((1, 2), 0.5), ((2, 7), 1000.0)], "2", "map_period", 9.0),
 ])
 def test_stability_reports_the_law_simulate_ran(tmp_path, capsys, scheme, T, failures,
                                                 horizon, key, ran):
@@ -461,7 +462,8 @@ def test_stability_reports_the_law_simulate_ran(tmp_path, capsys, scheme, T, fai
     which describes the law in force at the horizon, leaves it out too:
     HYBRID_SINGLE still averages, MULTI_FAILURE has F = {1, 2} (omega,
     flows, u and two artificial variables) and SEQUENTIAL rotates over all
-    ten shared links."""
+    ten shared links, or over the nine still live after (1,2) fails at
+    0.5 s."""
     doc = scenario_to_dict(toy_grid())
     doc.update(scheme=scheme, message_interval=T,
                comm_failures=[{"link": list(link), "time": t} for link, t in failures])

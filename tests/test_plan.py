@@ -34,7 +34,7 @@ def make_schedule(n, cuts, K, L, fails=()):
         if a == 0 or a in fails:
             comm = CommGraph(links=LINKS[sum(f <= a for f in fails):])
         pieces.append(Piece(a, b, comm, contexts, contexts[0], ()))
-    return Schedule(n, K, (), tuple(pieces))
+    return Schedule(n, K, tuple(pieces))
 
 
 def booked(call):

@@ -18,8 +18,8 @@ from gridfreq.simulator import (IntegrationError, LinkStore, Trajectory, context
                                 context_system, convergence_time, modes,
                                 first_crossing_time, held_messages, initial_flows,
                                 integrate, interval_map, law_base,
-                                run_scenario, schedule, state_to_vector, vector_to_state,
-                                write_trajectory_csv)
+                                run_scenario, schedule, state_labels, state_to_vector,
+                                vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
 
@@ -668,7 +668,9 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     states, embedded into full coordinates, equals RK4's one-step map of the
     full (A, B) within 1e-14 of its largest entry, and so do their k-step
     maps (k = 10, 100). The frozen states are the q_i outside F, and the
-    full maps' rows of them are exactly zero."""
+    full maps' rows of them are exactly zero. The stability report's state
+    matrix is A on the moving states, byte for byte, labelled by
+    state_labels at them."""
     grid, comm = named_grid(toy, grid_name)
     n, e = grid.n_nodes, grid.n_lines
     cases = [(ctx, live) for scheme, ctx, live in scheme_cases(grid, comm)
@@ -682,6 +684,10 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
         step = context_step(grid, law_base(grid, live, ctx), ctx, h)
         frozen = np.setdiff1d(np.arange(len(A)), step.moving)
         assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
+        sm = assemble_state_matrix(grid, live, ctx)
+        assert sm.labels == tuple(state_labels(grid)[k] for k in step.moving)
+        A_moving = A[np.ix_(step.moving, step.moving)]
+        assert sm.A.shape == A_moving.shape and sm.A.tobytes() == A_moving.tobytes()
         full = one_step_map(A, B, h)
         for k in (1, 10, 100):
             D, G = full if k == 1 else k_step_map(*full, k)
@@ -1143,7 +1149,10 @@ def test_run_counts_its_maps_and_kernel_calls(toy, calls):
     does the N = 60 rotation over all its lines whose first link fails at
     the horizon: it calls control_rate once. Toy HYBRID_SINGLE with a
     failure builds one base on each side of it and makes one stretch per
-    piece."""
+    piece. Toy CONSENSUS_SAMPLED at T = 1 ms over 3 s has one context, so
+    its cycle map is its interval map, with the same powers: it builds no
+    cycle map, and jumps to the disturbance at 1.0 s and on to the horizon
+    by two cycle calls."""
     rotation = with_overrides(toy, scheme="SEQUENTIAL", message_interval=0.01,
                               record_stride=100)
     diag = integrate(with_overrides(rotation, horizon=1.0)).diagnostics
@@ -1174,6 +1183,14 @@ def test_run_counts_its_maps_and_kernel_calls(toy, calls):
     assert diag["maps"] == {"base": 2, "stretch": 2, "intervals": 0, "cycles": 0}
     assert diag["kernel_calls"] == {"stretch": 3, "intervals": 0, "cycles": 0}
     assert diag["pauses"] == 4        # the starts of the pieces at 0, 0.5, 1.0 and 2.0 s
+    sampled = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=1e-3,
+                             horizon=3.0, record_stride=100)
+    diag = integrate(sampled).diagnostics
+    assert diag["maps"] == {"base": 1, "stretch": 1, "intervals": 1, "cycles": 0}
+    assert diag["kernel_calls"] == {"stretch": 0, "intervals": 0, "cycles": 2}
+    store, ctx = LinkStore(toy.grid, toy.comm, 1e-3, 1), ControlContext("CONSENSUS_SAMPLED")
+    assert store["cycles", (ctx,)] is store["intervals", ctx]
+    assert store.built == {"base": 1, "stretch": 1, "intervals": 1, "cycles": 0}
 
 
 @pytest.mark.parametrize("scheme, T, failure", [("HYBRID_SINGLE", None, ((1, 6), 0.5)),
@@ -1368,7 +1385,8 @@ def test_ignored_message_interval_runs_as_continuous(toy, scheme, failures):
     runs = {T: with_overrides(toy, scheme=scheme, message_interval=T, horizon=2.0,
                               record_stride=1, failures=failures) for T in (0.5, None)}
     assert schedule(runs[0.5]).interval_steps is None
-    assert schedule(runs[0.5]).warnings[0].startswith("message_interval T=0.5 ignored")
+    kind, detail = schedule(runs[0.5]).pieces[0].events[0]
+    assert kind == "warning" and detail.startswith("message_interval T=0.5 ignored")
     sampled, continuous = (integrate(scn) for scn in runs.values())
     assert sampled.rx_series is continuous.rx_series is None
     assert sampled.rx_links == continuous.rx_links

@@ -8,13 +8,14 @@ import pytest
 from conftest import derivative, random_grid, shared_links
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import vector_to_state
+from gridfreq.simulator import modes, vector_to_state
 from gridfreq.stability import (IdentityReport, _block_spectrum, assemble_state_matrix,
                                 build_Lc_star, characteristic_identity_check,
                                 check_sufficient_multi_node, certificate_matrices,
                                 interval_map_spectrum, spectrum, sufficient_conditions)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+SAMPLED = (ControlContext("CONSENSUS_SAMPLED"),)    # the contexts of CONSENSUS_SAMPLED
 
 
 def two_node_grid(M=(1.0, 1.0), D=(1.0, 1.0), C=(1.0, 1.0), B=1.0):
@@ -130,15 +131,13 @@ class TestIntervalMapSpectrum:
         """Decay rates of the 1 ms to 1 s interval maps. They fall as T
         grows, the order of criterion 6's measured t* (112, 141, 318 and
         2466 s)."""
-        rates = [interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS_SAMPLED",
-                                       toy.dt, T).rate
+        rates = [interval_map_spectrum(toy.grid, toy.comm, SAMPLED, toy.dt, T).rate
                  for T in (1e-3, 1e-2, 0.1, 1.0)]
         assert rates == pytest.approx([0.0501, 0.0474, 0.0258, 0.0034], abs=5e-5)
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_unit_eigenvalues_counted_apart(self, toy):
-        rep = interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS_SAMPLED",
-                                    toy.dt, 0.01)
+        rep = interval_map_spectrum(toy.grid, toy.comm, SAMPLED, toy.dt, 0.01)
         # one flow cycle (E - N + 1) and the ten q states no law moves
         assert rep.unit_eigenvalue_count == 1 + 10
         assert rep.period == 0.01
@@ -147,19 +146,28 @@ class TestIntervalMapSpectrum:
 
     def test_sequential_uses_one_rotation_cycle(self, toy):
         """The map of a full cycle over the ten shared links at T = 1 s
-        decays at 0.0207 per second."""
-        rep = interval_map_spectrum(toy.grid, toy.comm, "SEQUENTIAL", toy.dt, 1.0)
+        decays at 0.0207 per second; one SEQUENTIAL context, the pair (2,7)
+        pinned, has the period of one interval and decays at 0.0727 per
+        second."""
+        contexts = modes("SEQUENTIAL", toy.grid.edge_set(), toy.comm.links)
+        rep = interval_map_spectrum(toy.grid, toy.comm, contexts, toy.dt, 1.0)
         assert len(shared_links(toy.grid, toy.comm)) == 10
         assert rep.period == pytest.approx(10.0)
         assert rep.rate == pytest.approx(0.0207, abs=5e-5)
+        pinned = (ControlContext("SEQUENTIAL", F=frozenset({1, 6})),)
+        rep = interval_map_spectrum(toy.grid, toy.comm, pinned, toy.dt, 1.0)
+        assert rep.period == 1.0
+        assert rep.rate == pytest.approx(0.07265, abs=5e-5)
 
     def test_rejects_laws_without_held_messages(self, toy):
         with pytest.raises(ValueError):
-            interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS", toy.dt, 0.01)
+            interval_map_spectrum(toy.grid, toy.comm, (ControlContext("CONSENSUS"),), toy.dt,
+                                  0.01)
 
     def test_rejects_a_rotation_over_no_live_shared_link(self, toy):
-        with pytest.raises(ValueError, match="SEQUENTIAL has no shared power/communication"):
-            interval_map_spectrum(toy.grid, CommGraph(links=()), "SEQUENTIAL", toy.dt, 0.01)
+        contexts = modes("SEQUENTIAL", toy.grid.edge_set(), ())
+        with pytest.raises(ValueError, match="one or more contexts that hold messages"):
+            interval_map_spectrum(toy.grid, CommGraph(links=()), contexts, toy.dt, 0.01)
 
     @pytest.mark.parametrize("T, needle", [(1e-4, "shorter than dt"),
                                            (0.0155, "does not divide"),
@@ -171,7 +179,7 @@ class TestIntervalMapSpectrum:
         divided by a period of 15.5 ms; an infinite T is no whole number of
         steps either."""
         with pytest.raises(ValueError, match=needle):
-            interval_map_spectrum(toy.grid, toy.comm, "CONSENSUS_SAMPLED", 1e-3, T)
+            interval_map_spectrum(toy.grid, toy.comm, SAMPLED, 1e-3, T)
 
 
 class TestSpectrum:
