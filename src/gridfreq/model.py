@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,10 +63,10 @@ class Line:
 @dataclass(frozen=True)
 class PowerGrid:
     """Nodes and power lines. The arrays inertia(), droop(), cost(),
-    susceptance() and incidence(), and edge_set(), are derived once per
-    grid and shared by every caller, so the arrays are read-only.
-    fixed_power() is a new array on each call: schedule() and
-    post_disturbance_power() add the disturbances into it."""
+    susceptance(), incidence(), angle_rates() and angle_flows(), and
+    edge_set(), are derived once per grid and shared by every caller, so
+    the arrays are read-only. fixed_power() is a new array on each call:
+    schedule() and post_disturbance_power() add the disturbances into it."""
 
     nodes: Tuple[NodeParams, ...]
     lines: Tuple[Line, ...]
@@ -98,21 +98,54 @@ class PowerGrid:
         """Node-line incidence matrix: +1 at the tail, -1 at the head."""
         return self._derived["incidence"]
 
+    def angle_rates(self) -> np.ndarray:
+        """The grounded node angles' rates per frequency, (N - c, N) for c
+        connected components: theta_k' = omega_k - omega_r, +1 and -1 in
+        row k, for each node k but the lowest-numbered node r of its
+        component, whose angle is held at zero."""
+        return self._derived["angle_rates"]
+
+    def angle_flows(self) -> np.ndarray:
+        """The line flows that the grounded angles induce, (E, N - c): the
+        basis Gamma B^T T with Gamma the susceptances, B the incidence and T
+        the nodes of angle_rates, so f' = Gamma B^T omega is
+        angle_flows() @ angle_rates() @ omega. Its columns span the flows a
+        frequency can move; beside them the E - N + c cycle flows, those
+        with B f = 0, never change, and no rate reads them."""
+        return self._derived["angle_flows"]
+
     def edge_set(self) -> frozenset:
         return self._derived["edge_set"]
+
+    def derive(self, key: str, build):
+        """build(self), built on the first call with key and then shared
+        like the arrays above: what another module derives from the grid
+        alone, such as simulator.swing_rows."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     @functools.cached_property
     def _derived(self) -> dict:
         """What inertia() to edge_set() return, read once from the nodes and
-        lines; each array read-only."""
+        lines, each array read-only; derive() adds its entries here."""
+        n = self.n_nodes
         ends = np.array([(ln.i, ln.j) for ln in self.lines], dtype=np.intp).reshape(-1, 2)
-        incidence = np.zeros((self.n_nodes, self.n_lines))
+        incidence = np.zeros((n, self.n_lines))
         incidence[ends, np.arange(self.n_lines)[:, None]] = (1.0, -1.0)
-        arrays = {"inertia": np.array([n.inertia for n in self.nodes]),
-                  "droop": np.array([n.droop for n in self.nodes]),
-                  "cost": np.array([n.cost for n in self.nodes]),
-                  "susceptance": np.array([ln.b for ln in self.lines]),
-                  "incidence": incidence}
+        susceptance = np.array([ln.b for ln in self.lines])
+        ref = np.array(_grounds(n, ends.tolist()), dtype=np.intp)
+        free = np.flatnonzero(ref != np.arange(n))
+        rates = np.zeros((len(free), n))
+        rates[np.arange(len(free)), free] = 1.0
+        rates[np.arange(len(free)), ref[free]] = -1.0
+        arrays = {"inertia": np.array([nd.inertia for nd in self.nodes]),
+                  "droop": np.array([nd.droop for nd in self.nodes]),
+                  "cost": np.array([nd.cost for nd in self.nodes]),
+                  "susceptance": susceptance,
+                  "incidence": incidence,
+                  "angle_rates": rates,
+                  "angle_flows": np.ascontiguousarray((incidence[free] * susceptance).T)}
         for a in arrays.values():
             a.flags.writeable = False
         return {**arrays, "edge_set": frozenset((ln.i, ln.j) for ln in self.lines)}
@@ -193,6 +226,12 @@ class SystemState:
 
 def _connected(n: int, pairs: Iterable[Tuple[int, int]]) -> bool:
     """Whether the n >= 1 nodes are connected by pairs."""
+    return not any(_grounds(n, pairs))
+
+
+def _grounds(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """For each of the n nodes, the lowest-numbered node of its component
+    of the graph of pairs."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -203,10 +242,8 @@ def _connected(n: int, pairs: Iterable[Tuple[int, int]]) -> bool:
 
     for a, b in pairs:
         ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    root = find(0)
-    return all(find(i) == root for i in range(n))
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(n)]
 
 
 def interval_steps(T: float, dt: float) -> int:

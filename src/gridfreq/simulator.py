@@ -22,18 +22,33 @@ instant (under continuous messaging B reads no y). Every context's [A B]
 comes from one rule, the law's own: averaging with F empty, then the u and
 q rows of F overwritten by the flow law. law_base assembles the averaging
 [A B], each part evaluated on the unit vectors of the blocks of [x; y; p]
-it reads and on one zero row (_spread): the omega and flow rows from one
-swing_rate call on unit omega, f, u and p (swing_rows), the u and q rows
-from one control_rate call on unit omega, u, q and, when the law holds
-messages (ControlContext.hold), y: 3N + 1 or 4N + 1 rows (_law_probe).
+it reads and on one zero row (_spread): the omega and flow rows from
+swing_rate calls on unit omega, f, u and p, each block group on its own
+unit rows (swing_rows, built once per grid), the u and q rows from one
+control_rate call on unit omega, u, q and, when the law holds messages
+(ControlContext.hold), y: 3N + 1 or 4N + 1 rows (_law_probe).
 context_system copies it and replaces the rows of ctx.F by
 controllers.flow_rate on the same probe. Every other entry is the rate at
 zero, so [A B] holds the bits, signed zeros included, of one call of
 swing_rate and control_rate of the context on the identity stack of
-[x; y; p]. context_step builds RK4's one-step map from [A B]. That map
-acts on the states the context moves, those whose row of [A B] is not
-zero: a state the context holds constant, such as q_i outside the
-flow-controlled set F, enters as an input like p. A sampling instant is a
+[x; y; p].
+
+context_step builds RK4's one-step map from [A B] on the states the
+context moves, those whose row of [A B] is not zero: a state the context
+holds constant, such as q_i outside the flow-controlled set F, enters as
+an input like p. The map carries the flows as node angles (angle_system).
+The line flows obey f' = Gamma B^T omega (Gamma the susceptances, B the
+incidence), and no rate reads a flow except the omega rows, through
+B f (Bergen & Hill's structure-preserving model, IEEE Trans. PAS 100(1),
+1981). So from flows f0, f = f0 + Gamma B^T theta with theta the node
+angles grounded at node 1 (at one node per component of the power
+graph), theta' = omega_i - omega_ref, and the
+omega rows read p - B f0 in place of p: the E - N + 1 cycle flows, which
+never change, are not carried, and a step map propagates [omega, theta
+(N - 1), u, the moving q]. StepMap.embed maps such a map back to full
+coordinates, where interval and cycle maps are built; a stretch call
+starts its angles at zero and writes its records' flows back with one
+block product. A sampling instant is a
 linear reset: y refreshes to C u, and a rotation (a context that holds
 messages and has F) resets q to R x, R the N q rows of its reset. So a
 whole message interval is one exact affine map (interval_map), and a
@@ -114,7 +129,8 @@ class Trajectory:
     rx_links: Tuple[Tuple[int, int], ...] = ()
     rx_series: Optional[np.ndarray] = None   # (S, len(rx_links)) held values
     # counts of the run: {"maps": built by kind, "kernel_calls": run by kind,
-    # "pauses": the plan's pauses run}
+    # "pauses": the plan's pauses run, "state_size": {"full": dim, and the
+    # largest state a map of each kind propagates}}
     diagnostics: Dict[str, Union[int, Dict[str, int]]] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -272,21 +288,41 @@ def _spread(rates: np.ndarray, cols: Tuple[slice, ...], out: np.ndarray) -> np.n
     return out
 
 
-def swing_rows(grid: PowerGrid, out: np.ndarray) -> np.ndarray:
-    """Write the omega and flow rows of [A B], the same for every context,
-    into out, (N + E, dim + 2N), and return it: one swing_rate call on the
-    unit vectors of the blocks it reads, omega, f, u and p, then a zero row
-    (q zero), spread over the columns of [x; y; p] (_spread)."""
+def swing_rows(grid: PowerGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """The omega and flow rows of [A B], (N + E, dim + 2N), the same for
+    every context, and the omega rows' rates per unit grounded angle,
+    (N, N - c) (angle_system), built once per grid (PowerGrid.derive) and
+    read-only. Three swing_rate calls, each on the unit
+    rows of the blocks it reads with the other blocks zero (q zero): omega,
+    then one zero row; f, then the flows the unit angles induce
+    (PowerGrid.angle_flows); u and p. Each is spread over its columns of
+    [x; y; p] and the zero row's rate over the rest: the entries, signed
+    zeros included, of one call on the unit rows of all four blocks at once
+    (_spread), as a rate's row depends on that row alone."""
+    return grid.derive("swing_rows", _swing_rows)
+
+
+def _swing_rows(grid: PowerGrid) -> Tuple[np.ndarray, np.ndarray]:
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    unit = np.eye(dim + 1, dim)      # omega, f, u and p: 3N + E columns, as many as x
-    state = SystemState(0.0, unit[:, :n], unit[:, n:n + e], unit[:, n + e:2 * n + e],
-                        np.zeros((1, n)))
-    domega, dflow = swing_rate(state, grid, unit[:, 2 * n + e:])
-    cols = (slice(0, 2 * n + e), slice(dim + n, dim + 2 * n))
-    _spread(domega, cols, out[:n])
-    _spread(dflow, cols, out[n:])
-    return out
+    zero, unit = np.zeros((1, n)), np.eye(2 * n)
+    probes = ((np.eye(n + 1, n), np.zeros((1, e)), zero, zero),        # omega, f, u, p
+              (zero, np.concatenate([np.eye(e), grid.angle_flows().T]), zero, zero),
+              (zero, np.zeros((1, e)), unit[:, :n], unit[:, n:]))
+    (w0, f0), (w1, f1), (w2, f2) = (swing_rate(SystemState(0.0, omega, flow, u, zero), grid, p)
+                                    for omega, flow, u, p in probes)
+    out = np.empty((n + e, dim + 2 * n))
+    # a rate that reads none of its call's unit rows comes as one row, which
+    # the slices below broadcast
+    for rows, r0, r1, r2 in ((out[:n], w0, w1, w2), (out[n:], f0, f1, f2)):
+        rows[:] = r0[-1][:, None]
+        rows[:, :n] = r0[:n].T
+        rows[:, n:n + e] = r1[:e].T
+        rows[:, n + e:2 * n + e] = r2[:n].T
+        rows[:, dim + n:] = r2[-n:].T
+    angles = w1[e:].T
+    out.flags.writeable = angles.flags.writeable = False
+    return out, angles
 
 
 def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
@@ -297,11 +333,10 @@ def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     (swing_rows) over its u and q rows from one controllers.control_rate
     call on the unit vectors of the blocks the law reads, spread over the
     columns of [x; y; p] (_spread), and that probe (_law_probe), on which
-    context_system evaluates the rows of F. The probe is built after the
-    swing rows, so it can take the memory of theirs."""
+    context_system evaluates the rows of F."""
     n, e = grid.n_nodes, grid.n_lines
     AB = np.empty((3 * n + e, 5 * n + e))
-    swing_rows(grid, AB[:n + e])
+    AB[:n + e] = swing_rows(grid)[0]
     probe = _law_probe(grid, comm, ctx.hold)
     stack, cols = probe
     du, dq = controllers.control_rate(stack, grid, comm, replace(ctx, F=frozenset()))
@@ -340,55 +375,103 @@ def context_system(grid: PowerGrid, base, ctx: ControlContext) -> np.ndarray:
     return AB
 
 
+def angle_system(grid: PowerGrid, AB: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """[A B] of a context, (dim, dim + 2N) over [x; y; p], on the states it
+    moves with the flows carried as grounded node angles: (A, B, rest,
+    inputs). The coordinates are [omega, theta, x[rest]]: theta the
+    N - c angles of PowerGrid.angle_rates, and rest the moving states past
+    the flows, u and the moving q. B acts on z[inputs], z = [x; y; p], the
+    columns outside the moving states that the moving rows read; its p
+    columns act on the powers net of the flows f0 at which theta is zero,
+    p - (incidence) f0, since f = f0 + PowerGrid.angle_flows() theta.
+
+    The omega rows are those of [A B] with their flow columns replaced by
+    their rates per unit angle (swing_rows: from the rate function too);
+    the theta rows are angle_rates, exact +-1 entries that read no
+    input; the rows of rest are those of [A B]. So A is similar to the
+    moving states' block of A with the E - N + c cycle flows split off:
+    they never change, and no rate reads them. Raises AssertionError
+    unless omega and the flows move and every power is read, or when a law
+    row (u or q) reads a flow."""
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    moving = np.flatnonzero(AB.any(axis=1))
+    rest = moving[n + e:]
+    read = AB.any(axis=0)      # the other rows are zero
+    read[moving] = False
+    inputs = np.flatnonzero(read)
+    if (len(moving) < n + e or moving[n + e - 1] != n + e - 1 or AB[n + e:, n:n + e].any()
+            or inputs[-n] != dim + n):
+        raise AssertionError("the flows must move with omega alone, and every power be read")
+    rates = grid.angle_rates()
+    a = len(rates)
+    keep = np.concatenate([np.arange(n), rest])
+    old = AB[keep][:, np.concatenate([keep, inputs])]     # rows and columns kept, in order
+    r = len(keep) + a
+    new = np.zeros((r, r + len(inputs)))                  # [A B] with theta after omega
+    new[:n, :n], new[:n, n + a:], new[n + a:, :n], new[n + a:, n + a:] = (
+        old[:n, :n], old[:n, n:], old[n:, :n], old[n:, n:])
+    new[:n, n:n + a], new[n:n + a, :n] = swing_rows(grid)[1], rates
+    return new[:, :r], new[:, r:], rest, inputs
+
+
 @dataclass(frozen=True, eq=False)
 class StepMap:
-    """RK4's one-step map of a context on the states it moves.
+    """RK4's one-step map of a context on the states it moves, with the
+    flows carried as grounded node angles (angle_system).
 
-    The moving states M (`moving`) are those whose row of [A B] is not
-    identically zero; every other state is constant under the context, such
-    as q_i outside F. On them the step is
+    The moving states are those whose row of [A B] is not identically
+    zero: omega, the flows, and `rest`, u and the moving q.
+    Every other state is constant under the context, such as q_i outside
+    F. The map's coordinates are x_r = [omega, theta, x[rest]], theta the
+    grid's N - c grounded angles (PowerGrid.angle_rates), zero where the
+    map starts from flows f0, which then are f0 + angle_flows() theta. On
+    them the step is
 
-        x[M] -> x[M] + D x[M] + G z[inputs],      z = [x; y; p],
+        x_r -> x_r + D x_r + G w,      w = [x; y; p - (incidence) f0][inputs],
 
-    with `inputs` the nonzero columns of [A B][M] outside M: the held
-    messages and powers the context reads, and any frozen state it reads,
-    which enters like p."""
+    with `inputs` the nonzero columns of [A B] at the moving rows outside
+    the moving states: the held messages and powers the context reads, and
+    any frozen state it reads, which enters like p. The E - N + c cycle
+    flows, constant under every context, are not carried."""
 
-    D: np.ndarray              # (|M|, |M|)
-    G: np.ndarray              # (|M|, len(inputs))
-    moving: np.ndarray         # indices into x
+    D: np.ndarray              # (len(x_r), len(x_r))
+    G: np.ndarray              # (len(x_r), len(inputs))
+    rest: np.ndarray           # indices into x: the moving states past the flows
     inputs: np.ndarray         # indices into z = [x; y; p]
-    shape: Tuple[int, int]     # of [A B]: (dim, dim + 2N)
+    grid: PowerGrid
 
     def embed(self, Dm: np.ndarray, Gm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """A map (Dm, Gm) on x[M] with inputs z[inputs], such as (D, G) or
-        a k-step map of it, in full coordinates: (D, G) of x -> x + D x +
-        G [y; p], views of one new array. The rows of the frozen states are
-        zero."""
-        dim = self.shape[0]
-        F = np.zeros(self.shape)
-        F[self.moving[:, None], self.moving] = Dm
-        F[self.moving[:, None], self.inputs] = Gm
+        """A map (Dm, Gm) on x_r with inputs w, such as (D, G) or a k-step
+        map of it, in full coordinates: (D, G) of x -> x + D x + G [y; p],
+        views of one new array. x_r starts from x with theta zero, and w
+        reads p net of the flows of x; the flows advance by angle_flows()
+        times theta's increment. The rows of the frozen states are zero."""
+        grid = self.grid
+        n, e = grid.n_nodes, grid.n_lines
+        dim, a = 3 * n + e, len(grid.angle_rates())
+        dz = np.zeros((len(Dm), dim + 2 * n))    # x_r's increment per entry of [x; y; p]
+        dz[:, :n] = Dm[:, :n]
+        dz[:, self.rest] = Dm[:, n + a:]
+        dz[:, self.inputs] = Gm
+        dz[:, n:n + e] = -(Gm[:, -n:] @ grid.incidence())
+        F = np.zeros((dim, dim + 2 * n))
+        F[:n] = dz[:n]
+        F[n:n + e] = grid.angle_flows() @ dz[n:n + a]
+        F[self.rest] = dz[n + a:]
         return F[:, :dim], F[:, dim:]
 
 
 def context_step(grid: PowerGrid, base, ctx: ControlContext, h: float) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of
-    its context_system from base) on the states the context moves, with
-    the frozen states it reads as inputs (StepMap). The moving set is read
-    off the assembled [A B], not off the scheme; [A B] is dropped before
-    the map is built."""
-    AB = context_system(grid, base, ctx)      # columns over [x; y; p]
-    shape = AB.shape
-    moving = np.flatnonzero(AB.any(axis=1))
-    AB = AB[moving]
-    read = AB.any(axis=0)
-    read[moving] = False
-    inputs = np.flatnonzero(read)
-    A, B = AB[:, moving], AB[:, inputs]
-    del AB      # one_step_map's products reuse its memory
+    its context_system from base, on angle_system's coordinates) on the
+    states the context moves, with the frozen states it reads as inputs
+    (StepMap). The moving set is read off the assembled [A B], not off the
+    scheme; [A B] is dropped before the map is built."""
+    A, B, rest, inputs = angle_system(grid, context_system(grid, base, ctx))
     D, G = one_step_map(A, B, h)
-    return StepMap(D, G, moving, inputs, shape)
+    return StepMap(D, G, rest, inputs, grid)
 
 
 def interval_map(grid: PowerGrid, step: StepMap, K: int, R: Optional[np.ndarray]
@@ -405,11 +488,11 @@ def interval_map(grid: PowerGrid, step: StepMap, K: int, R: Optional[np.ndarray]
     Refresh and reset are linear and the K-fold step map with constant
     inputs is affine (kernels.k_step_map), so the map is exact. Both leave a
     state whose sampling events have already been applied unchanged, so the
-    map also advances such a state. The K steps are squared on the moving
-    states, then embedded into full coordinates (StepMap.embed), where the
-    held coupling and R fold in; R differs from the identity only in its N
-    q rows, so D R costs a product with those rows alone. D_K is dim x dim
-    and G_K dim x N.
+    map also advances such a state. The K steps are squared on the step
+    map's coordinates, the flows carried as angles, then embedded into
+    full coordinates (StepMap.embed), where the held coupling and R fold
+    in; R differs from the identity only in its N q rows, so D R costs a
+    product with those rows alone. D_K is dim x dim and G_K dim x N.
     """
     n, e = grid.n_nodes, grid.n_lines
     D, G = step.embed(*k_step_map(step.D, step.G, K))
@@ -451,17 +534,27 @@ class LinkStore(dict):
     A map comes with the dict of its k-step maps that kernels.jump squares
     from it, (map, powers). Only the maps read the step dt and the steps
     per message interval K. Each build of a base or a map is counted into
-    built by kind. A link failure is the only event that changes the live
-    links, and they only shrink, so no part is asked for again once they
-    change: a run replaces its store at each failure. No part refers to
-    the store, so a dropped store frees its parts at once."""
+    built by kind, and states holds by kind the largest state a map built
+    propagates: len(x_r) for a step map, dim for the others (0 for a kind
+    none was built of). A link failure is the only event that changes the
+    live links, and they only shrink, so no part is asked for again once
+    they change: a run replaces its store at each failure by renew, which
+    keeps built and states. No part refers to the store, so a dropped
+    store frees its parts at once."""
 
     def __init__(self, grid: PowerGrid, comm: CommGraph, dt: Optional[float] = None,
-                 K: Optional[int] = None, built: Optional[Dict[str, int]] = None):
+                 K: Optional[int] = None):
         super().__init__()
         self.grid, self.comm, self.dt, self.K = grid, comm, dt, K
-        self.built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0) \
-            if built is None else built
+        self.built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
+        self.states = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
+
+    def renew(self, comm: CommGraph) -> LinkStore:
+        """An empty store of the live links comm that keeps this one's
+        built and states."""
+        store = LinkStore(self.grid, comm, self.dt, self.K)
+        store.built, store.states = self.built, self.states
+        return store
 
     def __missing__(self, part: Tuple[str, object]):
         kind, key = part
@@ -489,6 +582,9 @@ class LinkStore(dict):
             value = interval_map(grid, self["stretch", key][0], self.K, self["R", key]), {}
         else:
             value = compose_maps([self["intervals", c][0] for c in key]), {}
+        if kind in self.states:
+            size = len(value[0].D if kind == "stretch" else value[0][0])
+            self.states[kind] = max(self.states[kind], size)
         self[part] = value
         return value
 
@@ -801,10 +897,13 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     one product G_k w. A call with many records writes them in blocks of
     rows, each one product with a lag map of several record strides
     (kernels.jump), so a record's last bits depend on its index in its
-    call. A stretch jumps on the moving
-    states x[M] with offset G [x; y; p][inputs]; its records are written as
-    x[M] into the leading columns of their rows, then spread to full rows
-    with the frozen states filled in, so no second record buffer is kept.
+    call. A stretch jumps on its step map's coordinates x_r = [omega,
+    theta, x[rest]] (StepMap), the angles zero at the call's start, with
+    offset G w, w = [x; y; p - B f][inputs] from the flows f there; its
+    records are written as x_r into the leading columns of their rows,
+    then spread to full rows with the frozen states filled in and the
+    flows f + angle_flows() theta written by one block product, so no
+    second record buffer is kept.
     Every sampling instant runs one rule, sample(), on a stack of states:
     under a rotation q resets by its context's R (the q rows of the reset),
     and the held values become C u. Interval and cycle jumps record states
@@ -820,13 +919,19 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     run reports the error alone.
 
     Trajectory.diagnostics counts the maps the run built and the kernel
-    calls of its plan, each by kind, and the plan's pauses.
+    calls of its plan, each by kind, and the plan's pauses, and gives the
+    state size: "full", dim, and by kind the largest state a map built
+    propagates (LinkStore.states; a step map's len(x_r), E - N + 1 below
+    the moving states).
     """
     sched = schedule(scenario)
     grid = scenario.grid
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    U, Q = slice(n + e, 2 * n + e), slice(2 * n + e, dim)
+    F, U, Q = slice(n, n + e), slice(n + e, 2 * n + e), slice(2 * n + e, dim)
+    inc, flows = grid.incidence(), grid.angle_flows()
+    a = flows.shape[1]
+    angles = np.zeros(a)
     dt, stride, K = scenario.dt, scenario.record_stride, sched.interval_steps
     cost_vec = grid.cost()
     sends = np.ones(dim)    # x * sends holds the messages C u in place of u
@@ -846,7 +951,6 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     frozen = np.full(len(rx_links), np.nan)
     live = np.ones(len(rx_links), dtype=bool)
 
-    built = dict.fromkeys(("base", "stretch", "intervals", "cycles"), 0)
     calls = dict.fromkeys(("stretch", "intervals", "cycles"), 0)
     pauses = 0
 
@@ -896,17 +1000,23 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 book(1, y[None])
         elif call.kind == "stretch":
             sm, powers = store[call.kind, call.key]
-            w = np.concatenate([x, y, p])[sm.inputs]
-            xm = x[sm.moving]
+            w = np.concatenate([x, y, p - inc @ x[F]])[sm.inputs]
+            xm = np.concatenate([x[:n], angles, x[sm.rest]])    # theta zero at the start
             rec = rec_states[n_rec:n_rec + call.rows]
             got = jump(sm.D, sm.G, w, xm, call.k, call.first, call.every, rec[:, :len(xm)],
                        powers)
             if got:
                 moved = rec[:got, :len(xm)].copy()
                 rec[:got] = x
-                rec[:got, sm.moving] = moved
+                rec[:got, :n] = moved[:, :n]
+                rec[:got, sm.rest] = moved[:, n + a:]
+                rec[:got, F] += moved[:, n:n + a] @ flows.T
+                if not np.isfinite(rec[:got, F]).all():
+                    got = int(np.isfinite(rec[:got, F]).all(axis=1).argmin())
                 book(got, y[None])
-            x[sm.moving] = xm
+            x[:n] = xm[:n]
+            x[sm.rest] = xm[n + a:]
+            x[F] += flows @ xm[n:n + a]
         else:
             (D, G), powers = store[call.kind, call.key]
             out = rec_states[n_rec:n_rec + call.rows]
@@ -928,7 +1038,8 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 if piece is None or call.piece.comm is not piece.comm:
                     # the first piece or a failure: the live links only shrink, so no
                     # part of the old store is asked for again
-                    store = LinkStore(grid, call.piece.comm, dt, K, built)
+                    store = LinkStore(grid, call.piece.comm, dt, K) if store is None \
+                        else store.renew(call.piece.comm)
                 piece = call.piece
                 t = piece.start * dt
                 p = np.array(piece.p)
@@ -963,8 +1074,9 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                           u=u, q=states[:, Q], cost_series=(u * u) @ cost_vec,
                           events=tuple(events_log), rx_links=rx_links,
                           rx_series=None if K is None else rec_rx[:n_rec],
-                          diagnostics={"maps": built, "kernel_calls": calls,
-                                       "pauses": pauses})
+                          diagnostics={"maps": store.built, "kernel_calls": calls,
+                                       "pauses": pauses,
+                                       "state_size": {"full": dim, **store.states}})
     if failed is not None:
         raise IntegrationError(failed, traj.state_at(n_rec - 1) if n_rec else None)
     return traj

@@ -14,7 +14,7 @@ global sign calibrated at the first sample point (row-reduction sign
 bookkeeping is not re-derived here). It covers every law with two
 flow-controlled nodes and no held messages, whatever the scheme that put
 it in force. The two-node flow law (PAIR_FLOW) is its smallest case: at
-N = 2, E = 1 the failed pair is the whole grid, L_c* = L2 C^-1 with
+N = 2, E = 1 the failed pair is the whole grid, L_c* = C^-1 L2 with
 L2 = [[1, -1], [-1, 1]], and the factor (-1)^N lam^(1+E-N) is 1, so it
 gets the same certificate. Every matrix of the certificate is taken in the
 grid's own labelling: L_c* replaces the rows of the failed pair wherever
@@ -22,8 +22,20 @@ the pair sits.
 Both sides are compared as log-determinants, since on large grids the
 determinants themselves leave the floating-point range. The left side is
 read off the spectrum, log s(lam) = sum_i log(lam_i - lam), so a report
-decomposes A once; the right side is one stacked slogdet of H at all the
-sample points, a (k, N, N) stack filled in place.
+takes one eigenvalue decomposition; the right side is one stacked slogdet
+of H at all the sample points, a (k, N, N) stack filled in place.
+
+The spectrum splits off the cycle flows. The line flows obey
+f' = Gamma B^T omega (Bergen & Hill, IEEE Trans. PAS 100(1), 1981), so
+written as f = Gamma B^T theta + Z c, theta the node angles grounded at
+one node per component of the power graph and Z a basis of the cycle
+space (B Z = 0), the E - N + c cycle flows c never change and no rate
+reads them. A is similar to the block on [omega, theta, u, q]
+(StateMatrix.angles, simulator.angle_system, from which a run's step
+maps are built too) beside a zero block of that size. spectrum solves
+that block, about 301 states instead of 331 at N = 100 with 129 lines,
+and lists the E - N + c zeros exactly, counted by structure; a report's
+state_dim and labels stay those of A.
 
 The certificate takes its spectra from the structure of L_c*. Its pair
 rows are zero outside the pair's columns, and its other rows are those of
@@ -39,15 +51,20 @@ term (W = C M, S = D) are read that way; the damping and coupling terms
 mix in the full power Laplacian, have complex spectra on many grids, and
 keep general solves. M, D and C are applied as vectors.
 
-On more than two nodes the identity holds to rounding when the failed
-pair's two costs are equal, and fails when they differ: on the toy grid,
-whose costs are not all equal, the pair (1,2), with costs 10 and 10,
-leaves a residual of 2.5e-14, and (2,7) and (2,5), with costs 10 and 7
-and 10 and 5, leave 2.8e-3 and 2.2e-3. ROADMAP item 1 traces these
-failures to the order of the pair block of L_c*: the law's pair rows give
-C_P^-1 L2 C_P in K = L_c* C, where build_Lc_star gives L2. check results
-therefore carry an explicit `consistent` flag instead of asserting the
-identity.
+The identity is exact whatever the costs. In the pair's rows the law has
+C_i u_i' = -omega_i - q_i and q' = -2 q - L2 omega_P, so
+(lam I + L2) C_P u_P = -omega_P (L2^2 = 2 L2), and the pair block of
+K = L_c* C is C_P^-1 L2 C_P: L_c*'s pair block is C_P^-1 L2. The omega
+and u rows of A - lam I meet through -lam I, which commutes with every
+block, so det [[P(lam), -lam I], [W, lam I + K]] =
+det((lam I + K) P(lam) + lam W) with P(lam) = lam^2 M + lam D + L_p^B, no
+cost matrix commuting with a Laplacian (Silvester, "Determinants of block
+matrices", Math. Gazette 84, 2000). On the toy grid the pairs (1,2), (2,7)
+and (2,5) leave residuals of 2-3e-14 over 10 points. The transposed block
+L2 C_P^-1 gives the same determinant at N = 2 only; on more nodes it fails
+wherever the pair's two costs differ (2.8e-3 for (2,7)). check results
+carry an explicit `consistent` flag, so such a failure is reported, not
+asserted away.
 
 A law that holds messages (ControlContext.hold: CONSENSUS_SAMPLED, and
 SEQUENTIAL's rotation) makes the closed loop a sampled-data system, not
@@ -69,7 +86,7 @@ import numpy as np
 
 from .controllers import ControlContext
 from .model import CommGraph, PowerGrid, interval_steps
-from .simulator import LinkStore, context_system, law_base, state_labels
+from .simulator import LinkStore, angle_system, context_system, law_base, state_labels
 
 STRUCTURAL_ZERO_TOL = 1e-8
 IDENTITY_TOL = 1e-8         # characteristic_identity_check: consistent below this residual
@@ -81,6 +98,8 @@ class StateMatrix:
     A: np.ndarray
     labels: Tuple[str, ...]
     q_nodes: Tuple[int, ...]   # nodes whose artificial variable the law moves
+    angles: np.ndarray         # A with the flows as grounded angles (simulator.angle_system)
+    cycles: int                # the constant cycle flows split off: E - N + c
 
 
 @dataclass(frozen=True)
@@ -118,26 +137,40 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
     are omega, f, u and the artificial variables of the flow-controlled
     nodes ctx.F; the law never touches the others. Held messages are
     inputs, not state. labels are state_labels(grid) at those rows, and
-    q_nodes the nodes of their artificial variables. comm holds the live
-    links only.
+    q_nodes the nodes of their artificial variables. angles is the same
+    law with the flows carried as grounded node angles, the A of
+    simulator.angle_system, on which a run's step maps are built too: A
+    is similar to angles beside a zero block of the cycles = E - N + c
+    cycle flows (c the power graph's components), which never change and
+    which no rate reads. comm holds the live links only.
     """
     AB = context_system(grid, law_base(grid, comm, ctx), ctx)
     moving = np.flatnonzero(AB.any(axis=1))
     labels, q0 = state_labels(grid), 2 * grid.n_nodes + grid.n_lines
     return StateMatrix(A=AB[np.ix_(moving, moving)], labels=tuple(labels[k] for k in moving),
-                       q_nodes=tuple(int(k) - q0 for k in moving if k >= q0))
+                       q_nodes=tuple(int(k) - q0 for k in moving if k >= q0),
+                       angles=angle_system(grid, AB)[0],
+                       cycles=grid.n_lines - len(grid.angle_rates()))
 
 
 def spectrum(A) -> SpectrumReport:
-    """Eigenvalues with structural zeros (|lam| <= 1e-8) counted separately."""
+    """Eigenvalues with structural zeros counted separately. For a
+    StateMatrix they are those of its angles block and its cycles
+    split-off zeros, listed last as exact zeros and counted as structural
+    by that count, not by a test; among the block's eigenvalues, as for a
+    raw matrix, those with |lam| <= 1e-8 are structural zeros too. The
+    entries of A must be finite."""
     mat = A.A if isinstance(A, StateMatrix) else np.asarray(A, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("state matrix contains non-finite entries")
-    lam = np.linalg.eigvals(mat)
+    split = isinstance(A, StateMatrix)
+    lam = np.linalg.eigvals(A.angles if split else mat)
     zero = np.abs(lam) <= STRUCTURAL_ZERO_TOL
     rest = lam[~zero]
     abscissa = float(np.max(rest.real)) if rest.size else float("-inf")
-    return SpectrumReport(eigenvalues=lam, structural_zero_count=int(zero.sum()),
+    cycles = A.cycles if split else 0
+    return SpectrumReport(eigenvalues=np.concatenate([lam, np.zeros(cycles, lam.dtype)]),
+                          structural_zero_count=cycles + int(zero.sum()),
                           spectral_abscissa_excl_zeros=abscissa)
 
 
@@ -238,10 +271,12 @@ def check_sufficient_multi_node(M: np.ndarray, D: np.ndarray, C: np.ndarray,
     """Stability conditions for a flow law with the modified Laplacian L_c*
     of the failed pair `pair` (build_Lc_star).
 
-    At N = 2, with L_c* = L2 C^-1 and L_p^B = B L2, the first four keys are
-    the paper's two-node conditions: M > 0, sym(L2 M) + D > 0,
-    sym(L2 D) + L_p^B + C^-1 > 0, and the product of their least
-    eigenvalues above 4 B max(M_1, M_2), since lam_max[sym(L2 L_p^B)] = 4 B.
+    At N = 2, with L_c* = C^-1 L2 and L_p^B = B L2, the first four keys are
+    the paper's two-node conditions with L2 replaced by K = C^-1 L2 C,
+    which is L2 when the two costs are equal: M > 0, sym(K M) + D > 0,
+    sym(K D) + L_p^B + C^-1 > 0, and the product of their least
+    eigenvalues above lam_max[sym(K L_p^B)] max(M_1, M_2), 4 B max(M_1, M_2)
+    at equal costs. K and L2 give the two-node pencil the same determinant.
 
     The fourth condition involves eigenvalue extrema of non-symmetric
     products; the verdict uses their symmetric parts (`coupling_margin`)
@@ -300,15 +335,16 @@ def build_Lc_star(L_c: np.ndarray, C: np.ndarray, pair: Tuple[int, int]) -> np.n
     columns (the block shorthand this follows is dimensionally ambiguous;
     the all-columns reading is the one validated numerically by the
     identity check). The pair's rows are zero outside the pair's columns
-    and L2 C2^-1 in them, with L2 the two-node Laplacian and C2 the pair's
-    costs, wherever the pair sits. A link between the pair touches only
+    and C2^-1 L2 in them, with L2 the two-node Laplacian and C2 the pair's
+    costs, wherever the pair sits: the pair's rows of the law give K =
+    L_c* C the block C2^-1 L2 C2 (see the module docstring). A link between the pair touches only
     the rows this replaces.
     """
     out = np.array(L_c, dtype=float)
     idx = np.array(pair)
     out[idx] = 0.0
     L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    out[np.ix_(idx, idx)] = L2 / np.diag(np.asarray(C, dtype=float))[idx]
+    out[np.ix_(idx, idx)] = L2 / np.diag(np.asarray(C, dtype=float))[idx][:, None]
     return out
 
 
@@ -321,7 +357,7 @@ def certificate_matrices(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
     conditions and the identity check read: the diagonal M, D and C, the
     power Laplacian L_p^B and L_c* (build_Lc_star on the Laplacian of
     comm's links), all as the grid labels its nodes. On a two-node grid
-    L_c* = L2 C^-1. None for any other law. comm holds the live links
+    L_c* = C^-1 L2. None for any other law. comm holds the live links
     only."""
     if ctx.hold or len(ctx.F) != 2:
         return None
@@ -345,8 +381,9 @@ def sufficient_conditions(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
 def _pencil_logdets(pts: np.ndarray, m: np.ndarray, A0: np.ndarray, A1: np.ndarray,
                     A2: np.ndarray) -> np.ndarray:
     """Complex log det(H(z)) at each point, H(z) = z^3 M + z^2 A2 + z A1 + A0
-    with the terms of _pencil_coefficients (at N = 2, K = L2 and
-    K L_p^B = 2 L_p^B, the two-node pencil): H is evaluated by Horner's rule
+    with the terms of _pencil_coefficients (at N = 2, K = C^-1 L2 C, whose
+    pencil has the determinant of the paper's two-node one, where K = L2
+    and K L_p^B = 2 L_p^B): H is evaluated by Horner's rule
     in place in one (k, N, N) stack, M added on its diagonal, and the k
     determinants are taken by one stacked slogdet."""
     H = np.empty((len(pts), len(m), len(m)), dtype=complex)

@@ -68,6 +68,18 @@ def random_grid(seed: int, n: int) -> PowerGrid:
     return PowerGrid(nodes, lines)
 
 
+def transposed_Lc_star(L_c: np.ndarray, C: np.ndarray, pair: Link) -> np.ndarray:
+    """A deliberately wrong L_c*: stability.build_Lc_star's with the pair
+    block written L2 C_P^-1 in place of C_P^-1 L2. The law's pair rows
+    give C_P^-1 L2 C_P in K = L_c* C, so with this block the
+    characteristic identity fails wherever the pair's two costs differ."""
+    out = np.array(L_c, dtype=float)
+    idx = np.array(pair)
+    out[idx] = 0.0
+    out[np.ix_(idx, idx)] = np.array([[1.0, -1.0], [-1.0, 1.0]]) / np.diag(C)[idx]
+    return out
+
+
 def sequential_active_link(K: int, shared_links: Sequence[Link]) -> Link:
     """Round-robin selection over the ordered shared links for interval K."""
     if not shared_links:

@@ -16,6 +16,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import transposed_Lc_star
+from gridfreq import stability
 from gridfreq.controllers import ControlContext
 from gridfreq.dispatch import optimal_dispatch
 from gridfreq.model import (CommGraph, DisturbanceEvent, Line, NodeParams,
@@ -246,7 +248,7 @@ def test_criterion_07b_sequential_within_2x_of_fast_sampling(experiment_results)
     _ok("7b sequential-within-2x")
 
 
-def test_criterion_08_characteristic_identities():
+def test_criterion_08_characteristic_identities(monkeypatch):
     rng = np.random.default_rng(88)
     worst = 0.0
     for _ in range(20):
@@ -261,10 +263,10 @@ def test_criterion_08_characteristic_identities():
         worst = max(worst, rep.max_residual)
         assert rep.max_residual <= 1e-8
 
-    # three-node single-failure form: the identity holds to rounding when the
-    # failed pair's two costs are equal (uniform costs here); the check must
-    # validate there and raise the inconsistency flag where they differ, which
-    # ROADMAP item 1 traces to the order of the pair block of L_c*
+    # three-node single-failure form: the identity holds to rounding on the
+    # pair block C_P^-1 L2 of L_c*, whatever the costs; the check must
+    # validate there and raise the inconsistency flag on the transposed
+    # block L2 C_P^-1 where the failed pair's two costs differ
     def three_node(costs):
         nodes = tuple(NodeParams(k + 1, (0.05, 0.1, 0.2)[k], (0.5, 1.0, 0.8)[k],
                                  costs[k], 0.0) for k in range(3))
@@ -274,15 +276,17 @@ def test_criterion_08_characteristic_identities():
         return characteristic_identity_check(
             grid, CommGraph(links=((0, 1), (1, 2))), ctx, pts)
 
-    flagged = 0
+    unequal = []
     for _ in range(5):
         c = rng.uniform(1.0, 10.0)
         rep = three_node([c, c, c])
         assert rep.consistent and rep.max_residual <= 1e-8
-        rep = three_node(sorted(rng.uniform(1.0, 10.0, 3)))
-        assert rep.consistent or rep.max_residual > 1e-8
-        flagged += 0 if rep.consistent else 1
-    assert flagged > 0  # the inconsistency flag fires where the algebra breaks
+        unequal.append(sorted(rng.uniform(1.0, 10.0, 3)))
+        rep = three_node(unequal[-1])
+        assert rep.consistent and rep.max_residual <= 1e-8
+    monkeypatch.setattr(stability, "build_Lc_star", transposed_Lc_star)
+    flagged = sum(not three_node(costs).consistent for costs in unequal)
+    assert flagged == 5  # the inconsistency flag fires on a wrong pair block
     _ok("8 characteristic-identities",
         f"two-node worst={worst:.1e}; multi-node flag path exercised")
 

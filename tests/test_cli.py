@@ -26,7 +26,10 @@ def test_simulate_toy_converges(tmp_path, capsys):
 def test_simulate_summary_carries_run_diagnostics(tmp_path):
     """summary.json holds the run's map and kernel-call counts under
     "diagnostics": a toy SEQUENTIAL run at T = 10 ms builds one rotation
-    base and its ten pairs' one-step maps."""
+    base and its ten pairs' one-step maps. Its state sizes show what the
+    split of the toy's one cycle flow saves: 40 states, of which each
+    step map propagates the 10 omega, 9 grounded angles, 10 u and the
+    pair's 2 q, while the interval and cycle maps act on all 40."""
     out = tmp_path / "run"
     cli.main(["simulate", "toy", "--out", str(out), "--scheme", "SEQUENTIAL", "--T", "0.01",
               "--horizon", "1"])
@@ -34,6 +37,8 @@ def test_simulate_summary_carries_run_diagnostics(tmp_path):
     assert summary["diagnostics"]["maps"] == {"base": 1, "stretch": 10, "intervals": 10,
                                               "cycles": 1}
     assert sum(summary["diagnostics"]["kernel_calls"].values()) > 0
+    assert summary["diagnostics"]["state_size"] == {"full": 40, "stretch": 31,
+                                                    "intervals": 40, "cycles": 40}
 
 
 def test_simulate_random_grid_writes_the_per_value_csv(tmp_path):
@@ -521,7 +526,9 @@ def test_message_interval_read_at_a_failure_is_not_warned(tmp_path, capsys):
 
 def test_stability_report_decomposes_the_state_matrix_once(tmp_path, monkeypatch):
     """A HYBRID_SINGLE report assembles A once and takes its eigenvalues
-    once: the identity check reads det(A - z I) off that spectrum."""
+    once, of A with the toy grid's one cycle flow split off (the state
+    matrix's angles block, one state fewer), never of A itself: the
+    identity check reads det(A - z I) off that spectrum."""
     assembled = []
     shapes = []
     assemble, eigvals = stability.assemble_state_matrix, np.linalg.eigvals
@@ -545,7 +552,8 @@ def test_stability_report_decomposes_the_state_matrix_once(tmp_path, monkeypatch
     doc = json.loads(out.read_text())
     assert doc["identity"] is not None
     assert len(assembled) == 1
-    assert shapes.count((doc["state_dim"], doc["state_dim"])) == 1
+    dim = doc["state_dim"]
+    assert shapes.count((dim - 1, dim - 1)) == 1 and (dim, dim) not in shapes
 
 
 def test_flow_laws_report_one_schema(tmp_path):

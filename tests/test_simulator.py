@@ -19,7 +19,7 @@ from gridfreq.simulator import (IntegrationError, LinkStore, Trajectory, context
                                 first_crossing_time, held_messages, initial_flows,
                                 integrate, interval_map, law_base,
                                 run_scenario, schedule, state_labels, state_to_vector,
-                                vector_to_state, write_trajectory_csv)
+                                swing_rate, swing_rows, vector_to_state, write_trajectory_csv)
 from gridfreq.stability import assemble_state_matrix
 
 
@@ -661,6 +661,47 @@ def test_assembly_sums_the_links_one_at_a_time(scheme):
 # ---------------------------------------------------------------------------
 # Maps on the moving states
 
+def identity_stack_swing_rows(grid):
+    """The omega and flow rows of [A B] from one swing_rate call on the
+    identity stack of omega, f, u and p, (3N + E + 1) x (3N + E) with a zero
+    row last (q zero), spread over the columns of [x; y; p]."""
+    n, e = grid.n_nodes, grid.n_lines
+    dim = 3 * n + e
+    unit = np.eye(dim + 1, dim)
+    state = SystemState(0.0, unit[:, :n], unit[:, n:n + e], unit[:, n + e:2 * n + e],
+                        np.zeros((1, n)))
+    domega, dflow = swing_rate(state, grid, unit[:, 2 * n + e:])
+    out = np.empty((n + e, dim + 2 * n))
+    for rows, rates in ((out[:n], domega), (out[n:], dflow)):
+        rows[:] = rates[-1][:, None]
+        rows[:, :2 * n + e] = rates[:2 * n + e].T
+        rows[:, dim + n:] = rates[2 * n + e:dim].T
+    return out
+
+
+@pytest.mark.parametrize("grid_name", ["toy", "n30", "n60", "one line"])
+def test_swing_rows_probe_each_block_on_its_own_rows(toy, grid_name):
+    """swing_rows, one swing_rate call per group of blocks on their own
+    unit rows, is byte-equal, signed zeros included, to one call on the
+    identity stack of all four blocks; its rates per unit angle are the
+    omega rows of one call on the flows the unit angles induce, and equal
+    the omega rows' flow columns times PowerGrid.angle_flows within
+    rounding."""
+    if grid_name == "one line":
+        grid = pair_scenario().grid
+    else:
+        grid, _ = named_grid(toy, grid_name)
+    n, e = grid.n_nodes, grid.n_lines
+    rows, angles = swing_rows(grid)
+    want = identity_stack_swing_rows(grid)
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    flows = grid.angle_flows()
+    zero = np.zeros((1, n))
+    domega, _ = swing_rate(SystemState(0.0, zero, flows.T, zero, zero), grid, zero)
+    assert angles.shape == (n, n - 1) and np.array_equal(angles, domega.T)
+    assert np.abs(angles - rows[:n, n:n + e] @ flows).max() <= 1e-13 * np.abs(angles).max()
+
+
 @pytest.mark.parametrize("grid_name", ["toy", "n30"])
 def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     """For every context of every scheme (MULTI_FAILURE over two pairs, and
@@ -668,9 +709,10 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     states, embedded into full coordinates, equals RK4's one-step map of the
     full (A, B) within 1e-14 of its largest entry, and so do their k-step
     maps (k = 10, 100). The frozen states are the q_i outside F, and the
-    full maps' rows of them are exactly zero. The stability report's state
-    matrix is A on the moving states, byte for byte, labelled by
-    state_labels at them."""
+    full maps' rows of them are exactly zero. The step map carries the
+    flows as N - 1 grounded angles, so it propagates E - N + 1 states fewer
+    than move. The stability report's state matrix is A on the moving
+    states, byte for byte, labelled by state_labels at them."""
     grid, comm = named_grid(toy, grid_name)
     n, e = grid.n_nodes, grid.n_lines
     cases = [(ctx, live) for scheme, ctx, live in scheme_cases(grid, comm)
@@ -682,11 +724,13 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
         AB = context_system(grid, law_base(grid, live, ctx), ctx)
         A, B = AB[:, :len(AB)], AB[:, len(AB):]
         step = context_step(grid, law_base(grid, live, ctx), ctx, h)
-        frozen = np.setdiff1d(np.arange(len(A)), step.moving)
+        moving = np.concatenate([np.arange(n + e), step.rest])
+        frozen = np.setdiff1d(np.arange(len(A)), moving)
         assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
+        assert len(step.D) == len(moving) - (e - n + 1)
         sm = assemble_state_matrix(grid, live, ctx)
-        assert sm.labels == tuple(state_labels(grid)[k] for k in step.moving)
-        A_moving = A[np.ix_(step.moving, step.moving)]
+        assert sm.labels == tuple(state_labels(grid)[k] for k in moving)
+        A_moving = A[np.ix_(moving, moving)]
         assert sm.A.shape == A_moving.shape and sm.A.tobytes() == A_moving.tobytes()
         full = one_step_map(A, B, h)
         for k in (1, 10, 100):
@@ -1137,8 +1181,10 @@ def test_integrate_calls_the_law_once_per_base(toy, calls, scheme):
 
 def test_run_counts_its_maps_and_kernel_calls(toy, calls):
     """Trajectory.diagnostics counts the maps a run builds, its kernel
-    calls by kind and its pauses. Toy SEQUENTIAL at T = 10 ms builds one
-    law base and the one-step maps of its ten pairs. The disturbance at
+    calls by kind and its pauses, and gives the largest state each kind of
+    map propagates (0 where none is built) beside the full state size.
+    Toy SEQUENTIAL at T = 10 ms builds one law base and the one-step maps
+    of its ten pairs. The disturbance at
     1.0 s lies on an instant, so one cycle jump runs up to it: over 1 s one
     call and pauses at 0 and 1.0 s, over 10 s two calls and three pauses.
     Link (1,2) failing at 1.0 s keeps the stop at 0.99 s: cycles to 0.9 s,
@@ -1174,14 +1220,18 @@ def test_run_counts_its_maps_and_kernel_calls(toy, calls):
     links = tuple((ln.i, ln.j) for ln in grid.lines)
     comm = CommGraph(links=links, message_interval=0.01, failed=((links[0], 0.1),))
     calls["control_rate"] = 0
-    integrate(Scenario(grid=grid, comm=comm, scheme="SEQUENTIAL", horizon=0.1, dt=1e-3,
-                       record_stride=100))
+    diag = integrate(Scenario(grid=grid, comm=comm, scheme="SEQUENTIAL", horizon=0.1, dt=1e-3,
+                              record_stride=100)).diagnostics
     assert calls["control_rate"] == 1
+    # 77 lines: each step map carries 59 angles in place of the flows; the
+    # ten intervals of 0.1 s complete no cycle of the 77 pairs
+    assert diag["state_size"] == {"full": 257, "stretch": 181, "intervals": 257, "cycles": 0}
     scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
                          failures=(((1, 6), 0.5),))
     diag = integrate(scn).diagnostics
     assert diag["maps"] == {"base": 2, "stretch": 2, "intervals": 0, "cycles": 0}
     assert diag["kernel_calls"] == {"stretch": 3, "intervals": 0, "cycles": 0}
+    assert diag["state_size"] == {"full": 40, "stretch": 31, "intervals": 0, "cycles": 0}
     assert diag["pauses"] == 4        # the starts of the pieces at 0, 0.5, 1.0 and 2.0 s
     sampled = with_overrides(toy, scheme="CONSENSUS_SAMPLED", message_interval=1e-3,
                              horizon=3.0, record_stride=100)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import derivative, random_grid, shared_links
+from conftest import derivative, random_grid, shared_links, transposed_Lc_star
+from gridfreq import stability
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
 from gridfreq.simulator import modes, vector_to_state
@@ -39,20 +40,32 @@ def pair_verdict(M, D, C, B):
     return sufficient_conditions(two_node_grid(M=M, D=D, C=C, B=B), PAIR_COMM, pair_ctx())
 
 
-def paper_two_node(M, D, C, B):
-    """The paper's two-node conditions in closed form, from the least
-    eigenvalue (a + c) / 2 - sqrt(((a - c) / 2)^2 + b^2) of a symmetric
-    [[a, b], [b, c]]: M > 0, sym(L2 M) + D > 0, sym(L2 D) + B L2 + C^-1 > 0,
-    and the product of the last two least eigenvalues above
-    4 B max(M_1, M_2), with the checker's 1e-9 margin."""
-    def lam_min(a, b, c):
-        return 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
-    inertia = lam_min(M[0] + D[0], -0.5 * (M[0] + M[1]), M[1] + D[1])
-    damping = lam_min(D[0] + B + 1.0 / C[0], -0.5 * (D[0] + D[1]) - B, D[1] + B + 1.0 / C[1])
+def paper_two_node(M, D, C, B, K=L2):
+    """The two-node conditions on K = L_c* C in closed form, from the
+    extreme eigenvalues (a + c) / 2 -+ sqrt(((a - c) / 2)^2 + b^2) of a
+    symmetric [[a, b], [b, c]]: M > 0, sym(K M) + D > 0,
+    sym(K D) + B L2 + C^-1 > 0, and the product of the last two least
+    eigenvalues above lam_max(sym(K B L2)) max(M_1, M_2), with the
+    checker's 1e-9 margin. With K = L2 these are the paper's conditions,
+    whose last bound is 4 B max(M_1, M_2); exact_K gives the K of the
+    single-failure pencil."""
+    def lam(a, b, c, sign=-1.0):
+        return 0.5 * (a + c) + sign * math.hypot(0.5 * (a - c), b)
+    inertia = lam(K[0][0] * M[0] + D[0], 0.5 * (K[0][1] * M[1] + K[1][0] * M[0]),
+                  K[1][1] * M[1] + D[1])
+    damping = lam(K[0][0] * D[0] + B + 1.0 / C[0],
+                  0.5 * (K[0][1] * D[1] + K[1][0] * D[0]) - B, K[1][1] * D[1] + B + 1.0 / C[1])
+    coupling = B * lam(K[0][0] - K[0][1], 0.5 * (K[0][1] - K[0][0] + K[1][0] - K[1][1]),
+                       K[1][1] - K[1][0], 1.0)
     return {"inertia_positive": min(M) > 1e-9,
             "inertia_cross_term": inertia > 1e-9,
             "damping_cross_term": damping > 1e-9,
-            "coupling_margin": damping * inertia > 4.0 * B * max(M) * (1 + 1e-9)}
+            "coupling_margin": damping * inertia > coupling * max(M) * (1 + 1e-9)}
+
+
+def exact_K(C):
+    """K = L_c* C of the two-node pencil, C^-1 L2 C, for the costs C."""
+    return np.array([[1.0, -C[1] / C[0]], [-C[0] / C[1], 1.0]])
 
 
 def rand_points(rng, k=10):
@@ -207,7 +220,10 @@ class TestSpectrum:
 
 class TestSufficientTwoNode:
     """The two-node flow law's certificate is the single-failure one at
-    N = 2 (certificate_matrices, check_sufficient_multi_node)."""
+    N = 2 (certificate_matrices, check_sufficient_multi_node), on
+    K = L_c* C = C^-1 L2 C (exact_K): the paper's conditions with L2
+    replaced by K, which equals L2 when the two costs are equal and gives
+    the pencil the same determinant at N = 2 whatever they are."""
 
     def test_reference_point_all_hold(self):
         v = pair_verdict((0.01, 0.02), (1.0, 1.0), (0.1, 0.1), 1.0)
@@ -232,24 +248,25 @@ class TestSufficientTwoNode:
             Ap = np.array([[1.0], [-1.0]])
             LpB = B * (Ap @ Ap.T)
             Cinv = np.linalg.inv(C)
+            K = Cinv @ L2 @ C
             margins = {
                 "inertia_positive": pd(M),
-                "inertia_cross_term": pd(0.5 * (L2 @ M + M @ L2) + D),
-                "damping_cross_term": pd(0.5 * (L2 @ D + D @ L2) + LpB + Cinv),
+                "inertia_cross_term": pd(0.5 * (K @ M + M @ K.T) + D),
+                "damping_cross_term": pd(0.5 * (K @ D + D @ K.T) + LpB + Cinv),
             }
             for key, expect in margins.items():
                 # the checker uses a 1e-9 margin; skip razor-edge draws
                 if v[key] != expect:
                     X = {"inertia_positive": M,
-                         "inertia_cross_term": 0.5 * (L2 @ M + M @ L2) + D,
-                         "damping_cross_term": 0.5 * (L2 @ D + D @ L2) + LpB + Cinv}[key]
+                         "inertia_cross_term": 0.5 * (K @ M + M @ K.T) + D,
+                         "damping_cross_term": 0.5 * (K @ D + D @ K.T) + LpB + Cinv}[key]
                     assert abs(np.linalg.eigvalsh(0.5 * (X + X.T))[0]) < 1e-8
 
     def test_closed_form_oracle_agreement(self):
         """On 1200 seeded two-node grids the report's verdict equals the
-        paper's conditions in closed form on every two-node key, each key
-        takes both values, and the identity check of the same matrices is
-        consistent."""
+        conditions on K = C^-1 L2 C in closed form on every two-node key,
+        each key takes both values, and the identity check of the same
+        matrices is consistent."""
         rng = np.random.default_rng(7)
         seen = {key: set() for key in TWO_NODE_KEYS}
         for _ in range(1200):
@@ -259,7 +276,7 @@ class TestSufficientTwoNode:
             B = float(rng.uniform(0.1, 3.0))
             if rng.uniform() < 0.05:
                 M[rng.integers(2)] = 0.0
-            v, want = pair_verdict(M, D, C, B), paper_two_node(M, D, C, B)
+            v, want = pair_verdict(M, D, C, B), paper_two_node(M, D, C, B, exact_K(C))
             assert {key: v[key] for key in TWO_NODE_KEYS} == want
             for key in TWO_NODE_KEYS:
                 seen[key].add(want[key])
@@ -384,21 +401,21 @@ class TestBuildLcStar:
     def test_two_node_case_is_scaled_laplacian(self):
         C = np.diag([2.0, 4.0])
         out = build_Lc_star(L2, C, (0, 1))
-        assert out == pytest.approx(L2 @ np.linalg.inv(C))
+        assert out == pytest.approx(np.linalg.inv(C) @ L2)
 
     def test_three_node_path(self):
         Lc_surv = CommGraph(links=((0, 1),)).laplacian(3)  # failed pair (1,2) removed
         C = np.diag([1.0, 2.0, 4.0])
         out = build_Lc_star(Lc_surv, C, (1, 2))
-        assert out[1:, 1:] == pytest.approx(np.array([[1 / 2.0, -1 / 4.0],
-                                                      [-1 / 2.0, 1 / 4.0]]))
+        assert out[1:, 1:] == pytest.approx(np.array([[1 / 2.0, -1 / 2.0],
+                                                      [-1 / 4.0, 1 / 4.0]]))
         assert out[0] == pytest.approx(Lc_surv[0])
 
     @pytest.mark.parametrize("linked", [False, True])
     def test_equals_the_relabelled_form(self, linked):
         """On a seeded 10-node grid, L_c* of a pair in place equals P^T L P,
         with L the block form of the pair relabelled last: P L_c P^T's
-        surviving rows over [0 | L2 C2^-1]. The pair's order does not
+        surviving rows over [0 | C2^-1 L2]. The pair's order does not
         matter, and a live link between the pair changes nothing."""
         grid = random_grid(3, 10)
         n = grid.n_nodes
@@ -409,7 +426,7 @@ class TestBuildLcStar:
         P = np.eye(n)[[k for k in range(n) if k not in pair] + list(pair)]
         relabelled = np.zeros((n, n))
         relabelled[:n - 2] = (P @ L_c @ P.T)[:n - 2]
-        relabelled[n - 2:, n - 2:] = L2 @ np.diag(1.0 / grid.cost()[list(pair)])
+        relabelled[n - 2:, n - 2:] = np.diag(1.0 / grid.cost()[list(pair)]) @ L2
         want = P.T @ relabelled @ P
         assert pair[0] < pair[1] < n - 2
         assert np.array_equal(build_Lc_star(L_c, C, pair), want)
@@ -500,13 +517,17 @@ class TestCharacteristicIdentity:
         assert rep.consistent
         assert rep.max_residual <= 1e-8
 
-    def test_multi_node_heterogeneous_costs_flagged(self):
-        """The multi-node block factorization commutes the cost matrix with
-        a Laplacian; with unequal costs it does not hold, and the check must
-        say so rather than silently pass."""
+    def test_multi_node_heterogeneous_costs_flagged(self, monkeypatch):
+        """With unequal costs the identity holds on the pair block
+        C_P^-1 L2, and the check must flag the transposed block
+        L2 C_P^-1 rather than silently pass it."""
         rng = np.random.default_rng(3)
         grid, comm, ctx = self._three_node([2.0, 5.0, 10.0])
-        rep = characteristic_identity_check(grid, comm, ctx, rand_points(rng, 8))
+        pts = rand_points(rng, 8)
+        rep = characteristic_identity_check(grid, comm, ctx, pts)
+        assert rep.consistent and rep.max_residual <= 1e-12
+        monkeypatch.setattr(stability, "build_Lc_star", transposed_Lc_star)
+        rep = characteristic_identity_check(grid, comm, ctx, pts)
         assert not rep.consistent
         assert rep.max_residual > 1e-3
 
@@ -592,10 +613,19 @@ def oracle_cases():
         yield grid, CommGraph(links=((0, 1),)), pair_ctx()
 
 
-def test_identity_check_matches_lu_oracle():
+@pytest.mark.parametrize("transposed", [False, True], ids=["exact", "transposed"])
+def test_identity_check_matches_lu_oracle(monkeypatch, transposed):
     """The spectrum-based left side and the stacked pencil agree with one
     LU per point: the same consistent flags, residuals within 1e-10 and
-    sigma within 1e-9; both flag values occur."""
+    sigma within 1e-9. On the pair block C_P^-1 L2 all 36 cases are
+    consistent; with the transposed block L2 C_P^-1 (transposed_Lc_star,
+    in the check and the oracle alike) the 6 multi-node cases whose failed
+    pair has unequal costs are flagged, and the others are not: the pairs
+    with equal costs, and the two-node cases, whose determinant it does
+    not change."""
+    if transposed:
+        monkeypatch.setattr(stability, "build_Lc_star", transposed_Lc_star)
+        monkeypatch.setitem(globals(), "build_Lc_star", transposed_Lc_star)
     rng = np.random.default_rng(6)
     flags = []
     for grid, comm, ctx in oracle_cases():
@@ -606,7 +636,7 @@ def test_identity_check_matches_lu_oracle():
         assert np.abs(np.array(rep.residuals) - residuals).max() <= 1e-10
         assert abs(rep.sign - sigma) <= 1e-9
         flags.append(rep.consistent)
-    assert len(flags) == 36 and 0 < sum(flags) < 36
+    assert len(flags) == 36 and sum(flags) == (30 if transposed else 36)
 
 
 def test_certificates_of_the_flow_laws(toy):
@@ -614,7 +644,7 @@ def test_certificates_of_the_flow_laws(toy):
     set of matrices, the single-failure analysis's: the multi-node
     conditions on M, D, C and L_p^B as the grid labels its nodes, with
     L_c* (build_Lc_star of the live links' Laplacian). Under PAIR_FLOW on
-    two nodes that is diag(M, D, C), B L2 and L_c* = L2 C^-1. The law is
+    two nodes that is diag(M, D, C), B L2 and L_c* = C^-1 L2. The law is
     read from the context's structure: every context with two
     flow-controlled nodes and no held messages gets the certificate,
     MULTI_FAILURE after one power-line failure included, and no other law
@@ -622,7 +652,7 @@ def test_certificates_of_the_flow_laws(toy):
     a rotation's pair, whose law holds messages."""
     grid = two_node_grid(M=(0.05, 0.1), D=(0.8, 1.2), C=(0.1, 0.2), B=0.7)
     M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
-    Lstar = L2 @ np.diag(1.0 / grid.cost())
+    Lstar = L2 / grid.cost()[:, None]
     mats = certificate_matrices(grid, PAIR_COMM, pair_ctx())
     assert len(mats) == 5
     assert all(np.array_equal(a, b) for a, b in zip(mats, (M, D, C, 0.7 * L2, Lstar)))
