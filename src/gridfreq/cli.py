@@ -3,6 +3,11 @@ and bundled experiment reproduction.
 
 Exit codes: 0 success (simulate: converged), 2 simulate finished without
 convergence, 1 bad input or validation failure.
+
+Each command imports the modules it calls when it runs: optimal imports
+dispatch, simulate imports simulator, stability imports simulator and
+stability, and repro's sweeps import simulator when they run. Building the
+parser and loading a scenario import model and experiments alone.
 """
 from __future__ import annotations
 
@@ -16,13 +21,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import experiments
-from .dispatch import optimal_dispatch
 from .model import (CONTINUOUS, SCHEMES, load_scenario, post_disturbance_power, save_scenario,
                     toy_grid, validate, with_overrides)
-from .simulator import (ScenarioError, run_scenario, schedule, state_labels,
-                        write_trajectory_csv)
-from .stability import (assemble_state_matrix, characteristic_identity_check,
-                        interval_map_spectrum, spectrum, sufficient_conditions)
 
 
 def _error(message) -> int:
@@ -71,6 +71,8 @@ def _warn(events) -> List[dict]:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import ScenarioError, run_scenario, write_trajectory_csv
+
     scn = _load(args)
     if scn is None:
         return 1
@@ -111,6 +113,8 @@ def _write_json(doc: dict, path: Optional[str]) -> int:
 
 
 def cmd_optimal(args) -> int:
+    from .dispatch import optimal_dispatch
+
     scn = _load(args)
     if scn is None:
         return 1
@@ -130,6 +134,9 @@ def _interval_map_report(scn, piece) -> dict:
     """Report of a law that holds messages: its closed loop is the exact map
     of one cycle of the piece's contexts (one message interval, or one
     SEQUENTIAL rotation), not x' = A x."""
+    from .simulator import state_labels
+    from .stability import interval_map_spectrum
+
     rep = interval_map_spectrum(scn.grid, piece.comm, piece.contexts, scn.dt,
                                 scn.comm.message_interval)
     return {
@@ -148,6 +155,9 @@ def _interval_map_report(scn, piece) -> dict:
 
 
 def _state_matrix_report(scn, piece, args) -> dict:
+    from .stability import (assemble_state_matrix, characteristic_identity_check, spectrum,
+                            sufficient_conditions)
+
     ctx, comm = piece.contexts[0], piece.comm
     sm = assemble_state_matrix(scn.grid, comm, ctx)
     rep = spectrum(sm)
@@ -182,6 +192,8 @@ def cmd_stability(args) -> int:
     piece of the scenario's schedule, with the links live there. The
     warnings and fallbacks to averaging among the pieces' events go to
     stderr, as simulate prints them."""
+    from .simulator import ScenarioError, schedule
+
     if args.samples < 1:
         return _error(f"--samples must be at least 1, got {args.samples}")
     scn = _load(args)

@@ -14,7 +14,6 @@ from typing import Dict, List
 import numpy as np
 
 from .model import CommGraph, Scenario, toy_grid, with_overrides
-from .simulator import run_scenario
 
 # Reference steady costs reported for the benchmark's original (unrecoverable)
 # wiring; reproduced here only for side-by-side comparison.
@@ -36,6 +35,8 @@ def _cost_row(name: str, scenario: Scenario, reference: str) -> Dict:
     """Run scenario; its row of the failure-cost tables, beside
     REFERENCE[reference]. Only the optimal cost does not depend on the
     wiring, so it alone is a target."""
+    from .simulator import run_scenario
+
     traj, summary = run_scenario(scenario)
     return {
         "experiment": name,
@@ -51,6 +52,8 @@ def _cost_row(name: str, scenario: Scenario, reference: str) -> Dict:
 def _t_star_row(name: str, scheme: str, T: float, horizon: float) -> Dict:
     """Run the toy grid under scheme at message interval T; its row of the
     t* tables."""
+    from .simulator import run_scenario
+
     traj, summary = run_scenario(with_overrides(toy_grid(), scheme=scheme, message_interval=T,
                                                 horizon=horizon, record_stride=1000))
     return {

@@ -591,9 +591,13 @@ class LinkStore(dict):
 
 def initial_flows(grid: PowerGrid, p: np.ndarray) -> np.ndarray:
     """Minimum-norm DC flow solution balancing the injections at ω = 0
-    (zero cycle-space component)."""
-    f, *_ = np.linalg.lstsq(grid.incidence(), p, rcond=None)
-    return f
+    (zero cycle-space component): f = (T B)^T phi with
+    (T B)(T B)^T phi = T p, for B the incidence and T the grounded angles'
+    rates. T takes each component's constant out of p, so unbalanced
+    injections get the least-squares flows of B f = p."""
+    T = grid.angle_rates()
+    TB = T @ grid.incidence()
+    return TB.T @ np.linalg.solve(TB @ TB.T, T @ p)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,31 @@ def test_two_node_matches_matrix_exponential():
         assert np.abs(x_sim - x_ref).max() <= 1e-6
 
 
+@pytest.mark.parametrize("grid_name", ["toy", "random12", "random40", "random100",
+                                       "two_components"])
+@pytest.mark.parametrize("balanced", [True, False])
+def test_initial_flows_are_the_least_squares_minimum_norm_flows(toy, grid_name, balanced):
+    """The grounded solve gives np.linalg.lstsq's flows of B f = p, with
+    balanced injections and with unbalanced ones, on one power component
+    and on two."""
+    if grid_name == "toy":
+        grid = toy.grid
+    elif grid_name == "two_components":
+        grid = PowerGrid(tuple(NodeParams(k + 1, 0.1, 1.0, 1.0, p)
+                               for k, p in enumerate((1.0, -0.5, 2.0, -2.0, 0.0))),
+                         (Line(0, 1, 2.0), Line(2, 3, 1.0), Line(3, 4, 3.0), Line(2, 4, 0.5)))
+    else:
+        n = int(grid_name[len("random"):])
+        grid = random_grid(n, n)
+    p = grid.fixed_power()
+    if not balanced:
+        p = p + np.random.default_rng(grid.n_nodes).uniform(-1.0, 1.0, grid.n_nodes)
+    want, *_ = np.linalg.lstsq(grid.incidence(), p, rcond=None)
+    got = initial_flows(grid, p)
+    assert got.shape == (grid.n_lines,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_steady_controls_match_dispatch_per_node(toy):
     """Averaging with connected comm, the hybrid law after a power-adjacent
     failure, and the two-node flow law all land on the optimal dispatch to
