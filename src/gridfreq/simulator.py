@@ -33,28 +33,29 @@ zero, so [A B] holds the bits, signed zeros included, of one call of
 swing_rate and control_rate of the context on the identity stack of
 [x; y; p].
 
-context_step builds RK4's one-step map from [A B] on the states the
-context moves, those whose row of [A B] is not zero: a state the context
-holds constant, such as q_i outside the flow-controlled set F, enters as
-an input like p. The map carries the flows as node angles (angle_system).
-The line flows obey f' = Gamma B^T omega (Gamma the susceptances, B the
-incidence), and no rate reads a flow except the omega rows, through
+A run carries one state from start to end, z = [omega, theta (N - c), u,
+q], with the flows as node angles (angle_system). The line flows obey
+f' = Gamma B^T omega (Gamma the susceptances, B the incidence), power
+lines never fail, and no rate reads a flow except the omega rows, through
 B f (Bergen & Hill's structure-preserving model, IEEE Trans. PAS 100(1),
-1981). So from flows f0, f = f0 + Gamma B^T theta with theta the node
-angles grounded at node 1 (at one node per component of the power
-graph), theta' = omega_i - omega_ref, and the
-omega rows read p - B f0 in place of p: the E - N + 1 cycle flows, which
-never change, are not carried, and a step map propagates [omega, theta
-(N - 1), u, the moving q]. StepMap.embed maps such a map back to full
-coordinates, where interval and cycle maps are built; a stretch call
-starts its angles at zero and writes its records' flows back with one
-block product. A sampling instant is a
+1981). So from the run's initial flows f0, f = f0 + Gamma B^T theta
+exactly, with theta the node angles grounded at one node per component of
+the power graph (c of them), theta' = omega_i - omega_ref, and the omega
+rows read p - B f0 in place of p: the E - N + c cycle flows, which never
+change, are carried by no map. Full rows [omega, f, u, q] are formed only
+for the records, once the run ends, and for init_artificial at a failure.
+
+Every map of a stretch of steps is a StepMap on the states it moves,
+those whose row of [A B] is not zero: a state the map holds constant, such
+as q_i outside the flow-controlled set F, enters as an input like p when
+read. context_step builds RK4's one-step map. A sampling instant is a
 linear reset: y refreshes to C u, and a rotation (a context that holds
-messages and has F) resets q to R x, R the N q rows of its reset. So a
-whole message interval is one exact affine map (interval_map), and a
-whole SEQUENTIAL rotation cycle the composition of its interval maps
-(kernels.compose_maps). LinkStore keeps all of these for one set of live
-links, each built on its first lookup.
+messages and has F) resets the pair's q to R u, R the q rows of its
+reset. So a whole message interval is one exact affine map on the step
+map's states (interval_map), and a whole SEQUENTIAL rotation cycle the
+composition of its interval maps on the union of their states
+(cycle_map). LinkStore keeps all of these for one set of live links, each
+built on its first lookup.
 
 plan() turns a schedule into kernel calls from step counts alone: where
 each jump starts and stops, which of these maps it applies and which
@@ -94,8 +95,8 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 class IntegrationError(RuntimeError):
     """The state left the finite range. step is the first step, replayed
     one RK4 step at a time from the start of the failing kernel call, after
-    which the state, or at a sampling instant the messages C u it sends, is
-    not finite. Those messages reach the state a step later, and an interval
+    which the state a run carries, [omega, theta, u, q] (integrate), or at a
+    sampling instant the messages C u it sends, is not finite. Those messages reach the state a step later, and an interval
     map, which folds C into its matrix, can carry a state past that
     overflow, so checking the messages makes every record stride report
     the same step. The naive oracle (tests/conftest.py) can overflow a few
@@ -104,7 +105,7 @@ class IntegrationError(RuntimeError):
     limit step can still move by one with the record stride: the squared
     maps that jump to the failing call round differently from single
     steps, and the unstable modes amplify that (on the toy grid at dt =
-    0.05 s it reads 194 at stride 4 and 193 at strides 1, 3, 7 and 100).
+    0.05 s it reads 194 at strides 1, 3, 4, 7 and 100).
     last_state is the last recorded state before step, or None. The run's
     calls (their maps, kernel calls, sampling and replay) and a failing
     run's records run with NumPy's overflow and invalid-value warnings off:
@@ -378,89 +379,63 @@ def context_system(grid: PowerGrid, base, ctx: ControlContext) -> np.ndarray:
 def angle_system(grid: PowerGrid, AB: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """[A B] of a context, (dim, dim + 2N) over [x; y; p], on the states it
-    moves with the flows carried as grounded node angles: (A, B, rest,
-    inputs). The coordinates are [omega, theta, x[rest]]: theta the
-    N - c angles of PowerGrid.angle_rates, and rest the moving states past
-    the flows, u and the moving q. B acts on z[inputs], z = [x; y; p], the
-    columns outside the moving states that the moving rows read; its p
-    columns act on the powers net of the flows f0 at which theta is zero,
-    p - (incidence) f0, since f = f0 + PowerGrid.angle_flows() theta.
+    moves in the run's coordinates z = [omega, theta, u, q], theta the
+    N - c grounded angles of PowerGrid.angle_rates: (A, B, states,
+    inputs), with states the indices into z of omega, theta, u and the
+    moving q. B acts on [z; y; p - (incidence) f0][inputs], the columns
+    outside the moving states that the moving rows read: its p columns act
+    on the powers net of the flows f0 at which theta is zero, since
+    f = f0 + PowerGrid.angle_flows() theta.
 
     The omega rows are those of [A B] with their flow columns replaced by
     their rates per unit angle (swing_rows: from the rate function too);
     the theta rows are angle_rates, exact +-1 entries that read no
-    input; the rows of rest are those of [A B]. So A is similar to the
+    input; the u and q rows are those of [A B]. So A is similar to the
     moving states' block of A with the E - N + c cycle flows split off:
     they never change, and no rate reads them. Raises AssertionError
     unless omega and the flows move and every power is read, or when a law
     row (u or q) reads a flow."""
     n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
     moving = np.flatnonzero(AB.any(axis=1))
-    rest = moving[n + e:]
     read = AB.any(axis=0)      # the other rows are zero
     read[moving] = False
     inputs = np.flatnonzero(read)
     if (len(moving) < n + e or moving[n + e - 1] != n + e - 1 or AB[n + e:, n:n + e].any()
-            or inputs[-n] != dim + n):
+            or inputs[-n] != 4 * n + e):
         raise AssertionError("the flows must move with omega alone, and every power be read")
     rates = grid.angle_rates()
     a = len(rates)
-    keep = np.concatenate([np.arange(n), rest])
-    old = AB[keep][:, np.concatenate([keep, inputs])]     # rows and columns kept, in order
+    keep = np.concatenate([np.arange(n), moving[n + e:]])   # omega, u and the moving q
+    old = AB[keep][:, np.concatenate([keep, inputs])]       # rows and columns kept, in order
     r = len(keep) + a
-    new = np.zeros((r, r + len(inputs)))                  # [A B] with theta after omega
+    new = np.zeros((r, r + len(inputs)))                    # [A B] with theta after omega
     new[:n, :n], new[:n, n + a:], new[n + a:, :n], new[n + a:, n + a:] = (
         old[:n, :n], old[:n, n:], old[n:, :n], old[n:, n:])
     new[:n, n:n + a], new[n:n + a, :n] = swing_rows(grid)[1], rates
-    return new[:, :r], new[:, r:], rest, inputs
+    states = np.concatenate([np.arange(n + a), keep[n:] - e + a])
+    return new[:, :r], new[:, r:], states, inputs - e + a
 
 
 @dataclass(frozen=True, eq=False)
 class StepMap:
-    """RK4's one-step map of a context on the states it moves, with the
-    flows carried as grounded node angles (angle_system).
+    """An exact map of a run's state z = [omega, theta, u, q] (angle_system)
+    over a stretch of steps, on the states it moves: RK4's one-step map of
+    a context (context_step), the map of one message interval
+    (interval_map) or of one rotation cycle (cycle_map). It is
 
-    The moving states are those whose row of [A B] is not identically
-    zero: omega, the flows, and `rest`, u and the moving q.
-    Every other state is constant under the context, such as q_i outside
-    F. The map's coordinates are x_r = [omega, theta, x[rest]], theta the
-    grid's N - c grounded angles (PowerGrid.angle_rates), zero where the
-    map starts from flows f0, which then are f0 + angle_flows() theta. On
-    them the step is
+        z[states] -> z[states] + D z[states] + G w,
+        w = [z; y; p - (incidence) f0][inputs],
 
-        x_r -> x_r + D x_r + G w,      w = [x; y; p - (incidence) f0][inputs],
+    with `inputs` the columns outside the moving states that its rows
+    read: the held messages and powers, and any state the map holds
+    constant that it reads, which enters like p. Every state outside
+    `states` keeps its value, such as q_i outside F; so do the E - N + c
+    cycle flows, which z does not hold."""
 
-    with `inputs` the nonzero columns of [A B] at the moving rows outside
-    the moving states: the held messages and powers the context reads, and
-    any frozen state it reads, which enters like p. The E - N + c cycle
-    flows, constant under every context, are not carried."""
-
-    D: np.ndarray              # (len(x_r), len(x_r))
-    G: np.ndarray              # (len(x_r), len(inputs))
-    rest: np.ndarray           # indices into x: the moving states past the flows
-    inputs: np.ndarray         # indices into z = [x; y; p]
-    grid: PowerGrid
-
-    def embed(self, Dm: np.ndarray, Gm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """A map (Dm, Gm) on x_r with inputs w, such as (D, G) or a k-step
-        map of it, in full coordinates: (D, G) of x -> x + D x + G [y; p],
-        views of one new array. x_r starts from x with theta zero, and w
-        reads p net of the flows of x; the flows advance by angle_flows()
-        times theta's increment. The rows of the frozen states are zero."""
-        grid = self.grid
-        n, e = grid.n_nodes, grid.n_lines
-        dim, a = 3 * n + e, len(grid.angle_rates())
-        dz = np.zeros((len(Dm), dim + 2 * n))    # x_r's increment per entry of [x; y; p]
-        dz[:, :n] = Dm[:, :n]
-        dz[:, self.rest] = Dm[:, n + a:]
-        dz[:, self.inputs] = Gm
-        dz[:, n:n + e] = -(Gm[:, -n:] @ grid.incidence())
-        F = np.zeros((dim, dim + 2 * n))
-        F[:n] = dz[:n]
-        F[n:n + e] = grid.angle_flows() @ dz[n:n + a]
-        F[self.rest] = dz[n + a:]
-        return F[:, :dim], F[:, dim:]
+    D: np.ndarray              # (len(states), len(states))
+    G: np.ndarray              # (len(states), len(inputs))
+    states: np.ndarray         # indices into z
+    inputs: np.ndarray         # indices into [z; y; p - (incidence) f0]
 
 
 def context_step(grid: PowerGrid, base, ctx: ControlContext, h: float) -> StepMap:
@@ -469,40 +444,59 @@ def context_step(grid: PowerGrid, base, ctx: ControlContext, h: float) -> StepMa
     states the context moves, with the frozen states it reads as inputs
     (StepMap). The moving set is read off the assembled [A B], not off the
     scheme; [A B] is dropped before the map is built."""
-    A, B, rest, inputs = angle_system(grid, context_system(grid, base, ctx))
-    D, G = one_step_map(A, B, h)
-    return StepMap(D, G, rest, inputs, grid)
+    A, B, states, inputs = angle_system(grid, context_system(grid, base, ctx))
+    return StepMap(*one_step_map(A, B, h), states, inputs)
 
 
-def interval_map(grid: PowerGrid, step: StepMap, K: int, R: Optional[np.ndarray]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+def interval_map(grid: PowerGrid, step: StepMap, K: int, R: Optional[np.ndarray]) -> StepMap:
     """Exact map of one message interval, K RK4 steps from one sampling
-    instant to the next, as (D_K, G_K) with
+    instant to the next, on the states of a context's step map
+    (context_step), given for a rotation R, the N q rows of its reset
+    (LinkStore), else None. At the instant the held values refresh to
+    y = C u and, when R is not None, the pair's q resets to its rows of R,
+    which read u alone; then K steps follow with y constant. Refresh and
+    reset are linear and the K-fold step map with constant inputs is affine
+    (kernels.k_step_map), so the map is exact. Both leave a state whose
+    sampling events have already been applied unchanged, so the map also
+    advances such a state. The K steps are squared on the step map's
+    states; the held coupling moves G's y columns onto D's u columns, and
+    R folds in as D R + R - I. R differs from the identity only in the
+    pair's q rows, which read u alone, so D R adds D's q columns times
+    them to its u columns and clears its q columns: one small product. The
+    map's inputs are the step map's without y. R's other q rows are zero:
+    those q are read by no rate, so the map leaves them as they are, and
+    sample() zeroes them in what a run records."""
+    n, e, a = grid.n_nodes, grid.n_lines, len(grid.angle_rates())
+    D, G = k_step_map(step.D, step.G, K)
+    held = (step.inputs >= 3 * n + a) & (step.inputs < 4 * n + a)
+    y = step.inputs[held] - 3 * n - a
+    D[:, n + a + y] += G[:, held] * grid.cost()[y]     # u sits at n + a in states as in z
+    if R is not None:      # D R + R - I: the pair's q rows of R read u alone
+        U, Q = slice(n + a, 2 * n + a), slice(2 * n + a, None)
+        Ru = R[step.states[Q] - 2 * n - a, n + e:2 * n + e]
+        D[:, U] += D[:, Q] @ Ru
+        D[:, Q] = 0.0       # no step reads q before the reset overwrites it
+        D[Q, U] += Ru
+        D[Q, Q] = -np.eye(len(Ru))
+    return StepMap(D, G.compress(~held, axis=1), step.states, step.inputs[~held])
 
-        x(next instant) = x + D_K x + G_K p
 
-    for fixed powers p, given a context's context_step and, for a rotation,
-    R, the N q rows of its reset (LinkStore), else None. At the instant the
-    held values refresh to y = C u and, when R is not None, q resets to
-    R x; then K steps x -> x + D x + G [y; p] follow with y constant.
-    Refresh and reset are linear and the K-fold step map with constant
-    inputs is affine (kernels.k_step_map), so the map is exact. Both leave a
-    state whose sampling events have already been applied unchanged, so the
-    map also advances such a state. The K steps are squared on the step
-    map's coordinates, the flows carried as angles, then embedded into
-    full coordinates (StepMap.embed), where the held coupling and R fold
-    in; R differs from the identity only in its N q rows, so D R costs a
-    product with those rows alone. D_K is dim x dim and G_K dim x N.
-    """
-    n, e = grid.n_nodes, grid.n_lines
-    D, G = step.embed(*k_step_map(step.D, step.G, K))
-    D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
-    if R is not None:      # D R + R - I, with R - I zero outside the q rows
-        Q = slice(2 * n + e, None)
-        RQ = R - np.eye(n, len(D), 2 * n + e)
-        D += D[:, Q] @ RQ
-        D[Q] += RQ
-    return D, np.ascontiguousarray(G[:, n:])
+def cycle_map(maps: Sequence[StepMap]) -> StepMap:
+    """The map of applying maps in order (kernels.compose_maps), on the
+    union of the states they move, each lifted to it with a zero increment
+    on the states it holds, and the union of their inputs. The interval
+    maps of a rotation read the powers alone, none of the states another
+    one moves."""
+    states = np.unique(np.concatenate([m.states for m in maps]))
+    inputs = np.unique(np.concatenate([m.inputs for m in maps]))
+    lifted = []
+    for m in maps:
+        rows = np.searchsorted(states, m.states)[:, None]
+        D, G = np.zeros((len(states), len(states))), np.zeros((len(states), len(inputs)))
+        D[rows, rows.T] = m.D
+        G[rows, np.searchsorted(inputs, m.inputs)] = m.G
+        lifted.append((D, G))
+    return StepMap(*compose_maps(lifted), states, inputs)
 
 
 class LinkStore(dict):
@@ -527,16 +521,16 @@ class LinkStore(dict):
     - ("intervals", ctx): the map of one message interval of K steps of ctx
       (interval_map);
     - ("cycles", contexts): the map of a rotation cycle over contexts, the
-      composition of their interval maps (kernels.compose_maps); for one
-      context the ("intervals", ctx) entry itself, its powers included,
-      neither built nor counted again.
+      composition of their interval maps (cycle_map); for one context the
+      ("intervals", ctx) entry itself, its powers included, neither built
+      nor counted again.
 
-    A map comes with the dict of its k-step maps that kernels.jump squares
-    from it, (map, powers). Only the maps read the step dt and the steps
-    per message interval K. Each build of a base or a map is counted into
-    built by kind, and states holds by kind the largest state a map built
-    propagates: len(x_r) for a step map, dim for the others (0 for a kind
-    none was built of). A link failure is the only event that changes the
+    A map is a StepMap and comes with the dict of its k-step maps that
+    kernels.jump squares from it, (map, powers). Only the maps read the
+    step dt and the steps per message interval K. Each build of a base or
+    a map is counted into built by kind, and states holds by kind the
+    largest number of states a map built moves (0 for a kind none was
+    built of). A link failure is the only event that changes the
     live links, and they only shrink, so no part is asked for again once
     they change: a run replaces its store at each failure by renew, which
     keeps built and states. No part refers to the store, so a dropped
@@ -581,10 +575,9 @@ class LinkStore(dict):
         elif kind == "intervals":
             value = interval_map(grid, self["stretch", key][0], self.K, self["R", key]), {}
         else:
-            value = compose_maps([self["intervals", c][0] for c in key]), {}
+            value = cycle_map([self["intervals", c][0] for c in key]), {}
         if kind in self.states:
-            size = len(value[0].D if kind == "stretch" else value[0][0])
-            self.states[kind] = max(self.states[kind], size)
+            self.states[kind] = max(self.states[kind], len(value[0].states))
         self[part] = value
         return value
 
@@ -804,7 +797,8 @@ def plan(sched: Schedule, stride: int) -> Iterator[Call]:
     cross whole rotation cycles of L intervals by one jump of the cycle map
     when no record lies inside them or every record starts a cycle (a
     stride that is a multiple of L K), and each other interval by one jump
-    of its own map. A stretch jumps once per _REC_BLOCK of its records. A
+    of its own map. A stretch, and a run of whole cycles, jumps once per
+    _REC_BLOCK of its records, so a call writes at most that many. A
     pause books the record at its step, and any other call the record steps
     after its start up to its stop, except a stop where a pause follows.
     """
@@ -836,8 +830,9 @@ def plan(sched: Schedule, stride: int) -> Iterator[Call]:
                     kind, key, m = "stretch", piece.context(step, K), 1
                     end = (step // stride + _REC_BLOCK) * stride    # its last record
                     end = end if end + stride < stop else stop
-                elif step == head < tail:
-                    kind, key, m, end = "cycles", piece.contexts, cycle, tail
+                elif head <= step < tail:
+                    kind, key, m = "cycles", piece.contexts, cycle
+                    end = min(tail, (step // stride + _REC_BLOCK) * stride)
                 else:
                     kind, key, m, end = "intervals", piece.context(step, K), K, step + K
                 recs = range((step // stride + 1) * stride, min(end + 1, stop), stride)
@@ -888,7 +883,7 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     One loop executes the calls of plan(). The run keeps one LinkStore of
     the live links in force: each call's map by kind and key (a rotation
-    over L links keeps L + 1 maps of dim * (dim + N) floats), the law base
+    over L links keeps 2L + 1 maps of at most 4N - c states each), the law base
     that a step map is built from, and each rotation's reset. A link
     failure is the only event that changes the live links, and they only
     shrink, so the run replaces the store at each failure: it holds the
@@ -901,20 +896,26 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     one product G_k w. A call with many records writes them in blocks of
     rows, each one product with a lag map of several record strides
     (kernels.jump), so a record's last bits depend on its index in its
-    call. A stretch jumps on its step map's coordinates x_r = [omega,
-    theta, x[rest]] (StepMap), the angles zero at the call's start, with
-    offset G w, w = [x; y; p - B f][inputs] from the flows f there; its
-    records are written as x_r into the leading columns of their rows,
-    then spread to full rows with the frozen states filled in and the
-    flows f + angle_flows() theta written by one block product, so no
-    second record buffer is kept.
-    Every sampling instant runs one rule, sample(), on a stack of states:
-    under a rotation q resets by its context's R (the q rows of the reset),
-    and the held values become C u. Interval and cycle jumps record states
-    before their instants' events, and each such call samples its own
-    records as one stack right after kernels.jump writes them.
+    call.
 
-    After each call x and every record it wrote must be finite, and so
+    The run holds one array [z; y; p - B f0]: its state z = [omega, theta,
+    u, q], the held messages y, and the powers of the piece net of the
+    initial flows f0, at which theta is zero, set once per piece. Every
+    jump, whatever its kind, applies its StepMap to z[states] with offset
+    G w, w = [z; y; p - B f0][inputs]. A record holds z, the states the
+    map holds filled in, until the run ends; then the records become full
+    rows [omega, f, u, q], the flows f0 + angle_flows() theta written by
+    one block product per _REC_BLOCK records. The flows are a fixed linear
+    map of the angles, so they leave the float range only where the angles
+    come within a factor 2 max(Gamma) of it; only z is checked.
+    Every sampling instant runs one rule, sample(), on a stack of states
+    in z: under a rotation q resets by its context's R (the q rows of the
+    reset, which zero the q outside the pair), and the held values become
+    C u. Interval and cycle jumps record states before their instants'
+    events, and each such call samples its own records as one stack right
+    after kernels.jump writes them.
+
+    After each call z and every record it wrote must be finite, and so
     must the messages C u it sends at an instant. A call that fails this
     is replayed by the same executor one RK4 step at a time from a copy of
     its start state (exact, as no event lies inside a call), and
@@ -924,32 +925,38 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     Trajectory.diagnostics counts the maps the run built and the kernel
     calls of its plan, each by kind, and the plan's pauses, and gives the
-    state size: "full", dim, and by kind the largest state a map built
-    propagates (LinkStore.states; a step map's len(x_r), E - N + 1 below
-    the moving states).
+    state size: "full", dim, and by kind the largest number of states a
+    map built moves (LinkStore.states), E - N + c or more below dim.
     """
     sched = schedule(scenario)
     grid = scenario.grid
     n, e = grid.n_nodes, grid.n_lines
     dim = 3 * n + e
-    F, U, Q = slice(n, n + e), slice(n + e, 2 * n + e), slice(2 * n + e, dim)
-    inc, flows = grid.incidence(), grid.angle_flows()
+    flows = grid.angle_flows()
     a = flows.shape[1]
-    angles = np.zeros(a)
+    U, Q = slice(n + a, 2 * n + a), slice(2 * n + a, 3 * n + a)     # of z
     dt, stride, K = scenario.dt, scenario.record_stride, sched.interval_steps
     cost_vec = grid.cost()
-    sends = np.ones(dim)    # x * sends holds the messages C u in place of u
+    sends = np.ones(3 * n + a)    # z * sends holds the messages C u in place of u
     sends[U] = cost_vec
     events_log: List[Tuple[float, str, str]] = []
-    if initial_state is None:
-        x = np.zeros(dim)
-        x[n:n + e] = initial_flows(grid, grid.fixed_power())
-    else:
-        x = state_to_vector(initial_state).astype(float).copy()
+    x = (np.concatenate([np.zeros(n), initial_flows(grid, grid.fixed_power()), np.zeros(2 * n)])
+         if initial_state is None else state_to_vector(initial_state).astype(float))
+    f0 = x[n:n + e].copy()
+    # [z; y; p - B f0], from which every map reads its inputs: the state z,
+    # the held messages y (NaN before any instant) and the powers of the piece
+    zyp = np.concatenate([x[:n], np.zeros(a), x[n + e:], np.full(2 * n, np.nan)])
+    z, y, pn = zyp[:3 * n + a], zyp[3 * n + a:4 * n + a], zyp[4 * n + a:]
+
+    def full(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, holding the full rows [omega, f, u, q] of the rows of z."""
+        out[:, :n] = rows[:, :n]
+        out[:, n:n + e] = f0 + rows[:, n:n + a] @ flows.T
+        out[:, n + e:] = rows[:, n + a:]
+        return out
 
     # Held messages, per directed link rx_links[c] from senders[c]: a live
     # link holds y[sender], a failed one frozen[c]; NaN before any instant.
-    y = np.full(n, np.nan)
     rx_links = tuple(d for a_, b_ in scenario.comm.links for d in ((a_, b_), (b_, a_)))
     senders = np.array([a_ for a_, _ in rx_links], dtype=int)
     frozen = np.full(len(rx_links), np.nan)
@@ -960,16 +967,16 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
 
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
-        on the stack of their states, in place: under a rotation q resets
-        by R of the context of step's interval, which the whole stack
-        shares (a pause samples one state, an interval jump records at most
-        one and a cycle jump records only on cycle starts). R comes from the
-        store, not from a step map, so an instant whose interval never runs,
-        such as the horizon's, builds no map. Returns the held values each
-        row leaves, its C u."""
+        on the stack of their states in z, in place: under a rotation q
+        resets by R of the context of step's interval, which reads u alone
+        and which the whole stack shares (a pause samples one state, an
+        interval jump records at most one and a cycle jump records only on
+        cycle starts). R comes from the store, not from a step map, so an
+        instant whose interval never runs, such as the horizon's, builds no
+        map. Returns the held values each row leaves, its C u."""
         R = store["R", piece.context(step, K)]
         if R is not None:
-            rows[:, Q] = rows @ R.T
+            rows[:, Q] = rows[:, U] @ R[:, n + e:2 * n + e].T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------
@@ -993,43 +1000,31 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
         n_rec += got
 
     def execute(call: Call) -> bool:
-        """Run one call on x; whether x is then finite, and at an instant
+        """Run one call on z; whether z is then finite, and at an instant
         also the messages C u that it sends, and so is every record."""
         got = call.rows
+        rec = rec_states[n_rec:n_rec + got, :len(z)]      # a record holds z until the run ends
         if call.kind == "pause":
             if K is not None and call.start % K == 0:
-                y[:] = sample(x[None], call.start)[0]
-            if call.rows:
-                rec_states[n_rec] = x
+                y[:] = sample(z[None], call.start)[0]
+            if got:
+                rec[:] = z
                 book(1, y[None])
-        elif call.kind == "stretch":
+        else:
             sm, powers = store[call.kind, call.key]
-            w = np.concatenate([x, y, p - inc @ x[F]])[sm.inputs]
-            xm = np.concatenate([x[:n], angles, x[sm.rest]])    # theta zero at the start
-            rec = rec_states[n_rec:n_rec + call.rows]
-            got = jump(sm.D, sm.G, w, xm, call.k, call.first, call.every, rec[:, :len(xm)],
+            zs = z[sm.states]
+            moved = np.empty((got, len(zs)))      # contiguous, for kernels.jump's block products
+            got = jump(sm.D, sm.G, zyp[sm.inputs], zs, call.k, call.first, call.every, moved,
                        powers)
             if got:
-                moved = rec[:got, :len(xm)].copy()
-                rec[:got] = x
-                rec[:got, :n] = moved[:, :n]
-                rec[:got, sm.rest] = moved[:, n + a:]
-                rec[:got, F] += moved[:, n:n + a] @ flows.T
-                if not np.isfinite(rec[:got, F]).all():
-                    got = int(np.isfinite(rec[:got, F]).all(axis=1).argmin())
-                book(got, y[None])
-            x[:n] = xm[:n]
-            x[sm.rest] = xm[n + a:]
-            x[F] += flows @ xm[n:n + a]
-        else:
-            (D, G), powers = store[call.kind, call.key]
-            out = rec_states[n_rec:n_rec + call.rows]
-            got = jump(D, G, p, x, call.k, call.first, call.every, out, powers)
-            if got:
+                rec = rec[:got]
+                rec[:] = z      # the states the map holds
+                rec[:, sm.states] = moved[:got]
                 first = call.start + call.first * (call.stop - call.start) // call.k
-                book(got, sample(out[:got], first))
+                book(got, y[None] if call.kind == "stretch" else sample(rec, first))
+            z[sm.states] = zs
         instant = K is not None and call.stop % K == 0
-        return got == call.rows and bool(np.isfinite(x * sends if instant else x).all())
+        return got == call.rows and bool(np.isfinite(z * sends if instant else z).all())
 
     piece = store = failed = None
     with np.errstate(**_QUIET):
@@ -1046,10 +1041,10 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                         else store.renew(call.piece.comm)
                 piece = call.piece
                 t = piece.start * dt
-                p = np.array(piece.p)
+                pn[:] = np.array(piece.p) - grid.incidence() @ f0
                 events_log += [(t, kind, detail) for kind, detail in piece.events]
                 if K is None:       # continuous messaging: every live link holds the current C u
-                    y[:] = cost_vec * x[U]
+                    y[:] = cost_vec * z[U]
                 alive = set(piece.comm.links)
                 now = np.array([l in alive for l in scenario.comm.links], dtype=bool).repeat(2)
                 gone = live & ~now
@@ -1058,24 +1053,28 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
                 if piece.init is not None:
                     rx = {d: v for d, v in zip(rx_links, np.where(live, y[senders], frozen))
                           if not np.isnan(v)}
+                    x = full(z[None], np.empty((1, dim)))[0]
                     q0, warns = controllers.init_artificial(vector_to_state(t, x, grid, rx),
                                                             grid, piece.init)
-                    x[Q] = q0
+                    z[Q] = q0
                     events_log += [(t, "warning", w) for w in warns]
-            x0 = x.copy()
+            z0 = z.copy()
             if not execute(call):
-                x[:] = x0
+                z[:] = z0
                 failed = next((c.stop for c in _stepwise(call, K) if not execute(c)), call.stop)
                 n_rec = min(n_rec, -(-failed // stride))     # the records before it
                 break
     # views of the record buffers: the Trajectory holds each record once
     states = rec_states[:n_rec]
-    u = states[:, U]
+    u = states[:, n + e:2 * n + e]
     steps = np.minimum(np.arange(n_rec) * stride, sched.n_steps)
     # a finished run keeps its warnings: no finite check sees a cost that overflows
     with np.errstate(**_QUIET) if failed is not None else contextlib.nullcontext():
+        for k in range(0, n_rec, _REC_BLOCK):      # full rows, one block product per block
+            block = states[k:k + _REC_BLOCK]
+            full(block[:, :len(z)].copy(), block)
         traj = Trajectory(times=steps * dt, omega=states[:, :n], flow=states[:, n:n + e],
-                          u=u, q=states[:, Q], cost_series=(u * u) @ cost_vec,
+                          u=u, q=states[:, 2 * n + e:], cost_series=(u * u) @ cost_vec,
                           events=tuple(events_log), rx_links=rx_links,
                           rx_series=None if K is None else rec_rx[:n_rec],
                           diagnostics={"maps": store.built, "kernel_calls": calls,

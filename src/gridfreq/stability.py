@@ -31,11 +31,15 @@ written as f = Gamma B^T theta + Z c, theta the node angles grounded at
 one node per component of the power graph and Z a basis of the cycle
 space (B Z = 0), the E - N + c cycle flows c never change and no rate
 reads them. A is similar to the block on [omega, theta, u, q]
-(StateMatrix.angles, simulator.angle_system, from which a run's step
-maps are built too) beside a zero block of that size. spectrum solves
-that block, about 301 states instead of 331 at N = 100 with 129 lines,
-and lists the E - N + c zeros exactly, counted by structure; a report's
-state_dim and labels stay those of A.
+(StateMatrix.angles, simulator.angle_system, the coordinates a run
+carries and builds its maps in) beside a zero block of that size.
+spectrum solves that block, about 301 states instead of 331 at N = 100
+with 129 lines, and lists the E - N + c zeros exactly, counted by
+structure; a report's state_dim and labels stay those of A. In the same
+way interval_map_spectrum solves the map of a sampled-data law on the
+states it moves and lists the states it does not carry by structure: the
+cycle flows as exact 1s, and the q that no context moves as exact 1s, or
+as exact 0s where a rotation's reset clears them at every instant.
 
 The certificate takes its spectra from the structure of L_c*. Its pair
 rows are zero outside the pair's columns, and its other rows are those of
@@ -185,24 +189,34 @@ def interval_map_spectrum(grid: PowerGrid, comm: CommGraph, contexts: Sequence[C
     T / dt RK4 steps, period T. A SEQUENTIAL rotation over L shared links:
     the product of the L interval maps, period L T. The map is one lookup
     of the cycle over contexts in a simulator.LinkStore of comm: the map
-    by which a run crosses whole cycles. The eigenvalues are 1 plus those
-    of the map's increment D, so those near 1 keep their digits.
-    Eigenvalues within STRUCTURAL_ZERO_TOL * period of 1 are the images of
-    structural zeros and of states no law moves; they are counted apart,
-    and the rest decay at -ln(rho) / period per second. comm holds the
-    live links only. Raises ValueError for no contexts or a context that
-    holds no messages (ControlContext.hold), and unless T is a whole number
-    of steps dt (model.interval_steps), as validate does.
+    by which a run crosses whole cycles, on the states its contexts move.
+    Its eigenvalues are 1 plus those of its increment D, so those near 1
+    keep their digits; those within STRUCTURAL_ZERO_TOL * period of 1 are
+    counted apart. The states the map does not carry are listed after
+    them, by structure: the E - N + c cycle flows as exact 1s, and the q
+    that no context moves as exact 1s, or, when a context resets q (a
+    rotation's R, which clears the q outside its pair), as exact 0s. The
+    unit eigenvalues are counted apart, and the rest decay at
+    -ln(rho) / period per second. comm holds the live links only. Raises
+    ValueError for no contexts or a context that holds no messages
+    (ControlContext.hold), and unless T is a whole number of steps dt
+    (model.interval_steps), as validate does.
     """
     if not contexts or not all(ctx.hold for ctx in contexts):
         raise ValueError("an interval map needs one or more contexts that hold messages")
-    (D, _), _ = LinkStore(grid, comm, dt, interval_steps(T, dt))["cycles", tuple(contexts)]
-    mu = np.linalg.eigvals(D)
+    store = LinkStore(grid, comm, dt, interval_steps(T, dt))
+    cycle, _ = store["cycles", tuple(contexts)]
+    mu = np.linalg.eigvals(cycle.D)
     lam = 1.0 + mu
     period = len(contexts) * T
     unit = np.abs(mu) <= STRUCTURAL_ZERO_TOL * period
     rho = float(np.max(np.abs(lam[~unit]))) if (~unit).any() else 0.0
-    return IntervalMapReport(eigenvalues=lam, unit_eigenvalue_count=int(unit.sum()),
+    # the states the map does not carry: the E - N + c cycle flows, then the q no context moves
+    split = np.ones(3 * grid.n_nodes + grid.n_lines - len(mu), lam.dtype)
+    if any(store["R", ctx] is not None for ctx in contexts):    # a reset clears those q
+        split[grid.n_lines - len(grid.angle_rates()):] = 0.0
+    return IntervalMapReport(eigenvalues=np.concatenate([lam, split]),
+                             unit_eigenvalue_count=int((split == 1.0).sum() + unit.sum()),
                              spectral_radius_excl_unit=rho, period=period,
                              rate=-math.log(rho) / period if rho > 0 else math.inf)
 

@@ -8,8 +8,9 @@ a plan of kernel calls and the loop that executes it, is checked against
 it on short horizons. random_grid builds seeded connected
 grids larger than the toy one. sequential_active_link, sequential_context
 and shared_links spell out SEQUENTIAL's rotation for the oracle and the
-tests; trajectory_states lists a trajectory's recorded states, and
-reference_csv writes a trajectory's CSV one f"{v:.9g}" at a time.
+tests; trajectory_states lists a trajectory's recorded states,
+reference_csv writes a trajectory's CSV one f"{v:.9g}" at a time, and
+lift writes a map on a run's coordinates in full coordinates.
 """
 from __future__ import annotations
 
@@ -114,6 +115,30 @@ def reference_csv(traj: Trajectory) -> bytes:
                               traj.flow[k], [traj.cost_series[k]]])
         lines.append(",".join(f"{v:.9g}" for v in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def lift(grid: PowerGrid, m) -> Tuple[np.ndarray, np.ndarray]:
+    """A simulator.StepMap m on the run's coordinates z = [omega, theta,
+    u, q] in full coordinates: (D, G) of x -> x + D x + G [y; p], x =
+    [omega, f, u, q]. m starts from x with theta zero and reads p net of
+    the flows of x; the flows advance by PowerGrid.angle_flows() times
+    theta's increment. The rows of the states m holds are zero."""
+    n, e = grid.n_nodes, grid.n_lines
+    a, dim = len(grid.angle_rates()), 3 * n + e
+
+    def full(k):        # an index into [z; y; p - B f0], theta's excepted, into [x; y; p]
+        return np.where(k < n, k, k + e - a)
+
+    theta = (m.states >= n) & (m.states < n + a)
+    dz = np.zeros((len(m.D), dim + 2 * n))      # m's increment per entry of [x; y; p]
+    dz[:, full(m.states[~theta])] = m.D[:, ~theta]
+    dz[:, full(m.inputs)] = m.G
+    p = m.inputs >= 4 * n + a
+    dz[:, n:n + e] = -(m.G[:, p] @ grid.incidence()[m.inputs[p] - 4 * n - a])
+    out = np.zeros((dim, dim + 2 * n))
+    out[full(m.states[~theta])] = dz[~theta]
+    out[n:n + e] = grid.angle_flows()[:, m.states[theta] - n] @ dz[theta]
+    return out[:, :dim], out[:, dim:]
 
 
 def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,

@@ -28,8 +28,9 @@ def test_simulate_summary_carries_run_diagnostics(tmp_path):
     "diagnostics": a toy SEQUENTIAL run at T = 10 ms builds one rotation
     base and its ten pairs' one-step maps. Its state sizes show what the
     split of the toy's one cycle flow saves: 40 states, of which each
-    step map propagates the 10 omega, 9 grounded angles, 10 u and the
-    pair's 2 q, while the interval and cycle maps act on all 40."""
+    step map and interval map propagates the 10 omega, 9 grounded angles,
+    10 u and the pair's 2 q, and the cycle map all 39 states of the run's
+    coordinates, every q included."""
     out = tmp_path / "run"
     cli.main(["simulate", "toy", "--out", str(out), "--scheme", "SEQUENTIAL", "--T", "0.01",
               "--horizon", "1"])
@@ -38,7 +39,7 @@ def test_simulate_summary_carries_run_diagnostics(tmp_path):
                                               "cycles": 1}
     assert sum(summary["diagnostics"]["kernel_calls"].values()) > 0
     assert summary["diagnostics"]["state_size"] == {"full": 40, "stretch": 31,
-                                                    "intervals": 40, "cycles": 40}
+                                                    "intervals": 31, "cycles": 39}
 
 
 def test_simulate_random_grid_writes_the_per_value_csv(tmp_path):

@@ -8,7 +8,7 @@ their pieces, that interval and cycle maps jump only between sampling
 instants, that every record step is booked once, that the records of one
 interval or cycle jump share a rotation phase, and that whole intervals
 stop short of a piece's end only before a partial interval or a failure.
-Named cases pin the stop rules.
+Named cases pin the stop rules and the most records a call writes.
 """
 import itertools
 
@@ -185,6 +185,18 @@ def test_cycle_jump_only_where_it_records_every_record(stride):
         after = min(s for s in stops if s >= c.stop)
         assert stride % 30 == 0 or not any(before < r < after for r in range(0, 1001, stride))
     assert bool(cycles) == (stride in (30, 60, 105))
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_a_run_of_whole_cycles_jumps_once_per_block_of_records(L):
+    """Whole cycles that record every stride jump once per _REC_BLOCK
+    records, as a stretch does, so no call writes more rows than that:
+    the 1999 records between the pauses at 0 and 60000, at stride 30, a
+    multiple of L K, take four cycle calls."""
+    calls = list(plan(make_schedule(60000, (), 10, L), 30))
+    cycles = [(c.start, c.stop, c.rows) for c in calls if c.kind == "cycles"]
+    assert cycles == [(0, 15360, 512), (15360, 30720, 512), (30720, 46080, 512),
+                      (46080, 60000, 463)]
 
 
 def test_plan_is_lazy():

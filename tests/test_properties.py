@@ -10,8 +10,10 @@ the active shared link).
 Splitting off the cycle flows changes no answer: on seeded grids of 2 to
 60 nodes (trees, meshed grids and the toy grid) the spectrum that
 stability.spectrum reports matches a dense solve of the state matrix, and
-a step map in grounded angles, embedded, matches the full one.
+a step map in grounded angles, lifted to full coordinates, matches the
+full one.
 """
+import dataclasses
 import pathlib
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import derivative, sequential_context
+from conftest import derivative, lift, sequential_context
 from gridfreq.controllers import ControlContext
 from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.model import SCHEMES, CommGraph, Line, NodeParams, PowerGrid, toy_grid
@@ -123,9 +125,9 @@ def test_split_spectrum_and_maps_match_the_full_ones(kind, n, seed, scheme):
     matches dense eigvals(StateMatrix.A), paired by least total distance,
     within 1e-10 of the spectral radius (at least 1); structural_zero_count
     equals the dense count of |lam| <= 1e-8, of which E - N + 1 are listed
-    as exact zeros; and the step map in grounded angles, embedded into full
-    coordinates, and its 10-step map stay within 1e-14 of the full maps'
-    largest entry."""
+    as exact zeros; and the step map in grounded angles, lifted to full
+    coordinates (conftest.lift), and its 10-step map stay within 1e-14 of
+    the full maps' largest entry."""
     if kind == "toy":
         grid = toy_grid().grid
     else:
@@ -150,7 +152,8 @@ def test_split_spectrum_and_maps_match_the_full_ones(kind, n, seed, scheme):
     full = one_step_map(AB[:, :len(AB)], AB[:, len(AB):], 1e-3)
     for k in (1, 10):
         want = full if k == 1 else k_step_map(*full, k)
-        got = step.embed(*((step.D, step.G) if k == 1 else k_step_map(step.D, step.G, k)))
+        Dk, Gk = (step.D, step.G) if k == 1 else k_step_map(step.D, step.G, k)
+        got = lift(grid, dataclasses.replace(step, D=Dk, G=Gk))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (derivative, random_grid, reference_csv, reference_integrate,
+from conftest import (derivative, lift, random_grid, reference_csv, reference_integrate,
                       sequential_context, shared_links, trajectory_states)
 from gridfreq import controllers
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
 from gridfreq.model import (SCHEMES, CommGraph, DisturbanceEvent, Line, NodeParams, PowerGrid,
                             Scenario, SystemState, with_overrides)
-from gridfreq.kernels import k_step_map, one_step_map
+from gridfreq.kernels import compose_maps, k_step_map, one_step_map
 from gridfreq.simulator import (IntegrationError, LinkStore, Trajectory, context_step,
                                 context_system, convergence_time, modes,
                                 first_crossing_time, held_messages, initial_flows,
@@ -731,13 +731,14 @@ def test_swing_rows_probe_each_block_on_its_own_rows(toy, grid_name):
 def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     """For every context of every scheme (MULTI_FAILURE over two pairs, and
     SEQUENTIAL for each of its pairs) context_step's map on the moving
-    states, embedded into full coordinates, equals RK4's one-step map of the
-    full (A, B) within 1e-14 of its largest entry, and so do their k-step
-    maps (k = 10, 100). The frozen states are the q_i outside F, and the
-    full maps' rows of them are exactly zero. The step map carries the
-    flows as N - 1 grounded angles, so it propagates E - N + 1 states fewer
-    than move. The stability report's state matrix is A on the moving
-    states, byte for byte, labelled by state_labels at them."""
+    states, lifted to full coordinates (conftest.lift), equals RK4's
+    one-step map of the full (A, B) within 1e-14 of its largest entry, and
+    so do their k-step maps (k = 10, 100). The frozen states are the q_i
+    outside F, and the full maps' rows of them are exactly zero. The step
+    map carries the flows as N - 1 grounded angles, so it propagates
+    E - N + 1 states fewer than move. The stability report's state matrix
+    is A on the moving states, byte for byte, labelled by state_labels at
+    them."""
     grid, comm = named_grid(toy, grid_name)
     n, e = grid.n_nodes, grid.n_lines
     cases = [(ctx, live) for scheme, ctx, live in scheme_cases(grid, comm)
@@ -749,7 +750,8 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
         AB = context_system(grid, law_base(grid, live, ctx), ctx)
         A, B = AB[:, :len(AB)], AB[:, len(AB):]
         step = context_step(grid, law_base(grid, live, ctx), ctx, h)
-        moving = np.concatenate([np.arange(n + e), step.rest])
+        # z = [omega, theta (N - 1), u, q]: past theta a state sits E - N + 1 below x's
+        moving = np.concatenate([np.arange(n + e), step.states[2 * n - 1:] + e - n + 1])
         frozen = np.setdiff1d(np.arange(len(A)), moving)
         assert list(frozen) == [2 * n + e + i for i in range(n) if i not in ctx.F]
         assert len(step.D) == len(moving) - (e - n + 1)
@@ -760,19 +762,41 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
         full = one_step_map(A, B, h)
         for k in (1, 10, 100):
             D, G = full if k == 1 else k_step_map(*full, k)
-            reduced = (step.D, step.G) if k == 1 else k_step_map(step.D, step.G, k)
+            Dk, Gk = (step.D, step.G) if k == 1 else k_step_map(step.D, step.G, k)
             assert not D[frozen].any() and not G[frozen].any()
-            for got, want in zip(step.embed(*reduced), (D, G)):
+            for got, want in zip(lift(grid, dataclasses.replace(step, D=Dk, G=Gk)), (D, G)):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def full_interval_map(grid, AB, K, R):
+    """The map of one message interval built at full size, (D, G) of
+    x -> x + D x + G p: kernels.k_step_map of the one-step map of [A B]
+    on all of x, then the held coupling y = C u folded into D's u columns,
+    then D R + R - I for a reset R (dim x dim), or none."""
+    n, e = grid.n_nodes, grid.n_lines
+    dim = len(AB)
+    D, G = k_step_map(*one_step_map(AB[:, :dim], AB[:, dim:], 1e-3), K)
+    D[:, n + e:2 * n + e] += G[:, :n] * grid.cost()
+    if R is not None:
+        D = D @ R + R - np.eye(dim)
+    return D, G[:, n:]
 
 
 @pytest.mark.parametrize("grid_name", ["toy", "n30"])
 def test_rotation_reset_folds_through_q_rows(toy, grid_name):
-    """The store keeps a SEQUENTIAL context's reset R as R's N q rows, and
-    interval_map folds R into the interval map through them alone. For
-    every SEQUENTIAL context the result equals D R + R - I with the full R,
-    the identity with its q rows replaced, within 1e-14 of its largest
-    entry, and G_K is the unreset map's."""
+    """The store keeps a SEQUENTIAL context's reset R as R's N q rows,
+    which read u alone and are zero outside the pair, and interval_map
+    folds the pair's rows into the interval map on the step map's states.
+    For every SEQUENTIAL context that map, lifted to full coordinates
+    (conftest.lift), equals the one built at full size (full_interval_map)
+    with R the identity with the pair's q rows replaced, within 1e-14 of
+    its largest entry; it reads no held message, and its G is the unreset
+    map's. The q outside the pair, which R would clear, are read by no
+    rate, so the map leaves them, and a run's records take them from
+    sample(). On the toy grid the map of a whole rotation cycle, on the
+    union of the pairs' states (4N - 1 = 39), lifted, equals the
+    composition of the full-size interval maps within 1e-14 of its largest
+    entry."""
     if grid_name == "toy":
         grid, comm = toy.grid, toy.comm
     else:
@@ -781,17 +805,33 @@ def test_rotation_reset_folds_through_q_rows(toy, grid_name):
     contexts = modes("SEQUENTIAL", grid.edge_set(), comm.links)
     assert len(contexts) == len(shared_links(grid, comm))
     n, e = grid.n_nodes, grid.n_lines
-    base, store = law_base(grid, comm, contexts[0]), LinkStore(grid, comm)
+    dim = 3 * n + e
+    base, store = law_base(grid, comm, contexts[0]), LinkStore(grid, comm, 1e-3, 10)
+
+    def assert_lifts_to(m, want):
+        D, G = lift(grid, m)
+        assert not G[:, :n].any()
+        for got, w in zip((D, G[:, n:]), want):
+            assert np.abs(got - w).max() <= 1e-14 * np.abs(w).max()
+
+    fulls = []
     for ctx in contexts:
         step = context_step(grid, base, ctx, 1e-3)
-        assert store["R", ctx].shape == (n, 3 * n + e)
-        D, G = interval_map(grid, step, 10, store["R", ctx])
-        D0, G0 = interval_map(grid, step, 10, None)
-        R = np.eye(len(D0))
-        R[2 * n + e:] = store["R", ctx]
-        want = D0 @ R + R - np.eye(len(D0))
-        assert np.abs(D - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(G, G0)
+        R = store["R", ctx]
+        pair = sorted(ctx.F)
+        assert R.shape == (n, dim) and not np.delete(R, pair, axis=0).any()
+        assert not np.delete(R, np.s_[n + e:2 * n + e], axis=1).any()
+        reset, unreset = interval_map(grid, step, 10, R), interval_map(grid, step, 10, None)
+        assert np.array_equal(reset.states, step.states)
+        assert np.array_equal(reset.G, unreset.G)
+        R_pair = np.eye(dim)
+        R_pair[[2 * n + e + i for i in pair]] = R[pair]
+        fulls.append(full_interval_map(grid, context_system(grid, base, ctx), 10, R_pair))
+        assert_lifts_to(reset, fulls[-1])
+    if grid_name == "toy":
+        cycle, _ = store["cycles", contexts]
+        assert len(cycle.states) == 4 * n - 1
+        assert_lifts_to(cycle, compose_maps(fulls))
 
 
 @pytest.mark.parametrize("scheme, T", [("CONSENSUS", None), ("HYBRID_SINGLE", None),
@@ -1248,9 +1288,9 @@ def test_run_counts_its_maps_and_kernel_calls(toy, calls):
     diag = integrate(Scenario(grid=grid, comm=comm, scheme="SEQUENTIAL", horizon=0.1, dt=1e-3,
                               record_stride=100)).diagnostics
     assert calls["control_rate"] == 1
-    # 77 lines: each step map carries 59 angles in place of the flows; the
-    # ten intervals of 0.1 s complete no cycle of the 77 pairs
-    assert diag["state_size"] == {"full": 257, "stretch": 181, "intervals": 257, "cycles": 0}
+    # 77 lines: each step and interval map carries 59 angles in place of the
+    # flows; the ten intervals of 0.1 s complete no cycle of the 77 pairs
+    assert diag["state_size"] == {"full": 257, "stretch": 181, "intervals": 181, "cycles": 0}
     scn = with_overrides(toy, scheme="HYBRID_SINGLE", horizon=2.0, record_stride=100,
                          failures=(((1, 6), 0.5),))
     diag = integrate(scn).diagnostics

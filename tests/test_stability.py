@@ -10,10 +10,11 @@ from gridfreq import stability
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
 from gridfreq.simulator import modes, vector_to_state
-from gridfreq.stability import (IdentityReport, _block_spectrum, assemble_state_matrix,
-                                build_Lc_star, characteristic_identity_check,
-                                check_sufficient_multi_node, certificate_matrices,
-                                interval_map_spectrum, spectrum, sufficient_conditions)
+from gridfreq.stability import (STRUCTURAL_ZERO_TOL, IdentityReport, _block_spectrum,
+                                assemble_state_matrix, build_Lc_star,
+                                characteristic_identity_check, check_sufficient_multi_node,
+                                certificate_matrices, interval_map_spectrum, spectrum,
+                                sufficient_conditions)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 SAMPLED = (ControlContext("CONSENSUS_SAMPLED"),)    # the contexts of CONSENSUS_SAMPLED
@@ -150,12 +151,36 @@ class TestIntervalMapSpectrum:
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_unit_eigenvalues_counted_apart(self, toy):
+        """The interval map moves 29 of the toy's 40 states. The one flow
+        cycle (E - N + 1) and the ten q that no law moves are listed last
+        as exact 1s, by structure, and none of the map's own eigenvalues
+        lies within the tolerance of 1."""
         rep = interval_map_spectrum(toy.grid, toy.comm, SAMPLED, toy.dt, 0.01)
-        # one flow cycle (E - N + 1) and the ten q states no law moves
         assert rep.unit_eigenvalue_count == 1 + 10
+        assert len(rep.eigenvalues) == 40 and np.all(rep.eigenvalues[-11:] == 1.0)
+        assert np.abs(rep.eigenvalues[:-11] - 1.0).min() > STRUCTURAL_ZERO_TOL * 0.01
         assert rep.period == 0.01
         assert rep.spectral_radius_excl_unit == pytest.approx(
             math.exp(-rep.rate * rep.period), rel=1e-12)
+
+    def test_rotation_lists_the_q_it_clears_as_zeros(self, toy):
+        """With link (1,2) failed, node 1 lies on no live shared link, so no
+        context of the rotation moves q_1, and every one of their resets
+        clears it: it is listed last as an exact 0, after the cycle flow's
+        exact 1. The map's own eigenvalues hold one more within the
+        tolerance of 1, as the full 40-state map's did: two in all. The
+        full rotation at T = 1 s moves every q and has the cycle flow's
+        alone."""
+        live = CommGraph(links=tuple(l for l in toy.comm.links if l != (0, 1)))
+        contexts = modes("SEQUENTIAL", toy.grid.edge_set(), live.links)
+        rep = interval_map_spectrum(toy.grid, live, contexts, toy.dt, 1.0)
+        assert rep.period == 9.0 and len(rep.eigenvalues) == 40
+        assert list(rep.eigenvalues[-2:]) == [1.0, 0.0]
+        assert rep.unit_eigenvalue_count == 2
+        assert rep.rate == pytest.approx(0.02351, abs=5e-5)
+        contexts = modes("SEQUENTIAL", toy.grid.edge_set(), toy.comm.links)
+        rep = interval_map_spectrum(toy.grid, toy.comm, contexts, toy.dt, 1.0)
+        assert rep.unit_eigenvalue_count == 1 and rep.eigenvalues[-1] == 1.0
 
     def test_sequential_uses_one_rotation_cycle(self, toy):
         """The map of a full cycle over the ten shared links at T = 1 s
