@@ -164,7 +164,7 @@ def _state_matrix_report(scn, piece, args) -> dict:
 
     doc = {
         "scheme": ctx.scheme,
-        "state_dim": int(sm.A.shape[0]),
+        "state_dim": len(sm.labels),
         "labels": list(sm.labels),
         "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
         "structural_zero_count": rep.structural_zero_count,

@@ -19,12 +19,17 @@ The law is written in two parts. control_rate averages every node over the
 live links, skipping the messages into F, then overwrites the u and q rates
 of the nodes of F with flow_rate, the flow law alone. So the law of a
 context (scheme, F) is the law with F empty except in the u and q rows of
-F, bit for bit, and the simulator assembles every context that way: the
-u and q rows of the law with F empty from one control_rate call on the
-unit vectors of the states and held values it reads (simulator.law_base),
-made when a run first needs a step map on a set of live links and kept
-in the store of those links (simulator.LinkStore), then the rows of F from
-one flow_rate call on the same vectors (simulator.context_system).
+F, bit for bit, and the simulator assembles every context that way, in
+the one layout a run carries, [omega, theta, u, q] with the line flows as
+node angles, and the held values and powers [y; p] beside it: the u and q
+rows of the law with F empty from one control_rate call on the unit
+vectors of the states and held values it reads (simulator.law_base), made
+when a run first needs a step map on a set of live links and kept in the
+store of those links (simulator.LinkStore), then the rows of F from one
+flow_rate call on the same vectors (simulator.context_system). The law
+reads no flow, so its rows hold their rate at zero in the theta columns.
+A rotation's reset is init_artificial on the unit vectors of u, whose
+held values are the messages C u they send.
 
 control_rate reads comm.links as the live links: pass a comm graph without
 the failed ones, as each piece of simulator.schedule() carries.

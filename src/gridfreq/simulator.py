@@ -9,49 +9,52 @@ rule (modes). The pieces are all that a run and `gridfreq stability` read
 of the law: the report takes the last piece's contexts and live links and
 warns from the pieces' events, so it analyses the law the run ran.
 
-Within a piece the closed loop is an affine system over the state layout
-[omega (N), flow (E), u (N), q (N)]. Its dynamics are defined once, in two
-parts that take stacked states, one state per row: swing_rate, the swing
-and line equations, and controllers.control_rate, the control law.
-Between sampling instants a piece is
+Within a piece the closed loop is an affine system over the state a run
+carries from start to end,
 
-    x' = A x + B [y; p],
+    z = [omega (N), theta (N - c), u (N), q (N)],
+
+with the line flows as node angles. The flows obey f' = Gamma B^T omega
+(Gamma the susceptances, B the incidence), power lines never fail, and no
+rate reads a flow except the omega rows, through B f (Bergen & Hill's
+structure-preserving model, IEEE Trans. PAS 100(1), 1981). So from the
+run's initial flows f0, f = f0 + Gamma B^T theta (PowerGrid.angle_flows)
+exactly, with theta the node angles grounded at one node per component of
+the power graph (c of them), theta' = omega_i - omega_ref
+(PowerGrid.angle_rates), and the omega rows read p - B f0 in place of p:
+the E - N + c cycle flows, which never change, are carried by no map.
+Full rows [omega, f, u, q] are formed only for the records, once the run
+ends, and for init_artificial at a failure. Between sampling instants a
+piece is
+
+    z' = A z + B [y; p - B f0],
 
 with p its fixed powers and y the held messages, C u of the last sampling
-instant (under continuous messaging B reads no y). Every context's [A B]
-comes from one rule, the law's own: averaging with F empty, then the u and
-q rows of F overwritten by the flow law. law_base assembles the averaging
-[A B], each part evaluated on the unit vectors of the blocks of [x; y; p]
-it reads and on one zero row (_spread): the omega and flow rows from
-swing_rate calls on unit omega, f, u and p, each block group on its own
-unit rows (swing_rows, built once per grid), the u and q rows from one
-control_rate call on unit omega, u, q and, when the law holds messages
+instant (under continuous messaging B reads no y). Its dynamics are
+defined once, in two parts that take stacked states, one state per row:
+swing_rate, the swing and line equations, and controllers.control_rate,
+the control law. Every context's [A B] comes from one rule, the law's
+own: averaging with F empty, then the u and q rows of F overwritten by the
+flow law. law_base assembles the averaging [A B], each part evaluated on
+the unit vectors of the blocks of [z; y; p] it reads and on one zero row
+(_spread): the omega rows from one swing_rate call on unit omega, the
+flows of unit angles, unit u and unit p, and the theta rows angle_rates
+(swing_rows, built once per grid); the u and q rows from one control_rate
+call on unit omega, u, q and, when the law holds messages
 (ControlContext.hold), y: 3N + 1 or 4N + 1 rows (_law_probe).
 context_system copies it and replaces the rows of ctx.F by
 controllers.flow_rate on the same probe. Every other entry is the rate at
 zero, so [A B] holds the bits, signed zeros included, of one call of
 swing_rate and control_rate of the context on the identity stack of
-[x; y; p].
-
-A run carries one state from start to end, z = [omega, theta (N - c), u,
-q], with the flows as node angles (angle_system). The line flows obey
-f' = Gamma B^T omega (Gamma the susceptances, B the incidence), power
-lines never fail, and no rate reads a flow except the omega rows, through
-B f (Bergen & Hill's structure-preserving model, IEEE Trans. PAS 100(1),
-1981). So from the run's initial flows f0, f = f0 + Gamma B^T theta
-exactly, with theta the node angles grounded at one node per component of
-the power graph (c of them), theta' = omega_i - omega_ref, and the omega
-rows read p - B f0 in place of p: the E - N + c cycle flows, which never
-change, are carried by no map. Full rows [omega, f, u, q] are formed only
-for the records, once the run ends, and for init_artificial at a failure.
+[z; y; p], the flows of each row those of its angles.
 
 Every map of a stretch of steps is a StepMap on the states it moves,
-those whose row of [A B] is not zero: a state the map holds constant, such
-as q_i outside the flow-controlled set F, enters as an input like p when
-read. context_step builds RK4's one-step map. A sampling instant is a
-linear reset: y refreshes to C u, and a rotation (a context that holds
-messages and has F) resets the pair's q to R u, R the q rows of its
-reset. So a whole message interval is one exact affine map on the step
+those whose row of [A B] is not zero (moving_system): a state the map
+holds constant, such as q_i outside the flow-controlled set F, enters as
+an input like p when read. context_step builds RK4's one-step map. A
+sampling instant is a linear reset: y refreshes to C u, and a rotation (a
+context that holds messages and has F) resets the q of its pair to R u.
+So a whole message interval is one exact affine map on the step
 map's states (interval_map), and a whole SEQUENTIAL rotation cycle the
 composition of its interval maps on the union of their states
 (cycle_map). LinkStore keeps all of these for one set of live links, each
@@ -95,17 +98,18 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 class IntegrationError(RuntimeError):
     """The state left the finite range. step is the first step, replayed
     one RK4 step at a time from the start of the failing kernel call, after
-    which the state a run carries, [omega, theta, u, q] (integrate), or at a
-    sampling instant the messages C u it sends, is not finite. Those messages reach the state a step later, and an interval
-    map, which folds C into its matrix, can carry a state past that
-    overflow, so checking the messages makes every record stride report
-    the same step. The naive oracle (tests/conftest.py) can overflow a few
-    steps earlier, inside an RK4 stage: its intermediate stage states may
-    leave the range before the step's combination does. Near the float
-    limit step can still move by one with the record stride: the squared
-    maps that jump to the failing call round differently from single
-    steps, and the unstable modes amplify that (on the toy grid at dt =
-    0.05 s it reads 194 at strides 1, 3, 4, 7 and 100).
+    which the state a run carries, [omega, theta, u, q] (integrate), or at
+    a sampling instant the messages C u it sends, is not finite. Those
+    messages reach the state a step later, and an interval map, which folds
+    C into its matrix, can carry a state past that overflow, so checking
+    the messages makes every record stride report the same step. The naive
+    oracle (tests/conftest.py) can overflow a few steps earlier, inside an
+    RK4 stage: its intermediate stage states may leave the range before the
+    step's combination does. Near the float limit step can still move by
+    one with the record stride: the squared maps that jump to the failing
+    call round differently from single steps, and the unstable modes
+    amplify that (on the toy grid at dt = 0.05 s it reads 194 at strides 1,
+    3, 4, 7 and 100).
     last_state is the last recorded state before step, or None. The run's
     calls (their maps, kernel calls, sampling and replay) and a failing
     run's records run with NumPy's overflow and invalid-value warnings off:
@@ -257,19 +261,19 @@ def modes(scheme: str, power: Collection[Link], live: Sequence[Link],
 def _law_probe(grid: PowerGrid, comm: CommGraph, hold: bool
                ) -> Tuple[SystemState, Tuple[slice, ...]]:
     """The stacked state the control law is probed on: the unit vectors of
-    the blocks of [x; y; p] it reads, omega, u, q and, when it holds
+    the blocks of [z; y; p] it reads, omega, u, q and, when it holds
     messages (hold), the held y on the links of comm, then one zero row
     (3N + 1 or 4N + 1 rows, the other blocks zero); and the columns of
-    [x; y; p] its unit rows stand for, in order, one slice per run of
+    [z; y; p] its unit rows stand for, in order, one slice per run of
     blocks (_spread)."""
-    n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
+    n, a = grid.n_nodes, len(grid.angle_rates())
+    dim = 3 * n + a
     k = (4 if hold else 3) * n
     unit = np.eye(k + 1, k)
     held = held_messages(unit[:, 3 * n:], comm.links) if hold else {}
-    state = SystemState(0.0, unit[:, :n], np.zeros((1, e)), unit[:, n:2 * n],
+    state = SystemState(0.0, unit[:, :n], np.zeros((1, grid.n_lines)), unit[:, n:2 * n],
                         unit[:, 2 * n:3 * n], held)
-    cols = (slice(0, n), slice(n + e, dim)) + ((slice(dim, dim + n),) if hold else ())
+    cols = (slice(0, n), slice(n + a, dim)) + ((slice(dim, dim + n),) if hold else ())
     return state, cols
 
 
@@ -278,7 +282,7 @@ def _spread(rates: np.ndarray, cols: Tuple[slice, ...], out: np.ndarray) -> np.n
     out) give on a probe whose unit rows stand for the columns cols, then a
     zero row: the zero row's value in every column, then the k-th column of
     cols from unit row k. These are the entries, signed zeros included, of
-    one call on the identity stack of [x; y; p]: a row's rate depends on
+    one call on the identity stack of [z; y; p]: a row's rate depends on
     that row alone, and a unit row outside cols is zero in every column the
     rate reads."""
     out[:] = rates[-1][:, None]
@@ -289,70 +293,60 @@ def _spread(rates: np.ndarray, cols: Tuple[slice, ...], out: np.ndarray) -> np.n
     return out
 
 
-def swing_rows(grid: PowerGrid) -> Tuple[np.ndarray, np.ndarray]:
-    """The omega and flow rows of [A B], (N + E, dim + 2N), the same for
-    every context, and the omega rows' rates per unit grounded angle,
-    (N, N - c) (angle_system), built once per grid (PowerGrid.derive) and
-    read-only. Three swing_rate calls, each on the unit
-    rows of the blocks it reads with the other blocks zero (q zero): omega,
-    then one zero row; f, then the flows the unit angles induce
-    (PowerGrid.angle_flows); u and p. Each is spread over its columns of
-    [x; y; p] and the zero row's rate over the rest: the entries, signed
-    zeros included, of one call on the unit rows of all four blocks at once
-    (_spread), as a rate's row depends on that row alone."""
+def swing_rows(grid: PowerGrid) -> np.ndarray:
+    """The omega and theta rows of [A B], (N + a, 5N + a) with a = N - c
+    the grounded angles, the same for every context, built once per grid
+    (PowerGrid.derive) and read-only. The omega rows are one swing_rate
+    call on the unit rows of omega, of the flows the unit angles induce
+    (PowerGrid.angle_flows), of u and of p, then one zero row (q zero),
+    spread over their columns of [z; y; p] (_spread); the theta rows are
+    PowerGrid.angle_rates, exact +-1 entries in the omega columns."""
     return grid.derive("swing_rows", _swing_rows)
 
 
-def _swing_rows(grid: PowerGrid) -> Tuple[np.ndarray, np.ndarray]:
+def _swing_rows(grid: PowerGrid) -> np.ndarray:
     n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
-    zero, unit = np.zeros((1, n)), np.eye(2 * n)
-    probes = ((np.eye(n + 1, n), np.zeros((1, e)), zero, zero),        # omega, f, u, p
-              (zero, np.concatenate([np.eye(e), grid.angle_flows().T]), zero, zero),
-              (zero, np.zeros((1, e)), unit[:, :n], unit[:, n:]))
-    (w0, f0), (w1, f1), (w2, f2) = (swing_rate(SystemState(0.0, omega, flow, u, zero), grid, p)
-                                    for omega, flow, u, p in probes)
-    out = np.empty((n + e, dim + 2 * n))
-    # a rate that reads none of its call's unit rows comes as one row, which
-    # the slices below broadcast
-    for rows, r0, r1, r2 in ((out[:n], w0, w1, w2), (out[n:], f0, f1, f2)):
-        rows[:] = r0[-1][:, None]
-        rows[:, :n] = r0[:n].T
-        rows[:, n:n + e] = r1[:e].T
-        rows[:, n + e:2 * n + e] = r2[:n].T
-        rows[:, dim + n:] = r2[-n:].T
-    angles = w1[e:].T
-    out.flags.writeable = angles.flags.writeable = False
-    return out, angles
+    rates = grid.angle_rates()
+    a = len(rates)
+    unit = np.eye(3 * n + a + 1, 3 * n + a)         # omega, theta, u, p, then zero
+    flow = np.zeros((len(unit), e))
+    flow[n:n + a] = grid.angle_flows().T
+    domega, _ = swing_rate(SystemState(0.0, unit[:, :n], flow, unit[:, n + a:2 * n + a],
+                                       np.zeros((1, n))), grid, unit[:, 2 * n + a:])
+    out = np.zeros((n + a, 5 * n + a))
+    _spread(domega, (slice(0, 2 * n + a), slice(4 * n + a, 5 * n + a)), out[:n])
+    out[n:, :n] = rates
+    out.flags.writeable = False
+    return out
 
 
 def law_base(grid: PowerGrid, comm: CommGraph, ctx: ControlContext
              ) -> Tuple[np.ndarray, Tuple[SystemState, Tuple[slice, ...]]]:
     """The base of the contexts on the live links of comm that share ctx's
     law with F empty, which holds messages or reads current values as ctx
-    does (ctx.hold): its [A B], (dim, dim + 2N), the swing rows
+    does (ctx.hold): its [A B], (3N + a, 5N + a), the swing rows
     (swing_rows) over its u and q rows from one controllers.control_rate
     call on the unit vectors of the blocks the law reads, spread over the
-    columns of [x; y; p] (_spread), and that probe (_law_probe), on which
+    columns of [z; y; p] (_spread), and that probe (_law_probe), on which
     context_system evaluates the rows of F."""
-    n, e = grid.n_nodes, grid.n_lines
-    AB = np.empty((3 * n + e, 5 * n + e))
-    AB[:n + e] = swing_rows(grid)[0]
+    n, a = grid.n_nodes, len(grid.angle_rates())
+    AB = np.empty((3 * n + a, 5 * n + a))
+    AB[:n + a] = swing_rows(grid)
     probe = _law_probe(grid, comm, ctx.hold)
     stack, cols = probe
     du, dq = controllers.control_rate(stack, grid, comm, replace(ctx, F=frozenset()))
-    _spread(du, cols, AB[n + e:2 * n + e])
-    _spread(dq, cols, AB[2 * n + e:])
+    _spread(du, cols, AB[n + a:2 * n + a])
+    _spread(dq, cols, AB[2 * n + a:])
     return AB, probe
 
 
 def context_system(grid: PowerGrid, base, ctx: ControlContext) -> np.ndarray:
     """[A B] of ctx, the piece
 
-        x' = A x + B [y; p]
+        z' = A z + B [y; p - (incidence) f0]
 
     between sampling instants, with y the held values (C u at the last
-    instant) and p the fixed powers, as a new (dim, dim + 2N) array; base
+    instant) and p the fixed powers, as a new (3N + a, 5N + a) array; base
     is the law_base of ctx on its live links. It is the base's [A B] with
     the u and q rows of the nodes of ctx.F replaced by
     controllers.flow_rate on the base's probe: the entries of a
@@ -362,66 +356,40 @@ def context_system(grid: PowerGrid, base, ctx: ControlContext) -> np.ndarray:
     dynamics are linear in the state once the event data (held messages,
     powers, the set F) is frozen, and byte-equal, signed zeros included,
     to one call of swing_rate and control_rate on the identity stack of
-    [x; y; p]; the y columns are zero unless ctx.hold, as a law that holds
+    [z; y; p]; the y columns are zero unless ctx.hold, as a law that holds
     no message reads none."""
     AB0, (stack, cols) = base
     AB = AB0.copy()
     if ctx.F:
-        n, e = grid.n_nodes, grid.n_lines
+        n, a = grid.n_nodes, len(grid.angle_rates())
         du, dq = np.empty((2, len(stack.omega), n))      # rows of the law probe
         nodes = controllers.flow_rate(stack, grid, ctx.F, du, dq)
         rows = np.empty((len(nodes), AB.shape[1]))
-        AB[[n + e + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
-        AB[[2 * n + e + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
+        AB[[n + a + i for i in nodes]] = _spread(du[:, nodes], cols, rows)
+        AB[[2 * n + a + i for i in nodes]] = _spread(dq[:, nodes], cols, rows)
     return AB
 
 
-def angle_system(grid: PowerGrid, AB: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """[A B] of a context, (dim, dim + 2N) over [x; y; p], on the states it
-    moves in the run's coordinates z = [omega, theta, u, q], theta the
-    N - c grounded angles of PowerGrid.angle_rates: (A, B, states,
-    inputs), with states the indices into z of omega, theta, u and the
-    moving q. B acts on [z; y; p - (incidence) f0][inputs], the columns
-    outside the moving states that the moving rows read: its p columns act
-    on the powers net of the flows f0 at which theta is zero, since
-    f = f0 + PowerGrid.angle_flows() theta.
-
-    The omega rows are those of [A B] with their flow columns replaced by
-    their rates per unit angle (swing_rows: from the rate function too);
-    the theta rows are angle_rates, exact +-1 entries that read no
-    input; the u and q rows are those of [A B]. So A is similar to the
-    moving states' block of A with the E - N + c cycle flows split off:
-    they never change, and no rate reads them. Raises AssertionError
-    unless omega and the flows move and every power is read, or when a law
-    row (u or q) reads a flow."""
-    n, e = grid.n_nodes, grid.n_lines
-    moving = np.flatnonzero(AB.any(axis=1))
+def moving_system(AB: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """[A B] of a context on the states it moves, those whose row is not
+    zero: (A, B, states, inputs), with states the indices into z of omega,
+    theta, u and the q of F, and inputs those into [z; y; p - (incidence)
+    f0] of the columns outside the moving states that the moving rows read.
+    The full A is zero in the rows of the states held, so its spectrum is
+    A's and one zero per state held."""
+    states = np.flatnonzero(AB.any(axis=1))
     read = AB.any(axis=0)      # the other rows are zero
-    read[moving] = False
+    read[states] = False
     inputs = np.flatnonzero(read)
-    if (len(moving) < n + e or moving[n + e - 1] != n + e - 1 or AB[n + e:, n:n + e].any()
-            or inputs[-n] != 4 * n + e):
-        raise AssertionError("the flows must move with omega alone, and every power be read")
-    rates = grid.angle_rates()
-    a = len(rates)
-    keep = np.concatenate([np.arange(n), moving[n + e:]])   # omega, u and the moving q
-    old = AB[keep][:, np.concatenate([keep, inputs])]       # rows and columns kept, in order
-    r = len(keep) + a
-    new = np.zeros((r, r + len(inputs)))                    # [A B] with theta after omega
-    new[:n, :n], new[:n, n + a:], new[n + a:, :n], new[n + a:, n + a:] = (
-        old[:n, :n], old[:n, n:], old[n:, :n], old[n:, n:])
-    new[:n, n:n + a], new[n:n + a, :n] = swing_rows(grid)[1], rates
-    states = np.concatenate([np.arange(n + a), keep[n:] - e + a])
-    return new[:, :r], new[:, r:], states, inputs - e + a
+    return AB[np.ix_(states, states)], AB[np.ix_(states, inputs)], states, inputs
 
 
 @dataclass(frozen=True, eq=False)
 class StepMap:
-    """An exact map of a run's state z = [omega, theta, u, q] (angle_system)
-    over a stretch of steps, on the states it moves: RK4's one-step map of
-    a context (context_step), the map of one message interval
-    (interval_map) or of one rotation cycle (cycle_map). It is
+    """An exact map of a run's state z = [omega, theta, u, q] over a
+    stretch of steps, on the states it moves: RK4's one-step map of a
+    context (context_step), the map of one message interval (interval_map)
+    or of one rotation cycle (cycle_map). It is
 
         z[states] -> z[states] + D z[states] + G w,
         w = [z; y; p - (incidence) f0][inputs],
@@ -440,40 +408,40 @@ class StepMap:
 
 def context_step(grid: PowerGrid, base, ctx: ControlContext, h: float) -> StepMap:
     """RK4's one-step map of the context's piece (kernels.one_step_map of
-    its context_system from base, on angle_system's coordinates) on the
-    states the context moves, with the frozen states it reads as inputs
-    (StepMap). The moving set is read off the assembled [A B], not off the
-    scheme; [A B] is dropped before the map is built."""
-    A, B, states, inputs = angle_system(grid, context_system(grid, base, ctx))
+    its context_system from base) on the states the context moves, with
+    the frozen states it reads as inputs (moving_system, StepMap). The
+    moving set is read off the assembled [A B], not off the scheme; [A B]
+    is dropped before the map is built."""
+    A, B, states, inputs = moving_system(context_system(grid, base, ctx))
     return StepMap(*one_step_map(A, B, h), states, inputs)
 
 
 def interval_map(grid: PowerGrid, step: StepMap, K: int, R: Optional[np.ndarray]) -> StepMap:
     """Exact map of one message interval, K RK4 steps from one sampling
     instant to the next, on the states of a context's step map
-    (context_step), given for a rotation R, the N q rows of its reset
-    (LinkStore), else None. At the instant the held values refresh to
-    y = C u and, when R is not None, the pair's q resets to its rows of R,
-    which read u alone; then K steps follow with y constant. Refresh and
-    reset are linear and the K-fold step map with constant inputs is affine
-    (kernels.k_step_map), so the map is exact. Both leave a state whose
-    sampling events have already been applied unchanged, so the map also
-    advances such a state. The K steps are squared on the step map's
-    states; the held coupling moves G's y columns onto D's u columns, and
-    R folds in as D R + R - I. R differs from the identity only in the
-    pair's q rows, which read u alone, so D R adds D's q columns times
-    them to its u columns and clears its q columns: one small product. The
-    map's inputs are the step map's without y. R's other q rows are zero:
-    those q are read by no rate, so the map leaves them as they are, and
-    sample() zeroes them in what a run records."""
-    n, e, a = grid.n_nodes, grid.n_lines, len(grid.angle_rates())
+    (context_step), given for a rotation R, the (N, N) block of its reset
+    that reads u (LinkStore), else None. At the instant the held values
+    refresh to y = C u and, when R is not None, q resets to R u; then K
+    steps follow with y constant. Refresh and reset are linear and the
+    K-fold step map with constant inputs is affine (kernels.k_step_map), so
+    the map is exact. Both leave a state whose sampling events have already
+    been applied unchanged, so the map also advances such a state. The K
+    steps are squared on the step map's states; the held coupling moves G's
+    y columns onto D's u columns, and the reset S folds in as D S + S - I.
+    S differs from the identity only in the pair's q rows, R's rows of the
+    pair in the u columns, so D S adds D's q columns times those rows to
+    its u columns and clears its q columns: one small product. The map's
+    inputs are the step map's without y. R's other rows are zero: those q
+    are read by no rate, so the map leaves them as they are, and sample()
+    zeroes them in what a run records."""
+    n, a = grid.n_nodes, len(grid.angle_rates())
     D, G = k_step_map(step.D, step.G, K)
     held = (step.inputs >= 3 * n + a) & (step.inputs < 4 * n + a)
     y = step.inputs[held] - 3 * n - a
     D[:, n + a + y] += G[:, held] * grid.cost()[y]     # u sits at n + a in states as in z
-    if R is not None:      # D R + R - I: the pair's q rows of R read u alone
+    if R is not None:      # D S + S - I: the pair's q rows of S read u alone
         U, Q = slice(n + a, 2 * n + a), slice(2 * n + a, None)
-        Ru = R[step.states[Q] - 2 * n - a, n + e:2 * n + e]
+        Ru = R[step.states[Q] - 2 * n - a]
         D[:, U] += D[:, Q] @ Ru
         D[:, Q] = 0.0       # no step reads q before the reset overwrites it
         D[Q, U] += Ru
@@ -506,16 +474,14 @@ class LinkStore(dict):
 
     - ("base", ctx): the law_base of the context ctx, which has F empty;
       built when a step map of a context with that law misses;
-    - ("reset", None): the identity stack of x as a stacked state whose
-      held values are the messages it sends, held_messages(C u,
-      comm.links), shared by the resets of a rotation;
-    - ("R", ctx): the N q rows, (N, dim), of the exact reset R of a
-      rotation to the pair ctx.F at a sampling instant, R x the state
-      after messages refreshed from x and q re-initialized by
-      init_artificial for the new pair: one init_artificial call on the
-      reset stack. R leaves every other state as it is, so its q rows are
-      all of it that a run and interval_map read. None for a context that
-      holds no messages or has no F, which resets nothing;
+    - ("R", ctx): the exact reset of a rotation to the pair ctx.F at a
+      sampling instant, as the (N, N) block R that reads u: q becomes R u,
+      init_artificial for the new pair on the messages refreshed from u.
+      One init_artificial call on the N unit vectors of u, whose held
+      values are the messages they send, held_messages(C u, comm.links).
+      The reset reads nothing but u and leaves every other state as it
+      is, so R is all of it that a run and interval_map read. None for a
+      context that holds no messages or has no F, which resets nothing;
     - ("stretch", ctx): RK4's one-step map of ctx at step dt
       (context_step), from the base of ctx with F empty;
     - ("intervals", ctx): the map of one message interval of K steps of ctx
@@ -559,15 +525,14 @@ class LinkStore(dict):
             self.built[kind] += 1
         if kind == "base":
             value = law_base(grid, self.comm, key)
-        elif kind == "reset":
-            n, e = grid.n_nodes, grid.n_lines
-            X = np.eye(3 * n + e)
-            value = vector_to_state(0.0, X, grid, held_messages(
-                grid.cost() * X[:, n + e:2 * n + e], self.comm.links))
         elif kind == "R":
             value = None
             if key.hold and key.F:
-                q0, _ = controllers.init_artificial(self["reset", None], grid, key)
+                u, zero = np.eye(grid.n_nodes), np.zeros((1, grid.n_nodes))
+                inside = [l for l in self.comm.links if key.F.issuperset(l)]   # all it reads
+                stack = SystemState(0.0, zero, np.zeros((1, grid.n_lines)), u, zero,
+                                    held_messages(grid.cost() * u, inside))
+                q0, _ = controllers.init_artificial(stack, grid, key)
                 value = np.ascontiguousarray(q0.T)
         elif kind == "stretch":
             value = context_step(grid, self["base", replace(key, F=frozenset())], key,
@@ -908,12 +873,12 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     one block product per _REC_BLOCK records. The flows are a fixed linear
     map of the angles, so they leave the float range only where the angles
     come within a factor 2 max(Gamma) of it; only z is checked.
-    Every sampling instant runs one rule, sample(), on a stack of states
-    in z: under a rotation q resets by its context's R (the q rows of the
-    reset, which zero the q outside the pair), and the held values become
-    C u. Interval and cycle jumps record states before their instants'
-    events, and each such call samples its own records as one stack right
-    after kernels.jump writes them.
+    Every sampling instant runs one rule, sample(), on a stack of states in
+    z: under a rotation q resets to R u, R its context's (N, N) block of
+    the reset (zero outside the pair), and the held values become C u.
+    Interval and cycle jumps record states before their instants' events,
+    and each such call samples its own records as one stack right after
+    kernels.jump writes them.
 
     After each call z and every record it wrote must be finite, and so
     must the messages C u it sends at an instant. A call that fails this
@@ -968,15 +933,14 @@ def integrate(scenario: Scenario, initial_state: Optional[SystemState] = None) -
     def sample(rows: np.ndarray, step: int) -> np.ndarray:
         """Run the sampling events of the instants step, step + stride, ...
         on the stack of their states in z, in place: under a rotation q
-        resets by R of the context of step's interval, which reads u alone
-        and which the whole stack shares (a pause samples one state, an
-        interval jump records at most one and a cycle jump records only on
-        cycle starts). R comes from the store, not from a step map, so an
+        resets to R u, R of the context of step's interval, which the whole
+        stack shares (a pause samples one state, an interval jump records
+        at most one and a cycle jump records only on cycle starts). R comes from the store, not from a step map, so an
         instant whose interval never runs, such as the horizon's, builds no
         map. Returns the held values each row leaves, its C u."""
         R = store["R", piece.context(step, K)]
         if R is not None:
-            rows[:, Q] = rows[:, U] @ R[:, n + e:2 * n + e].T
+            rows[:, Q] = rows[:, U] @ R.T
         return cost_vec * rows[:, U]
 
     # --- record buffers -----------------------------------------------------

@@ -30,12 +30,14 @@ f' = Gamma B^T omega (Bergen & Hill, IEEE Trans. PAS 100(1), 1981), so
 written as f = Gamma B^T theta + Z c, theta the node angles grounded at
 one node per component of the power graph and Z a basis of the cycle
 space (B Z = 0), the E - N + c cycle flows c never change and no rate
-reads them. A is similar to the block on [omega, theta, u, q]
-(StateMatrix.angles, simulator.angle_system, the coordinates a run
-carries and builds its maps in) beside a zero block of that size.
-spectrum solves that block, about 301 states instead of 331 at N = 100
+reads them. So the state matrix on [omega, f, u, q] is similar to the
+block on [omega, theta, u, q] beside a zero block of the cycle flows, and
+that block is all that is assembled: StateMatrix.angles, the A of
+simulator.moving_system, in the coordinates a run carries and builds its
+maps in. spectrum solves it, about 301 states instead of 331 at N = 100
 with 129 lines, and lists the E - N + c zeros exactly, counted by
-structure; a report's state_dim and labels stay those of A. In the same
+structure; a report's labels are still those of omega, every flow, u and
+the q the law moves, and its state_dim their number. In the same
 way interval_map_spectrum solves the map of a sampled-data law on the
 states it moves and lists the states it does not carry by structure: the
 cycle flows as exact 1s, and the q that no context moves as exact 1s, or
@@ -90,7 +92,7 @@ import numpy as np
 
 from .controllers import ControlContext
 from .model import CommGraph, PowerGrid, interval_steps
-from .simulator import LinkStore, angle_system, context_system, law_base, state_labels
+from .simulator import LinkStore, context_system, law_base, moving_system, state_labels
 
 STRUCTURAL_ZERO_TOL = 1e-8
 IDENTITY_TOL = 1e-8         # characteristic_identity_check: consistent below this residual
@@ -99,10 +101,9 @@ DEFINITENESS_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class StateMatrix:
-    A: np.ndarray
-    labels: Tuple[str, ...]
+    labels: Tuple[str, ...]    # omega, every flow, u and the q of q_nodes
     q_nodes: Tuple[int, ...]   # nodes whose artificial variable the law moves
-    angles: np.ndarray         # A with the flows as grounded angles (simulator.angle_system)
+    angles: np.ndarray         # A on [omega, theta, u, q of q_nodes] (simulator.moving_system)
     cycles: int                # the constant cycle flows split off: E - N + c
 
 
@@ -134,27 +135,25 @@ def assemble_state_matrix(grid: PowerGrid, comm: CommGraph,
                           ctx: ControlContext) -> StateMatrix:
     """Homogeneous state matrix of ctx on the states it moves.
 
-    A is the simulator's [A B] (simulator.context_system of the law_base
-    of comm) at its rows that are not zero, in those rows and columns: the
-    states that simulator.context_step moves, by the same rule, and the
-    same bits as a run's matrices (exact: the dynamics are linear). They
-    are omega, f, u and the artificial variables of the flow-controlled
-    nodes ctx.F; the law never touches the others. Held messages are
-    inputs, not state. labels are state_labels(grid) at those rows, and
-    q_nodes the nodes of their artificial variables. angles is the same
-    law with the flows carried as grounded node angles, the A of
-    simulator.angle_system, on which a run's step maps are built too: A
-    is similar to angles beside a zero block of the cycles = E - N + c
-    cycle flows (c the power graph's components), which never change and
-    which no rate reads. comm holds the live links only.
+    angles is the A of simulator.moving_system on the simulator's [A B]
+    (simulator.context_system of the law_base of comm): the states that
+    simulator.context_step moves, by the same rule, and the same bits as a
+    run's matrices (exact: the dynamics are linear). They are omega, the
+    grounded node angles theta, u and the artificial variables of the
+    flow-controlled nodes ctx.F, whose nodes are q_nodes; the law never
+    touches the others. Held messages are inputs, not state. The state
+    matrix on [omega, f, u, q] is similar to angles beside a zero block of
+    the cycles = E - N + c cycle flows (c the power graph's components),
+    which never change and which no rate reads; labels are
+    state_labels(grid) at its states, omega, every flow, u and the q of
+    q_nodes. comm holds the live links only.
     """
-    AB = context_system(grid, law_base(grid, comm, ctx), ctx)
-    moving = np.flatnonzero(AB.any(axis=1))
-    labels, q0 = state_labels(grid), 2 * grid.n_nodes + grid.n_lines
-    return StateMatrix(A=AB[np.ix_(moving, moving)], labels=tuple(labels[k] for k in moving),
-                       q_nodes=tuple(int(k) - q0 for k in moving if k >= q0),
-                       angles=angle_system(grid, AB)[0],
-                       cycles=grid.n_lines - len(grid.angle_rates()))
+    A, _, states, _ = moving_system(context_system(grid, law_base(grid, comm, ctx), ctx))
+    n, e, a = grid.n_nodes, grid.n_lines, len(grid.angle_rates())
+    q_nodes = tuple(int(k) - 2 * n - a for k in states if k >= 2 * n + a)
+    labels = state_labels(grid)
+    return StateMatrix(labels=labels[:2 * n + e] + tuple(labels[2 * n + e + i] for i in q_nodes),
+                       q_nodes=q_nodes, angles=A, cycles=e - a)
 
 
 def spectrum(A) -> SpectrumReport:
@@ -163,12 +162,12 @@ def spectrum(A) -> SpectrumReport:
     split-off zeros, listed last as exact zeros and counted as structural
     by that count, not by a test; among the block's eigenvalues, as for a
     raw matrix, those with |lam| <= 1e-8 are structural zeros too. The
-    entries of A must be finite."""
-    mat = A.A if isinstance(A, StateMatrix) else np.asarray(A, dtype=float)
+    entries of the matrix solved must be finite."""
+    split = isinstance(A, StateMatrix)
+    mat = A.angles if split else np.asarray(A, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("state matrix contains non-finite entries")
-    split = isinstance(A, StateMatrix)
-    lam = np.linalg.eigvals(A.angles if split else mat)
+    lam = np.linalg.eigvals(mat)
     zero = np.abs(lam) <= STRUCTURAL_ZERO_TOL
     rest = lam[~zero]
     abscissa = float(np.max(rest.real)) if rest.size else float("-inf")
@@ -433,11 +432,11 @@ def characteristic_identity_check(grid: PowerGrid, comm: CommGraph,
     floating-point range still compare. The left side is
     log det(A - z I) = sum_i log(lam_i - z) over the spectrum of A:
     `eigenvalues` as spectrum() returns them, or, when omitted, those of
-    assemble_state_matrix's A. Computed eigenvalues are the exact ones of a
-    matrix within about eps |A| of A, the backward error an LU factorization
-    carries too. The right side is one stacked slogdet of the pencil at all
-    points. The residual at each point is |r - 1| / max(|r|, 1) with
-    r = lhs / (sigma rhs), which equals
+    assemble_state_matrix, its split-off cycle flows among them. Computed
+    eigenvalues are the exact ones of a matrix within about eps |A| of A,
+    the backward error an LU factorization carries too. The right side is
+    one stacked slogdet of the pencil at all points. The residual at each
+    point is |r - 1| / max(|r|, 1) with r = lhs / (sigma rhs), which equals
     |lhs - sigma rhs| / max(|lhs|, |sigma rhs|).
     """
     mats = certificate_matrices(grid, comm, ctx)

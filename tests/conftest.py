@@ -2,7 +2,10 @@
 
 derivative() is the reference dynamics, the swing and line rates of
 simulator.swing_rate joined with the control law of
-controllers.control_rate. reference_integrate is a deliberately naive RK4
+controllers.control_rate, on the full state [omega, flow, u, q];
+angle_derivative() is the same dynamics on a run's coordinates [omega,
+theta, u, q], and identity_system() the [A B] of either from one call on
+the identity stack. reference_integrate is a deliberately naive RK4
 loop driven by it with inline event handling; the production integrator,
 a plan of kernel calls and the loop that executes it, is checked against
 it on short horizons. random_grid builds seeded connected
@@ -24,8 +27,8 @@ from gridfreq import toy_grid
 from gridfreq.controllers import ControlContext, Link, control_rate, init_artificial
 from gridfreq.model import (CONTINUOUS, CommGraph, Line, NodeParams, PowerGrid, Scenario,
                             SystemState)
-from gridfreq.simulator import (Trajectory, initial_flows, modes, state_to_vector, swing_rate,
-                                vector_to_state)
+from gridfreq.simulator import (Trajectory, held_messages, initial_flows, modes, state_to_vector,
+                                swing_rate, vector_to_state)
 
 
 @pytest.fixture(scope="session")
@@ -158,6 +161,36 @@ def derivative(state: SystemState, grid: PowerGrid, comm: CommGraph,
         p = grid.fixed_power()
     du, dq = control_rate(state, grid, comm, ctx)
     return np.concatenate([*swing_rate(state, grid, p), du, dq], axis=-1)
+
+
+def angle_derivative(z: np.ndarray, grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+                     p: Optional[np.ndarray] = None, f0=0.0, last_rx=None) -> np.ndarray:
+    """Time derivative of a run's state z = [omega, theta (N - c), u, q]:
+    derivative() at x = [omega, f0 + angle_flows() theta, u, q], its flow
+    rates replaced by theta' = angle_rates() omega. A stack z of shape
+    (k, 3N + N - c) gives the stacked rates, as derivative() does."""
+    n, a = grid.n_nodes, len(grid.angle_rates())
+    flow = f0 + z[..., n:n + a] @ grid.angle_flows().T
+    state = SystemState(0.0, z[..., :n], flow, z[..., n + a:2 * n + a], z[..., 2 * n + a:],
+                        last_rx or {})
+    dx = derivative(state, grid, comm, ctx, p)
+    return np.concatenate([dx[..., :n], z[..., :n] @ grid.angle_rates().T,
+                           dx[..., n + grid.n_lines:]], axis=-1)
+
+
+def identity_system(grid: PowerGrid, comm: CommGraph, ctx: ControlContext,
+                    angles: bool = True) -> np.ndarray:
+    """[A B] of ctx, the rates of one angle_derivative() call on the
+    identity stack of [z; y; p], one column per unit vector, with y the
+    held messages; with angles False, of one derivative() call on the
+    identity stack of the full [x; y; p], x = [omega, flow, u, q]."""
+    n = grid.n_nodes
+    dim = 3 * n + (len(grid.angle_rates()) if angles else grid.n_lines)
+    W = np.eye(dim + 2 * n)
+    X, rx, P = W[:, :dim], held_messages(W[:, dim:dim + n], comm.links), W[:, dim + n:]
+    if angles:
+        return angle_derivative(X, grid, comm, ctx, P, last_rx=rx).T
+    return derivative(vector_to_state(0.0, X, grid, rx), grid, comm, ctx, P).T
 
 
 def reference_integrate(scenario: Scenario, n_steps: int, every: int = 0,

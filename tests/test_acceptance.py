@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import transposed_Lc_star
+from conftest import angle_derivative, transposed_Lc_star
 from gridfreq import stability
 from gridfreq.controllers import ControlContext
 from gridfreq.dispatch import optimal_dispatch
@@ -325,19 +325,18 @@ def test_criterion_10_numerical_self_consistency(toy):
                    scheme="PAIR_FLOW", horizon=10.0, dt=1e-3, record_stride=100)
     traj = integrate(scn)
     ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
-    A = assemble_state_matrix(grid, scn.comm, ctx).A
+    # on z = [omega, theta, u, q] from z = 0 at the initial flows f0
+    A = assemble_state_matrix(grid, scn.comm, ctx).angles
     p = grid.fixed_power() + np.array([0.5, 0.0])
-    bvec = np.zeros(7)
-    bvec[:2] = p / grid.inertia()
-    x0 = np.zeros(7)
-    x0[2] = initial_flows(grid, grid.fixed_power())[0]
+    f0 = initial_flows(grid, grid.fixed_power())
+    bvec = angle_derivative(np.zeros(7), grid, scn.comm, ctx, p, f0)
     worst = 0.0
     for k in range(len(traj)):
         aug = np.zeros((8, 8))
         aug[:7, :7] = A * traj.times[k]
         aug[:7, 7] = bvec * traj.times[k]
-        ex = expm(aug)
-        x_ref = ex[:7, :7] @ x0 + ex[:7, 7]
+        z = expm(aug)[:7, 7]
+        x_ref = np.concatenate([z[:2], f0 + grid.angle_flows() @ z[2:3], z[3:]])
         x_sim = np.concatenate([traj.omega[k], traj.flow[k], traj.u[k], traj.q[k]])
         worst = max(worst, np.abs(x_sim - x_ref).max())
     assert worst <= 1e-6

@@ -1,8 +1,10 @@
 """Property tests on random grids (hypothesis).
 
 Every law is linear once the event data is fixed, so the assembled
-(A, B) must reproduce derivative() at any state: with b = B [y; p] for held
-values y and powers p, A x + b == derivative(x), and b == derivative(0).
+(A, B) on a run's coordinates z = [omega, theta, u, q] must reproduce
+conftest.angle_derivative() at any state: with b = B [y; p] for held
+values y and powers p, A z + b == angle_derivative(z), and
+b == angle_derivative(0).
 Grids are connected, with 2 to 6 nodes; the scheme's flow-based pair is a
 power-adjacent communication link that has failed (or, under SEQUENTIAL,
 the active shared link).
@@ -23,12 +25,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import derivative, lift, sequential_context
+from conftest import angle_derivative, identity_system, lift, sequential_context
 from gridfreq.controllers import ControlContext
 from gridfreq.kernels import k_step_map, one_step_map
 from gridfreq.model import SCHEMES, CommGraph, Line, NodeParams, PowerGrid, toy_grid
-from gridfreq.simulator import (context_step, context_system, held_messages, law_base,
-                                vector_to_state)
+from gridfreq.simulator import context_step, context_system, held_messages, law_base
 from gridfreq.stability import STRUCTURAL_ZERO_TOL, assemble_state_matrix, spectrum
 
 positive = st.floats(0.05, 5.0)
@@ -76,12 +77,11 @@ def test_assembled_affine_map_reproduces_derivative(case, seed):
     AB = context_system(grid, law_base(grid, comm, ctx), ctx)
     A, B = AB[:, :len(AB)], AB[:, len(AB):]
     b = B @ np.concatenate([y, p])
-    zero = np.zeros(3 * n + grid.n_lines)
-    dx = derivative(vector_to_state(0.0, zero, grid, last_rx), grid, comm, ctx, p)
-    assert np.abs(b - dx).max() <= 1e-12
-    for x in rng.normal(size=(3, 3 * n + grid.n_lines)):
-        dx = derivative(vector_to_state(0.0, x, grid, last_rx), grid, comm, ctx, p)
-        assert np.abs(A @ x + b - dx).max() <= 1e-12
+    dz = angle_derivative(np.zeros(len(A)), grid, comm, ctx, p, last_rx=last_rx)
+    assert np.abs(b - dz).max() <= 1e-12
+    for z in rng.normal(size=(3, len(A))):
+        dz = angle_derivative(z, grid, comm, ctx, p, last_rx=last_rx)
+        assert np.abs(A @ z + b - dz).max() <= 1e-12
 
 
 def seeded_grid(n: int, chords: int, seed: int) -> PowerGrid:
@@ -122,7 +122,9 @@ def law_cases(grid: PowerGrid, scheme: str):
 @example("meshed", 60, 2, "CONSENSUS")
 def test_split_spectrum_and_maps_match_the_full_ones(kind, n, seed, scheme):
     """With the E - N + 1 cycle flows split off, the reported spectrum
-    matches dense eigvals(StateMatrix.A), paired by least total distance,
+    matches a dense solve of the state matrix on [omega, f, u, q], the
+    moving rows of conftest.identity_system on the full state, paired by
+    least total distance,
     within 1e-10 of the spectral radius (at least 1); structural_zero_count
     equals the dense count of |lam| <= 1e-8, of which E - N + 1 are listed
     as exact zeros; and the step map in grounded angles, lifted to full
@@ -136,7 +138,9 @@ def test_split_spectrum_and_maps_match_the_full_ones(kind, n, seed, scheme):
     live, ctx = law_cases(grid, scheme)
     sm = assemble_state_matrix(grid, live, ctx)
     rep = spectrum(sm)
-    dense = np.linalg.eigvals(sm.A)
+    AB = identity_system(grid, live, ctx, angles=False)     # [A B] on [x; y; p]
+    moving = np.flatnonzero(AB.any(axis=1))
+    dense = np.linalg.eigvals(AB[np.ix_(moving, moving)])
     lam = rep.eigenvalues
     assert lam.shape == dense.shape and sm.cycles == e - n + 1
     assert not lam[len(lam) - sm.cycles:].any()
@@ -145,10 +149,8 @@ def test_split_spectrum_and_maps_match_the_full_ones(kind, n, seed, scheme):
     assert np.abs(lam[rows] - dense[cols]).max() <= 1e-10 * scale
     assert rep.structural_zero_count == int((np.abs(dense) <= STRUCTURAL_ZERO_TOL).sum())
 
-    base = law_base(grid, live, ctx)
-    AB = context_system(grid, base, ctx)
-    step = context_step(grid, base, ctx, 1e-3)
-    assert len(step.D) == len(sm.A) - sm.cycles
+    step = context_step(grid, law_base(grid, live, ctx), ctx, 1e-3)
+    assert len(step.D) == len(sm.angles) == len(moving) - sm.cycles
     full = one_step_map(AB[:, :len(AB)], AB[:, len(AB):], 1e-3)
     for k in (1, 10):
         want = full if k == 1 else k_step_map(*full, k)

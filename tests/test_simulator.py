@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (derivative, lift, random_grid, reference_csv, reference_integrate,
-                      sequential_context, shared_links, trajectory_states)
+from conftest import (angle_derivative, derivative, identity_system, lift, random_grid,
+                      reference_csv, reference_integrate, sequential_context, shared_links,
+                      trajectory_states)
 from gridfreq import controllers
 from gridfreq.controllers import ControlContext, init_artificial
 from gridfreq.dispatch import cost_of, optimal_dispatch
@@ -46,10 +47,9 @@ def test_derivative_matches_state_matrix_product():
     sm = assemble_state_matrix(scn.grid, scn.comm, ctx)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = rng.normal(size=7)
-        st = vector_to_state(0.0, x, scn.grid)
-        dx = derivative(st, scn.grid, scn.comm, ctx, p=np.zeros(2))
-        assert np.abs(sm.A @ x - dx).max() <= 1e-12
+        z = rng.normal(size=7)      # [omega, theta, u, q]
+        dz = angle_derivative(z, scn.grid, scn.comm, ctx, p=np.zeros(2))
+        assert np.abs(sm.angles @ z - dz).max() <= 1e-12
 
 
 def test_balanced_start_stays_at_rest(toy):
@@ -122,25 +122,26 @@ class TestConvergenceTime:
 
 
 def test_two_node_matches_matrix_exponential():
-    """Linear-system oracle: RK4 against expm over 10 s, per component."""
+    """Linear-system oracle: RK4 against expm over 10 s, per component. The
+    state matrix acts on z = [omega, theta, u, q] from z = 0, at the
+    initial flows f0, with the offset of angle_derivative() at z = 0."""
     scn = pair_scenario(disturbances=(DisturbanceEvent(time=0.0, node=0,
                                                        delta_p=0.5),))
+    grid = scn.grid
     traj = integrate(scn)
     ctx = ControlContext(scheme="PAIR_FLOW", F=frozenset({0, 1}))
-    sm = assemble_state_matrix(scn.grid, scn.comm, ctx)
-    p = scn.grid.fixed_power()
+    sm = assemble_state_matrix(grid, scn.comm, ctx)
+    p = grid.fixed_power()
     p[0] += 0.5
-    b = np.zeros(7)
-    b[:2] = p / scn.grid.inertia()
-    x0 = np.zeros(7)
-    x0[2:3] = initial_flows(scn.grid, scn.grid.fixed_power())
+    f0 = initial_flows(grid, grid.fixed_power())
+    b = angle_derivative(np.zeros(7), grid, scn.comm, ctx, p, f0)
     for k in range(0, len(traj), 100):
         t = traj.times[k]
         aug = np.zeros((8, 8))
-        aug[:7, :7] = sm.A * t
+        aug[:7, :7] = sm.angles * t
         aug[:7, 7] = b * t
-        ex = expm(aug)
-        x_ref = ex[:7, :7] @ x0 + ex[:7, 7]
+        z = expm(aug)[:7, 7]
+        x_ref = np.concatenate([z[:2], f0 + grid.angle_flows() @ z[2:3], z[3:]])
         x_sim = np.concatenate([traj.omega[k], traj.flow[k], traj.u[k], traj.q[k]])
         assert np.abs(x_sim - x_ref).max() <= 1e-6
 
@@ -540,41 +541,38 @@ def test_sampled_hold_matches_derivative_rebuild(toy):
 # Matrices from one evaluation on the identity stack, against the per-column
 # loops they replace (kept here as the reference)
 
-def loop_affine(grid, comm, ctx, p, last_rx, t):
-    dim = 3 * grid.n_nodes + grid.n_lines
-    b = derivative(vector_to_state(t, np.zeros(dim), grid, last_rx), grid, comm, ctx, p)
+def loop_affine(grid, comm, ctx, p, last_rx):
+    """(A, b) on z = [omega, theta, u, q], one angle_derivative() call per column."""
+    dim = 3 * grid.n_nodes + len(grid.angle_rates())
+    b = angle_derivative(np.zeros(dim), grid, comm, ctx, p, last_rx=last_rx)
     A = np.empty((dim, dim))
-    for k in range(dim):
-        x = np.zeros(dim)
-        x[k] = 1.0
-        A[:, k] = derivative(vector_to_state(t, x, grid, last_rx), grid, comm, ctx, p) - b
+    for k, z in enumerate(np.eye(dim)):
+        A[:, k] = angle_derivative(z, grid, comm, ctx, p, last_rx=last_rx) - b
     return A, b
 
 
 def loop_inputs(grid, comm, ctx):
+    """B on [y; p], one angle_derivative() call per column at z = 0."""
     n = grid.n_nodes
-    zero = np.zeros(3 * n + grid.n_lines)
+    zero = np.zeros(3 * n + len(grid.angle_rates()))
     B = np.empty((zero.size, 2 * n))
-    for k in range(2 * n):
-        w = np.zeros(2 * n)
-        w[k] = 1.0
+    for k, w in enumerate(np.eye(2 * n)):
         rx = held_messages(w[:n], comm.links)
-        B[:, k] = derivative(vector_to_state(0.0, zero, grid, rx), grid, comm, ctx, w[n:])
+        B[:, k] = angle_derivative(zero, grid, comm, ctx, w[n:], last_rx=rx)
     return B
 
 
 def loop_reset(grid, comm, ctx):
-    """The q rows of the rotation reset, one init_artificial call per unit state."""
-    n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
+    """The (N, N) block of the rotation reset that reads u, one
+    init_artificial call per unit vector of u."""
+    n = grid.n_nodes
     pair_ctx = ControlContext(scheme="PAIR_FLOW", F=ctx.F)
-    RQ = np.empty((n, dim))
-    for k in range(dim):
-        x = np.zeros(dim)
-        x[k] = 1.0
-        rx = held_messages(grid.cost() * x[n + e:2 * n + e], comm.links)
-        RQ[:, k], _ = init_artificial(vector_to_state(0.0, x, grid, rx), grid, pair_ctx)
-    return RQ
+    R = np.empty((n, n))
+    for k, u in enumerate(np.eye(n)):
+        rx = held_messages(grid.cost() * u, comm.links)
+        state = SystemState(0.0, np.zeros(n), np.zeros(grid.n_lines), u, np.zeros(n), rx)
+        R[:, k], _ = init_artificial(state, grid, pair_ctx)
+    return R
 
 
 def scheme_cases(grid, comm):
@@ -612,14 +610,20 @@ def named_grid(toy, grid_name):
 @pytest.mark.parametrize("case", range(6))
 @pytest.mark.parametrize("grid_name", ["toy", "n30", "n60"])
 def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
-    """[A B] assembled from the swing rows and one control_rate call is
-    byte-equal, signed zeros included, to one derivative() call on the
-    identity stack (direct_matrices), and so is the stability report's A
-    sliced from it; both equal the per-column loops of derivative() calls,
-    and the reset's q rows equal a loop of init_artificial calls."""
+    """[A B] on [z; y; p] assembled from the swing rows and one
+    control_rate call is byte-equal, signed zeros included, to one
+    angle_derivative() call on the identity stack (direct_matrices), and so
+    is the stability report's A sliced from it; both equal the per-column
+    loops of angle_derivative() calls, and the reset's R equals a loop of
+    init_artificial calls. The omega rows' theta columns are each a sum
+    over the lines at a node, which the stacked call and a per-column one
+    add in different orders (a matrix product against matrix-vector ones),
+    so they agree to within two units of rounding (float64 eps) of their
+    largest entry; every other entry is a single product and agrees
+    exactly."""
     grid, comm = named_grid(toy, grid_name)
     scheme, ctx, live = scheme_cases(grid, comm)[case]
-    n = grid.n_nodes
+    n, a = grid.n_nodes, len(grid.angle_rates())
     rng = np.random.default_rng(case)
     y = rng.normal(size=n)
     last_rx = {}
@@ -627,28 +631,45 @@ def test_stacked_assembly_equals_per_column_loops(toy, grid_name, case):
         last_rx = held_messages(y, live.links)
     p = rng.normal(size=n)
     AB = context_system(grid, law_base(grid, live, ctx), ctx)
-    got = AB[:, :len(AB)], AB[:, len(AB):], LinkStore(grid, live)["R", ctx]
+    got = AB, LinkStore(grid, live)["R", ctx]
     want = direct_matrices(grid, live, ctx)
     for g, w in zip(got, want):
         assert (g is w is None) or (g.shape == w.shape and g.tobytes() == w.tobytes())
-    e = grid.n_lines
-    keep = list(range(2 * n + e)) + [2 * n + e + i for i in sorted(ctx.F)]
+    keep = list(range(2 * n + a)) + [2 * n + a + i for i in sorted(ctx.F)]
     A_kept = want[0][np.ix_(keep, keep)]
-    assert assemble_state_matrix(grid, live, ctx).A.tobytes() == A_kept.tobytes()
-    A, B, _ = got
-    A_ref, _ = loop_affine(grid, live, ctx, np.zeros(n), held_messages(np.zeros(n), live.links),
-                           0.3)
-    assert np.array_equal(A, A_ref)
+    assert assemble_state_matrix(grid, live, ctx).angles.tobytes() == A_kept.tobytes()
+    A, B = AB[:, :len(AB)], AB[:, len(AB):]
+    A_ref, _ = loop_affine(grid, live, ctx, np.zeros(n), held_messages(np.zeros(n), live.links))
+    theta = np.zeros(A.shape, dtype=bool)
+    theta[:n, n:n + a] = True
+    assert np.array_equal(A[~theta], A_ref[~theta])
+    eps = np.finfo(float).eps
+    assert np.abs(A[theta] - A_ref[theta]).max() <= 2 * eps * np.abs(A_ref[theta]).max()
     assert np.array_equal(B, loop_inputs(grid, live, ctx))
     # at nonzero inputs (y unread by the laws without held messages)
-    A_ref, b_ref = loop_affine(grid, live, ctx, p, last_rx, 0.3)
+    A_ref, b_ref = loop_affine(grid, live, ctx, p, last_rx)
     assert np.abs(A - A_ref).max() <= 1e-12
     assert np.abs(B @ np.concatenate([y, p]) - b_ref).max() <= 1e-12
     if ctx.F:       # the reset of a rotation to F, whose links are live in it
         R = LinkStore(grid, comm)["R", ControlContext("SEQUENTIAL", ctx.F)]
-        assert R.shape == (n, len(A))
+        assert R.shape == (n, n)
         assert np.array_equal(R, loop_reset(grid, comm, ctx))
         assert np.abs(R).max() > 0.0
+
+
+@pytest.mark.parametrize("grid_name", ["toy", "n30", "n60"])
+def test_report_labels_the_moving_rows_of_the_full_state(toy, grid_name):
+    """The stability report's labels are state_labels at the rows of the
+    full [A B] on [x; y; p] that are not zero (omega, every flow, u and the
+    q of F), though it assembles [A B] on [z; y; p] alone, and there are as
+    many as the states its angles block moves and the cycle flows split
+    off: its state_dim and its spectrum's length."""
+    grid, comm = named_grid(toy, grid_name)
+    for scheme, ctx, live in scheme_cases(grid, comm):
+        sm = assemble_state_matrix(grid, live, ctx)
+        moving = np.flatnonzero(identity_system(grid, live, ctx, angles=False).any(axis=1))
+        assert sm.labels == tuple(state_labels(grid)[k] for k in moving)
+        assert len(sm.labels) == len(sm.angles) + sm.cycles
 
 
 @pytest.mark.parametrize("scheme", ["CONSENSUS", "CONSENSUS_SAMPLED"])
@@ -665,66 +686,50 @@ def test_assembly_sums_the_links_one_at_a_time(scheme):
                      tuple(Line(0, j, 1.0) for j in range(1, 7)))
     comm = CommGraph(links=tuple((0, j) for j in range(1, 7)),
                      message_interval=0.01 if hold else None)
-    n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
+    n, a = grid.n_nodes, len(grid.angle_rates())
+    dim = 3 * n + a
     ctx = ControlContext(scheme)
     AB = context_system(grid, law_base(grid, comm, ctx), ctx)
     A, B = AB[:, :dim], AB[:, dim:]
     want = np.empty((n, dim + 2 * n))
     for k, z in enumerate(np.eye(dim + 2 * n)):
-        omega, y, held = z[:n], costs * z[n + e:2 * n + e], z[dim:dim + n]
+        omega, y, held = z[:n], costs * z[n + a:2 * n + a], z[dim:dim + n]
         du = -omega / costs
-        for a, b in comm.links:
-            for src, dst in ((a, b), (b, a)):
+        for i, j in comm.links:
+            for src, dst in ((i, j), (j, i)):
                 du[dst] -= y[dst] - (held[src] if hold else y[src])
         want[:, k] = du
-    got = np.concatenate([A, B], axis=1)[n + e:2 * n + e]
+    got = np.concatenate([A, B], axis=1)[n + a:2 * n + a]
     assert got.tobytes() == want.tobytes()
-    assert A[n + e, n + e] == -(10.5 + 2.0 ** -49) != -6 * C
+    assert A[n + a, n + a] == -(10.5 + 2.0 ** -49) != -6 * C
 
 
 # ---------------------------------------------------------------------------
 # Maps on the moving states
 
-def identity_stack_swing_rows(grid):
-    """The omega and flow rows of [A B] from one swing_rate call on the
-    identity stack of omega, f, u and p, (3N + E + 1) x (3N + E) with a zero
-    row last (q zero), spread over the columns of [x; y; p]."""
-    n, e = grid.n_nodes, grid.n_lines
-    dim = 3 * n + e
-    unit = np.eye(dim + 1, dim)
-    state = SystemState(0.0, unit[:, :n], unit[:, n:n + e], unit[:, n + e:2 * n + e],
-                        np.zeros((1, n)))
-    domega, dflow = swing_rate(state, grid, unit[:, 2 * n + e:])
-    out = np.empty((n + e, dim + 2 * n))
-    for rows, rates in ((out[:n], domega), (out[n:], dflow)):
-        rows[:] = rates[-1][:, None]
-        rows[:, :2 * n + e] = rates[:2 * n + e].T
-        rows[:, dim + n:] = rates[2 * n + e:dim].T
-    return out
-
-
 @pytest.mark.parametrize("grid_name", ["toy", "n30", "n60", "one line"])
 def test_swing_rows_probe_each_block_on_its_own_rows(toy, grid_name):
-    """swing_rows, one swing_rate call per group of blocks on their own
-    unit rows, is byte-equal, signed zeros included, to one call on the
-    identity stack of all four blocks; its rates per unit angle are the
-    omega rows of one call on the flows the unit angles induce, and equal
-    the omega rows' flow columns times PowerGrid.angle_flows within
+    """swing_rows, one swing_rate call on the unit rows of the blocks it
+    reads, is byte-equal, signed zeros included, to the omega and theta
+    rows of one angle_derivative() call on the identity stack of
+    [z; y; p] (conftest.identity_system), and read-only. Its theta rows are
+    PowerGrid.angle_rates, and its omega rows' rates per unit angle equal
+    their rates per unit flow times PowerGrid.angle_flows within
     rounding."""
     if grid_name == "one line":
         grid = pair_scenario().grid
     else:
         grid, _ = named_grid(toy, grid_name)
-    n, e = grid.n_nodes, grid.n_lines
-    rows, angles = swing_rows(grid)
-    want = identity_stack_swing_rows(grid)
-    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-    flows = grid.angle_flows()
+    n, e, a = grid.n_nodes, grid.n_lines, grid.n_nodes - 1
+    rows = swing_rows(grid)
+    want = identity_system(grid, CommGraph(links=()), ControlContext("CONSENSUS"))[:n + a]
+    assert rows.shape == want.shape == (n + a, 5 * n + a) and rows.tobytes() == want.tobytes()
+    assert not rows.flags.writeable
+    assert np.array_equal(rows[n:, :n], grid.angle_rates()) and not rows[n:, n:].any()
     zero = np.zeros((1, n))
-    domega, _ = swing_rate(SystemState(0.0, zero, flows.T, zero, zero), grid, zero)
-    assert angles.shape == (n, n - 1) and np.array_equal(angles, domega.T)
-    assert np.abs(angles - rows[:n, n:n + e] @ flows).max() <= 1e-13 * np.abs(angles).max()
+    per_flow, _ = swing_rate(SystemState(0.0, zero, np.eye(e), zero, zero), grid, zero)
+    angles = rows[:n, n:n + a]
+    assert np.abs(angles - per_flow.T @ grid.angle_flows()).max() <= 1e-13 * np.abs(angles).max()
 
 
 @pytest.mark.parametrize("grid_name", ["toy", "n30"])
@@ -737,8 +742,8 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     outside F, and the full maps' rows of them are exactly zero. The step
     map carries the flows as N - 1 grounded angles, so it propagates
     E - N + 1 states fewer than move. The stability report's state matrix
-    is A on the moving states, byte for byte, labelled by state_labels at
-    them."""
+    is the step map's A, [A B] on [z; y; p] at its states, byte for byte,
+    labelled by state_labels at the moving states of the full one."""
     grid, comm = named_grid(toy, grid_name)
     n, e = grid.n_nodes, grid.n_lines
     cases = [(ctx, live) for scheme, ctx, live in scheme_cases(grid, comm)
@@ -747,9 +752,10 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
     assert len(cases) == 5 + len(shared_links(grid, comm))
     h = 1e-3
     for ctx, live in cases:
-        AB = context_system(grid, law_base(grid, live, ctx), ctx)
+        AB = identity_system(grid, live, ctx, angles=False)     # [A B] on [x; y; p]
         A, B = AB[:, :len(AB)], AB[:, len(AB):]
-        step = context_step(grid, law_base(grid, live, ctx), ctx, h)
+        base = law_base(grid, live, ctx)
+        step = context_step(grid, base, ctx, h)
         # z = [omega, theta (N - 1), u, q]: past theta a state sits E - N + 1 below x's
         moving = np.concatenate([np.arange(n + e), step.states[2 * n - 1:] + e - n + 1])
         frozen = np.setdiff1d(np.arange(len(A)), moving)
@@ -757,8 +763,8 @@ def test_reduced_maps_embed_to_full_maps(toy, grid_name):
         assert len(step.D) == len(moving) - (e - n + 1)
         sm = assemble_state_matrix(grid, live, ctx)
         assert sm.labels == tuple(state_labels(grid)[k] for k in moving)
-        A_moving = A[np.ix_(moving, moving)]
-        assert sm.A.shape == A_moving.shape and sm.A.tobytes() == A_moving.tobytes()
+        A_moving = context_system(grid, base, ctx)[np.ix_(step.states, step.states)]
+        assert sm.angles.tobytes() == A_moving.tobytes()
         full = one_step_map(A, B, h)
         for k in (1, 10, 100):
             D, G = full if k == 1 else k_step_map(*full, k)
@@ -784,12 +790,13 @@ def full_interval_map(grid, AB, K, R):
 
 @pytest.mark.parametrize("grid_name", ["toy", "n30"])
 def test_rotation_reset_folds_through_q_rows(toy, grid_name):
-    """The store keeps a SEQUENTIAL context's reset R as R's N q rows,
-    which read u alone and are zero outside the pair, and interval_map
+    """The store keeps a SEQUENTIAL context's reset as R, the (N, N) block
+    that reads u, zero outside the pair's rows, and interval_map
     folds the pair's rows into the interval map on the step map's states.
     For every SEQUENTIAL context that map, lifted to full coordinates
     (conftest.lift), equals the one built at full size (full_interval_map)
-    with R the identity with the pair's q rows replaced, within 1e-14 of
+    with the identity's q rows of the pair replaced by R's in the u
+    columns as the reset, within 1e-14 of
     its largest entry; it reads no held message, and its G is the unreset
     map's. The q outside the pair, which R would clear, are read by no
     rate, so the map leaves them, and a run's records take them from
@@ -819,14 +826,14 @@ def test_rotation_reset_folds_through_q_rows(toy, grid_name):
         step = context_step(grid, base, ctx, 1e-3)
         R = store["R", ctx]
         pair = sorted(ctx.F)
-        assert R.shape == (n, dim) and not np.delete(R, pair, axis=0).any()
-        assert not np.delete(R, np.s_[n + e:2 * n + e], axis=1).any()
+        assert R.shape == (n, n) and not np.delete(R, pair, axis=0).any()
         reset, unreset = interval_map(grid, step, 10, R), interval_map(grid, step, 10, None)
         assert np.array_equal(reset.states, step.states)
         assert np.array_equal(reset.G, unreset.G)
         R_pair = np.eye(dim)
-        R_pair[[2 * n + e + i for i in pair]] = R[pair]
-        fulls.append(full_interval_map(grid, context_system(grid, base, ctx), 10, R_pair))
+        R_pair[[2 * n + e + i for i in pair]] = np.pad(R[pair], ((0, 0), (n + e, n)))
+        fulls.append(full_interval_map(grid, identity_system(grid, comm, ctx, angles=False), 10,
+                                       R_pair))
         assert_lifts_to(reset, fulls[-1])
     if grid_name == "toy":
         cycle, _ = store["cycles", contexts]
@@ -1134,18 +1141,13 @@ def test_one_step_map_built_once_per_context(toy, calls, case):
 
 
 def direct_matrices(grid, comm, ctx):
-    """(A, B, R) of ctx from one derivative() call of ctx itself on the
-    identity stack of [x; y; p], and for a SEQUENTIAL context R, the q rows
-    of its reset, from one init_artificial call per unit state (loop_reset;
-    None otherwise)."""
-    n = grid.n_nodes
-    dim = 3 * n + grid.n_lines
-    W = np.eye(dim + 2 * n)
-    X, Y, P = W[:, :dim], W[:, dim:dim + n], W[:, dim + n:]
-    dx = derivative(vector_to_state(0.0, X, grid, held_messages(Y, comm.links)),
-                    grid, comm, ctx, P)
+    """([A B], R) of ctx: [A B] on [z; y; p] from one angle_derivative()
+    call of ctx itself on the identity stack (conftest.identity_system),
+    and for a SEQUENTIAL context R, the (N, N) block of its reset that
+    reads u, from one init_artificial call per unit vector of u
+    (loop_reset; None otherwise)."""
     R = loop_reset(grid, comm, ctx) if ctx.scheme == "SEQUENTIAL" else None
-    return dx[:dim].T, dx[dim:].T, R
+    return identity_system(grid, comm, ctx), R
 
 
 def rotation_failing_mid_interval(n=30):
@@ -1190,10 +1192,10 @@ def run_case(toy, case):
 def test_run_contexts_equal_direct_assembly(toy, calls, case):
     """Every context a run builds (each piece's contexts and lead), from the
     law_base of its live links, has [A B] (context_system) byte-equal,
-    signed zeros included, to one derivative() call of that context on the
-    identity stack, and R, the q rows of a SEQUENTIAL context's reset, from
-    the store's reset stack, byte-equal to one init_artificial call per unit state
-    (direct_matrices). The run calls control_rate once per set of live
+    signed zeros included, to one angle_derivative() call of that context
+    on the identity stack, and R, the (N, N) block of a SEQUENTIAL
+    context's reset that reads u, byte-equal to one init_artificial call
+    per unit vector of u (direct_matrices). The run calls control_rate once per set of live
     links, for its base, and its records match the oracle. On the 30- and
     60-node grids the second piece of the rotation leads with the failed
     pair on the links that remain; MULTI_FAILURE ends with F = {2, 7, 9,
@@ -1212,10 +1214,9 @@ def test_run_contexts_equal_direct_assembly(toy, calls, case):
         if scn.scheme == "SEQUENTIAL":
             assert len(contexts) == len({tuple(sorted(c.F)) for c in contexts}) > 1
         for ctx in contexts:
-            A, B, R = direct_matrices(grid, comm, ctx)
+            want, R = direct_matrices(grid, comm, ctx)
             got = context_system(grid, law_base(grid, comm, ctx), ctx)
             got_R = LinkStore(grid, comm)["R", ctx]
-            want = np.hstack([A, B])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert (got_R is R is None) or (got_R.shape == R.shape
                                              and got_R.tobytes() == R.tobytes())

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import derivative, random_grid, shared_links, transposed_Lc_star
+from conftest import (angle_derivative, identity_system, random_grid, shared_links,
+                      transposed_Lc_star)
 from gridfreq import stability
 from gridfreq.controllers import ControlContext
 from gridfreq.model import CommGraph, Line, NodeParams, PowerGrid
-from gridfreq.simulator import modes, vector_to_state
+from gridfreq.simulator import modes
 from gridfreq.stability import (STRUCTURAL_ZERO_TOL, IdentityReport, _block_spectrum,
                                 assemble_state_matrix, build_Lc_star,
                                 characteristic_identity_check, check_sufficient_multi_node,
@@ -79,7 +80,9 @@ class TestAssemble:
         sm = assemble_state_matrix(grid, CommGraph(links=((0, 1),)), pair_ctx())
         assert sm.labels == ("omega_1", "omega_2", "f_1_2", "u_1", "u_2",
                              "q_1", "q_2")
-        assert sm.A[2] == pytest.approx([1.0, -1.0, 0, 0, 0, 0, 0])
+        # the flow's row, f' = angle_flows theta', from the angle's row
+        flow_row = grid.angle_flows() @ sm.angles[2:3]
+        assert flow_row[0] == pytest.approx([1.0, -1.0, 0, 0, 0, 0, 0])
 
     def test_matches_derivative_on_random_states(self, toy):
         rng = np.random.default_rng(11)
@@ -94,50 +97,48 @@ class TestAssemble:
              CommGraph(links=tuple(l for l in toy.comm.links
                                    if l not in {(0, 1), (1, 4)}))),
         ]
-        n, e = toy.grid.n_nodes, toy.grid.n_lines
+        n, a = toy.grid.n_nodes, len(toy.grid.angle_rates())
         for _, ctx, c in cases:
             sm = assemble_state_matrix(toy.grid, c, ctx)
-            keep = list(range(2 * n + e)) + [2 * n + e + i for i in sm.q_nodes]
+            keep = list(range(2 * n + a)) + [2 * n + a + i for i in sm.q_nodes]
             for _ in range(30):
-                x_red = rng.normal(size=len(keep))
-                x_full = np.zeros(3 * n + e)
-                x_full[keep] = x_red
-                dx = derivative(vector_to_state(0.0, x_full, toy.grid), toy.grid,
-                                c, ctx, p=np.zeros(n))
-                assert np.abs(sm.A @ x_red - dx[keep]).max() <= 1e-12
+                z_red = rng.normal(size=len(keep))
+                z = np.zeros(3 * n + a)     # [omega, theta, u, q]
+                z[keep] = z_red
+                dz = angle_derivative(z, toy.grid, c, ctx, p=np.zeros(n))
+                assert np.abs(sm.angles @ z_red - dz[keep]).max() <= 1e-12
                 # inactive artificial variables have no dynamics at all
-                drop = [k for k in range(3 * n + e) if k not in keep]
-                assert np.abs(dx[drop]).max() == 0.0
+                drop = [k for k in range(3 * n + a) if k not in keep]
+                assert np.abs(dz[drop]).max() == 0.0
 
     def test_zero_state_maps_to_zero(self):
         grid = two_node_grid()
         sm = assemble_state_matrix(grid, CommGraph(links=((0, 1),)), pair_ctx())
-        assert np.abs(sm.A @ np.zeros(7)).max() == 0.0
+        assert np.abs(sm.angles @ np.zeros(7)).max() == 0.0
 
     def test_exact_linearization_for_hold_schemes(self, toy):
         """For the sampled laws the held messages are an affine offset, so
-        A x must equal derivative(x) - derivative(0) at any frozen holds."""
+        A z must equal angle_derivative(z) - angle_derivative(0) at any
+        frozen holds, z = [omega, theta, u, q]."""
         rng = np.random.default_rng(3)
         grid, comm = toy.grid, toy.comm
-        n, e = grid.n_nodes, grid.n_lines
+        n, a = grid.n_nodes, len(grid.angle_rates())
         y = rng.normal(size=n)
         rx = {}
-        for a, b in comm.links:
-            rx[(a, b)] = y[a]
-            rx[(b, a)] = y[b]
+        for i, j in comm.links:
+            rx[(i, j)] = y[i]
+            rx[(j, i)] = y[j]
         for ctx in (ControlContext(scheme="CONSENSUS_SAMPLED"),
                     ControlContext(scheme="SEQUENTIAL", F=frozenset({1, 6}))):
             sm = assemble_state_matrix(grid, comm, ctx)
-            keep = list(range(2 * n + e)) + [2 * n + e + i for i in sm.q_nodes]
-            zero = vector_to_state(0.0, np.zeros(3 * n + e), grid, rx)
-            b0 = derivative(zero, grid, comm, ctx, p=np.zeros(n))
+            keep = list(range(2 * n + a)) + [2 * n + a + i for i in sm.q_nodes]
+            b0 = angle_derivative(np.zeros(3 * n + a), grid, comm, ctx, np.zeros(n), last_rx=rx)
             for _ in range(30):
-                x_red = rng.normal(size=len(keep))
-                x_full = np.zeros(3 * n + e)
-                x_full[keep] = x_red
-                dx = derivative(vector_to_state(0.0, x_full, grid, rx), grid,
-                                comm, ctx, p=np.zeros(n))
-                assert np.abs(sm.A @ x_red - (dx - b0)[keep]).max() <= 1e-12
+                z_red = rng.normal(size=len(keep))
+                z = np.zeros(3 * n + a)     # [omega, theta, u, q]
+                z[keep] = z_red
+                dz = angle_derivative(z, grid, comm, ctx, np.zeros(n), last_rx=rx)
+                assert np.abs(sm.angles @ z_red - (dz - b0)[keep]).max() <= 1e-12
 
 
 class TestIntervalMapSpectrum:
@@ -483,8 +484,9 @@ class TestCharacteristicIdentity:
     def test_zero_and_minus_two_are_roots(self):
         grid = two_node_grid(M=(0.5, 0.8), D=(1.0, 1.5), C=(1.0, 2.0), B=1.0)
         sm = assemble_state_matrix(grid, CommGraph(links=((0, 1),)), pair_ctx())
-        assert abs(np.linalg.det(sm.A)) <= 1e-12
-        assert abs(np.linalg.det(sm.A + 2.0 * np.eye(7))) <= 1e-9
+        assert sm.cycles == 0       # one line: the angles block is the whole state matrix
+        assert abs(np.linalg.det(sm.angles)) <= 1e-12
+        assert abs(np.linalg.det(sm.angles + 2.0 * np.eye(7))) <= 1e-9
 
     def test_sample_near_singularity_rejected(self):
         grid = two_node_grid()
@@ -586,9 +588,14 @@ class TestCharacteristicIdentity:
 def identity_oracle(grid, comm, ctx, pts):
     """(residuals, sigma) of the identity check with one complex LU per
     point: log det(A - z I) by slogdet, and the pencil summed term by term
-    at each point."""
-    A = assemble_state_matrix(grid, comm, ctx).A
+    at each point. A is the state matrix on [omega, theta, u, q] at the
+    rows of conftest.identity_system that are not zero; the E - N + 1
+    cycle flows split off add (-z)^(E - N + 1) to the determinant."""
+    AB = identity_system(grid, comm, ctx)
+    moving = np.flatnonzero(AB.any(axis=1))
+    A = AB[np.ix_(moving, moving)]
     n, e = grid.n_nodes, grid.n_lines
+    cycles = e - len(grid.angle_rates())
     M, D, C = (np.diag(v) for v in (grid.inertia(), grid.droop(), grid.cost()))
     LpB = grid.weighted_laplacian()
     if ctx.scheme == "PAIR_FLOW":
@@ -610,7 +617,7 @@ def identity_oracle(grid, comm, ctx, pts):
     def log_ratio(z):
         H = (z ** 2 * D + z ** 3 * M + z * np.linalg.inv(C) + z * (K @ D)
              + z ** 2 * (K @ M) + tail(z))
-        return (logdet(A - z * np.eye(A.shape[0]))
+        return (logdet(A - z * np.eye(A.shape[0])) + cycles * np.log(-z)
                 - (sign_n + exp_lam * np.log(z) + np.log(z + 2.0) - logdet(M) + logdet(H)))
 
     lr = np.array([log_ratio(complex(z)) for z in pts])
